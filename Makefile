@@ -70,7 +70,7 @@ benchgate:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/minic/
 
-# Boots the sharded server on the quick seed model and drives it with
+# Boots the default server on the quick seed model and drives it with
 # `mvpar loadgen`; fails on any request error. CI's load-smoke job runs
 # the same script. DURATION=3s make loadsmoke for a faster local pass.
 loadsmoke:

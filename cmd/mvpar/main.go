@@ -190,17 +190,13 @@ commands:
   classify [-quick] <file.mc>  train, then classify the file's loops
   serve    [-model FILE] [-addr :8080] [-precision float64|float32|int8]
                                long-lived HTTP inference service with request
-                               batching, circuit-breaking replicas, degraded-
-                               mode fallback and atomic model hot swap (POST
-                               /v1/classify, POST /v1/models/reload or SIGHUP,
-                               GET /v1/models, /healthz, /readyz, /metrics,
-                               /debug/traces; -trace-slow, -pprof,
-                               -cpuprofile/-memprofile for telemetry);
-                               -models serves extra named models, -shards
-                               splits the cache/queue into consistent-hash
-                               shards, -min-replicas/-max-replicas enable
-                               replica autoscaling between those bounds;
-                               -precision float32 serves the
+                               batching, degraded-mode fallback and atomic
+                               model hot swap (POST /v1/classify, POST
+                               /v1/models/reload or SIGHUP, GET /v1/models,
+                               /healthz, /readyz, /metrics, /debug/traces;
+                               -trace-slow, -pprof, -cpuprofile/-memprofile
+                               for telemetry); -models serves extra named
+                               models; -precision float32 serves the
                                quantized fast path, int8 the integer tier;
                                see mvpar serve -h, docs/serving.md,
                                docs/performance.md and docs/observability.md
@@ -449,18 +445,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	cacheSize := fs.Int("cache-size", 128, "LRU entries for repeat submissions (-1 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown bound")
 	drainGrace := fs.Duration("drain-grace", 0, "keep serving this long after SIGTERM while /readyz reports\n503 draining, so load balancers stop routing before the listener\ncloses (e.g. 2s)")
-	replicas := fs.Int("replicas", 4, "circuit-breaking model replica domains per generation")
-	shards := fs.Int("shards", 1, "independent admission shards (cache + queue) requests are\nconsistent-hashed over; 1 keeps the classic single-queue server")
-	minReplicas := fs.Int("min-replicas", 1, "autoscaler floor: replicas taking traffic when idle (used only\nwith -max-replicas > 0)")
-	maxReplicas := fs.Int("max-replicas", 0, "autoscaler ceiling: pre-allocated replica slots the scaler can\nwiden the traffic window to (0 disables autoscaling; all\n-replicas slots then always take traffic)")
-	autoscaleInterval := fs.Duration("autoscale-interval", 500*time.Millisecond, "autoscaler evaluation cadence")
-	autoscaleCooldown := fs.Duration("autoscale-cooldown", 2*time.Second, "minimum spacing between scale events")
-	autoscaleP99 := fs.Duration("autoscale-p99", 0, "scale up when the interval-local classify p99 crosses this\n(0 = scale on queue depth only)")
 	models := fs.String("models", "", "extra registry models, comma-separated name=path[@precision]\nentries: a path loads that checkpoint (hot-reloadable per model\nvia POST /v1/models/reload?model=NAME), an empty path shares the\ndefault model's weights at the given precision, e.g.\n\"fast=@int8,retrained=ckpt.bin,r8=ckpt.bin@int8\"")
-	maxRetries := fs.Int("max-retries", 2, "replicas a request is retried on after a replica fault (-1 disables)")
-	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive replica faults that trip a replica's circuit breaker")
-	breakerBackoff := fs.Duration("breaker-backoff", 500*time.Millisecond, "first open interval of a tripped breaker (doubles per failed probe)")
-	degradeHeadroom := fs.Duration("degrade-headroom", 0, "serve a degraded answer instead of starting a full classification\nwhen the request deadline is closer than this (0 disables)")
 	traceSlow := fs.Duration("trace-slow", 0, "trace every request and retain those slower than this\nthreshold at /debug/traces (e.g. 250ms; 0 disables capture)")
 	traceRing := fs.Int("trace-ring", 64, "how many slow-request traces /debug/traces retains (-1 disables retention)")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the serve mux")
@@ -536,14 +521,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "serve: trained, test acc %.1f%%\n", 100*report.TestAcc)
 	}
-	// Replica slot count: with autoscaling the generation pre-allocates
-	// the ceiling (slots share weights, so slots are cheap) and traffic
-	// starts at -min-replicas.
-	slots := *replicas
-	if *maxReplicas > slots {
-		slots = *maxReplicas
-	}
-	snap, err := snapshotFromPipeline(pl, slots, prec)
+	cls, err := pl.ClassifierPrecision(prec)
 	if err != nil {
 		return err
 	}
@@ -552,56 +530,45 @@ func cmdServe(ctx context.Context, args []string) error {
 	var loader serve.Loader
 	if *modelPath != "" {
 		path := *modelPath
-		loader = func(context.Context) (serve.Snapshot, error) {
+		loader = func(context.Context) (serve.Inference, error) {
 			if hit, _ := faults.ChaosFire(faults.SiteReloadFail); hit {
-				return serve.Snapshot{}, fmt.Errorf("chaos: injected loader failure")
+				return nil, fmt.Errorf("chaos: injected loader failure")
 			}
 			data, err := os.ReadFile(path)
 			if err != nil {
-				return serve.Snapshot{}, err
+				return nil, err
 			}
 			if hit, _ := faults.ChaosFire(faults.SiteReloadCorrupt); hit && len(data) > 0 {
 				data[len(data)/2] ^= 0xFF // CRC-checked load rejects this → rollback
 			}
 			if _, err := pl.ReloadModel(bytes.NewReader(data)); err != nil {
-				return serve.Snapshot{}, err
+				return nil, err
 			}
-			return snapshotFromPipeline(pl, slots, prec)
+			return pl.ClassifierPrecision(prec)
 		}
 	}
-	specs := []serve.ModelSpec{{Name: serve.DefaultModel, Snapshot: snap, Loader: loader}}
+	specs := []serve.ModelSpec{{Name: serve.DefaultModel, Inference: cls, Loader: loader}}
 	if *models != "" {
-		extra, err := modelSpecsFromFlag(pl, *models, *quick, slots)
+		extra, err := modelSpecsFromFlag(pl, *models, *quick)
 		if err != nil {
 			return err
 		}
 		specs = append(specs, extra...)
 	}
 	srv, err := serve.NewMulti(specs, serve.Config{
-		Addr:              *addr,
-		MaxBatch:          *maxBatch,
-		BatchWindow:       *batchWindow,
-		MaxQueue:          *maxQueue,
-		Workers:           *workers,
-		RequestTimeout:    *reqTimeout,
-		CacheSize:         *cacheSize,
-		DrainTimeout:      *drainTimeout,
-		DrainGrace:        *drainGrace,
-		Replicas:          *replicas,
-		Shards:            *shards,
-		MinReplicas:       *minReplicas,
-		MaxReplicas:       *maxReplicas,
-		AutoscaleInterval: *autoscaleInterval,
-		AutoscaleCooldown: *autoscaleCooldown,
-		AutoscaleP99:      *autoscaleP99,
-		MaxRetries:        *maxRetries,
-		BreakerThreshold:  *breakerThreshold,
-		BreakerBackoff:    *breakerBackoff,
-		DegradeHeadroom:   *degradeHeadroom,
-		Version:           buildVersion,
-		TraceSlow:         *traceSlow,
-		TraceRing:         *traceRing,
-		EnablePprof:       *enablePprof,
+		Addr:           *addr,
+		MaxBatch:       *maxBatch,
+		BatchWindow:    *batchWindow,
+		MaxQueue:       *maxQueue,
+		Workers:        *workers,
+		RequestTimeout: *reqTimeout,
+		CacheSize:      *cacheSize,
+		DrainTimeout:   *drainTimeout,
+		DrainGrace:     *drainGrace,
+		Version:        buildVersion,
+		TraceSlow:      *traceSlow,
+		TraceRing:      *traceRing,
+		EnablePprof:    *enablePprof,
 	})
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -857,37 +824,15 @@ func cmdParity(ctx context.Context, args []string) error {
 // -ldflags "-X main.buildVersion=v1.2.3".
 var buildVersion = "dev"
 
-// snapshotFromPipeline takes n classifier handles off the pipeline at
-// the given precision tier, one per circuit-breaking failure domain. The
-// handles share weight storage — including the one-time float32
-// quantization — but keep independent replica free lists.
-func snapshotFromPipeline(pl *core.Pipeline, n int, precision string) (serve.Snapshot, error) {
-	if n <= 0 {
-		n = 1
-	}
-	var snap serve.Snapshot
-	for i := 0; i < n; i++ {
-		cls, err := pl.ClassifierPrecision(precision)
-		if err != nil {
-			return serve.Snapshot{}, err
-		}
-		if i == 0 {
-			snap.Fingerprint = cls.Fingerprint()
-		}
-		snap.Replicas = append(snap.Replicas, cls)
-	}
-	return snap, nil
-}
-
 // modelSpecsFromFlag parses the -models flag — comma-separated
 // name=path[@precision] entries — into registry specs. A path-bearing
 // entry loads that checkpoint into its own pipeline sharing base's
 // encoder state (one PrepareContext pays for every variant) and is
-// hot-reloadable; a pathless entry (name=@int8) takes extra classifier
-// handles off base itself at the requested precision, sharing its
+// hot-reloadable; a pathless entry (name=@int8) takes a classifier
+// handle off base itself at the requested precision, sharing its
 // weights (no loader: reloading shared weights independently would be a
 // lie, so POST /v1/models/reload?model=NAME answers 501 for those).
-func modelSpecsFromFlag(base *core.Pipeline, spec string, quick bool, slots int) ([]serve.ModelSpec, error) {
+func modelSpecsFromFlag(base *core.Pipeline, spec string, quick bool) ([]serve.ModelSpec, error) {
 	var specs []serve.ModelSpec
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
@@ -908,11 +853,11 @@ func modelSpecsFromFlag(base *core.Pipeline, spec string, quick bool, slots int)
 			return nil, fmt.Errorf("serve: -models entry %q: %w", entry, err)
 		}
 		if path == "" {
-			snap, err := snapshotFromPipeline(base, slots, prec)
+			cls, err := base.ClassifierPrecision(prec)
 			if err != nil {
 				return nil, fmt.Errorf("serve: -models entry %q: %w", entry, err)
 			}
-			specs = append(specs, serve.ModelSpec{Name: name, Snapshot: snap})
+			specs = append(specs, serve.ModelSpec{Name: name, Inference: cls})
 			continue
 		}
 		vp := core.NewPipeline(trainOptions(quick))
@@ -928,7 +873,7 @@ func modelSpecsFromFlag(base *core.Pipeline, spec string, quick bool, slots int)
 		if err != nil {
 			return nil, fmt.Errorf("serve: -models entry %q: loading %s: %w", entry, path, err)
 		}
-		snap, err := snapshotFromPipeline(vp, slots, prec)
+		cls, err := vp.ClassifierPrecision(prec)
 		if err != nil {
 			return nil, fmt.Errorf("serve: -models entry %q: %w", entry, err)
 		}
@@ -936,17 +881,17 @@ func modelSpecsFromFlag(base *core.Pipeline, spec string, quick bool, slots int)
 		variant := vp
 		variantPrec := prec
 		specs = append(specs, serve.ModelSpec{
-			Name:     name,
-			Snapshot: snap,
-			Loader: func(context.Context) (serve.Snapshot, error) {
+			Name:      name,
+			Inference: cls,
+			Loader: func(context.Context) (serve.Inference, error) {
 				data, err := os.ReadFile(checkpoint)
 				if err != nil {
-					return serve.Snapshot{}, err
+					return nil, err
 				}
 				if _, err := variant.ReloadModel(bytes.NewReader(data)); err != nil {
-					return serve.Snapshot{}, err
+					return nil, err
 				}
-				return snapshotFromPipeline(variant, slots, variantPrec)
+				return variant.ClassifierPrecision(variantPrec)
 			},
 		})
 	}

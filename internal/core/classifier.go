@@ -225,8 +225,7 @@ func (c *Classifier) ClassifyContext(ctx context.Context, name, src string) ([]L
 // shared classify path marks each prediction Degraded with the cause.
 // It is substantially cheaper than a full classification (no sampling,
 // no structural forward work of consequence), which is what makes it a
-// usable fallback when replicas are unhealthy or the request deadline
-// is nearly spent.
+// usable fallback when the full classification faults.
 func (c *Classifier) ClassifyDegradedContext(ctx context.Context, name, src string) ([]LoopPrediction, error) {
 	cfg := c.cfg
 	cfg.WalkParams.MaxSamples = 1

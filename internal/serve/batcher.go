@@ -30,14 +30,10 @@ type batchRequest struct {
 	name string
 	src  string
 	key  string // generation-scoped cache key, "" when caching is off
-	// shard is the admission shard the request hashed to; its cache is
-	// the one the normal path fills and the degradation ladder's
-	// cache-only rung reads.
-	shard *shard
 	// gen is the model generation the request was pinned to at admission
 	// (it registered with gen.inflight); execution runs against this
-	// generation's replicas even if a hot swap lands mid-flight, and the
-	// executor releases the registration when the result is delivered.
+	// generation even if a hot swap lands mid-flight, and the executor
+	// releases the registration when the result is delivered.
 	gen  *generation
 	done chan batchResult
 	// span is the request's "batcher" trace span (nil when untraced):
@@ -68,11 +64,7 @@ type batcher struct {
 	maxBatch int
 	window   time.Duration
 	workers  int
-	// gauge is the queue-depth gauge this batcher reports to: the shared
-	// mvpar_http_queue_depth for a single-shard server, a per-shard
-	// mvpar_shard_queue_depth_<i> family otherwise.
-	gauge string
-	exec  func(*batchRequest)
+	exec     func(*batchRequest)
 
 	// gate orders submissions against drain: submit holds the read side
 	// while it checks accepting and registers with inflight, drain flips
@@ -87,24 +79,20 @@ type batcher struct {
 	stopped  chan struct{}
 }
 
-func newBatcher(maxBatch int, window time.Duration, maxQueue, workers int, gauge string, exec func(*batchRequest)) *batcher {
-	if gauge == "" {
-		gauge = "mvpar_http_queue_depth"
-	}
+// queueDepthGauge reports the admission queue's occupancy.
+const queueDepthGauge = "mvpar_http_queue_depth"
+
+func newBatcher(maxBatch int, window time.Duration, maxQueue, workers int, exec func(*batchRequest)) *batcher {
 	return &batcher{
 		queue:    make(chan *batchRequest, maxQueue),
 		maxBatch: maxBatch,
 		window:   window,
 		workers:  workers,
-		gauge:    gauge,
 		exec:     exec,
 		stop:     make(chan struct{}),
 		stopped:  make(chan struct{}),
 	}
 }
-
-// depth is the current queue occupancy (the autoscaler's load signal).
-func (b *batcher) depth() int { return len(b.queue) }
 
 // start opens admission and launches the dispatcher goroutine.
 func (b *batcher) start() {
@@ -129,7 +117,7 @@ func (b *batcher) submit(r *batchRequest) error {
 	b.inflight.Add(1)
 	select {
 	case b.queue <- r:
-		obs.GetGauge(b.gauge).Set(float64(len(b.queue)))
+		obs.GetGauge(queueDepthGauge).Set(float64(len(b.queue)))
 		return nil
 	default:
 		b.inflight.Done()
@@ -207,5 +195,5 @@ func (b *batcher) run(batch []*batchRequest) {
 		b.exec(batch[i])
 		return struct{}{}, nil
 	})
-	obs.GetGauge(b.gauge).Set(float64(len(b.queue)))
+	obs.GetGauge(queueDepthGauge).Set(float64(len(b.queue)))
 }

@@ -54,8 +54,8 @@ func (c *chaosStub) Fingerprint() string { return fmt.Sprintf("chaos-fp-%d", c.g
 // and slowdowns. Invariants asserted on every single response:
 //
 //   - no failure statuses: every response is 200 (or 429 load shed) —
-//     injected faults are absorbed by retries, breakers and the
-//     degradation ladder, never surfaced to clients;
+//     an injected fault sends its request down the degradation ladder,
+//     never surfacing to clients;
 //   - no cross-generation predictions: the prediction body names the
 //     generation that computed it, which must equal the response's
 //     generation field AND lie within [generation before send,
@@ -72,17 +72,13 @@ func TestChaosSwapStormUnderInjectedFaults(t *testing.T) {
 
 	var genSeq atomic.Uint64
 	genSeq.Store(1)
-	loader := func(context.Context) (Snapshot, error) {
-		return snapshotOf(&chaosStub{gen: genSeq.Add(1)}, 3), nil
+	loader := func(context.Context) (Inference, error) {
+		return &chaosStub{gen: genSeq.Add(1)}, nil
 	}
 	s, ts := newTestServer(t, &chaosStub{gen: 1}, Config{
-		CacheSize:        -1, // force every request through the replicas
-		Replicas:         3,
-		MaxRetries:       3,
-		BreakerThreshold: 2,
-		BreakerBackoff:   5 * time.Millisecond, // breakers recover within the test
-		MaxQueue:         256,
-		Loader:           loader,
+		CacheSize: -1, // force every request through the model
+		MaxQueue:  256,
+		Loader:    loader,
 	})
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
@@ -196,16 +192,16 @@ func TestChaosCorruptCheckpointRollsBack(t *testing.T) {
 
 	var genSeq atomic.Uint64
 	genSeq.Store(1)
-	loader := func(context.Context) (Snapshot, error) {
+	loader := func(context.Context) (Inference, error) {
 		data := append([]byte(nil), checkpoint.Bytes()...)
 		if hit, _ := faults.ChaosFire(faults.SiteReloadCorrupt); hit {
 			data[len(data)-1] ^= 0xFF // corrupt the gob payload tail
 		}
 		fresh := []*nn.Param{nn.NewParam("w", tensor.New(2, 2))}
 		if err := nn.LoadParams(bytes.NewReader(data), fresh); err != nil {
-			return Snapshot{}, err
+			return nil, err
 		}
-		return snapshotOf(&chaosStub{gen: genSeq.Add(1)}, 2), nil
+		return &chaosStub{gen: genSeq.Add(1)}, nil
 	}
 	s, ts := newTestServer(t, &chaosStub{gen: 1}, Config{CacheSize: -1, Loader: loader})
 	if err := s.Warmup(context.Background()); err != nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -12,21 +13,34 @@ import (
 
 // TestServeMetricsExpositionConformance pins the serving layer's full
 // metric surface — including the resilience families this layer owns
-// (breaker state gauges, reload/rollback counters, degraded-response
-// counters, chaos counters, mvpar_build_info) — to the strict
-// Prometheus text-format checker that CI also runs against /metrics.
+// (reload/rollback counters, degraded-response counters, chaos
+// counters, mvpar_build_info, one mvpar_model_info_<model> gauge per
+// registry entry) — to the strict Prometheus text-format checker that
+// CI also runs against /metrics. The server runs the default config, so
+// the test also pins that it exports the single admission queue's depth
+// gauge and no family of the removed sharding, autoscaling and
+// breaker/retry layers.
 func TestServeMetricsExpositionConformance(t *testing.T) {
-	s, ts := newTestServer(t, &genStub{gen: 1}, Config{Version: "test"})
+	s, err := NewMulti([]ModelSpec{
+		{Name: DefaultModel, Inference: &genStub{gen: 1}},
+		{Name: "alt.v2", Inference: &stubInference{}},
+	}, Config{Version: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Touch every new counter family so the exposition carries them even
 	// when this test runs alone.
 	for _, name := range []string{
-		"mvpar_replica_breaker_trips_total",
-		"mvpar_replica_breaker_probes_total",
-		"mvpar_replica_breaker_recoveries_total",
-		"mvpar_replica_retries_total",
 		"mvpar_model_reloads_total",
 		"mvpar_model_reload_failures_total",
 		"mvpar_model_generations_drained_total",
@@ -66,8 +80,6 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 		`go_version="go`,
 		`version="test"`,
 		"# TYPE mvpar_model_generation gauge",
-		"# TYPE mvpar_replica_breaker_state_r0 gauge",
-		"# TYPE mvpar_replica_breaker_trips_total counter",
 		"# TYPE mvpar_model_reloads_total counter",
 		"# TYPE mvpar_model_reload_failures_total counter",
 		"# TYPE mvpar_http_degraded_responses_total counter",
@@ -81,63 +93,25 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 		"# TYPE mvpar_model_info_default gauge",
 		`mvpar_model_info_default{`,
 		`model="default"`,
+		`fingerprint="fp-1"`,
+		// Dots in a model name are sanitized for the metric name but kept
+		// verbatim in the label value.
+		"# TYPE mvpar_model_info_alt_v2 gauge",
+		`model="alt.v2"`,
 		"# TYPE mvpar_http_queue_depth gauge",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-}
-
-// TestShardedMetricsExposition pins the sharded/autoscaled families: a
-// multi-shard autoscaled server must expose per-shard queue-depth
-// gauges, the autoscale families, and one mvpar_model_info_<model> info
-// gauge per registry entry — all conformant.
-func TestShardedMetricsExposition(t *testing.T) {
-	def := &stubInference{}
-	alt := &stubInference{}
-	s, err := NewMulti([]ModelSpec{
-		{Name: DefaultModel, Snapshot: snapshotOf(def, 2)},
-		{Name: "alt.v2", Snapshot: snapshotOf(alt, 2)},
-	}, Config{Shards: 2, MinReplicas: 1, MaxReplicas: 2, AutoscaleInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
-	if err := s.Warmup(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	obs.GetCounter("mvpar_autoscale_up_total").Add(0)
-	obs.GetCounter("mvpar_autoscale_down_total").Add(0)
-
-	var b strings.Builder
-	if err := obs.Default().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if err := obs.CheckExposition(strings.NewReader(out)); err != nil {
-		t.Fatalf("sharded exposition fails conformance: %v\n%s", err, out)
-	}
-	for _, want := range []string{
-		"# TYPE mvpar_shard_queue_depth_0 gauge",
-		"# TYPE mvpar_shard_queue_depth_1 gauge",
-		"# TYPE mvpar_autoscale_replicas gauge",
-		"# TYPE mvpar_autoscale_up_total counter",
-		"# TYPE mvpar_autoscale_down_total counter",
-		"# TYPE mvpar_model_info_default gauge",
-		`mvpar_model_info_default{`,
-		// Dots in a model name are sanitized for the metric name but kept
-		// verbatim in the label value.
-		"# TYPE mvpar_model_info_alt_v2 gauge",
-		`model="alt.v2"`,
-		`fingerprint="`,
+	for _, gone := range []string{
+		"mvpar_shard_",
+		"mvpar_autoscale_",
+		"mvpar_replica_breaker_",
+		"mvpar_replica_retries_total",
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sharded exposition missing %q", want)
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition carries the removed %q family", gone)
 		}
 	}
 }

@@ -56,8 +56,8 @@ type ClassifyResponse struct {
 	// (DegradedReasons then says which and why).
 	Degraded bool `json:"degraded"`
 	// DegradedReasons names the degradation-ladder rung that served the
-	// response and why, e.g. "cache-only answer: all model replicas
-	// unhealthy". Empty on the normal path.
+	// response and why, e.g. "node-view-only prediction: full
+	// classification faulted". Empty on the normal path.
 	DegradedReasons []string `json:"degraded_reasons,omitempty"`
 	// Cached is true when the response was served from the LRU without
 	// re-running the pipeline.
@@ -118,10 +118,9 @@ func toResponse(name string, preds []core.LoopPrediction, cached bool) ClassifyR
 
 // handleClassify is POST /v1/classify: admission (readiness, body
 // bounds, generation pinning), generation-scoped cache lookup, batched
-// execution with a per-request deadline against the pinned generation's
-// replicas, and error mapping (429 shed, 503 not-ready/draining/
-// no-replicas, 504 deadline, 500 captured panic, 422 programs the
-// pipeline rejects).
+// execution with a per-request deadline against the pinned generation,
+// and error mapping (429 shed, 503 not-ready/draining, 504 deadline, 500
+// captured panic, 422 programs the pipeline rejects).
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -171,22 +170,17 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 	// Pin the request to the model's current generation: it registers
 	// with the generation's in-flight count here and executes against
-	// that generation's replicas even if a hot swap lands while it
-	// waits. The registration is released on every exit path — cache hit
-	// and submit rejection below, or by the executor once it delivers a
-	// result.
+	// that generation even if a hot swap lands while it waits. The
+	// registration is released on every exit path — cache hit and submit
+	// rejection below, or by the executor once it delivers a result.
 	gen := m.admit()
 	// Per-precision request accounting: which inference tier is about to
 	// answer (float64 reference or float32 fast path).
 	obs.GetCounter("mvpar_classify_requests_" + gen.prec + "_total").Inc()
-	// Consistent-hash the submission to its admission shard. The hash is
-	// generation-scoped like the cache key, so one submission's repeat
-	// traffic lands on one shard's cache.
-	shard := s.shardFor(requestHash(gen.key(), req.Name, req.Source))
 	var key string
-	if shard.cache != nil {
+	if s.cache != nil {
 		key = cacheKey(gen.key(), req.Name, req.Source)
-		if preds, ok := shard.cache.get(key); ok {
+		if preds, ok := s.cache.get(key); ok {
 			gen.inflight.Done()
 			obs.GetCounter("mvpar_http_cache_hits_total").Inc()
 			resp := toResponse(req.Name, preds, true)
@@ -214,16 +208,15 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	bctx, bspan := trace.StartSpan(ctx, "batcher")
 	breq := &batchRequest{
-		ctx:   bctx,
-		name:  req.Name,
-		src:   req.Source,
-		key:   key,
-		shard: shard,
-		gen:   gen,
-		done:  make(chan batchResult, 1),
-		span:  bspan,
+		ctx:  bctx,
+		name: req.Name,
+		src:  req.Source,
+		key:  key,
+		gen:  gen,
+		done: make(chan batchResult, 1),
+		span: bspan,
 	}
-	if err := shard.bat.submit(breq); err != nil {
+	if err := s.bat.submit(breq); err != nil {
 		gen.inflight.Done()
 		switch {
 		case errors.Is(err, ErrQueueFull):
@@ -278,12 +271,6 @@ func (s *Server) writeResult(w http.ResponseWriter, name, prec string, res batch
 	var pe *faults.PanicError
 	var se *faults.StageError
 	switch {
-	case errors.Is(err, ErrNoReplicas):
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
-			Error:   "all model replicas unhealthy",
-			Reasons: []string{"circuit breakers open and no degraded answer available; retry with backoff"},
-		})
 	case errors.As(err, &pe):
 		// Quarantine-style isolation: the panicking request dies with a
 		// reasoned 500, the process and its batchmates live on.
@@ -348,12 +335,6 @@ type ModelStatus struct {
 	Generation  uint64 `json:"generation"`
 	Fingerprint string `json:"fingerprint,omitempty"`
 	Precision   string `json:"precision"`
-	// Replicas is the pre-allocated slot count; ActiveReplicas how many
-	// take traffic right now (the autoscaler's window); HealthyReplicas
-	// how many of those have a non-open breaker.
-	Replicas        int `json:"replicas"`
-	ActiveReplicas  int `json:"active_replicas"`
-	HealthyReplicas int `json:"healthy_replicas"`
 	// Reloadable reports whether the model has a Loader (POST
 	// /v1/models/reload?model=<name> works).
 	Reloadable bool `json:"reloadable"`
@@ -365,22 +346,19 @@ func (s *Server) modelStatuses() []ModelStatus {
 	for _, m := range s.reg.all() {
 		gen := m.gen.Load()
 		out = append(out, ModelStatus{
-			Name:            m.name,
-			Default:         m.name == s.reg.def,
-			Generation:      gen.id,
-			Fingerprint:     gen.fp,
-			Precision:       gen.prec,
-			Replicas:        len(gen.reps),
-			ActiveReplicas:  gen.activeN(),
-			HealthyReplicas: gen.healthy(),
-			Reloadable:      m.loader != nil,
+			Name:        m.name,
+			Default:     m.name == s.reg.def,
+			Generation:  gen.id,
+			Fingerprint: gen.fp,
+			Precision:   gen.prec,
+			Reloadable:  m.loader != nil,
 		})
 	}
 	return out
 }
 
 // handleModels is GET /v1/models: the registry listing with each
-// model's generation, fingerprint and replica state.
+// model's generation, fingerprint and precision.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -410,19 +388,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleReadyz is readiness with a state machine: "starting" (503)
 // until the warm-up classification passes, "draining" (503) once
 // Shutdown begins — the signal load balancers key on during the drain
-// grace window — "degraded" (200: still routable, the degradation
-// ladder answers) while any model has every active-replica breaker
-// open, and "ready" (200) otherwise. The top-level generation and
-// replica counts are the default model's.
+// grace window — and "ready" (200) otherwise. The top-level generation
+// is the default model's.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	gen := s.defaultModel().gen.Load()
-	healthy := gen.healthy()
-	anyUnhealthy := false
-	for _, m := range s.reg.all() {
-		if m.gen.Load().healthy() == 0 {
-			anyUnhealthy = true
-		}
-	}
 	state := "ready"
 	code := http.StatusOK
 	switch {
@@ -430,14 +398,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		state, code = "draining", http.StatusServiceUnavailable
 	case !s.ready.Load():
 		state, code = "starting", http.StatusServiceUnavailable
-	case anyUnhealthy:
-		state = "degraded"
 	}
 	writeJSON(w, code, map[string]any{
-		"ready":            code == http.StatusOK,
-		"state":            state,
-		"generation":       gen.id,
-		"healthy_replicas": healthy,
-		"replicas":         len(gen.reps),
+		"ready":      code == http.StatusOK,
+		"state":      state,
+		"generation": s.Generation(),
 	})
 }

@@ -19,19 +19,19 @@ var ErrUnknownModel = errors.New("serve: unknown model")
 
 // ModelSpec declares one registry entry at construction time: the name
 // requests select it by (`POST /v1/classify?model=<name>`), the loaded
-// snapshot, and an optional per-model Loader enabling its hot reload.
+// Inference, and an optional per-model Loader enabling its hot reload.
 type ModelSpec struct {
 	// Name identifies the model; letters, digits, '.', '_' and '-' only.
 	Name string
-	// Snapshot is the model's initial replica set.
-	Snapshot Snapshot
+	// Inference is the model's initial classifier handle.
+	Inference Inference
 	// Loader, when set, enables POST /v1/models/reload?model=<name> for
 	// this model. Without it reload requests answer 501.
 	Loader Loader
 }
 
 // model is one registry entry: a named generation chain with its own
-// swap/drain lifecycle, loader and autoscaling state.
+// swap/drain lifecycle and loader.
 type model struct {
 	name string
 	// metric is the name sanitized into a Prometheus-safe suffix for the
@@ -44,17 +44,12 @@ type model struct {
 	gen      atomic.Pointer[generation]
 	genSeq   atomic.Uint64
 	reloadMu sync.Mutex
-
-	// desiredActive is the replica count the autoscaler currently wants;
-	// a hot swap starts the new generation at this value so a reload
-	// never resets a scaled-up model to its minimum.
-	desiredActive atomic.Int64
 }
 
 // registry is the immutable-after-construction set of served models.
-// (Model state mutates — generations swap, replicas scale — but the
-// name set is fixed at construction, which is what lets lookups run
-// lock-free on a plain map.)
+// (Model state mutates — generations swap — but the name set is fixed
+// at construction, which is what lets lookups run lock-free on a plain
+// map.)
 type registry struct {
 	byName map[string]*model
 	names  []string // sorted, default first
@@ -106,8 +101,8 @@ func newRegistry(specs []ModelSpec) (*registry, error) {
 		if _, dup := reg.byName[spec.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate model name %q", spec.Name)
 		}
-		if len(spec.Snapshot.Replicas) == 0 {
-			return nil, fmt.Errorf("serve: model %q has no replicas", spec.Name)
+		if spec.Inference == nil {
+			return nil, fmt.Errorf("serve: model %q has no inference", spec.Name)
 		}
 		m := &model{name: spec.Name, metric: metricSuffix(spec.Name), loader: spec.Loader}
 		reg.byName[spec.Name] = m

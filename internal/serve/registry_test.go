@@ -13,16 +13,16 @@ import (
 )
 
 func TestRegistryValidation(t *testing.T) {
-	good := snapshotOf(&stubInference{}, 1)
+	good := &stubInference{}
 	cases := []struct {
 		name  string
 		specs []ModelSpec
 	}{
 		{"empty set", nil},
-		{"invalid name", []ModelSpec{{Name: "bad name!", Snapshot: good}}},
-		{"empty name", []ModelSpec{{Name: "", Snapshot: good}}},
-		{"duplicate", []ModelSpec{{Name: "a", Snapshot: good}, {Name: "a", Snapshot: good}}},
-		{"no replicas", []ModelSpec{{Name: "a"}}},
+		{"invalid name", []ModelSpec{{Name: "bad name!", Inference: good}}},
+		{"empty name", []ModelSpec{{Name: "", Inference: good}}},
+		{"duplicate", []ModelSpec{{Name: "a", Inference: good}, {Name: "a", Inference: good}}},
+		{"no inference", []ModelSpec{{Name: "a"}}},
 	}
 	for _, tc := range cases {
 		if _, err := newRegistry(tc.specs); err == nil {
@@ -30,9 +30,9 @@ func TestRegistryValidation(t *testing.T) {
 		}
 	}
 	reg, err := newRegistry([]ModelSpec{
-		{Name: "zeta", Snapshot: good},
-		{Name: "alpha", Snapshot: good},
-		{Name: "beta", Snapshot: good},
+		{Name: "zeta", Inference: good},
+		{Name: "alpha", Inference: good},
+		{Name: "beta", Inference: good},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +62,8 @@ func newMultiTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *s
 	def := &stubInference{}
 	alt := &stubInference{}
 	s, err := NewMulti([]ModelSpec{
-		{Name: DefaultModel, Snapshot: snapshotOf(def, 2)},
-		{Name: "alt", Snapshot: snapshotOf(alt, 2)},
+		{Name: DefaultModel, Inference: def},
+		{Name: "alt", Inference: alt},
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +157,8 @@ func TestModelsEndpointAndHealthz(t *testing.T) {
 		t.Fatalf("first listing entry = %+v, want the default model", listing.Models[0])
 	}
 	for _, m := range listing.Models {
-		if m.Generation != 1 || m.Replicas != 2 || m.HealthyReplicas != 2 {
-			t.Fatalf("model %q status = %+v, want generation 1 with 2 healthy replicas", m.Name, m)
+		if m.Generation != 1 || m.Precision != "float64" {
+			t.Fatalf("model %q status = %+v, want generation 1 at float64", m.Name, m)
 		}
 		if m.Reloadable {
 			t.Fatalf("model %q claims a loader it does not have", m.Name)
@@ -190,9 +190,9 @@ func TestPerModelReload(t *testing.T) {
 	alt1 := &genStub{gen: 1}
 	alt2 := &genStub{gen: 2}
 	s, err := NewMulti([]ModelSpec{
-		{Name: DefaultModel, Snapshot: snapshotOf(def, 1)},
-		{Name: "alt", Snapshot: snapshotOf(alt1, 1), Loader: func(context.Context) (Snapshot, error) {
-			return snapshotOf(alt2, 1), nil
+		{Name: DefaultModel, Inference: def},
+		{Name: "alt", Inference: alt1, Loader: func(context.Context) (Inference, error) {
+			return alt2, nil
 		}},
 	}, Config{CacheSize: -1})
 	if err != nil {

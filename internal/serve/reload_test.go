@@ -75,8 +75,8 @@ func TestServerReloadSwapsGenerationAndInvalidatesCache(t *testing.T) {
 	gen1 := &genStub{gen: 1}
 	gen2 := &genStub{gen: 2}
 	cfg := Config{CacheSize: 8}
-	cfg.Loader = func(context.Context) (Snapshot, error) {
-		return snapshotOf(gen2, 2), nil
+	cfg.Loader = func(context.Context) (Inference, error) {
+		return gen2, nil
 	}
 	s, ts := newTestServer(t, gen1, cfg)
 	if err := s.Warmup(context.Background()); err != nil {
@@ -124,8 +124,8 @@ func TestServerReloadSwapsGenerationAndInvalidatesCache(t *testing.T) {
 func TestServerReloadRollsBackOnLoaderError(t *testing.T) {
 	gen1 := &genStub{gen: 1}
 	cfg := Config{CacheSize: -1}
-	cfg.Loader = func(context.Context) (Snapshot, error) {
-		return Snapshot{}, errors.New("checkpoint corrupt: crc mismatch")
+	cfg.Loader = func(context.Context) (Inference, error) {
+		return nil, errors.New("checkpoint corrupt: crc mismatch")
 	}
 	s, ts := newTestServer(t, gen1, cfg)
 	if err := s.Warmup(context.Background()); err != nil {
@@ -153,8 +153,8 @@ func TestServerReloadRollsBackOnWarmupFailure(t *testing.T) {
 	gen1 := &genStub{gen: 1}
 	bad := &genStub{gen: 2, warmErr: errors.New("NaN logits on warm-up input")}
 	cfg := Config{CacheSize: -1}
-	cfg.Loader = func(context.Context) (Snapshot, error) {
-		return snapshotOf(bad, 2), nil
+	cfg.Loader = func(context.Context) (Inference, error) {
+		return bad, nil
 	}
 	s, ts := newTestServer(t, gen1, cfg)
 	if err := s.Warmup(context.Background()); err != nil {
@@ -188,15 +188,15 @@ func TestServerReloadWithoutLoaderAnswers501(t *testing.T) {
 
 // TestServerReloadDrainsOldGenerationInFlight pins the hot-swap drain
 // contract: a request admitted before the swap finishes on the OLD
-// generation's replicas and reports the old generation, while requests
+// generation and reports the old generation, while requests
 // after the swap answer from the new one; once the pinned request
 // completes the old generation is declared drained.
 func TestServerReloadDrainsOldGenerationInFlight(t *testing.T) {
 	gen1 := &genStub{gen: 1, started: make(chan string, 4), release: make(chan struct{})}
 	gen2 := &genStub{gen: 2}
 	cfg := Config{CacheSize: -1, Workers: 1}
-	cfg.Loader = func(context.Context) (Snapshot, error) {
-		return snapshotOf(gen2, 2), nil
+	cfg.Loader = func(context.Context) (Inference, error) {
+		return gen2, nil
 	}
 	s, ts := newTestServer(t, gen1, cfg)
 	if err := s.Warmup(context.Background()); err != nil {
@@ -227,7 +227,7 @@ func TestServerReloadDrainsOldGenerationInFlight(t *testing.T) {
 		t.Fatal("old generation declared drained with a request still in flight")
 	}
 
-	// The pinned request completes on the OLD generation's replicas.
+	// The pinned request completes on the OLD generation.
 	close(gen1.release)
 	got := <-inflight
 	if got.code != 200 || got.resp.Generation != 1 || got.resp.Predictions[0].Func != "gen-1" {
@@ -249,14 +249,19 @@ func TestServerReloadDrainsOldGenerationInFlight(t *testing.T) {
 }
 
 // degradableStub panics on every full classification but serves the
-// degraded node-view-only rung, like core.Classifier does.
+// degraded node-view-only rung, like core.Classifier does — unless
+// degradedPanic is set, when that rung panics too.
 type degradableStub struct {
 	genStub
 	degradedCalls atomic.Int64
+	degradedPanic atomic.Bool
 }
 
 func (d *degradableStub) ClassifyDegradedContext(ctx context.Context, name, src string) ([]core.LoopPrediction, error) {
 	d.degradedCalls.Add(1)
+	if d.degradedPanic.Load() {
+		panic("node view wedged too")
+	}
 	return []core.LoopPrediction{{
 		LoopID: 1, Func: fmt.Sprintf("gen-%d", d.gen), Line: 2,
 		Parallel: true, Proba: 0.6, Degraded: true,
@@ -264,64 +269,67 @@ func (d *degradableStub) ClassifyDegradedContext(ctx context.Context, name, src 
 	}}, nil
 }
 
-// TestServerDegradedFallbackWhenAllReplicasFault drives every replica
-// into a panic loop and asserts the degradation ladder answers 200 with
-// degraded provenance instead of 500, and /readyz reports the degraded
-// state while staying routable.
+// TestServerDegradedFallbackWhenAllReplicasFault pins the fail-closed
+// contract for a panicking model: the full classification runs exactly
+// once per request (every attempt shares the weights, so a panic the
+// input caused would fire again on a retry), the node-view rung answers
+// 200 with degraded provenance, and when that rung panics too the
+// answer is a 500 naming the classify stage.
 func TestServerDegradedFallbackWhenAllReplicasFault(t *testing.T) {
 	stub := &degradableStub{genStub: genStub{gen: 1, panicAll: true}}
-	s, ts := newTestServer(t, stub, Config{
-		CacheSize:        -1,
-		Replicas:         2,
-		MaxRetries:       2,
-		BreakerThreshold: 1, // first fault trips each replica
-		BreakerBackoff:   time.Hour,
-	})
+	s, ts := newTestServer(t, stub, Config{CacheSize: -1})
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	code, ok, errResp := postClassify(t, ts.URL, "p", stubSource)
-	if code != 200 {
-		t.Fatalf("classify with all replicas faulting = %d (%+v), want degraded 200", code, errResp)
+	const requests = 3
+	for i := 1; i <= requests; i++ {
+		code, ok, errResp := postClassify(t, ts.URL, fmt.Sprintf("p%d", i), stubSource)
+		if code != 200 {
+			t.Fatalf("classify with a panicking model = %d (%+v), want degraded 200", code, errResp)
+		}
+		if !ok.Degraded || len(ok.DegradedReasons) == 0 ||
+			!strings.Contains(ok.DegradedReasons[0], "node-view-only") {
+			t.Fatalf("degraded response = %+v, want degraded:true with a node-view reason", ok)
+		}
+		if ok.Generation != 1 {
+			t.Fatalf("degraded response generation = %d, want 1", ok.Generation)
+		}
+		if n := stub.calls.Load(); n != int64(i) {
+			t.Fatalf("full classification ran %d times for %d requests, want exactly once each", n, i)
+		}
 	}
-	if !ok.Degraded || len(ok.DegradedReasons) == 0 ||
-		!strings.Contains(ok.DegradedReasons[0], "node-view-only") {
-		t.Fatalf("degraded response = %+v, want degraded:true with a node-view reason", ok)
-	}
-	if ok.Generation != 1 {
-		t.Fatalf("degraded response generation = %d, want 1", ok.Generation)
-	}
-	if stub.degradedCalls.Load() == 0 {
-		t.Fatal("degraded rung never ran")
+	if n := stub.degradedCalls.Load(); n != requests {
+		t.Fatalf("node-view rung ran %d times, want %d", n, requests)
 	}
 
-	// Both breakers are now open: /readyz reports degraded but stays 200
-	// (the ladder still answers traffic).
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	// Both rungs panic: the request fails closed with a 500 that names
+	// the stage, still after a single full attempt.
+	stub.degradedPanic.Store(true)
+	code, _, errResp := postClassify(t, ts.URL, "dead", stubSource)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("classify with both rungs panicking = %d (%+v), want 500", code, errResp)
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || !strings.Contains(string(raw), `"state":"degraded"`) ||
-		!strings.Contains(string(raw), `"healthy_replicas":0`) {
-		t.Fatalf("/readyz with all breakers open = %d %s, want 200 degraded", resp.StatusCode, raw)
+	foundStage := false
+	for _, r := range errResp.Reasons {
+		if strings.Contains(r, "stage: classify") {
+			foundStage = true
+		}
+	}
+	if !foundStage {
+		t.Fatalf("500 reasons %v missing stage: classify", errResp.Reasons)
+	}
+	if n := stub.calls.Load(); n != requests+1 {
+		t.Fatalf("full classification ran %d times for %d requests, want exactly once each", n, requests+1)
 	}
 }
 
 // TestServerCacheRungServesWhenReplicasFault pins the first ladder rung:
 // a previously computed answer is served from the generation-scoped
-// cache when every replica is unhealthy, marked degraded.
+// cache, marked degraded, when the full classification panics.
 func TestServerCacheRungServesWhenReplicasFault(t *testing.T) {
 	stub := &degradableStub{genStub: genStub{gen: 1}}
-	s, ts := newTestServer(t, stub, Config{
-		CacheSize:        8,
-		Replicas:         2,
-		MaxRetries:       2,
-		BreakerThreshold: 1,
-		BreakerBackoff:   time.Hour,
-	})
+	s, ts := newTestServer(t, stub, Config{CacheSize: 8})
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -331,25 +339,18 @@ func TestServerCacheRungServesWhenReplicasFault(t *testing.T) {
 		t.Fatalf("healthy classify = %d %+v", code, ok)
 	}
 
-	// Trip every breaker, then drive the executor path directly with the
-	// cached key (the HTTP handler would answer from the cache at
+	// Make the model panic, then drive the executor path directly with
+	// the cached key (the HTTP handler would answer from the cache at
 	// admission; the ladder's cache rung covers requests that were
-	// admitted on a miss and found the replicas gone by execution time).
+	// admitted on a miss and whose attempt faulted at execution time).
 	stub.panicAll = true
 	gen := s.defaultModel().gen.Load()
-	for _, rep := range gen.reps {
-		rep.br.failure()
-	}
-	if gen.healthy() != 0 {
-		t.Fatal("breakers not open")
-	}
 	r := &batchRequest{
-		ctx:   context.Background(),
-		name:  "p",
-		src:   stubSource,
-		key:   cacheKey(gen.key(), "p", stubSource),
-		shard: s.shards[0],
-		gen:   gen,
+		ctx:  context.Background(),
+		name: "p",
+		src:  stubSource,
+		key:  cacheKey(gen.key(), "p", stubSource),
+		gen:  gen,
 	}
 	res := s.classify(r)
 	if res.err != nil || len(res.preds) == 0 || res.gen != 1 {
@@ -361,9 +362,13 @@ func TestServerCacheRungServesWhenReplicasFault(t *testing.T) {
 	if res.preds[0].Func != "gen-1" {
 		t.Fatalf("cache rung served %q, want the cached gen-1 prediction", res.preds[0].Func)
 	}
-	// The full pipeline never ran for it.
-	if stub.calls.Load() != 1 {
-		t.Fatalf("pipeline ran %d times, want 1 (cache rung must not classify)", stub.calls.Load())
+	// One healthy pass plus one panicking attempt; the cache rung answered
+	// before the node-view rung.
+	if n := stub.calls.Load(); n != 2 {
+		t.Fatalf("full classification ran %d times, want 2", n)
+	}
+	if n := stub.degradedCalls.Load(); n != 0 {
+		t.Fatalf("node-view rung ran %d times, want 0 (the cache rung answers first)", n)
 	}
 }
 
@@ -374,7 +379,7 @@ func TestServerCacheRungServesWhenReplicasFault(t *testing.T) {
 func TestBatcherQueueFullDuringDrain(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	b := newBatcher(1, -1, 2, 1, "", func(r *batchRequest) {
+	b := newBatcher(1, -1, 2, 1, func(r *batchRequest) {
 		select {
 		case started <- struct{}{}:
 		default:

@@ -3,31 +3,22 @@
 // so downstream consumers — editors, CI gates, build systems — classify
 // loops without paying model-load and encoder-build costs per request.
 //
-// The request path is a sharded micro-batching admission pipeline over a
+// The request path is a micro-batching admission pipeline over a
 // registry of named models:
 //
 //	POST /v1/classify?model=<name> → registry lookup → generation pin
-//	  → consistent-hash shard (fingerprint-aware request hash)
-//	  → per-shard LRU cache (generation-keyed)
-//	  → per-shard bounded queue (429 past the queue budget)
+//	  → LRU cache (generation-keyed)
+//	  → bounded queue (429 past the queue budget)
 //	  → batcher (coalesce ≤ MaxBatch within BatchWindow)
-//	  → circuit-breaking replica routing (retry around faults)
-//	  → per-request context deadline into the interpreter's stride check
-//	  → degradation ladder (cache-only → node-view-only) when replicas
-//	    are unhealthy or the deadline is nearly spent
-//
-// Sharding (Config.Shards) splits the cache and admission queue into
-// independent lock + channel domains so no single mutex is the
-// rendezvous point for every request at high concurrency; replica
-// autoscaling (Config.MinReplicas/MaxReplicas) moves each model's
-// traffic-taking replica window with queue depth and interval p99,
-// with hysteresis and a cooldown.
+//	  → one panic-captured classification attempt, the per-request
+//	    context deadline reaching the interpreter's stride check
+//	  → degradation ladder (cache-only → node-view-only) when that
+//	    attempt faults
 //
 // plus /healthz (liveness + generation identity), /readyz (warm, not
-// draining; reports "degraded" while the ladder is active), /metrics
-// (the internal/obs registry — Prometheus exposition under content
-// negotiation — extended with the mvpar_http_* / mvpar_replica_* /
-// mvpar_model_* families), POST /v1/models/reload (atomic model hot
+// draining), /metrics (the internal/obs registry — Prometheus
+// exposition under content negotiation — extended with the mvpar_http_*
+// / mvpar_model_* families), POST /v1/models/reload (atomic model hot
 // swap: load → warm → parity-check → swap, with the old generation
 // draining in flight and automatic rollback on failure), /debug/traces
 // (retained slow-request span trees, see internal/obs/trace) and,
@@ -37,9 +28,8 @@
 // pool upholds. Shutdown is graceful: draining finishes every admitted
 // request before the dispatcher exits.
 //
-// The resilience model (swap/drain/rollback state machine, breaker
-// states, degradation ladder, chaos harness) is documented in
-// docs/robustness.md.
+// The resilience model (swap/drain/rollback state machine, degradation
+// ladder, chaos harness) is documented in docs/robustness.md.
 package serve
 
 import (
@@ -69,10 +59,10 @@ type Inference interface {
 	ClassifyContext(ctx context.Context, name, src string) ([]core.LoopPrediction, error)
 }
 
-// Loader produces a fresh model snapshot for a hot reload — typically
-// by re-reading a checkpoint file and taking new classifier handles.
-// It runs under the reload lock (never concurrently with itself).
-type Loader func(ctx context.Context) (Snapshot, error)
+// Loader produces a fresh Inference for a hot reload — typically by
+// re-reading a checkpoint file and taking a new classifier handle. It
+// runs under the reload lock (never concurrently with itself).
+type Loader func(ctx context.Context) (Inference, error)
 
 // Config tunes the server. Zero values take the documented defaults.
 type Config struct {
@@ -107,52 +97,6 @@ type Config struct {
 	// stop routing here. Default 0 (close immediately; set it in
 	// production, e.g. 2s).
 	DrainGrace time.Duration
-	// Replicas is how many circuit-breaking failure domains a generation
-	// fans requests over; default 4. When the server is built from a
-	// single Inference the domains share it; a Loader may supply
-	// genuinely distinct handles.
-	Replicas int
-	// Shards is how many independent admission domains (cache + bounded
-	// queue, each with its own lock and dispatcher) requests are
-	// consistent-hashed over; default 1 (the classic single-queue
-	// server). The queue and cache budgets are split evenly across
-	// shards.
-	Shards int
-	// MinReplicas / MaxReplicas bound replica autoscaling. MaxReplicas 0
-	// (the default) disables the autoscaler: every replica slot takes
-	// traffic, exactly the fixed-replica behaviour of earlier versions.
-	// With MaxReplicas > 0 the generation is pre-allocated MaxReplicas
-	// slots (they share the Inference, so slots are cheap), traffic
-	// starts on MinReplicas of them (default 1), and the autoscaler
-	// widens or narrows the window from queue depth and latency.
-	MinReplicas int
-	MaxReplicas int
-	// AutoscaleInterval is the autoscaler's evaluation cadence; default
-	// 500ms.
-	AutoscaleInterval time.Duration
-	// AutoscaleCooldown is the minimum spacing between scale events;
-	// default 2s.
-	AutoscaleCooldown time.Duration
-	// AutoscaleP99 scales up when the interval-local classify p99
-	// crosses it; default 0 (scale on queue depth only).
-	AutoscaleP99 time.Duration
-	// MaxRetries is how many additional replicas a request is retried on
-	// after a replica fault (panic, deadline overrun) before falling to
-	// the degradation ladder; default 2, negative disables retries.
-	MaxRetries int
-	// BreakerThreshold is the consecutive-fault count that trips a
-	// replica's breaker open; default 3.
-	BreakerThreshold int
-	// BreakerBackoff is the first open interval of a tripped breaker
-	// (doubling on each failed half-open probe); default 500ms.
-	BreakerBackoff time.Duration
-	// BreakerMaxBackoff caps the exponential backoff; default 30s.
-	BreakerMaxBackoff time.Duration
-	// DegradeHeadroom, when positive, short-circuits a request straight
-	// to the degradation ladder if its deadline is closer than this when
-	// execution starts — a queue-delayed request gets a fast degraded
-	// answer instead of a doomed full classification. Default 0 (off).
-	DegradeHeadroom time.Duration
 	// Loader, when set, enables POST /v1/models/reload and SIGHUP-driven
 	// hot swaps. Without it reload requests answer 501.
 	Loader Loader
@@ -208,29 +152,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainGrace < 0 {
 		c.DrainGrace = 0
 	}
-	if c.Replicas <= 0 {
-		c.Replicas = 4
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.MaxReplicas > 0 {
-		if c.MinReplicas <= 0 {
-			c.MinReplicas = 1
-		}
-		if c.MaxReplicas < c.MinReplicas {
-			c.MaxReplicas = c.MinReplicas
-		}
-	} else {
-		c.MinReplicas = 0
-		c.MaxReplicas = 0
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
 	if c.Version == "" {
 		c.Version = "dev"
 	}
@@ -239,19 +160,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// breakerCfg derives the per-replica breaker configuration.
-func (c Config) breakerCfg() breakerConfig {
-	return breakerConfig{
-		threshold:  c.BreakerThreshold,
-		backoff:    c.BreakerBackoff,
-		maxBackoff: c.BreakerMaxBackoff,
-	}.withDefaults()
-}
-
-// ErrNoReplicas reports that every replica's breaker refused a request
-// and no degradation rung could answer it (503).
-var ErrNoReplicas = errors.New("serve: all model replicas unhealthy")
 
 // ErrNoLoader reports a reload request against a server built without a
 // Loader (501).
@@ -263,43 +171,26 @@ type Server struct {
 	hs     *http.Server
 	traces *trace.Ring // slow-request retention, nil when disabled
 
-	// reg holds the served models (name → generation chain); shards are
-	// the independent admission domains requests consistent-hash over;
-	// ring assigns request hashes to shards; scaler is the replica
-	// autoscaler (nil when MaxReplicas is 0).
-	reg    *registry
-	shards []*shard
-	ring   *hashRing
-	scaler *autoscaler
+	// reg holds the served models (name → generation chain); cache is
+	// the generation-keyed LRU (nil when disabled); bat is the admission
+	// queue and dispatcher every model shares.
+	reg   *registry
+	cache *lruCache
+	bat   *batcher
 
 	ready    atomic.Bool
 	draining atomic.Bool
 }
 
-// New builds a server around a single Inference (fanned over
-// cfg.Replicas breaker domains — or cfg.MaxReplicas slots when
-// autoscaling is on) and starts its dispatchers. The server is not
-// ready until Warmup succeeds; use Handler for in-process tests or
+// New builds a single-model server around inf (cfg.Loader, when set, is
+// its reload loader) and starts its dispatcher. The server is not ready
+// until Warmup succeeds; use Handler for in-process tests or
 // ListenAndServe for the full lifecycle.
 func New(inf Inference, cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	n := cfg.Replicas
-	if cfg.MaxReplicas > n {
-		n = cfg.MaxReplicas
-	}
-	return NewWithSnapshot(snapshotOf(inf, n), cfg)
-}
-
-// NewWithSnapshot is New for callers that already hold a multi-replica
-// snapshot (e.g. one core.Classifier handle per failure domain). The
-// snapshot becomes the registry's default model; cfg.Loader (when set)
-// is its reload loader.
-func NewWithSnapshot(snap Snapshot, cfg Config) *Server {
-	s, err := NewMulti([]ModelSpec{{Name: DefaultModel, Snapshot: snap, Loader: cfg.Loader}}, cfg)
+	s, err := NewMulti([]ModelSpec{{Name: DefaultModel, Inference: inf, Loader: cfg.Loader}}, cfg)
 	if err != nil {
-		// The single-model spec above is valid by construction; an error
-		// here means the snapshot itself is unusable (no replicas) — a
-		// programmer error in the caller, as before this path existed.
+		// The single-model spec above is valid unless inf is nil — a
+		// programmer error in the caller.
 		panic(err)
 	}
 	return s
@@ -314,27 +205,15 @@ func NewMulti(specs []ModelSpec, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, reg: reg}
+	s := &Server{cfg: cfg, reg: reg, cache: newLRUCache(cfg.CacheSize)}
 	if cfg.TraceRing > 0 {
 		s.traces = trace.NewRing(cfg.TraceRing)
 	}
-	s.shards = newShards(cfg.Shards, cfg, s.execute)
-	members := make([]string, len(s.shards))
-	for i := range members {
-		members[i] = "shard-" + strconv.Itoa(i)
-	}
-	s.ring = newHashRing(members, 0)
+	s.bat = newBatcher(cfg.MaxBatch, cfg.BatchWindow, cfg.MaxQueue, cfg.Workers, s.execute)
+	// Register the depth gauge now so /metrics shows it from startup.
+	obs.GetGauge(queueDepthGauge).Set(0)
 	for _, spec := range specs {
-		s.install(reg.byName[spec.Name], spec.Snapshot)
-	}
-	if cfg.MaxReplicas > 0 {
-		s.scaler = newAutoscaler(autoscalerConfig{
-			Min:      cfg.MinReplicas,
-			Max:      cfg.MaxReplicas,
-			Interval: cfg.AutoscaleInterval,
-			Cooldown: cfg.AutoscaleCooldown,
-			UpP99:    cfg.AutoscaleP99,
-		}, reg, s.shards, cfg.MaxQueue)
+		s.install(reg.byName[spec.Name], spec.Inference)
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/v1/classify", instrument("classify", http.HandlerFunc(s.handleClassify)))
@@ -358,12 +237,7 @@ func NewMulti(specs []ModelSpec, cfg Config) (*Server, error) {
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	for _, sh := range s.shards {
-		sh.bat.start()
-	}
-	if s.scaler != nil {
-		s.scaler.start()
-	}
+	s.bat.start()
 	return s, nil
 }
 
@@ -377,20 +251,12 @@ func (s *Server) defaultModel() *model { return s.reg.byName[s.reg.def] }
 // initial model, +1 per successful hot swap).
 func (s *Server) Generation() uint64 { return s.defaultModel().gen.Load().id }
 
-// shardFor routes a fingerprint-aware request hash to its shard.
-func (s *Server) shardFor(h uint64) *shard { return s.shards[s.ring.lookup(h)] }
-
-// install makes snap m's live generation and starts draining the old
-// one: in-flight requests pinned to it finish against its replicas, and
+// install makes inf m's live generation and starts draining the old
+// one: in-flight requests pinned to it finish against its Inference, and
 // once the last of them completes the generation is declared drained.
-func (s *Server) install(m *model, snap Snapshot) *generation {
+func (s *Server) install(m *model, inf Inference) *generation {
 	id := m.genSeq.Add(1)
-	active := int(m.desiredActive.Load())
-	if active == 0 && s.cfg.MaxReplicas > 0 {
-		// First install under autoscaling: traffic starts on the floor.
-		active = s.cfg.MinReplicas
-	}
-	gen := newGeneration(id, m.name, snap, s.cfg.breakerCfg(), active)
+	gen := newGeneration(id, m.name, inf)
 	old := m.gen.Swap(gen)
 	if m.name == s.reg.def {
 		// The default model keeps the single-model metric families every
@@ -437,11 +303,15 @@ float warm[4];
 void main() { for (int i = 0; i < 4; i++) { warm[i] = warm[i] * 2.0; } }
 `
 
-// parityCheck validates one warm-up classification: a model is fit to
-// serve only if it produces at least one structurally sound prediction.
-// It is the gate both initial warm-up and every hot-swap candidate must
-// pass before a generation can answer traffic.
-func parityCheck(preds []core.LoopPrediction) error {
+// warmUp runs the warm-up classification on inf and validates it: a
+// model is fit to serve only if it produces at least one structurally
+// sound prediction. It is the gate both initial warm-up and every
+// hot-swap candidate must pass before a generation can answer traffic.
+func warmUp(ctx context.Context, inf Inference) error {
+	preds, err := inf.ClassifyContext(ctx, "warmup", warmupSource)
+	if err != nil {
+		return err
+	}
 	if len(preds) == 0 {
 		return errors.New("serve: warm-up classify returned no predictions")
 	}
@@ -453,29 +323,14 @@ func parityCheck(preds []core.LoopPrediction) error {
 	return nil
 }
 
-// warmGeneration runs the warm-up classification + parity check on every
-// replica of gen.
-func warmGeneration(ctx context.Context, gen *generation) error {
-	for _, rep := range gen.reps {
-		preds, err := rep.inf.ClassifyContext(ctx, "warmup", warmupSource)
-		if err == nil {
-			err = parityCheck(preds)
-		}
-		if err != nil {
-			return fmt.Errorf("replica %d: %w", rep.id, err)
-		}
-	}
-	return nil
-}
-
-// Warmup runs one classification through every replica of every model's
-// live generation and marks the server ready on success. Until it
-// returns nil, /readyz and /v1/classify answer 503.
+// Warmup runs one classification through every model's live generation
+// and marks the server ready on success. Until it returns nil, /readyz
+// and /v1/classify answer 503.
 func (s *Server) Warmup(ctx context.Context) error {
 	start := time.Now()
 	for _, m := range s.reg.all() {
 		gen := m.gen.Load()
-		if err := warmGeneration(ctx, gen); err != nil {
+		if err := warmUp(ctx, gen.inf); err != nil {
 			obs.GetCounter("mvpar_http_warmup_failures_total").Inc()
 			obs.Error("serve.warmup", "model", m.name, "generation", gen.id, "err", err)
 			return fmt.Errorf("model %q: %w", m.name, err)
@@ -507,8 +362,8 @@ func (s *Server) Reload(ctx context.Context) (ReloadResult, error) {
 }
 
 // ReloadModel performs one atomic hot swap of the named model (empty
-// means the default): load a fresh snapshot via the model's Loader,
-// warm and parity-check every candidate replica OFF the serving path,
+// means the default): load a fresh Inference via the model's Loader,
+// warm and parity-check it OFF the serving path,
 // then swap it in as a new generation while the old one drains in
 // flight. Any failure — loader error (corrupt checkpoint, missing
 // file), warm-up error, parity failure — rolls back: the swap never
@@ -532,20 +387,19 @@ func (s *Server) ReloadModel(ctx context.Context, name string) (ReloadResult, er
 			"generation", m.gen.Load().id, "err", err)
 		return ReloadResult{}, fmt.Errorf("serve: reload rolled back (%s): %w", stage, err)
 	}
-	snap, err := m.loader(ctx)
+	inf, err := m.loader(ctx)
 	if err != nil {
 		return fail("load", err)
 	}
-	if len(snap.Replicas) == 0 {
-		return fail("load", errors.New("loader returned no replicas"))
+	if inf == nil {
+		return fail("load", errors.New("loader returned no inference"))
 	}
 	start := time.Now()
-	candidate := newGeneration(0, m.name, snap, s.cfg.breakerCfg(), 0) // id 0: never serves
-	if err := warmGeneration(ctx, candidate); err != nil {
+	if err := warmUp(ctx, inf); err != nil {
 		return fail("warmup", err)
 	}
 	warm := time.Since(start)
-	gen := s.install(m, snap)
+	gen := s.install(m, inf)
 	// A successful swap implies a warm model: a server that reloaded
 	// before its initial warm-up finished is ready now.
 	s.ready.Store(true)
@@ -567,75 +421,53 @@ func (s *Server) ReloadModel(ctx context.Context, name string) (ReloadResult, er
 // releases the generation's in-flight registration.
 func (s *Server) execute(r *batchRequest) {
 	// Close the "batcher" span (queue wait + coalesce window) before the
-	// classification attempts begin. Nil-safe no-op on untraced requests.
+	// classification attempt begins. Nil-safe no-op on untraced requests.
 	r.span.End()
 	res := s.classify(r)
 	r.gen.inflight.Done()
 	r.done <- res
 }
 
-// classify drives one request through the resilience ladder: route to a
-// breaker-admitted replica (retrying around replica faults), and fall
-// back to the degradation ladder when no replica can answer or the
-// deadline is nearly spent.
+// classify runs one classification attempt for r. A replica fault
+// (panic, injected fault) goes straight to the degradation ladder: the
+// weights are shared, so a panic the input caused would fire again on
+// any retry. A spent deadline answers 504, and a program the pipeline
+// rejects answers 422 — neither is the model's fault.
 func (s *Server) classify(r *batchRequest) batchResult {
 	gen := r.gen
-	if h := s.cfg.DegradeHeadroom; h > 0 {
-		if dl, ok := r.ctx.Deadline(); ok && time.Until(dl) < h {
-			if res, ok := s.degradedResult(r, "request deadline nearly exhausted in queue"); ok {
-				return res
-			}
+	preds, err := s.runReplica(r)
+	if err == nil {
+		if s.cache != nil && r.key != "" {
+			s.cache.put(r.key, preds)
+		}
+		return batchResult{preds: preds, gen: gen.id}
+	}
+	if !isReplicaFault(err) {
+		return batchResult{err: err, gen: gen.id}
+	}
+	var pe *faults.PanicError
+	if errors.As(err, &pe) {
+		obs.GetCounter("mvpar_http_panics_total").Inc()
+		obs.Error("serve.panic", "program", r.name, "err", err)
+		// Attribute the panic to a pipeline stage unless a nested
+		// boundary already did, so the 500 body can name it.
+		var se *faults.StageError
+		if !errors.As(err, &se) {
+			err = &faults.StageError{Program: r.name, Stage: "classify", Err: err}
 		}
 	}
-	var lastErr error
-	attempts := 0
-	for attempts <= s.cfg.MaxRetries {
-		rep, ok := gen.acquire()
-		if !ok {
-			break // every breaker open → ladder
-		}
-		preds, err := s.runReplica(rep, r)
-		if err == nil {
-			rep.br.success()
-			if r.shard != nil && r.shard.cache != nil && r.key != "" {
-				r.shard.cache.put(r.key, preds)
-			}
-			return batchResult{preds: preds, gen: gen.id}
-		}
-		if !isReplicaFault(err) {
-			// The pipeline rejected the program itself; the replica is
-			// healthy and the error belongs to the request.
-			rep.br.success()
-			return batchResult{err: err, gen: gen.id}
-		}
-		rep.br.failure()
-		lastErr = s.noteReplicaFault(r, err)
-		if r.ctx.Err() != nil {
-			// The request deadline is spent; retrying cannot help.
-			return batchResult{err: lastErr, gen: gen.id}
-		}
-		attempts++
-		if attempts <= s.cfg.MaxRetries {
-			obs.GetCounter("mvpar_replica_retries_total").Inc()
+	if r.ctx.Err() == nil {
+		if res, ok := s.degradedResult(r); ok {
+			return res
 		}
 	}
-	reason := "all model replicas unhealthy"
-	if lastErr != nil {
-		reason = fmt.Sprintf("replica faults exhausted %d retries", s.cfg.MaxRetries)
-	}
-	if res, ok := s.degradedResult(r, reason); ok {
-		return res
-	}
-	if lastErr == nil {
-		lastErr = ErrNoReplicas
-	}
-	return batchResult{err: lastErr, gen: gen.id}
+	return batchResult{err: err, gen: gen.id}
 }
 
-// runReplica runs one classification attempt on rep: chaos injection
-// (no-ops unless a chaos injector is armed), panic capture, and the
-// "replica" trace span.
-func (s *Server) runReplica(rep *replica, r *batchRequest) ([]core.LoopPrediction, error) {
+// runReplica runs one classification attempt on the request's pinned
+// generation: chaos injection (no-ops unless a chaos injector is armed),
+// panic capture, and the "replica" trace span.
+func (s *Server) runReplica(r *batchRequest) ([]core.LoopPrediction, error) {
 	cctx, rspan := trace.StartSpan(r.ctx, "replica")
 	defer rspan.End()
 	var preds []core.LoopPrediction
@@ -653,15 +485,14 @@ func (s *Server) runReplica(rep *replica, r *batchRequest) ([]core.LoopPredictio
 			panic("chaos: injected replica panic")
 		}
 		var cerr error
-		preds, cerr = rep.inf.ClassifyContext(cctx, r.name, r.src)
+		preds, cerr = r.gen.inf.ClassifyContext(cctx, r.name, r.src)
 		return cerr
 	})
 	return preds, err
 }
 
-// isReplicaFault classifies an error as the replica's fault (panic,
-// deadline overrun — breaker and retry territory) rather than the
-// request's (parse/profile rejection).
+// isReplicaFault classifies an error as the model's fault (panic,
+// deadline overrun) rather than the request's (parse/profile rejection).
 func isReplicaFault(err error) bool {
 	var pe *faults.PanicError
 	return errors.As(err, &pe) ||
@@ -670,30 +501,14 @@ func isReplicaFault(err error) bool {
 		errors.Is(err, interp.ErrCancelled)
 }
 
-// noteReplicaFault counts and attributes one replica fault, returning
-// the error to surface if retries run out.
-func (s *Server) noteReplicaFault(r *batchRequest, err error) error {
-	var pe *faults.PanicError
-	if errors.As(err, &pe) {
-		obs.GetCounter("mvpar_http_panics_total").Inc()
-		obs.Error("serve.panic", "program", r.name, "err", err)
-		// Attribute the panic to a pipeline stage unless a nested
-		// boundary already did, so the 500 body can name it.
-		var se *faults.StageError
-		if !errors.As(err, &se) {
-			err = &faults.StageError{Program: r.name, Stage: "classify", Err: err}
-		}
-	}
-	return err
-}
-
-// degradedResult walks the degradation ladder for one request: first a
-// cache-only answer (correct by construction — the key is generation
-// scoped), then a node-view-only degraded prediction. It reports false
-// when neither rung can answer.
-func (s *Server) degradedResult(r *batchRequest, reason string) (batchResult, bool) {
-	if r.shard != nil && r.shard.cache != nil && r.key != "" {
-		if preds, ok := r.shard.cache.get(r.key); ok {
+// degradedResult walks the degradation ladder for one request whose
+// attempt faulted: first a cache-only answer (correct by construction —
+// the key is generation scoped), then a node-view-only degraded
+// prediction. It reports false when neither rung can answer.
+func (s *Server) degradedResult(r *batchRequest) (batchResult, bool) {
+	const reason = "full classification faulted"
+	if s.cache != nil && r.key != "" {
+		if preds, ok := s.cache.get(r.key); ok {
 			obs.GetCounter("mvpar_http_degraded_responses_total").Inc()
 			obs.Warn("serve.degraded", "program", r.name, "rung", "cache", "reason", reason)
 			return batchResult{
@@ -703,7 +518,7 @@ func (s *Server) degradedResult(r *batchRequest, reason string) (batchResult, bo
 			}, true
 		}
 	}
-	if dc, ok := r.gen.degrader(); ok {
+	if dc, ok := r.gen.inf.(DegradedInference); ok {
 		var preds []core.LoopPrediction
 		err := faults.Capture(func() error {
 			var cerr error
@@ -801,11 +616,6 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 // 503.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	if s.scaler != nil {
-		// Stop the autoscaler first: resizing the replica window during a
-		// drain serves nobody.
-		s.scaler.halt()
-	}
 	if g := s.cfg.DrainGrace; g > 0 {
 		t := time.NewTimer(g)
 		select {
@@ -815,12 +625,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	herr := s.hs.Shutdown(ctx)
-	var berr error
-	for _, sh := range s.shards {
-		if err := sh.bat.drain(ctx); err != nil && berr == nil {
-			berr = err
-		}
-	}
+	berr := s.bat.drain(ctx)
 	if herr != nil {
 		return herr
 	}

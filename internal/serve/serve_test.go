@@ -395,7 +395,7 @@ func TestBatcherCoalesces(t *testing.T) {
 	var mu sync.Mutex
 	var seen []string
 	release := make(chan struct{})
-	b := newBatcher(4, 50*time.Millisecond, 16, 4, "", func(r *batchRequest) {
+	b := newBatcher(4, 50*time.Millisecond, 16, 4, func(r *batchRequest) {
 		<-release
 		mu.Lock()
 		seen = append(seen, r.name)

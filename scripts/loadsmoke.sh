@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# loadsmoke: boot the sharded server on the quick seed model, drive it
+# loadsmoke: boot the default server on the quick seed model, drive it
 # with `mvpar loadgen`, and fail on any request error. CI's load-smoke
 # job and `make loadsmoke` both run this script, so local runs reproduce
 # the CI check exactly.
@@ -21,11 +21,7 @@ BIN="${BIN:-bin/mvpar}"
 
 go build -o "$BIN" ./cmd/mvpar
 
-# The full sharded + autoscaled surface: 4 admission shards, replica
-# window 1..4, so the smoke run exercises the routing and scaling code
-# paths and not just the single-queue server.
-"$BIN" serve -addr "$ADDR" -quick \
-  -shards 4 -min-replicas 1 -max-replicas 4 &
+"$BIN" serve -addr "$ADDR" -quick &
 SERVER_PID=$!
 trap 'kill "$SERVER_PID" 2>/dev/null || true' EXIT INT TERM
 
