@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -14,27 +13,13 @@ import (
 // TestServeMetricsExpositionConformance pins the serving layer's full
 // metric surface — including the resilience families this layer owns
 // (reload/rollback counters, degraded-response counters, chaos
-// counters, mvpar_build_info, one mvpar_model_info_<model> gauge per
-// registry entry) — to the strict Prometheus text-format checker that
-// CI also runs against /metrics. The server runs the default config, so
-// the test also pins that it exports the single admission queue's depth
-// gauge and no family of the removed sharding, autoscaling and
-// breaker/retry layers.
+// counters, mvpar_build_info) — to the strict Prometheus text-format
+// checker that CI also runs against /metrics. The server runs the
+// default config, so the test also pins that it exports the single
+// admission queue's depth gauge and no family of the removed sharding,
+// autoscaling and breaker/retry layers.
 func TestServeMetricsExpositionConformance(t *testing.T) {
-	s, err := NewMulti([]ModelSpec{
-		{Name: DefaultModel, Inference: &genStub{gen: 1}},
-		{Name: "alt.v2", Inference: &stubInference{}},
-	}, Config{Version: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
+	s, ts := newTestServer(t, &genStub{gen: 1}, Config{Version: "test"})
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +79,6 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 		`mvpar_model_info_default{`,
 		`model="default"`,
 		`fingerprint="fp-1"`,
-		// Dots in a model name are sanitized for the metric name but kept
-		// verbatim in the label value.
-		"# TYPE mvpar_model_info_alt_v2 gauge",
-		`model="alt.v2"`,
 		"# TYPE mvpar_http_queue_depth gauge",
 	} {
 		if !strings.Contains(out, want) {
@@ -112,6 +93,49 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 	} {
 		if strings.Contains(out, gone) {
 			t.Errorf("exposition carries the removed %q family", gone)
+		}
+	}
+}
+
+// TestShardedMetricsExposition pins the per-model families of a
+// multi-model server: one mvpar_model_info_<model> info gauge per
+// registry entry, all conformant.
+func TestShardedMetricsExposition(t *testing.T) {
+	s, err := NewMulti([]ModelSpec{
+		{Name: DefaultModel, Inference: &stubInference{}},
+		{Name: "alt.v2", Inference: &stubInference{}},
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	if err := s.Warmup(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	var b strings.Builder
+	if err := obs.Default().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if err := obs.CheckExposition(strings.NewReader(out)); err != nil {
+		t.Fatalf("multi-model exposition fails conformance: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"# TYPE mvpar_model_info_default gauge",
+		`mvpar_model_info_default{`,
+		// Dots in a model name are sanitized for the metric name but kept
+		// verbatim in the label value.
+		"# TYPE mvpar_model_info_alt_v2 gauge",
+		`model="alt.v2"`,
+		`fingerprint="`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("multi-model exposition missing %q", want)
 		}
 	}
 }
