@@ -186,9 +186,10 @@ func BenchmarkAblationSingleView(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mv := gnn.NewMVGNN(d.NodeDim, d.StructDim, cfg.Seed)
 		mv.Train(ts, tc, nil)
-		b.ReportMetric(100*gnn.Evaluate(mv.Predict, es), "acc_multi")
-		b.ReportMetric(100*gnn.Evaluate(mv.PredictNodeView, es), "acc_node")
-		b.ReportMetric(100*gnn.Evaluate(mv.PredictStructView, es), "acc_struct")
+		p := mv.Predictor()
+		b.ReportMetric(100*gnn.Evaluate(p.Labeler(gnn.ViewTrained), es), "acc_multi")
+		b.ReportMetric(100*gnn.Evaluate(p.Labeler(gnn.ViewNode), es), "acc_node")
+		b.ReportMetric(100*gnn.Evaluate(p.Labeler(gnn.ViewStruct), es), "acc_struct")
 	}
 }
 
@@ -419,36 +420,17 @@ func forwardBenchModel(b *testing.B) (*gnn.MVGNN, []gnn.Sample) {
 }
 
 // BenchmarkForwardF32 measures the full multi-view forward pass of a
-// trained model under both inference tiers on the same samples: float64
-// is the bit-identical reference path (PredictWithProba), float32 the
-// quantized fast path (PredictWithProbaF32) with pre-transposed weights,
-// table tanh and fused dense+activation. The benchgate pins the f32
-// tier's allocs/op at zero (arena steady state) and watches ns/op —
-// the fast path must stay well ahead of the reference (the acceptance
-// floor is 1.5x; measured ~2x). Parity of the *outputs* is enforced
-// elsewhere (mvpar parity, TestPredictWithProbaF32Parity).
+// trained model under the float64 and float32 tiers on the same samples:
+// float64 is the bit-identical reference path, float32 the quantized fast
+// path with pre-transposed weights, table tanh and fused
+// dense+activation. The benchgate pins the f32 tier's allocs/op at zero
+// (arena steady state) and watches ns/op — the fast path must stay well
+// ahead of the reference (the acceptance floor is 1.5x; measured ~2x).
+// Parity of the *outputs* is enforced elsewhere (mvpar parity,
+// TestPredictWithProbaF32Parity).
 func BenchmarkForwardF32(b *testing.B) {
 	mv, samples := forwardBenchModel(b)
-	mv.PrepareF32() // one-time quantization outside the timed region
-	// Warm both arenas over every sample so allocs/op measures the
-	// steady state regardless of b.N (the benchgate compares runs at
-	// different -benchtime).
-	for _, s := range samples {
-		mv.PredictWithProba(s)
-		mv.PredictWithProbaF32(s)
-	}
-	b.Run("float64", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mv.PredictWithProba(samples[i%len(samples)])
-		}
-	})
-	b.Run("float32", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mv.PredictWithProbaF32(samples[i%len(samples)])
-		}
-	})
+	benchForwardTiers(b, samples, mv.Predictor(), mv.QuantizeF32().Predictor())
 }
 
 // BenchmarkForwardI8 measures the int8 inference tier beside the same
@@ -461,31 +443,30 @@ func BenchmarkForwardF32(b *testing.B) {
 // TestPredictWithProbaI8Parity).
 func BenchmarkForwardI8(b *testing.B) {
 	mv, samples := forwardBenchModel(b)
-	mv.PrepareF32()
-	mv.PrepareI8() // one-time quantization outside the timed region
-	for _, s := range samples {
-		mv.PredictWithProba(s)
-		mv.PredictWithProbaF32(s)
-		mv.PredictWithProbaI8(s)
+	benchForwardTiers(b, samples, mv.Predictor(), mv.QuantizeF32().Predictor(), mv.QuantizeI8().Predictor())
+}
+
+// benchForwardTiers times the trained-head forward of each tier's
+// Predictor (float64, float32, int8 in that order) in a subtest named
+// after the tier. Quantization happens before the call, outside the
+// timed region, and every tier is first warmed over every sample so
+// allocs/op measures the steady state regardless of b.N (the benchgate
+// compares runs at different -benchtime).
+func benchForwardTiers(b *testing.B, samples []gnn.Sample, tiers ...gnn.Predictor) {
+	ctx := context.Background()
+	for _, p := range tiers {
+		for _, s := range samples {
+			p.Predict(ctx, s, gnn.ViewTrained)
+		}
 	}
-	b.Run("float64", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mv.PredictWithProba(samples[i%len(samples)])
-		}
-	})
-	b.Run("float32", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mv.PredictWithProbaF32(samples[i%len(samples)])
-		}
-	})
-	b.Run("int8", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mv.PredictWithProbaI8(samples[i%len(samples)])
-		}
-	})
+	for i, p := range tiers {
+		b.Run([]string{core.PrecisionFloat64, core.PrecisionFloat32, core.PrecisionInt8}[i], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Predict(ctx, samples[i%len(samples)], gnn.ViewTrained)
+			}
+		})
+	}
 }
 
 // BenchmarkMVGNNInference measures single-sample prediction latency of a
@@ -494,11 +475,12 @@ func BenchmarkMVGNNInference(b *testing.B) {
 	b.ReportAllocs()
 	cfg := miniConfig()
 	d := miniDataset(b, cfg)
-	mv := gnn.NewMVGNN(d.NodeDim, d.StructDim, cfg.Seed)
+	p := gnn.NewMVGNN(d.NodeDim, d.StructDim, cfg.Seed).Predictor()
 	samples := dataset.Samples(d.Records)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mv.Predict(samples[i%len(samples)])
+		p.Predict(ctx, samples[i%len(samples)], gnn.ViewTrained)
 	}
 }
 
@@ -540,7 +522,7 @@ func BenchmarkAblationPretraining(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mv := gnn.NewMVGNN(d.NodeDim, d.StructDim, cfg.Seed)
 				mv.Train(ts, tc, nil)
-				b.ReportMetric(100*gnn.Evaluate(mv.Predict, es), "acc")
+				b.ReportMetric(100*gnn.Evaluate(mv.Predictor().Labeler(gnn.ViewTrained), es), "acc")
 			}
 		})
 	}

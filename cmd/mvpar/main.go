@@ -774,14 +774,13 @@ func cmdParity(ctx context.Context, args []string) error {
 			return err
 		}
 	}
-	model := pl.Model
-	// The tier-specific predictors, chosen once: the loop below is then
-	// identical for every tier.
-	fast := model.PredictWithProbaF32
-	fastNode := model.PredictWithProbaF32NodeView
-	if prec == core.PrecisionInt8 {
-		fast = model.PredictWithProbaI8
-		fastNode = model.PredictWithProbaI8NodeView
+	ref, err := pl.Classifier()
+	if err != nil {
+		return err
+	}
+	fast, err := pl.ClassifierPrecision(prec)
+	if err != nil {
+		return err
 	}
 	pairs := make([]eval.ParityPair, 0, len(pl.Dataset.Records))
 	for _, rec := range pl.Dataset.Records {
@@ -789,17 +788,9 @@ func cmdParity(ctx context.Context, args []string) error {
 		if rec.Verdict.Parallelizable {
 			truth = 1
 		}
-		// Compare the heads serving actually uses: degraded records answer
-		// from the node view only on both tiers.
-		var c64, cf int
-		var p64, pf float64
-		if len(rec.Degraded) > 0 {
-			c64, p64 = model.PredictWithProbaNodeView(rec.Sample)
-			cf, pf = fastNode(rec.Sample)
-		} else {
-			c64, p64 = model.PredictWithProba(rec.Sample)
-			cf, pf = fast(rec.Sample)
-		}
+		// Both tiers answer each record from the head serving uses for it.
+		c64, p64 := ref.PredictRecord(ctx, rec)
+		cf, pf := fast.PredictRecord(ctx, rec)
 		pairs = append(pairs, eval.ParityPair{
 			Suite:    rec.Meta.Suite,
 			Program:  rec.Meta.Program,

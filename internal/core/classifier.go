@@ -25,25 +25,27 @@ import (
 // walk space per invocation (the per-call cost is profiling and encoding
 // the submitted program only).
 //
-// Unlike Pipeline, a Classifier is safe for concurrent use: every call
-// borrows a worker-private model replica (shared weights, private
-// activation caches — see gnn.MVGNN.Replicate) from an internal free
-// list, so the inference server can fan a batch of requests out across
-// workers and still produce results bit-identical to serial
+// Unlike Pipeline, a Classifier is safe for concurrent use: every
+// prediction borrows a worker-private replica of the handle's tier engine
+// (shared weights, private scratch — see gnn.Predictor.Replicate) from an
+// internal free list, so the inference server can fan a batch of requests
+// out across workers and still produce results bit-identical to serial
 // Pipeline.ClassifySource.
 type Classifier struct {
 	cfg   dataset.Config // frozen single-program encode config
-	model *gnn.MVGNN     // prototype; calls run on replicas
+	model *gnn.MVGNN     // the float64 weights the handle was built from
 
-	// precision selects the inference engine: PrecisionFloat64 (the
-	// bit-identity reference), PrecisionFloat32 (the quantized fast path,
-	// parity-gated by `mvpar parity` rather than bit-identical) or
-	// PrecisionInt8 (the integer tier, licensed at a documented non-zero
-	// drift budget by `mvpar parity -precision int8`).
+	// precision names the tier: PrecisionFloat64 (the bit-identity
+	// reference), PrecisionFloat32 (the quantized fast path, parity-gated
+	// by `mvpar parity` rather than bit-identical) or PrecisionInt8 (the
+	// integer tier, licensed at a documented non-zero drift budget by
+	// `mvpar parity -precision int8`). proto is that tier's engine;
+	// predictions run on its replicas.
 	precision string
+	proto     gnn.Predictor
 
 	mu       sync.Mutex
-	replicas []*gnn.MVGNN // free list of idle replicas
+	replicas []gnn.Predictor // free list of idle replicas
 }
 
 // Precision tiers of the inference engine.
@@ -91,10 +93,11 @@ func (p *Pipeline) Classifier() (*Classifier, error) {
 	return p.ClassifierPrecision(PrecisionFloat64)
 }
 
-// ClassifierPrecision is Classifier with an explicit precision tier. For
-// PrecisionFloat32 and PrecisionInt8 the model is quantized once here
-// (replicas share the quantized weights); float64 handles are unchanged
-// from Classifier.
+// ClassifierPrecision is Classifier with an explicit precision tier, and
+// the one place a tier name picks an inference engine. For
+// PrecisionFloat32 and PrecisionInt8 the model's current weights are
+// quantized here, once per handle (replicas share the quantized
+// weights).
 func (p *Pipeline) ClassifierPrecision(precision string) (*Classifier, error) {
 	prec, err := ParsePrecision(precision)
 	if err != nil {
@@ -103,11 +106,14 @@ func (p *Pipeline) ClassifierPrecision(precision string) (*Classifier, error) {
 	if p.Model == nil || p.Dataset == nil {
 		return nil, fmt.Errorf("core: pipeline is untrained")
 	}
+	var proto gnn.Predictor
 	switch prec {
 	case PrecisionFloat32:
-		p.Model.PrepareF32()
+		proto = p.Model.QuantizeF32().Predictor()
 	case PrecisionInt8:
-		p.Model.PrepareI8()
+		proto = p.Model.QuantizeI8().Predictor()
+	default:
+		proto = p.Model.Predictor()
 	}
 	// Encode with the pipeline's settings, reusing the trained inst2vec
 	// space and walk space so the features live in the model's input
@@ -120,7 +126,7 @@ func (p *Pipeline) ClassifierPrecision(precision string) (*Classifier, error) {
 	cfg.Space = p.Dataset.Space
 	cfg.Strict = true
 	cfg.Ctx = nil
-	return &Classifier{cfg: cfg, model: p.Model, precision: prec}, nil
+	return &Classifier{cfg: cfg, model: p.Model, precision: prec, proto: proto}, nil
 }
 
 // ClassifierSet is a named family of inference handles over one trained
@@ -180,8 +186,9 @@ func (c *Classifier) Precision() string {
 	return c.precision
 }
 
-// acquire pops an idle model replica, creating one when the list is empty.
-func (c *Classifier) acquire() *gnn.MVGNN {
+// acquire pops an idle engine replica, creating one when the list is
+// empty.
+func (c *Classifier) acquire() gnn.Predictor {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n := len(c.replicas); n > 0 {
@@ -189,14 +196,29 @@ func (c *Classifier) acquire() *gnn.MVGNN {
 		c.replicas = c.replicas[:n-1]
 		return r
 	}
-	return c.model.Replicate()
+	return c.proto.Replicate()
 }
 
 // release returns a replica to the free list.
-func (c *Classifier) release(m *gnn.MVGNN) {
+func (c *Classifier) release(r gnn.Predictor) {
 	c.mu.Lock()
-	c.replicas = append(c.replicas, m)
+	c.replicas = append(c.replicas, r)
 	c.mu.Unlock()
+}
+
+// PredictRecord answers one encoded loop on a borrowed replica of the
+// handle's tier. A degraded record — its structural view could not be
+// sampled — is answered by the node view's head alone, the paper's
+// Static-GNN geometry; every other record by the trained head. Classify
+// and `mvpar parity` both predict through this one rule.
+func (c *Classifier) PredictRecord(ctx context.Context, rec *dataset.Record) (int, float64) {
+	r := c.acquire()
+	defer c.release(r)
+	view := gnn.ViewTrained
+	if len(rec.Degraded) > 0 {
+		view = gnn.ViewNode
+	}
+	return r.Predict(ctx, rec.Sample, view)
 }
 
 // Classify profiles a MiniC program (entry function main) and classifies
@@ -249,10 +271,8 @@ func (c *Classifier) Fingerprint() string {
 }
 
 // classifyWith is the shared classify body: profile and encode the
-// program under cfg, then predict every loop on a borrowed replica.
+// program under cfg, then predict every loop through PredictRecord.
 func (c *Classifier) classifyWith(ctx context.Context, cfg dataset.Config, name, src string) ([]LoopPrediction, error) {
-	model := c.acquire()
-	defer c.release(model)
 	// Request tracing: when ctx carries a trace (the serving path started
 	// one), the per-loop stages below append spans to it; on an untraced
 	// context every trace call is free — no allocations, no branches past
@@ -282,31 +302,7 @@ func (c *Classifier) classifyWith(ctx context.Context, cfg dataset.Config, name,
 	}
 	var preds []LoopPrediction
 	for _, rec := range d.Records {
-		sample := rec.Sample
-		var pred int
-		var proba float64
-		if len(rec.Degraded) > 0 {
-			switch c.precision {
-			case PrecisionFloat32:
-				pred, proba = model.PredictWithProbaF32NodeViewContext(ctx, sample)
-			case PrecisionInt8:
-				pred, proba = model.PredictWithProbaI8NodeViewContext(ctx, sample)
-			default:
-				pred, proba = model.PredictWithProbaNodeViewContext(ctx, sample)
-			}
-			obs.GetCounter("mvpar_degraded_predictions_total").Inc()
-			obs.Warn("classify.degraded", "program", name, "loop", rec.Meta.LoopID,
-				"reasons", fmt.Sprint(rec.Degraded))
-		} else {
-			switch c.precision {
-			case PrecisionFloat32:
-				pred, proba = model.PredictWithProbaF32Context(ctx, sample)
-			case PrecisionInt8:
-				pred, proba = model.PredictWithProbaI8Context(ctx, sample)
-			default:
-				pred, proba = model.PredictWithProbaContext(ctx, sample)
-			}
-		}
+		pred, proba := c.PredictRecord(ctx, rec)
 		lp := LoopPrediction{
 			LoopID:   rec.Meta.LoopID,
 			Parallel: pred == 1,
@@ -315,6 +311,9 @@ func (c *Classifier) classifyWith(ctx context.Context, cfg dataset.Config, name,
 			Reasons:  rec.Verdict.Reasons,
 		}
 		if len(rec.Degraded) > 0 {
+			obs.GetCounter("mvpar_degraded_predictions_total").Inc()
+			obs.Warn("classify.degraded", "program", name, "loop", rec.Meta.LoopID,
+				"reasons", fmt.Sprint(rec.Degraded))
 			lp.Degraded = true
 			lp.Reasons = append(append([]string(nil), lp.Reasons...), rec.Degraded...)
 			lp.Reasons = append(lp.Reasons, "prediction from node view only")

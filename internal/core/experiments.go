@@ -158,6 +158,7 @@ func RunTable3(cfg ExperimentConfig) (*Table3Result, error) {
 
 	mv := gnn.NewMVGNN(d.NodeDim, d.StructDim, cfg.Seed)
 	mv.Train(trainSamples, cfg.trainConfig(), EpochHook("table3.mvgnn"))
+	mvLabel := mv.Predictor().Labeler(gnn.ViewTrained)
 
 	// The "Static GNN" baseline (Shen et al.) sees only static node
 	// information: same graph, dynamic features zeroed.
@@ -188,7 +189,7 @@ func RunTable3(cfg ExperimentConfig) (*Table3Result, error) {
 		return sm
 	}
 	predictors := map[string]func(*dataset.Record) int{
-		"MV-GNN":           func(r *dataset.Record) int { return mv.Predict(r.Sample) },
+		"MV-GNN":           func(r *dataset.Record) int { return mvLabel(r.Sample) },
 		"Static GNN":       func(r *dataset.Record) int { return static.Predict(staticSampleOf(r)) },
 		"SVM":              classic[0].Predict,
 		"Decision Tree":    classic[1].Predict,
@@ -320,12 +321,12 @@ func RunTable4(cfg ExperimentConfig) ([]Table4Row, *gnn.MVGNN, error) {
 	if jobs > len(npb) {
 		jobs = maxInt(1, len(npb))
 	}
-	reps := make([]*gnn.MVGNN, jobs)
+	reps := make([]func(gnn.Sample) int, jobs)
 	for w := range reps {
-		reps[w] = mv.Replicate()
+		reps[w] = mv.Predictor().Replicate().Labeler(gnn.ViewTrained)
 	}
 	preds, perr := pool.MapWorker(pool.Config{Workers: jobs, Ctx: cfg.Ctx}, len(npb), func(w, i int) (int, error) {
-		return reps[w].Predict(npb[i].Sample), nil
+		return reps[w](npb[i].Sample), nil
 	})
 	if perr != nil {
 		return nil, nil, perr
@@ -428,13 +429,15 @@ func RunFigure8(cfg ExperimentConfig) (*Figure8Result, error) {
 		suites = append(suites, s)
 	}
 	sort.Slice(suites, func(i, j int) bool { return suiteRank(suites[i]) < suiteRank(suites[j]) })
+	pred := mv.Predictor()
+	multi, node, strct := pred.Labeler(gnn.ViewTrained), pred.Labeler(gnn.ViewNode), pred.Labeler(gnn.ViewStruct)
 	for _, suite := range suites {
 		recs := bySuite[suite]
 		var cMulti, cNode, cStruct eval.Confusion
 		for _, r := range recs {
-			cMulti.Add(mv.Predict(r.Sample), r.Label)
-			cNode.Add(mv.PredictNodeView(r.Sample), r.Label)
-			cStruct.Add(mv.PredictStructView(r.Sample), r.Label)
+			cMulti.Add(multi(r.Sample), r.Label)
+			cNode.Add(node(r.Sample), r.Label)
+			cStruct.Add(strct(r.Sample), r.Label)
 		}
 		if cMulti.Accuracy() == 0 {
 			continue
@@ -567,7 +570,7 @@ func RunRobustness(cfg ExperimentConfig, k int) (*RobustnessResult, error) {
 		train := dataset.Balance(fold[0], cfg.PerClass, cfg.Seed)
 		mv := gnn.NewMVGNN(d.NodeDim, d.StructDim, cfg.Seed+int64(i))
 		mv.Train(dataset.Samples(train), cfg.trainConfig(), EpochHook("robustness"))
-		return gnn.Evaluate(mv.Predict, dataset.Samples(fold[1])), nil
+		return gnn.Evaluate(mv.Predictor().Labeler(gnn.ViewTrained), dataset.Samples(fold[1])), nil
 	})
 	if ferr != nil {
 		return nil, ferr

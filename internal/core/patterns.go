@@ -36,6 +36,7 @@ func RunPatternExperiment(cfg ExperimentConfig) (*PatternResult, error) {
 
 	mv := gnn.NewMVGNNClasses(d.NodeDim, d.StructDim, dataset.NumPatterns, cfg.Seed)
 	mv.Train(dataset.PatternSamples(train), cfg.trainConfig(), EpochHook("patterns"))
+	label := mv.Predictor().Labeler(gnn.ViewTrained)
 
 	res := &PatternResult{
 		PerClass:  make([]float64, dataset.NumPatterns),
@@ -51,7 +52,7 @@ func RunPatternExperiment(cfg ExperimentConfig) (*PatternResult, error) {
 	for _, r := range test {
 		s := r.Sample
 		s.Label = r.Pattern
-		pred := mv.Predict(s)
+		pred := label(s)
 		res.Confusion[r.Pattern][pred]++
 		classTotals[r.Pattern]++
 		if pred == r.Pattern {

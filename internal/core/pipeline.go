@@ -124,7 +124,7 @@ func (p *Pipeline) TrainOnContext(ctx context.Context, apps []bench.App) (*Train
 	}
 	// Report accuracies fan out over model replicas; identical to the
 	// serial Evaluate at every worker count.
-	newPredict := func() func(gnn.Sample) int { return p.Model.Replicate().Predict }
+	newPredict := func() func(gnn.Sample) int { return p.Model.Predictor().Replicate().Labeler(gnn.ViewTrained) }
 	report := &TrainReport{
 		TrainRecords: len(train),
 		TestRecords:  len(test),

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -79,5 +80,78 @@ func TestClassifierFingerprintDistinctAcrossTiers(t *testing.T) {
 			}
 		}
 		fps[tier] = fp
+	}
+}
+
+// TestLoadModelRequantizesFastTiers: a fast-tier handle taken after
+// LoadModel must serve the loaded weights. LoadModel replaces the live
+// model's parameters in place, so a quantized snapshot kept from before
+// the load would keep answering with the old weights under the new
+// weights' fingerprint. Every tier must answer exactly like a pipeline
+// that only ever saw the loaded checkpoint.
+func TestLoadModelRequantizesFastTiers(t *testing.T) {
+	pl := core.NewPipeline(tinyOptions())
+	if _, err := pl.TrainOn(tinyApps()); err != nil {
+		t.Fatal(err)
+	}
+	otherOpts := tinyOptions()
+	otherOpts.Seed = 2
+	other := core.NewPipeline(otherOpts)
+	if _, err := other.TrainOn(tinyApps()); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := other.SaveModel(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	fresh := core.NewPipeline(tinyOptions())
+	if err := fresh.ShareEncoder(pl); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.LoadModel(bytes.NewReader(ckpt.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	tiers := []string{core.PrecisionFloat64, core.PrecisionFloat32, core.PrecisionInt8}
+	for _, tier := range tiers {
+		if _, err := pl.ClassifierPrecision(tier); err != nil { // quantize the pre-load weights
+			t.Fatal(err)
+		}
+	}
+	if err := pl.LoadModel(bytes.NewReader(ckpt.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for _, tier := range tiers {
+		t.Run(tier, func(t *testing.T) {
+			got, err := pl.ClassifierPrecision(tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.ClassifierPrecision(tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Fingerprint() != want.Fingerprint() {
+				t.Fatalf("fingerprint %s, fresh pipeline %s", got.Fingerprint(), want.Fingerprint())
+			}
+			for _, app := range tinyApps() {
+				gp, err := got.Classify(app.Name, app.Source)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wp, err := want.Classify(app.Name, app.Source)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(gp) != len(wp) {
+					t.Fatalf("%s: %d predictions, fresh pipeline %d", app.Name, len(gp), len(wp))
+				}
+				for i := range gp {
+					if gp[i].Parallel != wp[i].Parallel || gp[i].Proba != wp[i].Proba {
+						t.Fatalf("%s loop %d: (%v, %v) after LoadModel, fresh pipeline (%v, %v)",
+							app.Name, gp[i].LoopID, gp[i].Parallel, gp[i].Proba, wp[i].Parallel, wp[i].Proba)
+					}
+				}
+			}
+		})
 	}
 }

@@ -261,7 +261,8 @@ func newMVGNNF32(w *mvgnnWeightsF32) *MVGNNF32 {
 // QuantizeF32 snapshots the model's parameters into a float32 inference
 // replica. The snapshot is one-time: later optimizer steps or parameter
 // reloads on m are NOT reflected — quantize after training (or after
-// LoadParams), which is when core.Classifier builds its handles.
+// LoadParams); core.Pipeline.ClassifierPrecision quantizes afresh for
+// every handle it builds.
 func (m *MVGNN) QuantizeF32() *MVGNNF32 {
 	return newMVGNNF32(&mvgnnWeightsF32{
 		classes:     m.NodeView.Cfg.NumClasses,
@@ -272,21 +273,23 @@ func (m *MVGNN) QuantizeF32() *MVGNNF32 {
 	})
 }
 
-// Replicate returns another replica sharing q's quantized weights but
-// owning private scratch, for concurrent serving.
-func (q *MVGNNF32) Replicate() *MVGNNF32 { return newMVGNNF32(q.w) }
+// Predictor returns the float32 Predictor running on q.
+func (q *MVGNNF32) Predictor() Predictor {
+	return Predictor{eng: q, precision: "float32", predictMode: q.w.predictMode}
+}
 
-// PredictWithProba is the float32 mirror of MVGNN.PredictWithProba: one
-// forward pass of the head selected during training, returning the
-// predicted class and P(class=1).
-func (q *MVGNNF32) PredictWithProba(s Sample) (int, float64) {
-	switch q.w.predictMode {
-	case 1:
-		return q.predictView(&q.node, s.Node)
-	case 2:
-		return q.predictView(&q.strct, s.Struct)
-	}
+// replicate shares q's quantized weights and owns private scratch.
+func (q *MVGNNF32) replicate() engine { return newMVGNNF32(q.w) }
+
+// forward is the float32 engine, the mirror of MVGNN.forward.
+func (q *MVGNNF32) forward(s Sample, h View) (int, float64) {
 	q.arena.Reset()
+	switch h {
+	case ViewNode:
+		return classFromF32(q.node.logits(q.node.penultForward(s.Node)))
+	case ViewStruct:
+		return classFromF32(q.strct.logits(q.strct.penultForward(s.Struct)))
+	}
 	hn := q.node.penultForward(s.Node)
 	hs := q.strct.penultForward(s.Struct)
 	ln := q.node.logits(hn)
@@ -298,16 +301,6 @@ func (q *MVGNNF32) PredictWithProba(s Sample) (int, float64) {
 	fused := q.arena.Get(1, q.w.classes)
 	f32.DenseForwardInto(cat, q.w.out.wt, q.w.out.b, fused)
 	return classFromF32(fused)
-}
-
-// PredictWithProbaNodeView is the float32 degraded path: node view only.
-func (q *MVGNNF32) PredictWithProbaNodeView(s Sample) (int, float64) {
-	return q.predictView(&q.node, s.Node)
-}
-
-func (q *MVGNNF32) predictView(d *dgcnnF32, g *EncodedGraph) (int, float64) {
-	q.arena.Reset()
-	return classFromF32(d.logits(d.penultForward(g)))
 }
 
 // classFromF32 mirrors classFrom: argmax with first-wins ties, and

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -222,7 +223,7 @@ func TestMVGNNLearnsStructure(t *testing.T) {
 	if curve[len(curve)-1].Loss >= curve[0].Loss {
 		t.Fatalf("loss did not decrease: %v -> %v", curve[0].Loss, curve[len(curve)-1].Loss)
 	}
-	acc := Evaluate(m.Predict, samples)
+	acc := Evaluate(m.Predictor().Labeler(ViewTrained), samples)
 	if acc < 0.9 {
 		t.Fatalf("train accuracy = %v, want >= 0.9 on separable task", acc)
 	}
@@ -260,10 +261,12 @@ func TestPredictProbaRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	samples := makeSyntheticSamples(4, rng, 3)
 	m := NewMVGNN(3, 3, 13)
-	for _, s := range samples {
-		p := m.PredictProba(s)
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			t.Fatalf("proba = %v", p)
+	for _, v := range []View{ViewTrained, ViewNode, ViewStruct} {
+		for _, s := range samples {
+			_, p := m.Predictor().Predict(context.Background(), s, v)
+			if p < 0 || p > 1 || math.IsNaN(p) {
+				t.Fatalf("view %s: proba = %v", v, p)
+			}
 		}
 	}
 }

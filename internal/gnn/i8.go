@@ -310,7 +310,8 @@ func newMVGNNI8(w *mvgnnWeightsI8) *MVGNNI8 {
 // QuantizeI8 snapshots the model's parameters into an int8 inference
 // replica. The snapshot is one-time: later optimizer steps or parameter
 // reloads on m are NOT reflected — quantize after training (or after
-// LoadParams), which is when core.Classifier builds its handles.
+// LoadParams); core.Pipeline.ClassifierPrecision quantizes afresh for
+// every handle it builds.
 func (m *MVGNN) QuantizeI8() *MVGNNI8 {
 	return newMVGNNI8(&mvgnnWeightsI8{
 		classes:     m.NodeView.Cfg.NumClasses,
@@ -321,22 +322,24 @@ func (m *MVGNN) QuantizeI8() *MVGNNI8 {
 	})
 }
 
-// Replicate returns another replica sharing q's quantized weights but
-// owning private scratch, for concurrent serving.
-func (q *MVGNNI8) Replicate() *MVGNNI8 { return newMVGNNI8(q.w) }
+// Predictor returns the int8 Predictor running on q.
+func (q *MVGNNI8) Predictor() Predictor {
+	return Predictor{eng: q, precision: "int8", predictMode: q.w.predictMode}
+}
 
-// PredictWithProba is the int8 mirror of MVGNN.PredictWithProba: one
-// forward pass of the head selected during training, returning the
-// predicted class and P(class=1).
-func (q *MVGNNI8) PredictWithProba(s Sample) (int, float64) {
-	switch q.w.predictMode {
-	case 1:
-		return q.predictView(&q.node, s.Node)
-	case 2:
-		return q.predictView(&q.strct, s.Struct)
-	}
+// replicate shares q's quantized weights and owns private scratch.
+func (q *MVGNNI8) replicate() engine { return newMVGNNI8(q.w) }
+
+// forward is the int8 engine, the mirror of MVGNN.forward.
+func (q *MVGNNI8) forward(s Sample, h View) (int, float64) {
 	q.arena.Reset()
 	q.iarena.Reset()
+	switch h {
+	case ViewNode:
+		return classFromF32(q.node.logits(q.node.penultForward(s.Node)))
+	case ViewStruct:
+		return classFromF32(q.strct.logits(q.strct.penultForward(s.Struct)))
+	}
 	hn := q.node.penultForward(s.Node)
 	hs := q.strct.penultForward(s.Struct)
 	ln := q.node.logits(hn)
@@ -350,15 +353,4 @@ func (q *MVGNNI8) PredictWithProba(s Sample) (int, float64) {
 	fused := q.arena.Get(1, q.w.classes)
 	i8.DenseForwardInto(xq, sc, q.w.out.wt, q.w.out.wScale, q.w.out.b, fused)
 	return classFromF32(fused)
-}
-
-// PredictWithProbaNodeView is the int8 degraded path: node view only.
-func (q *MVGNNI8) PredictWithProbaNodeView(s Sample) (int, float64) {
-	return q.predictView(&q.node, s.Node)
-}
-
-func (q *MVGNNI8) predictView(d *dgcnnI8, g *EncodedGraph) (int, float64) {
-	q.arena.Reset()
-	q.iarena.Reset()
-	return classFromF32(d.logits(d.penultForward(g)))
 }

@@ -17,38 +17,37 @@ const (
 )
 
 // TestPredictWithProbaI8Parity is the unit-level drift gate for the int8
-// tier: across the seed fixture the fused and node-view paths must stay
-// within the probability tolerance, with at most i8MaxFlips label flips
-// per path (flips must co-occur with near-0.5 probabilities).
+// tier: across the seed fixture the trained-head and node-view paths must
+// stay within the probability tolerance, with at most i8MaxFlips label
+// flips per path (flips must co-occur with near-0.5 probabilities).
 func TestPredictWithProbaI8Parity(t *testing.T) {
 	m, samples := trainedParityModel(t)
-	fusedFlips, nodeFlips := 0, 0
-	for i, s := range samples {
-		c64, p64 := m.PredictWithProba(s)
-		c8, p8 := m.PredictWithProbaI8(s)
-		if d := math.Abs(p8 - p64); d > i8ProbaTol {
-			t.Fatalf("sample %d: int8 proba %v drifts from float64 %v by %v", i, p8, p64, d)
-		}
-		if c8 != c64 {
-			fusedFlips++
-			if math.Abs(p64-0.5) > i8ProbaTol {
-				t.Fatalf("sample %d: int8 flipped a confident label: int8 (%d, %v) vs float64 (%d, %v)", i, c8, p8, c64, p64)
+	ref, fast := m.Predictor(), m.QuantizeI8().Predictor()
+	ctx := context.Background()
+	for _, v := range []View{ViewTrained, ViewNode} {
+		flips := 0
+		for i, s := range samples {
+			c64, p64 := ref.Predict(ctx, s, v)
+			c8, p8 := fast.Predict(ctx, s, v)
+			if d := math.Abs(p8 - p64); d > i8ProbaTol {
+				t.Fatalf("view %s sample %d: int8 proba %v drifts from float64 %v by %v", v, i, p8, p64, d)
+			}
+			if c8 != c64 {
+				flips++
+				if math.Abs(p64-0.5) > i8ProbaTol {
+					t.Fatalf("view %s sample %d: int8 flipped a confident label: int8 (%d, %v) vs float64 (%d, %v)", v, i, c8, p8, c64, p64)
+				}
 			}
 		}
-		n64c, n64p := m.PredictWithProbaNodeView(s)
-		n8c, n8p := m.PredictWithProbaI8NodeView(s)
-		if d := math.Abs(n8p - n64p); d > i8ProbaTol {
-			t.Fatalf("sample %d: node-view int8 proba drift %v", i, d)
-		}
-		if n8c != n64c {
-			nodeFlips++
-			if math.Abs(n64p-0.5) > i8ProbaTol {
-				t.Fatalf("sample %d: node-view int8 flipped a confident label", i)
-			}
+		if flips > i8MaxFlips {
+			t.Fatalf("view %s: int8 flips %d exceed budget %d", v, flips, i8MaxFlips)
 		}
 	}
-	if fusedFlips > i8MaxFlips || nodeFlips > i8MaxFlips {
-		t.Fatalf("int8 flips %d (fused) / %d (node) exceed budget %d", fusedFlips, nodeFlips, i8MaxFlips)
+	for i, s := range samples {
+		wc, wp := fast.Predict(ctx, s, ViewTrained)
+		if c, p := m.PredictWithProbaI8(s); c != wc || p != wp {
+			t.Fatalf("sample %d: PredictWithProbaI8 (%d, %v), int8 Predictor (%d, %v)", i, c, p, wc, wp)
+		}
 	}
 }
 
@@ -57,13 +56,14 @@ func TestPredictWithProbaI8Parity(t *testing.T) {
 // same drift budget.
 func TestPredictWithProbaI8PredictModes(t *testing.T) {
 	m, samples := trainedParityModel(t)
+	ctx := context.Background()
 	for _, mode := range []int{0, 1, 2} {
 		m.predictMode = mode
-		m.i8 = nil // re-quantize with the new mode
+		ref, fast := m.Predictor(), m.QuantizeI8().Predictor() // re-quantize with the new mode
 		flips := 0
 		for i, s := range samples {
-			c64, p64 := m.PredictWithProba(s)
-			c8, p8 := m.PredictWithProbaI8(s)
+			c64, p64 := ref.Predict(ctx, s, ViewTrained)
+			c8, p8 := fast.Predict(ctx, s, ViewTrained)
 			if math.Abs(p8-p64) > i8ProbaTol {
 				t.Fatalf("mode %d sample %d: int8 (%d, %v) drifts from float64 (%d, %v)", mode, i, c8, p8, c64, p64)
 			}
@@ -77,66 +77,72 @@ func TestPredictWithProbaI8PredictModes(t *testing.T) {
 	}
 }
 
-// TestMVGNNI8ReplicateSharesWeights pins the replica contract: replicas
-// share the quantized weights (no re-quantization) but own both scratch
-// arenas, and agree exactly with the source replica (the integer forward
-// is deterministic).
+// TestMVGNNI8ReplicateSharesWeights pins the engine replica contract:
+// MVGNNI8 replicas share the quantized weights (no re-quantization) but
+// own both scratch arenas, and agree exactly with the source replica (the
+// integer forward is deterministic).
 func TestMVGNNI8ReplicateSharesWeights(t *testing.T) {
 	m, samples := trainedParityModel(t)
 	q := m.QuantizeI8()
-	rep := q.Replicate()
+	rep := q.replicate().(*MVGNNI8)
 	if rep.w != q.w {
 		t.Fatal("replica does not share quantized weights")
 	}
 	if rep.arena == q.arena || rep.iarena == q.iarena {
 		t.Fatal("replica shares a scratch arena")
 	}
+	ctx := context.Background()
 	for i, s := range samples {
-		c1, p1 := q.PredictWithProba(s)
-		c2, p2 := rep.PredictWithProba(s)
+		c1, p1 := q.Predictor().Predict(ctx, s, ViewTrained)
+		c2, p2 := rep.Predictor().Predict(ctx, s, ViewTrained)
 		if c1 != c2 || p1 != p2 {
 			t.Fatalf("sample %d: replica (%d, %v) differs from source (%d, %v)", i, c2, p2, c1, p1)
 		}
 	}
 }
 
-// TestMVGNNReplicateSharesI8 pins the serving fan-out path: PrepareI8 on
-// the prototype makes MVGNN.Replicate hand replicas a weight-sharing int8
-// mirror instead of each replica re-quantizing lazily.
+// TestMVGNNReplicateSharesI8 pins the serving fan-out path: replicas of
+// an int8 Predictor (what core.Classifier's free list holds) share the
+// one-time quantized weights instead of re-quantizing, and answer
+// exactly like the source in every view.
 func TestMVGNNReplicateSharesI8(t *testing.T) {
 	m, samples := trainedParityModel(t)
-	m.PrepareI8()
-	r := m.Replicate()
-	if r.i8 == nil {
-		t.Fatal("replica of a prepared prototype has no int8 mirror")
-	}
-	if r.i8.w != m.i8.w {
-		t.Fatal("replica int8 mirror does not share quantized weights")
+	src := m.QuantizeI8().Predictor()
+	rep := src.Replicate()
+	if rep.eng.(*MVGNNI8).w != src.eng.(*MVGNNI8).w {
+		t.Fatal("int8 Predictor replica does not share quantized weights")
 	}
 	s := samples[0]
-	c1, p1 := m.PredictWithProbaI8(s)
-	c2, p2 := r.PredictWithProbaI8(s)
-	if c1 != c2 || p1 != p2 {
-		t.Fatalf("replica int8 predict (%d, %v) differs from prototype (%d, %v)", c2, p2, c1, p1)
+	ctx := context.Background()
+	for _, v := range []View{ViewTrained, ViewNode, ViewStruct} {
+		c1, p1 := src.Predict(ctx, s, v)
+		c2, p2 := rep.Predict(ctx, s, v)
+		if c1 != c2 || p1 != p2 {
+			t.Fatalf("view %s: replica int8 predict (%d, %v) differs from source (%d, %v)", v, c2, p2, c1, p1)
+		}
 	}
 }
 
 // TestPredictWithProbaI8SteadyStateAllocFree: after warm-up, the int8
-// forward must allocate nothing per prediction — the property
+// Predictor must allocate nothing per prediction in either view, on an
+// untraced context, and neither may PredictWithProbaI8 — the property
 // BenchmarkForwardI8's allocs/op gate defends in CI.
 func TestPredictWithProbaI8SteadyStateAllocFree(t *testing.T) {
 	m, samples := trainedParityModel(t)
 	s := samples[0]
-	for i := 0; i < 3; i++ {
-		m.PredictWithProbaI8(s)
-	}
-	if n := testing.AllocsPerRun(20, func() { m.PredictWithProbaI8(s) }); n != 0 {
-		t.Fatalf("int8 predict allocates %v/op in steady state, want 0", n)
-	}
+	p := m.QuantizeI8().Predictor()
 	ctx := context.Background()
-	m.PredictWithProbaI8Context(ctx, s)
-	if n := testing.AllocsPerRun(20, func() { m.PredictWithProbaI8Context(ctx, s) }); n != 0 {
-		t.Fatalf("traced int8 predict allocates %v/op on untraced context, want 0", n)
+	for _, v := range []View{ViewTrained, ViewNode} {
+		for i := 0; i < 3; i++ {
+			p.Predict(ctx, s, v)
+		}
+		if n := testing.AllocsPerRun(20, func() { p.Predict(ctx, s, v) }); n != 0 {
+			t.Fatalf("int8 predict (view %s) allocates %v/op in steady state, want 0", v, n)
+		}
+	}
+	m.PredictWithProbaI8(s)
+	if n := testing.AllocsPerRun(20, func() { m.PredictWithProbaI8(s) }); n != 0 {
+		t.Fatalf("PredictWithProbaI8 allocates %v/op in steady state, want 0", n)
 	}
 }
 
@@ -145,14 +151,15 @@ func TestPredictWithProbaI8SteadyStateAllocFree(t *testing.T) {
 func TestQuantizeI8IsSnapshot(t *testing.T) {
 	m, samples := trainedParityModel(t)
 	s := samples[0]
-	q := m.QuantizeI8()
-	c1, p1 := q.PredictWithProba(s)
+	p := m.QuantizeI8().Predictor()
+	ctx := context.Background()
+	c1, p1 := p.Predict(ctx, s, ViewTrained)
 	for _, p := range m.Params() {
 		for i := range p.Value.Data {
 			p.Value.Data[i] += 10
 		}
 	}
-	c2, p2 := q.PredictWithProba(s)
+	c2, p2 := p.Predict(ctx, s, ViewTrained)
 	if c1 != c2 || p1 != p2 {
 		t.Fatalf("quantized mirror changed after mutating float64 weights: (%d, %v) -> (%d, %v)", c1, p1, c2, p2)
 	}

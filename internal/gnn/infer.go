@@ -8,58 +8,123 @@ import (
 	"mvpar/internal/tensor"
 )
 
-// PredictWithProba returns the predicted class and P(class=1) for one
-// sample from a single forward pass of the head selected during
-// training. It is bit-identical to calling Predict and PredictProba
-// separately (the forward pass is deterministic, so both read the same
-// logits) at half the inference cost — the pairing every serving-path
-// classification wants.
-func (m *MVGNN) PredictWithProba(s Sample) (int, float64) {
-	switch m.predictMode {
-	case 1:
+// View selects which of the model's heads answers a prediction.
+type View int
+
+const (
+	// ViewTrained answers from the head Train selected: the fusion head
+	// unless one view's own head scored better on the held-out split.
+	ViewTrained View = iota
+	// ViewNode answers from the node view's own head — the paper's
+	// Static-GNN geometry, and serving's degraded rung for loops with no
+	// usable structural view.
+	ViewNode
+	// ViewStruct answers from the structural view's own head.
+	ViewStruct
+	// viewFused is the fusion head; only ViewTrained resolves to it.
+	viewFused
+)
+
+// String names the view; a gnn.forward span records ViewNode and
+// ViewStruct under these names.
+func (v View) String() string {
+	switch v {
+	case ViewNode:
+		return "node"
+	case ViewStruct:
+		return "struct"
+	case viewFused:
+		return "fused"
+	}
+	return "trained"
+}
+
+// engine is one precision tier's forward pass: *MVGNN (float64),
+// *MVGNNF32 or *MVGNNI8. forward answers from head h — viewFused,
+// ViewNode or ViewStruct, never ViewTrained — with the predicted class
+// and P(class=1).
+type engine interface {
+	forward(s Sample, h View) (int, float64)
+	replicate() engine
+}
+
+// Predictor is the one inference entry point of a precision tier. Get
+// one from MVGNN.Predictor (float64, the bit-identity reference),
+// MVGNNF32.Predictor or MVGNNI8.Predictor. Like the engine behind it, a
+// Predictor is goroutine-private; Replicate gives each worker its own.
+type Predictor struct {
+	eng       engine
+	precision string
+	// predictMode is the training-time head selection of the model the
+	// engine came from: 0 = fused, 1 = node head, 2 = struct head.
+	predictMode int
+}
+
+// Predictor returns the float64 Predictor running on m itself.
+func (m *MVGNN) Predictor() Predictor {
+	return Predictor{eng: m, precision: "float64", predictMode: m.predictMode}
+}
+
+// Replicate returns a Predictor of the same tier on a worker-private
+// engine replica that shares p's (possibly quantized) weights.
+func (p Predictor) Replicate() Predictor {
+	p.eng = p.eng.replicate()
+	return p
+}
+
+// Predict returns the predicted class and P(class=1) for one sample from
+// a single forward pass of view v's head. If ctx carries a request trace
+// the pass is recorded as a "gnn.forward" span with the sample's loop,
+// the precision tier and, unless the trained head answered, the view. On
+// an untraced context the span calls are free (no allocations, one
+// context lookup).
+func (p Predictor) Predict(ctx context.Context, s Sample, v View) (int, float64) {
+	_, sp := trace.StartSpan(ctx, "gnn.forward")
+	if sp != nil {
+		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
+		sp.SetAttr("precision", p.precision)
+		if v != ViewTrained {
+			sp.SetAttr("view", v.String())
+		}
+		defer sp.End()
+	}
+	if v == ViewTrained {
+		v = [...]View{viewFused, ViewNode, ViewStruct}[p.predictMode]
+	}
+	return p.eng.forward(s, v)
+}
+
+// Labeler adapts p to Evaluate and EvaluateParallel: the class view v
+// predicts for a sample, on an untraced context.
+func (p Predictor) Labeler(v View) func(Sample) int {
+	return func(s Sample) int {
+		c, _ := p.Predict(context.Background(), s, v)
+		return c
+	}
+}
+
+// forward is the float64 engine.
+func (m *MVGNN) forward(s Sample, h View) (int, float64) {
+	switch h {
+	case ViewNode:
 		return classFrom(m.NodeView.Forward(s.Node))
-	case 2:
+	case ViewStruct:
 		return classFrom(m.StructView.Forward(s.Struct))
 	}
 	return classFrom(m.Forward(s))
 }
 
-// PredictWithProbaNodeView is PredictWithProba restricted to the node
-// view's own head — the degraded-prediction path used when a sample has
-// no usable structural view (the paper's Static-GNN geometry).
-func (m *MVGNN) PredictWithProbaNodeView(s Sample) (int, float64) {
-	return classFrom(m.NodeView.Forward(s.Node))
-}
-
-// PredictWithProbaContext is PredictWithProba under a request trace: if
-// ctx carries one, the forward pass is recorded as a "gnn.forward" span
-// annotated with the sample's loop ID. On an untraced context the span
-// calls are free (no allocations, one context lookup), so the
-// bit-identical batch path pays nothing.
-func (m *MVGNN) PredictWithProbaContext(ctx context.Context, s Sample) (int, float64) {
-	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		defer sp.End()
-	}
-	return m.PredictWithProba(s)
-}
-
-// PredictWithProbaNodeViewContext is the traced degraded-path variant;
-// the span carries view=node so a trace shows which head answered.
-func (m *MVGNN) PredictWithProbaNodeViewContext(ctx context.Context, s Sample) (int, float64) {
-	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		sp.SetAttr("view", "node")
-		defer sp.End()
-	}
-	return m.PredictWithProbaNodeView(s)
-}
+func (m *MVGNN) replicate() engine { return m.Replicate() }
 
 // classFrom reduces one logits row to (argmax class, P(class=1)).
 func classFrom(logits *tensor.Matrix) (int, float64) {
 	return nn.Predict(logits)[0], nn.Probabilities(logits).At(0, 1)
+}
+
+// PredictWithProba is the float64 trained-head prediction: class and
+// P(class=1) from one forward pass.
+func (m *MVGNN) PredictWithProba(s Sample) (int, float64) {
+	return m.Predictor().Predict(context.Background(), s, ViewTrained)
 }
 
 // quantized returns the lazily built float32 inference replica. The first
@@ -73,49 +138,15 @@ func (m *MVGNN) quantized() *MVGNNF32 {
 	return m.f32
 }
 
-// PrepareF32 performs the one-time model quantization eagerly, so later
-// Replicate calls share the quantized weights instead of each replica
-// lazily re-quantizing on its first float32 prediction. Call it once on
-// the frozen prototype before fanning out serving replicas.
+// PrepareF32 performs the one-time float32 quantization behind
+// PredictWithProbaF32 eagerly, outside a timed region.
 func (m *MVGNN) PrepareF32() { m.quantized() }
 
-// PredictWithProbaF32 is PredictWithProba on the float32 fast path: the
-// quantized forward engine with cache-blocked kernels and fused
-// activations. Labels and probabilities track the float64 path within the
-// accuracy-parity gate's tolerance (`mvpar parity`), not bit-identically.
+// PredictWithProbaF32 is PredictWithProba on the float32 tier. Labels
+// and probabilities track the float64 path within the accuracy-parity
+// gate's tolerance (`mvpar parity`), not bit-identically.
 func (m *MVGNN) PredictWithProbaF32(s Sample) (int, float64) {
-	return m.quantized().PredictWithProba(s)
-}
-
-// PredictWithProbaF32NodeView is the float32 degraded path (node view
-// only), mirroring PredictWithProbaNodeView.
-func (m *MVGNN) PredictWithProbaF32NodeView(s Sample) (int, float64) {
-	return m.quantized().PredictWithProbaNodeView(s)
-}
-
-// PredictWithProbaF32Context is the traced float32 variant; the span
-// carries precision=float32 so traces show which engine answered.
-func (m *MVGNN) PredictWithProbaF32Context(ctx context.Context, s Sample) (int, float64) {
-	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		sp.SetAttr("precision", "float32")
-		defer sp.End()
-	}
-	return m.PredictWithProbaF32(s)
-}
-
-// PredictWithProbaF32NodeViewContext is the traced float32 degraded-path
-// variant.
-func (m *MVGNN) PredictWithProbaF32NodeViewContext(ctx context.Context, s Sample) (int, float64) {
-	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		sp.SetAttr("view", "node")
-		sp.SetAttr("precision", "float32")
-		defer sp.End()
-	}
-	return m.PredictWithProbaF32NodeView(s)
+	return m.quantized().Predictor().Predict(context.Background(), s, ViewTrained)
 }
 
 // quantizedI8 returns the lazily built int8 inference replica, with the
@@ -127,48 +158,14 @@ func (m *MVGNN) quantizedI8() *MVGNNI8 {
 	return m.i8
 }
 
-// PrepareI8 performs the one-time int8 model quantization eagerly, so
-// later Replicate calls share the quantized weights instead of each
-// replica lazily re-quantizing on its first int8 prediction. Call it once
-// on the frozen prototype before fanning out serving replicas.
+// PrepareI8 performs the one-time int8 quantization behind
+// PredictWithProbaI8 eagerly, outside a timed region.
 func (m *MVGNN) PrepareI8() { m.quantizedI8() }
 
-// PredictWithProbaI8 is PredictWithProba on the int8 tier: per-channel
-// quantized weights, int32 accumulators, dequantize-then-table-tanh
-// epilogues. Labels and probabilities track the float64 path within the
-// int8 parity gate's documented drift budget (`mvpar parity -precision
-// int8`) — looser than float32's, and never bit-identical.
+// PredictWithProbaI8 is PredictWithProba on the int8 tier. Labels and
+// probabilities track the float64 path within the int8 parity gate's
+// documented drift budget (`mvpar parity -precision int8`) — looser than
+// float32's, and never bit-identical.
 func (m *MVGNN) PredictWithProbaI8(s Sample) (int, float64) {
-	return m.quantizedI8().PredictWithProba(s)
-}
-
-// PredictWithProbaI8NodeView is the int8 degraded path (node view only),
-// mirroring PredictWithProbaNodeView.
-func (m *MVGNN) PredictWithProbaI8NodeView(s Sample) (int, float64) {
-	return m.quantizedI8().PredictWithProbaNodeView(s)
-}
-
-// PredictWithProbaI8Context is the traced int8 variant; the span carries
-// precision=int8 so traces show which engine answered.
-func (m *MVGNN) PredictWithProbaI8Context(ctx context.Context, s Sample) (int, float64) {
-	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		sp.SetAttr("precision", "int8")
-		defer sp.End()
-	}
-	return m.PredictWithProbaI8(s)
-}
-
-// PredictWithProbaI8NodeViewContext is the traced int8 degraded-path
-// variant.
-func (m *MVGNN) PredictWithProbaI8NodeViewContext(ctx context.Context, s Sample) (int, float64) {
-	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		sp.SetAttr("view", "node")
-		sp.SetAttr("precision", "int8")
-		defer sp.End()
-	}
-	return m.PredictWithProbaI8NodeView(s)
+	return m.quantizedI8().Predictor().Predict(context.Background(), s, ViewTrained)
 }

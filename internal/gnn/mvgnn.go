@@ -49,17 +49,14 @@ type MVGNN struct {
 	// multi-view model never regresses below its own views.
 	predictMode int
 
-	// f32 caches the lazily built quantized inference replica behind
-	// PredictWithProbaF32*. Like the rest of the model's mutable state it
-	// is goroutine-private (replicas each build their own); it snapshots
-	// the weights at first use, so it must only be exercised on a frozen
-	// (post-training) model.
+	// f32 and i8 cache the lazily built quantized engines behind
+	// PredictWithProbaF32 and PredictWithProbaI8. Like the rest of the
+	// model's mutable state they are goroutine-private (replicas do not
+	// inherit them); they snapshot the weights at first use, so they must
+	// only be exercised on a frozen (post-training) model. Serving
+	// quantizes through QuantizeF32/QuantizeI8 instead.
 	f32 *MVGNNF32
-
-	// i8 caches the lazily built int8 inference replica behind
-	// PredictWithProbaI8*, under the same goroutine-privacy and
-	// freeze-before-first-use contract as f32.
-	i8 *MVGNNI8
+	i8  *MVGNNI8
 }
 
 // NewMVGNN builds the binary multi-view model. nodeDim and structDim are
@@ -118,7 +115,7 @@ func (m *MVGNN) Replicate() *MVGNN {
 	arena := tensor.NewArena()
 	out := m.out.Replicate()
 	out.Scratch = arena
-	r := &MVGNN{
+	return &MVGNN{
 		NodeView:    m.NodeView.Replicate(),
 		StructView:  m.StructView.Replicate(),
 		fuse:        &nn.Tanh{Scratch: arena},
@@ -126,16 +123,6 @@ func (m *MVGNN) Replicate() *MVGNN {
 		arena:       arena,
 		predictMode: m.predictMode,
 	}
-	// If the prototype was quantized (PrepareF32/PrepareI8), replicas
-	// share the quantized weights and only allocate private scratch — the
-	// one-time quantization cost is not paid per replica.
-	if m.f32 != nil {
-		r.f32 = m.f32.Replicate()
-	}
-	if m.i8 != nil {
-		r.i8 = m.i8.Replicate()
-	}
-	return r
 }
 
 // ForwardAll returns the fused logits plus each view's own head logits
@@ -176,45 +163,4 @@ func (m *MVGNN) Backward(dLogits *tensor.Matrix) {
 	zn := tensor.New(1, m.NodeView.Cfg.NumClasses)
 	zs := tensor.New(1, m.StructView.Cfg.NumClasses)
 	m.BackwardAll(dLogits, zn, zs)
-}
-
-// PredictNodeView classifies using only the node view's own head (the
-// figure-8 node probe of the jointly trained model).
-func (m *MVGNN) PredictNodeView(s Sample) int {
-	return nn.Predict(m.NodeView.Forward(s.Node))[0]
-}
-
-// PredictStructView classifies using only the structural view's own head.
-func (m *MVGNN) PredictStructView(s Sample) int {
-	return nn.Predict(m.StructView.Forward(s.Struct))[0]
-}
-
-// PredictProbaNodeView returns P(class=1) from the node view's own head —
-// the degraded-prediction path used when a sample has no usable
-// structural view (the paper's Static-GNN baseline geometry).
-func (m *MVGNN) PredictProbaNodeView(s Sample) float64 {
-	return nn.Probabilities(m.NodeView.Forward(s.Node)).At(0, 1)
-}
-
-// Predict returns the predicted class for one sample using the head
-// selected during training.
-func (m *MVGNN) Predict(s Sample) int {
-	switch m.predictMode {
-	case 1:
-		return m.PredictNodeView(s)
-	case 2:
-		return m.PredictStructView(s)
-	}
-	return nn.Predict(m.Forward(s))[0]
-}
-
-// PredictProba returns P(class=1) for one sample from the selected head.
-func (m *MVGNN) PredictProba(s Sample) float64 {
-	switch m.predictMode {
-	case 1:
-		return nn.Probabilities(m.NodeView.Forward(s.Node)).At(0, 1)
-	case 2:
-		return nn.Probabilities(m.StructView.Forward(s.Struct)).At(0, 1)
-	}
-	return nn.Probabilities(m.Forward(s)).At(0, 1)
 }

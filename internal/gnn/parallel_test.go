@@ -83,8 +83,9 @@ func TestReplicateSharesWeightsIsolatesGrads(t *testing.T) {
 	m := NewMVGNN(3, 3, 13)
 	rep := m.Replicate()
 	for _, s := range samples {
-		if got, want := rep.Predict(s), m.Predict(s); got != want {
-			t.Fatalf("replica prediction %d differs from master %d", got, want)
+		gc, gp := rep.PredictWithProba(s)
+		if wc, wp := m.PredictWithProba(s); gc != wc || gp != wp {
+			t.Fatalf("replica prediction (%d, %v) differs from master (%d, %v)", gc, gp, wc, wp)
 		}
 	}
 	// A backward pass through the replica must leave master grads at zero.
@@ -118,9 +119,9 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	samples := makeSyntheticSamples(30, rng, 4)
 	m := NewMVGNN(4, 4, 7)
 	m.Train(samples, TrainConfig{Epochs: 6, LR: 0.005, Temperature: 0.5, ClipNorm: 5, BatchSize: 4, Seed: 7, Parallelism: 1}, nil)
-	want := Evaluate(m.Predict, samples)
+	want := Evaluate(m.Predictor().Labeler(ViewTrained), samples)
 	for _, jobs := range []int{1, 2, 4, 100} {
-		got := EvaluateParallel(func() func(Sample) int { return m.Replicate().Predict }, samples, jobs)
+		got := EvaluateParallel(func() func(Sample) int { return m.Predictor().Replicate().Labeler(ViewTrained) }, samples, jobs)
 		if got != want {
 			t.Fatalf("jobs=%d: EvaluateParallel = %v, Evaluate = %v", jobs, got, want)
 		}

@@ -103,7 +103,7 @@ func TestTrainWithPretraining(t *testing.T) {
 	cfg := TrainConfig{Epochs: 12, LR: 0.005, Temperature: 0.5, ClipNorm: 5,
 		BatchSize: 4, PretrainEpochs: 3, Seed: 9}
 	m.Train(samples, cfg, nil)
-	if acc := Evaluate(m.Predict, samples); acc < 0.85 {
+	if acc := Evaluate(m.Predictor().Labeler(ViewTrained), samples); acc < 0.85 {
 		t.Fatalf("accuracy with pretraining = %v", acc)
 	}
 }

@@ -166,12 +166,10 @@ func (m *MVGNN) Train(samples []Sample, cfg TrainConfig, hook func(EpochStats)) 
 	m.predictMode = 0
 	// Head selection fans out over replicas: each evaluation worker gets a
 	// private copy so concurrent forward passes never share layer caches.
-	fusedAcc := EvaluateParallel(func() func(Sample) int {
-		r := m.Replicate()
-		return func(s Sample) int { f, _, _ := r.ForwardAll(s); return nn.Predict(f)[0] }
-	}, sel, cfg.Parallelism)
-	nodeAcc := EvaluateParallel(func() func(Sample) int { return m.Replicate().PredictNodeView }, sel, cfg.Parallelism)
-	structAcc := EvaluateParallel(func() func(Sample) int { return m.Replicate().PredictStructView }, sel, cfg.Parallelism)
+	headAcc := func(h View) float64 {
+		return EvaluateParallel(func() func(Sample) int { return m.Predictor().Replicate().Labeler(h) }, sel, cfg.Parallelism)
+	}
+	fusedAcc, nodeAcc, structAcc := headAcc(viewFused), headAcc(ViewNode), headAcc(ViewStruct)
 	if nodeAcc > fusedAcc && nodeAcc >= structAcc {
 		m.predictMode = 1
 	} else if structAcc > fusedAcc && structAcc > nodeAcc {
@@ -404,9 +402,10 @@ func Evaluate(predict func(Sample) int, samples []Sample) float64 {
 // EvaluateParallel is Evaluate fanned out over the worker pool. Model
 // forward passes cache activations in their layers, so a single predictor
 // cannot be shared between workers; newPredict is called once per worker
-// to build a private predictor (typically Replicate().Predict). jobs <= 0
-// uses pool.DefaultParallelism(); jobs == 1 calls newPredict once and runs
-// the serial Evaluate. Accuracy is a count of independent per-sample
+// to build a private predictor (typically
+// Predictor().Replicate().Labeler(v)). jobs <= 0 uses
+// pool.DefaultParallelism(); jobs == 1 calls newPredict once and runs the
+// serial Evaluate. Accuracy is a count of independent per-sample
 // hits, so the result is identical at any worker count.
 func EvaluateParallel(newPredict func() func(Sample) int, samples []Sample, jobs int) float64 {
 	if len(samples) == 0 {
