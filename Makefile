@@ -12,14 +12,14 @@ FUZZTIME ?= 30s
 
 # `make bench` output: machine-readable benchmark log (one JSON test
 # event per line, the `go test -json` format) and how long each
-# benchmark runs. BENCH_6.json is the checked-in snapshot for this
+# benchmark runs. BENCH_7.json is the checked-in snapshot for this
 # change; override BENCHJSON to benchmark without clobbering it.
-BENCHJSON ?= BENCH_6.json
+BENCHJSON ?= BENCH_7.json
 BENCHTIME ?= 1x
 
 # `make benchcmp` inputs: two bench logs to diff (ns/op and allocs/op).
-BENCHOLD ?= BENCH_5.json
-BENCHNEW ?= BENCH_6.json
+BENCHOLD ?= BENCH_6.json
+BENCHNEW ?= BENCH_7.json
 
 # `make benchgate` settings: which benchmarks the regression gate covers
 # (the allocation-sensitive hot paths), how many iterations to average
@@ -31,10 +31,10 @@ BENCHNEW ?= BENCH_6.json
 # allocs/op — deterministic across machines — stays the hard gate. Set
 # GATETIMEPCT=25 for a hard time gate when old and new logs come from
 # the same machine.
-GATEBENCH ?= TrainStepAllocs|SpMM|ClassifyTracingDisabled|MatMulBlocked|ForwardF32|ForwardI8
+GATEBENCH ?= TrainStepAllocs|SpMM|ClassifyTracingDisabled|MatMulBlocked|ForwardF32|ForwardI8|WalkSample|ProfileCorpus
 GATETIME ?= 5x
 GATETIMEPCT ?= -25
-BENCHBASE ?= BENCH_6.json
+BENCHBASE ?= BENCH_7.json
 BENCHPR ?= BENCH_PR.json
 
 all: verify

@@ -27,6 +27,7 @@ import (
 	"mvpar/internal/ir"
 	"mvpar/internal/minic"
 	"mvpar/internal/nn"
+	"mvpar/internal/peg"
 	"mvpar/internal/sched"
 	"mvpar/internal/tensor"
 	"mvpar/internal/walks"
@@ -299,6 +300,42 @@ func BenchmarkProfileCorpus(b *testing.B) {
 		steps = stats.Steps
 	}
 	b.ReportMetric(float64(steps), "instrs/op")
+}
+
+// BenchmarkWalkSample measures the structural view's walk sampling
+// (eq. 3) alone: serial NodeDistributionsBudget over the sub-PEG of every
+// loop of the NPB programs, one generator reseeded per graph. Sampling
+// allocates per graph, never per step or per walk, so allocs/op tracks
+// the number of graphs; the benchgate holds it to zero growth.
+func BenchmarkWalkSample(b *testing.B) {
+	b.ReportAllocs()
+	var graphs []*graph.Directed
+	for _, app := range bench.Corpus() {
+		if app.Suite != "NPB" {
+			continue
+		}
+		prog := ir.MustLower(minic.MustParse(app.Name, app.Source))
+		res, _, err := deps.Analyze(prog, "main", interp.Limits{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sub := range peg.Build(prog, cu.Build(prog), res).ExtractAll() {
+			graphs = append(graphs, sub.G)
+		}
+	}
+	space := walks.NewSpace(4)
+	p := walks.Params{Length: 4, Gamma: 12}
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for gi, g := range graphs {
+			rng.Seed(int64(gi))
+			if _, err := space.NodeDistributionsBudget(g, p, rng); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(graphs)), "graphs/op")
 }
 
 // BenchmarkDatasetEncode measures end-to-end dataset construction

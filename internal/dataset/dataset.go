@@ -392,6 +392,9 @@ func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
 	variant := ir.Variant(base, v)
 	cus := cu.Build(variant)
 	pg := peg.Build(variant, cus, res)
+	// One generator for the whole job, reseeded per loop: the same stream
+	// as a fresh rand.New(rand.NewSource(seed)) without its allocation.
+	rng := rand.New(rand.NewSource(0))
 	for _, loopID := range variant.LoopIDs() {
 		verdict := res.Verdicts[loopID]
 		label := 0
@@ -431,19 +434,25 @@ func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
 				tools.NameDiscoPoP: b2i(tools.DiscoPoPRule(verdict)),
 			},
 		}
-		sv, svErr := encodeStructView(sub, space, cfg.WalkParams, sampleSeed(cfg.Seed, meta))
+		// Both views share one encoded topology: the merged graph's CSR
+		// adjacency is built once and the structural view only swaps in
+		// its own feature matrix.
+		g := modelGraph(sub)
+		node := gnn.Encode(g, nodeFeatures(sub, emb, stat))
+		rng.Seed(sampleSeed(cfg.Seed, meta))
+		sx, svErr := structFeatures(sub, g, space, cfg.WalkParams, rng)
 		if svErr != nil {
 			// Graceful degradation: keep the loop with an all-zero
 			// structural view (the node view still carries the full
 			// Static-GNN signal) instead of dropping it.
 			rec.Degraded = append(rec.Degraded,
 				fmt.Sprintf("structural view unavailable: %v", svErr))
-			sv = zeroStructView(sub, space)
+			sx = tensor.New(g.NumNodes(), StructDimFor(space))
 			degs = append(degs, degradation{program: app.Name, loop: loopID, variant: v, msg: svErr.Error()})
 		}
 		rec.Sample = gnn.Sample{
-			Node:   encodeNodeView(sub, emb, stat),
-			Struct: sv,
+			Node:   node,
+			Struct: node.WithFeatures(sx),
 			Label:  label,
 			Meta:   meta,
 		}
@@ -548,13 +557,13 @@ func sampleSeed(base int64, m gnn.SampleMeta) int64 {
 	return base ^ h
 }
 
-// encodeNodeView builds the node-feature matrix for a sub-PEG: kind
+// nodeFeatures builds the node-feature matrix for a sub-PEG: kind
 // one-hot, inst2vec statement embedding, per-node counters, and the
 // Table-I dynamics of the classified loop broadcast to every node (the
 // paper integrates the dynamic features with the static/semantic node
 // features; broadcasting keeps them visible regardless of which nodes
 // survive SortPooling).
-func encodeNodeView(sub *peg.SubPEG, emb *inst2vec.Embedding, stat features.Static) *gnn.EncodedGraph {
+func nodeFeatures(sub *peg.SubPEG, emb *inst2vec.Embedding, stat features.Static) *tensor.Matrix {
 	dim := NodeDimFor(emb.Dim)
 	x := tensor.New(len(sub.Nodes), dim)
 	dyn := features.Normalize(stat.Dynamic.Vector())
@@ -581,7 +590,7 @@ func encodeNodeView(sub *peg.SubPEG, emb *inst2vec.Embedding, stat features.Stat
 			row[2] = 1
 		}
 	}
-	return gnn.Encode(modelGraph(sub), x)
+	return x
 }
 
 // structDescDims is the number of per-node structural descriptor
@@ -597,14 +606,12 @@ const structDescDims = 12
 // space.
 func StructDimFor(space *walks.Space) int { return space.NumTypes() + structDescDims }
 
-// encodeStructView builds the structural-view features: the anonymous-walk
-// type distribution (eq. 3) concatenated with local structural
-// descriptors of the (kind-merged) sub-PEG. It fails (rather than
+// structFeatures builds the structural-view features of a sub-PEG whose
+// kind-merged graph is g: the anonymous-walk type distribution (eq. 3)
+// concatenated with local structural descriptors. It fails (rather than
 // panicking or stalling) when walk sampling goes over Params.MaxSamples;
-// callers degrade to zeroStructView.
-func encodeStructView(sub *peg.SubPEG, space *walks.Space, p walks.Params, seed int64) (*gnn.EncodedGraph, error) {
-	rng := rand.New(rand.NewSource(seed))
-	g := modelGraph(sub)
+// callers degrade to an all-zero matrix.
+func structFeatures(sub *peg.SubPEG, g *graph.Directed, space *walks.Space, p walks.Params, rng *rand.Rand) (*tensor.Matrix, error) {
 	dist, err := space.NodeDistributionsBudget(g, p, rng)
 	if err != nil {
 		return nil, err
@@ -652,18 +659,7 @@ func encodeStructView(sub *peg.SubPEG, space *walks.Space, p walks.Params, seed 
 			}
 		}
 	}
-	return gnn.Encode(g, x), nil
-}
-
-// zeroStructView is the graceful-degradation fallback for a loop whose
-// structural view could not be sampled: the sub-PEG topology with an
-// all-zero feature matrix. It keeps the sample shape-valid for the
-// multi-view model while carrying no structural signal, so predictions
-// for such loops should come from the node view (Record.Degraded marks
-// them).
-func zeroStructView(sub *peg.SubPEG, space *walks.Space) *gnn.EncodedGraph {
-	g := modelGraph(sub)
-	return gnn.Encode(g, tensor.New(g.NumNodes(), StructDimFor(space)))
+	return x, nil
 }
 
 // modelGraph returns the graph the models see: the sub-PEG with carried

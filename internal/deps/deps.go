@@ -95,8 +95,15 @@ type accessRec struct {
 	stmt    int
 	red     ir.RedOp
 	array   bool
-	frames  []frameSnap
-	exposed uint64 // bit i set: read not preceded by a same-iteration write of frames[i]
+	frames  []frameSnap // shared and immutable; see Analyzer.frames
+	exposed uint64      // bit i set: read not preceded by a same-iteration write of frames[i]
+}
+
+// exposedAt reports whether the read is exposed with respect to loop level
+// i. The mask holds 64 levels; deeper levels (reached through recursion)
+// always count as exposed, so the verdict fails closed.
+func (r *accessRec) exposedAt(i int) bool {
+	return i >= 64 || r.exposed&(1<<uint(i)) != 0
 }
 
 type frameSnap struct {
@@ -107,7 +114,8 @@ type frameSnap struct {
 
 // cell is the shadow state for one address.
 type cell struct {
-	lastWrite *accessRec
+	lastWrite accessRec // valid when written
+	written   bool
 	reads     []accessRec
 }
 
@@ -139,6 +147,12 @@ type Analyzer struct {
 
 	iterations map[int]int64
 	instances  map[int]int64
+
+	// frames is the snapshot of the live loop stack that every access
+	// record shares until the next LoopEnter, LoopIter or LoopExit, the
+	// only events at which the interpreter's loop stack changes; nil means
+	// it must be taken afresh. Records never modify it.
+	frames []frameSnap
 }
 
 // NewAnalyzer returns an empty analyzer ready to trace one execution.
@@ -168,6 +182,7 @@ func mark2(m map[int]map[uint64]bool, loop int, addr uint64) {
 
 // LoopEnter implements interp.Tracer.
 func (a *Analyzer) LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bool) {
+	a.frames = nil
 	a.instances[id]++
 	if hasCtrl {
 		mark2(a.ctrlAddrs, id, ctrlAddr)
@@ -175,18 +190,24 @@ func (a *Analyzer) LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bo
 }
 
 // LoopIter implements interp.Tracer.
-func (a *Analyzer) LoopIter(id int, instance, iter int64) { a.iterations[id]++ }
+func (a *Analyzer) LoopIter(id int, instance, iter int64) {
+	a.frames = nil
+	a.iterations[id]++
+}
 
 // LoopExit implements interp.Tracer.
-func (a *Analyzer) LoopExit(id int, instance, iters int64) {}
+func (a *Analyzer) LoopExit(id int, instance, iters int64) { a.frames = nil }
 
-// snapshot copies the live loop stack.
-func snapshot(frames []interp.LoopFrame) []frameSnap {
-	s := make([]frameSnap, len(frames))
-	for i, f := range frames {
-		s[i] = frameSnap{id: f.ID, instance: f.Instance, iter: f.Iter}
+// snapshot returns the shared snapshot of the live loop stack, copying
+// frames only when a loop event has invalidated the previous one.
+func (a *Analyzer) snapshot(frames []interp.LoopFrame) []frameSnap {
+	if a.frames == nil {
+		a.frames = make([]frameSnap, len(frames))
+		for i, f := range frames {
+			a.frames[i] = frameSnap{id: f.ID, instance: f.Instance, iter: f.Iter}
+		}
 	}
-	return s
+	return a.frames
 }
 
 // carrierIndex finds the index of the loop carrying a dependence between
@@ -244,15 +265,14 @@ func (a *Analyzer) Access(acc *interp.Access) {
 		c = &cell{}
 		a.shadow[acc.Addr] = c
 	}
+	// Array-ness travels via the Access (set by the interpreter for
+	// subscripted instructions).
 	rec := accessRec{
 		stmt:   acc.StmtID,
 		red:    acc.Red,
-		array:  false,
-		frames: snapshot(acc.Frames),
+		array:  acc.Array,
+		frames: a.snapshot(acc.Frames),
 	}
-	// Array-ness travels via the Access (set by the interpreter for
-	// subscripted instructions).
-	rec.array = acc.Array
 
 	// Every non-reduction access inside a loop poisons reduction locations.
 	if acc.Red == ir.RedNone {
@@ -273,17 +293,17 @@ func (a *Analyzer) Access(acc *interp.Access) {
 		return
 	}
 	a.onWrite(acc.Addr, c, &rec)
-	c.lastWrite = &rec
+	c.lastWrite, c.written = rec, true
 	c.reads = c.reads[:0]
 }
 
 func (a *Analyzer) onRead(addr uint64, c *cell, rec *accessRec) {
-	w := c.lastWrite
-	if w == nil {
+	if !c.written {
 		// Never written: exposed with respect to every enclosing loop.
 		rec.exposed = ^uint64(0)
 		return
 	}
+	w := &c.lastWrite
 	ci := carrierIndex(w.frames, rec.frames)
 	// Exposure per enclosing loop: the read is exposed w.r.t. loop level i
 	// unless the last write happened in the same iteration of that loop.
@@ -318,7 +338,8 @@ func (a *Analyzer) onRead(addr uint64, c *cell, rec *accessRec) {
 }
 
 func (a *Analyzer) onWrite(addr uint64, c *cell, rec *accessRec) {
-	if w := c.lastWrite; w != nil {
+	if c.written {
+		w := &c.lastWrite
 		ci := carrierIndex(w.frames, rec.frames)
 		if ci < 0 {
 			a.recordEdge(WAW, w, rec, 0, false, false, 0)
@@ -347,7 +368,7 @@ func (a *Analyzer) onWrite(addr uint64, c *cell, rec *accessRec) {
 		if a.isCtrl(loop, addr) || redPair {
 			continue
 		}
-		if r.exposed&(1<<uint(ci)) != 0 {
+		if r.exposedAt(ci) {
 			// The earlier iteration read a value the later iteration
 			// overwrites, and that read was not satisfied by its own
 			// iteration: privatization cannot remove this dependence.

@@ -1,6 +1,7 @@
 package deps_test
 
 import (
+	"fmt"
 	"testing"
 
 	"mvpar/internal/deps"
@@ -460,5 +461,44 @@ void main() {
 		if e.Kind == deps.RAW && e.Carried && !e.Reduction && e.Distance != 1 {
 			t.Fatalf("first-order recurrence distance = %d, want 1 (%+v)", e.Distance, e)
 		}
+	}
+}
+
+// A loop carried at loop-stack depth >= 65 (reached through recursion)
+// must still be blocked by its exposed-read WAR: the per-level exposure
+// mask only covers 64 levels, and deeper levels must count as exposed.
+func TestDeepLoopStackExposedReadBlocked(t *testing.T) {
+	for _, depth := range []int{2, 64, 65, 70} {
+		src := fmt.Sprintf(`
+float a[8];
+void f(int d) {
+  int n = 4;
+  if (d < %[1]d) { n = 1; }
+  for (int i = 0; i < n; i++) {
+    if (d < %[1]d) { f(d + 1); } else { a[i] = a[i + 1] + 1.0; }
+  }
+}
+void main() { f(1); }
+`, depth)
+		v := verdictOfFirstLoop(t, src)
+		if v.Parallelizable || !v.Detail.LCWarBad {
+			t.Errorf("depth %d: verdict %+v, want a blocking exposed-read WAR", depth, v)
+		}
+	}
+}
+
+// Profiling allocates per new address and per loop event, never per
+// access: a repeated write to an already-seen address in the same
+// iteration allocates nothing.
+func TestRepeatedWriteAllocsZero(t *testing.T) {
+	an := deps.NewAnalyzer()
+	an.LoopEnter(1, 1, 0, false)
+	an.LoopIter(1, 1, 1)
+	acc := &interp.Access{Addr: 7, Write: true, Array: true, StmtID: 3,
+		Frames: []interp.LoopFrame{{ID: 1, Instance: 1, Iter: 1}}}
+	an.Access(acc)
+	an.Access(acc)
+	if a := testing.AllocsPerRun(100, func() { an.Access(acc) }); a != 0 {
+		t.Fatalf("repeated write allocates %v times per access", a)
 	}
 }

@@ -11,7 +11,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -101,45 +101,69 @@ func (g *Directed) InDegree(v int) int { return len(g.in[v]) }
 
 // Successors returns the distinct successor node IDs of v in ascending order.
 func (g *Directed) Successors(v int) []int {
-	return distinctEndpoints(g.out[v], func(e Edge) int { return e.To })
+	res := make([]int, 0, len(g.out[v]))
+	for _, e := range g.out[v] {
+		res = append(res, e.To)
+	}
+	return sortDistinct(res)
 }
 
 // Predecessors returns the distinct predecessor node IDs of v in ascending order.
 func (g *Directed) Predecessors(v int) []int {
-	return distinctEndpoints(g.in[v], func(e Edge) int { return e.From })
+	res := make([]int, 0, len(g.in[v]))
+	for _, e := range g.in[v] {
+		res = append(res, e.From)
+	}
+	return sortDistinct(res)
 }
 
 // Neighbors returns the distinct nodes adjacent to v in either direction,
 // in ascending order. Walk sampling treats the graph as undirected so that
 // structural patterns are visible regardless of dependence direction.
 func (g *Directed) Neighbors(v int) []int {
-	seen := map[int]bool{}
-	for _, e := range g.out[v] {
-		seen[e.To] = true
-	}
-	for _, e := range g.in[v] {
-		seen[e.From] = true
-	}
-	res := make([]int, 0, len(seen))
-	for n := range seen {
-		res = append(res, n)
-	}
-	sort.Ints(res)
-	return res
+	return g.appendNeighbors(make([]int, 0, len(g.out[v])+len(g.in[v])), v)
 }
 
-func distinctEndpoints(edges []Edge, pick func(Edge) int) []int {
-	seen := map[int]bool{}
-	for _, e := range edges {
-		seen[pick(e)] = true
+// appendNeighbors appends Neighbors(v) to dst.
+func (g *Directed) appendNeighbors(dst []int, v int) []int {
+	start := len(dst)
+	for _, e := range g.out[v] {
+		dst = append(dst, e.To)
 	}
-	res := make([]int, 0, len(seen))
-	for n := range seen {
-		res = append(res, n)
+	for _, e := range g.in[v] {
+		dst = append(dst, e.From)
 	}
-	sort.Ints(res)
-	return res
+	return dst[:start+len(sortDistinct(dst[start:]))]
 }
+
+// sortDistinct sorts s in place and returns its prefix of distinct values.
+func sortDistinct(s []int) []int {
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
+// Undirected is a graph's undirected neighbour structure in CSR form,
+// built once so that a walk can take many steps without rebuilding
+// neighbour sets.
+type Undirected struct {
+	off []int // neighbours of v are nbr[off[v]:off[v+1]]
+	nbr []int
+}
+
+// Undirected builds the neighbour lists of every node: for each v the
+// same distinct, ascending list Neighbors(v) returns.
+func (g *Directed) Undirected() Undirected {
+	u := Undirected{off: make([]int, len(g.out)+1), nbr: make([]int, 0, 2*g.edges)}
+	for v := range g.out {
+		u.nbr = g.appendNeighbors(u.nbr, v)
+		u.off[v+1] = len(u.nbr)
+	}
+	return u
+}
+
+// Neighbors returns Neighbors(v) of the graph u was built from. The
+// returned slice is owned by u and must not be modified.
+func (u Undirected) Neighbors(v int) []int { return u.nbr[u.off[v]:u.off[v+1]] }
 
 // Edges returns a copy of all edges in insertion order per source node.
 func (g *Directed) Edges() []Edge {

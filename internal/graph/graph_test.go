@@ -374,3 +374,83 @@ func TestEdgesReturnsAll(t *testing.T) {
 		t.Fatalf("edge sources = %v", froms)
 	}
 }
+
+// refNeighbors is the set-based definition of Neighbors: every endpoint
+// of an edge touching v, deduplicated and sorted.
+func refNeighbors(g *Directed, v int) []int {
+	seen := map[int]bool{}
+	for _, e := range g.Edges() {
+		if e.From == v {
+			seen[e.To] = true
+		}
+		if e.To == v {
+			seen[e.From] = true
+		}
+	}
+	res := []int{}
+	for n := range seen {
+		res = append(res, n)
+	}
+	sort.Ints(res)
+	return res
+}
+
+// Property: the CSR neighbour lists equal Neighbors, and both equal the
+// set definition, on random multigraphs with self-loops and parallel
+// edges of several kinds.
+func TestUndirectedMatchesNeighbors(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(12)
+		g := New(n)
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			g.AddEdge(rng.Intn(n), rng.Intn(n), rng.Intn(3))
+		}
+		u := g.Undirected()
+		for v := 0; v < n; v++ {
+			want := refNeighbors(g, v)
+			if !reflect.DeepEqual(append([]int{}, g.Neighbors(v)...), want) ||
+				!reflect.DeepEqual(append([]int{}, u.Neighbors(v)...), want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// WalkInto draws the sequence of the reference walk (a fresh Neighbors
+// set per step, one Intn per step from a node with neighbours) and
+// allocates nothing.
+func TestWalkIntoMatchesReferenceWalk(t *testing.T) {
+	g := line(5)
+	g.AddEdge(2, 2, 0)
+	g.AddEdge(3, 1, 1)
+	g.AddNode() // isolated
+	ref := func(start, length int, rng *rand.Rand) []int {
+		walk := []int{start}
+		cur := start
+		for i := 0; i < length; i++ {
+			if nbrs := g.Neighbors(cur); len(nbrs) > 0 {
+				cur = nbrs[rng.Intn(len(nbrs))]
+			}
+			walk = append(walk, cur)
+		}
+		return walk
+	}
+	u := g.Undirected()
+	buf := make([]int, 7)
+	r1, r2 := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
+	for start := 0; start < g.NumNodes(); start++ {
+		for i := 0; i < 20; i++ {
+			if w := ref(start, 6, r1); !reflect.DeepEqual(w, u.WalkInto(buf, start, r2)) {
+				t.Fatalf("start %d: reference %v, WalkInto %v", start, w, buf)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(50, func() { u.WalkInto(buf, 1, r2) }); a != 0 {
+		t.Fatalf("WalkInto allocates %v times per walk", a)
+	}
+}

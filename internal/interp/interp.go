@@ -28,8 +28,7 @@ type LoopFrame struct {
 }
 
 // Access describes one dynamic memory access. Frames aliases the
-// interpreter's live loop stack (innermost last) and must not be retained
-// past the Tracer callback.
+// interpreter's live loop stack (innermost last).
 type Access struct {
 	Addr   uint64
 	Write  bool
@@ -41,8 +40,13 @@ type Access struct {
 	Frames []LoopFrame
 }
 
-// Tracer receives instrumentation events during execution. Implementations
-// must not retain the Frames slices they are handed.
+// Tracer receives instrumentation events during execution.
+//
+// The interpreter hands every Access call the same *Access, overwritten
+// for the next access, and its Frames alias the live loop stack, which
+// changes only between a LoopEnter, LoopIter or LoopExit and the next.
+// So an implementation must retain neither the *Access nor its Frames
+// past the callback; copy out whatever it keeps.
 type Tracer interface {
 	Access(a *Access)
 	LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bool)
@@ -157,12 +161,13 @@ type Interp struct {
 	limits Limits
 
 	mem       []float64
-	globals   map[string]uint64
+	globals   map[string]varLoc
 	loopStack []LoopFrame
 	instSeq   int64
 	steps     int64
 	depth     int
 	stats     Stats
+	acc       Access // handed to every tracer Access call
 }
 
 // New creates an interpreter. tracer may be nil for untraced execution.
@@ -186,7 +191,7 @@ func (it *Interp) Run(entry string) (Stats, error) {
 		}
 	}
 	it.mem = it.mem[:0]
-	it.globals = make(map[string]uint64, len(it.prog.Globals))
+	it.globals = make(map[string]varLoc, len(it.prog.Globals))
 	it.loopStack = it.loopStack[:0]
 	it.steps = 0
 	it.instSeq = 0
@@ -197,7 +202,7 @@ func (it *Interp) Run(entry string) (Stats, error) {
 		if err != nil {
 			return Stats{}, err
 		}
-		it.globals[g.Name] = base
+		it.globals[g.Name] = varLoc{addr: base, size: g.Size()}
 		if g.HasInit {
 			it.mem[base] = g.InitVal
 		}
@@ -227,10 +232,10 @@ func (it *Interp) alloc(n int) (uint64, error) {
 	return base, nil
 }
 
-// binding maps a function's variable names to memory base addresses.
-type binding struct {
-	addr map[string]uint64
-	size map[string]int
+// varLoc is where a variable lives: its base address and cell count.
+type varLoc struct {
+	addr uint64
+	size int
 }
 
 // call executes fn with scalar argument values args (by value) and array
@@ -241,11 +246,10 @@ func (it *Interp) call(fn *ir.Func, args []float64, arrays map[string]uint64) (f
 	if it.depth > it.limits.MaxCallDepth {
 		return 0, fmt.Errorf("%w: %q at depth %d", ErrCallDepth, fn.Name, it.depth)
 	}
-	bind := binding{addr: make(map[string]uint64, len(fn.Params)+len(fn.Locals)), size: map[string]int{}}
+	bind := make(map[string]varLoc, len(fn.Params)+len(fn.Locals))
 	for i, p := range fn.Params {
 		if p.IsArray() {
-			bind.addr[p.Name] = arrays[p.Name]
-			bind.size[p.Name] = p.Size()
+			bind[p.Name] = varLoc{addr: arrays[p.Name], size: p.Size()}
 			continue
 		}
 		base, err := it.alloc(1)
@@ -253,27 +257,21 @@ func (it *Interp) call(fn *ir.Func, args []float64, arrays map[string]uint64) (f
 			return 0, err
 		}
 		it.mem[base] = args[i]
-		bind.addr[p.Name] = base
-		bind.size[p.Name] = 1
+		bind[p.Name] = varLoc{addr: base, size: 1}
 	}
 	for _, l := range fn.Locals {
 		base, err := it.alloc(l.Size())
 		if err != nil {
 			return 0, err
 		}
-		bind.addr[l.Name] = base
-		bind.size[l.Name] = l.Size()
+		bind[l.Name] = varLoc{addr: base, size: l.Size()}
 	}
 	resolve := func(name string) (uint64, int, error) {
-		if a, ok := bind.addr[name]; ok {
-			return a, bind.size[name], nil
+		if l, ok := bind[name]; ok {
+			return l.addr, l.size, nil
 		}
-		if a, ok := it.globals[name]; ok {
-			for _, g := range it.prog.Globals {
-				if g.Name == name {
-					return a, g.Size(), nil
-				}
-			}
+		if l, ok := it.globals[name]; ok {
+			return l.addr, l.size, nil
 		}
 		return 0, 0, fmt.Errorf("interp: %s: unknown variable %q", fn.Name, name)
 	}
@@ -428,7 +426,7 @@ func (it *Interp) trace(addr uint64, write bool, in *ir.Instr, fnName string) {
 	if it.tracer == nil {
 		return
 	}
-	a := Access{
+	it.acc = Access{
 		Addr:   addr,
 		Write:  write,
 		Array:  in.Idx >= 0,
@@ -438,7 +436,7 @@ func (it *Interp) trace(addr uint64, write bool, in *ir.Instr, fnName string) {
 		Func:   fnName,
 		Frames: it.loopStack,
 	}
-	it.tracer.Access(&a)
+	it.tracer.Access(&it.acc)
 }
 
 // Mem returns the current value at addr; testing hook.
@@ -446,15 +444,15 @@ func (it *Interp) Mem(addr uint64) float64 { return it.mem[addr] }
 
 // GlobalAddr returns the base address of a global and whether it exists.
 func (it *Interp) GlobalAddr(name string) (uint64, bool) {
-	a, ok := it.globals[name]
-	return a, ok
+	l, ok := it.globals[name]
+	return l.addr, ok
 }
 
 // GlobalValue returns element i of global name after a Run.
 func (it *Interp) GlobalValue(name string, i int) (float64, error) {
-	a, ok := it.globals[name]
+	l, ok := it.globals[name]
 	if !ok {
 		return 0, fmt.Errorf("interp: unknown global %q", name)
 	}
-	return it.mem[a+uint64(i)], nil
+	return it.mem[l.addr+uint64(i)], nil
 }

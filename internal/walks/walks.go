@@ -12,8 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
+	"slices"
 
 	"mvpar/internal/graph"
 	"mvpar/internal/obs"
@@ -28,48 +27,75 @@ func Anonymize(walk []int) []int {
 	if len(walk) == 0 {
 		return nil
 	}
-	compressed := make([]int, 0, len(walk))
+	var a anonymizer
+	return a.anonymize(walk)
+}
+
+// anonymizer computes Anonymize into buffers it reuses across walks.
+type anonymizer struct {
+	aw    []int // the anonymous walk
+	nodes []int // nodes[id] is the node first seen with that id
+}
+
+// anonymize returns the anonymous form of walk, valid until the next call.
+func (a *anonymizer) anonymize(walk []int) []int {
+	a.aw, a.nodes = a.aw[:0], a.nodes[:0]
 	for i, v := range walk {
-		if i == 0 || v != walk[i-1] {
-			compressed = append(compressed, v)
+		if i > 0 && v == walk[i-1] {
+			continue
 		}
-	}
-	next := 0
-	ids := map[int]int{}
-	out := make([]int, len(compressed))
-	for i, v := range compressed {
-		id, ok := ids[v]
-		if !ok {
-			id = next
-			ids[v] = id
-			next++
+		id := slices.Index(a.nodes, v)
+		if id < 0 {
+			id = len(a.nodes)
+			a.nodes = append(a.nodes, v)
 		}
-		out[i] = id
+		a.aw = append(a.aw, id)
 	}
-	return out
+	return a.aw
 }
 
 // Space is the enumeration of all anonymous walk types up to a maximum
 // length (number of edges). Every sampled walk maps to exactly one type.
 type Space struct {
 	MaxLen int
-	types  map[string]int
+	types  map[uint64]int // code(type) -> type index
 	list   [][]int
 }
 
-// NewSpace enumerates every anonymous walk with 0..maxLen edges.
-// Type counts follow the Bell-like recurrence (1, 1, 2, 5, 15, 52, ... per
-// exact length); maxLen up to 7 stays comfortably small.
-func NewSpace(maxLen int) *Space {
-	if maxLen < 1 || maxLen > 9 {
-		panic(fmt.Sprintf("walks: NewSpace(%d): length must be in [1, 9]", maxLen))
+// maxSpaceLen bounds NewSpace: a type then has at most 10 nodes, whose
+// ids 0..9 pack into one uint64 code. Length 9 already means 26,443 types.
+const maxSpaceLen = 9
+
+// codeBase is the radix of code: one digit (id+1, in 1..10) per node.
+const codeBase = maxSpaceLen + 2
+
+// code packs an anonymous walk of at most maxSpaceLen+1 nodes (callers
+// truncate) into an integer, one base-codeBase digit per node. Digits
+// start at 1, so walks of different lengths never share a code. ok is
+// false when the walk holds an id no such walk can contain.
+func code(aw []int) (c uint64, ok bool) {
+	for _, id := range aw {
+		if id < 0 || id > maxSpaceLen {
+			return 0, false
+		}
+		c = c*codeBase + uint64(id+1)
 	}
-	s := &Space{MaxLen: maxLen, types: map[string]int{}}
+	return c, true
+}
+
+// NewSpace enumerates every anonymous walk with 0..maxLen edges.
+// Type counts follow the Bell numbers (1, 1, 2, 5, 15, 52, ... per exact
+// length); maxLen is at most 9.
+func NewSpace(maxLen int) *Space {
+	if maxLen < 1 || maxLen > maxSpaceLen {
+		panic(fmt.Sprintf("walks: NewSpace(%d): length must be in [1, %d]", maxLen, maxSpaceLen))
+	}
+	s := &Space{MaxLen: maxLen, types: map[uint64]int{}}
 	var gen func(cur []int, maxID int)
 	add := func(cur []int) {
-		key := keyOf(cur)
-		if _, ok := s.types[key]; !ok {
-			s.types[key] = len(s.list)
+		c, _ := code(cur)
+		if _, ok := s.types[c]; !ok {
+			s.types[c] = len(s.list)
 			s.list = append(s.list, append([]int(nil), cur...))
 		}
 	}
@@ -94,14 +120,6 @@ func NewSpace(maxLen int) *Space {
 	return s
 }
 
-func keyOf(aw []int) string {
-	parts := make([]string, len(aw))
-	for i, v := range aw {
-		parts[i] = strconv.Itoa(v)
-	}
-	return strings.Join(parts, ",")
-}
-
 // NumTypes returns the number of anonymous walk types in the space.
 func (s *Space) NumTypes() int { return len(s.list) }
 
@@ -114,7 +132,11 @@ func (s *Space) IndexOf(aw []int) (int, bool) {
 	if len(aw) > s.MaxLen+1 {
 		aw = aw[:s.MaxLen+1]
 	}
-	i, ok := s.types[keyOf(aw)]
+	c, ok := code(aw)
+	if !ok {
+		return 0, false
+	}
+	i, ok := s.types[c]
 	return i, ok
 }
 
@@ -168,11 +190,13 @@ func (s *Space) nodeDistributions(g *graph.Directed, p Params, rng *rand.Rand, b
 	}
 	obs.GetCounter("mvpar_walks_sampled_total").Add(int64(n) * int64(p.Gamma))
 	inv := 1.0 / float64(p.Gamma)
+	adj := g.Undirected()
+	walk := make([]int, p.Length+1)
+	var a anonymizer
 	for v := 0; v < n; v++ {
 		row := out.Row(v)
 		for k := 0; k < p.Gamma; k++ {
-			w := g.RandomWalk(v, p.Length, rng)
-			idx, ok := s.IndexOf(Anonymize(w))
+			idx, ok := s.IndexOf(a.anonymize(adj.WalkInto(walk, v, rng)))
 			if !ok {
 				// Unreachable by construction: every anonymized sample of
 				// length <= MaxLen is enumerated.

@@ -256,3 +256,33 @@ func TestNodeDistributionsBudget(t *testing.T) {
 		t.Fatal("NodeDistributions must ignore MaxSamples")
 	}
 }
+
+// Sampling allocates per graph, never per walk: the allocation count of
+// NodeDistributions does not grow with the number of walks per node.
+func TestNodeDistributionsAllocsIndependentOfGamma(t *testing.T) {
+	g := graph.New(6)
+	for i := 0; i+1 < 6; i++ {
+		g.AddEdge(i, i+1, 0)
+		g.AddEdge(0, i+1, 1)
+	}
+	s := walks.NewSpace(4)
+	rng := rand.New(rand.NewSource(1))
+	allocs := func(gamma int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			s.NodeDistributions(g, walks.Params{Length: 4, Gamma: gamma}, rng)
+		})
+	}
+	if a12, a48 := allocs(12), allocs(48); a48 > a12 {
+		t.Fatalf("allocs/op grew with Gamma: %v at 12, %v at 48", a12, a48)
+	}
+}
+
+// IndexOf rejects walks that are not anonymous walks of the space.
+func TestIndexOfRejectsNonCanonical(t *testing.T) {
+	s := walks.NewSpace(3)
+	for _, aw := range [][]int{{}, {1}, {0, 0}, {0, 2}, {0, -1}, {0, 1, 11}} {
+		if i, ok := s.IndexOf(aw); ok {
+			t.Errorf("IndexOf(%v) = %d, want not found", aw, i)
+		}
+	}
+}
