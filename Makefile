@@ -12,14 +12,14 @@ FUZZTIME ?= 30s
 
 # `make bench` output: machine-readable benchmark log (one JSON test
 # event per line, the `go test -json` format) and how long each
-# benchmark runs. BENCH_7.json is the checked-in snapshot for this
+# benchmark runs. BENCH_8.json is the checked-in snapshot for this
 # change; override BENCHJSON to benchmark without clobbering it.
-BENCHJSON ?= BENCH_7.json
+BENCHJSON ?= BENCH_8.json
 BENCHTIME ?= 1x
 
 # `make benchcmp` inputs: two bench logs to diff (ns/op and allocs/op).
-BENCHOLD ?= BENCH_6.json
-BENCHNEW ?= BENCH_7.json
+BENCHOLD ?= BENCH_7.json
+BENCHNEW ?= BENCH_8.json
 
 # `make benchgate` settings: which benchmarks the regression gate covers
 # (the allocation-sensitive hot paths), how many iterations to average
@@ -34,7 +34,7 @@ BENCHNEW ?= BENCH_7.json
 GATEBENCH ?= TrainStepAllocs|SpMM|ClassifyTracingDisabled|MatMulBlocked|ForwardF32|ForwardI8|WalkSample|ProfileCorpus
 GATETIME ?= 5x
 GATETIMEPCT ?= -25
-BENCHBASE ?= BENCH_7.json
+BENCHBASE ?= BENCH_8.json
 BENCHPR ?= BENCH_PR.json
 
 all: verify

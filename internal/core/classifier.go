@@ -12,7 +12,6 @@ import (
 	"mvpar/internal/bench"
 	"mvpar/internal/dataset"
 	"mvpar/internal/gnn"
-	"mvpar/internal/minic"
 	"mvpar/internal/nn"
 	"mvpar/internal/obs"
 	"mvpar/internal/obs/trace"
@@ -255,8 +254,8 @@ func (c *Classifier) ClassifyDegradedContext(ctx context.Context, name, src stri
 	return c.classifyWith(ctx, cfg, name, src)
 }
 
-// Fingerprint identifies this handle's model weights and encode
-// configuration: two classifiers with equal fingerprints answer
+// Fingerprint identifies this handle's model weights, trained head and
+// encode configuration: two classifiers with equal fingerprints answer
 // identically on every input. The serving layer keys its response cache
 // and generation identity on it, so a hot-swapped model can never serve
 // a prediction computed by the previous weights.
@@ -264,9 +263,9 @@ func (c *Classifier) Fingerprint() string {
 	h := sha256.New()
 	io.WriteString(h, nn.FingerprintParams(c.model.Params()))
 	cfg := c.cfg
-	fmt.Fprintf(h, "|v%d|w%+v|l%d|e%+v|s%d|t%d|n%d|p%s",
+	fmt.Fprintf(h, "|v%d|w%+v|l%d|e%+v|s%d|t%d|n%d|p%s|h%s",
 		cfg.Variants, cfg.WalkParams, cfg.WalkLen, cfg.EmbedCfg, cfg.Seed, cfg.MaxSteps, cfg.MaxTokens,
-		c.Precision())
+		c.Precision(), c.model.Head())
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
@@ -290,16 +289,6 @@ func (c *Classifier) classifyWith(ctx context.Context, cfg dataset.Config, name,
 	if err != nil {
 		return nil, err
 	}
-	_, pspan := trace.StartSpan(ctx, "minic.parse")
-	ast, err := minic.Parse(name, src)
-	pspan.End()
-	if err != nil {
-		return nil, err
-	}
-	loopInfo := map[int]minic.LoopInfo{}
-	for _, l := range ast.Loops() {
-		loopInfo[l.ID] = l
-	}
 	var preds []LoopPrediction
 	for _, rec := range d.Records {
 		pred, proba := c.PredictRecord(ctx, rec)
@@ -318,13 +307,12 @@ func (c *Classifier) classifyWith(ctx context.Context, cfg dataset.Config, name,
 			lp.Reasons = append(append([]string(nil), lp.Reasons...), rec.Degraded...)
 			lp.Reasons = append(lp.Reasons, "prediction from node view only")
 		}
-		// A record can carry a loop ID absent from the parsed source (e.g.
-		// if lowering and parsing ever disagree about loop identity); a
-		// silent zero-value lookup would fabricate empty provenance, so
+		// A record without source provenance (no lowered loop metadata
+		// for its loop ID) must not fabricate an empty location, so
 		// annotate the prediction and warn instead.
-		if info, ok := loopInfo[rec.Meta.LoopID]; ok {
-			lp.Func = info.Func
-			lp.Line = info.Line
+		if rec.Meta.Func != "" {
+			lp.Func = rec.Meta.Func
+			lp.Line = rec.Meta.Line
 		} else {
 			lp.Func = "(unknown)"
 			lp.Reasons = append(lp.Reasons, fmt.Sprintf("no source loop info for loop %d", rec.Meta.LoopID))

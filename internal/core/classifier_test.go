@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"mvpar/internal/bench"
 	"mvpar/internal/core"
+	"mvpar/internal/minic"
 	"mvpar/internal/obs"
 )
 
@@ -109,6 +111,42 @@ void main() { for (int i = 0; i < 8; i++) { y[i] = x[i] + 1.0; } }
 		}
 		if !reflect.DeepEqual(results[w], want) {
 			t.Fatalf("worker %d diverged from serial result:\n%+v\nvs\n%+v", w, results[w], want)
+		}
+	}
+}
+
+// TestClassifyProvenanceMatchesParse pins the loop provenance Classify
+// reports, which comes from the lowered program's loop metadata: for
+// every corpus program, each loop's Func and Line equal what the MiniC
+// parser reports for that loop ID.
+func TestClassifyProvenanceMatchesParse(t *testing.T) {
+	pl := core.NewPipeline(tinyOptions())
+	if _, err := pl.TrainOn(tinyApps()); err != nil {
+		t.Fatal(err)
+	}
+	cls, err := pl.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range bench.Corpus() {
+		preds, err := cls.Classify(app.Name, app.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		loops := minic.MustParse(app.Name, app.Source).Loops()
+		if len(preds) != len(loops) {
+			t.Fatalf("%s: %d predictions for %d parsed loops", app.Name, len(preds), len(loops))
+		}
+		want := map[int]minic.LoopInfo{}
+		for _, l := range loops {
+			want[l.ID] = l
+		}
+		for _, p := range preds {
+			w, ok := want[p.LoopID]
+			if !ok || p.Func != w.Func || p.Line != w.Line {
+				t.Fatalf("%s loop %d: provenance %s:%d, parser says %s:%d (found %v)",
+					app.Name, p.LoopID, p.Func, p.Line, w.Func, w.Line, ok)
+			}
 		}
 	}
 }

@@ -188,3 +188,50 @@ func TestRenderHelpersDoNotPanic(t *testing.T) {
 		t.Fatal(s)
 	}
 }
+
+// TestModelSaveLoadKeepsTrainedHead is the regression test for the lost
+// head: training can select one view's own head over the fusion head,
+// and a checkpoint must carry that choice, so a pipeline that loads it
+// answers exactly like the one that trained it.
+func TestModelSaveLoadKeepsTrainedHead(t *testing.T) {
+	opts := tinyOptions()
+	// This seed and epoch count train to the structural view's head.
+	opts.Seed, opts.Train.Seed, opts.Train.Epochs = 10, 10, 1
+	trained := core.NewPipeline(opts)
+	if _, err := trained.TrainOn(tinyApps()); err != nil {
+		t.Fatal(err)
+	}
+	if h := trained.Model.Head(); h != gnn.ViewStruct {
+		t.Fatalf("fixture trained the %v head, want struct", h)
+	}
+	var buf bytes.Buffer
+	if err := trained.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded := core.NewPipeline(opts)
+	if err := loaded.ShareEncoder(trained); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.LoadModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range trained.Dataset.Records {
+		wc, wp := trained.Model.PredictWithProba(rec.Sample)
+		gc, gp := loaded.Model.PredictWithProba(rec.Sample)
+		if gc != wc || gp != wp {
+			t.Fatalf("%s loop %d: loaded model answers (%d, %v), trained model (%d, %v)",
+				rec.Meta.Program, rec.Meta.LoopID, gc, gp, wc, wp)
+		}
+	}
+	want, err := trained.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("loaded fingerprint %s, trained %s", got.Fingerprint(), want.Fingerprint())
+	}
+}

@@ -221,7 +221,7 @@ func (p *Pipeline) SaveModel(w io.Writer) error {
 	if p.Model == nil {
 		return fmt.Errorf("core: no trained model")
 	}
-	return nn.SaveParams(w, p.Model.Params())
+	return p.Model.Save(w)
 }
 
 // LoadModel reads model parameters into a freshly shaped model; the
@@ -238,7 +238,7 @@ func (p *Pipeline) LoadModel(r io.Reader) error {
 	// reading the stale weights. Drop the handle; the next classify call
 	// takes a fresh one.
 	p.cls = nil
-	return nn.LoadParams(r, p.Model.Params())
+	return p.Model.Load(r)
 }
 
 // ReloadModel loads a checkpoint into a FRESH model and adopts it only
@@ -255,7 +255,7 @@ func (p *Pipeline) ReloadModel(r io.Reader) (string, error) {
 		return "", fmt.Errorf("core: reload requires a built dataset for dimensions")
 	}
 	m := gnn.NewMVGNN(p.Dataset.NodeDim, p.Dataset.StructDim, p.Opts.Seed)
-	if err := nn.LoadParams(r, m.Params()); err != nil {
+	if err := m.Load(r); err != nil {
 		return "", err
 	}
 	p.Model = m

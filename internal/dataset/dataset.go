@@ -412,12 +412,15 @@ func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
 			flipLabel(app.Name, loopID, cfg.Seed, cfg.LabelNoise) {
 			label = 1 - label
 		}
+		loop := variant.Loops[loopID]
 		meta := gnn.SampleMeta{
 			Program: app.Name,
 			Suite:   app.Suite,
 			App:     app.Name,
 			LoopID:  loopID,
 			Variant: v,
+			Func:    loop.Func,
+			Line:    loop.Line,
 		}
 		sub := pg.Extract(loopID)
 		stat := features.ExtractStatic(variant, cus, res, loopID)

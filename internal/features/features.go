@@ -45,19 +45,47 @@ var Names = []string{"N_Inst", "exec_times", "CFL", "ESP", "incoming_dep", "inte
 
 // Extract computes the dynamic feature set for loopID.
 func Extract(prog *ir.Program, cus *cu.Set, res *deps.Result, loopID int) Dynamic {
-	region := cus.LoopRegionStmts(loopID)
-	inRegion := make(map[int]bool, len(region))
+	return extract(cus, res, loopID, newRegion(cus, loopID))
+}
+
+// region is a loop's statement region (cu.Set.LoopRegionStmts, sorted)
+// with a dense membership table indexed by statement ID.
+type region struct {
+	stmts []int
+	in    []bool
+}
+
+func newRegion(cus *cu.Set, loopID int) region {
+	stmts := cus.LoopRegionStmts(loopID)
+	r := region{stmts: stmts}
+	if n := len(stmts); n > 0 {
+		// Statement IDs are positive (0 marks "no statement").
+		r.in = make([]bool, stmts[n-1]+1)
+		for _, s := range stmts {
+			r.in[s] = true
+		}
+	}
+	return r
+}
+
+// has reports whether statement s lies in the region; IDs past the
+// table's end never do.
+func (r region) has(s int) bool {
+	return uint(s) < uint(len(r.in)) && r.in[s]
+}
+
+func extract(cus *cu.Set, res *deps.Result, loopID int, r region) Dynamic {
 	nInst := 0
-	for _, s := range region {
-		inRegion[s] = true
+	for _, s := range r.stmts {
 		if c := cus.ByStmt[s]; c != nil {
 			nInst += c.NumInstrs()
 		}
 	}
 
 	var incoming, internal, outgoing int
-	for _, e := range res.Edges {
-		srcIn, dstIn := inRegion[e.SrcStmt], inRegion[e.DstStmt]
+	for i := range res.Edges {
+		e := &res.Edges[i]
+		srcIn, dstIn := r.has(e.SrcStmt), r.has(e.DstStmt)
 		switch {
 		case srcIn && dstIn:
 			internal++
@@ -72,7 +100,7 @@ func Extract(prog *ir.Program, cus *cu.Set, res *deps.Result, loopID int) Dynami
 	if iters < 1 {
 		iters = 1
 	}
-	cfl := criticalPath(cus, res, region, inRegion, iters)
+	cfl := criticalPath(cus, res, r, iters)
 	// Amdahl heuristic over the dynamic dependency graph: total work is
 	// the body cost across all iterations; the critical path stretches
 	// with the iteration count wherever statements form dependence cycles
@@ -102,18 +130,20 @@ func Extract(prog *ir.Program, cus *cu.Set, res *deps.Result, loopID int) Dynami
 // dependence cycles — a recurrence's self-edge, or a multi-statement
 // cycle — execute serially across iterations, so their weight is
 // multiplied by the iteration count; acyclic statements count once.
-func criticalPath(cus *cu.Set, res *deps.Result, region []int, inRegion map[int]bool, iters float64) float64 {
-	if len(region) == 0 {
+func criticalPath(cus *cu.Set, res *deps.Result, r region, iters float64) float64 {
+	if len(r.stmts) == 0 {
 		return 0
 	}
-	idx := make(map[int]int, len(region))
-	for i, s := range region {
+	// idx maps a region statement ID to its position in r.stmts.
+	idx := make([]int, len(r.in))
+	for i, s := range r.stmts {
 		idx[s] = i
 	}
-	g := graph.New(len(region))
-	selfEdge := map[int]bool{}
-	for _, e := range res.Edges {
-		if e.Kind != deps.RAW || !inRegion[e.SrcStmt] || !inRegion[e.DstStmt] {
+	g := graph.New(len(r.stmts))
+	selfEdge := make([]bool, len(r.stmts))
+	for i := range res.Edges {
+		e := &res.Edges[i]
+		if e.Kind != deps.RAW || !r.has(e.SrcStmt) || !r.has(e.DstStmt) {
 			continue
 		}
 		if e.SrcStmt == e.DstStmt {
@@ -125,7 +155,7 @@ func criticalPath(cus *cu.Set, res *deps.Result, region []int, inRegion map[int]
 	comp, ncomp := g.SCC()
 	compSize := make([]int, ncomp)
 	compCyclic := make([]bool, ncomp)
-	for i := range region {
+	for i := range r.stmts {
 		compSize[comp[i]]++
 		if selfEdge[i] {
 			compCyclic[comp[i]] = true
@@ -137,7 +167,7 @@ func criticalPath(cus *cu.Set, res *deps.Result, region []int, inRegion map[int]
 		}
 	}
 	weight := make([]float64, ncomp)
-	for i, s := range region {
+	for i, s := range r.stmts {
 		if c := cus.ByStmt[s]; c != nil {
 			w := float64(c.NumInstrs())
 			if compCyclic[comp[i]] {
@@ -213,14 +243,10 @@ func (s Static) Vector() []float64 {
 
 // ExtractStatic computes the full hand-crafted vector for loopID.
 func ExtractStatic(prog *ir.Program, cus *cu.Set, res *deps.Result, loopID int) Static {
-	st := Static{Dynamic: Extract(prog, cus, res, loopID)}
+	r := newRegion(cus, loopID)
+	st := Static{Dynamic: extract(cus, res, loopID, r)}
 	st.Depth = float64(prog.Loops[loopID].Depth)
-	region := cus.LoopRegionStmts(loopID)
-	inRegion := make(map[int]bool, len(region))
-	for _, s := range region {
-		inRegion[s] = true
-	}
-	for _, other := range prog.LoopIDs() {
+	for other := range prog.Loops {
 		if other == loopID {
 			continue
 		}
@@ -232,7 +258,7 @@ func ExtractStatic(prog *ir.Program, cus *cu.Set, res *deps.Result, loopID int) 
 		}
 		all := true
 		for _, s := range stmts {
-			if !inRegion[s] {
+			if !r.has(s) {
 				all = false
 				break
 			}
@@ -241,7 +267,7 @@ func ExtractStatic(prog *ir.Program, cus *cu.Set, res *deps.Result, loopID int) 
 			st.NumInnerLoops++
 		}
 	}
-	for _, s := range region {
+	for _, s := range r.stmts {
 		c := cus.ByStmt[s]
 		if c == nil {
 			continue

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -283,5 +284,34 @@ func TestPaperConfigShapes(t *testing.T) {
 	logits := d.Forward(g)
 	if logits.Cols != 2 {
 		t.Fatalf("logits cols = %d", logits.Cols)
+	}
+}
+
+// TestLoadHeadCompat pins the checkpoint's head blob: a checkpoint
+// without it (written before the head was saved) loads with the fused
+// head, and an out-of-range head is an error.
+func TestLoadHeadCompat(t *testing.T) {
+	m := NewMVGNN(4, 3, 1)
+	m.predictMode = 1
+	var old bytes.Buffer
+	if err := nn.SaveParams(&old, m.Params()); err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewMVGNN(4, 3, 2)
+	loaded.predictMode = 2
+	if err := loaded.Load(&old); err != nil {
+		t.Fatal(err)
+	}
+	if h := loaded.Head(); h != viewFused {
+		t.Fatalf("headless checkpoint loaded the %v head, want fused", h)
+	}
+
+	var bad bytes.Buffer
+	head := nn.NewParam(headBlob, tensor.FromSlice(1, 1, []float64{3}))
+	if err := nn.SaveParams(&bad, append(m.Params(), head)); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewMVGNN(4, 3, 1).Load(&bad); err == nil {
+		t.Fatal("head 3 loaded without error")
 	}
 }

@@ -1,6 +1,8 @@
 package gnn
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
 
 	"mvpar/internal/nn"
@@ -18,13 +20,17 @@ type Sample struct {
 	Meta SampleMeta
 }
 
-// SampleMeta identifies where a sample came from.
+// SampleMeta identifies where a sample came from. Func and Line locate
+// the loop in its source; they are empty for a sample built without a
+// lowered program.
 type SampleMeta struct {
 	Program string
 	Suite   string
 	App     string
 	LoopID  int
 	Variant int
+	Func    string
+	Line    int
 }
 
 // MVGNN is the multi-view model: one DGCNN per view, fused per eq. 5 as
@@ -99,6 +105,38 @@ func NewMVGNNClasses(nodeDim, structDim, classes int, seed int64) *MVGNN {
 		m.out.W.Value.Set(c, c, 1)
 	}
 	return m
+}
+
+// headBlob names the checkpoint blob that holds predictMode as a 1x1
+// value.
+const headBlob = "mv.head"
+
+// Save writes m's weights and its trained head to w in the nn.SaveParams
+// format. The head is one extra blob, which readers that predate it skip.
+func (m *MVGNN) Save(w io.Writer) error {
+	head := nn.NewParam(headBlob, tensor.FromSlice(1, 1, []float64{float64(m.predictMode)}))
+	return nn.SaveParams(w, append(m.Params(), head))
+}
+
+// Load reads a checkpoint written by Save into m. One without the head
+// blob, written before the head was saved, loads with the fused head.
+func (m *MVGNN) Load(r io.Reader) error {
+	head := nn.NewParam(headBlob, tensor.New(1, 1))
+	if err := nn.LoadParamsOptional(r, m.Params(), head); err != nil {
+		return err
+	}
+	mode := head.Value.Data[0]
+	if mode != 0 && mode != 1 && mode != 2 {
+		return fmt.Errorf("gnn: checkpoint head %v, want 0 (fused), 1 (node) or 2 (struct)", mode)
+	}
+	m.predictMode = int(mode)
+	return nil
+}
+
+// Head reports which head answers ViewTrained predictions: the fusion
+// head or one view's own head, as Train selected it.
+func (m *MVGNN) Head() View {
+	return [...]View{viewFused, ViewNode, ViewStruct}[m.predictMode]
 }
 
 // Params returns all trainable parameters of both views and the fusion.

@@ -9,24 +9,27 @@ import (
 
 // TestDenseSteadyStateAllocFree asserts that an arena-backed Dense layer's
 // forward and backward passes allocate nothing once the arena free lists
-// and the weight-transpose cache are warm.
+// and the weight-transpose cache are warm, on the 1-row path and the
+// matmul path.
 func TestDenseSteadyStateAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	d := NewDense("d", 8, 4, rng)
-	arena := tensor.NewArena()
-	d.Scratch = arena
-	x := tensor.Randn(2, 8, 1, rng)
-	grad := tensor.Randn(2, 4, 1, rng)
-	step := func() {
-		arena.Reset()
-		d.Forward(x)
-		d.Backward(grad)
-	}
-	for i := 0; i < 3; i++ {
-		step()
-	}
-	if n := testing.AllocsPerRun(10, step); n != 0 {
-		t.Fatalf("Dense forward+backward allocates %v per run in steady state, want 0", n)
+	for _, rows := range []int{1, 2} {
+		rng := rand.New(rand.NewSource(1))
+		d := NewDense("d", 8, 4, rng)
+		arena := tensor.NewArena()
+		d.Scratch = arena
+		x := tensor.Randn(rows, 8, 1, rng)
+		grad := tensor.Randn(rows, 4, 1, rng)
+		step := func() {
+			arena.Reset()
+			d.Forward(x)
+			d.Backward(grad)
+		}
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		if n := testing.AllocsPerRun(10, step); n != 0 {
+			t.Fatalf("%d-row Dense forward+backward allocates %v per run in steady state, want 0", rows, n)
+		}
 	}
 }
 

@@ -74,16 +74,49 @@ func (c *Conv1D) ForwardInto(x, out *tensor.Matrix) {
 		panic(fmt.Sprintf("nn: Conv1D ForwardInto dst %dx%d, want %dx%d", out.Rows, out.Cols, c.OutChannels, outLen))
 	}
 	c.lastX = x
-	for f := 0; f < c.OutChannels; f++ {
-		w := c.W.Value.Row(f)
-		bias := c.B.Value.Data[f]
+	// Four filters at a time: each loaded input value feeds four
+	// independent accumulators, so the adds do not all wait on one
+	// dependent chain. Every output sums in the scalar loop's order
+	// (bias, then ch ascending, then k ascending), so the result is
+	// bit-identical to it; leftover filters run that loop.
+	kernel, wCols := c.KernelSize, c.W.Value.Cols
+	wd, bias := c.W.Value.Data, c.B.Value.Data
+	f := 0
+	for ; f+3 < c.OutChannels; f += 4 {
+		w0 := wd[f*wCols : (f+1)*wCols]
+		w1 := wd[(f+1)*wCols : (f+2)*wCols]
+		w2 := wd[(f+2)*wCols : (f+3)*wCols]
+		w3 := wd[(f+3)*wCols : (f+4)*wCols]
+		o0, o1, o2, o3 := out.Row(f), out.Row(f+1), out.Row(f+2), out.Row(f+3)
 		for t := 0; t < outLen; t++ {
 			start := t * c.Stride
-			sum := bias
+			s0, s1, s2, s3 := bias[f], bias[f+1], bias[f+2], bias[f+3]
+			for ch := 0; ch < c.InChannels; ch++ {
+				xr := x.Row(ch)[start : start+kernel]
+				off := ch * kernel
+				k0 := w0[off : off+len(xr)]
+				k1 := w1[off : off+len(xr)]
+				k2 := w2[off : off+len(xr)]
+				k3 := w3[off : off+len(xr)]
+				for k, xv := range xr {
+					s0 += k0[k] * xv
+					s1 += k1[k] * xv
+					s2 += k2[k] * xv
+					s3 += k3[k] * xv
+				}
+			}
+			o0[t], o1[t], o2[t], o3[t] = s0, s1, s2, s3
+		}
+	}
+	for ; f < c.OutChannels; f++ {
+		w := c.W.Value.Row(f)
+		for t := 0; t < outLen; t++ {
+			start := t * c.Stride
+			sum := bias[f]
 			for ch := 0; ch < c.InChannels; ch++ {
 				xr := x.Row(ch)
-				wOff := ch * c.KernelSize
-				for k := 0; k < c.KernelSize; k++ {
+				wOff := ch * kernel
+				for k := 0; k < kernel; k++ {
 					sum += w[wOff+k] * xr[start+k]
 				}
 			}

@@ -65,8 +65,17 @@ func SaveParams(w io.Writer, params []*Param) error {
 // LoadParams reads a stream produced by SaveParams into params, matching
 // by name and verifying shapes. The header's length and checksum are
 // verified first, so a truncated or corrupted file fails with a clear
-// error. Headerless streams from older versions load as before.
+// error. Headerless streams from older versions load as before. Blobs
+// whose names match no param are ignored.
 func LoadParams(r io.Reader, params []*Param) error {
+	return LoadParamsOptional(r, params)
+}
+
+// LoadParamsOptional is LoadParams plus params the stream may lack, such
+// as a blob newer checkpoints carry and older ones do not: each optional
+// param present in the stream is shape-checked and loaded, each absent
+// one keeps its value.
+func LoadParamsOptional(r io.Reader, params []*Param, optional ...*Param) error {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("nn: read params: %w", err)
@@ -103,16 +112,30 @@ func LoadParams(r io.Reader, params []*Param) error {
 	for _, b := range blobs {
 		byName[b.Name] = b
 	}
-	for _, p := range params {
+	load := func(p *Param, required bool) error {
 		b, ok := byName[p.Name]
 		if !ok {
-			return fmt.Errorf("nn: missing parameter %q in stream", p.Name)
+			if required {
+				return fmt.Errorf("nn: missing parameter %q in stream", p.Name)
+			}
+			return nil
 		}
 		if b.Rows != p.Value.Rows || b.Cols != p.Value.Cols {
 			return fmt.Errorf("nn: parameter %q shape %dx%d, stream has %dx%d",
 				p.Name, p.Value.Rows, p.Value.Cols, b.Rows, b.Cols)
 		}
 		p.Value = tensor.FromSlice(b.Rows, b.Cols, append([]float64(nil), b.Data...))
+		return nil
+	}
+	for _, p := range params {
+		if err := load(p, true); err != nil {
+			return err
+		}
+	}
+	for _, p := range optional {
+		if err := load(p, false); err != nil {
+			return err
+		}
 	}
 	return nil
 }
