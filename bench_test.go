@@ -462,7 +462,7 @@ func forwardBenchModel(b *testing.B) (*gnn.MVGNN, []gnn.Sample) {
 // path with pre-transposed weights, table tanh and fused
 // dense+activation. The benchgate pins both subs' allocs/op (the f32
 // tier at zero, arena steady state) and watches ns/op. With the float64
-// Conv1D and 1-row Dense kernels register-blocked too, float32 leads the
+// Conv1D and Dense kernels register-blocked too, float32 leads the
 // reference by only ~1.1x per loop.
 // Parity of the *outputs* is enforced elsewhere (mvpar parity,
 // TestPredictWithProbaF32Parity).

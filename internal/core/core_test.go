@@ -10,6 +10,8 @@ import (
 	"mvpar/internal/dataset"
 	"mvpar/internal/gnn"
 	"mvpar/internal/inst2vec"
+	"mvpar/internal/nn"
+	"mvpar/internal/tensor"
 	"mvpar/internal/walks"
 )
 
@@ -233,5 +235,27 @@ func TestModelSaveLoadKeepsTrainedHead(t *testing.T) {
 	}
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatalf("loaded fingerprint %s, trained %s", got.Fingerprint(), want.Fingerprint())
+	}
+
+	// A checkpoint with other weights and an out-of-range head is
+	// rejected, and the loaded pipeline keeps answering as before.
+	other := gnn.NewMVGNN(trained.Dataset.NodeDim, trained.Dataset.StructDim, 99)
+	var bad bytes.Buffer
+	head := nn.NewParam("mv.head", tensor.FromSlice(1, 1, []float64{3}))
+	if err := nn.SaveParams(&bad, append(other.Params(), head)); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.LoadModel(&bad); err == nil {
+		t.Fatal("LoadModel accepted head 3")
+	}
+	if h := loaded.Model.Head(); h != gnn.ViewStruct {
+		t.Fatalf("rejected checkpoint left the %v head, want struct", h)
+	}
+	after, err := loaded.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("rejected checkpoint moved the fingerprint to %s, want %s", after.Fingerprint(), want.Fingerprint())
 	}
 }

@@ -243,12 +243,11 @@ func (p *Pipeline) LoadModel(r io.Reader) error {
 
 // ReloadModel loads a checkpoint into a FRESH model and adopts it only
 // after the load fully succeeds, returning the new model's weight
-// fingerprint. Unlike LoadModel — which loads into the live model and on
-// a corrupt stream can leave it half-replaced — ReloadModel never
-// touches the serving weights: classifier handles taken before the
-// reload keep answering from the old generation's storage for as long
-// as they live, which is exactly the hot-swap-with-drain contract the
-// serving layer builds on. On any load error the pipeline is unchanged
+// fingerprint. Unlike LoadModel — which swaps the weights of the live
+// model — ReloadModel never touches the serving weights: classifier
+// handles taken before the reload keep answering from the old
+// generation's storage for as long as they live, which is exactly the
+// hot-swap-with-drain contract the serving layer builds on. On any load error the pipeline is unchanged
 // and the previous model keeps serving.
 func (p *Pipeline) ReloadModel(r io.Reader) (string, error) {
 	if p.Dataset == nil {

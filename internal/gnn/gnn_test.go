@@ -289,7 +289,8 @@ func TestPaperConfigShapes(t *testing.T) {
 
 // TestLoadHeadCompat pins the checkpoint's head blob: a checkpoint
 // without it (written before the head was saved) loads with the fused
-// head, and an out-of-range head is an error.
+// head, and an out-of-range head is an error that leaves the target's
+// weights and head as they were.
 func TestLoadHeadCompat(t *testing.T) {
 	m := NewMVGNN(4, 3, 1)
 	m.predictMode = 1
@@ -311,7 +312,16 @@ func TestLoadHeadCompat(t *testing.T) {
 	if err := nn.SaveParams(&bad, append(m.Params(), head)); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewMVGNN(4, 3, 1).Load(&bad); err == nil {
+	target := NewMVGNN(4, 3, 2)
+	target.predictMode = 2
+	before := nn.FingerprintParams(target.Params())
+	if err := target.Load(&bad); err == nil {
 		t.Fatal("head 3 loaded without error")
+	}
+	if after := nn.FingerprintParams(target.Params()); after != before {
+		t.Fatalf("rejected checkpoint changed the weights: fingerprint %s, was %s", after, before)
+	}
+	if h := target.Head(); h != ViewStruct {
+		t.Fatalf("rejected checkpoint left the %v head, want struct", h)
 	}
 }

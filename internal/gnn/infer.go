@@ -89,7 +89,7 @@ func (p Predictor) Predict(ctx context.Context, s Sample, v View) (int, float64)
 		defer sp.End()
 	}
 	if v == ViewTrained {
-		v = [...]View{viewFused, ViewNode, ViewStruct}[p.predictMode]
+		v = headView(p.predictMode)
 	}
 	return p.eng.forward(s, v)
 }

@@ -119,15 +119,26 @@ func (m *MVGNN) Save(w io.Writer) error {
 }
 
 // Load reads a checkpoint written by Save into m. One without the head
-// blob, written before the head was saved, loads with the fused head.
+// blob, written before the head was saved, loads with the fused head. The
+// checkpoint is read into staging params first (LoadParams replaces a
+// param's Value rather than writing into it), so on any error, a bad head
+// included, m keeps its weights and head.
 func (m *MVGNN) Load(r io.Reader) error {
+	params := m.Params()
+	staged := make([]*nn.Param, len(params))
+	for i, p := range params {
+		staged[i] = &nn.Param{Name: p.Name, Value: p.Value}
+	}
 	head := nn.NewParam(headBlob, tensor.New(1, 1))
-	if err := nn.LoadParamsOptional(r, m.Params(), head); err != nil {
+	if err := nn.LoadParamsOptional(r, staged, head); err != nil {
 		return err
 	}
 	mode := head.Value.Data[0]
 	if mode != 0 && mode != 1 && mode != 2 {
 		return fmt.Errorf("gnn: checkpoint head %v, want 0 (fused), 1 (node) or 2 (struct)", mode)
+	}
+	for i, p := range params {
+		p.Value = staged[i].Value
 	}
 	m.predictMode = int(mode)
 	return nil
@@ -135,8 +146,12 @@ func (m *MVGNN) Load(r io.Reader) error {
 
 // Head reports which head answers ViewTrained predictions: the fusion
 // head or one view's own head, as Train selected it.
-func (m *MVGNN) Head() View {
-	return [...]View{viewFused, ViewNode, ViewStruct}[m.predictMode]
+func (m *MVGNN) Head() View { return headView(m.predictMode) }
+
+// headView maps a predictMode (0 fused, 1 node, 2 struct) to the View
+// whose logits answer for it.
+func headView(mode int) View {
+	return [...]View{viewFused, ViewNode, ViewStruct}[mode]
 }
 
 // Params returns all trainable parameters of both views and the fusion.

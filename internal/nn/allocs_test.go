@@ -9,8 +9,7 @@ import (
 
 // TestDenseSteadyStateAllocFree asserts that an arena-backed Dense layer's
 // forward and backward passes allocate nothing once the arena free lists
-// and the weight-transpose cache are warm, on the 1-row path and the
-// matmul path.
+// and the weight-transpose cache are warm, for one row and for a batch.
 func TestDenseSteadyStateAllocFree(t *testing.T) {
 	for _, rows := range []int{1, 2} {
 		rng := rand.New(rand.NewSource(1))

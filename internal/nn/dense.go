@@ -33,24 +33,20 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 // Forward computes X·W + b. The result is owned by the layer's arena
 // (valid until the owning model's next forward) when Scratch is set.
 func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
+	if x.Cols != d.W.Value.Rows {
+		panic(fmt.Sprintf("nn: Dense expects %d inputs, got %d", d.W.Value.Rows, x.Cols))
+	}
 	d.lastX = x
 	out := d.Scratch.Get(x.Rows, d.W.Value.Cols)
-	if x.Rows == 1 {
-		if x.Cols != d.W.Value.Rows {
-			panic(fmt.Sprintf("nn: Dense expects %d inputs, got %d", d.W.Value.Rows, x.Cols))
-		}
-		denseRow(x.Data, d.W.Value, d.B.Value.Data, out.Data)
-		return out
+	for i := 0; i < x.Rows; i++ {
+		denseRow(x.Row(i), d.W.Value, d.B.Value.Data, out.Row(i))
 	}
-	tensor.MatMulInto(x, d.W.Value, out)
-	tensor.AddRowVecInto(out, d.B.Value, out)
 	return out
 }
 
-// denseRow computes out = x·w + b for one input row, the path every
-// inference and per-sample training forward takes. It holds eight output
-// columns in registers while walking w's rows with k ascending, skipping
-// x[k] == 0 like tensor.MatMulInto, and adds the bias last like
+// denseRow computes out = x·w + b for one input row. It holds eight
+// output columns in registers while walking w's rows with k ascending,
+// skipping x[k] == 0 like tensor.MatMulInto, and adds the bias last like
 // tensor.AddRowVecInto, so each output is bit-identical to those two
 // calls. Leftover columns run the same order one at a time.
 func denseRow(x []float64, w *tensor.Matrix, b, out []float64) {
