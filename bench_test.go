@@ -662,7 +662,7 @@ func BenchmarkRobustnessKFold(b *testing.B) {
 
 // BenchmarkClassifyTracingDisabled measures the serving-path
 // classification — Classifier.ClassifyContext, the exact call the
-// inference server's batch executor makes — on an untraced context. The
+// inference server's classify handler makes — on an untraced context. The
 // request-tracing layer (internal/obs/trace) promises that every span
 // call is a free no-op when no trace rides the context, so this
 // benchmark's allocs/op is the tracing-disabled baseline: the benchgate

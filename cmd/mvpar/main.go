@@ -189,8 +189,8 @@ commands:
   train    [-model FILE]       train the MV-GNN on the built-in corpus
   classify [-quick] <file.mc>  train, then classify the file's loops
   serve    [-model FILE] [-addr :8080] [-precision float64|float32|int8]
-                               long-lived HTTP inference service with request
-                               batching, degraded-mode fallback and atomic
+                               long-lived HTTP inference service with bounded
+                               admission, degraded-mode fallback and atomic
                                model hot swap (POST /v1/classify, POST
                                /v1/models/reload or SIGHUP, GET /v1/models,
                                /healthz, /readyz, /metrics, /debug/traces;
@@ -429,18 +429,16 @@ func cmdClassify(ctx context.Context, args []string) error {
 }
 
 // cmdServe trains (or loads) a model once, then serves it behind the
-// long-lived batching HTTP service of internal/serve until SIGINT or
-// SIGTERM, draining in-flight requests before exiting.
+// long-lived HTTP service of internal/serve until SIGINT or SIGTERM,
+// draining in-flight requests before exiting.
 func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	modelPath := fs.String("model", "", "load model parameters from this file (written by `mvpar train -model`\nwith the same -quick setting) instead of training at startup")
 	quick := fs.Bool("quick", true, "use the fast training/encoding configuration")
 	precision := fs.String("precision", "float64", "inference engine: float64 (bit-identical reference), float32\n(quantized fast path, parity-gated by `mvpar parity`) or int8\n(integer tier, parity-gated at a documented non-zero budget by\n`mvpar parity -precision int8`)")
-	maxBatch := fs.Int("max-batch", 8, "max requests coalesced into one dispatch")
-	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "how long a dispatch waits for batchmates after the first request")
-	maxQueue := fs.Int("max-queue", 64, "admission queue bound; requests past it are shed with 429")
-	workers := fs.Int("workers", 0, "batch execution concurrency (0 = the --jobs / NumCPU default)")
+	maxQueue := fs.Int("max-queue", 64, "how many requests may wait for a worker slot; requests past it are shed with 429")
+	workers := fs.Int("workers", 0, "worker slots: classifications that run at once (0 = the --jobs / NumCPU default)")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request classification deadline")
 	cacheSize := fs.Int("cache-size", 128, "LRU entries for repeat submissions (-1 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown bound")
@@ -557,8 +555,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	}
 	srv, err := serve.NewMulti(specs, serve.Config{
 		Addr:           *addr,
-		MaxBatch:       *maxBatch,
-		BatchWindow:    *batchWindow,
 		MaxQueue:       *maxQueue,
 		Workers:        *workers,
 		RequestTimeout: *reqTimeout,

@@ -4,130 +4,118 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
+	"sync/atomic"
 
-	"mvpar/internal/core"
 	"mvpar/internal/obs"
 	"mvpar/internal/obs/trace"
 	"mvpar/internal/pool"
 )
 
-// Submission errors the admission layer maps to HTTP status codes.
+// Admission errors the handler maps to HTTP status codes.
 var (
-	// ErrQueueFull rejects a request because the admission queue already
-	// holds MaxQueue requests — the load-shedding (429) path.
+	// ErrQueueFull rejects a request because MaxQueue requests already
+	// wait for a worker slot — the load-shedding (429) path.
 	ErrQueueFull = errors.New("serve: admission queue full")
 	// ErrDraining rejects a request because the server is shutting down
 	// (503): in-flight work finishes, new work goes elsewhere.
 	ErrDraining = errors.New("serve: server draining")
 )
 
-// batchRequest is one admitted classify request travelling through the
-// batcher. done is buffered so the executor never blocks on a client
-// that gave up.
-type batchRequest struct {
-	ctx  context.Context
-	name string
-	src  string
-	key  string // generation-scoped cache key, "" when caching is off
-	// gen is the model generation the request was pinned to at admission
-	// (it registered with gen.inflight); execution runs against this
-	// generation even if a hot swap lands mid-flight, and the executor
-	// releases the registration when the result is delivered.
-	gen  *generation
-	done chan batchResult
-	// span is the request's "batcher" trace span (nil when untraced):
-	// opened at admission, ended when execution starts, so its duration
-	// is queue wait plus the coalesce window.
-	span *trace.Span
-}
-
-// batchResult is the outcome delivered back to the waiting handler.
-type batchResult struct {
-	preds []core.LoopPrediction
-	err   error
-	// gen is the generation that produced the answer.
-	gen uint64
-	// degraded names the degradation-ladder rung that answered (empty on
-	// the normal path).
-	degraded []string
-}
-
-// batcher is the micro-batching admission layer: requests enter a bounded
-// queue (load-shedding past MaxQueue), a dispatcher coalesces them into
-// batches of up to maxBatch within a batch window, and each batch fans
-// out on the shared worker pool with bounded concurrency. Batching
-// amortizes scheduling overhead under load without adding latency when
-// idle: the window only starts once a first request is waiting.
+// batcher is the admission layer: at most cap(slots) classifications run
+// at once, each on its own handler goroutine, and at most maxQueue more
+// requests wait for a slot; a request past that is shed with 429. A
+// request never waits for company, so an idle server starts work at once.
 type batcher struct {
-	queue    chan *batchRequest
-	maxBatch int
-	window   time.Duration
-	workers  int
-	exec     func(*batchRequest)
+	slots    chan struct{}
+	maxQueue int64
+	waiting  atomic.Int64
 
-	// gate orders submissions against drain: submit holds the read side
+	// gate orders admissions against drain: run holds the read side
 	// while it checks accepting and registers with inflight, drain flips
 	// accepting under the write side before waiting, so inflight.Add can
 	// never race with inflight.Wait.
 	gate      sync.RWMutex
 	accepting bool
 	inflight  sync.WaitGroup
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	stopped  chan struct{}
 }
 
-// queueDepthGauge reports the admission queue's occupancy.
+// queueDepthGauge reports how many requests wait for a worker slot.
 const queueDepthGauge = "mvpar_http_queue_depth"
 
-func newBatcher(maxBatch int, window time.Duration, maxQueue, workers int, exec func(*batchRequest)) *batcher {
+// newBatcher builds an accepting admission layer with workers slots (0
+// uses the shared pool default: NumCPU or the --jobs override).
+func newBatcher(maxQueue, workers int) *batcher {
+	if workers <= 0 {
+		workers = pool.DefaultParallelism()
+	}
 	return &batcher{
-		queue:    make(chan *batchRequest, maxQueue),
-		maxBatch: maxBatch,
-		window:   window,
-		workers:  workers,
-		exec:     exec,
-		stop:     make(chan struct{}),
-		stopped:  make(chan struct{}),
+		slots:     make(chan struct{}, workers),
+		maxQueue:  int64(maxQueue),
+		accepting: true,
 	}
 }
 
-// start opens admission and launches the dispatcher goroutine.
-func (b *batcher) start() {
-	b.gate.Lock()
-	b.accepting = true
-	b.gate.Unlock()
-	go b.loop()
+// run admits one request and calls fn on the caller's goroutine once a
+// worker slot is free. fn gets the context of the request's "batcher"
+// span, which covers only the slot wait, so the spans fn opens stay its
+// children. run returns ErrDraining or ErrQueueFull without waiting, and
+// ctx's error when the deadline passes before a slot frees; fn has not
+// run in either case.
+func (b *batcher) run(ctx context.Context, fn func(context.Context)) error {
+	if err := b.enter(); err != nil {
+		return err
+	}
+	defer b.inflight.Done()
+	bctx, span := trace.StartSpan(ctx, "batcher")
+	err := b.acquire(bctx)
+	span.End()
+	if err != nil {
+		return err
+	}
+	defer func() { <-b.slots }()
+	fn(bctx)
+	return nil
 }
 
-// submit admits one request, or rejects it with ErrQueueFull /
-// ErrDraining without blocking.
-func (b *batcher) submit(r *batchRequest) error {
+// enter registers one request with inflight unless drain has begun.
+func (b *batcher) enter() error {
 	b.gate.RLock()
 	defer b.gate.RUnlock()
 	if !b.accepting {
 		return ErrDraining
 	}
-	// Register before the send: the dispatcher may pull the request and
-	// call Done the instant it lands on the queue, so an Add after a
-	// successful send could run after that Done and drive the counter
-	// negative. The shed path undoes the registration.
 	b.inflight.Add(1)
+	return nil
+}
+
+// acquire takes a worker slot, queueing as a waiter while none is free.
+func (b *batcher) acquire(ctx context.Context) error {
 	select {
-	case b.queue <- r:
-		obs.GetGauge(queueDepthGauge).Set(float64(len(b.queue)))
+	case b.slots <- struct{}{}:
 		return nil
 	default:
-		b.inflight.Done()
+	}
+	if b.waiting.Add(1) > b.maxQueue {
+		b.waiting.Add(-1)
 		obs.GetCounter("mvpar_http_shed_total").Inc()
 		return ErrQueueFull
 	}
+	depth := obs.GetGauge(queueDepthGauge)
+	depth.Add(1)
+	defer func() {
+		b.waiting.Add(-1)
+		depth.Add(-1)
+	}()
+	select {
+	case b.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
-// drain closes admission, waits for every admitted request to finish,
-// then stops the dispatcher. It is safe to call more than once.
+// drain closes admission and waits for every admitted request to
+// finish. It is safe to call more than once.
 func (b *batcher) drain(ctx context.Context) error {
 	b.gate.Lock()
 	b.accepting = false
@@ -139,61 +127,8 @@ func (b *batcher) drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	b.stopOnce.Do(func() { close(b.stop) })
-	select {
-	case <-b.stopped:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// loop is the dispatcher: block for a first request, coalesce follow-ups
-// until the batch window elapses or the batch is full, execute, repeat.
-// While a batch executes nothing is pulled from the queue, so sustained
-// overload backs up into submit's non-blocking send and sheds with 429 —
-// exactly the bounded-queue admission control the server advertises.
-func (b *batcher) loop() {
-	defer close(b.stopped)
-	for {
-		var first *batchRequest
-		select {
-		case first = <-b.queue:
-		case <-b.stop:
-			return
-		}
-		batch := append(make([]*batchRequest, 0, b.maxBatch), first)
-		timer := time.NewTimer(b.window)
-	collect:
-		for len(batch) < b.maxBatch {
-			select {
-			case r := <-b.queue:
-				batch = append(batch, r)
-			case <-timer.C:
-				break collect
-			case <-b.stop:
-				break collect
-			}
-		}
-		timer.Stop()
-		b.run(batch)
-	}
-}
-
-// run executes one batch on the shared worker pool. Request failures
-// (including panics — exec captures them) travel back per-request; the
-// fan-out itself never fails, so one poisoned request cannot sink its
-// batchmates.
-func (b *batcher) run(batch []*batchRequest) {
-	obs.GetCounter("mvpar_http_batches_total").Inc()
-	obs.GetHistogram("mvpar_http_batch_size").Observe(float64(len(batch)))
-	pool.Map(pool.Config{Workers: b.workers}, len(batch), func(i int) (struct{}, error) {
-		defer b.inflight.Done()
-		b.exec(batch[i])
-		return struct{}{}, nil
-	})
-	obs.GetGauge(queueDepthGauge).Set(float64(len(b.queue)))
 }

@@ -17,7 +17,7 @@ import (
 // checker that CI also runs against /metrics. The server runs the
 // default config, so the test also pins that it exports the single
 // admission queue's depth gauge and no family of the removed sharding,
-// autoscaling and breaker/retry layers.
+// autoscaling, breaker/retry and request-batching layers.
 func TestServeMetricsExpositionConformance(t *testing.T) {
 	s, ts := newTestServer(t, &genStub{gen: 1}, Config{Version: "test"})
 	if err := s.Warmup(context.Background()); err != nil {
@@ -90,6 +90,8 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 		"mvpar_autoscale_",
 		"mvpar_replica_breaker_",
 		"mvpar_replica_retries_total",
+		"mvpar_http_batches_total",
+		"mvpar_http_batch_size",
 	} {
 		if strings.Contains(out, gone) {
 			t.Errorf("exposition carries the removed %q family", gone)

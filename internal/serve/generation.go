@@ -24,7 +24,8 @@ type Fingerprinter interface {
 }
 
 // Precisioner is the optional precision surface of an Inference: which
-// inference engine ("float64" or "float32") answers its predictions.
+// inference engine ("float64", "float32" or "int8") answers its
+// predictions.
 // *core.Classifier implements it; implementations without it are
 // reported as float64 (the bit-identity default).
 type Precisioner interface {

@@ -63,7 +63,8 @@ type ClassifyResponse struct {
 	// re-running the pipeline.
 	Cached bool `json:"cached"`
 	// Precision names the inference engine that answered: "float64" (the
-	// bit-identity reference) or "float32" (the quantized fast path).
+	// bit-identity reference), "float32" (the quantized fast path) or
+	// "int8" (the integer tier).
 	Precision string `json:"precision"`
 	// TraceID and Timings are set only when the request asked for a
 	// timings breakdown (ClassifyRequest.Timings) and the pipeline ran:
@@ -117,10 +118,11 @@ func toResponse(name string, preds []core.LoopPrediction, cached bool) ClassifyR
 }
 
 // handleClassify is POST /v1/classify: admission (readiness, body
-// bounds, generation pinning), generation-scoped cache lookup, batched
-// execution with a per-request deadline against the pinned generation,
-// and error mapping (429 shed, 503 not-ready/draining, 504 deadline, 500
-// captured panic, 422 programs the pipeline rejects).
+// bounds, generation pinning), generation-scoped cache lookup, a worker
+// slot, one attempt on this goroutine with a per-request deadline against
+// the pinned generation, and error mapping (429 shed, 503
+// not-ready/draining, 504 deadline, 500 captured panic, 422 programs the
+// pipeline rejects).
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -171,8 +173,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// Pin the request to the model's current generation: it registers
 	// with the generation's in-flight count here and executes against
 	// that generation even if a hot swap lands while it waits. The
-	// registration is released on every exit path — cache hit and submit
-	// rejection below, or by the executor once it delivers a result.
+	// registration is released on both exit paths below: the cache hit,
+	// or once admission and the attempt have finished.
 	gen := m.admit()
 	// Per-precision request accounting: which inference tier is about to
 	// answer (float64 reference or float32 fast path).
@@ -206,45 +208,30 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(tctx, s.cfg.RequestTimeout)
 	defer cancel()
-	bctx, bspan := trace.StartSpan(ctx, "batcher")
-	breq := &batchRequest{
-		ctx:  bctx,
-		name: req.Name,
-		src:  req.Source,
-		key:  key,
-		gen:  gen,
-		done: make(chan batchResult, 1),
-		span: bspan,
-	}
-	if err := s.bat.submit(breq); err != nil {
-		gen.inflight.Done()
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-				Error:   "server overloaded",
-				Reasons: []string{fmt.Sprintf("admission queue holds %d requests; retry with backoff", s.cfg.MaxQueue)},
-			})
-		default:
-			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server draining"})
-		}
-		return
-	}
 	var respTr *trace.Trace
 	if req.Timings {
 		respTr = tr
 	}
-	select {
-	case res := <-breq.done:
-		s.writeResult(w, req.Name, gen.prec, res, respTr)
-	case <-ctx.Done():
-		// The batch job observes the same ctx and aborts at the
-		// interpreter's stride check; the handler answers immediately
-		// (the executor still releases the generation registration when
-		// the abandoned job finishes).
-		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{
-			Error: fmt.Sprintf("classification exceeded the request deadline (%s)", s.cfg.RequestTimeout),
+	var res outcome
+	err = s.bat.run(ctx, func(bctx context.Context) {
+		res = s.classify(&job{ctx: bctx, name: req.Name, src: req.Source, key: key, gen: gen})
+	})
+	gen.inflight.Done()
+	switch {
+	case errors.Is(err, ErrQueueFull):
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
+			Error:   "server overloaded",
+			Reasons: []string{fmt.Sprintf("%d requests already wait for a worker slot; retry with backoff", s.cfg.MaxQueue)},
 		})
+	case errors.Is(err, ErrDraining):
+		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server draining"})
+	default:
+		if err != nil {
+			// The deadline passed while the request waited for a slot.
+			res.err = err
+		}
+		s.writeResult(w, req.Name, gen.prec, res, respTr)
 	}
 }
 
@@ -252,7 +239,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // answering generation's precision tier; tr is non-nil only when the
 // request asked for a timings breakdown; success responses then carry
 // the trace ID and span tree.
-func (s *Server) writeResult(w http.ResponseWriter, name, prec string, res batchResult, tr *trace.Trace) {
+func (s *Server) writeResult(w http.ResponseWriter, name, prec string, res outcome, tr *trace.Trace) {
 	err := res.err
 	if err == nil {
 		resp := toResponse(name, res.preds, false)
@@ -273,7 +260,7 @@ func (s *Server) writeResult(w http.ResponseWriter, name, prec string, res batch
 	switch {
 	case errors.As(err, &pe):
 		// Quarantine-style isolation: the panicking request dies with a
-		// reasoned 500, the process and its batchmates live on.
+		// reasoned 500, the process and every other request live on.
 		reasons := []string{pe.Error()}
 		if errors.As(err, &se) {
 			reasons = append(reasons, fmt.Sprintf("stage: %s", se.Stage))
@@ -282,7 +269,8 @@ func (s *Server) writeResult(w http.ResponseWriter, name, prec string, res batch
 			Error:   "classification panicked; request quarantined",
 			Reasons: reasons,
 		})
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, interp.ErrCancelled):
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
+		errors.Is(err, interp.ErrCancelled):
 		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{
 			Error: fmt.Sprintf("classification exceeded the request deadline (%s)", s.cfg.RequestTimeout),
 		})

@@ -79,7 +79,7 @@ func TestServerInt8PrecisionE2E(t *testing.T) {
 	}
 
 	// Cache disabled so every request exercises the integer forward.
-	s := New(cls8, Config{CacheSize: -1, BatchWindow: time.Millisecond})
+	s := New(cls8, Config{CacheSize: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer func() {

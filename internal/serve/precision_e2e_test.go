@@ -56,7 +56,7 @@ func TestServerFloat32PrecisionE2E(t *testing.T) {
 	}
 
 	// Cache disabled so every request exercises the quantized forward.
-	s := New(cls32, Config{CacheSize: -1, BatchWindow: time.Millisecond})
+	s := New(cls32, Config{CacheSize: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer func() {

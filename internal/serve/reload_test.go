@@ -339,13 +339,13 @@ func TestServerCacheRungServesWhenReplicasFault(t *testing.T) {
 		t.Fatalf("healthy classify = %d %+v", code, ok)
 	}
 
-	// Make the model panic, then drive the executor path directly with
+	// Make the model panic, then drive the attempt path directly with
 	// the cached key (the HTTP handler would answer from the cache at
 	// admission; the ladder's cache rung covers requests that were
 	// admitted on a miss and whose attempt faulted at execution time).
 	stub.panicAll = true
 	gen := s.defaultModel().gen.Load()
-	r := &batchRequest{
+	r := &job{
 		ctx:  context.Background(),
 		name: "p",
 		src:  stubSource,
@@ -373,59 +373,58 @@ func TestServerCacheRungServesWhenReplicasFault(t *testing.T) {
 }
 
 // TestBatcherQueueFullDuringDrain pins the shed-vs-deadlock contract:
-// submissions racing a drain are refused with ErrDraining (or shed with
+// admissions racing a drain are refused with ErrDraining (or shed with
 // ErrQueueFull), never blocked, and drain itself completes even though
-// the queue held waiting requests when it began.
+// requests were waiting for a slot when it began.
 func TestBatcherQueueFullDuringDrain(t *testing.T) {
+	b := newBatcher(2, 1)
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	b := newBatcher(1, -1, 2, 1, func(r *batchRequest) {
+	block := func(context.Context) {
 		select {
 		case started <- struct{}{}:
 		default:
 		}
 		<-release
-		r.done <- batchResult{}
-	})
-	b.start()
-
-	mk := func(name string) *batchRequest {
-		return &batchRequest{ctx: context.Background(), name: name, done: make(chan batchResult, 1)}
 	}
-	// First request occupies the executor; once it is running, two more
-	// fill the (capacity-2) queue.
-	reqs := []*batchRequest{mk("r0"), mk("r1"), mk("r2")}
-	if err := b.submit(reqs[0]); err != nil {
-		t.Fatalf("submit(r0) = %v", err)
-	}
+	ctx := context.Background()
+	// The first request takes the only slot; once it runs, two more
+	// wait for it and fill the (capacity-2) queue.
+	errs := make(chan error, 3)
+	go func() { errs <- b.run(ctx, block) }()
 	<-started
-	for _, r := range reqs[1:] {
-		if err := b.submit(r); err != nil {
-			t.Fatalf("submit(%s) = %v", r.name, err)
-		}
+	for i := 0; i < 2; i++ {
+		go func() { errs <- b.run(ctx, block) }()
 	}
-	// Queue full: overflow sheds synchronously.
-	if err := b.submit(mk("overflow")); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("submit past capacity = %v, want ErrQueueFull", err)
+	deadline := time.Now().Add(5 * time.Second)
+	for b.waiting.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("two requests never queued for the slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Queue full: overflow sheds synchronously, and fn never runs.
+	if err := b.run(ctx, func(context.Context) { t.Error("shed request ran") }); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("run past capacity = %v, want ErrQueueFull", err)
 	}
 
 	drainErr := make(chan error, 1)
 	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		drainErr <- b.drain(ctx)
+		drainErr <- b.drain(dctx)
 	}()
 
-	// Mid-drain submissions are refused immediately — not enqueued, not
-	// blocked — even while the queue still holds admitted requests.
-	deadline := time.Now().Add(5 * time.Second)
+	// Mid-drain admissions are refused immediately — not queued, not
+	// blocked — even while admitted requests still wait for the slot.
+	deadline = time.Now().Add(5 * time.Second)
 	for {
-		err := b.submit(mk("late"))
+		err := b.run(ctx, func(context.Context) { t.Error("refused request ran") })
 		if errors.Is(err, ErrDraining) {
 			break
 		}
 		if !errors.Is(err, ErrQueueFull) {
-			t.Fatalf("mid-drain submit = %v, want ErrDraining or ErrQueueFull", err)
+			t.Fatalf("mid-drain run = %v, want ErrDraining or ErrQueueFull", err)
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("drain never closed admission")
@@ -433,14 +432,17 @@ func TestBatcherQueueFullDuringDrain(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Release the executor: every admitted request must finish and drain
-	// must return instead of deadlocking on the still-full queue.
+	// Release the slot holder: every admitted request must finish and
+	// drain must return instead of deadlocking on the waiting requests.
 	close(release)
-	for _, r := range reqs {
+	for i := 0; i < 3; i++ {
 		select {
-		case <-r.done:
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("admitted request = %v, want nil", err)
+			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("admitted request %s never finished during drain", r.name)
+			t.Fatal("an admitted request never finished during drain")
 		}
 	}
 	if err := <-drainErr; err != nil {

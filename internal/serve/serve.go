@@ -3,15 +3,16 @@
 // so downstream consumers — editors, CI gates, build systems — classify
 // loops without paying model-load and encoder-build costs per request.
 //
-// The request path is a micro-batching admission pipeline over a
-// registry of named models:
+// The request path is a bounded-admission pipeline over a registry of
+// named models:
 //
 //	POST /v1/classify?model=<name> → registry lookup → generation pin
 //	  → LRU cache (generation-keyed)
-//	  → bounded queue (429 past the queue budget)
-//	  → batcher (coalesce ≤ MaxBatch within BatchWindow)
-//	  → one panic-captured classification attempt, the per-request
-//	    context deadline reaching the interpreter's stride check
+//	  → admission: wait for one of Workers slots (429 past MaxQueue
+//	    waiters, 504 if the deadline passes first)
+//	  → one panic-captured classification attempt on the handler's own
+//	    goroutine, the per-request context deadline reaching the
+//	    interpreter's stride check
 //	  → degradation ladder (cache-only → node-view-only) when that
 //	    attempt faults
 //
@@ -26,7 +27,7 @@
 // Results are bit-identical to serial core.Pipeline.ClassifySource at
 // every concurrency level — the same determinism contract the training
 // pool upholds. Shutdown is graceful: draining finishes every admitted
-// request before the dispatcher exits.
+// request before it returns.
 //
 // The resilience model (swap/drain/rollback state machine, degradation
 // ladder, chaos harness) is documented in docs/robustness.md.
@@ -68,17 +69,11 @@ type Loader func(ctx context.Context) (Inference, error)
 type Config struct {
 	// Addr is the listen address, default ":8080".
 	Addr string
-	// MaxBatch caps how many requests one dispatch coalesces; default 8.
-	MaxBatch int
-	// BatchWindow is how long the dispatcher waits for batchmates after
-	// the first request arrives; default 2ms. Zero keeps the default;
-	// negative disables coalescing (every request dispatches alone).
-	BatchWindow time.Duration
-	// MaxQueue bounds the admission queue; requests beyond it are shed
-	// with 429. Default 64.
+	// MaxQueue bounds how many requests may wait for a worker slot;
+	// requests beyond it are shed with 429. Default 64.
 	MaxQueue int
-	// Workers bounds batch-execution concurrency; 0 uses the shared
-	// pool default (NumCPU or the --jobs override).
+	// Workers is the number of classifications that run at once; 0 uses
+	// the shared pool default (NumCPU or the --jobs override).
 	Workers int
 	// RequestTimeout is the per-request classification deadline (flows
 	// into the interpreter's stride check); default 30s.
@@ -125,15 +120,6 @@ func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = ":8080"
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.BatchWindow < 0 {
-		c.BatchWindow = 0
-	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
 	}
@@ -173,7 +159,7 @@ type Server struct {
 
 	// reg holds the served models (name → generation chain); cache is
 	// the generation-keyed LRU (nil when disabled); bat is the admission
-	// queue and dispatcher every model shares.
+	// layer every model shares.
 	reg   *registry
 	cache *lruCache
 	bat   *batcher
@@ -183,9 +169,8 @@ type Server struct {
 }
 
 // New builds a single-model server around inf (cfg.Loader, when set, is
-// its reload loader) and starts its dispatcher. The server is not ready
-// until Warmup succeeds; use Handler for in-process tests or
-// ListenAndServe for the full lifecycle.
+// its reload loader). The server is not ready until Warmup succeeds; use
+// Handler for in-process tests or ListenAndServe for the full lifecycle.
 func New(inf Inference, cfg Config) *Server {
 	s, err := NewMulti([]ModelSpec{{Name: DefaultModel, Inference: inf, Loader: cfg.Loader}}, cfg)
 	if err != nil {
@@ -209,9 +194,9 @@ func NewMulti(specs []ModelSpec, cfg Config) (*Server, error) {
 	if cfg.TraceRing > 0 {
 		s.traces = trace.NewRing(cfg.TraceRing)
 	}
-	s.bat = newBatcher(cfg.MaxBatch, cfg.BatchWindow, cfg.MaxQueue, cfg.Workers, s.execute)
+	s.bat = newBatcher(cfg.MaxQueue, cfg.Workers)
 	// Register the depth gauge now so /metrics shows it from startup.
-	obs.GetGauge(queueDepthGauge).Set(0)
+	obs.GetGauge(queueDepthGauge).Add(0)
 	for _, spec := range specs {
 		s.install(reg.byName[spec.Name], spec.Inference)
 	}
@@ -237,7 +222,6 @@ func NewMulti(specs []ModelSpec, cfg Config) (*Server, error) {
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	s.bat.start()
 	return s, nil
 }
 
@@ -417,15 +401,26 @@ func (s *Server) ReloadModel(ctx context.Context, name string) (ReloadResult, er
 	return res, nil
 }
 
-// execute runs one admitted request against its pinned generation and
-// releases the generation's in-flight registration.
-func (s *Server) execute(r *batchRequest) {
-	// Close the "batcher" span (queue wait + coalesce window) before the
-	// classification attempt begins. Nil-safe no-op on untraced requests.
-	r.span.End()
-	res := s.classify(r)
-	r.gen.inflight.Done()
-	r.done <- res
+// job is one admitted classify request holding a worker slot.
+type job struct {
+	ctx  context.Context
+	name string
+	src  string
+	key  string // generation-scoped cache key, "" when caching is off
+	// gen is the model generation the request was pinned to at admission;
+	// the attempt runs against it even if a hot swap lands mid-flight.
+	gen *generation
+}
+
+// outcome is the result of one job.
+type outcome struct {
+	preds []core.LoopPrediction
+	err   error
+	// gen is the generation that produced the answer.
+	gen uint64
+	// degraded names the degradation-ladder rung that answered (empty on
+	// the normal path).
+	degraded []string
 }
 
 // classify runs one classification attempt for r. A replica fault
@@ -433,17 +428,17 @@ func (s *Server) execute(r *batchRequest) {
 // weights are shared, so a panic the input caused would fire again on
 // any retry. A spent deadline answers 504, and a program the pipeline
 // rejects answers 422 — neither is the model's fault.
-func (s *Server) classify(r *batchRequest) batchResult {
+func (s *Server) classify(r *job) outcome {
 	gen := r.gen
 	preds, err := s.runReplica(r)
 	if err == nil {
 		if s.cache != nil && r.key != "" {
 			s.cache.put(r.key, preds)
 		}
-		return batchResult{preds: preds, gen: gen.id}
+		return outcome{preds: preds, gen: gen.id}
 	}
 	if !isReplicaFault(err) {
-		return batchResult{err: err, gen: gen.id}
+		return outcome{err: err, gen: gen.id}
 	}
 	var pe *faults.PanicError
 	if errors.As(err, &pe) {
@@ -461,13 +456,13 @@ func (s *Server) classify(r *batchRequest) batchResult {
 			return res
 		}
 	}
-	return batchResult{err: err, gen: gen.id}
+	return outcome{err: err, gen: gen.id}
 }
 
 // runReplica runs one classification attempt on the request's pinned
 // generation: chaos injection (no-ops unless a chaos injector is armed),
 // panic capture, and the "replica" trace span.
-func (s *Server) runReplica(r *batchRequest) ([]core.LoopPrediction, error) {
+func (s *Server) runReplica(r *job) ([]core.LoopPrediction, error) {
 	cctx, rspan := trace.StartSpan(r.ctx, "replica")
 	defer rspan.End()
 	var preds []core.LoopPrediction
@@ -505,13 +500,13 @@ func isReplicaFault(err error) bool {
 // attempt faulted: first a cache-only answer (correct by construction —
 // the key is generation scoped), then a node-view-only degraded
 // prediction. It reports false when neither rung can answer.
-func (s *Server) degradedResult(r *batchRequest) (batchResult, bool) {
+func (s *Server) degradedResult(r *job) (outcome, bool) {
 	const reason = "full classification faulted"
 	if s.cache != nil && r.key != "" {
 		if preds, ok := s.cache.get(r.key); ok {
 			obs.GetCounter("mvpar_http_degraded_responses_total").Inc()
 			obs.Warn("serve.degraded", "program", r.name, "rung", "cache", "reason", reason)
-			return batchResult{
+			return outcome{
 				preds:    preds,
 				gen:      r.gen.id,
 				degraded: []string{"cache-only answer: " + reason},
@@ -528,14 +523,14 @@ func (s *Server) degradedResult(r *batchRequest) (batchResult, bool) {
 		if err == nil && len(preds) > 0 {
 			obs.GetCounter("mvpar_http_degraded_responses_total").Inc()
 			obs.Warn("serve.degraded", "program", r.name, "rung", "node-view", "reason", reason)
-			return batchResult{
+			return outcome{
 				preds:    preds,
 				gen:      r.gen.id,
 				degraded: []string{"node-view-only prediction: " + reason},
 			}, true
 		}
 	}
-	return batchResult{}, false
+	return outcome{}, false
 }
 
 // Warm-up retry policy for ListenAndServe: a transient failure (model
@@ -611,9 +606,8 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 // answers 503 draining so load balancers stop routing), the listener
 // keeps serving for cfg.DrainGrace so that readiness flip can
 // propagate, then the HTTP layer stops accepting and waits for
-// in-flight handlers, and finally the batcher finishes every admitted
-// request and stops its dispatcher. Requests arriving mid-drain answer
-// 503.
+// in-flight handlers, and finally the admission layer waits for every
+// admitted request. Requests arriving mid-drain answer 503.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	if g := s.cfg.DrainGrace; g > 0 {

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -206,27 +205,21 @@ func TestServerQueueOverflowSheds429(t *testing.T) {
 		started: make(chan string, 16),
 		release: make(chan struct{}),
 	}
-	s, ts := newTestServer(t, stub, Config{
-		MaxBatch:    1,
-		BatchWindow: -1, // dispatch each request alone
-		MaxQueue:    1,
-		Workers:     1,
-		CacheSize:   -1,
-	})
+	s, ts := newTestServer(t, stub, Config{MaxQueue: 1, Workers: 1, CacheSize: -1})
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	codes := make(chan int, 2)
-	// First request: picked up by the dispatcher and blocked in execution.
+	// First request: takes the only worker slot and blocks in execution.
 	go func() {
 		code, _ := tryClassify(ts.URL, "r1", stubSource)
 		codes <- code
 	}()
 	<-stub.started
 
-	// Second request: sits in the (capacity-1) admission queue while the
-	// dispatcher is busy. Wait until the queue-depth gauge confirms it.
+	// Second request: waits for the slot, filling the capacity-1 queue.
+	// Wait until the queue-depth gauge confirms it.
 	go func() {
 		code, _ := tryClassify(ts.URL, "r2", stubSource)
 		codes <- code
@@ -235,7 +228,7 @@ func TestServerQueueOverflowSheds429(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for depth.Value() < 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("second request never reached the admission queue")
+			t.Fatal("second request never queued for the slot")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -391,51 +384,61 @@ func TestServerUnprocessableProgram(t *testing.T) {
 	}
 }
 
-func TestBatcherCoalesces(t *testing.T) {
-	var mu sync.Mutex
-	var seen []string
-	release := make(chan struct{})
-	b := newBatcher(4, 50*time.Millisecond, 16, 4, func(r *batchRequest) {
-		<-release
-		mu.Lock()
-		seen = append(seen, r.name)
-		mu.Unlock()
-		r.done <- batchResult{}
-	})
-	b.start()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		b.drain(ctx)
-	}()
+// TestServerSlotWaitDeadline504 pins the waiter's deadline: a request
+// still waiting for a worker slot when its deadline passes answers 504
+// without running, leaves the queue-depth gauge at 0 and releases its
+// generation pin, so the next Reload drains the old generation.
+func TestServerSlotWaitDeadline504(t *testing.T) {
+	stub := &genStub{gen: 1}
+	cfg := Config{Workers: 1, CacheSize: -1, RequestTimeout: 50 * time.Millisecond}
+	cfg.Loader = func(context.Context) (Inference, error) { return &genStub{gen: 2}, nil }
+	s, ts := newTestServer(t, stub, cfg)
+	if err := s.Warmup(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Hold the only worker slot, as a long-running attempt would.
+	s.bat.slots <- struct{}{}
+	code, _, errResp := postClassify(t, ts.URL, "waiter", stubSource)
+	<-s.bat.slots
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("request that never got a slot = %d (%+v), want 504", code, errResp)
+	}
+	if n := stub.calls.Load(); n != 0 {
+		t.Fatalf("classification ran %d times, want 0 (the request never held a slot)", n)
+	}
+	if d := obs.GetGauge(queueDepthGauge).Value(); d != 0 {
+		t.Fatalf("queue depth after the waiter left = %v, want 0", d)
+	}
 
-	before := obs.GetCounter("mvpar_http_batches_total").Value()
-	reqs := make([]*batchRequest, 4)
-	for i := range reqs {
-		reqs[i] = &batchRequest{
-			ctx:  context.Background(),
-			name: fmt.Sprintf("r%d", i),
-			done: make(chan batchResult, 1),
+	drainedBefore := obs.GetCounter("mvpar_model_generations_drained_total").Value()
+	if _, err := s.Reload(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for obs.GetCounter("mvpar_model_generations_drained_total").Value() != drainedBefore+1 {
+		if time.Now().After(deadline) {
+			t.Fatal("old generation never drained: the timed-out waiter kept its pin")
 		}
-		if err := b.submit(reqs[i]); err != nil {
-			t.Fatal(err)
-		}
+		time.Sleep(time.Millisecond)
 	}
-	close(release)
-	for _, r := range reqs {
-		<-r.done
+}
+
+// TestServerAttemptOverrun504 pins the attempt's deadline: a
+// classification that outlives RequestTimeout answers 504 at its next
+// context check, and the slot it held serves the next request.
+func TestServerAttemptOverrun504(t *testing.T) {
+	stub := &stubInference{release: make(chan struct{})}
+	s, ts := newTestServer(t, stub, Config{Workers: 1, CacheSize: -1, RequestTimeout: 50 * time.Millisecond})
+	if err := s.Warmup(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	// Four near-simultaneous submissions against a 4-wide batch and a
-	// 50ms window coalesce into at most two dispatches (the first may
-	// race ahead alone before the rest are queued).
-	batches := obs.GetCounter("mvpar_http_batches_total").Value() - before
-	if batches < 1 || batches > 2 {
-		t.Fatalf("4 requests dispatched as %d batches, want 1..2", batches)
+	code, _, errResp := postClassify(t, ts.URL, "slow", stubSource)
+	if code != http.StatusGatewayTimeout || !strings.Contains(errResp.Error, "deadline") {
+		t.Fatalf("overrunning attempt = %d (%+v), want 504 naming the deadline", code, errResp)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 4 {
-		t.Fatalf("executed %d requests, want 4", len(seen))
+	close(stub.release)
+	if code, _, _ := postClassify(t, ts.URL, "next", stubSource); code != http.StatusOK {
+		t.Fatalf("request after the overrun = %d, want 200", code)
 	}
 }
 

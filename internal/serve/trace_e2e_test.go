@@ -76,13 +76,13 @@ func attrValue(sp trace.SpanData, key string) string {
 	return ""
 }
 
-// TestBatchedRequestSpanLineage is the tracing acceptance test: under a
-// concurrent batched burst, every response's span tree must form the
-// handler → batcher → replica → gnn.forward lineage under one shared
-// trace ID, with no span leaking between requests that shared a batch —
-// each trace's classify span must name exactly the program its request
+// TestConcurrentRequestSpanLineage is the tracing acceptance test: under
+// a concurrent burst, every response's span tree must form the handler →
+// batcher → replica → gnn.forward lineage under one shared trace ID, with
+// no span leaking between requests that ran at the same time — each
+// trace's classify span must name exactly the program its request
 // submitted. Runs under -race via make test.
-func TestBatchedRequestSpanLineage(t *testing.T) {
+func TestConcurrentRequestSpanLineage(t *testing.T) {
 	pl := e2eTrained(t)
 	cls, err := pl.Classifier()
 	if err != nil {
@@ -92,12 +92,10 @@ func TestBatchedRequestSpanLineage(t *testing.T) {
 	// populates /debug/traces; cache off so every request runs the
 	// pipeline and owns a full trace.
 	s := New(cls, Config{
-		MaxBatch:    4,
-		BatchWindow: 5 * time.Millisecond,
-		MaxQueue:    64,
-		CacheSize:   -1,
-		TraceSlow:   time.Nanosecond,
-		TraceRing:   32,
+		MaxQueue:  64,
+		CacheSize: -1,
+		TraceSlow: time.Nanosecond,
+		TraceRing: 32,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -151,7 +149,8 @@ func TestBatchedRequestSpanLineage(t *testing.T) {
 					got.name, sp.Name, sp.TraceID, got.resp.TraceID)
 			}
 			// No cross-request contamination: the classify span (and the
-			// root) must name this request's program, not a batchmate's.
+			// root) must name this request's program, not a concurrent
+			// request's.
 			if sp.Name == "classify" || (sp.Name == "handler" && sp.Parent == 0) {
 				if p := attrValue(sp, "program"); p != got.name {
 					t.Fatalf("request %s: %s span names program %q", got.name, sp.Name, p)
