@@ -941,6 +941,9 @@ func cmdDataset(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	if err := dataset.AddBaselineInputs(bench.Corpus(), d.Records, cfg); err != nil {
+		return err
+	}
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)

@@ -71,8 +71,12 @@ func main() {
 	fmt.Printf("\nbalanced: %d records; split: %d train / %d test (no shared loops)\n",
 		len(balanced), len(train), len(test))
 
-	// Show a couple of concrete records.
+	// Show a couple of concrete records, with the NCC baseline's token
+	// streams, which Build leaves to AddBaselineInputs.
 	fmt.Println("\nsample records:")
+	if err := dataset.AddBaselineInputs(apps, d.Records[:3], cfg); err != nil {
+		log.Fatal(err)
+	}
 	for _, r := range d.Records[:3] {
 		fmt.Printf("  %s loop %d variant %d: label=%d, %d PEG nodes, %d tokens, N_Inst=%.0f iters=%.0f\n",
 			r.Meta.Program, r.Meta.LoopID, r.Meta.Variant, r.Label,

@@ -125,8 +125,8 @@ func TestEmptyFitsDoNotPanic(t *testing.T) {
 	}
 }
 
-// End-to-end: classic models and NCC trained on a tiny real dataset
-// should beat chance comfortably.
+// End-to-end: classic models and NCC trained on a tiny real dataset (with
+// the NCC token streams added) should beat chance comfortably.
 func tinyDataset(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	apps := []bench.App{
@@ -142,6 +142,9 @@ func tinyDataset(t *testing.T) *dataset.Dataset {
 		Seed:       1,
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.AddBaselineInputs(apps, d.Records, dataset.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	return d

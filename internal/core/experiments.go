@@ -147,8 +147,13 @@ var table3Models = []string{
 // every suite's loops for the per-suite rows and records aggregate
 // held-out accuracy, reproducing Table III.
 func RunTable3(cfg ExperimentConfig) (*Table3Result, error) {
-	d, _, err := dataset.Build(cfg.corpus(), cfg.dataConfig())
+	apps := cfg.corpus()
+	d, _, err := dataset.Build(apps, cfg.dataConfig())
 	if err != nil {
+		return nil, err
+	}
+	// The NCC and tool columns read inputs the classifier does not need.
+	if err := dataset.AddBaselineInputs(apps, d.Records, cfg.dataConfig()); err != nil {
 		return nil, err
 	}
 	train, test := dataset.Split(d.Records, 0.75, cfg.Seed)

@@ -3,9 +3,12 @@
 // and oracle labels, expanded into IR optimization-level variants (the
 // paper's six clang -O builds), and each loop's sub-PEG is encoded twice —
 // node-feature view (inst2vec + Table-I dynamics) and structural view
-// (anonymous-walk distributions). The package also provides class
-// balancing and the paper's 75:25 split with no common objects across the
-// two sides.
+// (anonymous-walk distributions). Build computes only what the models
+// need; AddBaselineInputs adds the inputs of the comparison baselines
+// (the emulated tools' decisions and the NCC token streams) for the
+// callers that evaluate them. The package also provides class balancing
+// and the paper's 75:25 split with no common objects across the two
+// sides.
 package dataset
 
 import (
@@ -37,9 +40,9 @@ import (
 )
 
 // Record is one labeled loop instance (one loop of one IR variant of one
-// program), with everything every model family needs: the encoded
-// two-view GNN sample, the hand-crafted static vector, and the token
-// sequence for the NCC baseline.
+// program): the encoded two-view GNN sample and the hand-crafted static
+// vector, plus, once AddBaselineInputs has run, the token sequence for
+// the NCC baseline and the emulated tools' decisions.
 type Record struct {
 	Meta  gnn.SampleMeta
 	Label int // 1 = parallelizable
@@ -51,9 +54,12 @@ type Record struct {
 
 	Sample gnn.Sample
 	Static features.Static
-	Tokens []string // canonicalized region instruction stream (NCC input)
+	// Tokens is the canonicalized region instruction stream (NCC input).
+	// Build leaves it nil; AddBaselineInputs fills it.
+	Tokens []string
 	// Tools holds the per-loop decisions of the emulated
 	// auto-parallelization tools (Pluto, AutoPar, DiscoPoP), as 0/1.
+	// Build leaves it nil; AddBaselineInputs fills it.
 	Tools map[string]int
 	// Degraded lists why parts of this record fell back to a reduced
 	// encoding (currently: structural-view walk sampling failed or went
@@ -71,7 +77,7 @@ type Config struct {
 	EmbedCfg   inst2vec.Config
 	Seed       int64
 	MaxSteps   int64
-	MaxTokens  int // NCC sequence cap
+	MaxTokens  int // NCC sequence cap (AddBaselineInputs)
 	// Embedding, when non-nil, is reused instead of training a fresh
 	// inst2vec space — required when encoding new programs for a model
 	// trained elsewhere (tokens are canonical, so spaces transfer).
@@ -182,18 +188,14 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	if cfg.WalkLen <= 0 {
 		cfg.WalkLen = 5
 	}
-	if cfg.MaxTokens <= 0 {
-		cfg.MaxTokens = DefaultConfig.MaxTokens
-	}
 	// cfg.MaxSteps = 0 flows into interp.Limits, which owns the default.
 
 	defer obs.Start("dataset.build").End()
 	report := &BuildReport{Programs: len(apps), Quarantine: &faults.Quarantine{}}
 	type profiled struct {
-		app    bench.App
-		base   *ir.Program
-		res    *deps.Result
-		static tools.Results
+		app  bench.App
+		base *ir.Program
+		res  *deps.Result
 	}
 	// Profile stage: each program's parse/lower/profile is an independent
 	// job. Lenient-mode failures travel back inside the job's result so the
@@ -243,7 +245,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 			}
 			return profileOut{err: err.(*faults.StageError)}, nil
 		}
-		return profileOut{p: &profiled{app: app, base: base, res: res, static: tools.AnalyzeStatic(src)}}, nil
+		return profileOut{p: &profiled{app: app, base: base, res: res}}, nil
 	})
 	profileSpan.End()
 	tProfile.End()
@@ -311,7 +313,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 			if v == 0 && EncodeFaultHook != nil {
 				EncodeFaultHook(p.app.Name)
 			}
-			recs, degs = encodeVariant(p.app, p.base, p.res, p.static, emb, space, cfg, v)
+			recs, degs = encodeVariant(p.app, p.base, p.res, emb, space, cfg, v)
 			return nil
 		})
 		if err != nil {
@@ -385,11 +387,11 @@ type degradation struct {
 // panic anywhere in the graph/tensor/nn encoding machinery quarantines
 // only this program.
 func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
-	static tools.Results, emb *inst2vec.Embedding, space *walks.Space,
+	emb *inst2vec.Embedding, space *walks.Space,
 	cfg Config, v int) ([]*Record, []degradation) {
 	var recs []*Record
 	var degs []degradation
-	variant := ir.Variant(base, v)
+	variant := encodedVariant(base, v)
 	cus := cu.Build(variant)
 	pg := peg.Build(variant, cus, res)
 	// One generator for the whole job, reseeded per loop: the same stream
@@ -430,12 +432,6 @@ func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
 			Pattern: pattern,
 			Verdict: verdict,
 			Static:  stat,
-			Tokens:  regionTokens(cus, loopID, cfg.MaxTokens),
-			Tools: map[string]int{
-				tools.NamePluto:    b2i(static.Pluto[loopID]),
-				tools.NameAutoPar:  b2i(static.AutoPar[loopID]),
-				tools.NameDiscoPoP: b2i(tools.DiscoPoPRule(verdict)),
-			},
 		}
 		// Both views share one encoded topology: the merged graph's CSR
 		// adjacency is built once and the structural view only swaps in
@@ -694,6 +690,74 @@ func logScale(v float64) float64 {
 		return 0
 	}
 	return math.Log1p(v)
+}
+
+// encodedVariant returns IR variant v of base for the encode stage. Level
+// 0 is the unmodified lowering, and encoding only reads the program
+// (TestEncodeLeavesProgramUnchanged), so it shares base instead of
+// cloning it; the other levels transform a copy.
+func encodedVariant(base *ir.Program, v int) *ir.Program {
+	if v == 0 {
+		return base
+	}
+	return ir.Variant(base, v)
+}
+
+// AddBaselineInputs fills Tools and Tokens on every record, the inputs of
+// the comparison baselines that classification never reads: the emulated
+// tools' decisions (Pluto and AutoPar from the static affine tests,
+// DiscoPoP from the record's verdict) and the NCC token stream, capped at
+// cfg.MaxTokens. apps must hold the source of every record's program.
+// Each program is parsed and lowered again, one job per program on
+// cfg.Parallelism workers; the result is the same at every worker count.
+func AddBaselineInputs(apps []bench.App, recs []*Record, cfg Config) error {
+	maxTokens := cfg.MaxTokens
+	if maxTokens <= 0 {
+		maxTokens = DefaultConfig.MaxTokens
+	}
+	byProgram := map[string][]*Record{}
+	var names []string
+	for _, r := range recs {
+		if byProgram[r.Meta.Program] == nil {
+			names = append(names, r.Meta.Program)
+		}
+		byProgram[r.Meta.Program] = append(byProgram[r.Meta.Program], r)
+	}
+	source := map[string]bench.App{}
+	for _, app := range apps {
+		source[app.Name] = app
+	}
+	_, err := pool.Map(pool.Config{Workers: cfg.Parallelism, Ctx: cfg.Ctx}, len(names), func(i int) (struct{}, error) {
+		app, ok := source[names[i]]
+		if !ok {
+			return struct{}{}, fmt.Errorf("dataset: no source for program %q", names[i])
+		}
+		src, err := minic.Parse(app.Name, app.Source)
+		if err != nil {
+			return struct{}{}, err
+		}
+		base, err := ir.Lower(src)
+		if err != nil {
+			return struct{}{}, err
+		}
+		static := tools.AnalyzeStatic(src)
+		cus := map[int]*cu.Set{}
+		for _, r := range byProgram[app.Name] {
+			v := r.Meta.Variant
+			if cus[v] == nil {
+				cus[v] = cu.Build(encodedVariant(base, v))
+			}
+			loop := r.Meta.LoopID
+			r.Tokens = regionTokens(cus[v], loop, maxTokens)
+			r.Tools = map[string]int{
+				tools.NamePluto:    b2i(static.Pluto[loop]),
+				tools.NameAutoPar:  b2i(static.AutoPar[loop]),
+				tools.NameDiscoPoP: b2i(tools.DiscoPoPRule(r.Verdict)),
+			}
+		}
+		return struct{}{}, nil
+	})
+	return err
 }
 
 // regionTokens produces the NCC input: the canonicalized instruction

@@ -8,6 +8,7 @@ import (
 	"mvpar/internal/bench"
 	"mvpar/internal/dataset"
 	"mvpar/internal/inst2vec"
+	"mvpar/internal/tools"
 	"mvpar/internal/walks"
 )
 
@@ -105,15 +106,58 @@ func TestEncodedDimensions(t *testing.T) {
 		if r.Sample.Node.N != r.Sample.Struct.N {
 			t.Fatal("view node counts differ")
 		}
-		if len(r.Tokens) == 0 {
-			t.Fatalf("record %v has no tokens", r.Meta)
+		if r.Tokens != nil || r.Tools != nil {
+			t.Fatalf("record %v: Build filled the baseline inputs", r.Meta)
 		}
 	}
+}
+
+// TestAddBaselineInputs checks the baseline inputs Build leaves out: every
+// record gets a token stream and the three tool decisions, DiscoPoP's
+// equal to the rule over the record's verdict.
+func TestAddBaselineInputs(t *testing.T) {
+	d, _, err := dataset.Build(smallApps(), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.AddBaselineInputs(smallApps(), d.Records, smallConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range d.Records {
+		if len(r.Tokens) == 0 || len(r.Tokens) > dataset.DefaultConfig.MaxTokens {
+			t.Fatalf("record %v has %d tokens", r.Meta, len(r.Tokens))
+		}
+		if len(r.Tools) != 3 || r.Tools[tools.NameDiscoPoP] != b2i(tools.DiscoPoPRule(r.Verdict)) {
+			t.Fatalf("record %v tools %v", r.Meta, r.Tools)
+		}
+	}
+	// alpha's recurrence (loop 4) is not affine-parallel; its first loop is.
+	for _, r := range d.Records {
+		if r.Meta.Program == "alpha" && r.Meta.LoopID == 1 && r.Tools[tools.NamePluto] != 1 {
+			t.Fatalf("alpha loop 1: Pluto %d, want 1", r.Tools[tools.NamePluto])
+		}
+		if r.Meta.Program == "alpha" && r.Meta.LoopID == 4 && r.Tools[tools.NamePluto] != 0 {
+			t.Fatalf("alpha loop 4: Pluto %d, want 0", r.Tools[tools.NamePluto])
+		}
+	}
+	if err := dataset.AddBaselineInputs(smallApps()[:1], d.Records, smallConfig()); err == nil {
+		t.Fatal("records of a program missing from apps: no error")
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestVariantsChangeTokens(t *testing.T) {
 	d, _, err := dataset.Build(smallApps(), smallConfig())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.AddBaselineInputs(smallApps(), d.Records, smallConfig()); err != nil {
 		t.Fatal(err)
 	}
 	// Find the same loop across variants; at least one variant pair must
@@ -232,6 +276,9 @@ func TestExportJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := dataset.AddBaselineInputs(smallApps(), d.Records, smallConfig()); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := dataset.Export(&buf, d.Records); err != nil {
 		t.Fatal(err)
@@ -248,6 +295,9 @@ func TestExportJSON(t *testing.T) {
 		if _, ok := first[key]; !ok {
 			t.Fatalf("export missing key %q: %v", key, first)
 		}
+	}
+	if n := len(first["tools"].(map[string]interface{})); n != 3 || first["token_count"].(float64) == 0 {
+		t.Fatalf("export has %d tools and %v tokens", n, first["token_count"])
 	}
 	feats := first["features"].(map[string]interface{})
 	if _, ok := feats["esp"]; !ok {

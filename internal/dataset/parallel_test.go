@@ -10,7 +10,8 @@ import (
 	"mvpar/internal/faults"
 )
 
-// buildAt runs a lenient-capable build at the given worker count.
+// buildAt runs a lenient-capable build, then AddBaselineInputs, at the
+// given worker count.
 func buildAt(t *testing.T, jobs int, strict bool) (*dataset.Dataset, *dataset.BuildReport) {
 	t.Helper()
 	cfg := smallConfig()
@@ -18,6 +19,9 @@ func buildAt(t *testing.T, jobs int, strict bool) (*dataset.Dataset, *dataset.Bu
 	cfg.Strict = strict
 	d, report, err := dataset.Build(smallApps(), cfg)
 	if err != nil {
+		t.Fatalf("jobs=%d: %v", jobs, err)
+	}
+	if err := dataset.AddBaselineInputs(smallApps(), d.Records, cfg); err != nil {
 		t.Fatalf("jobs=%d: %v", jobs, err)
 	}
 	return d, report

@@ -12,7 +12,8 @@
 // last write and the reads since that write, each with a snapshot of the
 // dynamic loop stack, so every dependence can be attributed to the unique
 // loop that carries it (the outermost shared loop instance whose iteration
-// numbers differ).
+// numbers differ). Interpreter addresses are dense and never reused, so
+// the shadow is an address-indexed table rather than a hash map.
 package deps
 
 import (
@@ -117,7 +118,52 @@ type cell struct {
 	lastWrite accessRec // valid when written
 	written   bool
 	reads     []accessRec
+	// ctrl holds the loops this address has been the control variable of;
+	// nonRed the loops in which it was accessed outside a reduction while
+	// not their control variable (which poisons a reduction on it).
+	ctrl, nonRed loopSet
 }
+
+// loopSet is a small set of loop IDs (statement IDs, well inside int32).
+// Most addresses belong to a few loops, so the first len(inline) IDs are
+// stored in the cell itself and only larger sets allocate.
+type loopSet struct {
+	inline [3]int32
+	n      int32
+	more   []int32
+}
+
+func (s *loopSet) has(loop int) bool {
+	id := int32(loop)
+	for _, v := range s.inline[:min(s.n, int32(len(s.inline)))] {
+		if v == id {
+			return true
+		}
+	}
+	for _, v := range s.more {
+		if v == id {
+			return true
+		}
+	}
+	return false
+}
+
+// add inserts id, which must not be in the set yet.
+func (s *loopSet) add(loop int) {
+	id := int32(loop)
+	if s.n < int32(len(s.inline)) {
+		s.inline[s.n] = id
+	} else {
+		s.more = append(s.more, id)
+	}
+	s.n++
+}
+
+// shadowPage maps 1<<shadowPageBits consecutive addresses to 1 + the
+// index of their cells, 0 for untouched.
+type shadowPage [1 << shadowPageBits]int32
+
+const shadowPageBits = 10
 
 // maxReadsPerCell bounds the reads kept between two writes of the same
 // address; beyond it the oldest are dropped (ring). With the corpus's
@@ -134,16 +180,20 @@ type edgeKey struct {
 
 // Analyzer implements interp.Tracer.
 type Analyzer struct {
-	shadow map[uint64]*cell
-	edges  map[edgeKey]*Edge
+	// Shadow memory: cells holds one entry per touched address, found
+	// through pages[addr>>shadowPageBits]. A page is allocated when one
+	// of its addresses is first touched, so a large array with few
+	// touched elements costs a few pages and one pointer per page of
+	// address space, not a cell per element.
+	pages []*shadowPage
+	cells []cell
+	edges map[edgeKey]*Edge
 
 	// Per-loop blocking state, keyed by loop ID then address.
-	lcRawBad    map[int]map[uint64]bool
-	lcRawRed    map[int]map[uint64]ir.RedOp
-	lcWarBad    map[int]map[uint64]bool
-	lcWawArray  map[int]map[uint64]bool
-	nonRedTouch map[int]map[uint64]bool
-	ctrlAddrs   map[int]map[uint64]bool
+	lcRawBad   map[int]map[uint64]bool
+	lcRawRed   map[int]map[uint64]ir.RedOp
+	lcWarBad   map[int]map[uint64]bool
+	lcWawArray map[int]map[uint64]bool
 
 	iterations map[int]int64
 	instances  map[int]int64
@@ -158,17 +208,43 @@ type Analyzer struct {
 // NewAnalyzer returns an empty analyzer ready to trace one execution.
 func NewAnalyzer() *Analyzer {
 	return &Analyzer{
-		shadow:      map[uint64]*cell{},
-		edges:       map[edgeKey]*Edge{},
-		lcRawBad:    map[int]map[uint64]bool{},
-		lcRawRed:    map[int]map[uint64]ir.RedOp{},
-		lcWarBad:    map[int]map[uint64]bool{},
-		lcWawArray:  map[int]map[uint64]bool{},
-		nonRedTouch: map[int]map[uint64]bool{},
-		ctrlAddrs:   map[int]map[uint64]bool{},
-		iterations:  map[int]int64{},
-		instances:   map[int]int64{},
+		edges:      map[edgeKey]*Edge{},
+		lcRawBad:   map[int]map[uint64]bool{},
+		lcRawRed:   map[int]map[uint64]ir.RedOp{},
+		lcWarBad:   map[int]map[uint64]bool{},
+		lcWawArray: map[int]map[uint64]bool{},
+		iterations: map[int]int64{},
+		instances:  map[int]int64{},
 	}
+}
+
+// lookup returns addr's shadow cell, or nil if addr was never touched.
+// The pointer is valid until the next cellAt call.
+func (a *Analyzer) lookup(addr uint64) *cell {
+	if p := addr >> shadowPageBits; p < uint64(len(a.pages)) && a.pages[p] != nil {
+		if i := a.pages[p][addr&(1<<shadowPageBits-1)]; i != 0 {
+			return &a.cells[i-1]
+		}
+	}
+	return nil
+}
+
+// cellAt returns addr's shadow cell, creating it on first touch. The
+// pointer is valid until the next cellAt call.
+func (a *Analyzer) cellAt(addr uint64) *cell {
+	if c := a.lookup(addr); c != nil {
+		return c
+	}
+	p := addr >> shadowPageBits
+	if n := int(p) + 1; n > len(a.pages) {
+		a.pages = append(a.pages, make([]*shadowPage, n-len(a.pages))...)
+	}
+	if a.pages[p] == nil {
+		a.pages[p] = new(shadowPage)
+	}
+	a.cells = append(a.cells, cell{})
+	a.pages[p][addr&(1<<shadowPageBits-1)] = int32(len(a.cells))
+	return &a.cells[len(a.cells)-1]
 }
 
 func mark2(m map[int]map[uint64]bool, loop int, addr uint64) {
@@ -185,7 +261,9 @@ func (a *Analyzer) LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bo
 	a.frames = nil
 	a.instances[id]++
 	if hasCtrl {
-		mark2(a.ctrlAddrs, id, ctrlAddr)
+		if c := a.cellAt(ctrlAddr); !c.ctrl.has(id) {
+			c.ctrl.add(id)
+		}
 	}
 }
 
@@ -229,10 +307,6 @@ func carrierIndex(a, b []frameSnap) int {
 	return -1
 }
 
-func (a *Analyzer) isCtrl(loop int, addr uint64) bool {
-	return a.ctrlAddrs[loop][addr]
-}
-
 func (a *Analyzer) recordEdge(kind Kind, src, dst *accessRec, carrier int, carried bool, reduction bool, distance int64) {
 	key := edgeKey{kind: kind, src: src.stmt, dst: dst.stmt, carrier: carrier, carried: carried}
 	e, ok := a.edges[key]
@@ -260,11 +334,7 @@ func carriedDistance(a, b []frameSnap, ci int) int64 {
 
 // Access implements interp.Tracer.
 func (a *Analyzer) Access(acc *interp.Access) {
-	c := a.shadow[acc.Addr]
-	if c == nil {
-		c = &cell{}
-		a.shadow[acc.Addr] = c
-	}
+	c := a.cellAt(acc.Addr)
 	// Array-ness travels via the Access (set by the interpreter for
 	// subscripted instructions).
 	rec := accessRec{
@@ -277,8 +347,8 @@ func (a *Analyzer) Access(acc *interp.Access) {
 	// Every non-reduction access inside a loop poisons reduction locations.
 	if acc.Red == ir.RedNone {
 		for _, f := range rec.frames {
-			if !a.isCtrl(f.id, acc.Addr) {
-				mark2(a.nonRedTouch, f.id, acc.Addr)
+			if !c.ctrl.has(f.id) && !c.nonRed.has(f.id) {
+				c.nonRed.add(f.id)
 			}
 		}
 	}
@@ -322,7 +392,7 @@ func (a *Analyzer) onRead(addr uint64, c *cell, rec *accessRec) {
 	loop := rec.frames[ci].id
 	redPair := w.red != ir.RedNone && w.red == rec.red
 	a.recordEdge(RAW, w, rec, loop, true, redPair, carriedDistance(w.frames, rec.frames, ci))
-	if a.isCtrl(loop, addr) {
+	if c.ctrl.has(loop) {
 		return
 	}
 	if redPair {
@@ -347,7 +417,7 @@ func (a *Analyzer) onWrite(addr uint64, c *cell, rec *accessRec) {
 			loop := rec.frames[ci].id
 			redPair := w.red != ir.RedNone && w.red == rec.red
 			a.recordEdge(WAW, w, rec, loop, true, redPair, carriedDistance(w.frames, rec.frames, ci))
-			if !a.isCtrl(loop, addr) && !redPair && rec.array {
+			if !c.ctrl.has(loop) && !redPair && rec.array {
 				// Carried output dependences on array elements change the
 				// final memory image under parallel execution; scalars are
 				// privatizable.
@@ -365,7 +435,7 @@ func (a *Analyzer) onWrite(addr uint64, c *cell, rec *accessRec) {
 		loop := rec.frames[ci].id
 		redPair := r.red != ir.RedNone && r.red == rec.red
 		a.recordEdge(WAR, r, rec, loop, true, redPair, carriedDistance(r.frames, rec.frames, ci))
-		if a.isCtrl(loop, addr) || redPair {
+		if c.ctrl.has(loop) || redPair {
 			continue
 		}
 		if r.exposedAt(ci) {
@@ -429,7 +499,7 @@ func (a *Analyzer) Finalize(prog *ir.Program) *Result {
 		poisoned := 0
 		for addr := range a.lcRawRed[id] {
 			v.Detail.HasRed = true
-			if a.nonRedTouch[id][addr] {
+			if a.lookup(addr).nonRed.has(id) {
 				poisoned++
 			} else {
 				v.HasReduction = true

@@ -2,6 +2,8 @@ package deps_test
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"mvpar/internal/deps"
@@ -500,5 +502,85 @@ func TestRepeatedWriteAllocsZero(t *testing.T) {
 	an.Access(acc)
 	if a := testing.AllocsPerRun(100, func() { an.Access(acc) }); a != 0 {
 		t.Fatalf("repeated write allocates %v times per access", a)
+	}
+}
+
+// A loop whose control variable is a local of a recursive function gets a
+// fresh control address in every call, each marked at that instance's
+// LoopEnter; accesses to it must be excluded from the loop's blocking
+// evidence in every instance, including instances nested in an outer
+// instance of the same loop. Statement IDs: 3 is the init i = 0, 4 the
+// condition i < 2, 7 the post i = i + 1 (lowered as a sum reduction).
+// Parameters are bound untraced, so d contributes no edge.
+func TestRecursiveLocalControlVariable(t *testing.T) {
+	res, prog := analyze(t, `
+void f(int d) {
+  int i;
+  for (i = 0; i < 2; i = i + 1) {
+    if (d < 1) { f(d + 1); }
+  }
+}
+void main() { f(0); }
+`)
+	loop := prog.LoopIDs()[0]
+	if loop != 1 || prog.Loops[loop].CtrlVar != "i" {
+		t.Fatalf("loop %d with control %q, want loop 1 controlled by i", loop, prog.Loops[loop].CtrlVar)
+	}
+	// f(0)'s loop runs two iterations and calls f(1) in each: three
+	// instances of two iterations, each over its own i.
+	if res.Instances[loop] != 3 || res.Iterations[loop] != 6 {
+		t.Fatalf("instances %d, iterations %d, want 3 and 6", res.Instances[loop], res.Iterations[loop])
+	}
+	want := []deps.Edge{
+		{Kind: deps.RAW, SrcStmt: 3, DstStmt: 4},                                         // init -> first test
+		{Kind: deps.RAW, SrcStmt: 3, DstStmt: 7},                                         // init -> first increment
+		{Kind: deps.WAW, SrcStmt: 3, DstStmt: 7},                                         // init, then increment
+		{Kind: deps.WAR, SrcStmt: 4, DstStmt: 7},                                         // test, then same-iteration increment
+		{Kind: deps.RAW, SrcStmt: 7, DstStmt: 4, Carried: true, Carrier: 1, Distance: 1}, // increment -> next test
+		{Kind: deps.RAW, SrcStmt: 7, DstStmt: 7, Carried: true, Carrier: 1, Reduction: true, Distance: 1},
+		{Kind: deps.WAR, SrcStmt: 7, DstStmt: 7}, // read, then write of one increment
+		{Kind: deps.WAW, SrcStmt: 7, DstStmt: 7, Carried: true, Carrier: 1, Reduction: true, Distance: 1},
+	}
+	if !reflect.DeepEqual(res.Edges, want) {
+		t.Fatalf("edges:\n got %+v\nwant %+v", res.Edges, want)
+	}
+	// Without the control exclusion, the carried RAW into the test would
+	// block the loop, and the test's non-reduction read would poison the
+	// increment's reduction.
+	v := res.Verdicts[loop]
+	if !v.Parallelizable || v.HasReduction || v.Detail != (deps.Detail{}) || len(v.Reasons) != 0 {
+		t.Fatalf("verdict %+v, want parallelizable with no evidence", v)
+	}
+}
+
+// The shadow table is sized to what was touched: an array of 2^24 cells
+// with two touched elements costs the analyzer two index pages, one
+// page pointer per 1,024 addresses and two cells. The events are the
+// ones the interpreter emits for big[0] = 1.0; big[N-1] = big[0]; they
+// are fed directly because the interpreter itself would hold 8 bytes per
+// declared cell (128 MiB) and hide the analyzer's share.
+func TestLargeSparseArrayShadowBytes(t *testing.T) {
+	const n = 1 << 24
+	prog := ir.MustLower(minic.MustParse("t", fmt.Sprintf(`
+float big[%d];
+void main() { big[0] = 1.0; big[%d] = big[0]; }
+`, n, n-1)))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	an := deps.NewAnalyzer()
+	an.Access(&interp.Access{Addr: 0, Write: true, Array: true, StmtID: 1})
+	an.Access(&interp.Access{Addr: 0, Array: true, StmtID: 2})
+	an.Access(&interp.Access{Addr: n - 1, Write: true, Array: true, StmtID: 2})
+	res := an.Finalize(prog)
+	runtime.ReadMemStats(&ms)
+	// Two pages of 4 KiB plus 16,384 page pointers is ~136 KiB. A flat
+	// 4-byte index per address would be 64 MiB, a cell per address GiBs.
+	const bound = 512 << 10
+	if got := ms.TotalAlloc - before; got > bound {
+		t.Fatalf("analyzer allocated %d bytes for 2 touched cells of %d, want <= %d", got, n, bound)
+	}
+	if len(res.Edges) != 1 || res.Edges[0].Kind != deps.RAW {
+		t.Fatalf("edges %+v, want the one RAW from big[0]'s write to its read", res.Edges)
 	}
 }

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -58,5 +59,45 @@ func TestDGCNNAllocFreeAcrossGraphSizes(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, step); n != 0 {
 		t.Fatalf("mixed-size forward+backward allocates %v per run in steady state, want 0", n)
+	}
+}
+
+// TestPenultForwardSkipsPaddingBitIdentical checks PenultForward, whose
+// readout convolutions compute the padded SortPooling windows once,
+// against the same network run through the full convolutions, bit for
+// bit, for graphs of 1 to k+2 nodes (all padded, some, none, truncated)
+// and with the readout kernels salted with NaN, ±Inf and -0.
+func TestPenultForwardSkipsPaddingBitIdentical(t *testing.T) {
+	full := func(d *DGCNN, g *EncodedGraph) *tensor.Matrix {
+		pooled, _ := d.pool.forward(d.forwardConvs(g))
+		c1 := d.conv1.Forward(d.flat1.Forward(pooled))
+		c2 := d.conv2.Forward(d.pool1.Forward(c1))
+		return d.act.Forward(d.dense.Forward(d.flat2.Forward(c2))).Clone()
+	}
+	negZero := math.Copysign(0, -1)
+	salts := map[string]func(w []float64){
+		"plain": func([]float64) {},
+		"special": func(w []float64) {
+			w[3], w[len(w)/2], w[len(w)-1] = math.NaN(), math.Inf(1), negZero
+			w[len(w)/3] = math.Inf(-1)
+		},
+	}
+	for name, salt := range salts {
+		rng := rand.New(rand.NewSource(7))
+		cfg := DefaultConfig(4)
+		d := NewDGCNN(cfg, rng)
+		salt(d.conv1.W.Value.Data)
+		salt(d.conv2.W.Value.Data)
+		d.conv1.B.Value.Data[0] = negZero
+		for n := 1; n <= cfg.SortK+2; n++ {
+			g := Encode(lineGraph(n), tensor.Randn(n, 4, 1, rng))
+			want := full(d, g)
+			got := d.PenultForward(g)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%s, %d nodes: element %d = %v, want %v", name, n, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
 	}
 }

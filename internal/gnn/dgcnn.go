@@ -117,6 +117,10 @@ func (l *graphConv) backward(dz *tensor.Matrix) *tensor.Matrix {
 // descending and keeps the top k rows, zero-padding small graphs, so the
 // downstream 1-D convolution sees a fixed-size input. Sort keys, index
 // buffers and the permutation are reused across calls.
+//
+// forward also returns how many rows it filled, min(N, k): every row
+// from there on is padding, which lets the readout skip the windows that
+// read only zeros.
 type sortPool struct {
 	k       int
 	scratch *tensor.Arena
@@ -127,7 +131,7 @@ type sortPool struct {
 	nIn, cols int
 }
 
-func (s *sortPool) forward(z *tensor.Matrix) *tensor.Matrix {
+func (s *sortPool) forward(z *tensor.Matrix) (*tensor.Matrix, int) {
 	s.nIn = z.Rows
 	s.cols = z.Cols
 	s.keys = growFloats(s.keys, z.Rows)
@@ -148,7 +152,7 @@ func (s *sortPool) forward(z *tensor.Matrix) *tensor.Matrix {
 			s.perm[i] = -1
 		}
 	}
-	return out
+	return out, min(z.Rows, s.k)
 }
 
 func (s *sortPool) backward(grad *tensor.Matrix) *tensor.Matrix {
@@ -335,13 +339,18 @@ func (d *DGCNN) backwardConvs(g *tensor.Matrix) {
 // valid until the next forward).
 func (d *DGCNN) PenultForward(g *EncodedGraph) *tensor.Matrix {
 	cat := d.forwardConvs(g)
-	pooled := d.pool.forward(cat)               // k x C
-	row := d.flat1.Forward(pooled)              // 1 x k*C
-	c1 := d.conv1.Forward(row)                  // F1 x k
-	p1 := d.pool1.Forward(c1)                   // F1 x k/2
-	c2 := d.conv2.Forward(p1)                   // F2 x L2
-	flat := d.flat2.Forward(c2)                 // 1 x F2*L2
-	return d.act.Forward(d.dense.Forward(flat)) // 1 x DenseDim
+	pooled, filled := d.pool.forward(cat) // k x C, rows from filled on zero
+	row := d.flat1.Forward(pooled)        // 1 x k*C
+	// Windows that read only padding produce identical outputs, so each
+	// readout convolution computes the first of them and copies it.
+	// LiveFrom carries "identical from this column on" through the
+	// strides: conv1's stride is C, so its live window is filled.
+	live1 := d.conv1.LiveFrom(filled * d.totalCh)
+	c1 := d.conv1.ForwardLive(row, live1)                  // F1 x k
+	p1 := d.pool1.Forward(c1)                              // F1 x k/2
+	c2 := d.conv2.ForwardLive(p1, d.pool1.LiveFrom(live1)) // F2 x L2
+	flat := d.flat2.Forward(c2)                            // 1 x F2*L2
+	return d.act.Forward(d.dense.Forward(flat))            // 1 x DenseDim
 }
 
 // Forward returns classification logits for the graph.

@@ -90,9 +90,9 @@ func TestSortPoolOrderingAndPadding(t *testing.T) {
 		{2, 0.9},
 		{3, 0.5},
 	})
-	out := sp.forward(z)
-	if out.Rows != 4 || out.Cols != 2 {
-		t.Fatalf("shape %dx%d", out.Rows, out.Cols)
+	out, filled := sp.forward(z)
+	if out.Rows != 4 || out.Cols != 2 || filled != 3 {
+		t.Fatalf("shape %dx%d, %d rows filled", out.Rows, out.Cols, filled)
 	}
 	// Sorted by last channel descending: rows 1 (0.9), 2 (0.5), 0 (0.2).
 	if out.At(0, 0) != 2 || out.At(1, 0) != 3 || out.At(2, 0) != 1 {
@@ -114,8 +114,8 @@ func TestSortPoolOrderingAndPadding(t *testing.T) {
 func TestSortPoolTruncatesLargeGraphs(t *testing.T) {
 	sp := &sortPool{k: 2}
 	z := tensor.FromRows([][]float64{{0, 1}, {0, 3}, {0, 2}})
-	out := sp.forward(z)
-	if out.Rows != 2 || out.At(0, 1) != 3 || out.At(1, 1) != 2 {
+	out, filled := sp.forward(z)
+	if out.Rows != 2 || filled != 2 || out.At(0, 1) != 3 || out.At(1, 1) != 2 {
 		t.Fatalf("truncation wrong: %v", out)
 	}
 }

@@ -23,7 +23,28 @@ import (
 // Canonicalize maps an instruction to its vocabulary token: the opcode,
 // the value type, and the operand shape, with register numbers and
 // variable identities abstracted away (inst2vec's identifier removal).
+// Tokens of known ops come from a table built once, so it does not
+// allocate.
 func Canonicalize(in ir.Instr) string {
+	if int(in.Op) < len(tokens) {
+		return tokens[in.Op][b2i(in.Idx >= 0)][b2i(in.Float)]
+	}
+	return canonical(in)
+}
+
+// tokens[op][elem][float] is canonical's token for every known op.
+var tokens = func() (t [ir.OpLoopEnd + 1][2][2]string) {
+	for op := range t {
+		for elem := range t[op] {
+			for float := range t[op][elem] {
+				t[op][elem][float] = canonical(ir.Instr{Op: ir.Op(op), Idx: elem - 1, Float: float == 1})
+			}
+		}
+	}
+	return t
+}()
+
+func canonical(in ir.Instr) string {
 	ty := "i64"
 	if in.Float {
 		ty = "double"
@@ -58,6 +79,13 @@ func Canonicalize(in ir.Instr) string {
 	default:
 		return in.Op.String() + " " + ty
 	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Vocab maps tokens to dense indices.

@@ -11,7 +11,9 @@ import (
 // Conv1D is a one-dimensional convolution over a channels x length input,
 // producing outChannels x outLength. In the DGCNN, the first Conv1D has
 // kernel size and stride equal to the per-node channel count, so each
-// output position summarizes one of the k sort-pooled nodes.
+// output position summarizes one of the k sort-pooled nodes. Windows that
+// read only SortPooling's zero padding all produce the same outputs;
+// ForwardLiveInto computes those once.
 type Conv1D struct {
 	InChannels  int
 	OutChannels int
@@ -66,6 +68,24 @@ func (c *Conv1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 // call itself allocates nothing. The layer still records x for a
 // subsequent Backward.
 func (c *Conv1D) ForwardInto(x, out *tensor.Matrix) {
+	c.ForwardLiveInto(x, out, out.Cols)
+}
+
+// ForwardLive is Forward for an input whose windows from live on all
+// read identical values; see ForwardLiveInto.
+func (c *Conv1D) ForwardLive(x *tensor.Matrix, live int) *tensor.Matrix {
+	out := c.Scratch.Get(c.OutChannels, c.OutLen(x.Cols))
+	c.ForwardLiveInto(x, out, live)
+	return out
+}
+
+// ForwardLiveInto is ForwardInto for an input whose windows from index
+// live on all read identical values, such as windows lying wholly in
+// SortPooling's zero padding. It computes windows 0..live with the same
+// kernel and copies window live's outputs into the later columns.
+// Identical inputs give identical sums, so out is bit-identical to
+// ForwardInto's for any weights. LiveFrom gives live for a stacked layer.
+func (c *Conv1D) ForwardLiveInto(x, out *tensor.Matrix, live int) {
 	if x.Rows != c.InChannels {
 		panic(fmt.Sprintf("nn: Conv1D expects %d input channels, got %d", c.InChannels, x.Rows))
 	}
@@ -74,6 +94,10 @@ func (c *Conv1D) ForwardInto(x, out *tensor.Matrix) {
 		panic(fmt.Sprintf("nn: Conv1D ForwardInto dst %dx%d, want %dx%d", out.Rows, out.Cols, c.OutChannels, outLen))
 	}
 	c.lastX = x
+	n := outLen // windows computed; the rest copy window n-1
+	if live < n {
+		n = max(live, 0) + 1
+	}
 	// Four filters at a time: each loaded input value feeds four
 	// independent accumulators, so the adds do not all wait on one
 	// dependent chain. Every output sums in the scalar loop's order
@@ -88,7 +112,7 @@ func (c *Conv1D) ForwardInto(x, out *tensor.Matrix) {
 		w2 := wd[(f+2)*wCols : (f+3)*wCols]
 		w3 := wd[(f+3)*wCols : (f+4)*wCols]
 		o0, o1, o2, o3 := out.Row(f), out.Row(f+1), out.Row(f+2), out.Row(f+3)
-		for t := 0; t < outLen; t++ {
+		for t := 0; t < n; t++ {
 			start := t * c.Stride
 			s0, s1, s2, s3 := bias[f], bias[f+1], bias[f+2], bias[f+3]
 			for ch := 0; ch < c.InChannels; ch++ {
@@ -110,7 +134,7 @@ func (c *Conv1D) ForwardInto(x, out *tensor.Matrix) {
 	}
 	for ; f < c.OutChannels; f++ {
 		w := c.W.Value.Row(f)
-		for t := 0; t < outLen; t++ {
+		for t := 0; t < n; t++ {
 			start := t * c.Stride
 			sum := bias[f]
 			for ch := 0; ch < c.InChannels; ch++ {
@@ -123,7 +147,19 @@ func (c *Conv1D) ForwardInto(x, out *tensor.Matrix) {
 			out.Set(f, t, sum)
 		}
 	}
+	for f := 0; n > 0 && n < outLen && f < c.OutChannels; f++ {
+		o := out.Row(f)
+		for t := n; t < outLen; t++ {
+			o[t] = o[n-1]
+		}
+	}
 }
+
+// LiveFrom maps col, the first input column from which every later
+// column holds the same values, to the first output window from which
+// every later window reads only such columns (t*Stride >= col): the live
+// argument of ForwardLiveInto, and the next layer's col.
+func (c *Conv1D) LiveFrom(col int) int { return ceilDiv(col, c.Stride) }
 
 // Backward accumulates kernel/bias gradients and returns the input gradient.
 //
@@ -224,6 +260,12 @@ func (p *MaxPool1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	}
 	return out
 }
+
+// LiveFrom is Conv1D.LiveFrom for the pooling windows: from the returned
+// window on, every output column holds the same values.
+func (p *MaxPool1D) LiveFrom(col int) int { return ceilDiv(col, p.Stride) }
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // Backward scatters gradients back to the argmax positions.
 func (p *MaxPool1D) Backward(grad *tensor.Matrix) *tensor.Matrix {

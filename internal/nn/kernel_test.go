@@ -162,3 +162,67 @@ func TestDenseRowMatchesMatMul(t *testing.T) {
 		}
 	}
 }
+
+// TestConv1DForwardLiveMatchesFull checks ForwardLiveInto against the
+// full ForwardInto bit for bit on inputs whose windows from live on read
+// identical columns (a per-channel constant, zero as in SortPooling's
+// padding or not): live = 0, 1, outLen-1, outLen and past outLen, with
+// kernels salted with ±0, NaN and ±Inf and biases of ±0.
+func TestConv1DForwardLiveMatchesFull(t *testing.T) {
+	shapes := []struct{ in, out, kernel, stride, length int }{
+		{1, 16, 49, 49, 16 * 49}, // DGCNN conv1
+		{16, 32, 5, 1, 8},        // DGCNN conv2
+		{3, 7, 3, 2, 11},
+		{2, 5, 1, 1, 6},
+	}
+	negZero := math.Copysign(0, -1)
+	for _, sh := range shapes {
+		rng := rand.New(rand.NewSource(int64(sh.out*100 + sh.kernel)))
+		c := NewConv1D("c", sh.in, sh.out, sh.kernel, sh.stride, rng)
+		outLen := c.OutLen(sh.length)
+		for _, live := range []int{0, 1, outLen - 1, outLen, outLen + 3} {
+			for name, fill := range specialCases() {
+				for _, pad := range []float64{0, -1.5} {
+					t.Run(fmt.Sprintf("%dx%dk%ds%d/live%d/%s/pad%v", sh.in, sh.out, sh.kernel, sh.stride, live, name, pad), func(t *testing.T) {
+						c.W.Value = salted(tensor.Randn(sh.out, sh.in*sh.kernel, 1, rng), fill)
+						for f := range c.B.Value.Data {
+							c.B.Value.Data[f] = [2]float64{0, negZero}[f%2]
+						}
+						x := tensor.Randn(sh.in, sh.length, 1, rng)
+						for ch := 0; ch < sh.in; ch++ {
+							for col := live * sh.stride; col < sh.length; col++ {
+								x.Set(ch, col, pad*float64(ch+1))
+							}
+						}
+						want := tensor.New(sh.out, outLen)
+						c.ForwardInto(x, want)
+						got := tensor.New(sh.out, outLen)
+						for i := range got.Data {
+							got.Data[i] = math.NaN() // every element must be written
+						}
+						c.ForwardLiveInto(x, got, live)
+						assertSameBits(t, got, want)
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestLiveFrom pins the window arithmetic the DGCNN readout relies on:
+// the first window starting at or past the first identical column.
+func TestLiveFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	conv1 := NewConv1D("c1", 1, 4, 49, 49, rng)
+	pool := NewMaxPool1D(2, 2)
+	conv2 := NewConv1D("c2", 4, 4, 5, 1, rng)
+	for filled := 0; filled <= 17; filled++ {
+		live1 := conv1.LiveFrom(filled * 49)
+		if live1 != filled {
+			t.Fatalf("conv1 live %d for %d filled rows", live1, filled)
+		}
+		if got, want := conv2.LiveFrom(pool.LiveFrom(live1)), (filled+1)/2; got != want {
+			t.Fatalf("conv2 live %d for %d filled rows, want %d", got, filled, want)
+		}
+	}
+}
