@@ -12,14 +12,14 @@ FUZZTIME ?= 30s
 
 # `make bench` output: machine-readable benchmark log (one JSON test
 # event per line, the `go test -json` format) and how long each
-# benchmark runs. BENCH_9.json is the checked-in snapshot for this
+# benchmark runs. BENCH_10.json is the checked-in snapshot for this
 # change; override BENCHJSON to benchmark without clobbering it.
-BENCHJSON ?= BENCH_9.json
+BENCHJSON ?= BENCH_10.json
 BENCHTIME ?= 1x
 
 # `make benchcmp` inputs: two bench logs to diff (ns/op and allocs/op).
-BENCHOLD ?= BENCH_8.json
-BENCHNEW ?= BENCH_9.json
+BENCHOLD ?= BENCH_9.json
+BENCHNEW ?= BENCH_10.json
 
 # `make benchgate` settings: which benchmarks the regression gate covers
 # (the allocation-sensitive hot paths), how many iterations to average
@@ -34,7 +34,7 @@ BENCHNEW ?= BENCH_9.json
 GATEBENCH ?= TrainStepAllocs|SpMM|ClassifyTracingDisabled|MatMulBlocked|ForwardF32|ForwardI8|WalkSample|ProfileCorpus
 GATETIME ?= 5x
 GATETIMEPCT ?= -25
-BENCHBASE ?= BENCH_9.json
+BENCHBASE ?= BENCH_10.json
 BENCHPR ?= BENCH_PR.json
 
 all: verify

@@ -669,6 +669,29 @@ func BenchmarkRobustnessKFold(b *testing.B) {
 // holds it to zero growth, catching any change that makes the disabled
 // path allocate. Serial encode (Parallelism 1) keeps the count exact.
 func BenchmarkClassifyTracingDisabled(b *testing.B) {
+	const src = `
+float x[8]; float y[8];
+void main() { for (int i = 0; i < 8; i++) { y[i] = x[i] * 3.0; } }
+`
+	benchClassify(b, "bench", src)
+}
+
+// BenchmarkClassifyNPB is one uncached classify of NPB MG (74 loops) on
+// the serial serving path: parse, profile, and per variant the CU set,
+// PEG and every loop's sub-PEG, features, walks and encoding, then the
+// forwards. The encode stage makes most of its allocations. It stays out
+// of the benchgate: its allocs/op move by a few between runs of one
+// binary (15,703-15,706 over five runs at 5x), because garbage
+// collection empties the standard library's sync.Pool caches; with
+// GOGC=off every run reads the same count.
+func BenchmarkClassifyNPB(b *testing.B) {
+	app := bench.Corpus()[6]
+	benchClassify(b, app.Name, app.Source)
+}
+
+// benchClassify trains a small serial pipeline, then times
+// ClassifyContext on src.
+func benchClassify(b *testing.B, name, src string) {
 	b.ReportAllocs()
 	all := bench.Corpus()
 	opts := core.Options{
@@ -691,17 +714,13 @@ func BenchmarkClassifyTracingDisabled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const src = `
-float x[8]; float y[8];
-void main() { for (int i = 0; i < 8; i++) { y[i] = x[i] * 3.0; } }
-`
 	ctx := context.Background()
-	if _, err := cls.ClassifyContext(ctx, "bench", src); err != nil {
+	if _, err := cls.ClassifyContext(ctx, name, src); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cls.ClassifyContext(ctx, "bench", src); err != nil {
+		if _, err := cls.ClassifyContext(ctx, name, src); err != nil {
 			b.Fatal(err)
 		}
 	}

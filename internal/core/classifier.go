@@ -27,9 +27,9 @@ import (
 // Unlike Pipeline, a Classifier is safe for concurrent use: every
 // prediction borrows a worker-private replica of the handle's tier engine
 // (shared weights, private scratch — see gnn.Predictor.Replicate) from an
-// internal free list, so the inference server can fan a batch of requests
-// out across workers and still produce results bit-identical to serial
-// Pipeline.ClassifySource.
+// internal free list, so the inference server's handlers can classify
+// concurrently, each on its own worker slot, and still produce results
+// bit-identical to serial Pipeline.ClassifySource.
 type Classifier struct {
 	cfg   dataset.Config // frozen single-program encode config
 	model *gnn.MVGNN     // the float64 weights the handle was built from
@@ -275,7 +275,8 @@ func (c *Classifier) classifyWith(ctx context.Context, cfg dataset.Config, name,
 	// Request tracing: when ctx carries a trace (the serving path started
 	// one), the per-loop stages below append spans to it; on an untraced
 	// context every trace call is free — no allocations, no branches past
-	// one context lookup — so the bit-identical batch path is unchanged.
+	// one context lookup — so the untraced, bit-identical path is
+	// unchanged.
 	ctx, cspan := trace.StartSpan(ctx, "classify")
 	if cspan != nil {
 		cspan.SetAttr("program", name)

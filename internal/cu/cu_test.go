@@ -1,8 +1,12 @@
 package cu_test
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
+	"mvpar/internal/bench"
 	"mvpar/internal/cu"
 	"mvpar/internal/ir"
 	"mvpar/internal/minic"
@@ -185,4 +189,87 @@ func contains(xs []string, x string) bool {
 		}
 	}
 	return false
+}
+
+// TestRegionIndexMatchesOracle checks Build's region index against the
+// per-loop computation it replaced, for every loop of every corpus
+// program at every IR variant, plus programs whose loops call helpers,
+// recurse and nest calls inside nested loops.
+func TestRegionIndexMatchesOracle(t *testing.T) {
+	progs := map[string]*ir.Program{}
+	for _, app := range bench.Corpus() {
+		base := ir.MustLower(minic.MustParse(app.Name, app.Source))
+		for v := 0; v < ir.NumVariants; v++ {
+			progs[fmt.Sprintf("%s/v%d", app.Name, v)] = ir.Variant(base, v)
+		}
+	}
+	progs["helper"] = ir.MustLower(minic.MustParse("helper", src))
+	progs["recursion"] = ir.MustLower(minic.MustParse("recursion", `
+float a[16];
+int fib(int k) {
+    for (int j = 0; j < 2; j++) { a[j] = a[j] + 1.0; }
+    if (k < 2) { return k; }
+    return fib(k - 1) + fib(k - 2);
+}
+int even(int k) { if (k == 0) { return 1; } return odd(k - 1); }
+int odd(int k) { if (k == 0) { return 0; } return even(k - 1); }
+void main() {
+    int r = 0;
+    for (int i = 0; i < 4; i++) {
+        for (int j = 0; j < 4; j++) {
+            r = r + fib(j) + even(i);
+        }
+        a[i] = r;
+    }
+    for (int i = 0; i < 4; i++) { r = r + odd(i); }
+}
+`))
+	for name, prog := range progs {
+		set := cu.Build(prog)
+		ids := prog.LoopIDs()
+		if !reflect.DeepEqual(set.LoopIDs(), ids) {
+			t.Fatalf("%s: LoopIDs %v, want %v", name, set.LoopIDs(), ids)
+		}
+		for _, id := range ids {
+			want := set.OracleRegionStmts(id)
+			if got := set.LoopRegionStmts(id); !slices.Equal(got, want) {
+				t.Fatalf("%s loop %d: region %v, want %v", name, id, got, want)
+			}
+			overlap, inner := set.OracleRegionLoops(ids, id)
+			if got := set.RegionLoops(id); !slices.Equal(got, overlap) {
+				t.Fatalf("%s loop %d: region loops %v, want %v", name, id, got, overlap)
+			}
+			if got := set.InnerLoops(id); got != inner {
+				t.Fatalf("%s loop %d: inner loops %d, want %d", name, id, got, inner)
+			}
+		}
+		for i, c := range set.CUs {
+			if set.Index(c.StmtID) != i {
+				t.Fatalf("%s: Index(%d) = %d, want %d", name, c.StmtID, set.Index(c.StmtID), i)
+			}
+			if cap(c.Instrs) != len(c.Instrs) {
+				t.Fatalf("%s: CU %d Instrs cap %d > len %d: an append would write into the next CU",
+					name, c.StmtID, cap(c.Instrs), len(c.Instrs))
+			}
+		}
+	}
+	if set := cu.Build(progs["helper"]); set.LoopRegionStmts(999) != nil || set.RegionLoops(999) != nil ||
+		set.InnerLoops(999) != 0 || set.Index(-1) != -1 || set.Index(1<<20) != -1 {
+		t.Fatal("unknown loop or statement not reported empty")
+	}
+}
+
+func TestLoopIDsSorted(t *testing.T) {
+	for _, app := range bench.Corpus() {
+		prog := ir.MustLower(minic.MustParse(app.Name, app.Source))
+		ids := prog.LoopIDs()
+		if len(ids) != len(prog.Loops) || !slices.IsSorted(ids) {
+			t.Fatalf("%s: LoopIDs %v not the %d loop IDs ascending", app.Name, ids, len(prog.Loops))
+		}
+		for i := 1; i < len(ids); i++ {
+			if ids[i] == ids[i-1] {
+				t.Fatalf("%s: LoopIDs repeats %d", app.Name, ids[i])
+			}
+		}
+	}
 }

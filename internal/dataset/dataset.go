@@ -395,9 +395,11 @@ func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
 	cus := cu.Build(variant)
 	pg := peg.Build(variant, cus, res)
 	// One generator for the whole job, reseeded per loop: the same stream
-	// as a fresh rand.New(rand.NewSource(seed)) without its allocation.
-	rng := rand.New(rand.NewSource(0))
-	for _, loopID := range variant.LoopIDs() {
+	// as a fresh rand.New(rand.NewSource(seed)) without its allocation,
+	// and with rngSource's cheaper seeding.
+	rng := rand.New(&rngSource{})
+	var merge mergeScratch
+	for _, loopID := range cus.LoopIDs() {
 		verdict := res.Verdicts[loopID]
 		label := 0
 		if verdict.Parallelizable {
@@ -436,7 +438,7 @@ func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
 		// Both views share one encoded topology: the merged graph's CSR
 		// adjacency is built once and the structural view only swaps in
 		// its own feature matrix.
-		g := modelGraph(sub)
+		g := modelGraph(sub, &merge)
 		node := gnn.Encode(g, nodeFeatures(sub, emb, stat))
 		rng.Seed(sampleSeed(cfg.Seed, meta))
 		sx, svErr := structFeatures(sub, g, space, cfg.WalkParams, rng)
@@ -664,24 +666,45 @@ func structFeatures(sub *peg.SubPEG, g *graph.Directed, space *walks.Space, p wa
 // modelGraph returns the graph the models see: the sub-PEG with carried
 // dependence kinds merged into their base kinds. The carried/independent
 // distinction is the oracle's analysis artifact; the paper's PEG edges are
-// plain RAW/WAR/WAW, so exposing the flag would leak the label.
-func modelGraph(sub *peg.SubPEG) *graph.Directed {
-	g := graph.New(sub.G.NumNodes())
-	for _, e := range sub.G.Edges() {
-		kind := e.Kind
-		switch kind {
-		case peg.EdgeRAWCarried:
-			kind = peg.EdgeRAW
-		case peg.EdgeWARCarried:
-			kind = peg.EdgeWAR
-		case peg.EdgeWAWCarried:
-			kind = peg.EdgeWAW
+// plain RAW/WAR/WAW, so exposing the flag would leak the label. Each
+// node keeps the first of its out-edges per (target, merged kind), in
+// the sub-PEG's order. m is scratch reused across one job's loops.
+func modelGraph(sub *peg.SubPEG, m *mergeScratch) *graph.Directed {
+	n := sub.G.NumNodes()
+	if cap(m.kinds) < n {
+		m.kinds = make([]uint8, n)
+	}
+	kinds := m.kinds[:n] // all zero between calls
+	m.edges = m.edges[:0]
+	for v := 0; v < n; v++ {
+		out := sub.G.Out(v)
+		for _, e := range out {
+			kind := e.Kind
+			switch kind {
+			case peg.EdgeRAWCarried:
+				kind = peg.EdgeRAW
+			case peg.EdgeWARCarried:
+				kind = peg.EdgeWAR
+			case peg.EdgeWAWCarried:
+				kind = peg.EdgeWAW
+			}
+			if bit := uint8(1) << kind; kinds[e.To]&bit == 0 {
+				kinds[e.To] |= bit
+				m.edges = append(m.edges, graph.Edge{From: v, To: e.To, Kind: kind})
+			}
 		}
-		if !g.HasEdgeKind(e.From, e.To, kind) {
-			g.AddEdge(e.From, e.To, kind)
+		for _, e := range out {
+			kinds[e.To] = 0
 		}
 	}
-	return g
+	return graph.FromEdges(n, m.edges)
+}
+
+// mergeScratch is modelGraph's scratch: the merged edge list and, per
+// target node, the merged kinds already taken from the current source.
+type mergeScratch struct {
+	edges []graph.Edge
+	kinds []uint8
 }
 
 // logScale is ln(1+v), keeping counter features inside activation ranges.

@@ -84,11 +84,63 @@ type Detail struct {
 
 // Result is the outcome of analyzing one execution.
 type Result struct {
-	Edges    []Edge
+	Edges    []Edge // sorted by source, destination, kind and carrier
 	Verdicts map[int]Verdict
 	// Iterations and Instances mirror the interpreter's loop statistics.
 	Iterations map[int]int64
 	Instances  map[int]int64
+
+	// The edges by statement, built once by Finalize so that concurrent
+	// readers only read: the edges leaving statement s are
+	// Edges[srcOff[s]:srcOff[s+1]], the positions of those entering it
+	// dstIdx[dstOff[s]:dstOff[s+1]].
+	srcOff, dstOff, dstIdx []int32
+}
+
+// EdgesFrom returns the edges whose source is statement s, in Edges
+// order. The slice is shared and read-only.
+func (r *Result) EdgesFrom(s int) []Edge {
+	if s < 0 || s+1 >= len(r.srcOff) {
+		return nil
+	}
+	return r.Edges[r.srcOff[s]:r.srcOff[s+1]]
+}
+
+// EdgesInto returns the positions in Edges of the edges whose destination
+// is statement s, ascending. The slice is shared and read-only.
+func (r *Result) EdgesInto(s int) []int32 {
+	if s < 0 || s+1 >= len(r.dstOff) {
+		return nil
+	}
+	return r.dstIdx[r.dstOff[s]:r.dstOff[s+1]]
+}
+
+// indexEdges builds the by-statement index of the sorted Edges.
+func (r *Result) indexEdges() {
+	maxStmt := -1
+	for i := range r.Edges {
+		maxStmt = max(maxStmt, r.Edges[i].SrcStmt, r.Edges[i].DstStmt)
+	}
+	// One slab: srcOff, dstOff, dstIdx, then the fill cursors.
+	n := maxStmt + 2
+	slab := make([]int32, 3*n+len(r.Edges))
+	r.srcOff, r.dstOff = slab[:n:n], slab[n:2*n:2*n]
+	r.dstIdx = slab[2*n : 2*n+len(r.Edges) : 2*n+len(r.Edges)]
+	fill := slab[2*n+len(r.Edges):]
+	for i := range r.Edges {
+		r.srcOff[r.Edges[i].SrcStmt+1]++
+		r.dstOff[r.Edges[i].DstStmt+1]++
+	}
+	for s := 1; s < n; s++ {
+		r.srcOff[s] += r.srcOff[s-1]
+		r.dstOff[s] += r.dstOff[s-1]
+	}
+	copy(fill, r.dstOff)
+	for i := range r.Edges {
+		d := r.Edges[i].DstStmt
+		r.dstIdx[fill[d]] = int32(i)
+		fill[d]++
+	}
 }
 
 // accessRec is a snapshot of one dynamic access kept in shadow memory.
@@ -453,6 +505,7 @@ func (a *Analyzer) onWrite(addr uint64, c *cell, rec *accessRec) {
 // requireExecution is true; otherwise they default to parallelizable).
 func (a *Analyzer) Finalize(prog *ir.Program) *Result {
 	res := &Result{
+		Edges:      make([]Edge, 0, len(a.edges)),
 		Verdicts:   map[int]Verdict{},
 		Iterations: a.iterations,
 		Instances:  a.instances,
@@ -473,6 +526,7 @@ func (a *Analyzer) Finalize(prog *ir.Program) *Result {
 		}
 		return ei.Carrier < ej.Carrier
 	})
+	res.indexEdges()
 
 	for _, id := range prog.LoopIDs() {
 		v := Verdict{LoopID: id, Parallelizable: true}

@@ -10,6 +10,7 @@ package features
 
 import (
 	"math"
+	"slices"
 
 	"mvpar/internal/cu"
 	"mvpar/internal/deps"
@@ -45,54 +46,43 @@ var Names = []string{"N_Inst", "exec_times", "CFL", "ESP", "incoming_dep", "inte
 
 // Extract computes the dynamic feature set for loopID.
 func Extract(prog *ir.Program, cus *cu.Set, res *deps.Result, loopID int) Dynamic {
-	return extract(cus, res, loopID, newRegion(cus, loopID))
+	return extract(cus, res, loopID, cus.LoopRegionStmts(loopID))
 }
 
-// region is a loop's statement region (cu.Set.LoopRegionStmts, sorted)
-// with a dense membership table indexed by statement ID.
-type region struct {
-	stmts []int
-	in    []bool
-}
-
-func newRegion(cus *cu.Set, loopID int) region {
-	stmts := cus.LoopRegionStmts(loopID)
-	r := region{stmts: stmts}
-	if n := len(stmts); n > 0 {
-		// Statement IDs are positive (0 marks "no statement").
-		r.in = make([]bool, stmts[n-1]+1)
-		for _, s := range stmts {
-			r.in[s] = true
-		}
+// find returns the position of statement s in the ascending region
+// stmts, or -1 if s is not in the region.
+func find(stmts []int, s int) int {
+	if i, ok := slices.BinarySearch(stmts, s); ok {
+		return i
 	}
-	return r
+	return -1
 }
 
-// has reports whether statement s lies in the region; IDs past the
-// table's end never do.
-func (r region) has(s int) bool {
-	return uint(s) < uint(len(r.in)) && r.in[s]
-}
-
-func extract(cus *cu.Set, res *deps.Result, loopID int, r region) Dynamic {
+// extract computes loopID's Table-I features from its region stmts
+// (cu.Set.LoopRegionStmts). It visits only the dependence edges that
+// touch the region, through the result's by-statement edge index.
+func extract(cus *cu.Set, res *deps.Result, loopID int, stmts []int) Dynamic {
 	nInst := 0
-	for _, s := range r.stmts {
+	for _, s := range stmts {
 		if c := cus.ByStmt[s]; c != nil {
 			nInst += c.NumInstrs()
 		}
 	}
 
 	var incoming, internal, outgoing int
-	for i := range res.Edges {
-		e := &res.Edges[i]
-		srcIn, dstIn := r.has(e.SrcStmt), r.has(e.DstStmt)
-		switch {
-		case srcIn && dstIn:
-			internal++
-		case dstIn:
-			incoming++
-		case srcIn:
-			outgoing++
+	for _, s := range stmts {
+		out := res.EdgesFrom(s)
+		for i := range out {
+			if find(stmts, out[i].DstStmt) >= 0 {
+				internal++
+			} else {
+				outgoing++
+			}
+		}
+		for _, i := range res.EdgesInto(s) {
+			if find(stmts, res.Edges[i].SrcStmt) < 0 {
+				incoming++
+			}
 		}
 	}
 
@@ -100,7 +90,7 @@ func extract(cus *cu.Set, res *deps.Result, loopID int, r region) Dynamic {
 	if iters < 1 {
 		iters = 1
 	}
-	cfl := criticalPath(cus, res, r, iters)
+	cfl := criticalPath(cus, res, stmts, iters)
 	// Amdahl heuristic over the dynamic dependency graph: total work is
 	// the body cost across all iterations; the critical path stretches
 	// with the iteration count wherever statements form dependence cycles
@@ -130,44 +120,68 @@ func extract(cus *cu.Set, res *deps.Result, loopID int, r region) Dynamic {
 // dependence cycles — a recurrence's self-edge, or a multi-statement
 // cycle — execute serially across iterations, so their weight is
 // multiplied by the iteration count; acyclic statements count once.
-func criticalPath(cus *cu.Set, res *deps.Result, r region, iters float64) float64 {
-	if len(r.stmts) == 0 {
+// Every array it builds is sized by the region.
+func criticalPath(cus *cu.Set, res *deps.Result, stmts []int, iters float64) float64 {
+	n := len(stmts)
+	if n == 0 {
 		return 0
 	}
-	// idx maps a region statement ID to its position in r.stmts.
-	idx := make([]int, len(r.in))
-	for i, s := range r.stmts {
-		idx[s] = i
+	bound := 0 // region out-edges, a bound on the RAW edges kept
+	for _, s := range stmts {
+		bound += len(res.EdgesFrom(s))
 	}
-	g := graph.New(len(r.stmts))
-	selfEdge := make([]bool, len(r.stmts))
-	for i := range res.Edges {
-		e := &res.Edges[i]
-		if e.Kind != deps.RAW || !r.has(e.SrcStmt) || !r.has(e.DstStmt) {
-			continue
+	ints := make([]int, 3*n+2+bound)
+	flags := make([]bool, 2*n)
+	floats := make([]float64, 2*n)
+
+	// The RAW edges between distinct region statements in CSR form over
+	// region positions, each statement's successors in Edges order.
+	off, succ := ints[:n+1:n+1], ints[n+1:n+1:n+1+bound]
+	selfEdge := flags[:n:n]
+	for i, s := range stmts {
+		out := res.EdgesFrom(s)
+		for k := range out {
+			if out[k].Kind != deps.RAW {
+				continue
+			}
+			j := find(stmts, out[k].DstStmt)
+			switch {
+			case j < 0:
+			case j == i:
+				selfEdge[i] = true
+			default:
+				succ = append(succ, j)
+			}
 		}
-		if e.SrcStmt == e.DstStmt {
-			selfEdge[idx[e.SrcStmt]] = true
-			continue
-		}
-		g.AddEdge(idx[e.SrcStmt], idx[e.DstStmt], 0)
+		off[i+1] = len(succ)
 	}
-	comp, ncomp := g.SCC()
-	compSize := make([]int, ncomp)
-	compCyclic := make([]bool, ncomp)
-	for i := range r.stmts {
-		compSize[comp[i]]++
-		if selfEdge[i] {
+	comp, ncomp := graph.SCC(off, succ)
+
+	// Group the statements by component: component c's members are
+	// members[start[c]:start[c+1]].
+	start, members := ints[n+1+bound:2*n+2+bound], ints[2*n+2+bound:]
+	for i := range stmts {
+		start[comp[i]+1]++
+	}
+	for c := 0; c < ncomp; c++ {
+		start[c+1] += start[c]
+	}
+	for i := range stmts {
+		members[start[comp[i]]] = i
+		start[comp[i]]++
+	}
+	copy(start[1:], start[:ncomp])
+	start[0] = 0
+	// A component is cyclic when it has several statements or a
+	// self-edge.
+	compCyclic := flags[n:]
+	for i := range stmts {
+		if selfEdge[i] || start[comp[i]+1]-start[comp[i]] > 1 {
 			compCyclic[comp[i]] = true
 		}
 	}
-	for c := range compCyclic {
-		if compSize[c] > 1 {
-			compCyclic[c] = true
-		}
-	}
-	weight := make([]float64, ncomp)
-	for i, s := range r.stmts {
+	weight, dist := floats[:n], floats[n:]
+	for i, s := range stmts {
 		if c := cus.ByStmt[s]; c != nil {
 			w := float64(c.NumInstrs())
 			if compCyclic[comp[i]] {
@@ -176,46 +190,30 @@ func criticalPath(cus *cu.Set, res *deps.Result, r region, iters float64) float6
 			weight[comp[i]] += w
 		}
 	}
-	// Condensation edges.
-	cond := graph.New(ncomp)
-	seen := map[[2]int]bool{}
-	for _, e := range g.Edges() {
-		a, b := comp[e.From], comp[e.To]
-		if a == b || seen[[2]int{a, b}] {
-			continue
-		}
-		seen[[2]int{a, b}] = true
-		cond.AddEdge(a, b, 0)
-	}
-	order, ok := cond.TopoSort()
-	if !ok {
-		// Cannot happen: a condensation is acyclic by construction.
-		return weightSum(weight)
-	}
-	dist := make([]float64, ncomp)
+	// Longest path over the condensation. SCC numbers components in
+	// reverse topological order, so descending component numbers are a
+	// topological order; relaxing every cross-component edge in it is
+	// the condensation's longest path (a repeated edge relaxes to the
+	// same value).
 	best := 0.0
-	for _, v := range order {
-		if dist[v] == 0 {
-			dist[v] = weight[v]
+	for c := ncomp - 1; c >= 0; c-- {
+		if dist[c] == 0 {
+			dist[c] = weight[c]
 		}
-		if dist[v] > best {
-			best = dist[v]
+		if dist[c] > best {
+			best = dist[c]
 		}
-		for _, e := range cond.Out(v) {
-			if cand := dist[v] + weight[e.To]; cand > dist[e.To] {
-				dist[e.To] = cand
+		for _, i := range members[start[c]:start[c+1]] {
+			for _, j := range succ[off[i]:off[i+1]] {
+				if to := comp[j]; to != c {
+					if cand := dist[c] + weight[to]; cand > dist[to] {
+						dist[to] = cand
+					}
+				}
 			}
 		}
 	}
 	return best
-}
-
-func weightSum(w []float64) float64 {
-	s := 0.0
-	for _, v := range w {
-		s += v
-	}
-	return s
 }
 
 // Static is the hand-crafted per-loop feature vector for the classic ML
@@ -243,31 +241,13 @@ func (s Static) Vector() []float64 {
 
 // ExtractStatic computes the full hand-crafted vector for loopID.
 func ExtractStatic(prog *ir.Program, cus *cu.Set, res *deps.Result, loopID int) Static {
-	r := newRegion(cus, loopID)
-	st := Static{Dynamic: extract(cus, res, loopID, r)}
+	stmts := cus.LoopRegionStmts(loopID)
+	st := Static{Dynamic: extract(cus, res, loopID, stmts)}
 	st.Depth = float64(prog.Loops[loopID].Depth)
-	for other := range prog.Loops {
-		if other == loopID {
-			continue
-		}
-		// A loop is inner to this region only when its entire static body
-		// lies inside the region (mere overlap would also match ancestors).
-		stmts := cus.LoopStmts[other]
-		if len(stmts) == 0 {
-			continue
-		}
-		all := true
-		for _, s := range stmts {
-			if !r.has(s) {
-				all = false
-				break
-			}
-		}
-		if all {
-			st.NumInnerLoops++
-		}
-	}
-	for _, s := range r.stmts {
+	// A loop is inner to this region only when its entire static body lies
+	// inside the region (mere overlap would also match ancestors).
+	st.NumInnerLoops = float64(cus.InnerLoops(loopID))
+	for _, s := range stmts {
 		c := cus.ByStmt[s]
 		if c == nil {
 			continue

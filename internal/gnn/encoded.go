@@ -7,6 +7,7 @@ package gnn
 
 import (
 	"fmt"
+	"slices"
 
 	"mvpar/internal/graph"
 	"mvpar/internal/tensor"
@@ -60,31 +61,35 @@ func Encode(g *graph.Directed, x *tensor.Matrix) *EncodedGraph {
 	if x.Rows != n {
 		panic(fmt.Sprintf("gnn: Encode features rows %d != nodes %d", x.Rows, n))
 	}
-	neighbors := make([]map[int]bool, n)
-	for v := 0; v < n; v++ {
-		neighbors[v] = map[int]bool{v: true} // self loop
-	}
-	for _, e := range g.Edges() {
-		neighbors[e.From][e.To] = true
-		neighbors[e.To][e.From] = true
-	}
+	// Row v's columns are v's distinct undirected neighbours plus v
+	// itself (the self loop), ascending.
+	u := g.Undirected()
 	rowPtr := make([]int, n+1)
 	for v := 0; v < n; v++ {
-		rowPtr[v+1] = rowPtr[v] + len(neighbors[v])
+		nb := u.Neighbors(v)
+		deg := len(nb)
+		if _, self := slices.BinarySearch(nb, v); !self {
+			deg++
+		}
+		rowPtr[v+1] = rowPtr[v] + deg
 	}
 	nnz := rowPtr[n]
 	colIdx := make([]int, 0, nnz)
-	val := make([]float64, 0, nnz)
+	val := make([]float64, nnz)
 	for v := 0; v < n; v++ {
-		w := 1.0 / float64(len(neighbors[v]))
+		w := 1.0 / float64(rowPtr[v+1]-rowPtr[v])
+		for i := rowPtr[v]; i < rowPtr[v+1]; i++ {
+			val[i] = w
+		}
 		// Ascending column order for reproducibility (and the SpMM
 		// bit-identity contract).
-		for u := 0; u < n; u++ {
-			if neighbors[v][u] {
-				colIdx = append(colIdx, u)
-				val = append(val, w)
-			}
+		nb := u.Neighbors(v)
+		i, self := slices.BinarySearch(nb, v)
+		colIdx = append(colIdx, nb[:i]...)
+		if !self {
+			colIdx = append(colIdx, v)
 		}
+		colIdx = append(colIdx, nb[i:]...)
 	}
 	a := tensor.NewCSR(n, n, rowPtr, colIdx, val)
 	return &EncodedGraph{N: n, X: x, a: a, at: a.Transposed()}

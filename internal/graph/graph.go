@@ -174,28 +174,76 @@ func (g *Directed) Edges() []Edge {
 	return res
 }
 
-// Subgraph returns the induced subgraph over the given nodes together with
-// the mapping from new IDs to original IDs. Edges with either endpoint
-// outside the node set are dropped.
-func (g *Directed) Subgraph(nodes []int) (*Directed, []int) {
-	oldToNew := make(map[int]int, len(nodes))
-	newToOld := make([]int, 0, len(nodes))
-	for _, v := range nodes {
-		if _, dup := oldToNew[v]; dup {
-			continue
+// FromEdges returns a graph of n nodes holding the given edges: the
+// graph New(n) and one AddEdge per edge, in order, would build, with
+// each node's out- and in-edges in the same order, but laid out in one
+// backing array instead of growing per node. It panics on an endpoint
+// out of range, as AddEdge does.
+func FromEdges(n int, edges []Edge) *Directed {
+	heads := make([][]Edge, 2*n)
+	g := &Directed{out: heads[:n:n], in: heads[n:], edges: len(edges)}
+	back := make([]Edge, 2*len(edges))
+	// Count each node's out- and in-edges in the length of its head,
+	// then turn the heads into empty windows of back sized by the counts.
+	for _, e := range edges {
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			panic(fmt.Sprintf("graph: FromEdges edge %d -> %d on graph with %d nodes", e.From, e.To, n))
 		}
-		oldToNew[v] = len(newToOld)
-		newToOld = append(newToOld, v)
+		g.out[e.From] = back[:len(g.out[e.From])+1]
+		g.in[e.To] = back[:len(g.in[e.To])+1]
 	}
-	sub := New(len(newToOld))
+	at := 0
+	for v, h := range heads {
+		if c := len(h); c > 0 {
+			heads[v] = back[at : at : at+c]
+			at += c
+		}
+	}
+	for _, e := range edges {
+		g.out[e.From] = append(g.out[e.From], e)
+		g.in[e.To] = append(g.in[e.To], e)
+	}
+	return g
+}
+
+// Subgraph returns the induced subgraph over the given nodes together with
+// the mapping from new IDs to original IDs. New IDs follow the first
+// occurrence of each node in nodes; edges with either endpoint outside
+// the node set are dropped, and each kept node's out- and in-edges stay
+// in the graph's order. The cost is in the subgraph's size and the kept
+// nodes' out-degrees, not in the whole graph's.
+func (g *Directed) Subgraph(nodes []int) (*Directed, []int) {
+	// keys holds the distinct nodes ascending, newID[i] the new ID of
+	// keys[i], so an old ID maps to its new one by binary search.
+	buf := make([]int, 3*len(nodes))
+	keys := append(buf[:0:len(nodes)], nodes...)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	newID := buf[len(nodes) : len(nodes)+len(keys)]
+	for i := range newID {
+		newID[i] = -1
+	}
+	newToOld := buf[2*len(nodes) : 2*len(nodes) : 2*len(nodes)+len(keys)]
+	for _, v := range nodes {
+		i, _ := slices.BinarySearch(keys, v)
+		if newID[i] < 0 {
+			newID[i] = len(newToOld)
+			newToOld = append(newToOld, v)
+		}
+	}
+	outDeg := 0
 	for _, v := range newToOld {
+		outDeg += len(g.out[v])
+	}
+	edges := make([]Edge, 0, outDeg)
+	for from, v := range newToOld {
 		for _, e := range g.out[v] {
-			if to, ok := oldToNew[e.To]; ok {
-				sub.AddEdge(oldToNew[v], to, e.Kind)
+			if i, ok := slices.BinarySearch(keys, e.To); ok {
+				edges = append(edges, Edge{From: from, To: newID[i], Kind: e.Kind})
 			}
 		}
 	}
-	return sub, newToOld
+	return FromEdges(len(newToOld), edges), newToOld
 }
 
 // BFS runs a breadth-first traversal from start following out-edges and
@@ -276,27 +324,41 @@ func (g *Directed) LongestPath() (length int, ok bool) {
 // returns, for each node, its component index; components are numbered in
 // reverse topological order of the condensation.
 func (g *Directed) SCC() (comp []int, ncomp int) {
-	n := g.NumNodes()
-	comp = make([]int, n)
+	off := make([]int, len(g.out)+1)
+	succ := make([]int, 0, g.edges)
+	for v, es := range g.out {
+		for _, e := range es {
+			succ = append(succ, e.To)
+		}
+		off[v+1] = len(succ)
+	}
+	return SCC(off, succ)
+}
+
+// SCC is Directed.SCC over a graph given in CSR form: the successors of
+// node v are succ[off[v]:off[v+1]], visited in that order, so a CSR built
+// from a Directed's out-edges numbers the components exactly as the
+// Directed does.
+func SCC(off, succ []int) (comp []int, ncomp int) {
+	n := len(off) - 1
+	buf := make([]int, 4*n)
+	comp, index, low := buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n]
 	for i := range comp {
 		comp[i] = -1
-	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
 		index[i] = -1
 	}
-	var stack []int
+	onStack := make([]bool, n)
+	stack := buf[3*n : 3*n : 4*n]
 	counter := 0
 
-	// Iterative Tarjan: frames carry (node, next out-edge position).
+	// Iterative Tarjan: frames carry (node, next successor position).
 	type frame struct{ v, ei int }
+	frames := make([]frame, 0, n)
 	for root := 0; root < n; root++ {
 		if index[root] != -1 {
 			continue
 		}
-		frames := []frame{{root, 0}}
+		frames = append(frames[:0], frame{root, off[root]})
 		index[root] = counter
 		low[root] = counter
 		counter++
@@ -304,8 +366,8 @@ func (g *Directed) SCC() (comp []int, ncomp int) {
 		onStack[root] = true
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.ei < len(g.out[f.v]) {
-				w := g.out[f.v][f.ei].To
+			if f.ei < off[f.v+1] {
+				w := succ[f.ei]
 				f.ei++
 				if index[w] == -1 {
 					index[w] = counter
@@ -313,7 +375,7 @@ func (g *Directed) SCC() (comp []int, ncomp int) {
 					counter++
 					stack = append(stack, w)
 					onStack[w] = true
-					frames = append(frames, frame{w, 0})
+					frames = append(frames, frame{w, off[w]})
 				} else if onStack[w] && index[w] < low[f.v] {
 					low[f.v] = index[w]
 				}

@@ -14,6 +14,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"mvpar/internal/minic"
 )
@@ -188,10 +189,6 @@ func (p *Program) LoopIDs() []int {
 	for id := range p.Loops {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	return ids
 }

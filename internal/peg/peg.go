@@ -124,34 +124,38 @@ type PEG struct {
 func Build(prog *ir.Program, cus *cu.Set, result *deps.Result) *PEG {
 	defer obs.Start("peg.build").End()
 	p := &PEG{
-		G:      graph.New(0),
 		ByStmt: map[int]int{},
 		ByLoop: map[int]int{},
 		ByFunc: map[string]int{},
 		CUs:    cus,
 		Prog:   prog,
 	}
+	// Nodes: functions, then loops ascending, then CUs in CU order.
+	loopIDs := cus.LoopIDs()
+	nodes := make([]Node, 0, len(prog.Funcs)+len(loopIDs)+len(cus.CUs))
 	for _, fn := range prog.Funcs {
-		id := p.G.AddNode()
-		p.Nodes = append(p.Nodes, &Node{Kind: NodeFunc, Func: fn.Name})
-		p.ByFunc[fn.Name] = id
+		p.ByFunc[fn.Name] = len(nodes)
+		nodes = append(nodes, Node{Kind: NodeFunc, Func: fn.Name})
 	}
-	for _, loopID := range prog.LoopIDs() {
+	for _, loopID := range loopIDs {
 		meta := prog.Loops[loopID]
-		id := p.G.AddNode()
-		p.Nodes = append(p.Nodes, &Node{Kind: NodeLoop, LoopID: loopID, Func: meta.Func, Line: meta.Line})
-		p.ByLoop[loopID] = id
+		p.ByLoop[loopID] = len(nodes)
+		nodes = append(nodes, Node{Kind: NodeLoop, LoopID: loopID, Func: meta.Func, Line: meta.Line})
 	}
+	cuBase := len(nodes)
 	for _, c := range cus.CUs {
-		id := p.G.AddNode()
-		p.Nodes = append(p.Nodes, &Node{Kind: NodeCU, CU: c, Func: c.Func, Line: c.Line})
-		p.ByStmt[c.StmtID] = id
+		p.ByStmt[c.StmtID] = len(nodes)
+		nodes = append(nodes, Node{Kind: NodeCU, CU: c, Func: c.Func, Line: c.Line})
+	}
+	p.Nodes = make([]*Node, len(nodes))
+	for i := range nodes {
+		p.Nodes[i] = &nodes[i]
 	}
 
 	// Hierarchy: function -> top-level loops and CUs; loop -> direct
 	// children (nested loops and CUs).
 	loopParent := map[int]int{} // loop -> parent loop (0 = function level)
-	for _, loopID := range prog.LoopIDs() {
+	for _, loopID := range loopIDs {
 		loopParent[loopID] = 0
 	}
 	for _, fn := range prog.Funcs {
@@ -168,36 +172,50 @@ func Build(prog *ir.Program, cus *cu.Set, result *deps.Result) *PEG {
 			}
 		}
 	}
-	for _, loopID := range prog.LoopIDs() {
+	edges := make([]graph.Edge, 0, len(loopIDs)+len(cus.CUs)+len(result.Edges))
+	for _, loopID := range loopIDs {
 		meta := prog.Loops[loopID]
+		from := p.ByFunc[meta.Func]
 		if parent := loopParent[loopID]; parent != 0 {
-			p.G.AddEdge(p.ByLoop[parent], p.ByLoop[loopID], EdgeHierarchy)
-		} else {
-			p.G.AddEdge(p.ByFunc[meta.Func], p.ByLoop[loopID], EdgeHierarchy)
+			from = p.ByLoop[parent]
 		}
+		edges = append(edges, graph.Edge{From: from, To: p.ByLoop[loopID], Kind: EdgeHierarchy})
 	}
-	for _, c := range cus.CUs {
-		child := p.ByStmt[c.StmtID]
+	for i, c := range cus.CUs {
+		from := p.ByFunc[c.Func]
 		if c.LoopID != 0 {
-			p.G.AddEdge(p.ByLoop[c.LoopID], child, EdgeHierarchy)
-		} else {
-			p.G.AddEdge(p.ByFunc[c.Func], child, EdgeHierarchy)
+			from = p.ByLoop[c.LoopID]
 		}
+		edges = append(edges, graph.Edge{From: from, To: cuBase + i, Kind: EdgeHierarchy})
 	}
 
 	// Dependence edges between CU nodes (self-dependences kept: a carried
-	// self-edge is exactly what a recurrence looks like structurally).
-	for _, e := range result.Edges {
-		src, okS := p.ByStmt[e.SrcStmt]
-		dst, okD := p.ByStmt[e.DstStmt]
-		if !okS || !okD {
-			continue
+	// self-edge is exactly what a recurrence looks like structurally), in
+	// result.Edges order, each (source, target, kind) once. The edges are
+	// sorted by source statement, so each CU's run is complete before the
+	// next starts; taken[j] marks the kinds already taken into CU j from
+	// the current source.
+	taken := make([]uint8, len(cus.CUs))
+	for i, c := range cus.CUs {
+		out := result.EdgesFrom(c.StmtID)
+		for k := range out {
+			j := cus.Index(out[k].DstStmt)
+			if j < 0 {
+				continue
+			}
+			kind := DepEdgeKind(out[k])
+			if bit := uint8(1) << kind; taken[j]&bit == 0 {
+				taken[j] |= bit
+				edges = append(edges, graph.Edge{From: cuBase + i, To: cuBase + j, Kind: kind})
+			}
 		}
-		kind := DepEdgeKind(e)
-		if !p.G.HasEdgeKind(src, dst, kind) {
-			p.G.AddEdge(src, dst, kind)
+		for k := range out {
+			if j := cus.Index(out[k].DstStmt); j >= 0 {
+				taken[j] = 0
+			}
 		}
 	}
+	p.G = graph.FromEdges(len(nodes), edges)
 	obs.GetCounter("mvpar_peg_builds_total").Inc()
 	obs.GetCounter("mvpar_peg_nodes_total").Add(int64(p.G.NumNodes()))
 	obs.GetCounter("mvpar_peg_edges_total").Add(int64(p.G.NumEdges()))
@@ -214,49 +232,38 @@ type SubPEG struct {
 }
 
 // Extract returns the sub-PEG of one loop: the loop node, the CUs of the
-// loop's dynamic extent (including called functions), and nested loop
-// nodes, with all induced edges.
+// loop's dynamic extent (including called functions), and the nodes of
+// the loops whose static bodies overlap that extent, with all induced
+// edges. It reads the CU set's region index, so its cost grows with the
+// sub-PEG, not with the program.
 func (p *PEG) Extract(loopID int) *SubPEG {
 	stmts := p.CUs.LoopRegionStmts(loopID)
-	var ids []int
+	loops := p.CUs.RegionLoops(loopID)
+	ids := make([]int, 0, 1+len(loops)+len(stmts))
 	ids = append(ids, p.ByLoop[loopID])
-	// Nested loops inside the region.
-	inRegion := map[int]bool{}
-	for _, s := range stmts {
-		inRegion[s] = true
+	for _, other := range loops {
+		ids = append(ids, p.ByLoop[other])
 	}
-	for _, other := range p.Prog.LoopIDs() {
-		if other == loopID {
-			continue
-		}
-		for _, s := range p.CUs.LoopStmts[other] {
-			if inRegion[s] {
-				ids = append(ids, p.ByLoop[other])
-				break
-			}
-		}
-	}
+	// CU nodes follow the function and loop nodes in CU order.
+	cuBase := len(p.Nodes) - len(p.CUs.CUs)
 	for _, s := range stmts {
-		if id, ok := p.ByStmt[s]; ok {
-			ids = append(ids, id)
+		if i := p.CUs.Index(s); i >= 0 {
+			ids = append(ids, cuBase+i)
 		}
 	}
 	sub, newToOld := p.G.Subgraph(ids)
 	nodes := make([]*Node, len(newToOld))
-	root := 0
 	for i, old := range newToOld {
 		nodes[i] = p.Nodes[old]
-		if nodes[i].Kind == NodeLoop && nodes[i].LoopID == loopID {
-			root = i
-		}
 	}
-	return &SubPEG{LoopID: loopID, G: sub, Nodes: nodes, Root: root}
+	// The loop node comes first in ids, so it is node 0.
+	return &SubPEG{LoopID: loopID, G: sub, Nodes: nodes, Root: 0}
 }
 
 // ExtractAll returns sub-PEGs for every loop, in loop-ID order.
 func (p *PEG) ExtractAll() []*SubPEG {
 	var out []*SubPEG
-	for _, id := range p.Prog.LoopIDs() {
+	for _, id := range p.CUs.LoopIDs() {
 		out = append(out, p.Extract(id))
 	}
 	return out
