@@ -1,6 +1,7 @@
 # Build/verify entry points. `make test` is the tier-1 verify path:
 # vet + build + full test suite, plus the concurrent packages under the
-# race detector: obs (logger/registry/span state) and the worker-pool
+# race detector: obs (logger, registry, and the span histograms the
+# trace subpackage feeds) and the worker-pool
 # paths introduced by the parallel engine (pool, tensor's pooled MatMul,
 # gnn's data-parallel trainer, dataset's parallel Build).
 GO ?= go
@@ -12,14 +13,14 @@ FUZZTIME ?= 30s
 
 # `make bench` output: machine-readable benchmark log (one JSON test
 # event per line, the `go test -json` format) and how long each
-# benchmark runs. BENCH_10.json is the checked-in snapshot for this
+# benchmark runs. BENCH_11.json is the checked-in snapshot for this
 # change; override BENCHJSON to benchmark without clobbering it.
-BENCHJSON ?= BENCH_10.json
+BENCHJSON ?= BENCH_11.json
 BENCHTIME ?= 1x
 
 # `make benchcmp` inputs: two bench logs to diff (ns/op and allocs/op).
-BENCHOLD ?= BENCH_9.json
-BENCHNEW ?= BENCH_10.json
+BENCHOLD ?= BENCH_10.json
+BENCHNEW ?= BENCH_11.json
 
 # `make benchgate` settings: which benchmarks the regression gate covers
 # (the allocation-sensitive hot paths), how many iterations to average
@@ -34,7 +35,7 @@ BENCHNEW ?= BENCH_10.json
 GATEBENCH ?= TrainStepAllocs|SpMM|ClassifyTracingDisabled|MatMulBlocked|ForwardF32|ForwardI8|WalkSample|ProfileCorpus
 GATETIME ?= 5x
 GATETIMEPCT ?= -25
-BENCHBASE ?= BENCH_10.json
+BENCHBASE ?= BENCH_11.json
 BENCHPR ?= BENCH_PR.json
 
 all: verify

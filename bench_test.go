@@ -498,7 +498,7 @@ func benchForwardTiers(b *testing.B, samples []gnn.Sample, tiers ...gnn.Predicto
 		}
 	}
 	for i, p := range tiers {
-		b.Run([]string{core.PrecisionFloat64, core.PrecisionFloat32, core.PrecisionInt8}[i], func(b *testing.B) {
+		b.Run([]string{"float64", "float32", "int8"}[i], func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p.Predict(ctx, samples[i%len(samples)], gnn.ViewTrained)

@@ -40,7 +40,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "global seed")
 	jobs := flag.Int("jobs", 0, "worker count for dataset build, training and evaluation (0 = NumCPU, 1 = serial)")
 	logLevel := flag.String("log-level", "", "structured log level: debug|info|warn|error (default silent; also $MVPAR_LOG)")
-	metricsOut := flag.String("metrics-out", "", "write the metrics registry dump to this file on exit")
+	metricsOut := flag.String("metrics-out", "", "write the metrics registry to this file on exit (Prometheus text format)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (e.g. 10m; 0 = no limit)")
 	flag.Parse()
@@ -166,12 +166,6 @@ func main() {
 		}
 		fmt.Println(")")
 	}
-	// The per-stage timing table is opt-in (log level info or below), so
-	// the default output stays byte-identical to the uninstrumented run.
-	if obs.Enabled(obs.LevelInfo) {
-		fmt.Println("\nPer-stage wall time:")
-		obs.WriteTimingTable(os.Stdout)
-	}
 	if *metricsOut != "" {
 		if err := dumpMetrics(*metricsOut); err != nil {
 			fail(err)
@@ -181,13 +175,14 @@ func main() {
 	fmt.Printf("total elapsed: %s\n", time.Since(start).Round(time.Second))
 }
 
-// dumpMetrics writes the process-wide metrics registry to path.
+// dumpMetrics writes the process-wide metrics registry to path in the
+// Prometheus text exposition format.
 func dumpMetrics(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.Dump(f); err != nil {
+	if err := obs.WritePrometheus(f); err != nil {
 		f.Close()
 		return err
 	}

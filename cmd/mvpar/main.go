@@ -57,7 +57,7 @@ import (
 
 func main() {
 	logLevel := flag.String("log-level", "", "structured log level: debug|info|warn|error (default silent; also $MVPAR_LOG)")
-	metricsOut := flag.String("metrics-out", "", "write the metrics registry dump to this file on exit")
+	metricsOut := flag.String("metrics-out", "", "write the metrics registry to this file on exit (Prometheus text format)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	timeout := flag.Duration("timeout", 0, "abort the command after this duration (e.g. 30s; 0 = no limit)")
 	jobs := flag.Int("jobs", 0, "worker count for dataset build, training and evaluation (0 = NumCPU, 1 = serial)")
@@ -157,13 +157,14 @@ func main() {
 	}
 }
 
-// dumpMetrics writes the process-wide metrics registry to path.
+// dumpMetrics writes the process-wide metrics registry to path in the
+// Prometheus text exposition format.
 func dumpMetrics(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.Dump(f); err != nil {
+	if err := obs.WritePrometheus(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -175,7 +176,7 @@ func usage() {
 
 global flags (before the command):
   -log-level LEVEL   structured logging: debug|info|warn|error (default silent; also $MVPAR_LOG)
-  -metrics-out FILE  dump the metrics registry to FILE on exit
+  -metrics-out FILE  write the metrics registry to FILE on exit (Prometheus text)
   -pprof ADDR        serve net/http/pprof on ADDR (e.g. localhost:6060)
   -timeout DUR       abort the command after DUR (e.g. 30s; 0 = no limit)
   -jobs N            worker count for dataset build, training and evaluation
@@ -188,7 +189,7 @@ commands:
   tools    <file.mc>           per-loop decisions of Pluto/AutoPar/DiscoPoP emulators
   train    [-model FILE]       train the MV-GNN on the built-in corpus
   classify [-quick] <file.mc>  train, then classify the file's loops
-  serve    [-model FILE] [-addr :8080] [-precision float64|float32|int8]
+  serve    [-model FILE] [-addr :8080] [-precision float64|int8]
                                long-lived HTTP inference service with bounded
                                admission, degraded-mode fallback and atomic
                                model hot swap (POST /v1/classify, POST
@@ -196,8 +197,8 @@ commands:
                                /healthz, /readyz, /metrics, /debug/traces;
                                -trace-slow, -pprof, -cpuprofile/-memprofile
                                for telemetry); -models serves extra named
-                               models; -precision float32 serves the
-                               quantized fast path, int8 the integer tier;
+                               models; -precision int8 serves the integer
+                               tier;
                                see mvpar serve -h, docs/serving.md,
                                docs/performance.md and docs/observability.md
   loadgen  [-url http://127.0.0.1:8080] [-mode closed|open] [-concurrency 8]
@@ -211,13 +212,12 @@ commands:
                                compare a loadgen report against the checked-in
                                baseline; non-zero exit on RPS or p99
                                regression beyond -max-rps-drop/-max-p99-rise
-  parity   [-model FILE] [-precision float32|int8] [-tol 0] [-max-flips 0]
-                               accuracy-parity gate of the quantized tiers:
-                               predict every corpus loop under float64 and the
-                               selected tier, fail on label flips beyond
-                               -max-flips or per-suite accuracy drift beyond
-                               -tol (float32 holds both at 0; int8 is
-                               licensed at a documented non-zero budget)
+  parity   [-model FILE] [-tol 0.005] [-max-flips 12]
+                               accuracy-parity gate of the int8 tier:
+                               predict every corpus loop under float64 and
+                               int8, fail on label flips beyond -max-flips
+                               or per-suite accuracy drift beyond -tol (the
+                               defaults are int8's documented budget)
   corpus   [-dump DIR]         print (or dump) the generated benchmark corpus
   speedup  <file.mc> [threads] simulate parallel execution of every loop
   dataset  [-out FILE]         build the corpus dataset and export it as JSON
@@ -436,7 +436,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	modelPath := fs.String("model", "", "load model parameters from this file (written by `mvpar train -model`\nwith the same -quick setting) instead of training at startup")
 	quick := fs.Bool("quick", true, "use the fast training/encoding configuration")
-	precision := fs.String("precision", "float64", "inference engine: float64 (bit-identical reference), float32\n(quantized fast path, parity-gated by `mvpar parity`) or int8\n(integer tier, parity-gated at a documented non-zero budget by\n`mvpar parity -precision int8`)")
+	precision := fs.String("precision", "float64", "inference engine: float64 (bit-identical reference) or int8\n(integer tier, parity-gated at a documented non-zero budget by\n`mvpar parity`)")
 	maxQueue := fs.Int("max-queue", 64, "how many requests may wait for a worker slot; requests past it are shed with 429")
 	workers := fs.Int("workers", 0, "worker slots: classifications that run at once (0 = the --jobs / NumCPU default)")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request classification deadline")
@@ -722,34 +722,24 @@ func cmdLoadgate(args []string) error {
 	return nil
 }
 
-// cmdParity is the accuracy-parity gate of the quantized tiers: it trains
-// (or loads) a model, predicts every corpus loop under both the float64
-// reference and the tier selected by -precision (float32 or int8), and
-// fails unless per-suite accuracies match within -tol and label flips
-// stay within -max-flips. The defaults (both 0) state float32's license:
-// indistinguishable in Table-3 terms on the seed corpus. int8 is licensed
-// at a documented non-zero budget instead — CI runs it with -tol 0.005
-// (see docs/performance.md for the budget's rationale).
+// cmdParity is the accuracy-parity gate of the int8 tier: it trains (or
+// loads) a model, predicts every corpus loop under both the float64
+// reference and int8, and fails unless per-suite accuracies match within
+// -tol and label flips stay within -max-flips. The defaults are int8's
+// documented budget (see docs/performance.md for its rationale).
 func cmdParity(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("parity", flag.ExitOnError)
 	modelPath := fs.String("model", "", "load model parameters from this file (written by `mvpar train -model`\nwith the same -quick setting) instead of training at startup")
 	quick := fs.Bool("quick", true, "use the fast training/encoding configuration")
-	tol := fs.Float64("tol", 0, "allowed per-suite accuracy drift (0 = accuracies must match exactly)")
-	maxFlips := fs.Int("max-flips", 0, "allowed per-loop label flips (0 = none)")
-	precision := fs.String("precision", "float32", "fast tier to gate against the float64 reference: float32 or int8")
+	tol := fs.Float64("tol", 0.005, "allowed per-suite accuracy drift (0 = accuracies must match exactly)")
+	maxFlips := fs.Int("max-flips", 12, "allowed per-loop label flips (0 = none)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("parity: unexpected arguments %v", fs.Args())
 	}
-	prec, err := core.ParsePrecision(*precision)
-	if err != nil {
-		return err
-	}
-	if prec == core.PrecisionFloat64 {
-		return fmt.Errorf("parity: -precision %s is the reference tier; gate float32 or int8 against it", prec)
-	}
+	const prec = core.PrecisionInt8
 	pl := core.NewPipeline(trainOptions(*quick))
 	if *modelPath != "" {
 		fmt.Fprintln(os.Stderr, "parity: building encoder state...")

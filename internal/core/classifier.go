@@ -35,11 +35,9 @@ type Classifier struct {
 	model *gnn.MVGNN     // the float64 weights the handle was built from
 
 	// precision names the tier: PrecisionFloat64 (the bit-identity
-	// reference), PrecisionFloat32 (the quantized fast path, parity-gated
-	// by `mvpar parity` rather than bit-identical) or PrecisionInt8 (the
-	// integer tier, licensed at a documented non-zero drift budget by
-	// `mvpar parity -precision int8`). proto is that tier's engine;
-	// predictions run on its replicas.
+	// reference) or PrecisionInt8 (the integer tier, licensed at a
+	// documented non-zero drift budget by `mvpar parity`). proto is that
+	// tier's engine; predictions run on its replicas.
 	precision string
 	proto     gnn.Predictor
 
@@ -52,23 +50,19 @@ const (
 	// PrecisionFloat64 is the default: the float64 forward pass that is
 	// bit-identical to training and to serial Pipeline.ClassifySource.
 	PrecisionFloat64 = "float64"
-	// PrecisionFloat32 is the quantized fast path: float32 cache-blocked
-	// kernels with fused activations. Labels and probabilities track the
-	// float64 reference within the accuracy-parity gate's tolerance.
-	PrecisionFloat32 = "float32"
 	// PrecisionInt8 is the integer tier: per-channel int8 weights, int32
 	// accumulators, dequantize-then-table-tanh epilogues. Licensed at a
-	// documented non-zero drift budget (`mvpar parity -precision int8`).
+	// documented non-zero drift budget (`mvpar parity`).
 	PrecisionInt8 = "int8"
 )
 
 // precisionTiers enumerates the valid tiers, reference first — the order
 // ParsePrecision's error message reports them in.
-var precisionTiers = []string{PrecisionFloat64, PrecisionFloat32, PrecisionInt8}
+var precisionTiers = []string{PrecisionFloat64, PrecisionInt8}
 
 // ParsePrecision validates a -precision flag value; empty means float64.
 // Input is normalized (surrounding whitespace trimmed, case folded) so
-// flag values like " Float32" or "INT8" resolve; an unknown tier errors
+// flag values like " Float64" or "INT8" resolve; an unknown tier errors
 // with the full list of valid ones.
 func ParsePrecision(s string) (string, error) {
 	norm := strings.ToLower(strings.TrimSpace(s))
@@ -94,9 +88,8 @@ func (p *Pipeline) Classifier() (*Classifier, error) {
 
 // ClassifierPrecision is Classifier with an explicit precision tier, and
 // the one place a tier name picks an inference engine. For
-// PrecisionFloat32 and PrecisionInt8 the model's current weights are
-// quantized here, once per handle (replicas share the quantized
-// weights).
+// PrecisionInt8 the model's current weights are quantized here, once per
+// handle (replicas share the quantized weights).
 func (p *Pipeline) ClassifierPrecision(precision string) (*Classifier, error) {
 	prec, err := ParsePrecision(precision)
 	if err != nil {
@@ -105,14 +98,9 @@ func (p *Pipeline) ClassifierPrecision(precision string) (*Classifier, error) {
 	if p.Model == nil || p.Dataset == nil {
 		return nil, fmt.Errorf("core: pipeline is untrained")
 	}
-	var proto gnn.Predictor
-	switch prec {
-	case PrecisionFloat32:
-		proto = p.Model.QuantizeF32().Predictor()
-	case PrecisionInt8:
+	proto := p.Model.Predictor()
+	if prec == PrecisionInt8 {
 		proto = p.Model.QuantizeI8().Predictor()
-	default:
-		proto = p.Model.Predictor()
 	}
 	// Encode with the pipeline's settings, reusing the trained inst2vec
 	// space and walk space so the features live in the model's input
@@ -176,8 +164,7 @@ func (s *ClassifierSet) Names() []string {
 	return append([]string(nil), s.names...)
 }
 
-// Precision reports the handle's inference tier ("float64", "float32" or
-// "int8").
+// Precision reports the handle's inference tier ("float64" or "int8").
 func (c *Classifier) Precision() string {
 	if c.precision == "" {
 		return PrecisionFloat64
@@ -272,21 +259,15 @@ func (c *Classifier) Fingerprint() string {
 // classifyWith is the shared classify body: profile and encode the
 // program under cfg, then predict every loop through PredictRecord.
 func (c *Classifier) classifyWith(ctx context.Context, cfg dataset.Config, name, src string) ([]LoopPrediction, error) {
-	// Request tracing: when ctx carries a trace (the serving path started
-	// one), the per-loop stages below append spans to it; on an untraced
-	// context every trace call is free — no allocations, no branches past
-	// one context lookup — so the untraced, bit-identical path is
-	// unchanged.
+	// When ctx carries a trace (the serving path started one), the stages
+	// below append spans to it; on an untraced context they only feed
+	// their stage histograms, allocation-free.
 	ctx, cspan := trace.StartSpan(ctx, "classify")
-	if cspan != nil {
-		cspan.SetAttr("program", name)
-		defer cspan.End()
-	}
+	defer cspan.End()
+	cspan.SetAttr("program", name)
 	app := bench.App{Name: name, Suite: "user", Source: src}
-	bctx, bspan := trace.StartSpan(ctx, "dataset.build")
-	cfg.Ctx = bctx
+	cfg.Ctx = ctx
 	d, _, err := dataset.Build([]bench.App{app}, cfg)
-	bspan.End()
 	if err != nil {
 		return nil, err
 	}

@@ -68,7 +68,7 @@ func TestClassifierSet(t *testing.T) {
 	}
 	set, err := pl.ClassifierSet(
 		[]string{"default", "fast"},
-		map[string]string{"fast": core.PrecisionFloat32},
+		map[string]string{"fast": core.PrecisionInt8},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +81,8 @@ func TestClassifierSet(t *testing.T) {
 		t.Fatalf("default handle = (%v, %v), want a float64 classifier", def, ok)
 	}
 	fast, ok := set.Get("fast")
-	if !ok || fast.Precision() != core.PrecisionFloat32 {
-		t.Fatalf("fast handle = (%v, %v), want a float32 classifier", fast, ok)
+	if !ok || fast.Precision() != core.PrecisionInt8 {
+		t.Fatalf("fast handle = (%v, %v), want an int8 classifier", fast, ok)
 	}
 	if _, ok := set.Get("ghost"); ok {
 		t.Fatal("Get invented a handle")

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"mvpar/internal/bench"
 	"mvpar/internal/dataset"
@@ -25,6 +24,7 @@ import (
 	"mvpar/internal/minic"
 	"mvpar/internal/nn"
 	"mvpar/internal/obs"
+	"mvpar/internal/obs/trace"
 )
 
 // Options configures a Pipeline.
@@ -66,10 +66,6 @@ type TrainReport struct {
 	TrainAcc     float64
 	TestAcc      float64
 	Curve        []gnn.EpochStats
-	// StageTimings is the wall time each pipeline stage spent during this
-	// run (stage name -> cumulative duration), taken from the obs span
-	// registry.
-	StageTimings map[string]time.Duration
 	// Build reports the dataset construction outcome, including any
 	// quarantined programs when Options.Data.Strict is off.
 	Build *dataset.BuildReport
@@ -98,8 +94,8 @@ func (p *Pipeline) TrainOn(apps []bench.App) (*TrainReport, error) {
 // boundaries, so a deadline aborts the run within milliseconds of expiry
 // instead of after the current program finishes.
 func (p *Pipeline) TrainOnContext(ctx context.Context, apps []bench.App) (*TrainReport, error) {
-	before := obs.StageTimings()
-	defer obs.Start("core.train_on").End()
+	ctx, span := trace.StartSpan(ctx, "core.train_on")
+	defer span.End()
 	dataCfg := p.Opts.Data
 	if dataCfg.Ctx == nil {
 		dataCfg.Ctx = ctx
@@ -131,7 +127,6 @@ func (p *Pipeline) TrainOnContext(ctx context.Context, apps []bench.App) (*Train
 		TrainAcc:     gnn.EvaluateParallel(newPredict, dataset.Samples(train), trainCfg.Parallelism),
 		TestAcc:      gnn.EvaluateParallel(newPredict, dataset.Samples(test), trainCfg.Parallelism),
 		Curve:        curve,
-		StageTimings: obs.TimingsSince(before),
 		Build:        buildReport,
 	}
 	obs.Info("core.train_on", "train_records", report.TrainRecords,

@@ -9,8 +9,9 @@ import (
 )
 
 // TestParsePrecision pins the flag-value contract: empty means float64,
-// all three tiers resolve with surrounding whitespace and arbitrary case
+// both tiers resolve with surrounding whitespace and arbitrary case
 // folded away, and an unknown tier errors with every valid tier named.
+// float32 is not a served tier.
 func TestParsePrecision(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -19,16 +20,15 @@ func TestParsePrecision(t *testing.T) {
 	}{
 		{"", core.PrecisionFloat64, true},
 		{"float64", core.PrecisionFloat64, true},
-		{"float32", core.PrecisionFloat32, true},
 		{"int8", core.PrecisionInt8, true},
 		{"Float64", core.PrecisionFloat64, true},
-		{"FLOAT32", core.PrecisionFloat32, true},
 		{"Int8", core.PrecisionInt8, true},
 		{"INT8", core.PrecisionInt8, true},
-		{" float32", core.PrecisionFloat32, true},
+		{" float64", core.PrecisionFloat64, true},
 		{"int8\t", core.PrecisionInt8, true},
 		{"  Float64  ", core.PrecisionFloat64, true},
 		{"   ", core.PrecisionFloat64, true}, // whitespace-only = unset
+		{"float32", "", false},
 		{"f32", "", false},
 		{"float16", "", false},
 		{"int", "", false},
@@ -48,7 +48,7 @@ func TestParsePrecision(t *testing.T) {
 			t.Errorf("ParsePrecision(%q) = %q, want error", tc.in, got)
 			continue
 		}
-		for _, tier := range []string{core.PrecisionFloat64, core.PrecisionFloat32, core.PrecisionInt8} {
+		for _, tier := range []string{core.PrecisionFloat64, core.PrecisionInt8} {
 			if !strings.Contains(err.Error(), tier) {
 				t.Errorf("ParsePrecision(%q) error %q does not name tier %q", tc.in, err, tier)
 			}
@@ -65,7 +65,7 @@ func TestClassifierFingerprintDistinctAcrossTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	fps := map[string]string{}
-	for _, tier := range []string{core.PrecisionFloat64, core.PrecisionFloat32, core.PrecisionInt8} {
+	for _, tier := range []string{core.PrecisionFloat64, core.PrecisionInt8} {
 		cls, err := pl.ClassifierPrecision(tier)
 		if err != nil {
 			t.Fatalf("tier %s: %v", tier, err)
@@ -111,7 +111,7 @@ func TestLoadModelRequantizesFastTiers(t *testing.T) {
 	if err := fresh.LoadModel(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	tiers := []string{core.PrecisionFloat64, core.PrecisionFloat32, core.PrecisionInt8}
+	tiers := []string{core.PrecisionFloat64, core.PrecisionInt8}
 	for _, tier := range tiers {
 		if _, err := pl.ClassifierPrecision(tier); err != nil { // quantize the pre-load weights
 			t.Fatal(err)

@@ -6,11 +6,13 @@
 package cu
 
 import (
+	"context"
 	"slices"
 	"sort"
 
 	"mvpar/internal/ir"
 	"mvpar/internal/obs"
+	"mvpar/internal/obs/trace"
 )
 
 // CU is one computational unit.
@@ -65,7 +67,8 @@ type region struct {
 
 // Build partitions prog into CUs and indexes every loop's region.
 func Build(prog *ir.Program) *Set {
-	defer obs.Start("cu.build").End()
+	_, span := trace.StartSpan(context.Background(), "cu.build")
+	defer span.End()
 	s := &Set{
 		LoopStmts: map[int][]int{},
 		FuncStmts: map[string][]int{},

@@ -190,7 +190,9 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	}
 	// cfg.MaxSteps = 0 flows into interp.Limits, which owns the default.
 
-	defer obs.Start("dataset.build").End()
+	ctx, span := trace.StartSpan(cfg.Ctx, "dataset.build")
+	defer span.End()
+	cfg.Ctx = ctx
 	report := &BuildReport{Programs: len(apps), Quarantine: &faults.Quarantine{}}
 	type profiled struct {
 		app  bench.App
@@ -208,13 +210,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 		p   *profiled
 		err *faults.StageError
 	}
-	// Stage spans are recorded twice when a request trace rides cfg.Ctx:
-	// once into the process-global obs aggregates (every build), and once
-	// as request-scoped trace spans (serving-path builds only; free
-	// no-ops otherwise). The trace spans give one slow request its
-	// profile/encode breakdown without touching the global registry.
-	_, tProfile := trace.StartSpan(cfg.Ctx, "dataset.profile")
-	profileSpan := obs.Start("dataset.profile")
+	pctx, profileSpan := trace.StartSpan(cfg.Ctx, "dataset.profile")
 	pcfg := pool.Config{Workers: cfg.Parallelism, Ctx: cfg.Ctx}
 	outs, perr := pool.Map(pcfg, len(apps), func(i int) (profileOut, error) {
 		app := apps[i]
@@ -235,7 +231,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 		}
 		if err == nil {
 			err = faults.Stage(app.Name, faults.StageProfile, func() (e error) {
-				res, _, e = deps.Analyze(base, "main", interp.Limits{MaxSteps: cfg.MaxSteps, Ctx: cfg.Ctx})
+				res, _, e = deps.Analyze(base, "main", interp.Limits{MaxSteps: cfg.MaxSteps, Ctx: pctx})
 				return e
 			})
 		}
@@ -248,7 +244,6 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 		return profileOut{p: &profiled{app: app, base: base, res: res}}, nil
 	})
 	profileSpan.End()
-	tProfile.End()
 	if perr != nil {
 		return nil, report, fmt.Errorf("dataset: %w", perr)
 	}
@@ -269,7 +264,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 
 	emb := cfg.Embedding
 	if emb == nil {
-		embedSpan := obs.Start("dataset.embed")
+		_, embedSpan := trace.StartSpan(cfg.Ctx, "dataset.embed")
 		obs.GetCounter("mvpar_inst2vec_vocab_builds_total").Inc()
 		emb = inst2vec.Train(irProgs, cfg.EmbedCfg)
 		embedSpan.End()
@@ -300,8 +295,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 		err  *faults.StageError
 	}
 	nv := cfg.Variants
-	_, tEncode := trace.StartSpan(cfg.Ctx, "dataset.encode")
-	encodeSpan := obs.Start("dataset.encode")
+	_, encodeSpan := trace.StartSpan(cfg.Ctx, "dataset.encode")
 	eouts, eerr := pool.Map(pool.Config{Workers: cfg.Parallelism, Ctx: cfg.Ctx}, len(progs)*nv, func(j int) (encodeOut, error) {
 		p := progs[j/nv]
 		v := j % nv
@@ -325,7 +319,6 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 		return encodeOut{recs: recs, degs: degs}, nil
 	})
 	encodeSpan.End()
-	tEncode.End()
 	if eerr != nil {
 		return nil, report, fmt.Errorf("dataset: %w", eerr)
 	}
@@ -359,7 +352,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 		return nil, report, fmt.Errorf("dataset: all %d programs quarantined:\n%s",
 			len(apps), report.Quarantine)
 	}
-	stdSpan := obs.Start("dataset.standardize")
+	_, stdSpan := trace.StartSpan(cfg.Ctx, "dataset.standardize")
 	standardizeNodeFeatures(d.Records)
 	stdSpan.End()
 	recordBuildStats(len(apps), d.Records)

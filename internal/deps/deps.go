@@ -24,6 +24,7 @@ import (
 	"mvpar/internal/interp"
 	"mvpar/internal/ir"
 	"mvpar/internal/obs"
+	"mvpar/internal/obs/trace"
 )
 
 // Kind is a dependence kind.
@@ -587,7 +588,9 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, entry string, limits 
 	if limits.Ctx == nil && ctx != nil && ctx != context.Background() {
 		limits.Ctx = ctx
 	}
-	defer obs.Start("deps.analyze").End()
+	var span trace.Span
+	limits.Ctx, span = trace.StartSpan(limits.Ctx, "deps.analyze")
+	defer span.End()
 	an := NewAnalyzer()
 	mt := &interp.MetricsTracer{}
 	it := interp.New(prog, interp.MultiTracer{an, mt}, limits)

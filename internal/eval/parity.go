@@ -8,7 +8,7 @@ import (
 )
 
 // ParityPair is one loop predicted under both inference tiers: the
-// float64 reference and the float32 fast path. Truth is the oracle label
+// float64 reference and the int8 fast path. Truth is the oracle label
 // (1 = parallelizable) so the report can state per-suite accuracies in
 // Table-3 terms, not just agreement.
 type ParityPair struct {
@@ -42,9 +42,8 @@ type SuiteParity struct {
 // accuracy drift, every label flip loop-by-loop, and the worst
 // probability drift observed.
 type ParityReport struct {
-	// Tier names the fast tier under comparison (e.g. "float32", "int8");
-	// the reference is always float64. Empty renders as "float32" so
-	// reports built before tiers existed keep their wording.
+	// Tier names the fast tier under comparison; the reference is always
+	// float64. Empty renders as "int8", the one fast tier served.
 	Tier   string
 	Suites []SuiteParity
 	Flips  []ParityPair
@@ -128,7 +127,7 @@ func (r *ParityReport) Check(accTol float64, maxFlips int) error {
 // tier returns the fast tier's display name.
 func (r *ParityReport) tier() string {
 	if r.Tier == "" {
-		return "float32"
+		return "int8"
 	}
 	return r.Tier
 }

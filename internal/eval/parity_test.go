@@ -79,7 +79,7 @@ func TestParityRender(t *testing.T) {
 }
 
 // TestParityRenderTier: the report header, accuracy column and flip lines
-// name the tier under comparison; an unset tier keeps the float32 wording.
+// name the tier under comparison; an unset tier renders as int8.
 func TestParityRenderTier(t *testing.T) {
 	pairs := parityFixture()
 	pairs[0].FastLabel = 0
@@ -92,11 +92,11 @@ func TestParityRenderTier(t *testing.T) {
 		}
 	}
 	if strings.Contains(out, "float32") {
-		t.Fatalf("int8 render still mentions float32:\n%s", out)
+		t.Fatalf("int8 render mentions float32:\n%s", out)
 	}
 	r.Tier = ""
-	if def := r.Render(); !strings.Contains(def, "float32 fast path vs float64 reference") || !strings.Contains(def, "acc(float32)") {
-		t.Fatalf("default tier render lost float32 wording:\n%s", def)
+	if def := r.Render(); def != out {
+		t.Fatalf("unset tier render differs from int8:\n%s\nwant:\n%s", def, out)
 	}
 }
 

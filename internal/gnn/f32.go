@@ -15,8 +15,8 @@ import (
 // tensor/f32 kernels — fused matmul+tanh graph convolutions, fused
 // dense+bias+tanh readout, table-driven tanh. Training never touches this
 // path; the float64 forward remains the bit-identity reference, and
-// float32 correctness is enforced by the accuracy-parity harness
-// (internal/eval, `mvpar parity`) rather than by bitwise contracts.
+// float32 correctness is enforced by parity tests against it
+// (TestPredictWithProbaF32Parity) rather than by bitwise contracts.
 
 // conv1dF32 is a quantized nn.Conv1D (weights + geometry, no gradients).
 type conv1dF32 struct {
@@ -261,8 +261,8 @@ func newMVGNNF32(w *mvgnnWeightsF32) *MVGNNF32 {
 // QuantizeF32 snapshots the model's parameters into a float32 inference
 // replica. The snapshot is one-time: later optimizer steps or parameter
 // reloads on m are NOT reflected — quantize after training (or after
-// LoadParams); core.Pipeline.ClassifierPrecision quantizes afresh for
-// every handle it builds.
+// LoadParams). float32 is not a served tier: the benchmarks and the
+// parity tests time and check this forward directly.
 func (m *MVGNN) QuantizeF32() *MVGNNF32 {
 	return newMVGNNF32(&mvgnnWeightsF32{
 		classes:     m.NodeView.Cfg.NumClasses,

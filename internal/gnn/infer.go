@@ -73,20 +73,17 @@ func (p Predictor) Replicate() Predictor {
 }
 
 // Predict returns the predicted class and P(class=1) for one sample from
-// a single forward pass of view v's head. If ctx carries a request trace
-// the pass is recorded as a "gnn.forward" span with the sample's loop,
-// the precision tier and, unless the trained head answered, the view. On
-// an untraced context the span calls are free (no allocations, one
-// context lookup).
+// a single forward pass of view v's head, timed as a "gnn.forward" span.
+// If ctx carries a request trace the span records the sample's loop, the
+// precision tier and, unless the trained head answered, the view; on an
+// untraced context it allocates nothing.
 func (p Predictor) Predict(ctx context.Context, s Sample, v View) (int, float64) {
 	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		sp.SetAttr("precision", p.precision)
-		if v != ViewTrained {
-			sp.SetAttr("view", v.String())
-		}
-		defer sp.End()
+	defer sp.End()
+	sp.SetAttrInt("loop", int64(s.Meta.LoopID))
+	sp.SetAttr("precision", p.precision)
+	if v != ViewTrained {
+		sp.SetAttr("view", v.String())
 	}
 	if v == ViewTrained {
 		v = headView(p.predictMode)

@@ -6,6 +6,7 @@ import (
 
 	"mvpar/internal/nn"
 	"mvpar/internal/obs"
+	"mvpar/internal/obs/trace"
 	"mvpar/internal/pool"
 	"mvpar/internal/tensor"
 )
@@ -121,7 +122,8 @@ func (v *SingleView) Predict(s Sample) int {
 // is fitted on their outputs — so the fused model starts from the best
 // single view and can only add structural evidence on top.
 func (m *MVGNN) Train(samples []Sample, cfg TrainConfig, hook func(EpochStats)) []EpochStats {
-	defer obs.Start("gnn.train").End()
+	_, span := trace.StartSpan(cfg.Ctx, "gnn.train")
+	defer span.End()
 	if cfg.Epochs <= 0 {
 		cfg = DefaultTrainConfig
 	}
@@ -145,7 +147,7 @@ func (m *MVGNN) Train(samples []Sample, cfg TrainConfig, hook func(EpochStats)) 
 	}
 	samples = fit
 	if cfg.PretrainEpochs > 0 {
-		pretrainSpan := obs.Start("gnn.pretrain")
+		_, pretrainSpan := trace.StartSpan(cfg.Ctx, "gnn.pretrain")
 		nodeGraphs := make([]*EncodedGraph, len(samples))
 		structGraphs := make([]*EncodedGraph, len(samples))
 		for i, s := range samples {
@@ -289,7 +291,7 @@ func trainLoop(c classifier, samples []Sample, cfg TrainConfig, hook func(EpochS
 			obs.Warn("gnn.train.cancelled", "epoch", epoch)
 			return curve
 		}
-		epochSpan := obs.Start("gnn.epoch")
+		_, epochSpan := trace.StartSpan(cfg.Ctx, "gnn.epoch")
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		totalLoss := 0.0
 		correct := 0

@@ -17,6 +17,7 @@ import (
 
 	"mvpar/internal/ir"
 	"mvpar/internal/obs"
+	"mvpar/internal/obs/trace"
 )
 
 // LoopFrame is one entry of the dynamic loop stack: a loop, the serial
@@ -207,9 +208,9 @@ func (it *Interp) Run(entry string) (Stats, error) {
 			it.mem[base] = g.InitVal
 		}
 	}
-	sp := obs.Start("interp.run")
+	_, span := trace.StartSpan(it.limits.Ctx, "interp.run")
 	_, err := it.call(fn, nil, nil)
-	sp.End()
+	span.End()
 	recordRunStats(it.stats)
 	if err != nil {
 		obs.GetCounter("mvpar_interp_errors_total").Inc()

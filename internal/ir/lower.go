@@ -1,17 +1,20 @@
 package ir
 
 import (
+	"context"
 	"fmt"
 
 	"mvpar/internal/minic"
 	"mvpar/internal/obs"
+	"mvpar/internal/obs/trace"
 )
 
 // Lower translates a checked MiniC program to IR. Global initializers must
 // be constant expressions. The boolean operators evaluate both operands
 // (MiniC has no side effects in conditions, so eager evaluation is sound).
 func Lower(p *minic.Program) (*Program, error) {
-	defer obs.Start("ir.lower").End()
+	_, span := trace.StartSpan(context.Background(), "ir.lower")
+	defer span.End()
 	if err := minic.Check(p); err != nil {
 		return nil, err
 	}

@@ -1,10 +1,12 @@
 package minic
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
 	"mvpar/internal/obs"
+	"mvpar/internal/obs/trace"
 )
 
 // Parser is a recursive-descent parser for MiniC.
@@ -35,7 +37,8 @@ func (p *Parser) leave() { p.depth-- }
 
 // Parse lexes and parses src into a Program named name.
 func Parse(name, src string) (*Program, error) {
-	defer obs.Start("minic.parse").End()
+	_, span := trace.StartSpan(context.Background(), "minic.parse")
+	defer span.End()
 	toks, err := Lex(src)
 	if err != nil {
 		obs.GetCounter("mvpar_minic_parse_errors_total").Inc()
@@ -50,8 +53,9 @@ func Parse(name, src string) (*Program, error) {
 		}
 	}
 	obs.GetCounter("mvpar_minic_parse_total").Inc()
-	obs.GetCounter("mvpar_minic_loops_total").Add(int64(len(prog.Loops())))
-	obs.Debug("minic.parse", "program", name, "funcs", len(prog.Funcs), "loops", len(prog.Loops()))
+	loops := len(prog.Loops())
+	obs.GetCounter("mvpar_minic_loops_total").Add(int64(loops))
+	obs.Debug("minic.parse", "program", name, "funcs", len(prog.Funcs), "loops", loops)
 	return prog, nil
 }
 

@@ -1,45 +1,14 @@
 package obs
 
-import (
-	"net/http"
-	"strings"
-)
+import "net/http"
 
-// Handler returns the /metrics endpoint of the registry, content-
-// negotiated between two representations of the same data:
-//
-//   - the Prometheus text exposition format (version 0.0.4) when the
-//     client asks for it — an Accept header naming the versioned text
-//     format or openmetrics (what every Prometheus-compatible scraper
-//     sends), or an explicit ?format=prometheus;
-//   - the legacy sorted expvar-style dump (Dump's format, span
-//     aggregates and cumulative histogram buckets included) otherwise,
-//     so `curl /metrics` and every pre-existing consumer keep the
-//     human-oriented view.
+// Handler returns the /metrics endpoint of the registry: the Prometheus
+// text exposition format (version 0.0.4) for every request.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if wantsPrometheus(req) {
-			w.Header().Set("Content-Type", PrometheusContentType)
-			r.WritePrometheus(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		r.Dump(w)
+		w.Header().Set("Content-Type", PrometheusContentType)
+		r.WritePrometheus(w)
 	})
-}
-
-// wantsPrometheus implements the /metrics content negotiation: an
-// explicit format query parameter wins, then the Accept header.
-func wantsPrometheus(req *http.Request) bool {
-	switch req.URL.Query().Get("format") {
-	case "prometheus":
-		return true
-	case "legacy", "dump":
-		return false
-	}
-	accept := req.Header.Get("Accept")
-	return strings.Contains(accept, "version=0.0.4") ||
-		strings.Contains(accept, "openmetrics")
 }
 
 // Handler returns the default registry's /metrics handler.

@@ -1,14 +1,12 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Counter is a monotonically increasing integer metric.
@@ -185,7 +183,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    map[string]*spanStat
+	stages   map[string]*Histogram // span histograms by raw stage name
 	infos    map[string][]LabelPair
 }
 
@@ -195,7 +193,7 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		spans:    map[string]*spanStat{},
+		stages:   map[string]*Histogram{},
 		infos:    map[string][]LabelPair{},
 	}
 }
@@ -259,6 +257,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.histogramLocked(name)
+}
+
+func (r *Registry) histogramLocked(name string) *Histogram {
 	h := r.hists[name]
 	if h == nil {
 		h = &Histogram{}
@@ -267,94 +269,40 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Reset drops every metric and span; tests use it for isolation.
+// ObserveStage records one span of stage into the histogram
+// mvpar_span_<stage>_seconds. The stage index is keyed by the raw stage
+// name, so after a stage's first span the lookup allocates nothing.
+func (r *Registry) ObserveStage(stage string, d time.Duration) {
+	r.mu.Lock()
+	h := r.stages[stage]
+	if h == nil {
+		h = r.histogramLocked("mvpar_span_" + mangle(stage) + "_seconds")
+		r.stages[stage] = h
+	}
+	r.mu.Unlock()
+	h.Observe(d.Seconds())
+}
+
+// mangle turns a stage name into a metric-name segment.
+func mangle(name string) string {
+	return strings.Map(func(c rune) rune {
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
+			return c
+		}
+		return '_'
+	}, name)
+}
+
+// Reset drops every metric, span histograms included; tests use it for
+// isolation.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.counters = map[string]*Counter{}
 	r.gauges = map[string]*Gauge{}
 	r.hists = map[string]*Histogram{}
-	r.spans = map[string]*spanStat{}
+	r.stages = map[string]*Histogram{}
 	r.infos = map[string][]LabelPair{}
-}
-
-// Dump writes every metric in a stable, sorted, expvar-style text form:
-// one "name value" line per counter and gauge, and count/sum/min/max
-// lines per histogram. Span aggregates appear as both histograms
-// (mvpar_span_<stage>_seconds_*) and the stage-timing lines emitted by
-// DumpTimings callers.
-func (r *Registry) Dump(w io.Writer) error {
-	r.mu.Lock()
-	var lines []string
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("%s %d", name, c.Value()))
-	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("%s %.6g", name, g.Value()))
-	}
-	for name, pairs := range r.infos {
-		lines = append(lines, fmt.Sprintf("%s%s 1", name, renderLabels(pairs)))
-	}
-	for name, h := range r.hists {
-		count, sum, min, max := h.Snapshot()
-		lines = append(lines, fmt.Sprintf("%s_count %d", name, count))
-		lines = append(lines, fmt.Sprintf("%s_sum %.6g", name, sum))
-		if count > 0 {
-			lines = append(lines, fmt.Sprintf("%s_min %.6g", name, min))
-			lines = append(lines, fmt.Sprintf("%s_max %.6g", name, max))
-			// Cumulative buckets (Prometheus le semantics), so quantiles
-			// are derivable offline from the dump alone. Buckets the data
-			// never reached are elided; a reader treats a missing bound as
-			// "same cumulative count as the previous line".
-			var prev int64
-			for _, b := range h.Buckets() {
-				if b.Count == prev {
-					continue
-				}
-				prev = b.Count
-				lines = append(lines, fmt.Sprintf("%s_bucket{le=%q} %d", name, formatLe(b.UpperBound), b.Count))
-			}
-		}
-	}
-	r.mu.Unlock()
-	if len(lines) == 0 {
-		return nil
-	}
-	sort.Strings(lines)
-	_, err := io.WriteString(w, strings.Join(lines, "\n")+"\n")
-	return err
-}
-
-// renderLabels renders info label pairs as a Prometheus label set.
-func renderLabels(pairs []LabelPair) string {
-	if len(pairs) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", p.Key, p.Value)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// formatLe renders a bucket upper bound as a Prometheus le label value.
-func formatLe(bound float64) string {
-	if math.IsInf(bound, 1) {
-		return "+Inf"
-	}
-	return strconv.FormatFloat(bound, 'g', -1, 64)
-}
-
-// DumpString returns Dump's output as a string.
-func (r *Registry) DumpString() string {
-	var b strings.Builder
-	r.Dump(&b)
-	return b.String()
 }
 
 // Package-level helpers on the default registry.
@@ -368,11 +316,11 @@ func GetGauge(name string) *Gauge { return defaultRegistry.Gauge(name) }
 // GetHistogram returns the named histogram of the default registry.
 func GetHistogram(name string) *Histogram { return defaultRegistry.Histogram(name) }
 
+// ObserveStage records one span of stage on the default registry.
+func ObserveStage(stage string, d time.Duration) { defaultRegistry.ObserveStage(stage, d) }
+
 // SetInfo registers an info metric on the default registry.
 func SetInfo(name string, labels map[string]string) { defaultRegistry.SetInfo(name, labels) }
 
 // Reset clears the default registry (tests only).
 func Reset() { defaultRegistry.Reset() }
-
-// Dump writes the default registry to w.
-func Dump(w io.Writer) error { return defaultRegistry.Dump(w) }

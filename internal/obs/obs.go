@@ -1,12 +1,15 @@
 // Package obs is the pipeline-wide observability layer: a leveled
-// structured logger, a process-wide metrics registry (counters, gauges,
-// histograms) and lightweight timing spans that aggregate into per-stage
-// wall-time statistics. It depends only on the standard library.
+// structured logger and a process-wide metrics registry (counters,
+// gauges, histograms) rendered in the Prometheus text exposition format.
+// It depends only on the standard library. Stage timing lives in the
+// trace subpackage: every trace.StartSpan feeds its stage's histogram
+// here through ObserveStage.
 //
 // Everything defaults to off/invisible: the logger is silent unless a
 // level is set (via SetLevel, the --log-level flags of the binaries, or
 // the MVPAR_LOG environment variable), and metrics accumulate in memory
-// without producing output until Dump is called. Library users and tests
+// without producing output until WritePrometheus is called (the
+// /metrics handler, or --metrics-out on exit). Library users and tests
 // that never touch the package see byte-identical behavior.
 //
 // Metric names follow the stable scheme mvpar_<stage>_<unit>, e.g.

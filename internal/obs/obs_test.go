@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // resetLogger restores global logger state after a test.
@@ -111,124 +110,5 @@ func TestConcurrentMetrics(t *testing.T) {
 	}
 	if g := r.Gauge("mvpar_test_level").Value(); g < 0 || g >= workers {
 		t.Errorf("gauge = %v out of range", g)
-	}
-}
-
-func TestConcurrentSpans(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.Start("stage.par").End()
-			}
-		}()
-	}
-	wg.Wait()
-	tm := r.Timings()
-	if len(tm) != 1 || tm[0].Name != "stage.par" || tm[0].Count != 800 {
-		t.Errorf("timings = %+v", tm)
-	}
-}
-
-func TestSpanAggregation(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < 3; i++ {
-		sp := r.Start("dataset.build")
-		time.Sleep(time.Millisecond)
-		if d := sp.End(); d <= 0 {
-			t.Fatalf("span duration = %v", d)
-		}
-	}
-	r.Start("gnn.train").End()
-
-	totals := r.StageTimings()
-	if len(totals) != 2 {
-		t.Fatalf("StageTimings = %v", totals)
-	}
-	if totals["dataset.build"] < 3*time.Millisecond {
-		t.Errorf("dataset.build total = %v, want >= 3ms", totals["dataset.build"])
-	}
-	rows := r.Timings()
-	if rows[0].Name != "dataset.build" || rows[0].Count != 3 {
-		t.Errorf("Timings[0] = %+v, want dataset.build count 3", rows[0])
-	}
-	// Span time also lands in the mangled histogram.
-	count, sum, _, _ := r.Histogram("mvpar_span_dataset_build_seconds").Snapshot()
-	if count != 3 || sum < 0.003 {
-		t.Errorf("span histogram count=%d sum=%v", count, sum)
-	}
-}
-
-func TestTimingsSince(t *testing.T) {
-	defer Reset()
-	Reset()
-	Start("stage.a").End()
-	before := StageTimings()
-	sp := Start("stage.b")
-	time.Sleep(time.Millisecond)
-	sp.End()
-	delta := TimingsSince(before)
-	if _, ok := delta["stage.a"]; ok {
-		t.Errorf("stage.a should not appear in delta: %v", delta)
-	}
-	if delta["stage.b"] < time.Millisecond {
-		t.Errorf("stage.b delta = %v", delta["stage.b"])
-	}
-}
-
-func TestZeroSpanEndIsSafe(t *testing.T) {
-	var s Span
-	if d := s.End(); d != 0 {
-		t.Errorf("zero Span End = %v", d)
-	}
-}
-
-// TestDumpGolden pins the dump's text format: sorted lines, stable
-// formatting of counters, gauges and histogram aggregates.
-func TestDumpGolden(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("mvpar_interp_steps_total").Add(1234)
-	r.Counter("mvpar_dataset_records_total").Add(840)
-	r.Gauge("mvpar_dataset_balance_ratio").Set(0.5)
-	h := r.Histogram("mvpar_peg_nodes")
-	h.Observe(10)
-	h.Observe(30)
-	r.Histogram("mvpar_empty_hist")
-
-	want := strings.Join([]string{
-		"mvpar_dataset_balance_ratio 0.5",
-		"mvpar_dataset_records_total 840",
-		"mvpar_empty_hist_count 0",
-		"mvpar_empty_hist_sum 0",
-		"mvpar_interp_steps_total 1234",
-		`mvpar_peg_nodes_bucket{le="16.777216"} 1`,
-		`mvpar_peg_nodes_bucket{le="33.554432"} 2`,
-		"mvpar_peg_nodes_count 2",
-		"mvpar_peg_nodes_max 30",
-		"mvpar_peg_nodes_min 10",
-		"mvpar_peg_nodes_sum 40",
-	}, "\n") + "\n"
-	if got := r.DumpString(); got != want {
-		t.Errorf("dump mismatch:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestWriteTimingTable(t *testing.T) {
-	defer Reset()
-	Reset()
-	var empty strings.Builder
-	WriteTimingTable(&empty)
-	if empty.Len() != 0 {
-		t.Errorf("empty registry printed a table: %q", empty.String())
-	}
-	Start("stage.x").End()
-	var b strings.Builder
-	WriteTimingTable(&b)
-	out := b.String()
-	if !strings.Contains(out, "stage.x") || !strings.Contains(out, "calls") {
-		t.Errorf("timing table:\n%s", out)
 	}
 }

@@ -287,3 +287,28 @@ func familyOf(sample string, types map[string]string) (string, bool) {
 	}
 	return "", false
 }
+
+// renderLabels renders info label pairs as a Prometheus label set.
+func renderLabels(pairs []LabelPair) string {
+	if len(pairs) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, p := range pairs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%q", p.Key, p.Value)
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// formatLe renders a bucket upper bound as a Prometheus le label value.
+func formatLe(bound float64) string {
+	if math.IsInf(bound, 1) {
+		return "+Inf"
+	}
+	return strconv.FormatFloat(bound, 'g', -1, 64)
+}

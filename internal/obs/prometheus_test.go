@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -141,38 +142,32 @@ func TestCheckExpositionRejects(t *testing.T) {
 	}
 }
 
-// TestMetricsHandlerNegotiation checks /metrics serves both formats.
-func TestMetricsHandlerNegotiation(t *testing.T) {
+// TestMetricsHandlerAlwaysPrometheus checks that /metrics answers the
+// exposition format to a plain GET, to a scraper's Accept header and to
+// an explicit ?format=prometheus alike.
+func TestMetricsHandlerAlwaysPrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mvpar_x_total").Add(1)
 	h := r.Handler()
 
-	// Default: the legacy dump.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if body := rec.Body.String(); strings.Contains(body, "# TYPE") || !strings.Contains(body, "mvpar_x_total 1") {
-		t.Fatalf("default format should be the legacy dump:\n%s", body)
-	}
-
-	// Prometheus via Accept (what a scraper sends).
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	req.Header.Set("Accept", "text/plain;version=0.0.4;q=0.9,*/*;q=0.1")
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if !strings.Contains(rec.Body.String(), "# TYPE mvpar_x_total counter") {
-		t.Fatalf("Accept negotiation did not yield exposition format:\n%s", rec.Body.String())
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != PrometheusContentType {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	if err := CheckExposition(rec.Body); err != nil {
-		t.Fatalf("negotiated exposition fails conformance: %v", err)
-	}
-
-	// Prometheus via explicit format parameter.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
-	if !strings.Contains(rec.Body.String(), "# TYPE mvpar_x_total counter") {
-		t.Fatalf("?format=prometheus did not yield exposition format:\n%s", rec.Body.String())
+	scrape := httptest.NewRequest("GET", "/metrics", nil)
+	scrape.Header.Set("Accept", "text/plain;version=0.0.4;q=0.9,*/*;q=0.1")
+	for name, req := range map[string]*http.Request{
+		"plain GET":          httptest.NewRequest("GET", "/metrics", nil),
+		"Prometheus Accept":  scrape,
+		"?format=prometheus": httptest.NewRequest("GET", "/metrics?format=prometheus", nil),
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if ct := rec.Header().Get("Content-Type"); ct != PrometheusContentType {
+			t.Errorf("%s: Content-Type = %q", name, ct)
+		}
+		body := rec.Body.String()
+		if !strings.Contains(body, "# TYPE mvpar_x_total counter\nmvpar_x_total 1\n") {
+			t.Errorf("%s: not the exposition format:\n%s", name, body)
+		}
+		if err := CheckExposition(strings.NewReader(body)); err != nil {
+			t.Errorf("%s: exposition fails conformance: %v", name, err)
+		}
 	}
 }

@@ -1,17 +1,20 @@
-// Package trace is request-scoped tracing for the serving path: where
-// package obs aggregates process-global counters and per-stage wall-time
-// totals, trace answers "where did this one request spend its time". A
-// Trace is one request's tree of hierarchical spans (parent/child links,
-// key/value attributes, per-span durations) identified by a shared trace
-// ID, propagated through the pipeline on the context the request already
-// carries — handler → batcher → replica → dataset encode → GNN forward.
+// Package trace is the one way to time a pipeline stage. StartSpan
+// starts a span; its End records the stage's wall time into the
+// histogram mvpar_span_<stage>_seconds of the default obs registry, so
+// every span feeds /metrics whether or not anyone traces. When a
+// request-scoped Trace rides the context, the span also joins that
+// request's tree of hierarchical spans (parent/child links, key/value
+// attributes, per-span durations, a shared trace ID), propagated on the
+// context the request already carries — handler → batcher → replica →
+// classify → dataset build → GNN forward. The trace answers "where did
+// this one request spend its time"; the histograms answer it for the
+// whole process.
 //
-// The package is built around one invariant: when no trace rides the
-// context, every call is branch-cheap and allocation-free. StartSpan on
-// an untraced context is a single context.Value lookup returning a nil
-// *Span, and every *Span method is nil-safe, so the bit-identical batch
-// path pays nothing when tracing is off (guarded by
-// BenchmarkClassifyTracingDisabled and the benchgate).
+// An untraced span costs one context lookup, two clock reads and one
+// histogram observation, and allocates nothing: Span is a small value
+// whose tree node is nil, so its attribute calls are no-ops (guarded by
+// TestUntracedContextIsFree, BenchmarkClassifyTracingDisabled and the
+// benchgate).
 //
 // Finished traces export as JSONL (one span per line, WriteJSONL) or as
 // Chrome trace_event JSON (WriteChromeTrace) loadable in chrome://tracing
@@ -25,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mvpar/internal/obs"
 )
 
 // maxSpans bounds one trace's span count so a pathological request (a
@@ -38,10 +43,20 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// Span is one timed operation inside a trace. Spans form a tree via
-// Parent links; the zero span ID is "no parent" (the root). All methods
-// are nil-safe no-ops so call sites need no enabled-checks.
+// Span is one timed stage, started by StartSpan. End records the stage's
+// wall time into the histogram mvpar_span_<stage>_seconds of the default
+// obs registry; when a trace rode the context, the span is also a node
+// of that trace's tree. Span is a small value, so an untraced span
+// allocates nothing. The zero Span is inert: its methods do nothing.
 type Span struct {
+	n     *node // nil when untraced
+	name  string
+	start time.Time
+}
+
+// node is one span of a trace's tree. Nodes link via parent IDs; the
+// zero ID is "no parent" (the root).
+type node struct {
 	tr     *Trace
 	id     uint64
 	parent uint64
@@ -63,8 +78,8 @@ type Trace struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	spans   []*Span
-	root    *Span
+	nodes   []*node
+	root    *node
 	dropped int
 }
 
@@ -77,91 +92,105 @@ func init() {
 	traceIDs.Store(uint64(time.Now().UnixNano()))
 }
 
-// ctxKey carries the active span (and through it the trace) on a context.
+// ctxKey carries the active span's node (and through it the trace) on a
+// context.
 type ctxKey struct{}
 
 // New starts a trace named name — its root span — and returns a context
 // carrying it. Callers must End the root (or call Finish) when the
-// request completes.
+// request completes; the root's End feeds the name's stage histogram
+// like any other span.
 func New(ctx context.Context, name string) (context.Context, *Trace) {
 	tr := &Trace{
 		id:     traceIDs.Add(0x9E3779B97F4A7C15), // Weyl increment: unique, well-mixed low bits
 		name:   name,
 		nextID: 1,
 	}
-	root := &Span{tr: tr, id: 1, name: name, start: time.Now()}
+	root := &node{tr: tr, id: 1, name: name, start: time.Now()}
 	tr.root = root
-	tr.spans = append(tr.spans, root)
+	tr.nodes = append(tr.nodes, root)
 	return context.WithValue(ctx, ctxKey{}, root), tr
 }
 
 // FromContext returns the trace riding ctx, or nil.
 func FromContext(ctx context.Context) *Trace {
-	if sp, _ := ctx.Value(ctxKey{}).(*Span); sp != nil {
-		return sp.tr
+	if n, _ := ctx.Value(ctxKey{}).(*node); n != nil {
+		return n.tr
 	}
 	return nil
 }
 
-// StartSpan begins a child of ctx's active span and returns a context
-// with the child active. On an untraced context it returns (ctx, nil) —
-// one Value lookup, zero allocations — and the nil span's methods are
-// all no-ops, so call sites never branch on whether tracing is enabled.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if ctx == nil {
-		return ctx, nil
+// StartSpan begins timing the stage name. When ctx carries a trace, the
+// span also becomes a child of ctx's active span and the returned
+// context has it active. On an untraced (or nil) context it returns ctx
+// itself and a span that costs one context lookup, two clock reads and,
+// at End, one histogram observation: no allocations.
+func StartSpan(ctx context.Context, name string) (context.Context, Span) {
+	if ctx != nil {
+		if parent, _ := ctx.Value(ctxKey{}).(*node); parent != nil {
+			if n := parent.tr.newNode(parent.id, name); n != nil {
+				return context.WithValue(ctx, ctxKey{}, n), Span{n: n, name: name, start: n.start}
+			}
+		}
 	}
-	parent, _ := ctx.Value(ctxKey{}).(*Span)
-	if parent == nil {
-		return ctx, nil
-	}
-	sp := parent.tr.newSpan(parent.id, name)
-	if sp == nil {
-		return ctx, nil
-	}
-	return context.WithValue(ctx, ctxKey{}, sp), sp
+	return ctx, Span{name: name, start: time.Now()}
 }
 
-// newSpan allocates and registers one span, or returns nil past maxSpans.
-func (t *Trace) newSpan(parent uint64, name string) *Span {
+// newNode allocates and registers one node, or returns nil past maxSpans.
+func (t *Trace) newNode(parent uint64, name string) *node {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.spans) >= maxSpans {
+	if len(t.nodes) >= maxSpans {
 		t.dropped++
 		return nil
 	}
 	t.nextID++
-	sp := &Span{tr: t, id: t.nextID, parent: parent, name: name, start: time.Now()}
-	t.spans = append(t.spans, sp)
-	return sp
+	n := &node{tr: t, id: t.nextID, parent: parent, name: name, start: time.Now()}
+	t.nodes = append(t.nodes, n)
+	return n
 }
 
-// End marks the span finished, recording its duration. Nil-safe;
-// repeated Ends keep the first end time.
-func (s *Span) End() {
-	if s == nil {
+// End records the span's duration into its stage histogram and, when
+// traced, marks its node finished. A traced span records only its first
+// End; an untraced span must be ended once.
+func (s Span) End() {
+	if s.start.IsZero() {
 		return
 	}
-	s.mu.Lock()
-	if s.end.IsZero() {
-		s.end = time.Now()
-	}
-	s.mu.Unlock()
-}
-
-// SetAttr annotates the span with a key/value pair. Nil-safe.
-func (s *Span) SetAttr(key, value string) {
-	if s == nil {
+	end := time.Now()
+	if s.n != nil && !s.n.finish(end) {
 		return
 	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-	s.mu.Unlock()
+	obs.ObserveStage(s.name, end.Sub(s.start))
 }
 
-// SetAttrInt annotates the span with an integer value. Nil-safe.
-func (s *Span) SetAttrInt(key string, value int64) {
-	if s == nil {
+// finish sets the node's end time unless it already has one, and
+// reports whether it did.
+func (n *node) finish(end time.Time) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.end.IsZero() {
+		return false
+	}
+	n.end = end
+	return true
+}
+
+// SetAttr annotates the span's trace node with a key/value pair; a no-op
+// when untraced.
+func (s Span) SetAttr(key, value string) {
+	if s.n == nil {
+		return
+	}
+	s.n.mu.Lock()
+	s.n.attrs = append(s.n.attrs, Attr{Key: key, Value: value})
+	s.n.mu.Unlock()
+}
+
+// SetAttrInt annotates the span's trace node with an integer value; a
+// no-op when untraced.
+func (s Span) SetAttrInt(key string, value int64) {
+	if s.n == nil {
 		return
 	}
 	s.SetAttr(key, fmt.Sprintf("%d", value))
@@ -174,11 +203,11 @@ func (t *Trace) ID() string { return fmt.Sprintf("%016x", t.id) }
 func (t *Trace) Name() string { return t.name }
 
 // Root returns the root span.
-func (t *Trace) Root() *Span { return t.root }
+func (t *Trace) Root() Span { return Span{n: t.root, name: t.name, start: t.root.start} }
 
 // Finish ends the root span (idempotent) and returns the trace.
 func (t *Trace) Finish() *Trace {
-	t.root.End()
+	t.Root().End()
 	return t
 }
 
@@ -226,8 +255,8 @@ func (t *Trace) Dropped() int {
 // relative to the root's start.
 func (t *Trace) Spans() []SpanData {
 	t.mu.Lock()
-	spans := make([]*Span, len(t.spans))
-	copy(spans, t.spans)
+	spans := make([]*node, len(t.nodes))
+	copy(spans, t.nodes)
 	t.mu.Unlock()
 	id := t.ID()
 	base := t.root.start

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mvpar/internal/obs"
 )
 
 // TestSpanTreeLineage checks parent/child wiring, attributes and the
@@ -56,11 +58,15 @@ func TestSpanTreeLineage(t *testing.T) {
 }
 
 // TestUntracedContextIsFree pins the zero-allocation contract of the
-// disabled path: StartSpan on a context with no trace, plus every
-// nil-span method, must not allocate.
+// untraced path: StartSpan on a context with no trace, plus every span
+// method, must not allocate, and End must still feed the stage
+// histogram.
 func TestUntracedContextIsFree(t *testing.T) {
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(1000, func() {
+	hist := obs.GetHistogram("mvpar_span_stage_seconds")
+	before, _, _, _ := hist.Snapshot()
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, func() {
 		c2, sp := StartSpan(ctx, "stage")
 		sp.SetAttr("k", "v")
 		sp.SetAttrInt("n", 7)
@@ -73,7 +79,11 @@ func TestUntracedContextIsFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled path allocates %.1f allocs/op, want 0", allocs)
+		t.Fatalf("untraced path allocates %.1f allocs/op, want 0", allocs)
+	}
+	// AllocsPerRun calls the function once more as a warm-up.
+	if after, _, _, _ := hist.Snapshot(); after-before != runs+1 {
+		t.Fatalf("stage histogram gained %d observations, want %d", after-before, runs+1)
 	}
 }
 
@@ -213,5 +223,22 @@ func TestExporters(t *testing.T) {
 	}
 	if childDur < 1000 {
 		t.Fatalf("child dur = %v µs, want >= 1000", childDur)
+	}
+}
+
+// TestTracedSpanRecordsOnce checks that a traced span feeds its stage
+// histogram on its first End only, so a root ended by its handler and
+// again by Finish counts once.
+func TestTracedSpanRecordsOnce(t *testing.T) {
+	ctx, tr := New(context.Background(), "once.root")
+	_, sp := StartSpan(ctx, "once.child")
+	sp.End()
+	sp.End()
+	tr.Root().End()
+	tr.Finish()
+	for _, name := range []string{"mvpar_span_once_root_seconds", "mvpar_span_once_child_seconds"} {
+		if count, _, _, _ := obs.GetHistogram(name).Snapshot(); count != 1 {
+			t.Errorf("%s count = %d, want 1", name, count)
+		}
 	}
 }

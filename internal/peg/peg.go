@@ -7,6 +7,7 @@
 package peg
 
 import (
+	"context"
 	"fmt"
 
 	"mvpar/internal/cu"
@@ -14,6 +15,7 @@ import (
 	"mvpar/internal/graph"
 	"mvpar/internal/ir"
 	"mvpar/internal/obs"
+	"mvpar/internal/obs/trace"
 )
 
 // NodeKind distinguishes PEG node types.
@@ -122,7 +124,8 @@ type PEG struct {
 // Build constructs the full-program PEG from the CU partition and the
 // measured dependences.
 func Build(prog *ir.Program, cus *cu.Set, result *deps.Result) *PEG {
-	defer obs.Start("peg.build").End()
+	_, span := trace.StartSpan(context.Background(), "peg.build")
+	defer span.End()
 	p := &PEG{
 		ByStmt: map[int]int{},
 		ByLoop: map[int]int{},

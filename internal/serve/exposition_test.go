@@ -31,7 +31,6 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 		"mvpar_model_generations_drained_total",
 		"mvpar_http_degraded_responses_total",
 		"mvpar_chaos_injections_total",
-		"mvpar_classify_requests_float32_total",
 		"mvpar_classify_requests_int8_total",
 	} {
 		obs.GetCounter(name).Add(0)
@@ -73,13 +72,15 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 		`mvpar_inference_precision{`,
 		`precision="float64"`,
 		"# TYPE mvpar_classify_requests_float64_total counter",
-		"# TYPE mvpar_classify_requests_float32_total counter",
 		"# TYPE mvpar_classify_requests_int8_total counter",
 		"# TYPE mvpar_model_info_default gauge",
 		`mvpar_model_info_default{`,
 		`model="default"`,
 		`fingerprint="fp-1"`,
 		"# TYPE mvpar_http_queue_depth gauge",
+		"# TYPE mvpar_span_handler_seconds histogram",
+		"# TYPE mvpar_span_batcher_seconds histogram",
+		"# TYPE mvpar_span_replica_seconds histogram",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

@@ -24,7 +24,7 @@ type Fingerprinter interface {
 }
 
 // Precisioner is the optional precision surface of an Inference: which
-// inference engine ("float64", "float32" or "int8") answers its
+// inference engine ("float64" or "int8") answers its
 // predictions.
 // *core.Classifier implements it; implementations without it are
 // reported as float64 (the bit-identity default).

@@ -63,8 +63,7 @@ type ClassifyResponse struct {
 	// re-running the pipeline.
 	Cached bool `json:"cached"`
 	// Precision names the inference engine that answered: "float64" (the
-	// bit-identity reference), "float32" (the quantized fast path) or
-	// "int8" (the integer tier).
+	// bit-identity reference) or "int8" (the integer tier).
 	Precision string `json:"precision"`
 	// TraceID and Timings are set only when the request asked for a
 	// timings breakdown (ClassifyRequest.Timings) and the pipeline ran:
@@ -177,7 +176,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// or once admission and the attempt have finished.
 	gen := m.admit()
 	// Per-precision request accounting: which inference tier is about to
-	// answer (float64 reference or float32 fast path).
+	// answer (float64 reference or int8).
 	obs.GetCounter("mvpar_classify_requests_" + gen.prec + "_total").Inc()
 	var key string
 	if s.cache != nil {
@@ -197,15 +196,20 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// Request tracing: in slow-capture mode (TraceSlow set) every request
 	// is traced so any of them can be retained when it crosses the
 	// threshold; otherwise only requests asking for a timings breakdown
-	// pay for a trace. Untraced requests see zero overhead — every span
-	// call downstream is a no-op on their context.
+	// pay for a trace. Untraced requests still time every stage into its
+	// histogram, allocation-free.
 	tctx := r.Context()
 	var tr *trace.Trace
+	var hspan trace.Span
 	if s.cfg.TraceSlow > 0 || req.Timings {
 		tctx, tr = trace.New(tctx, "handler")
-		tr.Root().SetAttr("program", req.Name)
+		hspan = tr.Root()
+		hspan.SetAttr("program", req.Name)
 		defer s.finishTrace(tr, req.Name)
+	} else {
+		tctx, hspan = trace.StartSpan(tctx, "handler")
 	}
+	defer hspan.End()
 	ctx, cancel := context.WithTimeout(tctx, s.cfg.RequestTimeout)
 	defer cancel()
 	var respTr *trace.Trace

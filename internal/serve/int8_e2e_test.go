@@ -15,10 +15,9 @@ import (
 	"mvpar/internal/core"
 )
 
-// Serving-path drift budget for the int8 tier on the e2e fixture. Looser
-// than float32's 1e-4/zero-flip contract — int8 is licensed at a non-zero
-// budget (`mvpar parity -precision int8`) — but still tight enough that a
-// broken kernel (wrong scale, overflow) fails loudly.
+// Serving-path drift budget for the int8 tier on the e2e fixture. int8 is
+// licensed at a non-zero budget (`mvpar parity`), but this is still tight
+// enough that a broken kernel (wrong scale, overflow) fails loudly.
 const (
 	int8E2EProbaTol = 0.08
 	int8E2EMaxFlips = 1 // per program, and only on near-boundary loops
@@ -29,9 +28,10 @@ const (
 // every e2e program with (a) the "precision" field set to int8 on the
 // wire, (b) labels within the flip budget of the float64 reference (flips
 // only on near-boundary probabilities), and (c) probabilities within the
-// int8 drift tolerance. It also pins tier cache-identity: the float64,
-// float32 and int8 handles must carry pairwise-distinct fingerprints, so
-// the serving LRU can never hand one tier's cached response to another.
+// int8 drift tolerance. It also pins tier cache-identity: precision is
+// part of model identity, so the float64 and int8 handles must carry
+// distinct fingerprints and the serving LRU can never hand one tier's
+// cached response to another.
 // It runs under -race in CI like the other e2e tests.
 func TestServerInt8PrecisionE2E(t *testing.T) {
 	pl := e2eTrained(t)
@@ -40,6 +40,9 @@ func TestServerInt8PrecisionE2E(t *testing.T) {
 	cls64, err := pl.Classifier()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := cls64.Precision(); got != core.PrecisionFloat64 {
+		t.Fatalf("default classifier precision = %q, want %q", got, core.PrecisionFloat64)
 	}
 	ref := map[string][]core.LoopPrediction{}
 	for name, src := range e2eSources {
@@ -60,22 +63,8 @@ func TestServerInt8PrecisionE2E(t *testing.T) {
 	if got := cls8.Precision(); got != core.PrecisionInt8 {
 		t.Fatalf("int8 classifier precision = %q, want %q", got, core.PrecisionInt8)
 	}
-	// Fingerprint regression: all three tiers must be pairwise distinct.
-	cls32, err := pl.ClassifierPrecision(core.PrecisionFloat32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps := map[string]string{
-		core.PrecisionFloat64: cls64.Fingerprint(),
-		core.PrecisionFloat32: cls32.Fingerprint(),
-		core.PrecisionInt8:    cls8.Fingerprint(),
-	}
-	for a, afp := range fps {
-		for b, bfp := range fps {
-			if a != b && afp == bfp {
-				t.Fatalf("tiers %s and %s share fingerprint %s; the response cache would mix them", a, b, afp)
-			}
-		}
+	if fp := cls8.Fingerprint(); fp == cls64.Fingerprint() {
+		t.Fatalf("float64 and int8 share fingerprint %s; the response cache would mix them", fp)
 	}
 
 	// Cache disabled so every request exercises the integer forward.

@@ -8,6 +8,7 @@
 package walks
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -16,6 +17,7 @@ import (
 
 	"mvpar/internal/graph"
 	"mvpar/internal/obs"
+	"mvpar/internal/obs/trace"
 	"mvpar/internal/tensor"
 )
 
@@ -177,7 +179,8 @@ func (s *Space) NodeDistributionsBudget(g *graph.Directed, p Params, rng *rand.R
 }
 
 func (s *Space) nodeDistributions(g *graph.Directed, p Params, rng *rand.Rand, budgeted bool) (*tensor.Matrix, error) {
-	defer obs.Start("walks.sample").End()
+	_, span := trace.StartSpan(context.Background(), "walks.sample")
+	defer span.End()
 	n := g.NumNodes()
 	out := tensor.New(n, s.NumTypes())
 	if p.Gamma <= 0 {
