@@ -24,8 +24,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
-	rtpprof "runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,7 +36,6 @@ import (
 	"mvpar/internal/dataset"
 	"mvpar/internal/deps"
 	"mvpar/internal/eval"
-	"mvpar/internal/faults"
 	"mvpar/internal/features"
 	"mvpar/internal/gnn"
 	"mvpar/internal/inst2vec"
@@ -64,27 +61,6 @@ func main() {
 	flag.Usage = usage
 	flag.Parse()
 	pool.SetDefaultParallelism(*jobs)
-	// Chaos injection is armed only by explicit operator action: without
-	// $MVPAR_CHAOS every fault seam stays a no-op. The seed (default 1,
-	// $MVPAR_CHAOS_SEED to vary) makes a chaos run reproducible.
-	if spec := os.Getenv("MVPAR_CHAOS"); spec != "" {
-		seed := int64(1)
-		if s := os.Getenv("MVPAR_CHAOS_SEED"); s != "" {
-			v, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mvpar: bad $MVPAR_CHAOS_SEED:", err)
-				os.Exit(2)
-			}
-			seed = v
-		}
-		inj, err := faults.ParseInjector(spec, seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mvpar:", err)
-			os.Exit(2)
-		}
-		faults.SetChaos(inj)
-		fmt.Fprintf(os.Stderr, "mvpar: CHAOS ARMED (sites %v) — not for production\n", inj.Sites())
-	}
 	if *logLevel != "" {
 		lvl, err := obs.ParseLevel(*logLevel)
 		if err != nil {
@@ -195,8 +171,8 @@ commands:
                                model hot swap (POST /v1/classify, POST
                                /v1/models/reload or SIGHUP, GET /v1/models,
                                /healthz, /readyz, /metrics, /debug/traces;
-                               -trace-slow, -pprof, -cpuprofile/-memprofile
-                               for telemetry); -models serves extra named
+                               -trace-slow for telemetry, the global -pprof
+                               for profiles); -models serves extra named
                                models; -precision int8 serves the integer
                                tier;
                                see mvpar serve -h, docs/serving.md,
@@ -446,9 +422,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	models := fs.String("models", "", "extra registry models, comma-separated name=path[@precision]\nentries: a path loads that checkpoint (hot-reloadable per model\nvia POST /v1/models/reload?model=NAME), an empty path shares the\ndefault model's weights at the given precision, e.g.\n\"fast=@int8,retrained=ckpt.bin,r8=ckpt.bin@int8\"")
 	traceSlow := fs.Duration("trace-slow", 0, "trace every request and retain those slower than this\nthreshold at /debug/traces (e.g. 250ms; 0 disables capture)")
 	traceRing := fs.Int("trace-ring", 64, "how many slow-request traces /debug/traces retains (-1 disables retention)")
-	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the serve mux")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the serving run to this file on shutdown")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file on shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -458,43 +431,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	prec, err := core.ParsePrecision(*precision)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		if err := rtpprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("serve: starting CPU profile: %w", err)
-		}
-		defer func() {
-			rtpprof.StopCPUProfile()
-			if cerr := f.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "serve: cpuprofile:", cerr)
-			} else {
-				fmt.Fprintln(os.Stderr, "serve: CPU profile written to", *cpuProfile)
-			}
-		}()
-	}
-	if *memProfile != "" {
-		path := *memProfile
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "serve: memprofile:", err)
-				return
-			}
-			runtime.GC() // settle the heap so the profile reflects live objects
-			if err := rtpprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "serve: memprofile:", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "serve: memprofile:", err)
-			} else {
-				fmt.Fprintln(os.Stderr, "serve: heap profile written to", path)
-			}
-		}()
 	}
 	pl := core.NewPipeline(trainOptions(*quick))
 	if *modelPath != "" {
@@ -529,15 +465,9 @@ func cmdServe(ctx context.Context, args []string) error {
 	if *modelPath != "" {
 		path := *modelPath
 		loader = func(context.Context) (serve.Inference, error) {
-			if hit, _ := faults.ChaosFire(faults.SiteReloadFail); hit {
-				return nil, fmt.Errorf("chaos: injected loader failure")
-			}
 			data, err := os.ReadFile(path)
 			if err != nil {
 				return nil, err
-			}
-			if hit, _ := faults.ChaosFire(faults.SiteReloadCorrupt); hit && len(data) > 0 {
-				data[len(data)/2] ^= 0xFF // CRC-checked load rejects this → rollback
 			}
 			if _, err := pl.ReloadModel(bytes.NewReader(data)); err != nil {
 				return nil, err
@@ -564,7 +494,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		Version:        buildVersion,
 		TraceSlow:      *traceSlow,
 		TraceRing:      *traceRing,
-		EnablePprof:    *enablePprof,
 	})
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)

@@ -116,54 +116,6 @@ func (p *Pipeline) ClassifierPrecision(precision string) (*Classifier, error) {
 	return &Classifier{cfg: cfg, model: p.Model, precision: prec, proto: proto}, nil
 }
 
-// ClassifierSet is a named family of inference handles over one trained
-// pipeline — typically one handle per precision tier, all sharing the
-// model weights and encoder state. It is the multi-model serving
-// layer's way to expose several views of one checkpoint (e.g. "default"
-// at float64 next to "fast" at int8) without loading the weights twice.
-// The set is immutable after construction; each handle is independently
-// safe for concurrent use.
-type ClassifierSet struct {
-	byName map[string]*Classifier
-	names  []string // construction order
-}
-
-// ClassifierSet builds one handle per entry of tiers (name → precision
-// tier, empty meaning float64), in the order given. Names must be
-// non-empty and unique.
-func (p *Pipeline) ClassifierSet(names []string, tiers map[string]string) (*ClassifierSet, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("core: classifier set needs at least one name")
-	}
-	set := &ClassifierSet{byName: make(map[string]*Classifier, len(names))}
-	for _, name := range names {
-		if name == "" {
-			return nil, fmt.Errorf("core: classifier set entry with empty name")
-		}
-		if _, dup := set.byName[name]; dup {
-			return nil, fmt.Errorf("core: duplicate classifier set entry %q", name)
-		}
-		c, err := p.ClassifierPrecision(tiers[name])
-		if err != nil {
-			return nil, fmt.Errorf("core: classifier %q: %w", name, err)
-		}
-		set.byName[name] = c
-		set.names = append(set.names, name)
-	}
-	return set, nil
-}
-
-// Get returns the named handle.
-func (s *ClassifierSet) Get(name string) (*Classifier, bool) {
-	c, ok := s.byName[name]
-	return c, ok
-}
-
-// Names lists the handles in construction order.
-func (s *ClassifierSet) Names() []string {
-	return append([]string(nil), s.names...)
-}
-
 // Precision reports the handle's inference tier ("float64" or "int8").
 func (c *Classifier) Precision() string {
 	if c.precision == "" {

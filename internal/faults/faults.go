@@ -136,13 +136,6 @@ func (q *Quarantine) Len() int {
 	return len(q.failures)
 }
 
-// Failures returns a copy of the recorded failures in arrival order.
-func (q *Quarantine) Failures() []*StageError {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return append([]*StageError(nil), q.failures...)
-}
-
 // Programs returns the sorted names of quarantined programs.
 func (q *Quarantine) Programs() []string {
 	q.mu.Lock()

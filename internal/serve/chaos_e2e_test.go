@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,19 +12,39 @@ import (
 	"time"
 
 	"mvpar/internal/core"
-	"mvpar/internal/faults"
 	"mvpar/internal/nn"
 	"mvpar/internal/obs"
 	"mvpar/internal/tensor"
 )
 
-// chaosStub is the generation-tagged model the chaos harness serves:
+// chaosFaults is the fault source every generation's chaosStub shares:
+// one seeded RNG behind a mutex, so a run's fault mix is reproducible,
+// plus counts of the faults it actually injected.
+type chaosFaults struct {
+	mu     sync.Mutex
+	rng    *rand.Rand
+	panics atomic.Int64
+	slows  atomic.Int64
+}
+
+// hit rolls the shared RNG once and reports whether it lands below p.
+func (f *chaosFaults) hit(p float64) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.rng.Float64() < p
+}
+
+// chaosStub is the generation-tagged model the chaos tests serve:
 // every prediction names the generation that computed it (Func =
 // "gen-<n>"), so a response whose body disagrees with its generation
 // field is a cross-generation leak. It implements the degraded surface,
-// like core.Classifier, so the ladder can always answer.
+// like core.Classifier, so the ladder can always answer. With faults
+// set, a full classification (never the warm-up, so every swap
+// candidate passes its gate) sleeps 2ms with p=0.25 and then panics
+// with p=0.15.
 type chaosStub struct {
-	gen uint64
+	gen    uint64
+	faults *chaosFaults
 }
 
 func (c *chaosStub) preds(proba float64) []core.LoopPrediction {
@@ -34,6 +55,22 @@ func (c *chaosStub) preds(proba float64) []core.LoopPrediction {
 }
 
 func (c *chaosStub) ClassifyContext(ctx context.Context, name, src string) ([]core.LoopPrediction, error) {
+	if f := c.faults; f != nil && name != "warmup" {
+		if f.hit(0.25) {
+			f.slows.Add(1)
+			t := time.NewTimer(2 * time.Millisecond)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return nil, ctx.Err()
+			}
+		}
+		if f.hit(0.15) {
+			f.panics.Add(1)
+			panic(fmt.Sprintf("gen-%d: injected replica panic", c.gen))
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -50,11 +87,12 @@ func (c *chaosStub) ClassifyDegradedContext(ctx context.Context, name, src strin
 func (c *chaosStub) Fingerprint() string { return fmt.Sprintf("chaos-fp-%d", c.gen) }
 
 // TestChaosSwapStormUnderInjectedFaults is the chaos e2e: sustained
-// client load over ≥5 hot swaps while the injector fires replica panics
-// and slowdowns. Invariants asserted on every single response:
+// client load over eight hot swaps while every generation's model
+// panics and stalls at random. Invariants asserted on every single
+// response:
 //
 //   - no failure statuses: every response is 200 (or 429 load shed) —
-//     an injected fault sends its request down the degradation ladder,
+//     a replica panic sends its request down the degradation ladder,
 //     never surfacing to clients;
 //   - no cross-generation predictions: the prediction body names the
 //     generation that computed it, which must equal the response's
@@ -64,18 +102,13 @@ func (c *chaosStub) Fingerprint() string { return fmt.Sprintf("chaos-fp-%d", c.g
 //
 // CI runs this under -race with -count=2 (the `chaos` job).
 func TestChaosSwapStormUnderInjectedFaults(t *testing.T) {
-	inj := faults.NewInjector(7)
-	inj.Arm(faults.SiteReplicaPanic, 0.15, 0)
-	inj.Arm(faults.SiteReplicaSlow, 0.25, 2*time.Millisecond)
-	faults.SetChaos(inj)
-	t.Cleanup(func() { faults.SetChaos(nil) })
-
+	faultSrc := &chaosFaults{rng: rand.New(rand.NewSource(7))}
 	var genSeq atomic.Uint64
 	genSeq.Store(1)
 	loader := func(context.Context) (Inference, error) {
-		return &chaosStub{gen: genSeq.Add(1)}, nil
+		return &chaosStub{gen: genSeq.Add(1), faults: faultSrc}, nil
 	}
-	s, ts := newTestServer(t, &chaosStub{gen: 1}, Config{
+	s, ts := newTestServer(t, &chaosStub{gen: 1, faults: faultSrc}, Config{
 		CacheSize: -1, // force every request through the model
 		MaxQueue:  256,
 		Loader:    loader,
@@ -83,7 +116,7 @@ func TestChaosSwapStormUnderInjectedFaults(t *testing.T) {
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	injectionsBefore := obs.GetCounter("mvpar_chaos_injections_total").Value()
+	degradedBefore := obs.GetCounter("mvpar_http_degraded_responses_total").Value()
 
 	const (
 		clients    = 8
@@ -165,24 +198,25 @@ func TestChaosSwapStormUnderInjectedFaults(t *testing.T) {
 	if got, want := s.Generation(), uint64(1+swapStorms*swapsEach); got != want {
 		t.Fatalf("final generation = %d, want %d", got, want)
 	}
-	// The run must actually have been chaotic: the injector fired inside
-	// the serving path (panics and/or slowdowns).
-	if n := obs.GetCounter("mvpar_chaos_injections_total").Value(); n == injectionsBefore {
-		t.Fatal("chaos injector never fired; the storm tested nothing")
+	// The run must actually have been chaotic: the stubs panicked and
+	// stalled, and the ladder answered for the panics.
+	if faultSrc.panics.Load() == 0 || faultSrc.slows.Load() == 0 {
+		t.Fatalf("stubs injected %d panics and %d slowdowns; the storm tested nothing",
+			faultSrc.panics.Load(), faultSrc.slows.Load())
+	}
+	if obs.GetCounter("mvpar_http_degraded_responses_total").Value() == degradedBefore {
+		t.Fatal("no degraded responses under injected panics")
 	}
 }
 
 // TestChaosCorruptCheckpointRollsBack runs the real checkpoint path
 // under injected corruption: the loader serializes genuine nn params,
-// the armed reload.corrupt site flips a payload byte, and the
-// CRC-checked load must reject it — the reload rolls back and the old
-// generation keeps serving. Disarming the site makes the same loader
-// succeed.
+// flips a payload byte while corrupt is set, and the CRC-checked load
+// must reject it — the reload rolls back and the old generation keeps
+// serving. Clearing corrupt makes the same loader succeed.
 func TestChaosCorruptCheckpointRollsBack(t *testing.T) {
-	inj := faults.NewInjector(3)
-	inj.Arm(faults.SiteReloadCorrupt, 1, 0)
-	faults.SetChaos(inj)
-	t.Cleanup(func() { faults.SetChaos(nil) })
+	var corrupt atomic.Bool
+	corrupt.Store(true)
 
 	params := []*nn.Param{nn.NewParam("w", &tensor.Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}})}
 	var checkpoint bytes.Buffer
@@ -194,7 +228,7 @@ func TestChaosCorruptCheckpointRollsBack(t *testing.T) {
 	genSeq.Store(1)
 	loader := func(context.Context) (Inference, error) {
 		data := append([]byte(nil), checkpoint.Bytes()...)
-		if hit, _ := faults.ChaosFire(faults.SiteReloadCorrupt); hit {
+		if corrupt.Load() {
 			data[len(data)-1] ^= 0xFF // corrupt the gob payload tail
 		}
 		fresh := []*nn.Param{nn.NewParam("w", tensor.New(2, 2))}
@@ -220,8 +254,8 @@ func TestChaosCorruptCheckpointRollsBack(t *testing.T) {
 		t.Fatalf("classify after rollback = %d %+v, want the old model serving", code, ok)
 	}
 
-	// With the corruption site disarmed the same loader hot-swaps fine.
-	inj.Disarm(faults.SiteReloadCorrupt)
+	// Without the corruption the same loader hot-swaps fine.
+	corrupt.Store(false)
 	if code, body := postReload(t, ts.URL); code != 200 {
 		t.Fatalf("clean reload = %d %s, want 200", code, body)
 	}

@@ -17,20 +17,19 @@
 //	    attempt faults
 //
 // plus /healthz (liveness + generation identity), /readyz (warm, not
-// draining), /metrics (the internal/obs registry — Prometheus
-// exposition under content negotiation — extended with the mvpar_http_*
-// / mvpar_model_* families), POST /v1/models/reload (atomic model hot
-// swap: load → warm → parity-check → swap, with the old generation
-// draining in flight and automatic rollback on failure), /debug/traces
-// (retained slow-request span trees, see internal/obs/trace) and,
-// behind Config.EnablePprof, the /debug/pprof/ profile endpoints.
-// Results are bit-identical to serial core.Pipeline.ClassifySource at
-// every concurrency level — the same determinism contract the training
-// pool upholds. Shutdown is graceful: draining finishes every admitted
+// draining), /metrics (the internal/obs registry in the Prometheus text
+// exposition, extended with the mvpar_http_* / mvpar_model_* families),
+// POST /v1/models/reload (atomic model hot swap: load → warm →
+// parity-check → swap, with the old generation draining in flight and
+// automatic rollback on failure) and /debug/traces (retained
+// slow-request span trees, see internal/obs/trace). Results are
+// bit-identical to serial core.Pipeline.ClassifySource at every
+// concurrency level — the same determinism contract the training pool
+// upholds. Shutdown is graceful: draining finishes every admitted
 // request before it returns.
 //
 // The resilience model (swap/drain/rollback state machine, degradation
-// ladder, chaos harness) is documented in docs/robustness.md.
+// ladder, fault tests) is documented in docs/robustness.md.
 package serve
 
 import (
@@ -39,7 +38,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -108,11 +106,6 @@ type Config struct {
 	// (oldest evicted first); default 64, negative disables retention
 	// (slow requests are still counted and logged).
 	TraceRing int
-	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof/
-	// on the serve mux. Off by default: the profile endpoints can stall
-	// the process (30s CPU captures) and belong behind an operator's
-	// explicit flag.
-	EnablePprof bool
 }
 
 // withDefaults resolves zero fields to their documented defaults.
@@ -191,7 +184,7 @@ func NewMulti(specs []ModelSpec, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{cfg: cfg, reg: reg, cache: newLRUCache(cfg.CacheSize)}
-	if cfg.TraceRing > 0 {
+	if cfg.TraceSlow > 0 && cfg.TraceRing > 0 {
 		s.traces = trace.NewRing(cfg.TraceRing)
 	}
 	s.bat = newBatcher(cfg.MaxQueue, cfg.Workers)
@@ -208,15 +201,6 @@ func NewMulti(specs []ModelSpec, cfg Config) (*Server, error) {
 	mux.Handle("/readyz", instrument("readyz", http.HandlerFunc(s.handleReadyz)))
 	mux.Handle("/metrics", instrument("metrics", obs.Handler()))
 	mux.Handle("/debug/traces", instrument("debug_traces", http.HandlerFunc(s.handleDebugTraces)))
-	if cfg.EnablePprof {
-		// Registered explicitly (not via the package's DefaultServeMux
-		// side effects) so the endpoints exist only behind the flag.
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	s.hs = &http.Server{
 		Addr:              cfg.Addr,
 		Handler:           mux,
@@ -423,14 +407,21 @@ type outcome struct {
 	degraded []string
 }
 
-// classify runs one classification attempt for r. A replica fault
-// (panic, injected fault) goes straight to the degradation ladder: the
-// weights are shared, so a panic the input caused would fire again on
-// any retry. A spent deadline answers 504, and a program the pipeline
+// classify runs one panic-captured classification attempt for r on its
+// pinned generation, under the "replica" trace span. A replica panic
+// goes straight to the degradation ladder: the weights are shared, so a
+// panic the input caused would fire again on any retry. A spent deadline answers 504, and a program the pipeline
 // rejects answers 422 — neither is the model's fault.
 func (s *Server) classify(r *job) outcome {
 	gen := r.gen
-	preds, err := s.runReplica(r)
+	cctx, rspan := trace.StartSpan(r.ctx, "replica")
+	var preds []core.LoopPrediction
+	err := faults.Capture(func() error {
+		var cerr error
+		preds, cerr = gen.inf.ClassifyContext(cctx, r.name, r.src)
+		return cerr
+	})
+	rspan.End()
 	if err == nil {
 		if s.cache != nil && r.key != "" {
 			s.cache.put(r.key, preds)
@@ -457,33 +448,6 @@ func (s *Server) classify(r *job) outcome {
 		}
 	}
 	return outcome{err: err, gen: gen.id}
-}
-
-// runReplica runs one classification attempt on the request's pinned
-// generation: chaos injection (no-ops unless a chaos injector is armed),
-// panic capture, and the "replica" trace span.
-func (s *Server) runReplica(r *job) ([]core.LoopPrediction, error) {
-	cctx, rspan := trace.StartSpan(r.ctx, "replica")
-	defer rspan.End()
-	var preds []core.LoopPrediction
-	err := faults.Capture(func() error {
-		if hit, d := faults.ChaosFire(faults.SiteReplicaSlow); hit && d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-cctx.Done():
-				t.Stop()
-				return cctx.Err()
-			}
-		}
-		if hit, _ := faults.ChaosFire(faults.SiteReplicaPanic); hit {
-			panic("chaos: injected replica panic")
-		}
-		var cerr error
-		preds, cerr = r.gen.inf.ClassifyContext(cctx, r.name, r.src)
-		return cerr
-	})
-	return preds, err
 }
 
 // isReplicaFault classifies an error as the model's fault (panic,

@@ -79,7 +79,9 @@ type debugTraceEntry struct {
 // span tree of every retained trace; ?format=chrome re-serializes the
 // same traces as a Chrome trace_event document loadable in
 // chrome://tracing or Perfetto, and ?n=K caps the answer to the K most
-// recent. 404s when slow-request capture is off (TraceSlow unset).
+// recent. 404s when nothing is retained: slow-request capture is off
+// (TraceSlow unset) or retention is (negative TraceRing), and the
+// reason names the flag that turned it off.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -87,9 +89,13 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.traces == nil {
+		reason := "start the server with -trace-slow to retain slow traces"
+		if s.cfg.TraceSlow > 0 {
+			reason = "-trace-ring is negative: slow requests are counted and logged, not retained"
+		}
 		writeJSON(w, http.StatusNotFound, ErrorResponse{
-			Error:   "slow-request capture is disabled",
-			Reasons: []string{"start the server with -trace-slow to retain slow traces"},
+			Error:   "slow-request retention is disabled",
+			Reasons: []string{reason},
 		})
 		return
 	}

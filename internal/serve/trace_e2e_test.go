@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -223,5 +224,44 @@ func TestConcurrentRequestSpanLineage(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Fatal("chrome export is empty")
+	}
+}
+
+// TestDebugTracesAnswersOnlyWhenRetaining pins /debug/traces to its
+// contract: it serves the ring only when slow-request capture and
+// retention are both on, and otherwise 404s with a reason naming the
+// flag that turned retention off.
+func TestDebugTracesAnswersOnlyWhenRetaining(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		wantCode int
+		wantFlag string // flag the 404 reason must name
+	}{
+		{"default", Config{}, http.StatusNotFound, "-trace-slow"},
+		{"slow+ring", Config{TraceSlow: time.Millisecond}, http.StatusOK, ""},
+		{"slow, ring off", Config{TraceSlow: time.Millisecond, TraceRing: -1}, http.StatusNotFound, "-trace-ring"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, &stubInference{}, tc.cfg)
+			resp, err := http.Get(ts.URL + "/debug/traces")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.wantCode {
+				t.Fatalf("GET /debug/traces = %d, want %d", resp.StatusCode, tc.wantCode)
+			}
+			if tc.wantFlag == "" {
+				return
+			}
+			var e ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			if len(e.Reasons) != 1 || !strings.Contains(e.Reasons[0], tc.wantFlag) {
+				t.Fatalf("404 reasons = %q, want one naming %s", e.Reasons, tc.wantFlag)
+			}
+		})
 	}
 }
