@@ -13,14 +13,14 @@ FUZZTIME ?= 30s
 
 # `make bench` output: machine-readable benchmark log (one JSON test
 # event per line, the `go test -json` format) and how long each
-# benchmark runs. BENCH_11.json is the checked-in snapshot for this
+# benchmark runs. BENCH_12.json is the checked-in snapshot for this
 # change; override BENCHJSON to benchmark without clobbering it.
-BENCHJSON ?= BENCH_11.json
+BENCHJSON ?= BENCH_12.json
 BENCHTIME ?= 1x
 
 # `make benchcmp` inputs: two bench logs to diff (ns/op and allocs/op).
-BENCHOLD ?= BENCH_10.json
-BENCHNEW ?= BENCH_11.json
+BENCHOLD ?= BENCH_11.json
+BENCHNEW ?= BENCH_12.json
 
 # `make benchgate` settings: which benchmarks the regression gate covers
 # (the allocation-sensitive hot paths), how many iterations to average
@@ -35,7 +35,7 @@ BENCHNEW ?= BENCH_11.json
 GATEBENCH ?= TrainStepAllocs|SpMM|ClassifyTracingDisabled|MatMulBlocked|ForwardF32|ForwardI8|WalkSample|ProfileCorpus
 GATETIME ?= 5x
 GATETIMEPCT ?= -25
-BENCHBASE ?= BENCH_11.json
+BENCHBASE ?= BENCH_12.json
 BENCHPR ?= BENCH_PR.json
 
 all: verify

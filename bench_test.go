@@ -461,9 +461,11 @@ func forwardBenchModel(b *testing.B) (*gnn.MVGNN, []gnn.Sample) {
 // float64 is the bit-identical reference path, float32 the quantized fast
 // path with pre-transposed weights, table tanh and fused
 // dense+activation. The benchgate pins both subs' allocs/op (the f32
-// tier at zero, arena steady state) and watches ns/op. With the float64
-// Conv1D and Dense kernels register-blocked and the padded SortPooling
-// windows computed once, the reference runs at ~0.9x float32 per loop.
+// tier at zero, arena steady state) and watches ns/op. With Conv1D,
+// Dense and the graph-conv matmul on tensor.VecMatAdd's AVX2 kernel and
+// the padded SortPooling windows computed once, the float64 reference
+// runs at about int8's speed, about half float32's, per loop on an AVX2
+// host.
 // Parity of the *outputs* is enforced elsewhere (mvpar parity,
 // TestPredictWithProbaF32Parity).
 func BenchmarkForwardF32(b *testing.B) {

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,6 +31,30 @@ func TestDGCNNSteadyStateAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, step); n != 0 {
 		t.Fatalf("DGCNN forward+backward allocates %v per run in steady state, want 0", n)
+	}
+}
+
+// TestPredictFloat64SteadyStateAllocFree: after warm-up, the float64
+// Predictor allocates nothing per prediction in any view on an untraced
+// context — the arenas hold every activation, Conv1D's Wᵀ is cached, and
+// classFrom reduces the logits in place. BenchmarkForwardF32/float64's
+// allocs/op gate defends the same property in CI.
+func TestPredictFloat64SteadyStateAllocFree(t *testing.T) {
+	m, samples := trainedParityModel(t)
+	p := m.Predictor()
+	ctx := context.Background()
+	for _, v := range []View{ViewTrained, ViewNode, ViewStruct} {
+		for _, s := range samples {
+			p.Predict(ctx, s, v)
+		}
+		n := testing.AllocsPerRun(20, func() {
+			for _, s := range samples {
+				p.Predict(ctx, s, v)
+			}
+		})
+		if n != 0 {
+			t.Fatalf("float64 predict (view %s) allocates %v per %d samples in steady state, want 0", v, n, len(samples))
+		}
 	}
 }
 

@@ -157,6 +157,11 @@ func TestDGCNNGradientCheck(t *testing.T) {
 	label := []int{1}
 
 	lossAt := func() float64 {
+		// The probes perturb weights in place; bump them so the cached
+		// Wᵀ of the readout convolutions sees every probe.
+		for _, p := range d.Params() {
+			p.Bump()
+		}
 		l, _ := loss.Loss(d.Forward(g), label)
 		return l
 	}

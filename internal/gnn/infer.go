@@ -2,8 +2,8 @@ package gnn
 
 import (
 	"context"
+	"math"
 
-	"mvpar/internal/nn"
 	"mvpar/internal/obs/trace"
 	"mvpar/internal/tensor"
 )
@@ -113,9 +113,33 @@ func (m *MVGNN) forward(s Sample, h View) (int, float64) {
 
 func (m *MVGNN) replicate() engine { return m.Replicate() }
 
-// classFrom reduces one logits row to (argmax class, P(class=1)).
+// classFrom reduces one logits row to its argmax class (the first on
+// ties) and P(class=1), without allocating. The probability follows
+// tensor.SoftmaxRows step for step (max shift, exp summed in column
+// order, one reciprocal, then a multiply), so it is bit-identical to
+// tensor.SoftmaxRows(logits).At(0, 1).
 func classFrom(logits *tensor.Matrix) (int, float64) {
-	return nn.Predict(logits)[0], nn.Probabilities(logits).At(0, 1)
+	row := logits.Row(0)
+	best := 0
+	maxv := math.Inf(-1)
+	for j, v := range row {
+		if v > row[best] {
+			best = j
+		}
+		if v > maxv {
+			maxv = v
+		}
+	}
+	sum, e1 := 0.0, 0.0
+	for j, v := range row {
+		e := math.Exp(v - maxv)
+		sum += e
+		if j == 1 {
+			e1 = e
+		}
+	}
+	inv := 1.0 / sum
+	return best, e1 * inv
 }
 
 // PredictWithProba is the float64 trained-head prediction: class and

@@ -13,7 +13,7 @@ import (
 
 // TestPredictWithProbaMatchesSeparateCalls pins the single-forward
 // contract of the float64 Predictor: every view's (class, P(class=1)) is
-// bit-identical to nn.Predict and nn.Probabilities of that head's own
+// bit-identical to nn.Predict and tensor.SoftmaxRows of that head's own
 // logits, in every predict mode, and ViewTrained follows the mode. The
 // serving path and the experiments read labels and probabilities through
 // this one call.
@@ -36,7 +36,7 @@ func TestPredictWithProbaMatchesSeparateCalls(t *testing.T) {
 				if want := nn.Predict(l)[0]; pred != want {
 					t.Fatalf("mode %d view %s sample %d: class %d, head argmax %d", mode, v, i, pred, want)
 				}
-				if want := nn.Probabilities(l).At(0, 1); proba != want {
+				if want := tensor.SoftmaxRows(l).At(0, 1); proba != want {
 					t.Fatalf("mode %d view %s sample %d: proba %v, head softmax %v", mode, v, i, proba, want)
 				}
 			}

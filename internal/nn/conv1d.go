@@ -28,6 +28,8 @@ type Conv1D struct {
 	Scratch *tensor.Arena
 
 	lastX *tensor.Matrix
+	wT    TransposeCache // Wᵀ, the forward's (inChannels*kernelSize) x outChannels operand
+	acc   []float64      // one window's outputs, reused across calls
 }
 
 // NewConv1D creates a Conv1D layer with Xavier-initialized kernels.
@@ -98,53 +100,21 @@ func (c *Conv1D) ForwardLiveInto(x, out *tensor.Matrix, live int) {
 	if live < n {
 		n = max(live, 0) + 1
 	}
-	// Four filters at a time: each loaded input value feeds four
-	// independent accumulators, so the adds do not all wait on one
-	// dependent chain. Every output sums in the scalar loop's order
-	// (bias, then ch ascending, then k ascending), so the result is
-	// bit-identical to it; leftover filters run that loop.
-	kernel, wCols := c.KernelSize, c.W.Value.Cols
-	wd, bias := c.W.Value.Data, c.B.Value.Data
-	f := 0
-	for ; f+3 < c.OutChannels; f += 4 {
-		w0 := wd[f*wCols : (f+1)*wCols]
-		w1 := wd[(f+1)*wCols : (f+2)*wCols]
-		w2 := wd[(f+2)*wCols : (f+3)*wCols]
-		w3 := wd[(f+3)*wCols : (f+4)*wCols]
-		o0, o1, o2, o3 := out.Row(f), out.Row(f+1), out.Row(f+2), out.Row(f+3)
-		for t := 0; t < n; t++ {
-			start := t * c.Stride
-			s0, s1, s2, s3 := bias[f], bias[f+1], bias[f+2], bias[f+3]
-			for ch := 0; ch < c.InChannels; ch++ {
-				xr := x.Row(ch)[start : start+kernel]
-				off := ch * kernel
-				k0 := w0[off : off+len(xr)]
-				k1 := w1[off : off+len(xr)]
-				k2 := w2[off : off+len(xr)]
-				k3 := w3[off : off+len(xr)]
-				for k, xv := range xr {
-					s0 += k0[k] * xv
-					s1 += k1[k] * xv
-					s2 += k2[k] * xv
-					s3 += k3[k] * xv
-				}
-			}
-			o0[t], o1[t], o2[t], o3[t] = s0, s1, s2, s3
+	// One output column per window: acc starts at the bias and adds each
+	// channel's kernel-long slice of x against that channel's rows of Wᵀ,
+	// so every filter sums in the scalar order (bias, then ch ascending,
+	// then k ascending).
+	kernel, oc := c.KernelSize, c.OutChannels
+	wT := c.wT.Of(c.W).Data
+	c.acc = growFloats(c.acc, oc)
+	for t := 0; t < n; t++ {
+		start := t * c.Stride
+		copy(c.acc, c.B.Value.Data)
+		for ch := 0; ch < c.InChannels; ch++ {
+			tensor.VecMatAdd(c.acc, x.Row(ch)[start:start+kernel], wT[ch*kernel*oc:(ch+1)*kernel*oc], oc, false)
 		}
-	}
-	for ; f < c.OutChannels; f++ {
-		w := c.W.Value.Row(f)
-		for t := 0; t < n; t++ {
-			start := t * c.Stride
-			sum := bias[f]
-			for ch := 0; ch < c.InChannels; ch++ {
-				xr := x.Row(ch)
-				wOff := ch * kernel
-				for k := 0; k < kernel; k++ {
-					sum += w[wOff+k] * xr[start+k]
-				}
-			}
-			out.Set(f, t, sum)
+		for f, v := range c.acc {
+			out.Data[f*outLen+t] = v
 		}
 	}
 	for f := 0; n > 0 && n < outLen && f < c.OutChannels; f++ {
@@ -305,6 +275,14 @@ func (f *Flatten) Backward(grad *tensor.Matrix) *tensor.Matrix {
 
 // Params returns nil: Flatten has no trainable state.
 func (f *Flatten) Params() []*Param { return nil }
+
+// growFloats is growInts for float64 slices.
+func growFloats(s []float64, n int) []float64 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]float64, n)
+}
 
 // growInts returns a length-n int slice, reusing s's storage when it is
 // large enough (every element is overwritten by the caller).

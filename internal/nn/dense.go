@@ -44,44 +44,15 @@ func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// denseRow computes out = x·w + b for one input row. It holds eight
-// output columns in registers while walking w's rows with k ascending,
-// skipping x[k] == 0 like tensor.MatMulInto, and adds the bias last like
-// tensor.AddRowVecInto, so each output is bit-identical to those two
-// calls. Leftover columns run the same order one at a time.
+// denseRow computes out = x·w + b for one input row: the products sum
+// with k ascending, skipping x[k] == 0 like tensor.MatMulInto, and the
+// bias is added last like tensor.AddRowVecInto, so each output is
+// bit-identical to those two calls.
 func denseRow(x []float64, w *tensor.Matrix, b, out []float64) {
-	cols, wd := w.Cols, w.Data
-	j := 0
-	for ; j+7 < cols; j += 8 {
-		var a0, a1, a2, a3, a4, a5, a6, a7 float64
-		for k, xv := range x {
-			if xv == 0 {
-				continue
-			}
-			r := wd[k*cols+j : k*cols+j+8]
-			a0 += xv * r[0]
-			a1 += xv * r[1]
-			a2 += xv * r[2]
-			a3 += xv * r[3]
-			a4 += xv * r[4]
-			a5 += xv * r[5]
-			a6 += xv * r[6]
-			a7 += xv * r[7]
-		}
-		o := out[j : j+8]
-		bj := b[j : j+8]
-		o[0], o[1], o[2], o[3] = a0+bj[0], a1+bj[1], a2+bj[2], a3+bj[3]
-		o[4], o[5], o[6], o[7] = a4+bj[4], a5+bj[5], a6+bj[6], a7+bj[7]
-	}
-	for ; j < cols; j++ {
-		var a float64
-		for k, xv := range x {
-			if xv == 0 {
-				continue
-			}
-			a += xv * wd[k*cols+j]
-		}
-		out[j] = a + b[j]
+	clear(out)
+	tensor.VecMatAdd(out, x, w.Data, w.Cols, true)
+	for j := range out {
+		out[j] += b[j]
 	}
 }
 

@@ -29,6 +29,11 @@ func numericalGrad(m *tensor.Matrix, loss func() float64) *tensor.Matrix {
 func checkGrads(t *testing.T, layer Layer, x *tensor.Matrix, tol float64) {
 	t.Helper()
 	lossFn := func() float64 {
+		// numericalGrad perturbs weights in place; bump them so caches
+		// derived from the weights (Conv1D's Wᵀ) see every probe.
+		for _, p := range layer.Params() {
+			p.Bump()
+		}
 		out := layer.Forward(x)
 		// Simple quadratic loss: 0.5 * sum(out^2); dLoss/dOut = out.
 		s := 0.0

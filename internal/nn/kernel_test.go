@@ -9,8 +9,8 @@ import (
 	"mvpar/internal/tensor"
 )
 
-// refConv1D is the scalar convolution loop the register-blocked
-// Conv1D.ForwardInto replaced, kept as its bit-identity reference.
+// refConv1D is the scalar convolution loop, kept as the bit-identity
+// reference of Conv1D.ForwardInto (tensor.VecMatAdd over Wᵀ).
 func refConv1D(c *Conv1D, x *tensor.Matrix) *tensor.Matrix {
 	outLen := c.OutLen(x.Cols)
 	out := tensor.New(c.OutChannels, outLen)
@@ -96,10 +96,11 @@ func assertSameBits(t *testing.T, got, want *tensor.Matrix) {
 	}
 }
 
-// TestConv1DForwardMatchesScalar checks the four-filter kernel against
-// the scalar loop bit for bit: the DGCNN's two shapes, filter counts that
-// leave a remainder, strides other than the kernel size, and inputs or
-// kernels salted with ±0, NaN and ±Inf.
+// TestConv1DForwardMatchesScalar checks Conv1D.ForwardInto against the
+// scalar loop bit for bit: the DGCNN's two shapes, filter counts that
+// leave a remainder of the kernel's 4- and 16-wide blocks, strides other
+// than the kernel size, and inputs or kernels salted with ±0, NaN and
+// ±Inf.
 func TestConv1DForwardMatchesScalar(t *testing.T) {
 	shapes := []struct{ in, out, kernel, stride, length int }{
 		{1, 16, 49, 49, 16 * 49}, // DGCNN conv1
@@ -133,11 +134,12 @@ func TestConv1DForwardMatchesScalar(t *testing.T) {
 
 // TestDenseRowMatchesMatMul checks Dense.Forward against MatMulInto +
 // AddRowVecInto bit for bit: the model's dense shapes, column counts that
-// leave a remainder of the eight-column block, one row and a small batch,
-// and inputs or weights salted with ±0, NaN and ±Inf (an infinite weight
-// behind a zero input must stay skipped, as in MatMulInto). Batches stay
-// under four rows: MatMulInto's row-quad kernel adds 0·Inf instead of
-// skipping it, a case Forward deliberately does not copy.
+// leave a remainder of the kernel's 4- and 16-wide blocks, one row and a
+// small batch, and inputs or weights salted with ±0, NaN and ±Inf (an
+// infinite weight behind a zero input must stay skipped, as in
+// MatMulInto). Batches stay under four rows: MatMulInto's row-quad kernel
+// adds 0·Inf instead of skipping it, a case Forward deliberately does not
+// copy.
 func TestDenseRowMatchesMatMul(t *testing.T) {
 	shapes := []struct{ in, out int }{{128, 48}, {48, 2}, {4, 2}, {13, 19}, {7, 8}, {9, 17}, {5, 1}}
 	for _, sh := range shapes {

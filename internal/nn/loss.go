@@ -63,8 +63,3 @@ func Predict(logits *tensor.Matrix) []int {
 	}
 	return out
 }
-
-// Probabilities returns the row-wise softmax of logits (temperature 1).
-func Probabilities(logits *tensor.Matrix) *tensor.Matrix {
-	return tensor.SoftmaxRows(logits)
-}

@@ -77,11 +77,12 @@ func (p *Param) Rev() uint64 {
 	return *p.rev
 }
 
-// TransposeCache memoizes the transpose of a parameter's Value, the
-// backward-pass operand every matmul layer needs (dX = grad·Wᵀ). The
-// cache recomputes only when the weights actually changed — detected by
-// the (Value pointer, revision) pair — instead of re-transposing on every
-// backward call. Each layer (and each replica) owns its cache, so there
+// TransposeCache memoizes the transpose of a parameter's Value: the
+// backward-pass operand every matmul layer needs (dX = grad·Wᵀ), and
+// Conv1D's forward operand (filters laid out as columns). The cache
+// recomputes only when the weights actually changed — detected by the
+// (Value pointer, revision) pair — instead of re-transposing on every
+// call. Each layer (and each replica) owns its cache, so there
 // is no cross-goroutine sharing; recomputation reuses one buffer and is
 // allocation-free after the first call.
 type TransposeCache struct {

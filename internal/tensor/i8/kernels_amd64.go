@@ -1,34 +1,12 @@
 package i8
 
-// useAVX2 gates the assembly kernels in kernels_amd64.s: true when the
-// CPU reports AVX2 and the OS saves YMM state across context switches
-// (OSXSAVE + XCR0[2:1] == 11). Resolved once at package init; every
-// dispatch site falls back to the scalar kernels when false, with
-// identical results — the scalar quantizer uses the same
-// round-to-nearest-even rule as VCVTPS2DQ.
-var useAVX2 = detectAVX2()
+import "mvpar/internal/tensor"
 
-func detectAVX2() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, cx, _ := cpuid(1, 0)
-	const osxsaveBit = 1 << 27
-	const avxBit = 1 << 28
-	if cx&osxsaveBit == 0 || cx&avxBit == 0 {
-		return false
-	}
-	if lo, _ := xgetbv(); lo&6 != 6 { // XMM and YMM state enabled
-		return false
-	}
-	_, bx, _, _ := cpuid(7, 0)
-	return bx&(1<<5) != 0 // AVX2
-}
-
-func cpuid(op, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (lo, hi uint32)
+// useAVX2 gates the assembly kernels in kernels_amd64.s: the CPU feature
+// probe tensor runs once at package init. Every dispatch site falls back
+// to the scalar kernels when false, with identical results — the scalar
+// quantizer uses the same round-to-nearest-even rule as VCVTPS2DQ.
+var useAVX2 = tensor.HasAVX2()
 
 //go:noescape
 func dotAVX2(a, b *int8, n int) int32

@@ -375,21 +375,11 @@ func matMulRangeAuto(a, b, c *Matrix, lo, hi int) {
 	matMulRange(a, b, c, lo, hi)
 }
 
-// matMulRange computes rows [lo, hi) of c = a x b with an ikj loop order
-// that streams b rows through cache.
+// matMulRange computes rows [lo, hi) of c += a x b, one VecMatAdd per
+// row: k ascending, streaming b rows through cache, skipping a's zeros.
 func matMulRange(a, b, c *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
+		VecMatAdd(c.Row(i), a.Row(i), b.Data, b.Cols, true)
 	}
 }
 
