@@ -32,7 +32,7 @@ BENCHNEW ?= BENCH_12.json
 # allocs/op — deterministic across machines — stays the hard gate. Set
 # GATETIMEPCT=25 for a hard time gate when old and new logs come from
 # the same machine.
-GATEBENCH ?= TrainStepAllocs|SpMM|ClassifyTracingDisabled|MatMulBlocked|ForwardF32|ForwardI8|WalkSample|ProfileCorpus
+GATEBENCH ?= TrainStepAllocs|SpMM|ClassifyTracingDisabled|ForwardF32|ForwardI8|WalkSample|ProfileCorpus
 GATETIME ?= 5x
 GATETIMEPCT ?= -25
 BENCHBASE ?= BENCH_12.json

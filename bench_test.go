@@ -377,10 +377,8 @@ func BenchmarkDatasetEncode(b *testing.B) {
 // always-serial kernel against MatMul, which dispatches to the shared
 // pool only above the threshold. Sizes 16-32 must show serial == pooled
 // (MatMul falls back below threshold); sizes 48+ show where the fan-out
-// starts paying for itself on a multi-core runner. 128 and 192 sit above
-// blockedMinBElems, so the pooled side there is fan-out *plus* the
-// cache-blocked kernel — the configuration production MatMul actually
-// runs at those sizes.
+// starts paying for itself on a multi-core runner. Both sides run the
+// same per-row kernel (tensor.VecMatAdd), so the gap is fan-out alone.
 func BenchmarkMatMulThreshold(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(7))
@@ -397,35 +395,6 @@ func BenchmarkMatMulThreshold(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tensor.MatMul(a, m)
-			}
-		})
-	}
-}
-
-// BenchmarkMatMulBlocked pits the cache-blocked serial float64 kernel
-// against the unblocked reference at the sizes the model actually hits.
-// The blocked kernel re-orders only the *schedule* (k tiled in blockK
-// panels, rows register-blocked 4 at a time) while keeping every cell's
-// accumulation order identical — TestMatMulBlockedBitIdentical pins that
-// — so its win is pure locality: at n>=96 the b panel stops thrashing
-// L1d and the blocked side pulls ahead; the benchgate holds allocs/op at
-// 1 (the result matrix) for both.
-func BenchmarkMatMulBlocked(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{48, 96, 128, 192} {
-		a := tensor.Randn(n, n, 1, rng)
-		m := tensor.Randn(n, n, 1, rng)
-		b.Run(fmt.Sprintf("n%d/unblocked", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulSerial(a, m)
-			}
-		})
-		b.Run(fmt.Sprintf("n%d/blocked", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulBlockedSerial(a, m)
 			}
 		})
 	}

@@ -416,7 +416,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	maxQueue := fs.Int("max-queue", 64, "how many requests may wait for a worker slot; requests past it are shed with 429")
 	workers := fs.Int("workers", 0, "worker slots: classifications that run at once (0 = the --jobs / NumCPU default)")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request classification deadline")
-	cacheSize := fs.Int("cache-size", 128, "LRU entries for repeat submissions (-1 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown bound")
 	drainGrace := fs.Duration("drain-grace", 0, "keep serving this long after SIGTERM while /readyz reports\n503 draining, so load balancers stop routing before the listener\ncloses (e.g. 2s)")
 	models := fs.String("models", "", "extra registry models, comma-separated name=path[@precision]\nentries: a path loads that checkpoint (hot-reloadable per model\nvia POST /v1/models/reload?model=NAME), an empty path shares the\ndefault model's weights at the given precision, e.g.\n\"fast=@int8,retrained=ckpt.bin,r8=ckpt.bin@int8\"")
@@ -488,7 +487,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		MaxQueue:       *maxQueue,
 		Workers:        *workers,
 		RequestTimeout: *reqTimeout,
-		CacheSize:      *cacheSize,
 		DrainTimeout:   *drainTimeout,
 		DrainGrace:     *drainGrace,
 		Version:        buildVersion,
@@ -521,7 +519,7 @@ func cmdServe(ctx context.Context, args []string) error {
 // loadgenCorpus is the built-in request mix `mvpar loadgen` cycles over
 // when no -corpus file is given: a map, a reduction and a recurrence,
 // so the measured traffic exercises both label classes and the
-// structural-view sampler, not just one cached answer.
+// structural-view sampler, not just one program.
 func loadgenCorpus() []loadgen.Program {
 	return []loadgen.Program{
 		{Name: "lg-map", Source: `

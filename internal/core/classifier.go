@@ -195,9 +195,9 @@ func (c *Classifier) ClassifyDegradedContext(ctx context.Context, name, src stri
 
 // Fingerprint identifies this handle's model weights, trained head and
 // encode configuration: two classifiers with equal fingerprints answer
-// identically on every input. The serving layer keys its response cache
-// and generation identity on it, so a hot-swapped model can never serve
-// a prediction computed by the previous weights.
+// identically on every input. The serving layer reports it as each
+// generation's identity (/healthz, reload results, mvpar_model_info), so
+// an operator can tell which weights answer after a hot swap.
 func (c *Classifier) Fingerprint() string {
 	h := sha256.New()
 	io.WriteString(h, nn.FingerprintParams(c.model.Params()))

@@ -8,8 +8,8 @@ import (
 
 // GateConfig tolerances for the loadgate comparison. Load numbers are
 // far noisier than allocation counts, so the defaults are generous —
-// the gate catches collapses (a lock added to the hot path, the cache
-// broken), not single-digit-percent jitter.
+// the gate catches collapses (a lock added to the hot path, a stage
+// gone quadratic), not single-digit-percent jitter.
 type GateConfig struct {
 	// MaxRPSDrop fails when current RPS falls below baseline by more
 	// than this fraction; default 0.30.

@@ -57,7 +57,7 @@ type Config struct {
 	// Duration is the measured window; default 10s.
 	Duration time.Duration
 	// Warmup runs traffic without recording before the measured window,
-	// so cache fills and lazily built state do not pollute the numbers;
+	// so lazily built state does not pollute the numbers;
 	// default 2s.
 	Warmup time.Duration
 	// Timeout bounds each request; default 30s.

@@ -109,9 +109,8 @@ func TestChaosSwapStormUnderInjectedFaults(t *testing.T) {
 		return &chaosStub{gen: genSeq.Add(1), faults: faultSrc}, nil
 	}
 	s, ts := newTestServer(t, &chaosStub{gen: 1, faults: faultSrc}, Config{
-		CacheSize: -1, // force every request through the model
-		MaxQueue:  256,
-		Loader:    loader,
+		MaxQueue: 256,
+		Loader:   loader,
 	})
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
@@ -237,7 +236,7 @@ func TestChaosCorruptCheckpointRollsBack(t *testing.T) {
 		}
 		return &chaosStub{gen: genSeq.Add(1)}, nil
 	}
-	s, ts := newTestServer(t, &chaosStub{gen: 1}, Config{CacheSize: -1, Loader: loader})
+	s, ts := newTestServer(t, &chaosStub{gen: 1}, Config{Loader: loader})
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 		if len(preds) == 0 {
 			t.Fatalf("serial ClassifySource(%s) returned no predictions", name)
 		}
-		resp := toResponse(name, preds, false)
+		resp := toResponse(name, preds)
 		resp.Generation = 1 // the server's initial generation
 		serial[name] = resp
 	}
@@ -92,8 +92,7 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cache disabled so every request exercises the full pipeline.
-	s := New(cls, Config{MaxQueue: 64, CacheSize: -1})
+	s := New(cls, Config{MaxQueue: 64})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer func() {
@@ -151,7 +150,7 @@ func TestServerRealWarmupAndOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(cls, Config{CacheSize: 8})
+	s := New(cls, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer func() {

@@ -17,8 +17,8 @@ import (
 // CI also runs against /metrics. The server runs the
 // default config, so the test also pins that it exports the single
 // admission queue's depth gauge and no family of the removed sharding,
-// autoscaling, breaker/retry, request-batching and chaos-injection
-// layers.
+// autoscaling, breaker/retry, request-batching, chaos-injection and
+// response-cache layers.
 func TestServeMetricsExpositionConformance(t *testing.T) {
 	s, ts := newTestServer(t, &genStub{gen: 1}, Config{Version: "test"})
 	if err := s.Warmup(context.Background()); err != nil {
@@ -93,6 +93,7 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 		"mvpar_http_batches_total",
 		"mvpar_http_batch_size",
 		"mvpar_chaos_",
+		"mvpar_http_cache_",
 	} {
 		if strings.Contains(out, gone) {
 			t.Errorf("exposition carries the removed %q family", gone)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"mvpar/internal/core"
@@ -17,8 +16,8 @@ type DegradedInference interface {
 }
 
 // Fingerprinter is the optional identity surface of an Inference; the
-// server keys caches and generation identity on it. *core.Classifier
-// implements it.
+// server reports it as the generation's model identity in /healthz,
+// reload results and mvpar_model_info. *core.Classifier implements it.
 type Fingerprinter interface {
 	Fingerprint() string
 }
@@ -38,11 +37,9 @@ type Precisioner interface {
 // execute against it even if a swap lands mid-flight; the old
 // generation's drain completes when its last pinned request finishes.
 type generation struct {
-	id    uint64
-	model string // registry name of the model this generation serves
+	id uint64
 	// fp identifies the weights + encode config (empty when the Inference
-	// is not a Fingerprinter; the generation id still separates cache
-	// namespaces).
+	// is not a Fingerprinter).
 	fp   string
 	prec string // inference precision tier
 	inf  Inference
@@ -53,8 +50,8 @@ type generation struct {
 	inflight sync.WaitGroup
 }
 
-func newGeneration(id uint64, modelName string, inf Inference) *generation {
-	g := &generation{id: id, model: modelName, prec: "float64", inf: inf}
+func newGeneration(id uint64, inf Inference) *generation {
+	g := &generation{id: id, prec: "float64", inf: inf}
 	if fp, ok := inf.(Fingerprinter); ok {
 		g.fp = fp.Fingerprint()
 	}
@@ -62,12 +59,4 @@ func newGeneration(id uint64, modelName string, inf Inference) *generation {
 		g.prec = p.Precision()
 	}
 	return g
-}
-
-// key is the generation's cache-key namespace: model name, id and
-// fingerprint, so neither a reload (new id), a changed config (new
-// fingerprint) nor another registry entry that happens to share weights
-// can ever surface a prediction computed under a different identity.
-func (g *generation) key() string {
-	return fmt.Sprintf("m:%s|g%d:%s", g.model, g.id, g.fp)
 }

@@ -16,7 +16,7 @@ import (
 
 // ClassifyRequest is the POST /v1/classify body.
 type ClassifyRequest struct {
-	// Name labels the program in predictions, logs and the cache key.
+	// Name labels the program in predictions and logs.
 	Name string `json:"name"`
 	// Source is the MiniC program (entry function main).
 	Source string `json:"source"`
@@ -25,8 +25,7 @@ type ClassifyRequest struct {
 	Model string `json:"model,omitempty"`
 	// Timings asks for the per-request latency breakdown: the response
 	// gains trace_id and a timings span tree (handler → batcher →
-	// replica → dataset stages → per-loop GNN forwards). Cache hits skip
-	// the pipeline and therefore return no breakdown.
+	// replica → dataset stages → per-loop GNN forwards).
 	Timings bool `json:"timings,omitempty"`
 }
 
@@ -59,14 +58,11 @@ type ClassifyResponse struct {
 	// response and why, e.g. "node-view-only prediction: full
 	// classification faulted". Empty on the normal path.
 	DegradedReasons []string `json:"degraded_reasons,omitempty"`
-	// Cached is true when the response was served from the LRU without
-	// re-running the pipeline.
-	Cached bool `json:"cached"`
 	// Precision names the inference engine that answered: "float64" (the
 	// bit-identity reference) or "int8" (the integer tier).
 	Precision string `json:"precision"`
 	// TraceID and Timings are set only when the request asked for a
-	// timings breakdown (ClassifyRequest.Timings) and the pipeline ran:
+	// timings breakdown (ClassifyRequest.Timings) and it succeeded:
 	// the request's trace ID and its span tree, offsets in microseconds
 	// relative to the handler span's start.
 	TraceID string           `json:"trace_id,omitempty"`
@@ -91,11 +87,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // toResponse converts predictions to the wire format. Precision defaults
 // to the float64 reference tier; handlers overwrite it from the
 // generation that actually answered.
-func toResponse(name string, preds []core.LoopPrediction, cached bool) ClassifyResponse {
+func toResponse(name string, preds []core.LoopPrediction) ClassifyResponse {
 	resp := ClassifyResponse{
 		Name:        name,
 		Predictions: make([]Prediction, 0, len(preds)),
-		Cached:      cached,
 		Precision:   core.PrecisionFloat64,
 	}
 	for _, p := range preds {
@@ -117,11 +112,10 @@ func toResponse(name string, preds []core.LoopPrediction, cached bool) ClassifyR
 }
 
 // handleClassify is POST /v1/classify: admission (readiness, body
-// bounds, generation pinning), generation-scoped cache lookup, a worker
-// slot, one attempt on this goroutine with a per-request deadline against
-// the pinned generation, and error mapping (429 shed, 503
-// not-ready/draining, 504 deadline, 500 captured panic, 422 programs the
-// pipeline rejects).
+// bounds, generation pinning), a worker slot, one attempt on this
+// goroutine with a per-request deadline against the pinned generation,
+// and error mapping (429 shed, 503 not-ready/draining, 504 deadline, 500
+// captured panic, 422 programs the pipeline rejects).
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -172,26 +166,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// Pin the request to the model's current generation: it registers
 	// with the generation's in-flight count here and executes against
 	// that generation even if a hot swap lands while it waits. The
-	// registration is released on both exit paths below: the cache hit,
-	// or once admission and the attempt have finished.
+	// registration is released once admission and the attempt have
+	// finished.
 	gen := m.admit()
 	// Per-precision request accounting: which inference tier is about to
 	// answer (float64 reference or int8).
 	obs.GetCounter("mvpar_classify_requests_" + gen.prec + "_total").Inc()
-	var key string
-	if s.cache != nil {
-		key = cacheKey(gen.key(), req.Name, req.Source)
-		if preds, ok := s.cache.get(key); ok {
-			gen.inflight.Done()
-			obs.GetCounter("mvpar_http_cache_hits_total").Inc()
-			resp := toResponse(req.Name, preds, true)
-			resp.Generation = gen.id
-			resp.Precision = gen.prec
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		obs.GetCounter("mvpar_http_cache_misses_total").Inc()
-	}
 
 	// Request tracing: in slow-capture mode (TraceSlow set) every request
 	// is traced so any of them can be retained when it crosses the
@@ -218,7 +198,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	var res outcome
 	err = s.bat.run(ctx, func(bctx context.Context) {
-		res = s.classify(&job{ctx: bctx, name: req.Name, src: req.Source, key: key, gen: gen})
+		res = s.classify(&job{ctx: bctx, name: req.Name, src: req.Source, gen: gen})
 	})
 	gen.inflight.Done()
 	switch {
@@ -246,7 +226,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeResult(w http.ResponseWriter, name, prec string, res outcome, tr *trace.Trace) {
 	err := res.err
 	if err == nil {
-		resp := toResponse(name, res.preds, false)
+		resp := toResponse(name, res.preds)
 		resp.Generation = res.gen
 		resp.Precision = prec
 		if len(res.degraded) > 0 {

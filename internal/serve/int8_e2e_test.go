@@ -28,10 +28,9 @@ const (
 // every e2e program with (a) the "precision" field set to int8 on the
 // wire, (b) labels within the flip budget of the float64 reference (flips
 // only on near-boundary probabilities), and (c) probabilities within the
-// int8 drift tolerance. It also pins tier cache-identity: precision is
-// part of model identity, so the float64 and int8 handles must carry
-// distinct fingerprints and the serving LRU can never hand one tier's
-// cached response to another.
+// int8 drift tolerance. It also pins tier identity: precision is part
+// of model identity, so the float64 and int8 handles must carry distinct
+// fingerprints and /healthz always tells which tier answers.
 // It runs under -race in CI like the other e2e tests.
 func TestServerInt8PrecisionE2E(t *testing.T) {
 	pl := e2eTrained(t)
@@ -64,11 +63,10 @@ func TestServerInt8PrecisionE2E(t *testing.T) {
 		t.Fatalf("int8 classifier precision = %q, want %q", got, core.PrecisionInt8)
 	}
 	if fp := cls8.Fingerprint(); fp == cls64.Fingerprint() {
-		t.Fatalf("float64 and int8 share fingerprint %s; the response cache would mix them", fp)
+		t.Fatalf("float64 and int8 share fingerprint %s; /healthz could not tell the tiers apart", fp)
 	}
 
-	// Cache disabled so every request exercises the integer forward.
-	s := New(cls8, Config{CacheSize: -1})
+	s := New(cls8, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer func() {

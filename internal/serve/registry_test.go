@@ -82,7 +82,7 @@ func newMultiTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *s
 }
 
 func TestMultiModelRouting(t *testing.T) {
-	_, ts, def, alt := newMultiTestServer(t, Config{CacheSize: -1})
+	_, ts, def, alt := newMultiTestServer(t, Config{})
 
 	// Unnamed request → default model.
 	if code, _, e := postClassify(t, ts.URL, "p1", stubSource); code != http.StatusOK {
@@ -194,7 +194,7 @@ func TestPerModelReload(t *testing.T) {
 		{Name: "alt", Inference: alt1, Loader: func(context.Context) (Inference, error) {
 			return alt2, nil
 		}},
-	}, Config{CacheSize: -1})
+	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,12 @@
 // named models:
 //
 //	POST /v1/classify?model=<name> → registry lookup → generation pin
-//	  → LRU cache (generation-keyed)
 //	  → admission: wait for one of Workers slots (429 past MaxQueue
 //	    waiters, 504 if the deadline passes first)
 //	  → one panic-captured classification attempt on the handler's own
 //	    goroutine, the per-request context deadline reaching the
 //	    interpreter's stride check
-//	  → degradation ladder (cache-only → node-view-only) when that
-//	    attempt faults
+//	  → node-view-only degraded prediction when that attempt faults
 //
 // plus /healthz (liveness + generation identity), /readyz (warm, not
 // draining), /metrics (the internal/obs registry in the Prometheus text
@@ -76,10 +74,6 @@ type Config struct {
 	// RequestTimeout is the per-request classification deadline (flows
 	// into the interpreter's stride check); default 30s.
 	RequestTimeout time.Duration
-	// CacheSize is the LRU capacity for repeat submissions, keyed on a
-	// hash of (generation, name, source); default 128, negative disables
-	// caching.
-	CacheSize int
 	// MaxBodyBytes bounds the request body; default 1 MiB.
 	MaxBodyBytes int64
 	// DrainTimeout bounds graceful shutdown; default 15s.
@@ -119,9 +113,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 128
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
@@ -150,12 +141,10 @@ type Server struct {
 	hs     *http.Server
 	traces *trace.Ring // slow-request retention, nil when disabled
 
-	// reg holds the served models (name → generation chain); cache is
-	// the generation-keyed LRU (nil when disabled); bat is the admission
-	// layer every model shares.
-	reg   *registry
-	cache *lruCache
-	bat   *batcher
+	// reg holds the served models (name → generation chain); bat is the
+	// admission layer every model shares.
+	reg *registry
+	bat *batcher
 
 	ready    atomic.Bool
 	draining atomic.Bool
@@ -183,7 +172,7 @@ func NewMulti(specs []ModelSpec, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, reg: reg, cache: newLRUCache(cfg.CacheSize)}
+	s := &Server{cfg: cfg, reg: reg}
 	if cfg.TraceSlow > 0 && cfg.TraceRing > 0 {
 		s.traces = trace.NewRing(cfg.TraceRing)
 	}
@@ -224,7 +213,7 @@ func (s *Server) Generation() uint64 { return s.defaultModel().gen.Load().id }
 // once the last of them completes the generation is declared drained.
 func (s *Server) install(m *model, inf Inference) *generation {
 	id := m.genSeq.Add(1)
-	gen := newGeneration(id, m.name, inf)
+	gen := newGeneration(id, inf)
 	old := m.gen.Swap(gen)
 	if m.name == s.reg.def {
 		// The default model keeps the single-model metric families every
@@ -390,7 +379,6 @@ type job struct {
 	ctx  context.Context
 	name string
 	src  string
-	key  string // generation-scoped cache key, "" when caching is off
 	// gen is the model generation the request was pinned to at admission;
 	// the attempt runs against it even if a hot swap lands mid-flight.
 	gen *generation
@@ -423,9 +411,6 @@ func (s *Server) classify(r *job) outcome {
 	})
 	rspan.End()
 	if err == nil {
-		if s.cache != nil && r.key != "" {
-			s.cache.put(r.key, preds)
-		}
 		return outcome{preds: preds, gen: gen.id}
 	}
 	if !isReplicaFault(err) {
@@ -460,23 +445,11 @@ func isReplicaFault(err error) bool {
 		errors.Is(err, interp.ErrCancelled)
 }
 
-// degradedResult walks the degradation ladder for one request whose
-// attempt faulted: first a cache-only answer (correct by construction —
-// the key is generation scoped), then a node-view-only degraded
-// prediction. It reports false when neither rung can answer.
+// degradedResult answers a request whose attempt faulted with a
+// node-view-only degraded prediction. It reports false when the
+// generation has no degraded surface or that prediction fails too.
 func (s *Server) degradedResult(r *job) (outcome, bool) {
 	const reason = "full classification faulted"
-	if s.cache != nil && r.key != "" {
-		if preds, ok := s.cache.get(r.key); ok {
-			obs.GetCounter("mvpar_http_degraded_responses_total").Inc()
-			obs.Warn("serve.degraded", "program", r.name, "rung", "cache", "reason", reason)
-			return outcome{
-				preds:    preds,
-				gen:      r.gen.id,
-				degraded: []string{"cache-only answer: " + reason},
-			}, true
-		}
-	}
 	if dc, ok := r.gen.inf.(DegradedInference); ok {
 		var preds []core.LoopPrediction
 		err := faults.Capture(func() error {

@@ -72,11 +72,11 @@ func scrape(t *testing.T, url string) map[string]float64 {
 	return samples
 }
 
-// TestUntracedClassifyFeedsStageHistograms: one untraced, uncached
+// TestUntracedClassifyFeedsStageHistograms: one untraced
 // classify feeds the stage histograms of /metrics, down to the
 // dependence analysis, and times its one dataset build exactly once.
 func TestUntracedClassifyFeedsStageHistograms(t *testing.T) {
-	url := spanServer(t, Config{CacheSize: -1})
+	url := spanServer(t, Config{})
 	const build = "mvpar_span_dataset_build_seconds_count"
 	before := scrape(t, url)
 
@@ -111,7 +111,7 @@ func TestUntracedClassifyFeedsStageHistograms(t *testing.T) {
 // and standardize stages under it and the dependence analysis (and its
 // interpreter run) under the profile stage.
 func TestTimingsTreeHasOneDatasetBuild(t *testing.T) {
-	url := spanServer(t, Config{CacheSize: -1})
+	url := spanServer(t, Config{})
 	code, resp := postTimings(url, "span-traced", e2eSources["reduction"])
 	if code != http.StatusOK {
 		t.Fatalf("classify = %d", code)

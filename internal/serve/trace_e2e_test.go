@@ -90,11 +90,10 @@ func TestConcurrentRequestSpanLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Trace every request (nanosecond slow threshold) so the burst also
-	// populates /debug/traces; cache off so every request runs the
-	// pipeline and owns a full trace.
+	// populates /debug/traces; every request runs the pipeline and owns
+	// a full trace.
 	s := New(cls, Config{
 		MaxQueue:  64,
-		CacheSize: -1,
 		TraceSlow: time.Nanosecond,
 		TraceRing: 32,
 	})

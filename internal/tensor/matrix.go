@@ -302,25 +302,7 @@ func (m *Matrix) Norm2() float64 {
 // send onto an already-warm worker instead of a goroutine spawn, so the
 // break-even point sits lower than the old 64*64*64; BenchmarkMatMulThreshold
 // shows pooled dispatch matching serial around 32x64x64 and winning above it.
-// Cache blocking (matMulBlockedRange) speeds the serial kernel up at the
-// sizes just above this cutoff, but it speeds the per-worker kernel up by
-// the same factor, so the crossover measured by BenchmarkMatMulThreshold
-// (n96 onward clearly pooled, n128/n192 ~2x) is unchanged and the constant
-// stays put.
 const parallelThreshold = 32 * 64 * 64
-
-// blockK tiles the inner (k) dimension of the blocked matmul kernel: a
-// panel of blockK b-rows stays cache-resident while every 4-row quad of
-// the current row block reuses it. 128 rows x 128 cols x 8 bytes = 128 KiB,
-// sized for L2; the 4-row register blocking on top of it cuts b traffic
-// 4x, which is where the measured win comes from (BenchmarkMatMulBlocked).
-const blockK = 128
-
-// blockedMinBElems is the size of b (in elements) above which MatMul
-// dispatches to the blocked kernel. Below it all of b fits in one L1d and
-// the plain streaming kernel's lower loop overhead wins; above it blocking
-// wins (n >= 96 in BenchmarkMatMulBlocked). 64*64 float64s = 32 KiB.
-const blockedMinBElems = 64 * 64
 
 // MatMul returns a x b, parallelizing across row blocks on the shared
 // persistent worker pool for large products. Row blocks are disjoint, so
@@ -356,23 +338,12 @@ func MatMulInto(a, b, c *Matrix) {
 func matMulDispatch(a, b, c *Matrix) {
 	work := a.Rows * a.Cols * b.Cols
 	if work < parallelThreshold || runtime.GOMAXPROCS(0) == 1 || a.Rows == 1 {
-		matMulRangeAuto(a, b, c, 0, a.Rows)
+		matMulRange(a, b, c, 0, a.Rows)
 		return
 	}
 	pool.For(a.Rows, func(lo, hi int) {
-		matMulRangeAuto(a, b, c, lo, hi)
+		matMulRange(a, b, c, lo, hi)
 	})
-}
-
-// matMulRangeAuto picks the blocked kernel once b outgrows L1d; both
-// kernels accumulate each output cell in ascending-k order with the same
-// zero skip, so the choice never changes a single bit of the result.
-func matMulRangeAuto(a, b, c *Matrix, lo, hi int) {
-	if b.Rows*b.Cols > blockedMinBElems {
-		matMulBlockedRange(a, b, c, lo, hi)
-		return
-	}
-	matMulRange(a, b, c, lo, hi)
 }
 
 // matMulRange computes rows [lo, hi) of c += a x b, one VecMatAdd per
@@ -383,88 +354,14 @@ func matMulRange(a, b, c *Matrix, lo, hi int) {
 	}
 }
 
-// matMulBlockedRange computes rows [lo, hi) of c += a x b with the k
-// dimension tiled in blockK panels and the rows register-blocked four at a
-// time, so each loaded b row updates four output rows instead of one.
-//
-// Bit-identity contract: per output cell (i, j) the k panels are visited
-// in ascending order and k ascends within each panel, so the accumulation
-// order is exactly matMulRange's. Where matMulRange skips an av == 0
-// entry, the fused quad loop instead adds av*bv = ±0 — an exact additive
-// identity for every finite bv (and the accumulator can never be -0,
-// since it starts at +0 and IEEE-754 round-to-nearest addition never
-// produces -0 from a +0 operand) — so each cell holds bit-identical
-// partial sums after every step. A quad whose four a-entries are all zero
-// is skipped outright, and leftover rows fall back to the skip-preserving
-// scalar loop. That invariant is what keeps training deterministic; do
-// not reorder these loops without re-checking
-// TestMatMulBlockedBitIdentical.
-func matMulBlockedRange(a, b, c *Matrix, lo, hi int) {
-	n, p := a.Cols, b.Cols
-	for kk := 0; kk < n; kk += blockK {
-		khi := kk + blockK
-		if khi > n {
-			khi = n
-		}
-		i := lo
-		for ; i+3 < hi; i += 4 {
-			r0, r1, r2, r3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-			c0 := c.Row(i)[:p]
-			c1 := c.Row(i + 1)[:p]
-			c2 := c.Row(i + 2)[:p]
-			c3 := c.Row(i + 3)[:p]
-			for k := kk; k < khi; k++ {
-				v0, v1, v2, v3 := r0[k], r1[k], r2[k], r3[k]
-				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j, bv := range brow {
-					c0[j] += v0 * bv
-					c1[j] += v1 * bv
-					c2[j] += v2 * bv
-					c3[j] += v3 * bv
-				}
-			}
-		}
-		for ; i < hi; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
-			for k := kk; k < khi; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
-	}
-}
-
-// MatMulSerial is the single-goroutine unblocked reference implementation,
-// kept exported so benchmarks can measure parallel and blocked speedups
-// against it.
+// MatMulSerial is the single-goroutine reference implementation, kept
+// exported so benchmarks can measure the parallel speedup against it.
 func MatMulSerial(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulSerial inner dimension mismatch %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	c := New(a.Rows, b.Cols)
 	matMulRange(a, b, c, 0, a.Rows)
-	return c
-}
-
-// MatMulBlockedSerial is the single-goroutine cache-blocked kernel,
-// exported so BenchmarkMatMulBlocked can pit it against MatMulSerial and so
-// tests can pin its bit-identity to the unblocked kernel.
-func MatMulBlockedSerial(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulBlockedSerial inner dimension mismatch %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := New(a.Rows, b.Cols)
-	matMulBlockedRange(a, b, c, 0, a.Rows)
 	return c
 }
 

@@ -1,10 +1,9 @@
 #!/usr/bin/env sh
-# loadsmoke: boot the server on the quick seed model with its LRU cache
-# off, drive it with `mvpar loadgen`, and fail on any request error. With
-# the cache off every request runs the full classification, so the smoke
-# measures classify rather than the cache. CI's load-smoke job and
-# `make loadsmoke` both run this script, so local runs reproduce the CI
-# check exactly.
+# loadsmoke: boot the server on the quick seed model, drive it with
+# `mvpar loadgen`, and fail on any request error. The server keeps no
+# response cache, so every request runs the full classification. CI's
+# load-smoke job and `make loadsmoke` both run this script, so local runs
+# reproduce the CI check exactly.
 #
 # Environment knobs (all optional):
 #   DURATION   measured window               (default 10s)
@@ -23,7 +22,7 @@ BIN="${BIN:-bin/mvpar}"
 
 go build -o "$BIN" ./cmd/mvpar
 
-"$BIN" serve -addr "$ADDR" -quick -cache-size -1 &
+"$BIN" serve -addr "$ADDR" -quick &
 SERVER_PID=$!
 trap 'kill "$SERVER_PID" 2>/dev/null || true' EXIT INT TERM
 
