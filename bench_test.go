@@ -435,8 +435,8 @@ func forwardBenchModel(b *testing.B) (*gnn.MVGNN, []gnn.Sample) {
 // the padded SortPooling windows computed once, the float64 reference
 // runs at about int8's speed, about half float32's, per loop on an AVX2
 // host.
-// Parity of the *outputs* is enforced elsewhere (mvpar parity,
-// TestPredictWithProbaF32Parity).
+// Parity of the *outputs* is enforced elsewhere
+// (TestPredictWithProbaF32Parity).
 func BenchmarkForwardF32(b *testing.B) {
 	mv, samples := forwardBenchModel(b)
 	benchForwardTiers(b, samples, mv.Predictor(), mv.QuantizeF32().Predictor())
@@ -448,8 +448,7 @@ func BenchmarkForwardF32(b *testing.B) {
 // dequantize-then-table-tanh epilogues (the sort-channel layer stays
 // float32 — see dgcnnWeightsI8). The benchgate pins int8 allocs/op at
 // zero (both arenas at steady state) and watches ns/op. Output drift is
-// licensed elsewhere (`mvpar parity -precision int8`,
-// TestPredictWithProbaI8Parity).
+// bounded elsewhere (TestPredictWithProbaI8Parity).
 func BenchmarkForwardI8(b *testing.B) {
 	mv, samples := forwardBenchModel(b)
 	benchForwardTiers(b, samples, mv.Predictor(), mv.QuantizeF32().Predictor(), mv.QuantizeI8().Predictor())
@@ -652,7 +651,7 @@ void main() { for (int i = 0; i < 8; i++) { y[i] = x[i] * 3.0; } }
 // PEG and every loop's sub-PEG, features, walks and encoding, then the
 // forwards. The encode stage makes most of its allocations. It stays out
 // of the benchgate: its allocs/op move by a few between runs of one
-// binary (15,703-15,706 over five runs at 5x), because garbage
+// binary (15,138-15,141 over five runs at 5x), because garbage
 // collection empties the standard library's sync.Pool caches; with
 // GOGC=off every run reads the same count.
 func BenchmarkClassifyNPB(b *testing.B) {

@@ -35,7 +35,6 @@ import (
 	"mvpar/internal/cu"
 	"mvpar/internal/dataset"
 	"mvpar/internal/deps"
-	"mvpar/internal/eval"
 	"mvpar/internal/features"
 	"mvpar/internal/gnn"
 	"mvpar/internal/inst2vec"
@@ -108,8 +107,6 @@ func main() {
 		err = cmdLoadgen(ctx, args)
 	case "loadgate":
 		err = cmdLoadgate(args)
-	case "parity":
-		err = cmdParity(ctx, args)
 	case "corpus":
 		err = cmdCorpus(args)
 	case "speedup":
@@ -165,16 +162,14 @@ commands:
   tools    <file.mc>           per-loop decisions of Pluto/AutoPar/DiscoPoP emulators
   train    [-model FILE]       train the MV-GNN on the built-in corpus
   classify [-quick] <file.mc>  train, then classify the file's loops
-  serve    [-model FILE] [-addr :8080] [-precision float64|int8]
+  serve    [-model FILE] [-addr :8080]
                                long-lived HTTP inference service with bounded
                                admission, degraded-mode fallback and atomic
                                model hot swap (POST /v1/classify, POST
-                               /v1/models/reload or SIGHUP, GET /v1/models,
-                               /healthz, /readyz, /metrics, /debug/traces;
+                               /v1/models/reload or SIGHUP, /healthz,
+                               /readyz, /metrics, /debug/traces;
                                -trace-slow for telemetry, the global -pprof
-                               for profiles); -models serves extra named
-                               models; -precision int8 serves the integer
-                               tier;
+                               for profiles);
                                see mvpar serve -h, docs/serving.md,
                                docs/performance.md and docs/observability.md
   loadgen  [-url http://127.0.0.1:8080] [-mode closed|open] [-concurrency 8]
@@ -188,12 +183,6 @@ commands:
                                compare a loadgen report against the checked-in
                                baseline; non-zero exit on RPS or p99
                                regression beyond -max-rps-drop/-max-p99-rise
-  parity   [-model FILE] [-tol 0.005] [-max-flips 12]
-                               accuracy-parity gate of the int8 tier:
-                               predict every corpus loop under float64 and
-                               int8, fail on label flips beyond -max-flips
-                               or per-suite accuracy drift beyond -tol (the
-                               defaults are int8's documented budget)
   corpus   [-dump DIR]         print (or dump) the generated benchmark corpus
   speedup  <file.mc> [threads] simulate parallel execution of every loop
   dataset  [-out FILE]         build the corpus dataset and export it as JSON
@@ -412,13 +401,11 @@ func cmdServe(ctx context.Context, args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	modelPath := fs.String("model", "", "load model parameters from this file (written by `mvpar train -model`\nwith the same -quick setting) instead of training at startup")
 	quick := fs.Bool("quick", true, "use the fast training/encoding configuration")
-	precision := fs.String("precision", "float64", "inference engine: float64 (bit-identical reference) or int8\n(integer tier, parity-gated at a documented non-zero budget by\n`mvpar parity`)")
 	maxQueue := fs.Int("max-queue", 64, "how many requests may wait for a worker slot; requests past it are shed with 429")
 	workers := fs.Int("workers", 0, "worker slots: classifications that run at once (0 = the --jobs / NumCPU default)")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request classification deadline")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown bound")
 	drainGrace := fs.Duration("drain-grace", 0, "keep serving this long after SIGTERM while /readyz reports\n503 draining, so load balancers stop routing before the listener\ncloses (e.g. 2s)")
-	models := fs.String("models", "", "extra registry models, comma-separated name=path[@precision]\nentries: a path loads that checkpoint (hot-reloadable per model\nvia POST /v1/models/reload?model=NAME), an empty path shares the\ndefault model's weights at the given precision, e.g.\n\"fast=@int8,retrained=ckpt.bin,r8=ckpt.bin@int8\"")
 	traceSlow := fs.Duration("trace-slow", 0, "trace every request and retain those slower than this\nthreshold at /debug/traces (e.g. 250ms; 0 disables capture)")
 	traceRing := fs.Int("trace-ring", 64, "how many slow-request traces /debug/traces retains (-1 disables retention)")
 	if err := fs.Parse(args); err != nil {
@@ -426,10 +413,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("serve: unexpected arguments %v", fs.Args())
-	}
-	prec, err := core.ParsePrecision(*precision)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
 	}
 	pl := core.NewPipeline(trainOptions(*quick))
 	if *modelPath != "" {
@@ -454,7 +437,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "serve: trained, test acc %.1f%%\n", 100*report.TestAcc)
 	}
-	cls, err := pl.ClassifierPrecision(prec)
+	cls, err := pl.Classifier()
 	if err != nil {
 		return err
 	}
@@ -471,31 +454,21 @@ func cmdServe(ctx context.Context, args []string) error {
 			if _, err := pl.ReloadModel(bytes.NewReader(data)); err != nil {
 				return nil, err
 			}
-			return pl.ClassifierPrecision(prec)
+			return pl.Classifier()
 		}
 	}
-	specs := []serve.ModelSpec{{Name: serve.DefaultModel, Inference: cls, Loader: loader}}
-	if *models != "" {
-		extra, err := modelSpecsFromFlag(pl, *models, *quick)
-		if err != nil {
-			return err
-		}
-		specs = append(specs, extra...)
-	}
-	srv, err := serve.NewMulti(specs, serve.Config{
+	srv := serve.New(cls, serve.Config{
 		Addr:           *addr,
 		MaxQueue:       *maxQueue,
 		Workers:        *workers,
 		RequestTimeout: *reqTimeout,
 		DrainTimeout:   *drainTimeout,
 		DrainGrace:     *drainGrace,
+		Loader:         loader,
 		Version:        buildVersion,
 		TraceSlow:      *traceSlow,
 		TraceRing:      *traceRing,
 	})
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
 	sctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// SIGHUP triggers the same atomic hot swap as POST /v1/models/reload.
@@ -543,7 +516,6 @@ void main() { for (int i = 1; i < 64; i++) { a[i] = a[i-1] * 0.5; } }
 func cmdLoadgen(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	url := fs.String("url", "http://127.0.0.1:8080", "server base URL")
-	model := fs.String("model", "", "registry model requests select (empty = the default model)")
 	mode := fs.String("mode", loadgen.ModeClosed, "traffic mode: closed (each worker fires on answer) or open\n(fixed arrival rate, bounded in-flight)")
 	concurrency := fs.Int("concurrency", 8, "closed-loop worker count / open-loop in-flight cap")
 	rate := fs.Float64("rate", 0, "open-loop arrival rate in requests/second (required with -mode open)")
@@ -574,7 +546,6 @@ func cmdLoadgen(ctx context.Context, args []string) error {
 		*mode, *url, *warmup, *duration)
 	report, err := loadgen.Run(ctx, loadgen.Config{
 		URL:         strings.TrimRight(*url, "/"),
-		Model:       *model,
 		Mode:        *mode,
 		Concurrency: *concurrency,
 		Rate:        *rate,
@@ -649,161 +620,9 @@ func cmdLoadgate(args []string) error {
 	return nil
 }
 
-// cmdParity is the accuracy-parity gate of the int8 tier: it trains (or
-// loads) a model, predicts every corpus loop under both the float64
-// reference and int8, and fails unless per-suite accuracies match within
-// -tol and label flips stay within -max-flips. The defaults are int8's
-// documented budget (see docs/performance.md for its rationale).
-func cmdParity(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("parity", flag.ExitOnError)
-	modelPath := fs.String("model", "", "load model parameters from this file (written by `mvpar train -model`\nwith the same -quick setting) instead of training at startup")
-	quick := fs.Bool("quick", true, "use the fast training/encoding configuration")
-	tol := fs.Float64("tol", 0.005, "allowed per-suite accuracy drift (0 = accuracies must match exactly)")
-	maxFlips := fs.Int("max-flips", 12, "allowed per-loop label flips (0 = none)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("parity: unexpected arguments %v", fs.Args())
-	}
-	const prec = core.PrecisionInt8
-	pl := core.NewPipeline(trainOptions(*quick))
-	if *modelPath != "" {
-		fmt.Fprintln(os.Stderr, "parity: building encoder state...")
-		if err := pl.PrepareContext(ctx, bench.Corpus()); err != nil {
-			return err
-		}
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pl.LoadModel(f); err != nil {
-			return fmt.Errorf("parity: loading %s (was it trained with -quick=%v?): %w", *modelPath, *quick, err)
-		}
-	} else {
-		fmt.Fprintln(os.Stderr, "parity: no -model given, training on the built-in corpus...")
-		if _, err := pl.TrainOnContext(ctx, bench.Corpus()); err != nil {
-			return err
-		}
-	}
-	ref, err := pl.Classifier()
-	if err != nil {
-		return err
-	}
-	fast, err := pl.ClassifierPrecision(prec)
-	if err != nil {
-		return err
-	}
-	pairs := make([]eval.ParityPair, 0, len(pl.Dataset.Records))
-	for _, rec := range pl.Dataset.Records {
-		truth := 0
-		if rec.Verdict.Parallelizable {
-			truth = 1
-		}
-		// Both tiers answer each record from the head serving uses for it.
-		c64, p64 := ref.PredictRecord(ctx, rec)
-		cf, pf := fast.PredictRecord(ctx, rec)
-		pairs = append(pairs, eval.ParityPair{
-			Suite:    rec.Meta.Suite,
-			Program:  rec.Meta.Program,
-			LoopID:   rec.Meta.LoopID,
-			Truth:    truth,
-			RefLabel: c64, RefProba: p64,
-			FastLabel: cf, FastProba: pf,
-		})
-	}
-	report := eval.Parity(pairs)
-	report.Tier = prec
-	fmt.Print(report.Render())
-	if err := report.Check(*tol, *maxFlips); err != nil {
-		return err
-	}
-	fmt.Printf("parity OK (%s): %d loops, %d label flips (max %d allowed), max proba drift %.2e\n",
-		prec, report.N, len(report.Flips), *maxFlips, report.MaxProbaDrift)
-	return nil
-}
-
 // buildVersion labels mvpar_build_info; override at link time with
 // -ldflags "-X main.buildVersion=v1.2.3".
 var buildVersion = "dev"
-
-// modelSpecsFromFlag parses the -models flag — comma-separated
-// name=path[@precision] entries — into registry specs. A path-bearing
-// entry loads that checkpoint into its own pipeline sharing base's
-// encoder state (one PrepareContext pays for every variant) and is
-// hot-reloadable; a pathless entry (name=@int8) takes a classifier
-// handle off base itself at the requested precision, sharing its
-// weights (no loader: reloading shared weights independently would be a
-// lie, so POST /v1/models/reload?model=NAME answers 501 for those).
-func modelSpecsFromFlag(base *core.Pipeline, spec string, quick bool) ([]serve.ModelSpec, error) {
-	var specs []serve.ModelSpec
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(entry, "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("serve: -models entry %q: want name=path[@precision]", entry)
-		}
-		path := val
-		precStr := ""
-		if at := strings.LastIndex(val, "@"); at >= 0 {
-			path, precStr = val[:at], val[at+1:]
-		}
-		prec, err := core.ParsePrecision(precStr)
-		if err != nil {
-			return nil, fmt.Errorf("serve: -models entry %q: %w", entry, err)
-		}
-		if path == "" {
-			cls, err := base.ClassifierPrecision(prec)
-			if err != nil {
-				return nil, fmt.Errorf("serve: -models entry %q: %w", entry, err)
-			}
-			specs = append(specs, serve.ModelSpec{Name: name, Inference: cls})
-			continue
-		}
-		vp := core.NewPipeline(trainOptions(quick))
-		if err := vp.ShareEncoder(base); err != nil {
-			return nil, fmt.Errorf("serve: -models entry %q: %w", entry, err)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("serve: -models entry %q: %w", entry, err)
-		}
-		err = vp.LoadModel(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("serve: -models entry %q: loading %s: %w", entry, path, err)
-		}
-		cls, err := vp.ClassifierPrecision(prec)
-		if err != nil {
-			return nil, fmt.Errorf("serve: -models entry %q: %w", entry, err)
-		}
-		checkpoint := path
-		variant := vp
-		variantPrec := prec
-		specs = append(specs, serve.ModelSpec{
-			Name:      name,
-			Inference: cls,
-			Loader: func(context.Context) (serve.Inference, error) {
-				data, err := os.ReadFile(checkpoint)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := variant.ReloadModel(bytes.NewReader(data)); err != nil {
-					return nil, err
-				}
-				return variant.ClassifierPrecision(variantPrec)
-			},
-		})
-	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("serve: -models %q parsed to no entries", spec)
-	}
-	return specs, nil
-}
 
 func cmdSpeedup(ctx context.Context, args []string) error {
 	if len(args) < 1 || len(args) > 2 {

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"mvpar/internal/bench"
@@ -25,7 +24,7 @@ import (
 // the submitted program only).
 //
 // Unlike Pipeline, a Classifier is safe for concurrent use: every
-// prediction borrows a worker-private replica of the handle's tier engine
+// prediction borrows a worker-private replica of the float64 engine
 // (shared weights, private scratch — see gnn.Predictor.Replicate) from an
 // internal free list, so the inference server's handlers can classify
 // concurrently, each on its own worker slot, and still produce results
@@ -33,49 +32,16 @@ import (
 type Classifier struct {
 	cfg   dataset.Config // frozen single-program encode config
 	model *gnn.MVGNN     // the float64 weights the handle was built from
-
-	// precision names the tier: PrecisionFloat64 (the bit-identity
-	// reference) or PrecisionInt8 (the integer tier, licensed at a
-	// documented non-zero drift budget by `mvpar parity`). proto is that
-	// tier's engine; predictions run on its replicas.
-	precision string
-	proto     gnn.Predictor
+	proto gnn.Predictor  // the model's engine; predictions run on its replicas
 
 	mu       sync.Mutex
 	replicas []gnn.Predictor // free list of idle replicas
 }
 
-// Precision tiers of the inference engine.
-const (
-	// PrecisionFloat64 is the default: the float64 forward pass that is
-	// bit-identical to training and to serial Pipeline.ClassifySource.
-	PrecisionFloat64 = "float64"
-	// PrecisionInt8 is the integer tier: per-channel int8 weights, int32
-	// accumulators, dequantize-then-table-tanh epilogues. Licensed at a
-	// documented non-zero drift budget (`mvpar parity`).
-	PrecisionInt8 = "int8"
-)
-
-// precisionTiers enumerates the valid tiers, reference first — the order
-// ParsePrecision's error message reports them in.
-var precisionTiers = []string{PrecisionFloat64, PrecisionInt8}
-
-// ParsePrecision validates a -precision flag value; empty means float64.
-// Input is normalized (surrounding whitespace trimmed, case folded) so
-// flag values like " Float64" or "INT8" resolve; an unknown tier errors
-// with the full list of valid ones.
-func ParsePrecision(s string) (string, error) {
-	norm := strings.ToLower(strings.TrimSpace(s))
-	if norm == "" {
-		return PrecisionFloat64, nil
-	}
-	for _, tier := range precisionTiers {
-		if norm == tier {
-			return tier, nil
-		}
-	}
-	return "", fmt.Errorf("core: unknown precision %q (valid tiers: %s)", s, strings.Join(precisionTiers, ", "))
-}
+// PrecisionFloat64 names the one inference engine: the float64 forward
+// pass that is bit-identical to training and to serial
+// Pipeline.ClassifySource. The server reports it on every answer.
+const PrecisionFloat64 = "float64"
 
 // Classifier returns an inference handle bound to the pipeline's current
 // model and encoder state. The pipeline must have been trained (or
@@ -83,24 +49,8 @@ func ParsePrecision(s string) (string, error) {
 // LoadModel (which replaces the weight storage replicas are bound to),
 // take a new handle.
 func (p *Pipeline) Classifier() (*Classifier, error) {
-	return p.ClassifierPrecision(PrecisionFloat64)
-}
-
-// ClassifierPrecision is Classifier with an explicit precision tier, and
-// the one place a tier name picks an inference engine. For
-// PrecisionInt8 the model's current weights are quantized here, once per
-// handle (replicas share the quantized weights).
-func (p *Pipeline) ClassifierPrecision(precision string) (*Classifier, error) {
-	prec, err := ParsePrecision(precision)
-	if err != nil {
-		return nil, err
-	}
 	if p.Model == nil || p.Dataset == nil {
 		return nil, fmt.Errorf("core: pipeline is untrained")
-	}
-	proto := p.Model.Predictor()
-	if prec == PrecisionInt8 {
-		proto = p.Model.QuantizeI8().Predictor()
 	}
 	// Encode with the pipeline's settings, reusing the trained inst2vec
 	// space and walk space so the features live in the model's input
@@ -113,15 +63,7 @@ func (p *Pipeline) ClassifierPrecision(precision string) (*Classifier, error) {
 	cfg.Space = p.Dataset.Space
 	cfg.Strict = true
 	cfg.Ctx = nil
-	return &Classifier{cfg: cfg, model: p.Model, precision: prec, proto: proto}, nil
-}
-
-// Precision reports the handle's inference tier ("float64" or "int8").
-func (c *Classifier) Precision() string {
-	if c.precision == "" {
-		return PrecisionFloat64
-	}
-	return c.precision
+	return &Classifier{cfg: cfg, model: p.Model, proto: p.Model.Predictor()}, nil
 }
 
 // acquire pops an idle engine replica, creating one when the list is
@@ -144,12 +86,11 @@ func (c *Classifier) release(r gnn.Predictor) {
 	c.mu.Unlock()
 }
 
-// PredictRecord answers one encoded loop on a borrowed replica of the
-// handle's tier. A degraded record — its structural view could not be
-// sampled — is answered by the node view's head alone, the paper's
-// Static-GNN geometry; every other record by the trained head. Classify
-// and `mvpar parity` both predict through this one rule.
-func (c *Classifier) PredictRecord(ctx context.Context, rec *dataset.Record) (int, float64) {
+// predictRecord answers one encoded loop on a borrowed engine replica. A
+// degraded record — its structural view could not be sampled — is
+// answered by the node view's head alone, the paper's Static-GNN
+// geometry; every other record by the trained head.
+func (c *Classifier) predictRecord(ctx context.Context, rec *dataset.Record) (int, float64) {
 	r := c.acquire()
 	defer c.release(r)
 	view := gnn.ViewTrained
@@ -196,20 +137,21 @@ func (c *Classifier) ClassifyDegradedContext(ctx context.Context, name, src stri
 // Fingerprint identifies this handle's model weights, trained head and
 // encode configuration: two classifiers with equal fingerprints answer
 // identically on every input. The serving layer reports it as each
-// generation's identity (/healthz, reload results, mvpar_model_info), so
-// an operator can tell which weights answer after a hot swap.
+// generation's identity (/healthz, reload results, mvpar_build_info), so
+// an operator can tell which weights answer after a hot swap. The engine
+// name stays in the hash, so a checkpoint's fingerprint does not move.
 func (c *Classifier) Fingerprint() string {
 	h := sha256.New()
 	io.WriteString(h, nn.FingerprintParams(c.model.Params()))
 	cfg := c.cfg
 	fmt.Fprintf(h, "|v%d|w%+v|l%d|e%+v|s%d|t%d|n%d|p%s|h%s",
 		cfg.Variants, cfg.WalkParams, cfg.WalkLen, cfg.EmbedCfg, cfg.Seed, cfg.MaxSteps, cfg.MaxTokens,
-		c.Precision(), c.model.Head())
+		PrecisionFloat64, c.model.Head())
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // classifyWith is the shared classify body: profile and encode the
-// program under cfg, then predict every loop through PredictRecord.
+// program under cfg, then predict every loop through predictRecord.
 func (c *Classifier) classifyWith(ctx context.Context, cfg dataset.Config, name, src string) ([]LoopPrediction, error) {
 	// When ctx carries a trace (the serving path started one), the stages
 	// below append spans to it; on an untraced context they only feed
@@ -225,7 +167,7 @@ func (c *Classifier) classifyWith(ctx context.Context, cfg dataset.Config, name,
 	}
 	var preds []LoopPrediction
 	for _, rec := range d.Records {
-		pred, proba := c.PredictRecord(ctx, rec)
+		pred, proba := c.predictRecord(ctx, rec)
 		lp := LoopPrediction{
 			LoopID:   rec.Meta.LoopID,
 			Parallel: pred == 1,

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -149,4 +150,77 @@ func TestClassifyProvenanceMatchesParse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLoadModelRequantizesFastTiers: a handle taken after LoadModel must
+// serve the loaded weights. LoadModel replaces the live model's
+// parameters, so the handle must answer and fingerprint exactly like a
+// pipeline that only ever saw the loaded checkpoint. float64 is the one
+// served tier; the quantized engines' stale-cache check is
+// gnn.TestLoadDropsQuantizedTiers.
+func TestLoadModelRequantizesFastTiers(t *testing.T) {
+	pl := core.NewPipeline(tinyOptions())
+	if _, err := pl.TrainOn(tinyApps()); err != nil {
+		t.Fatal(err)
+	}
+	otherOpts := tinyOptions()
+	otherOpts.Seed = 2
+	other := core.NewPipeline(otherOpts)
+	if _, err := other.TrainOn(tinyApps()); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := other.SaveModel(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	fresh := core.NewPipeline(tinyOptions())
+	if err := fresh.ShareEncoder(pl); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.LoadModel(bytes.NewReader(ckpt.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	before, err := pl.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	beforeFP := before.Fingerprint()
+	if err := pl.LoadModel(bytes.NewReader(ckpt.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	t.Run(core.PrecisionFloat64, func(t *testing.T) {
+		got, err := pl.Classifier()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Classifier()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("fingerprint %s, fresh pipeline %s", got.Fingerprint(), want.Fingerprint())
+		}
+		if got.Fingerprint() == beforeFP {
+			t.Fatalf("fingerprint %s did not change across LoadModel", got.Fingerprint())
+		}
+		for _, app := range tinyApps() {
+			gp, err := got.Classify(app.Name, app.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wp, err := want.Classify(app.Name, app.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gp) != len(wp) {
+				t.Fatalf("%s: %d predictions, fresh pipeline %d", app.Name, len(gp), len(wp))
+			}
+			for i := range gp {
+				if gp[i].Parallel != wp[i].Parallel || gp[i].Proba != wp[i].Proba {
+					t.Fatalf("%s loop %d: (%v, %v) after LoadModel, fresh pipeline (%v, %v)",
+						app.Name, gp[i].LoopID, gp[i].Parallel, gp[i].Proba, wp[i].Parallel, wp[i].Proba)
+				}
+			}
+		}
+	})
 }

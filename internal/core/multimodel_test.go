@@ -13,7 +13,7 @@ float x[8]; float y[8];
 void main() { for (int i = 0; i < 8; i++) { y[i] = x[i] * 2.0; } }
 `
 
-// TestShareEncoderVariantMatchesDonor pins the multi-model loading
+// TestShareEncoderVariantMatchesDonor pins the shared-encoder loading
 // contract: a variant pipeline that adopts the donor's encoder and loads
 // the donor's checkpoint must classify bit-identically to the donor —
 // without rebuilding any encoder state of its own.

@@ -194,10 +194,10 @@ func (p *Pipeline) PrepareContext(ctx context.Context, apps []bench.App) error {
 
 // ShareEncoder adopts another pipeline's built dataset — the encoder
 // state: inst2vec embedding, walk space, input dimensions — without
-// rebuilding it. It is how a multi-model server loads several
-// checkpoints trained against the same corpus configuration: one
-// pipeline pays PrepareContext, the variants share its encoder and each
-// LoadModel their own weights. The options must match the donor's (the
+// rebuilding it, so several checkpoints trained against the same corpus
+// configuration can be loaded side by side: one pipeline pays
+// PrepareContext, the others share its encoder and each LoadModel their
+// own weights. The options must match the donor's (the
 // encode configuration is part of every classifier fingerprint, so a
 // mismatch would be visible, but it would also be wrong), so ShareEncoder
 // copies them too. Any cached classifier handle is dropped.

@@ -330,3 +330,47 @@ func TestLoadHeadCompat(t *testing.T) {
 		t.Fatalf("rejected checkpoint left the %v head, want struct", h)
 	}
 }
+
+// TestLoadDropsQuantizedTiers: the float32 and int8 engines behind
+// PredictWithProbaF32 and PredictWithProbaI8 are cached snapshots of the
+// weights, so Load must drop them. After a load every tier answers like a
+// fresh model that only ever loaded the same checkpoint.
+func TestLoadDropsQuantizedTiers(t *testing.T) {
+	m, samples := trainedParityModel(t)
+	m.PrepareF32()
+	m.PrepareI8()
+	other := NewMVGNN(4, 4, 7)
+	other.Train(samples, TrainConfig{Epochs: 6, LR: 0.005, Temperature: 0.5, ClipNorm: 5, BatchSize: 4, Seed: 7}, nil)
+	var ckpt bytes.Buffer
+	if err := other.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewMVGNN(4, 4, 99)
+	if err := fresh.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	tiers := []struct {
+		name      string
+		got, want func(Sample) (int, float64)
+	}{
+		{"float64", m.PredictWithProba, fresh.PredictWithProba},
+		{"float32", m.PredictWithProbaF32, fresh.PredictWithProbaF32},
+		{"int8", m.PredictWithProbaI8, fresh.PredictWithProbaI8},
+	}
+	for _, tier := range tiers {
+		stale := 0
+		for _, s := range samples {
+			gc, gp := tier.got(s)
+			wc, wp := tier.want(s)
+			if gc != wc || gp != wp {
+				stale++
+			}
+		}
+		if stale > 0 {
+			t.Errorf("%s: %d/%d samples answer from the weights before Load", tier.name, stale, len(samples))
+		}
+	}
+}

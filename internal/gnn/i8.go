@@ -17,9 +17,10 @@ import (
 // the f32 tier. Biases stay float32 and are folded in after accumulation.
 //
 // Training never touches this path, and unlike the f32 tier the int8 tier
-// is licensed at a *non-zero* drift budget: `mvpar parity -precision int8`
-// holds it to a documented per-suite accuracy drift and flip count on the
-// frozen seed corpus instead of indistinguishability.
+// drifts by a *non-zero* budget: TestPredictWithProbaI8Parity holds it to
+// a probability tolerance and a flip count on a trained fixture instead
+// of indistinguishability. int8 is not a served tier: the benchmarks time
+// this forward directly.
 
 // conv1dI8 is a quantized nn.Conv1D: int8 weights stored transposed
 // (inCh*kernel x outCh, one scale per filter) for the GEMM formulation of
@@ -310,8 +311,7 @@ func newMVGNNI8(w *mvgnnWeightsI8) *MVGNNI8 {
 // QuantizeI8 snapshots the model's parameters into an int8 inference
 // replica. The snapshot is one-time: later optimizer steps or parameter
 // reloads on m are NOT reflected — quantize after training (or after
-// LoadParams); core.Pipeline.ClassifierPrecision quantizes afresh for
-// every handle it builds.
+// Load, which drops PredictWithProbaI8's cached replica).
 func (m *MVGNN) QuantizeI8() *MVGNNI8 {
 	return newMVGNNI8(&mvgnnWeightsI8{
 		classes:     m.NodeView.Cfg.NumClasses,

@@ -164,8 +164,8 @@ func (m *MVGNN) quantized() *MVGNNF32 {
 func (m *MVGNN) PrepareF32() { m.quantized() }
 
 // PredictWithProbaF32 is PredictWithProba on the float32 tier. Labels
-// and probabilities track the float64 path within the accuracy-parity
-// gate's tolerance (`mvpar parity`), not bit-identically.
+// and probabilities track the float64 path within the tolerance
+// TestPredictWithProbaF32Parity allows, not bit-identically.
 func (m *MVGNN) PredictWithProbaF32(s Sample) (int, float64) {
 	return m.quantized().Predictor().Predict(context.Background(), s, ViewTrained)
 }
@@ -184,9 +184,9 @@ func (m *MVGNN) quantizedI8() *MVGNNI8 {
 func (m *MVGNN) PrepareI8() { m.quantizedI8() }
 
 // PredictWithProbaI8 is PredictWithProba on the int8 tier. Labels and
-// probabilities track the float64 path within the int8 parity gate's
-// documented drift budget (`mvpar parity -precision int8`) — looser than
-// float32's, and never bit-identical.
+// probabilities track the float64 path within the drift that
+// TestPredictWithProbaI8Parity allows — looser than float32's, and never
+// bit-identical.
 func (m *MVGNN) PredictWithProbaI8(s Sample) (int, float64) {
 	return m.quantizedI8().Predictor().Predict(context.Background(), s, ViewTrained)
 }

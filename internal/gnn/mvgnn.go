@@ -59,8 +59,8 @@ type MVGNN struct {
 	// PredictWithProbaF32 and PredictWithProbaI8. Like the rest of the
 	// model's mutable state they are goroutine-private (replicas do not
 	// inherit them); they snapshot the weights at first use, so they must
-	// only be exercised on a frozen (post-training) model. Serving
-	// quantizes through QuantizeF32/QuantizeI8 instead.
+	// only be exercised on a frozen (post-training) model. Load drops
+	// them, so the next call quantizes the loaded weights.
 	f32 *MVGNNF32
 	i8  *MVGNNI8
 }
@@ -122,7 +122,8 @@ func (m *MVGNN) Save(w io.Writer) error {
 // blob, written before the head was saved, loads with the fused head. The
 // checkpoint is read into staging params first (LoadParams replaces a
 // param's Value rather than writing into it), so on any error, a bad head
-// included, m keeps its weights and head.
+// included, m keeps its weights and head. A successful load drops the
+// cached float32 and int8 engines, which snapshot the old weights.
 func (m *MVGNN) Load(r io.Reader) error {
 	params := m.Params()
 	staged := make([]*nn.Param, len(params))
@@ -141,6 +142,7 @@ func (m *MVGNN) Load(r io.Reader) error {
 		p.Value = staged[i].Value
 	}
 	m.predictMode = int(mode)
+	m.f32, m.i8 = nil, nil
 	return nil
 }
 

@@ -3,8 +3,8 @@
 // separates a warm-up phase from the measured window, and reports
 // sustained RPS plus exact latency percentiles as JSON. The report is
 // the unit the loadgate regression check compares against a checked-in
-// baseline, the same shape as the benchgate/parity gates defend
-// microbenchmarks and numeric drift.
+// baseline, the same shape as the benchgate gate defends
+// microbenchmarks.
 package loadgen
 
 import (
@@ -44,8 +44,6 @@ const (
 type Config struct {
 	// URL is the server base URL, e.g. "http://127.0.0.1:8080".
 	URL string
-	// Model selects a registry entry (?model=); empty hits the default.
-	Model string
 	// Mode is ModeClosed (default) or ModeOpen.
 	Mode string
 	// Concurrency is the closed-loop worker count, and the open-loop
@@ -90,7 +88,6 @@ func (c Config) withDefaults() Config {
 // approximation at loadgen scale).
 type Report struct {
 	Mode        string  `json:"mode"`
-	Model       string  `json:"model,omitempty"`
 	Concurrency int     `json:"concurrency"`
 	RateTarget  float64 `json:"rate_target,omitempty"`
 	// WarmupSeconds and DurationSeconds are the configured warm-up and
@@ -130,7 +127,6 @@ type tally struct {
 type classifyBody struct {
 	Name   string `json:"name"`
 	Source string `json:"source"`
-	Model  string `json:"model,omitempty"`
 }
 
 // Run drives one load-generation run against a live server and returns
@@ -153,12 +149,9 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 
 	client := &http.Client{Timeout: cfg.Timeout}
 	target := cfg.URL + "/v1/classify"
-	if cfg.Model != "" {
-		target += "?model=" + cfg.Model
-	}
 	bodies := make([][]byte, len(cfg.Corpus))
 	for i, p := range cfg.Corpus {
-		b, err := json.Marshal(classifyBody{Name: p.Name, Source: p.Source, Model: cfg.Model})
+		b, err := json.Marshal(classifyBody{Name: p.Name, Source: p.Source})
 		if err != nil {
 			return Report{}, fmt.Errorf("loadgen: corpus entry %q: %w", p.Name, err)
 		}
@@ -295,7 +288,6 @@ func doRequest(ctx context.Context, client *http.Client, url string, body []byte
 func buildReport(cfg Config, tallies []*tally, skipped int64, measured time.Duration) Report {
 	r := Report{
 		Mode:          cfg.Mode,
-		Model:         cfg.Model,
 		Concurrency:   cfg.Concurrency,
 		WarmupSeconds: cfg.Warmup.Seconds(),
 		Skipped:       skipped,

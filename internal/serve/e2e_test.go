@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -142,8 +144,9 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 }
 
 // TestServerRealWarmupAndOracle checks the server end to end on the real
-// model: warm-up flips readiness and a classified program carries the
-// exact oracle labels the profiler derives.
+// model: warm-up flips readiness, /healthz reports the classifier's
+// fingerprint, and a classified program is answered by the float64
+// engine with the exact oracle labels the profiler derives.
 func TestServerRealWarmupAndOracle(t *testing.T) {
 	pl := e2eTrained(t)
 	cls, err := pl.Classifier()
@@ -167,6 +170,23 @@ func TestServerRealWarmupAndOracle(t *testing.T) {
 	if !s.Ready() {
 		t.Fatal("server not ready after warmup")
 	}
+	hresp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health struct {
+		OK          bool   `json:"ok"`
+		Generation  uint64 `json:"generation"`
+		Fingerprint string `json:"fingerprint"`
+	}
+	err = json.NewDecoder(hresp.Body).Decode(&health)
+	hresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !health.OK || health.Generation != 1 || health.Fingerprint != cls.Fingerprint() {
+		t.Fatalf("/healthz = %+v, want ok at generation 1 with fingerprint %s", health, cls.Fingerprint())
+	}
 
 	code, resp, _ := postClassify(t, ts.URL, "user", `
 float x[8]; float y[8]; float acc;
@@ -177,6 +197,9 @@ void main() {
 `)
 	if code != 200 || len(resp.Predictions) != 2 {
 		t.Fatalf("classify = %d with %d predictions, want 200 with 2", code, len(resp.Predictions))
+	}
+	if resp.Precision != core.PrecisionFloat64 {
+		t.Fatalf("answered by the %q engine, want %s", resp.Precision, core.PrecisionFloat64)
 	}
 	if !resp.Predictions[0].Oracle || resp.Predictions[1].Oracle {
 		t.Fatalf("oracle labels wrong: %+v", resp.Predictions)

@@ -17,18 +17,9 @@ type DegradedInference interface {
 
 // Fingerprinter is the optional identity surface of an Inference; the
 // server reports it as the generation's model identity in /healthz,
-// reload results and mvpar_model_info. *core.Classifier implements it.
+// reload results and mvpar_build_info. *core.Classifier implements it.
 type Fingerprinter interface {
 	Fingerprint() string
-}
-
-// Precisioner is the optional precision surface of an Inference: which
-// inference engine ("float64" or "int8") answers its
-// predictions.
-// *core.Classifier implements it; implementations without it are
-// reported as float64 (the bit-identity default).
-type Precisioner interface {
-	Precision() string
 }
 
 // generation is one live model: an immutable Inference plus the
@@ -40,9 +31,8 @@ type generation struct {
 	id uint64
 	// fp identifies the weights + encode config (empty when the Inference
 	// is not a Fingerprinter).
-	fp   string
-	prec string // inference precision tier
-	inf  Inference
+	fp  string
+	inf Inference
 
 	// inflight counts requests pinned to this generation (admitted but
 	// not yet answered). The swap path waits on it to declare the
@@ -51,12 +41,9 @@ type generation struct {
 }
 
 func newGeneration(id uint64, inf Inference) *generation {
-	g := &generation{id: id, prec: "float64", inf: inf}
+	g := &generation{id: id, inf: inf}
 	if fp, ok := inf.(Fingerprinter); ok {
 		g.fp = fp.Fingerprint()
-	}
-	if p, ok := inf.(Precisioner); ok {
-		g.prec = p.Precision()
 	}
 	return g
 }

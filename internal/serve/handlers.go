@@ -10,7 +10,6 @@ import (
 	"mvpar/internal/core"
 	"mvpar/internal/faults"
 	"mvpar/internal/interp"
-	"mvpar/internal/obs"
 	"mvpar/internal/obs/trace"
 )
 
@@ -20,9 +19,6 @@ type ClassifyRequest struct {
 	Name string `json:"name"`
 	// Source is the MiniC program (entry function main).
 	Source string `json:"source"`
-	// Model selects the registry entry that answers; empty means the
-	// default model. The ?model= query parameter takes precedence.
-	Model string `json:"model,omitempty"`
 	// Timings asks for the per-request latency breakdown: the response
 	// gains trace_id and a timings span tree (handler → batcher →
 	// replica → dataset stages → per-loop GNN forwards).
@@ -58,8 +54,8 @@ type ClassifyResponse struct {
 	// response and why, e.g. "node-view-only prediction: full
 	// classification faulted". Empty on the normal path.
 	DegradedReasons []string `json:"degraded_reasons,omitempty"`
-	// Precision names the inference engine that answered: "float64" (the
-	// bit-identity reference) or "int8" (the integer tier).
+	// Precision names the inference engine that answered; it is always
+	// "float64", the one engine, bit-identical to training.
 	Precision string `json:"precision"`
 	// TraceID and Timings are set only when the request asked for a
 	// timings breakdown (ClassifyRequest.Timings) and it succeeded:
@@ -84,9 +80,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// toResponse converts predictions to the wire format. Precision defaults
-// to the float64 reference tier; handlers overwrite it from the
-// generation that actually answered.
+// toResponse converts predictions to the wire format.
 func toResponse(name string, preds []core.LoopPrediction) ClassifyResponse {
 	resp := ClassifyResponse{
 		Name:        name,
@@ -151,27 +145,13 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if req.Name == "" {
 		req.Name = "unnamed"
 	}
-	if q := r.URL.Query().Get("model"); q != "" {
-		req.Model = q
-	}
-	m, err := s.reg.get(req.Model)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{
-			Error:   fmt.Sprintf("unknown model %q", req.Model),
-			Reasons: []string{"GET /v1/models lists the served models"},
-		})
-		return
-	}
 
-	// Pin the request to the model's current generation: it registers
+	// Pin the request to the current generation: it registers
 	// with the generation's in-flight count here and executes against
 	// that generation even if a hot swap lands while it waits. The
 	// registration is released once admission and the attempt have
 	// finished.
-	gen := m.admit()
-	// Per-precision request accounting: which inference tier is about to
-	// answer (float64 reference or int8).
-	obs.GetCounter("mvpar_classify_requests_" + gen.prec + "_total").Inc()
+	gen := s.admit()
 
 	// Request tracing: in slow-capture mode (TraceSlow set) every request
 	// is traced so any of them can be retained when it crosses the
@@ -197,7 +177,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		respTr = tr
 	}
 	var res outcome
-	err = s.bat.run(ctx, func(bctx context.Context) {
+	err := s.bat.run(ctx, func(bctx context.Context) {
 		res = s.classify(&job{ctx: bctx, name: req.Name, src: req.Source, gen: gen})
 	})
 	gen.inflight.Done()
@@ -215,20 +195,18 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			// The deadline passed while the request waited for a slot.
 			res.err = err
 		}
-		s.writeResult(w, req.Name, gen.prec, res, respTr)
+		s.writeResult(w, req.Name, res, respTr)
 	}
 }
 
-// writeResult maps one execution outcome to its HTTP answer. prec is the
-// answering generation's precision tier; tr is non-nil only when the
-// request asked for a timings breakdown; success responses then carry
-// the trace ID and span tree.
-func (s *Server) writeResult(w http.ResponseWriter, name, prec string, res outcome, tr *trace.Trace) {
+// writeResult maps one execution outcome to its HTTP answer. tr is
+// non-nil only when the request asked for a timings breakdown; success
+// responses then carry the trace ID and span tree.
+func (s *Server) writeResult(w http.ResponseWriter, name string, res outcome, tr *trace.Trace) {
 	err := res.err
 	if err == nil {
 		resp := toResponse(name, res.preds)
 		resp.Generation = res.gen
-		resp.Precision = prec
 		if len(res.degraded) > 0 {
 			resp.Degraded = true
 			resp.DegradedReasons = res.degraded
@@ -265,27 +243,20 @@ func (s *Server) writeResult(w http.ResponseWriter, name, prec string, res outco
 	}
 }
 
-// handleReload is POST /v1/models/reload[?model=<name>]: one atomic hot
-// swap through Server.ReloadModel. 200 with the new generation on
-// success, 404 for an unknown model, 500 with the rollback cause on
-// failure (the previous model keeps serving), 501 when the model has no
-// Loader.
+// handleReload is POST /v1/models/reload: one atomic hot swap through
+// Server.Reload. 200 with the new generation on success, 500 with the
+// rollback cause on failure (the previous model keeps serving), 501 when
+// the server has no Loader.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use POST"})
 		return
 	}
-	name := r.URL.Query().Get("model")
-	res, err := s.ReloadModel(r.Context(), name)
+	res, err := s.Reload(r.Context())
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, res)
-	case errors.Is(err, ErrUnknownModel):
-		writeJSON(w, http.StatusNotFound, ErrorResponse{
-			Error:   fmt.Sprintf("unknown model %q", name),
-			Reasons: []string{"GET /v1/models lists the served models"},
-		})
 	case errors.Is(err, ErrNoLoader):
 		writeJSON(w, http.StatusNotImplemented, ErrorResponse{
 			Error:   "no model loader configured",
@@ -299,69 +270,21 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ModelStatus is one registry entry in the GET /v1/models listing and
-// the /healthz models array.
-type ModelStatus struct {
-	Name        string `json:"name"`
-	Default     bool   `json:"default,omitempty"`
-	Generation  uint64 `json:"generation"`
-	Fingerprint string `json:"fingerprint,omitempty"`
-	Precision   string `json:"precision"`
-	// Reloadable reports whether the model has a Loader (POST
-	// /v1/models/reload?model=<name> works).
-	Reloadable bool `json:"reloadable"`
-}
-
-// modelStatuses snapshots every registry entry.
-func (s *Server) modelStatuses() []ModelStatus {
-	out := make([]ModelStatus, 0, len(s.reg.names))
-	for _, m := range s.reg.all() {
-		gen := m.gen.Load()
-		out = append(out, ModelStatus{
-			Name:        m.name,
-			Default:     m.name == s.reg.def,
-			Generation:  gen.id,
-			Fingerprint: gen.fp,
-			Precision:   gen.prec,
-			Reloadable:  m.loader != nil,
-		})
-	}
-	return out
-}
-
-// handleModels is GET /v1/models: the registry listing with each
-// model's generation, fingerprint and precision.
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use GET"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"default": s.reg.def,
-		"models":  s.modelStatuses(),
-	})
-}
-
-// handleHealthz is liveness: 200 as long as the process serves. The
-// top-level generation and fingerprint are the default model's (the
-// single-model wire format, kept for monitors that predate the
-// registry); the models array carries every entry's identity.
+// handleHealthz is liveness: 200 as long as the process serves, with
+// the live generation and its model fingerprint.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	gen := s.defaultModel().gen.Load()
+	gen := s.gen.Load()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":          true,
 		"generation":  gen.id,
 		"fingerprint": gen.fp,
-		"models":      s.modelStatuses(),
 	})
 }
 
 // handleReadyz is readiness with a state machine: "starting" (503)
 // until the warm-up classification passes, "draining" (503) once
 // Shutdown begins — the signal load balancers key on during the drain
-// grace window — and "ready" (200) otherwise. The top-level generation
-// is the default model's.
+// grace window — and "ready" (200) otherwise.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	state := "ready"
 	code := http.StatusOK

@@ -3,10 +3,9 @@
 // so downstream consumers — editors, CI gates, build systems — classify
 // loops without paying model-load and encoder-build costs per request.
 //
-// The request path is a bounded-admission pipeline over a registry of
-// named models:
+// The request path is a bounded-admission pipeline over one model:
 //
-//	POST /v1/classify?model=<name> → registry lookup → generation pin
+//	POST /v1/classify → generation pin
 //	  → admission: wait for one of Workers slots (429 past MaxQueue
 //	    waiters, 504 if the deadline passes first)
 //	  → one panic-captured classification attempt on the handler's own
@@ -38,6 +37,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -141,50 +141,34 @@ type Server struct {
 	hs     *http.Server
 	traces *trace.Ring // slow-request retention, nil when disabled
 
-	// reg holds the served models (name → generation chain); bat is the
-	// admission layer every model shares.
-	reg *registry
-	bat *batcher
+	bat *batcher // the admission layer
+
+	// gen is the live generation; reloadMu serializes hot swaps.
+	gen      atomic.Pointer[generation]
+	reloadMu sync.Mutex
 
 	ready    atomic.Bool
 	draining atomic.Bool
 }
 
-// New builds a single-model server around inf (cfg.Loader, when set, is
-// its reload loader). The server is not ready until Warmup succeeds; use
-// Handler for in-process tests or ListenAndServe for the full lifecycle.
+// New builds a server around inf (cfg.Loader, when set, is its reload
+// loader). The server is not ready until Warmup succeeds; use Handler
+// for in-process tests or ListenAndServe for the full lifecycle.
 func New(inf Inference, cfg Config) *Server {
-	s, err := NewMulti([]ModelSpec{{Name: DefaultModel, Inference: inf, Loader: cfg.Loader}}, cfg)
-	if err != nil {
-		// The single-model spec above is valid unless inf is nil — a
-		// programmer error in the caller.
-		panic(err)
+	if inf == nil {
+		panic("serve: New needs an Inference")
 	}
-	return s
-}
-
-// NewMulti builds a server over a registry of named models. The first
-// spec is the default model: the one unnamed requests (and the
-// single-model metric families) resolve to.
-func NewMulti(specs []ModelSpec, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	reg, err := newRegistry(specs)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{cfg: cfg, reg: reg}
+	s := &Server{cfg: cfg}
 	if cfg.TraceSlow > 0 && cfg.TraceRing > 0 {
 		s.traces = trace.NewRing(cfg.TraceRing)
 	}
 	s.bat = newBatcher(cfg.MaxQueue, cfg.Workers)
 	// Register the depth gauge now so /metrics shows it from startup.
 	obs.GetGauge(queueDepthGauge).Add(0)
-	for _, spec := range specs {
-		s.install(reg.byName[spec.Name], spec.Inference)
-	}
+	s.install(inf)
 	mux := http.NewServeMux()
 	mux.Handle("/v1/classify", instrument("classify", http.HandlerFunc(s.handleClassify)))
-	mux.Handle("/v1/models", instrument("models", http.HandlerFunc(s.handleModels)))
 	mux.Handle("/v1/models/reload", instrument("reload", http.HandlerFunc(s.handleReload)))
 	mux.Handle("/healthz", instrument("healthz", http.HandlerFunc(s.handleHealthz)))
 	mux.Handle("/readyz", instrument("readyz", http.HandlerFunc(s.handleReadyz)))
@@ -195,60 +179,59 @@ func NewMulti(specs []ModelSpec, cfg Config) (*Server, error) {
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	return s, nil
+	return s
 }
 
 // Handler exposes the routed handler for httptest-style embedding.
 func (s *Server) Handler() http.Handler { return s.hs.Handler }
 
-// defaultModel returns the registry's default model (the first spec).
-func (s *Server) defaultModel() *model { return s.reg.byName[s.reg.def] }
+// Generation returns the live generation id (1 for the initial model,
+// +1 per successful hot swap).
+func (s *Server) Generation() uint64 { return s.gen.Load().id }
 
-// Generation returns the default model's live generation id (1 for the
-// initial model, +1 per successful hot swap).
-func (s *Server) Generation() uint64 { return s.defaultModel().gen.Load().id }
-
-// install makes inf m's live generation and starts draining the old
+// install makes inf the live generation and starts draining the old
 // one: in-flight requests pinned to it finish against its Inference, and
 // once the last of them completes the generation is declared drained.
-func (s *Server) install(m *model, inf Inference) *generation {
-	id := m.genSeq.Add(1)
-	gen := newGeneration(id, inf)
-	old := m.gen.Swap(gen)
-	if m.name == s.reg.def {
-		// The default model keeps the single-model metric families every
-		// existing dashboard reads.
-		obs.GetGauge("mvpar_model_generation").Set(float64(id))
-		obs.SetInfo("mvpar_build_info", map[string]string{
-			"version":    s.cfg.Version,
-			"go_version": runtime.Version(),
-			"generation": strconv.FormatUint(id, 10),
-			"model":      gen.fp,
-		})
-		// Build-info-style precision gauge: which inference engine the
-		// live generation answers with (operators alert on an unexpected
-		// flip).
-		obs.SetInfo("mvpar_inference_precision", map[string]string{
-			"precision": gen.prec,
-		})
+// New and Reload (under reloadMu) are its only callers, so installs never
+// race and the next id follows the live one.
+func (s *Server) install(inf Inference) *generation {
+	id := uint64(1)
+	if old := s.gen.Load(); old != nil {
+		id = old.id + 1
 	}
-	// Per-model identity gauge: one constant-1 info metric per registry
-	// entry, so operators confirm every model's generation + weights
-	// from /metrics alone.
-	obs.SetInfo("mvpar_model_info_"+m.metric, map[string]string{
-		"model":       m.name,
-		"generation":  strconv.FormatUint(id, 10),
-		"fingerprint": gen.fp,
-		"precision":   gen.prec,
+	gen := newGeneration(id, inf)
+	old := s.gen.Swap(gen)
+	obs.GetGauge("mvpar_model_generation").Set(float64(id))
+	obs.SetInfo("mvpar_build_info", map[string]string{
+		"version":    s.cfg.Version,
+		"go_version": runtime.Version(),
+		"generation": strconv.FormatUint(id, 10),
+		"model":      gen.fp,
 	})
 	if old != nil {
 		go func() {
 			old.inflight.Wait()
 			obs.GetCounter("mvpar_model_generations_drained_total").Inc()
-			obs.Info("serve.generation_drained", "model", m.name, "generation", old.id)
+			obs.Info("serve.generation_drained", "generation", old.id)
 		}()
 	}
 	return gen
+}
+
+// admit pins the caller to the current generation by registering with
+// its in-flight count. The re-check closes the swap race: if a swap
+// landed between the load and the Add, the registration is undone and
+// retried on the new generation, so a drain wait can never miss a
+// pinned request.
+func (s *Server) admit() *generation {
+	for {
+		gen := s.gen.Load()
+		gen.inflight.Add(1)
+		if s.gen.Load() == gen {
+			return gen
+		}
+		gen.inflight.Done()
+	}
 }
 
 // warmupSource is the program warm-up classifies: small enough to finish
@@ -280,21 +263,19 @@ func warmUp(ctx context.Context, inf Inference) error {
 	return nil
 }
 
-// Warmup runs one classification through every model's live generation
-// and marks the server ready on success. Until it returns nil, /readyz
-// and /v1/classify answer 503.
+// Warmup runs one classification through the live generation and
+// marks the server ready on success. Until it returns nil, /readyz and
+// /v1/classify answer 503.
 func (s *Server) Warmup(ctx context.Context) error {
 	start := time.Now()
-	for _, m := range s.reg.all() {
-		gen := m.gen.Load()
-		if err := warmUp(ctx, gen.inf); err != nil {
-			obs.GetCounter("mvpar_http_warmup_failures_total").Inc()
-			obs.Error("serve.warmup", "model", m.name, "generation", gen.id, "err", err)
-			return fmt.Errorf("model %q: %w", m.name, err)
-		}
+	gen := s.gen.Load()
+	if err := warmUp(ctx, gen.inf); err != nil {
+		obs.GetCounter("mvpar_http_warmup_failures_total").Inc()
+		obs.Error("serve.warmup", "generation", gen.id, "err", err)
+		return err
 	}
 	s.ready.Store(true)
-	obs.Info("serve.ready", "models", len(s.reg.names), "warmup_seconds", time.Since(start).Seconds())
+	obs.Info("serve.ready", "warmup_seconds", time.Since(start).Seconds())
 	return nil
 }
 
@@ -303,9 +284,6 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 
 // ReloadResult reports a successful hot swap.
 type ReloadResult struct {
-	// Model names the registry entry that swapped (omitted for the
-	// default model, keeping the single-model wire format unchanged).
-	Model       string        `json:"model,omitempty"`
 	Generation  uint64        `json:"generation"`
 	Fingerprint string        `json:"fingerprint,omitempty"`
 	Warmup      time.Duration `json:"-"`
@@ -313,38 +291,27 @@ type ReloadResult struct {
 	WarmupSeconds float64 `json:"warmup_seconds"`
 }
 
-// Reload hot-swaps the default model (see ReloadModel).
+// Reload performs one atomic hot swap: load a fresh Inference via
+// cfg.Loader, warm and parity-check it OFF the serving path, then swap
+// it in as a new generation while the old one drains in flight. Any
+// failure — loader error (corrupt checkpoint, missing file), warm-up
+// error, parity failure — rolls back: the swap never happens, the
+// previous generation keeps serving untouched, and the error is
+// returned. Concurrent reloads serialize.
 func (s *Server) Reload(ctx context.Context) (ReloadResult, error) {
-	return s.ReloadModel(ctx, "")
-}
-
-// ReloadModel performs one atomic hot swap of the named model (empty
-// means the default): load a fresh Inference via the model's Loader,
-// warm and parity-check it OFF the serving path,
-// then swap it in as a new generation while the old one drains in
-// flight. Any failure — loader error (corrupt checkpoint, missing
-// file), warm-up error, parity failure — rolls back: the swap never
-// happens, the previous generation keeps serving untouched, and the
-// error is returned. Concurrent reloads of one model serialize;
-// different models swap independently.
-func (s *Server) ReloadModel(ctx context.Context, name string) (ReloadResult, error) {
-	m, err := s.reg.get(name)
-	if err != nil {
-		return ReloadResult{}, err
-	}
-	if m.loader == nil {
+	if s.cfg.Loader == nil {
 		return ReloadResult{}, ErrNoLoader
 	}
-	m.reloadMu.Lock()
-	defer m.reloadMu.Unlock()
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
 	obs.GetCounter("mvpar_model_reloads_total").Inc()
 	fail := func(stage string, err error) (ReloadResult, error) {
 		obs.GetCounter("mvpar_model_reload_failures_total").Inc()
-		obs.Error("serve.reload_rollback", "model", m.name, "stage", stage,
-			"generation", m.gen.Load().id, "err", err)
+		obs.Error("serve.reload_rollback", "stage", stage,
+			"generation", s.Generation(), "err", err)
 		return ReloadResult{}, fmt.Errorf("serve: reload rolled back (%s): %w", stage, err)
 	}
-	inf, err := m.loader(ctx)
+	inf, err := s.cfg.Loader(ctx)
 	if err != nil {
 		return fail("load", err)
 	}
@@ -356,22 +323,18 @@ func (s *Server) ReloadModel(ctx context.Context, name string) (ReloadResult, er
 		return fail("warmup", err)
 	}
 	warm := time.Since(start)
-	gen := s.install(m, inf)
+	gen := s.install(inf)
 	// A successful swap implies a warm model: a server that reloaded
 	// before its initial warm-up finished is ready now.
 	s.ready.Store(true)
-	obs.Info("serve.reloaded", "model", m.name, "generation", gen.id,
+	obs.Info("serve.reloaded", "generation", gen.id,
 		"fingerprint", gen.fp, "warmup_seconds", warm.Seconds())
-	res := ReloadResult{
+	return ReloadResult{
 		Generation:    gen.id,
 		Fingerprint:   gen.fp,
 		Warmup:        warm,
 		WarmupSeconds: warm.Seconds(),
-	}
-	if m.name != s.reg.def {
-		res.Model = m.name
-	}
-	return res, nil
+	}, nil
 }
 
 // job is one admitted classify request holding a worker slot.

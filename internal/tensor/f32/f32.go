@@ -3,11 +3,12 @@
 // matrix-multiply kernels with fused activation epilogues.
 //
 // Training stays in float64 under the bit-identity determinism contract;
-// this package exists only for the serving fast path, where halved memory
-// traffic, free reassociation (the kernels may reorder accumulation) and a
-// table-driven tanh buy the forward pass its speedup. Nothing here is
-// bit-identical to the float64 kernels — the accuracy-parity harness
-// (internal/eval, `mvpar parity`) is the correctness gate instead.
+// this package backs the float32 and int8 forwards the benchmarks time,
+// where halved memory traffic, free reassociation (the kernels may
+// reorder accumulation) and a table-driven tanh buy the forward pass its
+// speed. Nothing here is bit-identical to the float64 kernels — gnn's
+// parity tests against the float64 forward are the correctness gate
+// instead.
 package f32
 
 import (

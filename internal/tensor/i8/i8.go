@@ -14,9 +14,9 @@
 // product stays exact up to ~133k elements, far past any shape here.
 //
 // Like f32, nothing in this package is bit-identical to the float64
-// reference — the accuracy-parity harness (internal/eval, `mvpar parity
-// -precision int8`) licenses the tier at a documented non-zero drift budget
-// instead. Training never touches this path.
+// reference — gnn's TestPredictWithProbaI8Parity holds the forward built
+// on it to a non-zero drift budget instead. Training never touches this
+// path, and nothing serves it: the benchmarks time it.
 package i8
 
 import (
