@@ -6,7 +6,7 @@
 # gnn's data-parallel trainer, dataset's parallel Build).
 GO ?= go
 
-.PHONY: all build lint test test-race bench benchcmp benchgate fuzz loadsmoke verify
+.PHONY: all build lint test test-race bench benchcmp benchgate fuzz smoke verify
 
 # How long `make fuzz` mutates the MiniC parser (CI uses 10s).
 FUZZTIME ?= 30s
@@ -71,10 +71,11 @@ benchgate:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/minic/
 
-# Boots the default server on the quick seed model and drives it with
-# `mvpar loadgen`; fails on any request error. CI's load-smoke job runs
-# the same script. DURATION=3s make loadsmoke for a faster local pass.
-loadsmoke:
-	sh scripts/loadsmoke.sh
+# The benchmark module's end-to-end smoke test: builds mvpar, trains the
+# -quick checkpoint, boots the real server for every workload, checks
+# every answer bit for bit against an in-process classify and fails on
+# any failed request. CI's benchmark-smoke job runs the same command.
+smoke:
+	cd benchmark && $(GO) test -run 'TestSmoke$$' -v ./...
 
 verify: lint test

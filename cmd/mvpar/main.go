@@ -14,9 +14,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -26,7 +24,6 @@ import (
 	"os/signal"
 	"sort"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -40,7 +37,6 @@ import (
 	"mvpar/internal/inst2vec"
 	"mvpar/internal/interp"
 	"mvpar/internal/ir"
-	"mvpar/internal/loadgen"
 	"mvpar/internal/minic"
 	"mvpar/internal/obs"
 	"mvpar/internal/peg"
@@ -103,10 +99,6 @@ func main() {
 		err = cmdClassify(ctx, args)
 	case "serve":
 		err = cmdServe(ctx, args)
-	case "loadgen":
-		err = cmdLoadgen(ctx, args)
-	case "loadgate":
-		err = cmdLoadgate(args)
 	case "corpus":
 		err = cmdCorpus(args)
 	case "speedup":
@@ -172,17 +164,6 @@ commands:
                                for profiles);
                                see mvpar serve -h, docs/serving.md,
                                docs/performance.md and docs/observability.md
-  loadgen  [-url http://127.0.0.1:8080] [-mode closed|open] [-concurrency 8]
-           [-rate RPS] [-duration 10s] [-warmup 2s] [-out FILE]
-                               drive a running serve instance with closed- or
-                               open-loop traffic and print a JSON report with
-                               sustained RPS, p50/p95/p99 latency and error/
-                               shed counts; -max-errors 0 makes error-free
-                               runs a hard requirement (CI smoke)
-  loadgate -report FILE [-baseline LOAD_BASELINE.json]
-                               compare a loadgen report against the checked-in
-                               baseline; non-zero exit on RPS or p99
-                               regression beyond -max-rps-drop/-max-p99-rise
   corpus   [-dump DIR]         print (or dump) the generated benchmark corpus
   speedup  <file.mc> [threads] simulate parallel execution of every loop
   dataset  [-out FILE]         build the corpus dataset and export it as JSON
@@ -447,11 +428,12 @@ func cmdServe(ctx context.Context, args []string) error {
 	if *modelPath != "" {
 		path := *modelPath
 		loader = func(context.Context) (serve.Inference, error) {
-			data, err := os.ReadFile(path)
+			f, err := os.Open(path)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := pl.ReloadModel(bytes.NewReader(data)); err != nil {
+			defer f.Close()
+			if err := pl.LoadModel(f); err != nil {
 				return nil, err
 			}
 			return pl.Classifier()
@@ -487,137 +469,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	}()
 	fmt.Fprintf(os.Stderr, "serve: listening on %s (SIGINT/SIGTERM drains and exits, SIGHUP hot-swaps -model)\n", *addr)
 	return srv.ListenAndServe(sctx)
-}
-
-// loadgenCorpus is the built-in request mix `mvpar loadgen` cycles over
-// when no -corpus file is given: a map, a reduction and a recurrence,
-// so the measured traffic exercises both label classes and the
-// structural-view sampler, not just one program.
-func loadgenCorpus() []loadgen.Program {
-	return []loadgen.Program{
-		{Name: "lg-map", Source: `
-float a[64]; float b[64];
-void main() { for (int i = 0; i < 64; i++) { a[i] = b[i] * 2.0; } }
-`},
-		{Name: "lg-reduce", Source: `
-float a[64]; float s[1];
-void main() { for (int i = 0; i < 64; i++) { s[0] = s[0] + a[i]; } }
-`},
-		{Name: "lg-recurrence", Source: `
-float a[64];
-void main() { for (int i = 1; i < 64; i++) { a[i] = a[i-1] * 0.5; } }
-`},
-	}
-}
-
-// cmdLoadgen drives a running serve instance with generated traffic and
-// prints the loadgen.Report JSON: the measurement half of the load
-// regression gate (`mvpar loadgate` is the comparison half).
-func cmdLoadgen(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
-	url := fs.String("url", "http://127.0.0.1:8080", "server base URL")
-	mode := fs.String("mode", loadgen.ModeClosed, "traffic mode: closed (each worker fires on answer) or open\n(fixed arrival rate, bounded in-flight)")
-	concurrency := fs.Int("concurrency", 8, "closed-loop worker count / open-loop in-flight cap")
-	rate := fs.Float64("rate", 0, "open-loop arrival rate in requests/second (required with -mode open)")
-	duration := fs.Duration("duration", 10*time.Second, "measured window")
-	warmup := fs.Duration("warmup", 2*time.Second, "unrecorded warm-up traffic before the measured window")
-	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request timeout")
-	corpusPath := fs.String("corpus", "", "JSON file with [{\"name\":...,\"source\":...}] programs to cycle over\n(default: a built-in map/reduction/recurrence mix)")
-	out := fs.String("out", "", "also write the JSON report to this file")
-	maxErrors := fs.Int64("max-errors", -1, "exit non-zero when the run records more than this many request\nerrors (-1 disables; 0 is the CI smoke contract)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("loadgen: unexpected arguments %v", fs.Args())
-	}
-	corpus := loadgenCorpus()
-	if *corpusPath != "" {
-		data, err := os.ReadFile(*corpusPath)
-		if err != nil {
-			return err
-		}
-		corpus = nil
-		if err := json.Unmarshal(data, &corpus); err != nil {
-			return fmt.Errorf("loadgen: %s: %w", *corpusPath, err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "loadgen: %s loop against %s (%s warm-up + %s measured)...\n",
-		*mode, *url, *warmup, *duration)
-	report, err := loadgen.Run(ctx, loadgen.Config{
-		URL:         strings.TrimRight(*url, "/"),
-		Mode:        *mode,
-		Concurrency: *concurrency,
-		Rate:        *rate,
-		Duration:    *duration,
-		Warmup:      *warmup,
-		Timeout:     *reqTimeout,
-		Corpus:      corpus,
-	})
-	if err != nil {
-		return err
-	}
-	enc, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(enc))
-	if *out != "" {
-		if err := os.WriteFile(*out, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if *maxErrors >= 0 && report.Errors > *maxErrors {
-		return fmt.Errorf("loadgen: %d request errors exceed the -max-errors %d budget", report.Errors, *maxErrors)
-	}
-	return nil
-}
-
-// cmdLoadgate compares a loadgen report against the checked-in baseline
-// and fails on RPS or p99 regression beyond the tolerances — the load
-// equivalent of the benchgate allocation gate.
-func cmdLoadgate(args []string) error {
-	fs := flag.NewFlagSet("loadgate", flag.ExitOnError)
-	baselinePath := fs.String("baseline", "LOAD_BASELINE.json", "checked-in baseline report")
-	reportPath := fs.String("report", "", "loadgen report to judge (required)")
-	maxRPSDrop := fs.Float64("max-rps-drop", 0.30, "allowed fractional RPS drop below baseline")
-	maxP99Rise := fs.Float64("max-p99-rise", 0.50, "allowed fractional p99 rise above baseline")
-	minRequests := fs.Int64("min-requests", 10, "refuse to judge runs with fewer successful requests")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("loadgate: unexpected arguments %v", fs.Args())
-	}
-	if *reportPath == "" {
-		return fmt.Errorf("loadgate: -report is required")
-	}
-	baseline, err := loadgen.ReadReport(*baselinePath)
-	if err != nil {
-		return err
-	}
-	current, err := loadgen.ReadReport(*reportPath)
-	if err != nil {
-		return err
-	}
-	violations, err := loadgen.Gate(baseline, current, loadgen.GateConfig{
-		MaxRPSDrop:  *maxRPSDrop,
-		MaxP99Rise:  *maxP99Rise,
-		MinRequests: *minRequests,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("loadgate: baseline rps=%.1f p99=%.2fms — current rps=%.1f p99=%.2fms\n",
-		baseline.RPS, baseline.LatencyP99Ms, current.RPS, current.LatencyP99Ms)
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Println("loadgate: FAIL:", v)
-		}
-		return fmt.Errorf("loadgate: %d regression(s)", len(violations))
-	}
-	fmt.Println("loadgate: OK")
-	return nil
 }
 
 // buildVersion labels mvpar_build_info; override at link time with

@@ -45,9 +45,9 @@ const PrecisionFloat64 = "float64"
 
 // Classifier returns an inference handle bound to the pipeline's current
 // model and encoder state. The pipeline must have been trained (or
-// prepared and loaded) first. Handles are snapshots: after retraining or
-// LoadModel (which replaces the weight storage replicas are bound to),
-// take a new handle.
+// prepared and loaded) first. Handles are snapshots: LoadModel adopts a
+// fresh model and leaves this handle on the old one, so after retraining
+// or LoadModel take a new handle to serve the new weights.
 func (p *Pipeline) Classifier() (*Classifier, error) {
 	if p.Model == nil || p.Dataset == nil {
 		return nil, fmt.Errorf("core: pipeline is untrained")

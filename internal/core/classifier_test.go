@@ -8,6 +8,7 @@ import (
 
 	"mvpar/internal/bench"
 	"mvpar/internal/core"
+	"mvpar/internal/gnn"
 	"mvpar/internal/minic"
 	"mvpar/internal/obs"
 )
@@ -153,8 +154,8 @@ func TestClassifyProvenanceMatchesParse(t *testing.T) {
 }
 
 // TestLoadModelRequantizesFastTiers: a handle taken after LoadModel must
-// serve the loaded weights. LoadModel replaces the live model's
-// parameters, so the handle must answer and fingerprint exactly like a
+// serve the loaded weights. LoadModel replaces the pipeline's model, so
+// the handle must answer and fingerprint exactly like a
 // pipeline that only ever saw the loaded checkpoint. float64 is the one
 // served tier; the quantized engines' stale-cache check is
 // gnn.TestLoadDropsQuantizedTiers.
@@ -174,9 +175,7 @@ func TestLoadModelRequantizesFastTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := core.NewPipeline(tinyOptions())
-	if err := fresh.ShareEncoder(pl); err != nil {
-		t.Fatal(err)
-	}
+	fresh.Dataset = pl.Dataset
 	if err := fresh.LoadModel(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -223,4 +222,66 @@ func TestLoadModelRequantizesFastTiers(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLoadModelKeepsEarlierHandle: LoadModel adopts a fresh model and
+// never writes to the live one, so a handle taken before the load keeps
+// its fingerprint and its answers, on pooled replicas and on replicas
+// it creates after the load alike.
+func TestLoadModelKeepsEarlierHandle(t *testing.T) {
+	pl := core.NewPipeline(tinyOptions())
+	if _, err := pl.TrainOn(tinyApps()); err != nil {
+		t.Fatal(err)
+	}
+	h, err := pl.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := h.Fingerprint()
+	want := map[string][]core.LoopPrediction{}
+	for _, app := range tinyApps() {
+		preds, err := h.Classify(app.Name, app.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[app.Name] = preds
+	}
+
+	other := gnn.NewMVGNN(pl.Dataset.NodeDim, pl.Dataset.StructDim, 99)
+	var ckpt bytes.Buffer
+	if err := other.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.LoadModel(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err := pl.Classifier(); err != nil {
+		t.Fatal(err)
+	} else if loaded.Fingerprint() == fp {
+		t.Fatalf("LoadModel of other weights kept fingerprint %s", fp)
+	}
+	if got := h.Fingerprint(); got != fp {
+		t.Fatalf("earlier handle's fingerprint moved from %s to %s across LoadModel", fp, got)
+	}
+
+	// Concurrent calls drain the one pooled replica and make the handle
+	// build new ones after the load.
+	var wg sync.WaitGroup
+	for _, app := range tinyApps() {
+		for i := 0; i < 3; i++ {
+			wg.Add(1)
+			go func(app bench.App) {
+				defer wg.Done()
+				got, err := h.Classify(app.Name, app.Source)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[app.Name]) {
+					t.Errorf("%s: earlier handle answers %+v after LoadModel, %+v before", app.Name, got, want[app.Name])
+				}
+			}(app)
+		}
+	}
+	wg.Wait()
 }

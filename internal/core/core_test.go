@@ -211,9 +211,7 @@ func TestModelSaveLoadKeepsTrainedHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded := core.NewPipeline(opts)
-	if err := loaded.ShareEncoder(trained); err != nil {
-		t.Fatal(err)
-	}
+	loaded.Dataset = trained.Dataset
 	if err := loaded.LoadModel(&buf); err != nil {
 		t.Fatal(err)
 	}

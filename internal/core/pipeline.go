@@ -22,7 +22,6 @@ import (
 	"mvpar/internal/interp"
 	"mvpar/internal/ir"
 	"mvpar/internal/minic"
-	"mvpar/internal/nn"
 	"mvpar/internal/obs"
 	"mvpar/internal/obs/trace"
 )
@@ -192,25 +191,6 @@ func (p *Pipeline) PrepareContext(ctx context.Context, apps []bench.App) error {
 	return nil
 }
 
-// ShareEncoder adopts another pipeline's built dataset — the encoder
-// state: inst2vec embedding, walk space, input dimensions — without
-// rebuilding it, so several checkpoints trained against the same corpus
-// configuration can be loaded side by side: one pipeline pays
-// PrepareContext, the others share its encoder and each LoadModel their
-// own weights. The options must match the donor's (the
-// encode configuration is part of every classifier fingerprint, so a
-// mismatch would be visible, but it would also be wrong), so ShareEncoder
-// copies them too. Any cached classifier handle is dropped.
-func (p *Pipeline) ShareEncoder(from *Pipeline) error {
-	if from == nil || from.Dataset == nil {
-		return fmt.Errorf("core: share requires a pipeline with a built dataset")
-	}
-	p.Opts = from.Opts
-	p.Dataset = from.Dataset
-	p.cls = nil
-	return nil
-}
-
 // SaveModel writes the trained model parameters.
 func (p *Pipeline) SaveModel(w io.Writer) error {
 	if p.Model == nil {
@@ -219,42 +199,23 @@ func (p *Pipeline) SaveModel(w io.Writer) error {
 	return p.Model.Save(w)
 }
 
-// LoadModel reads model parameters into a freshly shaped model; the
-// pipeline must already hold a dataset (for the input dimensions).
+// LoadModel reads a checkpoint into a fresh model shaped for the
+// pipeline's dataset and adopts it only once the load fully succeeds;
+// on any error the pipeline keeps its previous model. The live model is
+// never written to, so a Classifier taken before the load keeps its
+// weights, head and fingerprint for as long as it lives: the hot swap
+// with drain that the serving layer builds on.
 func (p *Pipeline) LoadModel(r io.Reader) error {
 	if p.Dataset == nil {
 		return fmt.Errorf("core: load requires a built dataset for dimensions")
 	}
-	if p.Model == nil {
-		p.Model = gnn.NewMVGNN(p.Dataset.NodeDim, p.Dataset.StructDim, p.Opts.Seed)
-	}
-	// LoadParams replaces each Param's Value pointer, so replicas bound
-	// before the reload — including the cached classifier's — would keep
-	// reading the stale weights. Drop the handle; the next classify call
-	// takes a fresh one.
-	p.cls = nil
-	return p.Model.Load(r)
-}
-
-// ReloadModel loads a checkpoint into a FRESH model and adopts it only
-// after the load fully succeeds, returning the new model's weight
-// fingerprint. Unlike LoadModel — which swaps the weights of the live
-// model — ReloadModel never touches the serving weights: classifier
-// handles taken before the reload keep answering from the old
-// generation's storage for as long as they live, which is exactly the
-// hot-swap-with-drain contract the serving layer builds on. On any load error the pipeline is unchanged
-// and the previous model keeps serving.
-func (p *Pipeline) ReloadModel(r io.Reader) (string, error) {
-	if p.Dataset == nil {
-		return "", fmt.Errorf("core: reload requires a built dataset for dimensions")
-	}
 	m := gnn.NewMVGNN(p.Dataset.NodeDim, p.Dataset.StructDim, p.Opts.Seed)
 	if err := m.Load(r); err != nil {
-		return "", err
+		return err
 	}
 	p.Model = m
 	p.cls = nil
-	return nn.FingerprintParams(m.Params()), nil
+	return nil
 }
 
 // ProfileSource profiles a program and returns its dependence result —

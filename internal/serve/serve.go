@@ -174,6 +174,9 @@ func New(inf Inference, cfg Config) *Server {
 	mux.Handle("/readyz", instrument("readyz", http.HandlerFunc(s.handleReadyz)))
 	mux.Handle("/metrics", instrument("metrics", obs.Handler()))
 	mux.Handle("/debug/traces", instrument("debug_traces", http.HandlerFunc(s.handleDebugTraces)))
+	// Every other path: the mux's own 404, counted like any route so
+	// probes of unknown paths show up in the 4xx class.
+	mux.Handle("/", instrument("unmatched", http.NotFoundHandler()))
 	s.hs = &http.Server{
 		Addr:              cfg.Addr,
 		Handler:           mux,
