@@ -156,8 +156,8 @@ commands:
   classify [-quick] <file.mc>  train, then classify the file's loops
   serve    [-model FILE] [-addr :8080]
                                long-lived HTTP inference service with bounded
-                               admission, degraded-mode fallback and atomic
-                               model hot swap (POST /v1/classify, POST
+                               admission, failures that name their stage and
+                               atomic model hot swap (POST /v1/classify, POST
                                /v1/models/reload or SIGHUP, /healthz,
                                /readyz, /metrics, /debug/traces;
                                -trace-slow for telemetry, the global -pprof
@@ -328,9 +328,6 @@ func cmdTrain(ctx context.Context, args []string) error {
 	}
 	fmt.Printf("trained on %d records (test %d): train acc %.1f%%, test acc %.1f%%\n",
 		report.TrainRecords, report.TestRecords, 100*report.TrainAcc, 100*report.TestAcc)
-	if report.Build != nil && report.Build.Quarantine.Len() > 0 {
-		fmt.Fprintln(os.Stderr, report.Build.Quarantine)
-	}
 	if *modelPath != "" {
 		f, err := os.Create(*modelPath)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"mvpar/internal/bench"
 	"mvpar/internal/dataset"
+	"mvpar/internal/faults"
 	"mvpar/internal/gnn"
 	"mvpar/internal/nn"
 	"mvpar/internal/obs"
@@ -54,14 +55,11 @@ func (p *Pipeline) Classifier() (*Classifier, error) {
 	}
 	// Encode with the pipeline's settings, reusing the trained inst2vec
 	// space and walk space so the features live in the model's input
-	// geometry and no encoder state is rebuilt per call. Always strict:
-	// errors in the user's one program must surface, not quarantine into
-	// an empty prediction list.
+	// geometry and no encoder state is rebuilt per call.
 	cfg := p.Opts.Data
 	cfg.Variants = 1
 	cfg.Embedding = p.Dataset.Embedding
 	cfg.Space = p.Dataset.Space
-	cfg.Strict = true
 	cfg.Ctx = nil
 	return &Classifier{cfg: cfg, model: p.Model, proto: p.Model.Predictor()}, nil
 }
@@ -112,26 +110,34 @@ func (c *Classifier) Classify(name, src string) ([]LoopPrediction, error) {
 // view could not be sampled (walk budget exceeded) are not dropped: they
 // get a node-view-only prediction — the paper's Static-GNN geometry —
 // with Degraded set, the causes recorded in Reasons, and the event
-// counted by mvpar_degraded_predictions_total.
+// counted by mvpar_degraded_predictions_total. A failing stage returns
+// a *faults.StageError naming it: parse, lower, profile or encode from
+// dataset.Build, forward for a panic in the model.
 func (c *Classifier) ClassifyContext(ctx context.Context, name, src string) ([]LoopPrediction, error) {
-	return c.classifyWith(ctx, c.cfg, name, src)
-}
-
-// ClassifyDegradedContext is the serving layer's degradation-ladder
-// rung: it classifies every loop from the node view only, skipping
-// structural-view walk sampling entirely. A one-sample walk budget
-// forces every loop's structural view over budget, so dataset.Build
-// keeps the loops with the all-zero structural fallback and
-// Record.Degraded set — the paper's Static-GNN geometry — and the
-// shared classify path marks each prediction Degraded with the cause.
-// It is substantially cheaper than a full classification (no sampling,
-// no structural forward work of consequence), which is what makes it a
-// usable fallback when the full classification faults.
-func (c *Classifier) ClassifyDegradedContext(ctx context.Context, name, src string) ([]LoopPrediction, error) {
+	// When ctx carries a trace (the serving path started one), the stages
+	// below append spans to it; on an untraced context they only feed
+	// their stage histograms, allocation-free.
+	ctx, cspan := trace.StartSpan(ctx, "classify")
+	defer cspan.End()
+	cspan.SetAttr("program", name)
+	app := bench.App{Name: name, Suite: "user", Source: src}
 	cfg := c.cfg
-	cfg.WalkParams.MaxSamples = 1
-	obs.GetCounter("mvpar_degraded_mode_classifications_total").Inc()
-	return c.classifyWith(ctx, cfg, name, src)
+	cfg.Ctx = ctx
+	d, _, err := dataset.Build([]bench.App{app}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var preds []LoopPrediction
+	err = faults.Stage(name, faults.StageForward, func() error {
+		for _, rec := range d.Records {
+			preds = append(preds, c.predictLoop(ctx, name, rec))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return preds, nil
 }
 
 // Fingerprint identifies this handle's model weights, trained head and
@@ -150,51 +156,35 @@ func (c *Classifier) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// classifyWith is the shared classify body: profile and encode the
-// program under cfg, then predict every loop through predictRecord.
-func (c *Classifier) classifyWith(ctx context.Context, cfg dataset.Config, name, src string) ([]LoopPrediction, error) {
-	// When ctx carries a trace (the serving path started one), the stages
-	// below append spans to it; on an untraced context they only feed
-	// their stage histograms, allocation-free.
-	ctx, cspan := trace.StartSpan(ctx, "classify")
-	defer cspan.End()
-	cspan.SetAttr("program", name)
-	app := bench.App{Name: name, Suite: "user", Source: src}
-	cfg.Ctx = ctx
-	d, _, err := dataset.Build([]bench.App{app}, cfg)
-	if err != nil {
-		return nil, err
+// predictLoop answers one encoded loop and annotates the prediction with
+// its oracle label, its source location and any degradation.
+func (c *Classifier) predictLoop(ctx context.Context, name string, rec *dataset.Record) LoopPrediction {
+	pred, proba := c.predictRecord(ctx, rec)
+	lp := LoopPrediction{
+		LoopID:   rec.Meta.LoopID,
+		Parallel: pred == 1,
+		Proba:    proba,
+		Oracle:   rec.Verdict.Parallelizable,
+		Reasons:  rec.Verdict.Reasons,
 	}
-	var preds []LoopPrediction
-	for _, rec := range d.Records {
-		pred, proba := c.predictRecord(ctx, rec)
-		lp := LoopPrediction{
-			LoopID:   rec.Meta.LoopID,
-			Parallel: pred == 1,
-			Proba:    proba,
-			Oracle:   rec.Verdict.Parallelizable,
-			Reasons:  rec.Verdict.Reasons,
-		}
-		if len(rec.Degraded) > 0 {
-			obs.GetCounter("mvpar_degraded_predictions_total").Inc()
-			obs.Warn("classify.degraded", "program", name, "loop", rec.Meta.LoopID,
-				"reasons", fmt.Sprint(rec.Degraded))
-			lp.Degraded = true
-			lp.Reasons = append(append([]string(nil), lp.Reasons...), rec.Degraded...)
-			lp.Reasons = append(lp.Reasons, "prediction from node view only")
-		}
-		// A record without source provenance (no lowered loop metadata
-		// for its loop ID) must not fabricate an empty location, so
-		// annotate the prediction and warn instead.
-		if rec.Meta.Func != "" {
-			lp.Func = rec.Meta.Func
-			lp.Line = rec.Meta.Line
-		} else {
-			lp.Func = "(unknown)"
-			lp.Reasons = append(lp.Reasons, fmt.Sprintf("no source loop info for loop %d", rec.Meta.LoopID))
-			obs.Warn("classify.missing_loop_info", "program", name, "loop", rec.Meta.LoopID)
-		}
-		preds = append(preds, lp)
+	if len(rec.Degraded) > 0 {
+		obs.GetCounter("mvpar_degraded_predictions_total").Inc()
+		obs.Warn("classify.degraded", "program", name, "loop", rec.Meta.LoopID,
+			"reasons", fmt.Sprint(rec.Degraded))
+		lp.Degraded = true
+		lp.Reasons = append(append([]string(nil), lp.Reasons...), rec.Degraded...)
+		lp.Reasons = append(lp.Reasons, "prediction from node view only")
 	}
-	return preds, nil
+	// A record without source provenance (no lowered loop metadata
+	// for its loop ID) must not fabricate an empty location, so
+	// annotate the prediction and warn instead.
+	if rec.Meta.Func != "" {
+		lp.Func = rec.Meta.Func
+		lp.Line = rec.Meta.Line
+	} else {
+		lp.Func = "(unknown)"
+		lp.Reasons = append(lp.Reasons, fmt.Sprintf("no source loop info for loop %d", rec.Meta.LoopID))
+		obs.Warn("classify.missing_loop_info", "program", name, "loop", rec.Meta.LoopID)
+	}
+	return lp
 }

@@ -65,9 +65,6 @@ type TrainReport struct {
 	TrainAcc     float64
 	TestAcc      float64
 	Curve        []gnn.EpochStats
-	// Build reports the dataset construction outcome, including any
-	// quarantined programs when Options.Data.Strict is off.
-	Build *dataset.BuildReport
 }
 
 // EpochHook returns a gnn training hook that logs every epoch and streams
@@ -99,7 +96,7 @@ func (p *Pipeline) TrainOnContext(ctx context.Context, apps []bench.App) (*Train
 	if dataCfg.Ctx == nil {
 		dataCfg.Ctx = ctx
 	}
-	d, buildReport, err := dataset.Build(apps, dataCfg)
+	d, _, err := dataset.Build(apps, dataCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +123,6 @@ func (p *Pipeline) TrainOnContext(ctx context.Context, apps []bench.App) (*Train
 		TrainAcc:     gnn.EvaluateParallel(newPredict, dataset.Samples(train), trainCfg.Parallelism),
 		TestAcc:      gnn.EvaluateParallel(newPredict, dataset.Samples(test), trainCfg.Parallelism),
 		Curve:        curve,
-		Build:        buildReport,
 	}
 	obs.Info("core.train_on", "train_records", report.TrainRecords,
 		"test_records", report.TestRecords, "train_acc", report.TrainAcc,

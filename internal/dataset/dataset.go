@@ -13,7 +13,6 @@ package dataset
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -100,21 +99,20 @@ type Config struct {
 	// Parallelism is the worker count for the per-program profile stage
 	// and the per-(program, variant) encode stage. 0 uses
 	// pool.DefaultParallelism() (NumCPU or the --jobs override); 1 runs
-	// the stages inline on one goroutine. Records, quarantine reports and
-	// walk sampling are bit-identical at every worker count: jobs are
-	// merged in input order and every record's walk RNG is seeded per
-	// (program, loop, variant) via sampleSeed.
+	// the stages inline on one goroutine. Records, the report and walk
+	// sampling are bit-identical at every worker count, and so is a
+	// failing build's error unless the build was cancelled: jobs are
+	// merged in input order, a failing build returns its lowest-index
+	// failure, and every record's walk RNG is seeded per (program, loop,
+	// variant) via sampleSeed.
 	Parallelism int
-	// Strict makes Build fail fast on the first program whose
-	// parse/lower/profile/encode stage fails — the right behavior for
-	// tests and single-program callers, and the default via DefaultConfig.
-	// When false, each program runs inside a recovery boundary: failures
-	// (errors and panics alike) are quarantined into the BuildReport and
-	// the build continues with the healthy remainder.
+	// Strict has no effect.
+	//
+	// Deprecated: every build is strict: the first program whose
+	// parse/lower/profile/encode stage fails fails the build.
 	Strict bool
 	// Ctx cancels the build: profiling aborts at the interpreter's stride
-	// check and the per-program loops stop between programs. Cancellation
-	// is never quarantined — it always surfaces as an error.
+	// check and the per-program loops stop between programs.
 	Ctx context.Context
 }
 
@@ -128,7 +126,6 @@ var DefaultConfig = Config{
 	EmbedCfg:   inst2vec.DefaultConfig,
 	Seed:       1,
 	MaxTokens:  128,
-	Strict:     true,
 }
 
 // Dataset is the assembled corpus.
@@ -148,13 +145,10 @@ const nodeExtraDims = 4
 // dimension.
 func NodeDimFor(embedDim int) int { return 3 + embedDim + nodeExtraDims + features.NumDynamic }
 
-// BuildReport is the fault-isolation outcome of one Build: how many
-// programs were attempted, how many contributed records, which failed in
-// which stage, and how many records fell back to a degraded encoding.
+// BuildReport is the outcome of one successful Build: how many programs
+// it built and how many records fell back to a degraded encoding.
 type BuildReport struct {
-	Programs   int // applications attempted
-	Healthy    int // applications that contributed records
-	Quarantine *faults.Quarantine
+	Programs int // applications built
 	// DegradedRecords counts records whose structural view was replaced
 	// by the all-zero fallback (see Record.Degraded).
 	DegradedRecords int
@@ -166,21 +160,11 @@ type BuildReport struct {
 // must leave it nil.
 var EncodeFaultHook func(program string)
 
-// cancelled reports whether err (or ctx itself) is a cancellation, which
-// must surface as a build error rather than a quarantined program.
-func cancelled(ctx context.Context, err error) bool {
-	if ctx != nil && ctx.Err() != nil {
-		return true
-	}
-	return errors.Is(err, interp.ErrCancelled) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// Build constructs the dataset from the given applications and reports
-// which of them were quarantined. With cfg.Strict the first failing
-// program aborts the build; otherwise each program's
-// parse/lower/profile/encode runs inside a recovery boundary and failures
-// land in the report while the build continues (see docs/robustness.md).
+// Build constructs the dataset from the given applications. Each
+// program's parse/lower/profile/encode runs inside a faults.Stage
+// boundary, and the first failing program fails the build with a
+// *faults.StageError naming the program and the stage, errors and panics
+// alike (see docs/robustness.md).
 func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	if cfg.Variants <= 0 || cfg.Variants > ir.NumVariants {
 		cfg.Variants = 1
@@ -193,26 +177,18 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	ctx, span := trace.StartSpan(cfg.Ctx, "dataset.build")
 	defer span.End()
 	cfg.Ctx = ctx
-	report := &BuildReport{Programs: len(apps), Quarantine: &faults.Quarantine{}}
+	report := &BuildReport{Programs: len(apps)}
 	type profiled struct {
 		app  bench.App
 		base *ir.Program
 		res  *deps.Result
 	}
 	// Profile stage: each program's parse/lower/profile is an independent
-	// job. Lenient-mode failures travel back inside the job's result so the
-	// fan-out keeps going; only strict failures and cancellation become
-	// pool errors (which the pool resolves to the lowest-index failure —
-	// exactly the error the serial loop would have hit first). The merge
-	// below quarantines failures in input order, so the BuildReport is
-	// identical at every worker count.
-	type profileOut struct {
-		p   *profiled
-		err *faults.StageError
-	}
+	// job. The pool resolves failures to the lowest-index one, exactly
+	// the error the serial loop would have hit first.
 	pctx, profileSpan := trace.StartSpan(cfg.Ctx, "dataset.profile")
 	pcfg := pool.Config{Workers: cfg.Parallelism, Ctx: cfg.Ctx}
-	outs, perr := pool.Map(pcfg, len(apps), func(i int) (profileOut, error) {
+	progs, perr := pool.Map(pcfg, len(apps), func(i int) (profiled, error) {
 		app := apps[i]
 		var (
 			src  *minic.Program
@@ -235,31 +211,15 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 				return e
 			})
 		}
-		if err != nil {
-			if cancelled(cfg.Ctx, err) || cfg.Strict {
-				return profileOut{}, err
-			}
-			return profileOut{err: err.(*faults.StageError)}, nil
-		}
-		return profileOut{p: &profiled{app: app, base: base, res: res}}, nil
+		return profiled{app: app, base: base, res: res}, err
 	})
 	profileSpan.End()
 	if perr != nil {
-		return nil, report, fmt.Errorf("dataset: %w", perr)
+		return nil, nil, fmt.Errorf("dataset: %w", perr)
 	}
-	var progs []profiled
-	var irProgs []*ir.Program
-	for _, o := range outs {
-		if o.err != nil {
-			report.Quarantine.Add(o.err)
-			continue
-		}
-		progs = append(progs, *o.p)
-		irProgs = append(irProgs, o.p.base)
-	}
-	if len(apps) > 0 && len(progs) == 0 {
-		return nil, report, fmt.Errorf("dataset: all %d programs quarantined:\n%s",
-			len(apps), report.Quarantine)
+	irProgs := make([]*ir.Program, len(progs))
+	for i, p := range progs {
+		irProgs[i] = p.base
 	}
 
 	emb := cfg.Embedding
@@ -285,81 +245,44 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	// matters because single-program builds (core.ClassifySource, the
 	// encode benchmarks) still fan out across their variants. Records are
 	// appended at the merge in (program, variant) order, so Dataset.Records
-	// is byte-identical to the serial build; a program with any failing
-	// variant contributes no records and is quarantined once, under its
-	// lowest failing variant (the failure the serial per-program loop
-	// would have hit first).
+	// is byte-identical to the serial build.
 	type encodeOut struct {
 		recs []*Record
 		degs []degradation
-		err  *faults.StageError
 	}
 	nv := cfg.Variants
 	_, encodeSpan := trace.StartSpan(cfg.Ctx, "dataset.encode")
 	eouts, eerr := pool.Map(pool.Config{Workers: cfg.Parallelism, Ctx: cfg.Ctx}, len(progs)*nv, func(j int) (encodeOut, error) {
 		p := progs[j/nv]
 		v := j % nv
-		var recs []*Record
-		var degs []degradation
+		var o encodeOut
 		err := faults.Stage(p.app.Name, faults.StageEncode, func() error {
-			// The fault hook fires once per program (on its first variant),
-			// preserving the legacy once-per-program injection semantics.
+			// The fault hook fires once per program (on its first variant).
 			if v == 0 && EncodeFaultHook != nil {
 				EncodeFaultHook(p.app.Name)
 			}
-			recs, degs = encodeVariant(p.app, p.base, p.res, emb, space, cfg, v)
+			o.recs, o.degs = encodeVariant(p.app, p.base, p.res, emb, space, cfg, v)
 			return nil
 		})
-		if err != nil {
-			if cfg.Strict {
-				return encodeOut{}, err
-			}
-			return encodeOut{err: err.(*faults.StageError)}, nil
-		}
-		return encodeOut{recs: recs, degs: degs}, nil
+		return o, err
 	})
 	encodeSpan.End()
 	if eerr != nil {
-		return nil, report, fmt.Errorf("dataset: %w", eerr)
+		return nil, nil, fmt.Errorf("dataset: %w", eerr)
 	}
-	for pi := range progs {
-		var failed *faults.StageError
-		for v := 0; v < nv; v++ {
-			if e := eouts[pi*nv+v].err; e != nil {
-				failed = e
-				break
-			}
+	for _, o := range eouts {
+		for _, deg := range o.degs {
+			report.DegradedRecords++
+			obs.GetCounter("mvpar_degraded_samples_total").Inc()
+			obs.Warn("dataset.degraded", "program", deg.program, "loop", deg.loop,
+				"variant", deg.variant, "err", deg.msg)
 		}
-		if failed != nil {
-			// No partial records: the whole program is quarantined, like the
-			// serial build dropping a failed program's partial output.
-			report.Quarantine.Add(failed)
-			continue
-		}
-		for v := 0; v < nv; v++ {
-			o := eouts[pi*nv+v]
-			for _, deg := range o.degs {
-				report.DegradedRecords++
-				obs.GetCounter("mvpar_degraded_samples_total").Inc()
-				obs.Warn("dataset.degraded", "program", deg.program, "loop", deg.loop,
-					"variant", deg.variant, "err", deg.msg)
-			}
-			d.Records = append(d.Records, o.recs...)
-		}
-		report.Healthy++
-	}
-	if len(apps) > 0 && report.Healthy == 0 {
-		return nil, report, fmt.Errorf("dataset: all %d programs quarantined:\n%s",
-			len(apps), report.Quarantine)
+		d.Records = append(d.Records, o.recs...)
 	}
 	_, stdSpan := trace.StartSpan(cfg.Ctx, "dataset.standardize")
 	standardizeNodeFeatures(d.Records)
 	stdSpan.End()
 	recordBuildStats(len(apps), d.Records)
-	if report.Quarantine.Len() > 0 {
-		obs.Warn("dataset.quarantine", "programs", len(report.Quarantine.Programs()),
-			"failures", report.Quarantine.Len())
-	}
 	return d, report, nil
 }
 
@@ -377,8 +300,8 @@ type degradation struct {
 // pure function of its inputs (walk sampling is seeded per record), which
 // is what lets Build fan variants out across workers and still merge a
 // bit-identical dataset. It runs inside the caller's recovery boundary: a
-// panic anywhere in the graph/tensor/nn encoding machinery quarantines
-// only this program.
+// panic anywhere in the graph/tensor/nn encoding machinery fails the
+// build as this program's encode stage.
 func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
 	emb *inst2vec.Embedding, space *walks.Space,
 	cfg Config, v int) ([]*Record, []degradation) {

@@ -10,13 +10,12 @@ import (
 	"mvpar/internal/faults"
 )
 
-// buildAt runs a lenient-capable build, then AddBaselineInputs, at the
-// given worker count.
-func buildAt(t *testing.T, jobs int, strict bool) (*dataset.Dataset, *dataset.BuildReport) {
+// buildAt runs a build, then AddBaselineInputs, at the given worker
+// count.
+func buildAt(t *testing.T, jobs int) (*dataset.Dataset, *dataset.BuildReport) {
 	t.Helper()
 	cfg := smallConfig()
 	cfg.Parallelism = jobs
-	cfg.Strict = strict
 	d, report, err := dataset.Build(smallApps(), cfg)
 	if err != nil {
 		t.Fatalf("jobs=%d: %v", jobs, err)
@@ -32,9 +31,9 @@ func buildAt(t *testing.T, jobs int, strict bool) (*dataset.Dataset, *dataset.Bu
 // and struct feature matrices, tokens, tool votes) and a report identical
 // to the Parallelism: 1 build.
 func TestBuildParallelBitIdentical(t *testing.T) {
-	d1, r1 := buildAt(t, 1, true)
+	d1, r1 := buildAt(t, 1)
 	for _, jobs := range []int{2, 4} {
-		dN, rN := buildAt(t, jobs, true)
+		dN, rN := buildAt(t, jobs)
 		if len(dN.Records) != len(d1.Records) {
 			t.Fatalf("jobs=%d: %d records vs %d serial", jobs, len(dN.Records), len(d1.Records))
 		}
@@ -59,80 +58,50 @@ func TestBuildParallelBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		if rN.Programs != r1.Programs || rN.Healthy != r1.Healthy ||
-			rN.DegradedRecords != r1.DegradedRecords || rN.Quarantine.Len() != r1.Quarantine.Len() {
+		if *rN != *r1 {
 			t.Fatalf("jobs=%d: report diverged: %+v vs %+v", jobs, rN, r1)
 		}
 	}
 }
 
-// TestBuildParallelQuarantine re-runs the poisoned-corpus scenario with a
-// 4-worker pool: the same three programs must land in quarantine with the
-// same stages, and the healthy records must match the serial lenient build.
+// TestBuildParallelQuarantine re-runs the poisoned-program builds with a
+// 4-worker pool: each must fail with the same program, stage and error
+// text as the serial build.
 func TestBuildParallelQuarantine(t *testing.T) {
-	dataset.EncodeFaultHook = func(program string) {
-		if program == "boomenc" {
-			panic("injected encoder bug")
+	for _, poisoned := range poisonedCorpus()[len(smallApps()):] {
+		serial := buildPoisoned(t, poisoned, 1)
+		if err := buildPoisoned(t, poisoned, 4); err.Error() != serial.Error() {
+			t.Fatalf("%s: jobs=4 error %q differs from the serial %q", poisoned.Name, err, serial)
 		}
-	}
-	defer func() { dataset.EncodeFaultHook = nil }()
-
-	cfg := smallConfig()
-	cfg.Strict = false
-	cfg.MaxSteps = 200_000
-	cfg.Parallelism = 4
-	d, report, err := dataset.Build(poisonedCorpus(), cfg)
-	if err != nil {
-		t.Fatalf("parallel lenient build failed: %v", err)
-	}
-	if report.Programs != 5 || report.Healthy != 2 {
-		t.Fatalf("report programs/healthy = %d/%d, want 5/2", report.Programs, report.Healthy)
-	}
-	for prog, stage := range map[string]string{
-		"badparse": faults.StageParse,
-		"runaway":  faults.StageProfile,
-		"boomenc":  faults.StageEncode,
-	} {
-		if got := report.Quarantine.StageOf(prog); got != stage {
-			t.Errorf("%s quarantined in stage %q, want %q", prog, got, stage)
-		}
-	}
-	if len(d.Records) != 18 {
-		t.Fatalf("records = %d, want 18", len(d.Records))
 	}
 }
 
-// TestBuildParallelStrictNamesFirstFailure checks strict fail-fast under
-// the pool still reports the failure the serial build would hit first
+// TestBuildParallelStrictNamesFirstFailure checks fail-fast under the
+// pool still reports the failure the serial build would hit first
 // (badparse is the lowest-index poisoned program).
 func TestBuildParallelStrictNamesFirstFailure(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Strict = true
 	cfg.Parallelism = 4
 	_, _, err := dataset.Build(poisonedCorpus(), cfg)
 	if err == nil {
-		t.Fatal("strict parallel build of poisoned corpus succeeded")
+		t.Fatal("parallel build of poisoned corpus succeeded")
 	}
 	var se *faults.StageError
 	if !errors.As(err, &se) || se.Program != "badparse" {
-		t.Fatalf("strict parallel error = %v, want badparse stage error", err)
+		t.Fatalf("parallel error = %v, want badparse stage error", err)
 	}
 }
 
 // TestBuildParallelCancellation checks a cancelled context aborts the
-// pooled build with an error and an empty quarantine.
+// pooled build with the cancellation.
 func TestBuildParallelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := smallConfig()
-	cfg.Strict = false
 	cfg.Parallelism = 4
 	cfg.Ctx = ctx
-	_, report, err := dataset.Build(smallApps(), cfg)
-	if err == nil {
-		t.Fatal("cancelled parallel build succeeded")
-	}
-	if report.Quarantine.Len() != 0 {
-		t.Fatalf("cancellation was quarantined: %s", report.Quarantine)
+	_, _, err := dataset.Build(smallApps(), cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled parallel build = %v, want context.Canceled", err)
 	}
 }

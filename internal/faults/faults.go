@@ -1,21 +1,16 @@
 // Package faults is the pipeline's fault-isolation layer. It provides a
 // typed error taxonomy (StageError: which program failed, in which
-// pipeline stage, and why), panic-to-error recovery boundaries so a bug
-// in tensor/graph/nn encoding kills one program instead of the process,
-// and a Quarantine report that collects per-program failures while a
-// corpus build continues with the healthy remainder.
+// pipeline stage, and why) and panic-to-error recovery boundaries, so a
+// bug in tensor/graph/nn code fails one build or one request with the
+// stage that failed instead of taking down the process.
 //
-// Every captured failure increments mvpar_errors_total; every program
-// entering quarantine increments mvpar_quarantined_programs_total.
+// Every captured failure increments mvpar_errors_total.
 package faults
 
 import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
-	"strings"
-	"sync"
 
 	"mvpar/internal/obs"
 )
@@ -28,7 +23,7 @@ const (
 	StageLower   = "lower"
 	StageProfile = "profile"
 	StageEncode  = "encode"
-	StageTrain   = "train"
+	StageForward = "forward"
 )
 
 // StageError records the failure of one program in one pipeline stage.
@@ -99,86 +94,4 @@ func Stage(program, stage string, fn func() error) error {
 		return se
 	}
 	return &StageError{Program: program, Stage: stage, Err: err}
-}
-
-// Quarantine collects the per-program failures of one corpus build. The
-// zero value is ready to use; methods are safe for concurrent use.
-type Quarantine struct {
-	mu       sync.Mutex
-	failures []*StageError
-	programs map[string]bool
-}
-
-// Add records one failure. The first failure of a program increments
-// mvpar_quarantined_programs_total.
-func (q *Quarantine) Add(e *StageError) {
-	if e == nil {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.programs == nil {
-		q.programs = map[string]bool{}
-	}
-	if !q.programs[e.Program] {
-		q.programs[e.Program] = true
-		obs.GetCounter("mvpar_quarantined_programs_total").Inc()
-	}
-	q.failures = append(q.failures, e)
-	obs.Warn("faults.quarantine", "program", e.Program, "stage", e.Stage,
-		"err", e.Err.Error())
-}
-
-// Len returns the number of recorded failures.
-func (q *Quarantine) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.failures)
-}
-
-// Programs returns the sorted names of quarantined programs.
-func (q *Quarantine) Programs() []string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var names []string
-	for p := range q.programs {
-		names = append(names, p)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Has reports whether program has at least one recorded failure.
-func (q *Quarantine) Has(program string) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.programs[program]
-}
-
-// StageOf returns the stage of program's first recorded failure, or "".
-func (q *Quarantine) StageOf(program string) string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, f := range q.failures {
-		if f.Program == program {
-			return f.Stage
-		}
-	}
-	return ""
-}
-
-// String renders a human-readable report, one failure per line.
-func (q *Quarantine) String() string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.failures) == 0 {
-		return "quarantine: empty"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "quarantine: %d failure(s) across %d program(s)\n",
-		len(q.failures), len(q.programs))
-	for _, f := range q.failures {
-		fmt.Fprintf(&b, "  [%s] %s: %v\n", f.Stage, f.Program, f.Err)
-	}
-	return strings.TrimRight(b.String(), "\n")
 }

@@ -3,7 +3,6 @@ package faults_test
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"mvpar/internal/faults"
@@ -51,36 +50,6 @@ func TestStageKeepsInnermostAttribution(t *testing.T) {
 	var se *faults.StageError
 	if !errors.As(err, &se) || se.Stage != faults.StageProfile {
 		t.Fatalf("nested boundary must not re-attribute: got %v", err)
-	}
-}
-
-func TestQuarantineReport(t *testing.T) {
-	obs.Reset()
-	var q faults.Quarantine
-	q.Add(&faults.StageError{Program: "a", Stage: faults.StageParse, Err: errors.New("e1")})
-	q.Add(&faults.StageError{Program: "a", Stage: faults.StageLower, Err: errors.New("e2")})
-	q.Add(&faults.StageError{Program: "b", Stage: faults.StageProfile, Err: errors.New("e3")})
-	q.Add(nil)
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", q.Len())
-	}
-	if got := q.Programs(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Programs = %v", got)
-	}
-	if !q.Has("a") || q.Has("c") {
-		t.Fatalf("Has is wrong")
-	}
-	if q.StageOf("a") != faults.StageParse || q.StageOf("c") != "" {
-		t.Fatalf("StageOf is wrong: %q", q.StageOf("a"))
-	}
-	s := q.String()
-	for _, want := range []string{"3 failure(s)", "2 program(s)", "[parse] a: e1", "[profile] b: e3"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() missing %q:\n%s", want, s)
-		}
-	}
-	if n := obs.GetCounter("mvpar_quarantined_programs_total").Value(); n != 2 {
-		t.Fatalf("mvpar_quarantined_programs_total = %d, want 2", n)
 	}
 }
 

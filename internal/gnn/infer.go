@@ -16,8 +16,8 @@ const (
 	// unless one view's own head scored better on the held-out split.
 	ViewTrained View = iota
 	// ViewNode answers from the node view's own head — the paper's
-	// Static-GNN geometry, and serving's degraded rung for loops with no
-	// usable structural view.
+	// Static-GNN geometry, and the answer for a loop whose structural
+	// view went over its walk budget (dataset.Record.Degraded).
 	ViewNode
 	// ViewStruct answers from the structural view's own head.
 	ViewStruct

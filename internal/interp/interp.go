@@ -443,12 +443,6 @@ func (it *Interp) trace(addr uint64, write bool, in *ir.Instr, fnName string) {
 // Mem returns the current value at addr; testing hook.
 func (it *Interp) Mem(addr uint64) float64 { return it.mem[addr] }
 
-// GlobalAddr returns the base address of a global and whether it exists.
-func (it *Interp) GlobalAddr(name string) (uint64, bool) {
-	l, ok := it.globals[name]
-	return l.addr, ok
-}
-
 // GlobalValue returns element i of global name after a Run.
 func (it *Interp) GlobalValue(name string, i int) (float64, error) {
 	l, ok := it.globals[name]

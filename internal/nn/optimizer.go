@@ -6,12 +6,6 @@ import (
 	"mvpar/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients and clears
-// the gradients afterwards.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
 // SGD is stochastic gradient descent with optional momentum and L2 weight
 // decay.
 type SGD struct {

@@ -73,7 +73,7 @@ func TestMapMinIndexError(t *testing.T) {
 }
 
 // TestMapErrorUnwrapped checks job errors come back exactly as returned
-// (callers type-assert *faults.StageError for quarantine routing).
+// (callers type-assert *faults.StageError to name the failed stage).
 func TestMapErrorUnwrapped(t *testing.T) {
 	want := &faults.StageError{Program: "p", Stage: faults.StageEncode, Err: errors.New("x")}
 	for _, workers := range []int{1, 4} {

@@ -37,20 +37,18 @@ func (f *chaosFaults) hit(p float64) bool {
 // chaosStub is the generation-tagged model the chaos tests serve:
 // every prediction names the generation that computed it (Func =
 // "gen-<n>"), so a response whose body disagrees with its generation
-// field is a cross-generation leak. It implements the degraded surface,
-// like core.Classifier, so the ladder can always answer. With faults
-// set, a full classification (never the warm-up, so every swap
-// candidate passes its gate) sleeps 2ms with p=0.25 and then panics
-// with p=0.15.
+// field is a cross-generation leak. With faults set, a classification
+// (never the warm-up, so every swap candidate passes its gate) sleeps
+// 2ms with p=0.25 and then panics with p=0.15.
 type chaosStub struct {
 	gen    uint64
 	faults *chaosFaults
 }
 
-func (c *chaosStub) preds(proba float64) []core.LoopPrediction {
+func (c *chaosStub) preds() []core.LoopPrediction {
 	return []core.LoopPrediction{{
 		LoopID: 1, Func: fmt.Sprintf("gen-%d", c.gen), Line: 2,
-		Parallel: true, Proba: proba,
+		Parallel: true, Proba: 0.9,
 	}}
 }
 
@@ -74,14 +72,7 @@ func (c *chaosStub) ClassifyContext(ctx context.Context, name, src string) ([]co
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return c.preds(0.9), nil
-}
-
-func (c *chaosStub) ClassifyDegradedContext(ctx context.Context, name, src string) ([]core.LoopPrediction, error) {
-	p := c.preds(0.6)
-	p[0].Degraded = true
-	p[0].Reasons = []string{"prediction from node view only"}
-	return p, nil
+	return c.preds(), nil
 }
 
 func (c *chaosStub) Fingerprint() string { return fmt.Sprintf("chaos-fp-%d", c.gen) }
@@ -91,9 +82,10 @@ func (c *chaosStub) Fingerprint() string { return fmt.Sprintf("chaos-fp-%d", c.g
 // panics and stalls at random. Invariants asserted on every single
 // response:
 //
-//   - no failure statuses: every response is 200 (or 429 load shed) —
-//     a replica panic sends its request down the degradation ladder,
-//     never surfacing to clients;
+//   - every injected panic fails exactly its own request: the 500s
+//     number the stubs' panics, each names the stage that failed, and
+//     mvpar_http_panics_total counts them all; every other response is
+//     200 (or 429 load shed);
 //   - no cross-generation predictions: the prediction body names the
 //     generation that computed it, which must equal the response's
 //     generation field AND lie within [generation before send,
@@ -115,7 +107,7 @@ func TestChaosSwapStormUnderInjectedFaults(t *testing.T) {
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	degradedBefore := obs.GetCounter("mvpar_http_degraded_responses_total").Value()
+	panicsBefore := obs.GetCounter("mvpar_http_panics_total").Value()
 
 	const (
 		clients    = 8
@@ -125,6 +117,7 @@ func TestChaosSwapStormUnderInjectedFaults(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	errs := make(chan string, clients*perClient+swapStorms*swapsEach)
+	var failed atomic.Int64 // 500s that named their stage
 
 	// The swap storm: concurrent reloads serialized by the server.
 	swapsDone := make(chan struct{})
@@ -152,7 +145,7 @@ func TestChaosSwapStormUnderInjectedFaults(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				before := s.Generation()
-				code, resp := tryClassify(ts.URL, fmt.Sprintf("c%d-r%d", c, i), stubSource)
+				code, resp, errResp := tryClassify(ts.URL, fmt.Sprintf("c%d-r%d", c, i), stubSource)
 				after := s.Generation()
 				switch code {
 				case 200:
@@ -173,6 +166,12 @@ func TestChaosSwapStormUnderInjectedFaults(t *testing.T) {
 					}
 				case 429:
 					// Load shed is an allowed answer under overload.
+				case 500:
+					if !hasReason(errResp.Reasons, "stage: ") {
+						errs <- fmt.Sprintf("500 without a stage: %+v", errResp)
+						continue
+					}
+					failed.Add(1)
 				default:
 					errs <- fmt.Sprintf("request failed with %d", code)
 				}
@@ -197,14 +196,18 @@ func TestChaosSwapStormUnderInjectedFaults(t *testing.T) {
 	if got, want := s.Generation(), uint64(1+swapStorms*swapsEach); got != want {
 		t.Fatalf("final generation = %d, want %d", got, want)
 	}
-	// The run must actually have been chaotic: the stubs panicked and
-	// stalled, and the ladder answered for the panics.
-	if faultSrc.panics.Load() == 0 || faultSrc.slows.Load() == 0 {
+	// The run must actually have been chaotic, and every panic must have
+	// failed exactly its own request.
+	panics := faultSrc.panics.Load()
+	if panics == 0 || faultSrc.slows.Load() == 0 {
 		t.Fatalf("stubs injected %d panics and %d slowdowns; the storm tested nothing",
-			faultSrc.panics.Load(), faultSrc.slows.Load())
+			panics, faultSrc.slows.Load())
 	}
-	if obs.GetCounter("mvpar_http_degraded_responses_total").Value() == degradedBefore {
-		t.Fatal("no degraded responses under injected panics")
+	if n := failed.Load(); n != panics {
+		t.Fatalf("%d 500s naming a stage for %d injected panics", n, panics)
+	}
+	if n := obs.GetCounter("mvpar_http_panics_total").Value() - panicsBefore; n != panics {
+		t.Fatalf("mvpar_http_panics_total grew by %d for %d injected panics", n, panics)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"mvpar/internal/dataset"
 	"mvpar/internal/gnn"
 	"mvpar/internal/inst2vec"
+	"mvpar/internal/obs"
 	"mvpar/internal/walks"
 )
 
@@ -119,7 +121,7 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 			wg.Add(1)
 			go func(name, src string) {
 				defer wg.Done()
-				code, resp := tryClassify(ts.URL, name, src)
+				code, resp, _ := tryClassify(ts.URL, name, src)
 				replies <- reply{name, code, resp}
 			}(name, src)
 		}
@@ -211,5 +213,113 @@ void main() {
 		if p.Proba < 0 || p.Proba > 1 {
 			t.Fatalf("proba out of range: %+v", p)
 		}
+	}
+}
+
+// encodePanicOn makes the encode stage panic for program name until the
+// test ends, and counts how often it fired.
+func encodePanicOn(t *testing.T, name string) *atomic.Int64 {
+	t.Helper()
+	var fired atomic.Int64
+	dataset.EncodeFaultHook = func(program string) {
+		if program == name {
+			fired.Add(1)
+			panic("injected encoder bug")
+		}
+	}
+	t.Cleanup(func() { dataset.EncodeFaultHook = nil })
+	return &fired
+}
+
+// runaway runs for billions of interpreter steps: only a step budget or
+// a deadline stops it.
+const runaway = `
+float a[4];
+void main() {
+    for (int i = 0; i < 1000000; i++) {
+        for (int j = 0; j < 1000; j++) { a[0] = a[0] + 1.0; }
+    }
+}
+`
+
+// TestServerFailureClassesNameTheirStage drives every failure class
+// through serve.Handler and the real classifier: each answers its status
+// with no fallback, and its reasons name the stage that failed.
+func TestServerFailureClassesNameTheirStage(t *testing.T) {
+	pl := e2eTrained(t)
+	budget := *pl
+	budget.Opts.Data.MaxSteps = 10_000
+	// A model built for wider node features than the encoder produces:
+	// its first forward panics on the shape mismatch.
+	mismatched := *pl
+	mismatched.Model = gnn.NewMVGNN(pl.Dataset.NodeDim+1, pl.Dataset.StructDim, 1)
+	encodePanicOn(t, "boomenc")
+
+	for _, tc := range []struct {
+		name    string
+		pl      *core.Pipeline
+		timeout time.Duration
+		src     string
+		code    int
+		stage   string
+	}{
+		{"malformed", pl, 0, "void main() { for (int i = 0; i < 8; i++ { } }", http.StatusUnprocessableEntity, "parse"},
+		{"budget", &budget, 0, runaway, http.StatusUnprocessableEntity, "profile"},
+		{"deadline", pl, 200 * time.Millisecond, runaway, http.StatusGatewayTimeout, "profile"},
+		{"boomenc", pl, 0, e2eSources["map"], http.StatusInternalServerError, "encode"},
+		{"forward", &mismatched, 0, e2eSources["map"], http.StatusInternalServerError, "forward"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cls, err := tc.pl.Classifier()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, ts := newTestServer(t, cls, Config{RequestTimeout: tc.timeout})
+			// The warm-up gate is not under test (the mismatched model
+			// cannot pass it): open the classify route directly.
+			s.ready.Store(true)
+			code, ok, errResp := postClassify(t, ts.URL, tc.name, tc.src)
+			if code != tc.code {
+				t.Fatalf("status = %d (%+v %+v), want %d", code, ok, errResp, tc.code)
+			}
+			if want := "stage: " + tc.stage; !hasReason(errResp.Reasons, want) {
+				t.Fatalf("reasons %q (error %q) do not name %q", errResp.Reasons, errResp.Error, want)
+			}
+		})
+	}
+}
+
+// TestServerPanicFailsClosedOncePerRequest pins the fail-closed contract
+// for a panicking pipeline: each request runs its classification exactly
+// once (the weights are shared, so a panic the input caused would fire
+// again on any retry) and answers a 500 that names the stage, and
+// mvpar_http_panics_total counts every panic.
+func TestServerPanicFailsClosedOncePerRequest(t *testing.T) {
+	cls, err := e2eTrained(t).Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := encodePanicOn(t, "dead")
+	s, ts := newTestServer(t, cls, Config{})
+	if err := s.Warmup(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	panicsBefore := obs.GetCounter("mvpar_http_panics_total").Value()
+	const requests = 3
+	for i := 1; i <= requests; i++ {
+		code, _, errResp := postClassify(t, ts.URL, "dead", e2eSources["map"])
+		if code != http.StatusInternalServerError || !hasReason(errResp.Reasons, "stage: encode") {
+			t.Fatalf("classify with a panicking encoder = %d (%+v), want 500 naming stage: encode", code, errResp)
+		}
+		if n := fired.Load(); n != int64(i) {
+			t.Fatalf("encode ran %d times for %d requests, want exactly once each", n, i)
+		}
+	}
+	if n := obs.GetCounter("mvpar_http_panics_total").Value() - panicsBefore; n != requests {
+		t.Fatalf("mvpar_http_panics_total grew by %d for %d panics", n, requests)
+	}
+	// The process and the model live on: a healthy program still answers.
+	if code, _, errResp := postClassify(t, ts.URL, "alive", e2eSources["map"]); code != http.StatusOK {
+		t.Fatalf("classify after the panics = %d (%+v), want 200", code, errResp)
 	}
 }

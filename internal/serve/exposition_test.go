@@ -11,13 +11,14 @@ import (
 
 // TestServeMetricsExpositionConformance pins the serving layer's full
 // metric surface — including the resilience families this layer owns
-// (reload/rollback counters, degraded-response counters,
+// (reload/rollback counters, the panic counter,
 // mvpar_build_info) — to the strict Prometheus text-format checker that
 // CI also runs against /metrics. The server runs the
 // default config, so the test also pins that it exports the single
 // admission queue's depth gauge and no family of the removed sharding,
 // autoscaling, breaker/retry, request-batching, chaos-injection,
-// response-cache, precision-tier and multi-model layers.
+// response-cache, precision-tier, multi-model and degradation-rung
+// layers.
 func TestServeMetricsExpositionConformance(t *testing.T) {
 	s, ts := newTestServer(t, &genStub{gen: 1}, Config{Version: "test"})
 	if err := s.Warmup(context.Background()); err != nil {
@@ -29,7 +30,7 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 		"mvpar_model_reloads_total",
 		"mvpar_model_reload_failures_total",
 		"mvpar_model_generations_drained_total",
-		"mvpar_http_degraded_responses_total",
+		"mvpar_http_panics_total",
 	} {
 		obs.GetCounter(name).Add(0)
 	}
@@ -64,7 +65,7 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 		"# TYPE mvpar_model_generation gauge",
 		"# TYPE mvpar_model_reloads_total counter",
 		"# TYPE mvpar_model_reload_failures_total counter",
-		"# TYPE mvpar_http_degraded_responses_total counter",
+		"# TYPE mvpar_http_panics_total counter",
 		`model="fp-1"`,
 		"# TYPE mvpar_http_requests_classify_total counter",
 		"# TYPE mvpar_http_responses_2xx_total counter",
@@ -89,6 +90,7 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 		"mvpar_inference_precision",
 		"mvpar_model_info_",
 		"mvpar_classify_requests_",
+		"mvpar_http_degraded_",
 	} {
 		if strings.Contains(out, gone) {
 			t.Errorf("exposition carries the removed %q family", gone)
@@ -98,7 +100,7 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 
 // postClassifyRaw sends one classify request without test assertions.
 func postClassifyRaw(url string) (int, string, error) {
-	code, resp := tryClassify(url, "expo", stubSource)
+	code, resp, _ := tryClassify(url, "expo", stubSource)
 	if code == 0 {
 		return 0, "", http.ErrServerClosed
 	}

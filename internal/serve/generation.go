@@ -1,19 +1,6 @@
 package serve
 
-import (
-	"context"
-	"sync"
-
-	"mvpar/internal/core"
-)
-
-// DegradedInference is the optional degraded-mode surface of an
-// Inference: a cheaper, node-view-only classification the server falls
-// back to when the full classification faults. *core.Classifier
-// implements it.
-type DegradedInference interface {
-	ClassifyDegradedContext(ctx context.Context, name, src string) ([]core.LoopPrediction, error)
-}
+import "sync"
 
 // Fingerprinter is the optional identity surface of an Inference; the
 // server reports it as the generation's model identity in /healthz,

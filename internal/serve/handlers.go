@@ -46,14 +46,8 @@ type ClassifyResponse struct {
 	// results across a reload can tell which weights answered.
 	Generation uint64 `json:"generation"`
 	// Degraded is true when any loop's prediction fell back to the node
-	// view only (per-loop detail in Predictions[i].Degraded/Reasons) or
-	// the whole response came from a degradation-ladder rung
-	// (DegradedReasons then says which and why).
+	// view only (per-loop detail in Predictions[i].Degraded/Reasons).
 	Degraded bool `json:"degraded"`
-	// DegradedReasons names the degradation-ladder rung that served the
-	// response and why, e.g. "node-view-only prediction: full
-	// classification faulted". Empty on the normal path.
-	DegradedReasons []string `json:"degraded_reasons,omitempty"`
 	// Precision names the inference engine that answered; it is always
 	// "float64", the one engine, bit-identical to training.
 	Precision string `json:"precision"`
@@ -68,8 +62,9 @@ type ClassifyResponse struct {
 // ErrorResponse is the body of every non-2xx JSON answer.
 type ErrorResponse struct {
 	Error string `json:"error"`
-	// Reasons carries quarantine-style context: the failing stage and
-	// the captured cause for 500s, retry hints for 429/503.
+	// Reasons carries the failure's context: "stage: <stage>" for a
+	// failed classification (plus the captured cause for 500s), retry
+	// hints for 429/503.
 	Reasons []string `json:"reasons,omitempty"`
 }
 
@@ -207,39 +202,37 @@ func (s *Server) writeResult(w http.ResponseWriter, name string, res outcome, tr
 	if err == nil {
 		resp := toResponse(name, res.preds)
 		resp.Generation = res.gen
-		if len(res.degraded) > 0 {
-			resp.Degraded = true
-			resp.DegradedReasons = res.degraded
-		}
 		if tr != nil {
 			resp.TraceID, resp.Timings = timingsPayload(tr)
 		}
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	var pe *faults.PanicError
+	// Every failure a pipeline boundary attributed names its stage.
+	var stage []string
 	var se *faults.StageError
+	if errors.As(err, &se) {
+		stage = []string{"stage: " + se.Stage}
+	}
+	var pe *faults.PanicError
 	switch {
 	case errors.As(err, &pe):
-		// Quarantine-style isolation: the panicking request dies with a
-		// reasoned 500, the process and every other request live on.
-		reasons := []string{pe.Error()}
-		if errors.As(err, &se) {
-			reasons = append(reasons, fmt.Sprintf("stage: %s", se.Stage))
-		}
+		// The panicking request dies with a reasoned 500, the process
+		// and every other request live on.
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{
 			Error:   "classification panicked; request quarantined",
-			Reasons: reasons,
+			Reasons: append([]string{pe.Error()}, stage...),
 		})
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
 		errors.Is(err, interp.ErrCancelled):
 		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{
-			Error: fmt.Sprintf("classification exceeded the request deadline (%s)", s.cfg.RequestTimeout),
+			Error:   fmt.Sprintf("classification exceeded the request deadline (%s)", s.cfg.RequestTimeout),
+			Reasons: stage,
 		})
 	default:
 		// The pipeline rejected the program itself (parse/lower/profile
 		// error): the request, not the server, is at fault.
-		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error(), Reasons: stage})
 	}
 }
 

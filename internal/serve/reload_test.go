@@ -202,7 +202,7 @@ func TestServerReloadDrainsOldGenerationInFlight(t *testing.T) {
 	}
 	inflight := make(chan reply, 1)
 	go func() {
-		code, ok := tryClassify(ts.URL, "pinned", stubSource)
+		code, ok, _ := tryClassify(ts.URL, "pinned", stubSource)
 		inflight <- reply{code, ok}
 	}()
 	<-gen1.started // executing on generation 1, blocked
@@ -238,82 +238,6 @@ func TestServerReloadDrainsOldGenerationInFlight(t *testing.T) {
 	if code, ok, _ := postClassify(t, ts.URL, "fresh", stubSource); code != 200 ||
 		ok.Generation != 2 || ok.Predictions[0].Func != "gen-2" {
 		t.Fatalf("post-swap classify = %d %+v, want generation 2", code, ok)
-	}
-}
-
-// degradableStub panics on every full classification but serves the
-// degraded node-view-only rung, like core.Classifier does — unless
-// degradedPanic is set, when that rung panics too.
-type degradableStub struct {
-	genStub
-	degradedCalls atomic.Int64
-	degradedPanic atomic.Bool
-}
-
-func (d *degradableStub) ClassifyDegradedContext(ctx context.Context, name, src string) ([]core.LoopPrediction, error) {
-	d.degradedCalls.Add(1)
-	if d.degradedPanic.Load() {
-		panic("node view wedged too")
-	}
-	return []core.LoopPrediction{{
-		LoopID: 1, Func: fmt.Sprintf("gen-%d", d.gen), Line: 2,
-		Parallel: true, Proba: 0.6, Degraded: true,
-		Reasons: []string{"prediction from node view only"},
-	}}, nil
-}
-
-// TestServerDegradedFallbackWhenAllReplicasFault pins the fail-closed
-// contract for a panicking model: the full classification runs exactly
-// once per request (every attempt shares the weights, so a panic the
-// input caused would fire again on a retry), the node-view rung answers
-// 200 with degraded provenance, and when that rung panics too the
-// answer is a 500 naming the classify stage.
-func TestServerDegradedFallbackWhenAllReplicasFault(t *testing.T) {
-	stub := &degradableStub{genStub: genStub{gen: 1, panicAll: true}}
-	s, ts := newTestServer(t, stub, Config{})
-	if err := s.Warmup(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	const requests = 3
-	for i := 1; i <= requests; i++ {
-		code, ok, errResp := postClassify(t, ts.URL, fmt.Sprintf("p%d", i), stubSource)
-		if code != 200 {
-			t.Fatalf("classify with a panicking model = %d (%+v), want degraded 200", code, errResp)
-		}
-		if !ok.Degraded || len(ok.DegradedReasons) == 0 ||
-			!strings.Contains(ok.DegradedReasons[0], "node-view-only") {
-			t.Fatalf("degraded response = %+v, want degraded:true with a node-view reason", ok)
-		}
-		if ok.Generation != 1 {
-			t.Fatalf("degraded response generation = %d, want 1", ok.Generation)
-		}
-		if n := stub.calls.Load(); n != int64(i) {
-			t.Fatalf("full classification ran %d times for %d requests, want exactly once each", n, i)
-		}
-	}
-	if n := stub.degradedCalls.Load(); n != requests {
-		t.Fatalf("node-view rung ran %d times, want %d", n, requests)
-	}
-
-	// Both rungs panic: the request fails closed with a 500 that names
-	// the stage, still after a single full attempt.
-	stub.degradedPanic.Store(true)
-	code, _, errResp := postClassify(t, ts.URL, "dead", stubSource)
-	if code != http.StatusInternalServerError {
-		t.Fatalf("classify with both rungs panicking = %d (%+v), want 500", code, errResp)
-	}
-	foundStage := false
-	for _, r := range errResp.Reasons {
-		if strings.Contains(r, "stage: classify") {
-			foundStage = true
-		}
-	}
-	if !foundStage {
-		t.Fatalf("500 reasons %v missing stage: classify", errResp.Reasons)
-	}
-	if n := stub.calls.Load(); n != requests+1 {
-		t.Fatalf("full classification ran %d times for %d requests, want exactly once each", n, requests+1)
 	}
 }
 

@@ -11,7 +11,9 @@
 //	  → one panic-captured classification attempt on the handler's own
 //	    goroutine, the per-request context deadline reaching the
 //	    interpreter's stride check
-//	  → node-view-only degraded prediction when that attempt faults
+//	  → the model's answer (200), or an error naming the stage that
+//	    failed: 422 a program the pipeline rejects, 504 a spent
+//	    deadline, 500 a captured panic
 //
 // plus /healthz (liveness + generation identity), /readyz (warm, not
 // draining), /metrics (the internal/obs registry in the Prometheus text
@@ -25,8 +27,8 @@
 // upholds. Shutdown is graceful: draining finishes every admitted
 // request before it returns.
 //
-// The resilience model (swap/drain/rollback state machine, degradation
-// ladder, fault tests) is documented in docs/robustness.md.
+// The resilience model (swap/drain/rollback state machine, failure
+// mapping, fault tests) is documented in docs/robustness.md.
 package serve
 
 import (
@@ -43,7 +45,6 @@ import (
 
 	"mvpar/internal/core"
 	"mvpar/internal/faults"
-	"mvpar/internal/interp"
 	"mvpar/internal/obs"
 	"mvpar/internal/obs/trace"
 )
@@ -51,7 +52,7 @@ import (
 // Inference is the model dependency of the server; *core.Classifier is
 // the production implementation. Implementations must be safe for
 // concurrent use. Implementations may additionally provide the
-// DegradedInference and Fingerprinter surfaces (core.Classifier does).
+// Fingerprinter surface (core.Classifier does).
 type Inference interface {
 	ClassifyContext(ctx context.Context, name, src string) ([]core.LoopPrediction, error)
 }
@@ -356,16 +357,14 @@ type outcome struct {
 	err   error
 	// gen is the generation that produced the answer.
 	gen uint64
-	// degraded names the degradation-ladder rung that answered (empty on
-	// the normal path).
-	degraded []string
 }
 
 // classify runs one panic-captured classification attempt for r on its
-// pinned generation, under the "replica" trace span. A replica panic
-// goes straight to the degradation ladder: the weights are shared, so a
-// panic the input caused would fire again on any retry. A spent deadline answers 504, and a program the pipeline
-// rejects answers 422 — neither is the model's fault.
+// pinned generation, under the "replica" trace span. There is no retry
+// and no fallback: the weights are shared, so a panic the input caused
+// would fire again on any retry. A captured panic answers 500, a spent
+// deadline 504 and a program the pipeline rejects 422, each naming the
+// stage that failed.
 func (s *Server) classify(r *job) outcome {
 	gen := r.gen
 	cctx, rspan := trace.StartSpan(r.ctx, "replica")
@@ -379,9 +378,6 @@ func (s *Server) classify(r *job) outcome {
 	if err == nil {
 		return outcome{preds: preds, gen: gen.id}
 	}
-	if !isReplicaFault(err) {
-		return outcome{err: err, gen: gen.id}
-	}
 	var pe *faults.PanicError
 	if errors.As(err, &pe) {
 		obs.GetCounter("mvpar_http_panics_total").Inc()
@@ -393,47 +389,7 @@ func (s *Server) classify(r *job) outcome {
 			err = &faults.StageError{Program: r.name, Stage: "classify", Err: err}
 		}
 	}
-	if r.ctx.Err() == nil {
-		if res, ok := s.degradedResult(r); ok {
-			return res
-		}
-	}
 	return outcome{err: err, gen: gen.id}
-}
-
-// isReplicaFault classifies an error as the model's fault (panic,
-// deadline overrun) rather than the request's (parse/profile rejection).
-func isReplicaFault(err error) bool {
-	var pe *faults.PanicError
-	return errors.As(err, &pe) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, interp.ErrCancelled)
-}
-
-// degradedResult answers a request whose attempt faulted with a
-// node-view-only degraded prediction. It reports false when the
-// generation has no degraded surface or that prediction fails too.
-func (s *Server) degradedResult(r *job) (outcome, bool) {
-	const reason = "full classification faulted"
-	if dc, ok := r.gen.inf.(DegradedInference); ok {
-		var preds []core.LoopPrediction
-		err := faults.Capture(func() error {
-			var cerr error
-			preds, cerr = dc.ClassifyDegradedContext(r.ctx, r.name, r.src)
-			return cerr
-		})
-		if err == nil && len(preds) > 0 {
-			obs.GetCounter("mvpar_http_degraded_responses_total").Inc()
-			obs.Warn("serve.degraded", "program", r.name, "rung", "node-view", "reason", reason)
-			return outcome{
-				preds:    preds,
-				gen:      r.gen.id,
-				degraded: []string{"node-view-only prediction: " + reason},
-			}, true
-		}
-	}
-	return outcome{}, false
 }
 
 // Warm-up retry policy for ListenAndServe: a transient failure (model

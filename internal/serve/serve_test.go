@@ -70,42 +70,43 @@ func newTestServer(t *testing.T, inf Inference, cfg Config) (*Server, *httptest.
 // postClassify sends one classify request and decodes the response body.
 func postClassify(t *testing.T, url, name, src string) (int, ClassifyResponse, ErrorResponse) {
 	t.Helper()
+	code, ok, bad := tryClassify(url, name, src)
+	if code == 0 {
+		t.Fatalf("POST /v1/classify %s: no decodable answer", name)
+	}
+	return code, ok, bad
+}
+
+// tryClassify is postClassify for spawned goroutines: it reports failure
+// through the return value (code 0) instead of t.Fatal.
+func tryClassify(url, name, src string) (int, ClassifyResponse, ErrorResponse) {
 	body, _ := json.Marshal(ClassifyRequest{Name: name, Source: src})
 	resp, err := http.Post(url+"/v1/classify", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /v1/classify: %v", err)
+		return 0, ClassifyResponse{}, ErrorResponse{}
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
 	var ok ClassifyResponse
 	var bad ErrorResponse
+	out := any(&bad)
 	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(raw, &ok); err != nil {
-			t.Fatalf("bad 200 body %q: %v", raw, err)
-		}
-	} else if err := json.Unmarshal(raw, &bad); err != nil {
-		t.Fatalf("bad %d body %q: %v", resp.StatusCode, raw, err)
+		out = &ok
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return 0, ClassifyResponse{}, ErrorResponse{}
 	}
 	return resp.StatusCode, ok, bad
 }
 
-// tryClassify is postClassify for spawned goroutines: it reports failure
-// through the return value (code 0) instead of t.Fatal.
-func tryClassify(url, name, src string) (int, ClassifyResponse) {
-	body, _ := json.Marshal(ClassifyRequest{Name: name, Source: src})
-	resp, err := http.Post(url+"/v1/classify", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, ClassifyResponse{}
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	var ok ClassifyResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(raw, &ok); err != nil {
-			return 0, ClassifyResponse{}
+// hasReason reports whether any of reasons contains want.
+func hasReason(reasons []string, want string) bool {
+	for _, r := range reasons {
+		if strings.Contains(r, want) {
+			return true
 		}
 	}
-	return resp.StatusCode, ok
+	return false
 }
 
 const stubSource = "void main() { for (int i = 0; i < 4; i++) { } }"
@@ -213,7 +214,7 @@ func TestServerQueueOverflowSheds429(t *testing.T) {
 	codes := make(chan int, 2)
 	// First request: takes the only worker slot and blocks in execution.
 	go func() {
-		code, _ := tryClassify(ts.URL, "r1", stubSource)
+		code, _, _ := tryClassify(ts.URL, "r1", stubSource)
 		codes <- code
 	}()
 	<-stub.started
@@ -221,7 +222,7 @@ func TestServerQueueOverflowSheds429(t *testing.T) {
 	// Second request: waits for the slot, filling the capacity-1 queue.
 	// Wait until the queue-depth gauge confirms it.
 	go func() {
-		code, _ := tryClassify(ts.URL, "r2", stubSource)
+		code, _, _ := tryClassify(ts.URL, "r2", stubSource)
 		codes <- code
 	}()
 	depth := obs.GetGauge("mvpar_http_queue_depth")
@@ -270,7 +271,7 @@ func TestServerGracefulDrainCompletesInFlight(t *testing.T) {
 	}
 	inflight := make(chan outcome, 1)
 	go func() {
-		code, ok := tryClassify(ts.URL, "inflight", stubSource)
+		code, ok, _ := tryClassify(ts.URL, "inflight", stubSource)
 		inflight <- outcome{code, len(ok.Predictions)}
 	}()
 	<-stub.started // the request is executing (and blocked)
