@@ -1,9 +1,10 @@
 # Build/verify entry points. `make test` is the tier-1 verify path:
 # vet + build + full test suite, plus the concurrent packages under the
 # race detector: obs (logger, registry, and the span histograms the
-# trace subpackage feeds) and the worker-pool
+# trace subpackage feeds), the worker-pool
 # paths introduced by the parallel engine (pool, tensor's pooled MatMul,
-# gnn's data-parallel trainer, dataset's parallel Build).
+# gnn's data-parallel trainer, dataset's parallel Build), serve, and the
+# profiler (interp, deps), which core.OracleSweep runs concurrently.
 GO ?= go
 
 .PHONY: all build lint test test-race bench benchcmp benchgate fuzz smoke verify
@@ -13,14 +14,14 @@ FUZZTIME ?= 30s
 
 # `make bench` output: machine-readable benchmark log (one JSON test
 # event per line, the `go test -json` format) and how long each
-# benchmark runs. BENCH_12.json is the checked-in snapshot for this
+# benchmark runs. BENCH_13.json is the checked-in snapshot for this
 # change; override BENCHJSON to benchmark without clobbering it.
-BENCHJSON ?= BENCH_12.json
+BENCHJSON ?= BENCH_13.json
 BENCHTIME ?= 1x
 
 # `make benchcmp` inputs: two bench logs to diff (ns/op and allocs/op).
-BENCHOLD ?= BENCH_11.json
-BENCHNEW ?= BENCH_12.json
+BENCHOLD ?= BENCH_12.json
+BENCHNEW ?= BENCH_13.json
 
 # `make benchgate` settings: which benchmarks the regression gate covers
 # (the allocation-sensitive hot paths), how many iterations to average
@@ -35,7 +36,7 @@ BENCHNEW ?= BENCH_12.json
 GATEBENCH ?= TrainStepAllocs|SpMM|ClassifyTracingDisabled|ForwardF32|ForwardI8|WalkSample|ProfileCorpus
 GATETIME ?= 5x
 GATETIMEPCT ?= -25
-BENCHBASE ?= BENCH_12.json
+BENCHBASE ?= BENCH_13.json
 BENCHPR ?= BENCH_PR.json
 
 all: verify
@@ -48,7 +49,7 @@ lint:
 
 test: build
 	$(GO) test ./...
-	$(GO) test -race ./internal/obs/... ./internal/pool/... ./internal/tensor/... ./internal/gnn/... ./internal/dataset/... ./internal/serve/...
+	$(GO) test -race ./internal/obs/... ./internal/pool/... ./internal/tensor/... ./internal/gnn/... ./internal/dataset/... ./internal/serve/... ./internal/interp/... ./internal/deps/...
 
 test-race:
 	$(GO) test -race ./...

@@ -14,11 +14,19 @@
 // loop that carries it (the outermost shared loop instance whose iteration
 // numbers differ). Interpreter addresses are dense and never reused, so
 // the shadow is an address-indexed table rather than a hash map.
+//
+// The Analyzer is the interpreter's only tracer on the profiling path,
+// and its state is integer-keyed: distinct edges sit in a slice found by
+// the packed (source, destination) statement pair, and the per-loop
+// evidence in a slice indexed by loop ID. The loop iteration and
+// instance counts come from the interpreter's Stats.
 package deps
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mvpar/internal/interp"
@@ -224,12 +232,11 @@ const shadowPageBits = 10
 // iteration read still flags the WAR.
 const maxReadsPerCell = 256
 
-type edgeKey struct {
-	kind     Kind
-	src, dst int
-	carrier  int
-	carried  bool
-}
+// edgeMemoBits sizes the direct-mapped memo in front of the edge map: 64
+// slots, 1 KiB per analyzer. With the memo, profiling SP
+// (BenchmarkProfileCorpus) ran faster in 11 of 12 alternated rounds
+// (median -11%); 256 slots measured no better.
+const edgeMemoBits = 6
 
 // Analyzer implements interp.Tracer.
 type Analyzer struct {
@@ -240,16 +247,22 @@ type Analyzer struct {
 	// address space, not a cell per element.
 	pages []*shadowPage
 	cells []cell
-	edges map[edgeKey]*Edge
 
-	// Per-loop blocking state, keyed by loop ID then address.
-	lcRawBad   map[int]map[uint64]bool
-	lcRawRed   map[int]map[uint64]ir.RedOp
-	lcWarBad   map[int]map[uint64]bool
-	lcWawArray map[int]map[uint64]bool
+	// The distinct edges, in first-seen order. byPair maps a packed
+	// (src, dst) statement pair to its most recent edge; next[i] is the
+	// edge seen before edges[i] with the same pair, -1 for none.
+	edges  []Edge
+	next   []int32
+	byPair map[uint64]int32
+	// memo caches byPair: the slot a Fibonacci hash of the key picks
+	// holds that key and 1 + its chain head, 0 when empty.
+	memo [1 << edgeMemoBits]struct {
+		key  uint64
+		head int32
+	}
 
-	iterations map[int]int64
-	instances  map[int]int64
+	// loops holds the blocking evidence by loop ID.
+	loops []loopState
 
 	// frames is the snapshot of the live loop stack that every access
 	// record shares until the next LoopEnter, LoopIter or LoopExit, the
@@ -258,17 +271,19 @@ type Analyzer struct {
 	frames []frameSnap
 }
 
+// loopState is one loop's blocking evidence: the addresses with a
+// non-reduction carried RAW, an exposed-read carried WAR or an array
+// carried WAW, and the reduction kind of each address with a
+// reduction-paired carried RAW. A set is allocated when its first
+// address arrives.
+type loopState struct {
+	rawBad, warBad, wawArray map[uint64]struct{}
+	rawRed                   map[uint64]ir.RedOp
+}
+
 // NewAnalyzer returns an empty analyzer ready to trace one execution.
 func NewAnalyzer() *Analyzer {
-	return &Analyzer{
-		edges:      map[edgeKey]*Edge{},
-		lcRawBad:   map[int]map[uint64]bool{},
-		lcRawRed:   map[int]map[uint64]ir.RedOp{},
-		lcWarBad:   map[int]map[uint64]bool{},
-		lcWawArray: map[int]map[uint64]bool{},
-		iterations: map[int]int64{},
-		instances:  map[int]int64{},
-	}
+	return &Analyzer{byPair: map[uint64]int32{}}
 }
 
 // lookup returns addr's shadow cell, or nil if addr was never touched.
@@ -300,19 +315,24 @@ func (a *Analyzer) cellAt(addr uint64) *cell {
 	return &a.cells[len(a.cells)-1]
 }
 
-func mark2(m map[int]map[uint64]bool, loop int, addr uint64) {
-	inner := m[loop]
-	if inner == nil {
-		inner = map[uint64]bool{}
-		m[loop] = inner
+// loop returns the evidence of loop id, widening the table to hold it.
+func (a *Analyzer) loop(id int) *loopState {
+	if id >= len(a.loops) {
+		a.loops = append(a.loops, make([]loopState, id+1-len(a.loops))...)
 	}
-	inner[addr] = true
+	return &a.loops[id]
+}
+
+func mark(set *map[uint64]struct{}, addr uint64) {
+	if *set == nil {
+		*set = map[uint64]struct{}{}
+	}
+	(*set)[addr] = struct{}{}
 }
 
 // LoopEnter implements interp.Tracer.
 func (a *Analyzer) LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bool) {
 	a.frames = nil
-	a.instances[id]++
 	if hasCtrl {
 		if c := a.cellAt(ctrlAddr); !c.ctrl.has(id) {
 			c.ctrl.add(id)
@@ -321,10 +341,7 @@ func (a *Analyzer) LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bo
 }
 
 // LoopIter implements interp.Tracer.
-func (a *Analyzer) LoopIter(id int, instance, iter int64) {
-	a.frames = nil
-	a.iterations[id]++
-}
+func (a *Analyzer) LoopIter(id int, instance, iter int64) { a.frames = nil }
 
 // LoopExit implements interp.Tracer.
 func (a *Analyzer) LoopExit(id int, instance, iters int64) { a.frames = nil }
@@ -360,20 +377,38 @@ func carrierIndex(a, b []frameSnap) int {
 	return -1
 }
 
+// recordEdge adds the edge, or for one already seen (same statements,
+// kind, carrier and carriedness) keeps the smaller carried distance. The
+// pair key is exact for any int32 statement IDs.
 func (a *Analyzer) recordEdge(kind Kind, src, dst *accessRec, carrier int, carried bool, reduction bool, distance int64) {
-	key := edgeKey{kind: kind, src: src.stmt, dst: dst.stmt, carrier: carrier, carried: carried}
-	e, ok := a.edges[key]
+	key := uint64(uint32(src.stmt))<<32 | uint64(uint32(dst.stmt))
+	m := &a.memo[(key*0x9e3779b97f4a7c15)>>(64-edgeMemoBits)]
+	head, ok := m.head-1, m.head != 0 && m.key == key
 	if !ok {
-		a.edges[key] = &Edge{
-			Kind: kind, SrcStmt: src.stmt, DstStmt: dst.stmt,
-			Carried: carried, Carrier: carrier, Reduction: reduction,
-			Distance: distance,
+		head, ok = a.byPair[key]
+	}
+	if ok {
+		for i := head; i >= 0; i = a.next[i] {
+			e := &a.edges[i]
+			if e.Kind != kind || e.Carrier != carrier || e.Carried != carried {
+				continue
+			}
+			if carried && distance > 0 && (e.Distance == 0 || distance < e.Distance) {
+				e.Distance = distance
+			}
+			return
 		}
-		return
+	} else {
+		head = -1
 	}
-	if carried && distance > 0 && (e.Distance == 0 || distance < e.Distance) {
-		e.Distance = distance
-	}
+	a.byPair[key] = int32(len(a.edges))
+	m.key, m.head = key, int32(len(a.edges))+1
+	a.next = append(a.next, head)
+	a.edges = append(a.edges, Edge{
+		Kind: kind, SrcStmt: src.stmt, DstStmt: dst.stmt,
+		Carried: carried, Carrier: carrier, Reduction: reduction,
+		Distance: distance,
+	})
 }
 
 // carriedDistance returns the absolute iteration distance at index ci.
@@ -448,15 +483,14 @@ func (a *Analyzer) onRead(addr uint64, c *cell, rec *accessRec) {
 	if c.ctrl.has(loop) {
 		return
 	}
+	ls := a.loop(loop)
 	if redPair {
-		inner := a.lcRawRed[loop]
-		if inner == nil {
-			inner = map[uint64]ir.RedOp{}
-			a.lcRawRed[loop] = inner
+		if ls.rawRed == nil {
+			ls.rawRed = map[uint64]ir.RedOp{}
 		}
-		inner[addr] = rec.red
+		ls.rawRed[addr] = rec.red
 	} else {
-		mark2(a.lcRawBad, loop, addr)
+		mark(&ls.rawBad, addr)
 	}
 }
 
@@ -474,7 +508,7 @@ func (a *Analyzer) onWrite(addr uint64, c *cell, rec *accessRec) {
 				// Carried output dependences on array elements change the
 				// final memory image under parallel execution; scalars are
 				// privatizable.
-				mark2(a.lcWawArray, loop, addr)
+				mark(&a.loop(loop).wawArray, addr)
 			}
 		}
 	}
@@ -495,37 +529,32 @@ func (a *Analyzer) onWrite(addr uint64, c *cell, rec *accessRec) {
 			// The earlier iteration read a value the later iteration
 			// overwrites, and that read was not satisfied by its own
 			// iteration: privatization cannot remove this dependence.
-			mark2(a.lcWarBad, loop, addr)
+			mark(&a.loop(loop).warBad, addr)
 		}
 	}
 }
 
-// Finalize computes the per-loop verdicts. loops lists every loop ID of
-// the program (including loops that never executed, which are reported as
-// parallelizable=false with reason "never executed" only when
-// requireExecution is true; otherwise they default to parallelizable).
-func (a *Analyzer) Finalize(prog *ir.Program) *Result {
+// Finalize computes the per-loop verdicts for every loop of prog; a loop
+// that never executed has no evidence and so is parallelizable. The
+// iteration and instance counts come from stats, the traced run's.
+func (a *Analyzer) Finalize(prog *ir.Program, stats interp.Stats) *Result {
 	res := &Result{
-		Edges:      make([]Edge, 0, len(a.edges)),
+		Edges:      slices.Clone(a.edges),
 		Verdicts:   map[int]Verdict{},
-		Iterations: a.iterations,
-		Instances:  a.instances,
+		Iterations: loopCounts(stats.LoopIters),
+		Instances:  loopCounts(stats.LoopEnter),
 	}
-	for key := range a.edges {
-		res.Edges = append(res.Edges, *a.edges[key])
-	}
-	sort.Slice(res.Edges, func(i, j int) bool {
-		ei, ej := res.Edges[i], res.Edges[j]
-		if ei.SrcStmt != ej.SrcStmt {
-			return ei.SrcStmt < ej.SrcStmt
+	slices.SortFunc(res.Edges, func(ei, ej Edge) int {
+		if c := cmp.Compare(ei.SrcStmt, ej.SrcStmt); c != 0 {
+			return c
 		}
-		if ei.DstStmt != ej.DstStmt {
-			return ei.DstStmt < ej.DstStmt
+		if c := cmp.Compare(ei.DstStmt, ej.DstStmt); c != 0 {
+			return c
 		}
-		if ei.Kind != ej.Kind {
-			return ei.Kind < ej.Kind
+		if c := cmp.Compare(ei.Kind, ej.Kind); c != 0 {
+			return c
 		}
-		return ei.Carrier < ej.Carrier
+		return cmp.Compare(ei.Carrier, ej.Carrier)
 	})
 	res.indexEdges()
 
@@ -539,20 +568,24 @@ func (a *Analyzer) Finalize(prog *ir.Program) *Result {
 			}
 			v.Reasons = append(v.Reasons, fmt.Sprintf(format, n, noun))
 		}
-		if n := len(a.lcRawBad[id]); n > 0 {
+		var ls loopState
+		if id >= 0 && id < len(a.loops) {
+			ls = a.loops[id]
+		}
+		if n := len(ls.rawBad); n > 0 {
 			v.Detail.LCRawBad = true
 			reason("loop-carried RAW on %d %s", n)
 		}
-		if n := len(a.lcWarBad[id]); n > 0 {
+		if n := len(ls.warBad); n > 0 {
 			v.Detail.LCWarBad = true
 			reason("loop-carried WAR (exposed read) on %d %s", n)
 		}
-		if n := len(a.lcWawArray[id]); n > 0 {
+		if n := len(ls.wawArray); n > 0 {
 			v.Detail.LCWawArray = true
 			reason("loop-carried WAW on %d array %s", n)
 		}
 		poisoned := 0
-		for addr := range a.lcRawRed[id] {
+		for addr := range ls.rawRed {
 			v.Detail.HasRed = true
 			if a.lookup(addr).nonRed.has(id) {
 				poisoned++
@@ -571,6 +604,18 @@ func (a *Analyzer) Finalize(prog *ir.Program) *Result {
 		res.Verdicts[id] = v
 	}
 	return res
+}
+
+// loopCounts turns per-loop-ID counts into a map holding the loops with a
+// nonzero count.
+func loopCounts(byID []int64) map[int]int64 {
+	m := map[int]int64{}
+	for id, n := range byID {
+		if n != 0 {
+			m[id] = n
+		}
+	}
+	return m
 }
 
 // Analyze profiles prog's entry function and returns the dependence result
@@ -592,14 +637,11 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, entry string, limits 
 	limits.Ctx, span = trace.StartSpan(limits.Ctx, "deps.analyze")
 	defer span.End()
 	an := NewAnalyzer()
-	mt := &interp.MetricsTracer{}
-	it := interp.New(prog, interp.MultiTracer{an, mt}, limits)
-	stats, err := it.Run(entry)
-	mt.Flush()
+	stats, err := interp.New(prog, an, limits).Run(entry)
 	if err != nil {
 		return nil, stats, err
 	}
-	res := an.Finalize(prog)
+	res := an.Finalize(prog, stats)
 	recordResultStats(prog.Name, res)
 	return res, stats, nil
 }

@@ -572,7 +572,7 @@ void main() { big[0] = 1.0; big[%d] = big[0]; }
 	an.Access(&interp.Access{Addr: 0, Write: true, Array: true, StmtID: 1})
 	an.Access(&interp.Access{Addr: 0, Array: true, StmtID: 2})
 	an.Access(&interp.Access{Addr: n - 1, Write: true, Array: true, StmtID: 2})
-	res := an.Finalize(prog)
+	res := an.Finalize(prog, interp.Stats{})
 	runtime.ReadMemStats(&ms)
 	// Two pages of 4 KiB plus 16,384 page pointers is ~136 KiB. A flat
 	// 4-byte index per address would be 64 MiB, a cell per address GiBs.
@@ -582,5 +582,68 @@ void main() { big[0] = 1.0; big[%d] = big[0]; }
 	}
 	if len(res.Edges) != 1 || res.Edges[0].Kind != deps.RAW {
 		t.Fatalf("edges %+v, want the one RAW from big[0]'s write to its read", res.Edges)
+	}
+}
+
+// Every (kind, carrier) combination on one statement pair is its own
+// edge in the analyzer's table, and each keeps the smallest distance
+// observed for it. Statement 5 is the source and 6 the destination
+// throughout; each observation uses its own address, so the pair
+// collects RAW, WAR and WAW edges carried by loop 1 and by loop 2, plus
+// one loop-independent RAW.
+func TestEdgeTableOnePairManyEdges(t *testing.T) {
+	an := deps.NewAnalyzer()
+	acc := func(addr uint64, write bool, stmt, loop int, inst, iter int64) {
+		an.LoopIter(loop, inst, iter) // a new loop stack for every access
+		an.Access(&interp.Access{Addr: addr, Write: write, StmtID: stmt,
+			Frames: []interp.LoopFrame{{ID: loop, Instance: inst, Iter: iter}}})
+	}
+	addr := uint64(0)
+	pair := func(kind deps.Kind, loop int, inst, from, to int64) {
+		addr++
+		acc(addr, kind != deps.WAR, 5, loop, inst, from)
+		acc(addr, kind != deps.RAW, 6, loop, inst, to)
+	}
+	for _, loop := range []struct {
+		id   int
+		inst int64
+		raw  []int64 // iteration distances, in order observed
+		war  []int64
+		waw  []int64
+	}{
+		{1, 1, []int64{2, 1, 4}, []int64{3}, []int64{2, 5}},
+		{2, 2, []int64{3, 2, 6}, []int64{5, 4}, []int64{1}},
+	} {
+		for _, d := range loop.raw {
+			pair(deps.RAW, loop.id, loop.inst, 1, 1+d)
+		}
+		for _, d := range loop.war {
+			pair(deps.WAR, loop.id, loop.inst, 1, 1+d)
+		}
+		for _, d := range loop.waw {
+			pair(deps.WAW, loop.id, loop.inst, 1, 1+d)
+		}
+	}
+	pair(deps.RAW, 1, 1, 7, 7) // same iteration: loop-independent
+
+	prog := ir.MustLower(minic.MustParse("t", `void main() { for (int i = 0; i < 1; i++) { } for (int j = 0; j < 1; j++) { } }`))
+	res := an.Finalize(prog, interp.Stats{})
+	want := []deps.Edge{
+		{Kind: deps.RAW, SrcStmt: 5, DstStmt: 6},
+		{Kind: deps.RAW, SrcStmt: 5, DstStmt: 6, Carried: true, Carrier: 1, Distance: 1},
+		{Kind: deps.RAW, SrcStmt: 5, DstStmt: 6, Carried: true, Carrier: 2, Distance: 2},
+		{Kind: deps.WAR, SrcStmt: 5, DstStmt: 6, Carried: true, Carrier: 1, Distance: 3},
+		{Kind: deps.WAR, SrcStmt: 5, DstStmt: 6, Carried: true, Carrier: 2, Distance: 4},
+		{Kind: deps.WAW, SrcStmt: 5, DstStmt: 6, Carried: true, Carrier: 1, Distance: 2},
+		{Kind: deps.WAW, SrcStmt: 5, DstStmt: 6, Carried: true, Carrier: 2, Distance: 1},
+	}
+	if !reflect.DeepEqual(res.Edges, want) {
+		t.Fatalf("edges:\n got %+v\nwant %+v", res.Edges, want)
+	}
+	if got := res.EdgesFrom(5); len(got) != len(want) {
+		t.Fatalf("EdgesFrom(5) holds %d edges, want %d", len(got), len(want))
+	}
+	if got := res.EdgesInto(6); len(got) != len(want) {
+		t.Fatalf("EdgesInto(6) holds %d edges, want %d", len(got), len(want))
 	}
 }

@@ -8,6 +8,12 @@
 // so the dependence analyzer never sees false conflicts between unrelated
 // frames. Values are float64 throughout; integer operations truncate per
 // ir.EvalArith.
+//
+// Execution runs on indices: ir.Resolve has bound every variable to a
+// frame slot or global index and every callee to a function index, so a
+// call binds its frame as a slice on a stack shared by all calls, and no
+// access looks up a name. Run counts accesses, writes and per-loop
+// iterations and instances in Stats, indexed by loop ID.
 package interp
 
 import (
@@ -36,12 +42,13 @@ type Access struct {
 	Array  bool // subscripted (array element) access
 	Red    ir.RedOp
 	StmtID int
-	Line   int
-	Func   string
 	Frames []LoopFrame
 }
 
-// Tracer receives instrumentation events during execution.
+// Tracer receives instrumentation events during execution. A run has at
+// most one tracer: the dependence analyzer (deps.Analyzer) on the
+// profiling path, the iteration-DAG builder in sched. Event volume is
+// counted in Stats, not by a tracer.
 //
 // The interpreter hands every Access call the same *Access, overwritten
 // for the next access, and its Frames alias the live loop stack, which
@@ -53,37 +60,6 @@ type Tracer interface {
 	LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bool)
 	LoopIter(id int, instance, iter int64)
 	LoopExit(id int, instance, iters int64)
-}
-
-// MultiTracer fans events out to several tracers.
-type MultiTracer []Tracer
-
-// Access implements Tracer.
-func (m MultiTracer) Access(a *Access) {
-	for _, t := range m {
-		t.Access(a)
-	}
-}
-
-// LoopEnter implements Tracer.
-func (m MultiTracer) LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bool) {
-	for _, t := range m {
-		t.LoopEnter(id, instance, ctrlAddr, hasCtrl)
-	}
-}
-
-// LoopIter implements Tracer.
-func (m MultiTracer) LoopIter(id int, instance, iter int64) {
-	for _, t := range m {
-		t.LoopIter(id, instance, iter)
-	}
-}
-
-// LoopExit implements Tracer.
-func (m MultiTracer) LoopExit(id int, instance, iters int64) {
-	for _, t := range m {
-		t.LoopExit(id, instance, iters)
-	}
 }
 
 // Limits bounds an execution. The zero value of every field selects the
@@ -150,9 +126,13 @@ var (
 
 // Stats summarizes a run.
 type Stats struct {
-	Steps     int64
-	LoopIters map[int]int64 // loop ID -> total iterations across all instances
-	LoopEnter map[int]int64 // loop ID -> number of dynamic instances
+	Steps    int64
+	Accesses int64 // loads and stores executed
+	Writes   int64 // stores executed
+	// LoopIters and LoopEnter are indexed by loop ID: total iterations
+	// across all instances, and the number of dynamic instances.
+	LoopIters []int64
+	LoopEnter []int64
 }
 
 // Interp executes one program.
@@ -162,7 +142,9 @@ type Interp struct {
 	limits Limits
 
 	mem       []float64
-	globals   map[string]varLoc
+	globals   []varLoc // by global index
+	vars      []varLoc // the frames of the live calls, innermost last
+	regs      []float64
 	loopStack []LoopFrame
 	instSeq   int64
 	steps     int64
@@ -172,6 +154,7 @@ type Interp struct {
 }
 
 // New creates an interpreter. tracer may be nil for untraced execution.
+// prog must be resolved (ir.Lower resolves what it lowers; see ir.Resolve).
 func New(prog *ir.Program, tracer Tracer, limits Limits) *Interp {
 	return &Interp{prog: prog, tracer: tracer, limits: limits.withDefaults()}
 }
@@ -192,26 +175,35 @@ func (it *Interp) Run(entry string) (Stats, error) {
 		}
 	}
 	it.mem = it.mem[:0]
-	it.globals = make(map[string]varLoc, len(it.prog.Globals))
+	it.globals = it.globals[:0]
+	it.vars = it.vars[:0]
+	it.regs = it.regs[:0]
 	it.loopStack = it.loopStack[:0]
+	it.acc.Frames = it.loopStack
 	it.steps = 0
 	it.instSeq = 0
 	it.depth = 0
-	it.stats = Stats{LoopIters: map[int]int64{}, LoopEnter: map[int]int64{}}
+	loops := 0
+	for id := range it.prog.Loops {
+		loops = max(loops, id+1)
+	}
+	counts := make([]int64, 2*loops)
+	it.stats = Stats{LoopIters: counts[:loops:loops], LoopEnter: counts[loops:]}
 	for _, g := range it.prog.Globals {
 		base, err := it.alloc(g.Size())
 		if err != nil {
 			return Stats{}, err
 		}
-		it.globals[g.Name] = varLoc{addr: base, size: g.Size()}
+		it.globals = append(it.globals, varLoc{addr: base, size: g.Size()})
 		if g.HasInit {
 			it.mem[base] = g.InitVal
 		}
 	}
 	_, span := trace.StartSpan(it.limits.Ctx, "interp.run")
-	_, err := it.call(fn, nil, nil)
+	_, err := it.call(fn, nil, nil, nil, nil)
 	span.End()
-	recordRunStats(it.stats)
+	it.stats.Steps = it.steps
+	recordRunStats(it.stats, it.tracer != nil, len(it.loopStack))
 	if err != nil {
 		obs.GetCounter("mvpar_interp_errors_total").Inc()
 	}
@@ -239,57 +231,91 @@ type varLoc struct {
 	size int
 }
 
-// call executes fn with scalar argument values args (by value) and array
-// bindings arrays (by reference, name -> base address).
-func (it *Interp) call(fn *ir.Func, args []float64, arrays map[string]uint64) (float64, error) {
+// lookup returns the variable at l in frame, or false for an unresolved
+// Loc.
+func (it *Interp) lookup(frame []varLoc, l ir.Loc) (varLoc, bool) {
+	if l > 0 {
+		if i := int(l) - 1; i < len(frame) {
+			return frame[i], true
+		}
+	} else if l < 0 {
+		if i := -int(l) - 1; i < len(it.globals) {
+			return it.globals[i], true
+		}
+	}
+	return varLoc{}, false
+}
+
+func unknownVar(fn, name string) error {
+	return fmt.Errorf("interp: %s: unknown variable %q", fn, name)
+}
+
+// call executes fn. For a call from site, an instruction of caller whose
+// frame and registers are callerVars and callerRegs, it binds fn's
+// scalar params to the argument registers' values (by value) and its
+// array params to the argument arrays (by reference, by position). The
+// entry call has no site.
+func (it *Interp) call(fn *ir.Func, site *ir.Instr, caller *ir.Func, callerVars []varLoc, callerRegs []float64) (float64, error) {
 	it.depth++
-	defer func() { it.depth-- }()
+	vbase, rbase := len(it.vars), len(it.regs)
+	ret, err := it.exec(fn, site, caller, callerVars, callerRegs)
+	it.depth--
+	it.vars, it.regs = it.vars[:vbase], it.regs[:rbase]
+	return ret, err
+}
+
+// exec binds fn's frame on top of the frame stack and runs its body. A
+// nested call may move the stacks, but a frame is never written after it
+// is bound and registers are written only through this call's own slice,
+// so the slices taken here stay valid.
+func (it *Interp) exec(fn *ir.Func, site *ir.Instr, caller *ir.Func, callerVars []varLoc, callerRegs []float64) (float64, error) {
 	if it.depth > it.limits.MaxCallDepth {
 		return 0, fmt.Errorf("%w: %q at depth %d", ErrCallDepth, fn.Name, it.depth)
 	}
-	bind := make(map[string]varLoc, len(fn.Params)+len(fn.Locals))
+	vbase, nv := len(it.vars), len(fn.Params)+len(fn.Locals)
+	it.vars = append(it.vars, make([]varLoc, nv)...)
+	vars := it.vars[vbase : vbase+nv : vbase+nv]
 	for i, p := range fn.Params {
 		if p.IsArray() {
-			bind[p.Name] = varLoc{addr: arrays[p.Name], size: p.Size()}
+			arg := &site.ArgVars[i]
+			src, ok := it.lookup(callerVars, arg.Loc)
+			if !ok {
+				return 0, unknownVar(caller.Name, arg.Name)
+			}
+			vars[i] = varLoc{addr: src.addr, size: p.Size()}
 			continue
 		}
 		base, err := it.alloc(1)
 		if err != nil {
 			return 0, err
 		}
-		it.mem[base] = args[i]
-		bind[p.Name] = varLoc{addr: base, size: 1}
+		it.mem[base] = callerRegs[site.Args[i]]
+		vars[i] = varLoc{addr: base, size: 1}
 	}
-	for _, l := range fn.Locals {
+	for i, l := range fn.Locals {
 		base, err := it.alloc(l.Size())
 		if err != nil {
 			return 0, err
 		}
-		bind[l.Name] = varLoc{addr: base, size: l.Size()}
+		vars[len(fn.Params)+i] = varLoc{addr: base, size: l.Size()}
 	}
-	resolve := func(name string) (uint64, int, error) {
-		if l, ok := bind[name]; ok {
-			return l.addr, l.size, nil
-		}
-		if l, ok := it.globals[name]; ok {
-			return l.addr, l.size, nil
-		}
-		return 0, 0, fmt.Errorf("interp: %s: unknown variable %q", fn.Name, name)
-	}
+	rbase := len(it.regs)
+	it.regs = append(it.regs, make([]float64, fn.NumRegs)...)
+	regs := it.regs[rbase : rbase+fn.NumRegs : rbase+fn.NumRegs]
 
-	regs := make([]float64, fn.NumRegs)
 	pc := 0
 	for pc < len(fn.Code) {
 		it.steps++
 		if it.steps > it.limits.MaxSteps {
+			it.steps--
 			return 0, ErrBudget
 		}
 		if it.limits.Ctx != nil && it.steps&(ctxCheckStride-1) == 0 {
 			if err := it.limits.Ctx.Err(); err != nil {
+				it.steps--
 				return 0, fmt.Errorf("%w: %w", ErrCancelled, err)
 			}
 		}
-		it.stats.Steps = it.steps
 		in := &fn.Code[pc]
 		switch in.Op {
 		case ir.OpConst:
@@ -299,42 +325,49 @@ func (it *Interp) call(fn *ir.Func, args []float64, arrays map[string]uint64) (f
 				regs[in.Dst] = float64(in.KI)
 			}
 		case ir.OpLoad:
-			base, size, err := resolve(in.Var)
-			if err != nil {
-				return 0, err
+			v, ok := it.lookup(vars, in.Loc)
+			if !ok {
+				return 0, unknownVar(fn.Name, in.Var)
 			}
 			off := int64(0)
 			if in.Idx >= 0 {
 				off = int64(regs[in.Idx])
 			}
-			if off < 0 || off >= int64(size) {
+			if off < 0 || off >= int64(v.size) {
 				return 0, fmt.Errorf("interp: %s line %d: index %d out of range for %q (size %d)",
-					fn.Name, in.Line, off, in.Var, size)
+					fn.Name, in.Line, off, in.Var, v.size)
 			}
-			addr := base + uint64(off)
+			addr := v.addr + uint64(off)
 			regs[in.Dst] = it.mem[addr]
-			it.trace(addr, false, in, fn.Name)
+			it.stats.Accesses++
+			if it.tracer != nil {
+				it.trace(addr, false, in)
+			}
 		case ir.OpStore:
-			base, size, err := resolve(in.Var)
-			if err != nil {
-				return 0, err
+			v, ok := it.lookup(vars, in.Loc)
+			if !ok {
+				return 0, unknownVar(fn.Name, in.Var)
 			}
 			off := int64(0)
 			if in.Idx >= 0 {
 				off = int64(regs[in.Idx])
 			}
-			if off < 0 || off >= int64(size) {
+			if off < 0 || off >= int64(v.size) {
 				return 0, fmt.Errorf("interp: %s line %d: index %d out of range for %q (size %d)",
-					fn.Name, in.Line, off, in.Var, size)
+					fn.Name, in.Line, off, in.Var, v.size)
 			}
-			addr := base + uint64(off)
-			v := regs[in.A]
+			addr := v.addr + uint64(off)
+			val := regs[in.A]
 			if !in.Float {
 				// Storing into an int variable truncates, matching C.
-				v = float64(int64(v))
+				val = float64(int64(val))
 			}
-			it.mem[addr] = v
-			it.trace(addr, true, in, fn.Name)
+			it.mem[addr] = val
+			it.stats.Accesses++
+			it.stats.Writes++
+			if it.tracer != nil {
+				it.trace(addr, true, in)
+			}
 		case ir.OpBr:
 			pc = in.Target
 			continue
@@ -346,25 +379,10 @@ func (it *Interp) call(fn *ir.Func, args []float64, arrays map[string]uint64) (f
 			}
 			continue
 		case ir.OpCall:
-			callee := it.prog.Func(in.Callee)
-			if callee == nil {
+			if in.Fn <= 0 || int(in.Fn) > len(it.prog.Funcs) {
 				return 0, fmt.Errorf("interp: call to unknown function %q", in.Callee)
 			}
-			var cargs []float64
-			carrays := map[string]uint64{}
-			for i, a := range in.Args {
-				if a < 0 {
-					src, _, err := resolve(in.ArgVars[i])
-					if err != nil {
-						return 0, err
-					}
-					carrays[callee.Params[i].Name] = src
-					cargs = append(cargs, 0)
-					continue
-				}
-				cargs = append(cargs, regs[a])
-			}
-			ret, err := it.call(callee, cargs, carrays)
+			ret, err := it.call(it.prog.Funcs[in.Fn-1], in, fn, vars, regs)
 			if err != nil {
 				return 0, err
 			}
@@ -376,20 +394,15 @@ func (it *Interp) call(fn *ir.Func, args []float64, arrays map[string]uint64) (f
 			return 0, nil
 		case ir.OpLoopBegin:
 			it.instSeq++
-			frame := LoopFrame{ID: in.LoopID, Instance: it.instSeq}
-			it.loopStack = append(it.loopStack, frame)
+			it.loopStack = append(it.loopStack, LoopFrame{ID: in.LoopID, Instance: it.instSeq})
+			it.acc.Frames = it.loopStack
+			if in.LoopID >= len(it.stats.LoopEnter) {
+				it.growLoops(in.LoopID + 1)
+			}
 			it.stats.LoopEnter[in.LoopID]++
 			if it.tracer != nil {
-				meta := it.prog.Loops[in.LoopID]
-				var ctrlAddr uint64
-				hasCtrl := false
-				if meta.CtrlVar != "" {
-					if a, _, err := resolve(meta.CtrlVar); err == nil {
-						ctrlAddr = a
-						hasCtrl = true
-					}
-				}
-				it.tracer.LoopEnter(in.LoopID, frame.Instance, ctrlAddr, hasCtrl)
+				ctrl, hasCtrl := it.lookup(vars, in.Loc)
+				it.tracer.LoopEnter(in.LoopID, it.instSeq, ctrl.addr, hasCtrl)
 			}
 		case ir.OpLoopNext:
 			top := &it.loopStack[len(it.loopStack)-1]
@@ -401,6 +414,7 @@ func (it *Interp) call(fn *ir.Func, args []float64, arrays map[string]uint64) (f
 		case ir.OpLoopEnd:
 			top := it.loopStack[len(it.loopStack)-1]
 			it.loopStack = it.loopStack[:len(it.loopStack)-1]
+			it.acc.Frames = it.loopStack
 			// The final partial pass through the body (the one whose
 			// condition failed) did not reach LoopNext, so Iter equals the
 			// number of completed iterations.
@@ -423,21 +437,23 @@ func (it *Interp) call(fn *ir.Func, args []float64, arrays map[string]uint64) (f
 	return 0, nil
 }
 
-func (it *Interp) trace(addr uint64, write bool, in *ir.Instr, fnName string) {
-	if it.tracer == nil {
-		return
-	}
-	it.acc = Access{
-		Addr:   addr,
-		Write:  write,
-		Array:  in.Idx >= 0,
-		Red:    in.Red,
-		StmtID: in.StmtID,
-		Line:   in.Line,
-		Func:   fnName,
-		Frames: it.loopStack,
-	}
-	it.tracer.Access(&it.acc)
+// growLoops widens the per-loop counts to n loop IDs, for a loop that
+// Program.Loops does not list.
+func (it *Interp) growLoops(n int) {
+	it.stats.LoopIters = append(it.stats.LoopIters, make([]int64, n-len(it.stats.LoopIters))...)
+	it.stats.LoopEnter = append(it.stats.LoopEnter, make([]int64, n-len(it.stats.LoopEnter))...)
+}
+
+// trace hands the tracer one access. Frames already aliases the loop
+// stack: it is reset wherever the stack is pushed or popped.
+func (it *Interp) trace(addr uint64, write bool, in *ir.Instr) {
+	a := &it.acc
+	a.Addr = addr
+	a.Write = write
+	a.Array = in.Idx >= 0
+	a.Red = in.Red
+	a.StmtID = in.StmtID
+	it.tracer.Access(a)
 }
 
 // Mem returns the current value at addr; testing hook.
@@ -445,9 +461,10 @@ func (it *Interp) Mem(addr uint64) float64 { return it.mem[addr] }
 
 // GlobalValue returns element i of global name after a Run.
 func (it *Interp) GlobalValue(name string, i int) (float64, error) {
-	l, ok := it.globals[name]
-	if !ok {
-		return 0, fmt.Errorf("interp: unknown global %q", name)
+	for g := len(it.prog.Globals) - 1; g >= 0; g-- {
+		if it.prog.Globals[g].Name == name && g < len(it.globals) {
+			return it.mem[it.globals[g].addr+uint64(i)], nil
+		}
 	}
-	return it.mem[l.addr+uint64(i)], nil
+	return 0, fmt.Errorf("interp: unknown global %q", name)
 }

@@ -7,6 +7,7 @@ import (
 	"mvpar/internal/interp"
 	"mvpar/internal/ir"
 	"mvpar/internal/minic"
+	"mvpar/internal/obs"
 )
 
 func lower(t *testing.T, src string) *ir.Program {
@@ -193,21 +194,6 @@ func TestEntryWithParamsRejected(t *testing.T) {
 	}
 }
 
-func TestMultiTracer(t *testing.T) {
-	p := lower(t, `
-float a[2];
-void main() { for (int i = 0; i < 2; i++) { a[i] = 1.0; } }
-`)
-	r1, r2 := newRecorder(), newRecorder()
-	mt := interp.MultiTracer{r1, r2}
-	if _, err := interp.New(p, mt, interp.Limits{}).Run("main"); err != nil {
-		t.Fatal(err)
-	}
-	if r1.writes == 0 || r1.writes != r2.writes || r1.reads != r2.reads {
-		t.Fatalf("multitracer divergence: %d/%d writes, %d/%d reads", r1.writes, r2.writes, r1.reads, r2.reads)
-	}
-}
-
 func TestArrayPassedByReference(t *testing.T) {
 	p := lower(t, `
 float buf[4];
@@ -242,3 +228,236 @@ void main() { c += 1; }
 		}
 	}
 }
+
+// Lowering resolves names per function, so a callee whose array
+// parameter is named like a caller's unrelated variable, and a caller
+// array named like the callee's local, still bind by position.
+func TestArrayParamNamedUnlikeArgument(t *testing.T) {
+	p := lower(t, `
+float out[3];
+void scale(float src[3], float dst[3], float k) {
+    float buf[3];
+    for (int i = 0; i < 3; i++) { buf[i] = src[i] * k; dst[i] = buf[i]; }
+}
+void main() {
+    float buf[3];
+    float src[3];
+    for (int i = 0; i < 3; i++) { buf[i] = i + 1.0; src[i] = 100.0; }
+    scale(buf, out, 2.0);
+}
+`)
+	it := interp.New(p, nil, interp.Limits{})
+	if _, err := it.Run("main"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if v, _ := it.GlobalValue("out", i); v != float64(2*(i+1)) {
+			t.Fatalf("out[%d] = %v, want %v", i, v, 2*(i+1))
+		}
+	}
+}
+
+// Two by-reference array arguments bind to their own arrays, and an
+// array passed down a recursion is the caller's array at every depth.
+func TestArraysByReferenceThroughRecursion(t *testing.T) {
+	p := lower(t, `
+int a[6];
+int b[6];
+void fill(int x[6], int y[6], int k) {
+    if (k >= 6) { return; }
+    x[k] = k;
+    y[k] = 10 * k;
+    fill(x, y, k + 1);
+}
+void main() { fill(a, b, 0); }
+`)
+	rec := newRecorder()
+	it := interp.New(p, rec, interp.Limits{})
+	if _, err := it.Run("main"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		x, _ := it.GlobalValue("a", i)
+		y, _ := it.GlobalValue("b", i)
+		if x != float64(i) || y != float64(10*i) {
+			t.Fatalf("a[%d], b[%d] = %v, %v, want %d, %d", i, i, x, y, i, 10*i)
+		}
+	}
+	// a and b are the first 12 cells; each of the 7 frames adds one cell
+	// for k, and the array stores touch only a and b.
+	if rec.writes != 12 {
+		t.Fatalf("writes = %d, want the 12 array stores", rec.writes)
+	}
+}
+
+// A for loop controlled by a global reports the global's address at
+// LoopEnter; a loop over a local of the same name in a callee reports a
+// fresh local address per call.
+func TestGlobalLoopControlAddress(t *testing.T) {
+	p := lower(t, `
+int i;
+float a[4];
+void f() {
+    int i;
+    for (i = 0; i < 2; i++) { a[i] = 1.0; }
+}
+void main() {
+    for (i = 0; i < 2; i++) { f(); }
+}
+`)
+	var first *interp.Access
+	rec := &ctrlRecorder{first: &first}
+	if _, err := interp.New(p, rec, interp.Limits{}).Run("main"); err != nil {
+		t.Fatal(err)
+	}
+	ids := p.LoopIDs()
+	outer, inner := ids[1], ids[0] // f's loop is parsed first
+	if p.Loops[outer].Func != "main" || p.Loops[inner].Func != "f" {
+		t.Fatalf("loops %v", p.Loops)
+	}
+	// The first access of the run is main's store i = 0, to the global.
+	if first == nil || !first.Write || len(rec.ctrl[outer]) != 1 || rec.ctrl[outer][0] != first.Addr {
+		t.Fatalf("outer ctrl %v, want the global i at %v", rec.ctrl[outer], first)
+	}
+	in := rec.ctrl[inner]
+	if len(in) != 2 || in[0] == in[1] || in[0] == first.Addr || in[1] == first.Addr {
+		t.Fatalf("inner ctrl %v, want two fresh local addresses", in)
+	}
+}
+
+type ctrlRecorder struct {
+	first **interp.Access
+	ctrl  map[int][]uint64
+}
+
+func (r *ctrlRecorder) Access(a *interp.Access) {
+	if *r.first == nil {
+		c := *a
+		*r.first = &c
+	}
+}
+
+func (r *ctrlRecorder) LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bool) {
+	if r.ctrl == nil {
+		r.ctrl = map[int][]uint64{}
+	}
+	if hasCtrl {
+		r.ctrl[id] = append(r.ctrl[id], ctrlAddr)
+	}
+}
+
+func (r *ctrlRecorder) LoopIter(id int, instance, iter int64) {}
+
+func (r *ctrlRecorder) LoopExit(id int, instance, iters int64) {}
+
+// A hand-built program that names an unknown variable or callee resolves
+// without complaint and fails with the interpreter's error when that
+// instruction runs, after the instructions before it executed.
+func TestUnresolvedNamesFailWhenRun(t *testing.T) {
+	build := func(bad ir.Instr) *ir.Program {
+		p := &ir.Program{
+			Name:    "hand",
+			Globals: []ir.Var{{Name: "x", Type: minic.TypeInt}},
+			Funcs: []*ir.Func{{Name: "main", NumRegs: 2, Code: []ir.Instr{
+				{Op: ir.OpConst, Dst: 0, A: -1, B: -1, Idx: -1, KI: 7},
+				{Op: ir.OpStore, Dst: -1, A: 0, B: -1, Idx: -1, Var: "x"},
+				bad,
+				{Op: ir.OpRet, Dst: -1, A: -1, B: -1, Idx: -1},
+			}}},
+			Loops: map[int]ir.LoopMeta{},
+		}
+		ir.Resolve(p)
+		return p
+	}
+	for _, tc := range []struct {
+		bad  ir.Instr
+		want string
+	}{
+		{ir.Instr{Op: ir.OpStore, Dst: -1, A: 0, B: -1, Idx: -1, Var: "nope"}, `interp: main: unknown variable "nope"`},
+		{ir.Instr{Op: ir.OpLoad, Dst: 1, A: -1, B: -1, Idx: -1, Var: "nope"}, `interp: main: unknown variable "nope"`},
+		{ir.Instr{Op: ir.OpCall, Dst: 1, A: -1, B: -1, Idx: -1, Callee: "ghost"}, `interp: call to unknown function "ghost"`},
+	} {
+		p := build(tc.bad)
+		rec := newRecorder()
+		it := interp.New(p, rec, interp.Limits{})
+		_, err := it.Run("main")
+		if err == nil || err.Error() != tc.want {
+			t.Fatalf("%v: err = %v, want %q", tc.bad.Op, err, tc.want)
+		}
+		if v, _ := it.GlobalValue("x", 0); v != 7 || rec.writes != 1 {
+			t.Fatalf("%v: x = %v after %d writes, want the store before the bad instruction to run", tc.bad.Op, v, rec.writes)
+		}
+	}
+}
+
+// A traced run publishes the tracer event volume once, from Stats: the
+// counters grow by exactly the events the tracer saw, and a return from
+// inside a loop (which skips that loop's exit) counts no exit. An
+// untraced run publishes no events.
+func TestRunPublishesEventCounts(t *testing.T) {
+	p := lower(t, `
+float a[6];
+int first() {
+    for (int i = 0; i < 6; i++) { if (a[i] == 0.0) { return i; } }
+    return -1;
+}
+void main() {
+    int k;
+    for (int j = 0; j < 3; j++) { a[j] = j + 1.0; k = first(); }
+}
+`)
+	names := []string{"access", "write", "loop_enter", "loop_iter", "loop_exit"}
+	counts := func() []int64 {
+		var out []int64
+		for _, n := range names {
+			out = append(out, obs.GetCounter("mvpar_interp_"+n+"_events_total").Value())
+		}
+		return out
+	}
+	rec := &eventCounter{}
+	before := counts()
+	stats, err := interp.New(p, rec, interp.Limits{}).Run("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := counts()
+	want := []int64{rec.reads + rec.writes, rec.writes, rec.enters, rec.iters, rec.exits}
+	for i, n := range names {
+		if got := after[i] - before[i]; got != want[i] {
+			t.Errorf("%s events published %d, tracer saw %d", n, got, want[i])
+		}
+	}
+	if stats.Accesses != rec.reads+rec.writes || stats.Writes != rec.writes {
+		t.Errorf("stats accesses %d, writes %d; tracer saw %d, %d", stats.Accesses, stats.Writes, rec.reads+rec.writes, rec.writes)
+	}
+	if rec.exits >= rec.enters {
+		t.Fatalf("exits %d, enters %d: want first's loop left by return", rec.exits, rec.enters)
+	}
+	before = counts()
+	if _, err := interp.New(p, nil, interp.Limits{}).Run("main"); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range counts() {
+		if v != before[i] {
+			t.Errorf("untraced run published %d %s events", v-before[i], names[i])
+		}
+	}
+}
+
+type eventCounter struct{ reads, writes, enters, iters, exits int64 }
+
+func (c *eventCounter) Access(a *interp.Access) {
+	if a.Write {
+		c.writes++
+	} else {
+		c.reads++
+	}
+}
+
+func (c *eventCounter) LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bool) {
+	c.enters++
+}
+
+func (c *eventCounter) LoopIter(id int, instance, iter int64) { c.iters++ }
+
+func (c *eventCounter) LoopExit(id int, instance, iters int64) { c.exits++ }

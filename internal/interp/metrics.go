@@ -2,60 +2,27 @@ package interp
 
 import "mvpar/internal/obs"
 
-// MetricsTracer counts instrumentation events locally (plain int64s — the
-// interpreter is single-threaded, so the hot path pays no atomics) and
-// publishes them to the obs metrics registry on Flush. Compose it with an
-// analysis tracer via MultiTracer to account for tracer-event volume:
-//
-//	mt := &interp.MetricsTracer{}
-//	it := interp.New(prog, interp.MultiTracer{analyzer, mt}, limits)
-//	_, err := it.Run("main")
-//	mt.Flush()
-type MetricsTracer struct {
-	Accesses   int64 // Access events (loads + stores)
-	Writes     int64 // Access events with Write set
-	LoopEnters int64
-	LoopIters  int64
-	LoopExits  int64
-}
-
-// Access implements Tracer.
-func (m *MetricsTracer) Access(a *Access) {
-	m.Accesses++
-	if a.Write {
-		m.Writes++
-	}
-}
-
-// LoopEnter implements Tracer.
-func (m *MetricsTracer) LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bool) {
-	m.LoopEnters++
-}
-
-// LoopIter implements Tracer.
-func (m *MetricsTracer) LoopIter(id int, instance, iter int64) { m.LoopIters++ }
-
-// LoopExit implements Tracer.
-func (m *MetricsTracer) LoopExit(id int, instance, iters int64) { m.LoopExits++ }
-
-// Flush adds the accumulated event counts to the metrics registry and
-// zeroes the tracer for reuse.
-func (m *MetricsTracer) Flush() {
-	obs.GetCounter("mvpar_interp_access_events_total").Add(m.Accesses)
-	obs.GetCounter("mvpar_interp_write_events_total").Add(m.Writes)
-	obs.GetCounter("mvpar_interp_loop_enter_events_total").Add(m.LoopEnters)
-	obs.GetCounter("mvpar_interp_loop_iter_events_total").Add(m.LoopIters)
-	obs.GetCounter("mvpar_interp_loop_exit_events_total").Add(m.LoopExits)
-	*m = MetricsTracer{}
-}
-
-// recordRunStats publishes one Run's aggregate statistics.
-func recordRunStats(s Stats) {
-	var iters int64
+// recordRunStats publishes one Run's aggregate statistics. A traced run
+// also publishes the tracer event volume; open is the number of loop
+// frames left on the stack (a return from inside a loop skips its
+// LoopExit), so exits are the enters less open.
+func recordRunStats(s Stats, traced bool, open int) {
+	var iters, enters int64
 	for _, n := range s.LoopIters {
 		iters += n
+	}
+	for _, n := range s.LoopEnter {
+		enters += n
 	}
 	obs.GetCounter("mvpar_interp_runs_total").Inc()
 	obs.GetCounter("mvpar_interp_steps_total").Add(s.Steps)
 	obs.GetCounter("mvpar_interp_loop_iters_total").Add(iters)
+	if !traced {
+		return
+	}
+	obs.GetCounter("mvpar_interp_access_events_total").Add(s.Accesses)
+	obs.GetCounter("mvpar_interp_write_events_total").Add(s.Writes)
+	obs.GetCounter("mvpar_interp_loop_enter_events_total").Add(enters)
+	obs.GetCounter("mvpar_interp_loop_iter_events_total").Add(iters)
+	obs.GetCounter("mvpar_interp_loop_exit_events_total").Add(enters - int64(open))
 }

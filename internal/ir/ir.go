@@ -10,6 +10,9 @@
 // within the static code; loops re-execute the defining instruction).
 // Loop boundaries are explicit LoopBegin/LoopNext/LoopEnd markers so the
 // interpreter and the dependence analyzer need no CFG reconstruction.
+// Lowering ends with Resolve, which binds each variable reference to a
+// frame slot or global index (Loc) and each callee to a function index,
+// so the interpreter never looks up a name.
 package ir
 
 import (
@@ -80,7 +83,7 @@ func (o Op) IsArith() bool {
 }
 
 // RedOp classifies a reduction statement; RedNone marks ordinary accesses.
-type RedOp int
+type RedOp int8
 
 // Reduction kinds. Subtraction folds into sum reductions.
 const (
@@ -111,18 +114,42 @@ type Instr struct {
 	KI    int64   // integer constant payload
 	KF    float64 // float constant payload
 	Float bool    // constant/result is floating point
+	Red   RedOp
+	// Loc is where Resolve found Var (load/store) or, on a for loop's
+	// OpLoopBegin, the loop's control variable (LoopMeta.CtrlVar).
+	Loc Loc
 
 	Callee  string
 	Args    []int    // argument registers; -1 for by-reference array args
-	ArgVars []string // array variable names for by-reference args ("" otherwise)
+	ArgVars []ArgVar // the by-reference array args (zero for the others)
 
 	Target, Else int // branch destinations (instruction indices)
 
 	LoopID int // for loop markers
 	StmtID int // the AST statement this instruction lowers; CU grouping key
 	Line   int // source line
-	Red    RedOp
+	// Fn is 1 + the index in Program.Funcs of Callee, or 0 when Callee
+	// names no function (call).
+	Fn int32
 }
+
+// ArgVar is a by-reference array argument of a call: the array's name
+// and where Resolve found it in the caller.
+type ArgVar struct {
+	Name string
+	Loc  Loc
+}
+
+// Loc is a variable's resolved location: Loc k > 0 is slot k-1 of the
+// function's frame (its Params, then its Locals), Loc k < 0 is global
+// -k-1, and the zero Loc is a name that resolved to nothing.
+type Loc int32
+
+// FrameLoc is the Loc of frame slot i.
+func FrameLoc(i int) Loc { return Loc(i + 1) }
+
+// GlobalLoc is the Loc of global i.
+func GlobalLoc(i int) Loc { return Loc(-i - 1) }
 
 // Var describes a memory-resident variable (scalar or array).
 type Var struct {

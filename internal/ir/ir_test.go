@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mvpar/internal/bench"
 	"mvpar/internal/interp"
 	"mvpar/internal/ir"
 	"mvpar/internal/minic"
@@ -502,5 +503,53 @@ void main() {
 	}
 	if got := globalVal(t, it, "outf", 0); got != 3 {
 		t.Fatalf("outf = %v, want 3", got)
+	}
+}
+
+// Lowering resolves every name it emits: each load and store, each
+// by-reference argument and each for loop's control variable names the
+// variable its Loc points at, and each call's Fn is its callee, in the
+// base program and in every variant.
+func TestLowerResolvesEveryName(t *testing.T) {
+	for _, app := range bench.Corpus() {
+		base := ir.MustLower(minic.MustParse(app.Name, app.Source))
+		for level := 0; level < ir.NumVariants; level++ {
+			p := ir.Variant(base, level)
+			for _, f := range p.Funcs {
+				frame := append(append([]ir.Var(nil), f.Params...), f.Locals...)
+				name := func(l ir.Loc) string {
+					switch {
+					case l > 0 && int(l) <= len(frame):
+						return frame[l-1].Name
+					case l < 0 && int(-l) <= len(p.Globals):
+						return p.Globals[-l-1].Name
+					}
+					return "<unresolved>"
+				}
+				for i, in := range f.Code {
+					var want, got []string
+					switch in.Op {
+					case ir.OpLoad, ir.OpStore:
+						want, got = []string{in.Var}, []string{name(in.Loc)}
+					case ir.OpLoopBegin:
+						if ctrl := p.Loops[in.LoopID].CtrlVar; ctrl != "" || in.Loc != 0 {
+							want, got = []string{ctrl}, []string{name(in.Loc)}
+						}
+					case ir.OpCall:
+						if in.Fn < 1 || p.Funcs[in.Fn-1].Name != in.Callee {
+							t.Fatalf("%s/O%d %s:%d: call %q resolved to Fn %d", app.Name, level, f.Name, i, in.Callee, in.Fn)
+						}
+						for j, a := range in.Args {
+							if a < 0 {
+								want, got = append(want, in.ArgVars[j].Name), append(got, name(in.ArgVars[j].Loc))
+							}
+						}
+					}
+					if strings.Join(want, ",") != strings.Join(got, ",") {
+						t.Fatalf("%s/O%d %s:%d %s: resolved %v, want %v", app.Name, level, f.Name, i, ir.InstrString(in), got, want)
+					}
+				}
+			}
+		}
 	}
 }

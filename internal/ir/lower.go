@@ -39,6 +39,7 @@ func Lower(p *minic.Program) (*Program, error) {
 		}
 		prog.Funcs = append(prog.Funcs, fn)
 	}
+	Resolve(prog)
 	instrs := 0
 	for _, fn := range prog.Funcs {
 		instrs += len(fn.Code)
@@ -56,6 +57,63 @@ func MustLower(p *minic.Program) *Program {
 		panic(err)
 	}
 	return out
+}
+
+// Resolve binds every name the interpreter looks up to an index: each
+// load and store variable, each by-reference call argument and each for
+// loop's control variable (on its OpLoopBegin) to a Loc, and each callee
+// to Fn. A variable resolves among its function's params and locals
+// first, then among the globals; a name found in neither keeps the zero
+// Loc (a callee, Fn 0) and fails only when the instruction runs. Lower
+// calls Resolve; a program built by hand must call it before it is
+// interpreted. The transforms keep function, param, local and global
+// order, so a Variant stays resolved.
+func Resolve(p *Program) {
+	globals := make(map[string]Loc, len(p.Globals))
+	for i, g := range p.Globals {
+		globals[g.Name] = GlobalLoc(i)
+	}
+	frame := map[string]Loc{}
+	find := func(name string) Loc {
+		if l, ok := frame[name]; ok {
+			return l
+		}
+		return globals[name]
+	}
+	for _, f := range p.Funcs {
+		clear(frame)
+		for i, v := range f.Params {
+			frame[v.Name] = FrameLoc(i)
+		}
+		for i, v := range f.Locals {
+			frame[v.Name] = FrameLoc(len(f.Params) + i)
+		}
+		for i := range f.Code {
+			in := &f.Code[i]
+			switch in.Op {
+			case OpLoad, OpStore:
+				in.Loc = find(in.Var)
+			case OpLoopBegin:
+				in.Loc = 0
+				if ctrl := p.Loops[in.LoopID].CtrlVar; ctrl != "" {
+					in.Loc = find(ctrl)
+				}
+			case OpCall:
+				in.Fn = 0
+				for j, g := range p.Funcs {
+					if g.Name == in.Callee {
+						in.Fn = int32(j + 1)
+						break
+					}
+				}
+				for j := range in.ArgVars {
+					if in.Args[j] < 0 {
+						in.ArgVars[j].Loc = find(in.ArgVars[j].Name)
+					}
+				}
+			}
+		}
+	}
 }
 
 func constEval(e minic.Expr) (float64, bool) {
@@ -537,7 +595,7 @@ func (lw *lowerer) lowerExpr(e minic.Expr) (int, error) {
 			if callee.Params[i].IsArray() {
 				ref := arg.(*minic.VarRef)
 				in.Args = append(in.Args, -1)
-				in.ArgVars = append(in.ArgVars, lw.resolve(ref.Name))
+				in.ArgVars = append(in.ArgVars, ArgVar{Name: lw.resolve(ref.Name)})
 				continue
 			}
 			r, err := lw.lowerExpr(arg)
@@ -545,7 +603,7 @@ func (lw *lowerer) lowerExpr(e minic.Expr) (int, error) {
 				return -1, err
 			}
 			in.Args = append(in.Args, r)
-			in.ArgVars = append(in.ArgVars, "")
+			in.ArgVars = append(in.ArgVars, ArgVar{})
 		}
 		r := lw.newReg()
 		lw.regFloat[r] = callee.Ret == minic.TypeFloat

@@ -37,7 +37,7 @@ func InstrString(in Instr) string {
 		args := make([]string, len(in.Args))
 		for i, a := range in.Args {
 			if a < 0 {
-				args[i] = "&" + in.ArgVars[i]
+				args[i] = "&" + in.ArgVars[i].Name
 			} else {
 				args[i] = fmt.Sprintf("r%d", a)
 			}

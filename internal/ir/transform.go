@@ -54,7 +54,7 @@ func cloneProgram(p *Program) *Program {
 		for i := range nf.Code {
 			if nf.Code[i].Args != nil {
 				nf.Code[i].Args = append([]int(nil), nf.Code[i].Args...)
-				nf.Code[i].ArgVars = append([]string(nil), nf.Code[i].ArgVars...)
+				nf.Code[i].ArgVars = append([]ArgVar(nil), nf.Code[i].ArgVars...)
 			}
 		}
 		out.Funcs = append(out.Funcs, nf)

@@ -44,6 +44,10 @@ block16:
 	CMPQ    R11, R13
 	JEQ     store16
 
+	// Loop heads start a 64-byte line, so the loop's speed does not
+	// depend on where the linker places this function.
+	PCALIGN $64
+
 loop16:
 	VBROADCASTSD (R11), Y4
 	TESTQ        R10, R10
@@ -86,6 +90,8 @@ block4:
 	MOVQ    R8, R12
 	CMPQ    R11, R13
 	JEQ     store4
+
+	PCALIGN $64
 
 loop4:
 	VBROADCASTSD (R11), Y4
