@@ -215,15 +215,7 @@ func buildPEG(ctx context.Context, path string) (*peg.PEG, *ir.Program, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ast, err := minic.Parse(path, src)
-	if err != nil {
-		return nil, nil, err
-	}
-	prog, err := ir.Lower(ast)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, _, err := deps.Analyze(prog, "main", interp.Limits{Ctx: ctx})
+	prog, res, err := core.ProfileSourceContext(ctx, path, src)
 	if err != nil {
 		return nil, nil, err
 	}

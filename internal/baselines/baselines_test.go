@@ -178,74 +178,3 @@ func TestNCCPredictBeforeFit(t *testing.T) {
 		t.Fatalf("unfitted NCC predicted %d", got)
 	}
 }
-
-func TestForestLearnsXOR(t *testing.T) {
-	xs, ys := xorData(400, 5)
-	f := baselines.NewForest()
-	f.FitVectors(xs, ys)
-	if acc := vecAccuracy(f.PredictVector, xs, ys); acc < 0.9 {
-		t.Fatalf("forest accuracy = %v", acc)
-	}
-}
-
-func TestForestEmptyAndUnfitted(t *testing.T) {
-	f := baselines.NewForest()
-	f.FitVectors(nil, nil)
-	if f.PredictVector([]float64{1, 2}) != 0 {
-		t.Fatal("unfitted forest should predict 0")
-	}
-}
-
-func TestNaiveBayesLearnsGaussians(t *testing.T) {
-	// Two well-separated Gaussian blobs.
-	rng := rand.New(rand.NewSource(6))
-	var xs [][]float64
-	var ys []int
-	for i := 0; i < 400; i++ {
-		c := i % 2
-		mu := -2.0
-		if c == 1 {
-			mu = 2.0
-		}
-		xs = append(xs, []float64{mu + rng.NormFloat64(), rng.NormFloat64()})
-		ys = append(ys, c)
-	}
-	nb := baselines.NewNaiveBayes()
-	nb.FitVectors(xs, ys)
-	if acc := vecAccuracy(nb.PredictVector, xs, ys); acc < 0.95 {
-		t.Fatalf("naive bayes accuracy = %v", acc)
-	}
-}
-
-func TestNaiveBayesDegenerate(t *testing.T) {
-	nb := baselines.NewNaiveBayes()
-	nb.FitVectors(nil, nil)
-	if nb.PredictVector([]float64{1}) != 0 {
-		t.Fatal("unfitted NB should predict 0")
-	}
-	// Single-class training must not divide by zero.
-	nb2 := baselines.NewNaiveBayes()
-	nb2.FitVectors([][]float64{{1, 2}, {1.1, 2.1}}, []int{1, 1})
-	if nb2.PredictVector([]float64{1, 2}) != 1 {
-		t.Fatal("single-class NB should predict the seen class")
-	}
-}
-
-func TestExtraModelsOnRealRecords(t *testing.T) {
-	d := tinyDataset(t)
-	for _, m := range []baselines.Model{baselines.NewForest(), baselines.NewNaiveBayes()} {
-		m.Fit(d.Records)
-		if acc := baselines.Accuracy(m, d.Records); acc < 0.65 {
-			t.Fatalf("%s train accuracy = %v", m.Name(), acc)
-		}
-	}
-}
-
-func TestAWEOnRealRecords(t *testing.T) {
-	d := tinyDataset(t)
-	awe := baselines.NewAWE(d.Space.NumTypes())
-	awe.Fit(d.Records)
-	if acc := baselines.Accuracy(awe, d.Records); acc < 0.55 {
-		t.Fatalf("AWE train accuracy = %v (structure-only should beat chance)", acc)
-	}
-}

@@ -20,7 +20,7 @@ import (
 // Classifier is a reusable inference handle over a trained pipeline. It
 // pins the encoder state a classification needs — the inst2vec embedding,
 // the anonymous-walk space and the encode configuration — together with
-// the trained model, so repeated Classify calls rebuild no vocabulary or
+// the trained model, so repeated classifications rebuild no vocabulary or
 // walk space per invocation (the per-call cost is profiling and encoding
 // the submitted program only).
 //
@@ -98,13 +98,8 @@ func (c *Classifier) predictRecord(ctx context.Context, rec *dataset.Record) (in
 	return r.Predict(ctx, rec.Sample, view)
 }
 
-// Classify profiles a MiniC program (entry function main) and classifies
-// every loop with the trained model.
-func (c *Classifier) Classify(name, src string) ([]LoopPrediction, error) {
-	return c.ClassifyContext(context.Background(), name, src)
-}
-
-// ClassifyContext is Classify with cancellation: ctx flows into the
+// ClassifyContext profiles a MiniC program (entry function main) and
+// classifies every loop with the trained model. ctx flows into the
 // interpreter's stride check during profiling, so a request deadline
 // aborts a runaway program within milliseconds. Loops whose structural
 // view could not be sampled (walk budget exceeded) are not dropped: they

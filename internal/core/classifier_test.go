@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -41,12 +42,12 @@ func TestClassifierZeroEncoderRebuilds(t *testing.T) {
 float q[8];
 void main() { for (int i = 0; i < 8; i++) { q[i] = i; } }
 `
-	first, err := cls.Classify("u", src)
+	first, err := cls.ClassifyContext(context.Background(), "u", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v1, s1 := vocab.Value(), space.Value()
-	second, err := cls.Classify("u", src)
+	second, err := cls.ClassifyContext(context.Background(), "u", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ void main() { for (int i = 0; i < 8; i++) { y[i] = x[i] + 1.0; } }
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w], errs[w] = cls.Classify("u", src)
+			results[w], errs[w] = cls.ClassifyContext(context.Background(), "u", src)
 		}(w)
 	}
 	wg.Wait()
@@ -131,7 +132,7 @@ func TestClassifyProvenanceMatchesParse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, app := range bench.Corpus() {
-		preds, err := cls.Classify(app.Name, app.Source)
+		preds, err := cls.ClassifyContext(context.Background(), app.Name, app.Source)
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
@@ -203,11 +204,11 @@ func TestLoadModelRequantizesFastTiers(t *testing.T) {
 			t.Fatalf("fingerprint %s did not change across LoadModel", got.Fingerprint())
 		}
 		for _, app := range tinyApps() {
-			gp, err := got.Classify(app.Name, app.Source)
+			gp, err := got.ClassifyContext(context.Background(), app.Name, app.Source)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wp, err := want.Classify(app.Name, app.Source)
+			wp, err := want.ClassifyContext(context.Background(), app.Name, app.Source)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +241,7 @@ func TestLoadModelKeepsEarlierHandle(t *testing.T) {
 	fp := h.Fingerprint()
 	want := map[string][]core.LoopPrediction{}
 	for _, app := range tinyApps() {
-		preds, err := h.Classify(app.Name, app.Source)
+		preds, err := h.ClassifyContext(context.Background(), app.Name, app.Source)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +273,7 @@ func TestLoadModelKeepsEarlierHandle(t *testing.T) {
 			wg.Add(1)
 			go func(app bench.App) {
 				defer wg.Done()
-				got, err := h.Classify(app.Name, app.Source)
+				got, err := h.ClassifyContext(context.Background(), app.Name, app.Source)
 				if err != nil {
 					t.Error(err)
 					return

@@ -719,12 +719,6 @@ func regionTokens(cus *cu.Set, loopID int, maxTokens int) []string {
 	return toks
 }
 
-// Balanced returns up to perClass records of each class from the whole
-// dataset; see Balance.
-func (d *Dataset) Balanced(perClass int, seed int64) []*Record {
-	return Balance(d.Records, perClass, seed)
-}
-
 // Balance returns up to perClass records of each class, drawn
 // deterministically; pass perClass <= 0 to balance to the minority class
 // size (the paper balances to 3100 + 3100).

@@ -192,7 +192,7 @@ func TestBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := d.Balanced(0, 7)
+	recs := dataset.Balance(d.Records, 0, 7)
 	pos, neg := 0, 0
 	for _, r := range recs {
 		if r.Label == 1 {
@@ -204,8 +204,8 @@ func TestBalanced(t *testing.T) {
 	if pos != neg || pos == 0 {
 		t.Fatalf("balance: %d/%d", pos, neg)
 	}
-	if got := d.Balanced(2, 7); len(got) != 4 {
-		t.Fatalf("Balanced(2) = %d records", len(got))
+	if got := dataset.Balance(d.Records, 2, 7); len(got) != 4 {
+		t.Fatalf("Balance(2) = %d records", len(got))
 	}
 }
 

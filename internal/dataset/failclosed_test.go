@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"mvpar/internal/bench"
 	"mvpar/internal/dataset"
@@ -119,5 +120,33 @@ func TestQuarantineCancellationNotQuarantined(t *testing.T) {
 	_, _, err := dataset.Build(smallApps(), cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build = %v, want context.Canceled", err)
+	}
+}
+
+// TestBuildDeadlineNamesStageAtEveryJobs checks that a deadline expiring
+// while a runaway program profiles fails the build with that program's
+// profile stage error, and with the same text at every worker count.
+func TestBuildDeadlineNamesStageAtEveryJobs(t *testing.T) {
+	apps := smallApps()[:1]
+	for _, app := range poisonedCorpus() {
+		if app.Name == "runaway" {
+			apps = append(apps, app)
+		}
+	}
+	var texts []string
+	for _, jobs := range []int{1, 4} {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		cfg := smallConfig()
+		cfg.Ctx = ctx
+		cfg.Parallelism = jobs
+		_, _, err := dataset.Build(apps, cfg)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "runaway: profile") {
+			t.Fatalf("jobs=%d: build error %v, want the deadline named as runaway: profile", jobs, err)
+		}
+		texts = append(texts, err.Error())
+	}
+	if texts[0] != texts[1] {
+		t.Fatalf("build error differs by worker count:\n jobs=1: %s\n jobs=4: %s", texts[0], texts[1])
 	}
 }

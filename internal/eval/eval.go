@@ -172,70 +172,3 @@ func Curve(title string, values []float64) string {
 	b.WriteString("\n")
 	return b.String()
 }
-
-// ScoredPrediction pairs a model's probability for class 1 with the truth.
-type ScoredPrediction struct {
-	Score float64
-	Truth int
-}
-
-// AUC computes the area under the ROC curve via the rank statistic
-// (probability a random positive scores above a random negative, ties
-// counted half). It returns 0.5 for degenerate inputs with a single class.
-func AUC(preds []ScoredPrediction) float64 {
-	var pos, neg []float64
-	for _, p := range preds {
-		if p.Truth == 1 {
-			pos = append(pos, p.Score)
-		} else {
-			neg = append(neg, p.Score)
-		}
-	}
-	if len(pos) == 0 || len(neg) == 0 {
-		return 0.5
-	}
-	wins := 0.0
-	for _, p := range pos {
-		for _, n := range neg {
-			switch {
-			case p > n:
-				wins++
-			case p == n:
-				wins += 0.5
-			}
-		}
-	}
-	return wins / float64(len(pos)*len(neg))
-}
-
-// ROCPoint is one operating point of a threshold sweep.
-type ROCPoint struct {
-	Threshold float64
-	TPR       float64
-	FPR       float64
-}
-
-// ROC sweeps the given thresholds and returns the operating points.
-func ROC(preds []ScoredPrediction, thresholds []float64) []ROCPoint {
-	out := make([]ROCPoint, 0, len(thresholds))
-	for _, th := range thresholds {
-		var c Confusion
-		for _, p := range preds {
-			pred := 0
-			if p.Score >= th {
-				pred = 1
-			}
-			c.Add(pred, p.Truth)
-		}
-		tpr := 0.0
-		if c.TP+c.FN > 0 {
-			tpr = float64(c.TP) / float64(c.TP+c.FN)
-		}
-		fpr := 0.0
-		if c.FP+c.TN > 0 {
-			fpr = float64(c.FP) / float64(c.FP+c.TN)
-		}
-		out = append(out, ROCPoint{Threshold: th, TPR: tpr, FPR: fpr})
-	}
-	return out
-}

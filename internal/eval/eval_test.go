@@ -124,50 +124,3 @@ func TestCurve(t *testing.T) {
 		t.Fatalf("constant curve:\n%s", out)
 	}
 }
-
-func TestAUCPerfectAndRandom(t *testing.T) {
-	perfect := []eval.ScoredPrediction{
-		{Score: 0.9, Truth: 1}, {Score: 0.8, Truth: 1},
-		{Score: 0.2, Truth: 0}, {Score: 0.1, Truth: 0},
-	}
-	if got := eval.AUC(perfect); got != 1 {
-		t.Fatalf("perfect AUC = %v", got)
-	}
-	inverted := []eval.ScoredPrediction{
-		{Score: 0.1, Truth: 1}, {Score: 0.9, Truth: 0},
-	}
-	if got := eval.AUC(inverted); got != 0 {
-		t.Fatalf("inverted AUC = %v", got)
-	}
-	ties := []eval.ScoredPrediction{
-		{Score: 0.5, Truth: 1}, {Score: 0.5, Truth: 0},
-	}
-	if got := eval.AUC(ties); got != 0.5 {
-		t.Fatalf("tied AUC = %v", got)
-	}
-	if got := eval.AUC([]eval.ScoredPrediction{{Score: 1, Truth: 1}}); got != 0.5 {
-		t.Fatalf("single-class AUC = %v", got)
-	}
-}
-
-func TestROCMonotone(t *testing.T) {
-	preds := []eval.ScoredPrediction{
-		{0.9, 1}, {0.7, 1}, {0.6, 0}, {0.4, 1}, {0.3, 0}, {0.1, 0},
-	}
-	pts := eval.ROC(preds, []float64{0, 0.25, 0.5, 0.75, 1.01})
-	// Threshold 0: everything predicted positive.
-	if pts[0].TPR != 1 || pts[0].FPR != 1 {
-		t.Fatalf("threshold 0: %+v", pts[0])
-	}
-	// Above 1: nothing predicted positive.
-	last := pts[len(pts)-1]
-	if last.TPR != 0 || last.FPR != 0 {
-		t.Fatalf("threshold >1: %+v", last)
-	}
-	// Rates shrink as the threshold grows.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].TPR > pts[i-1].TPR+1e-12 || pts[i].FPR > pts[i-1].FPR+1e-12 {
-			t.Fatalf("ROC not monotone at %d: %+v -> %+v", i, pts[i-1], pts[i])
-		}
-	}
-}

@@ -43,25 +43,6 @@ func DefaultConfig(inputDim int) Config {
 	}
 }
 
-// PaperConfig returns the configuration at the paper's reported sizes
-// (§IV-B): 200 node feature dimensions and SortPooling k = 135, which
-// match benchmark-scale PEGs with hundreds of nodes. It trains the same
-// architecture roughly 50x slower than DefaultConfig; use it when
-// mirroring the paper's exact hyperparameters matters more than wall
-// clock.
-func PaperConfig(inputDim int) Config {
-	return Config{
-		InputDim:     inputDim,
-		ConvChannels: []int{200, 200, 200, 1},
-		SortK:        135,
-		Conv1Filters: 16,
-		Conv2Filters: 32,
-		DenseDim:     128,
-		NumClasses:   2,
-		Seed:         1,
-	}
-}
-
 // graphConv is one graph convolution layer with manual backprop. Its
 // buffers come from the owning DGCNN's arena; wT caches the weight
 // transpose the backward pass multiplies by, invalidated by optimizer

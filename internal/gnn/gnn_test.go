@@ -277,8 +277,19 @@ func TestPredictProbaRange(t *testing.T) {
 	}
 }
 
-func TestPaperConfigShapes(t *testing.T) {
-	cfg := PaperConfig(200)
+// TestDGCNNAtPaperSizes builds the DGCNN at the paper's reported sizes
+// (§IV-B): 200 node feature dimensions and SortPooling k = 135.
+func TestDGCNNAtPaperSizes(t *testing.T) {
+	cfg := Config{
+		InputDim:     200,
+		ConvChannels: []int{200, 200, 200, 1},
+		SortK:        135,
+		Conv1Filters: 16,
+		Conv2Filters: 32,
+		DenseDim:     128,
+		NumClasses:   2,
+		Seed:         1,
+	}
 	rng := rand.New(rand.NewSource(1))
 	d := NewDGCNN(cfg, rng)
 	g := Encode(lineGraph(50), tensor.Randn(50, 200, 0.1, rng))

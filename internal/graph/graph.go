@@ -65,16 +65,6 @@ func (g *Directed) AddEdge(from, to, kind int) {
 	g.edges++
 }
 
-// HasEdge reports whether at least one from -> to edge of any kind exists.
-func (g *Directed) HasEdge(from, to int) bool {
-	for _, e := range g.out[from] {
-		if e.To == to {
-			return true
-		}
-	}
-	return false
-}
-
 // HasEdgeKind reports whether a from -> to edge with the given kind exists.
 func (g *Directed) HasEdgeKind(from, to, kind int) bool {
 	for _, e := range g.out[from] {
@@ -98,24 +88,6 @@ func (g *Directed) OutDegree(v int) int { return len(g.out[v]) }
 
 // InDegree returns the number of in-edges of v.
 func (g *Directed) InDegree(v int) int { return len(g.in[v]) }
-
-// Successors returns the distinct successor node IDs of v in ascending order.
-func (g *Directed) Successors(v int) []int {
-	res := make([]int, 0, len(g.out[v]))
-	for _, e := range g.out[v] {
-		res = append(res, e.To)
-	}
-	return sortDistinct(res)
-}
-
-// Predecessors returns the distinct predecessor node IDs of v in ascending order.
-func (g *Directed) Predecessors(v int) []int {
-	res := make([]int, 0, len(g.in[v]))
-	for _, e := range g.in[v] {
-		res = append(res, e.From)
-	}
-	return sortDistinct(res)
-}
 
 // Neighbors returns the distinct nodes adjacent to v in either direction,
 // in ascending order. Walk sampling treats the graph as undirected so that
@@ -246,27 +218,6 @@ func (g *Directed) Subgraph(nodes []int) (*Directed, []int) {
 	return FromEdges(len(newToOld), edges), newToOld
 }
 
-// BFS runs a breadth-first traversal from start following out-edges and
-// returns the visited nodes in visit order.
-func (g *Directed) BFS(start int) []int {
-	visited := make([]bool, g.NumNodes())
-	queue := []int{start}
-	visited[start] = true
-	var order []int
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, e := range g.out[v] {
-			if !visited[e.To] {
-				visited[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return order
-}
-
 // TopoSort returns a topological order of the graph, or ok=false if the
 // graph contains a cycle (dependence graphs of loops routinely do).
 func (g *Directed) TopoSort() (order []int, ok bool) {
@@ -295,29 +246,6 @@ func (g *Directed) TopoSort() (order []int, ok bool) {
 		}
 	}
 	return order, len(order) == n
-}
-
-// LongestPath returns the number of edges on the longest simple path in a
-// DAG, or ok=false if the graph has a cycle. It is used for critical-path
-// length when the dependence subgraph is acyclic.
-func (g *Directed) LongestPath() (length int, ok bool) {
-	order, ok := g.TopoSort()
-	if !ok {
-		return 0, false
-	}
-	dist := make([]int, g.NumNodes())
-	best := 0
-	for _, v := range order {
-		for _, e := range g.out[v] {
-			if dist[v]+1 > dist[e.To] {
-				dist[e.To] = dist[v] + 1
-			}
-			if dist[e.To] > best {
-				best = dist[e.To]
-			}
-		}
-	}
-	return best, true
 }
 
 // SCC computes strongly connected components with Tarjan's algorithm and

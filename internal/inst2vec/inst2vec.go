@@ -13,7 +13,6 @@ package inst2vec
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"mvpar/internal/cu"
 	"mvpar/internal/ir"
@@ -273,49 +272,6 @@ func (e *Embedding) CUVector(c *cu.CU) []float64 {
 	inv := 1 / float64(len(c.Instrs))
 	for i := range out {
 		out[i] *= inv
-	}
-	return out
-}
-
-// Similarity returns the cosine similarity between two tokens' vectors.
-func (e *Embedding) Similarity(a, b string) float64 {
-	va, vb := e.Vector(a), e.Vector(b)
-	return cosine(va, vb)
-}
-
-func cosine(a, b []float64) float64 {
-	dot, na, nb := 0.0, 0.0, 0.0
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
-// Nearest returns the n tokens most similar to the given token.
-func (e *Embedding) Nearest(token string, n int) []string {
-	type scored struct {
-		tok string
-		sim float64
-	}
-	var all []scored
-	for _, other := range e.Vocab.List {
-		if other == token {
-			continue
-		}
-		all = append(all, scored{other, e.Similarity(token, other)})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].sim > all[j].sim })
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].tok
 	}
 	return out
 }

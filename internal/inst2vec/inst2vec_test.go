@@ -127,15 +127,30 @@ func TestContextualSimilarity(t *testing.T) {
 	// neighbours) should be closer than structurally unrelated tokens
 	// (element load vs loop.end).
 	emb := inst2vec.Train(corpus(t), inst2vec.Config{Dim: 16, Window: 2, Negatives: 4, Epochs: 20, LR: 0.05, Seed: 3})
-	simArith := emb.Similarity("load double elem", "mul double")
-	simCtl := emb.Similarity("load double elem", "ret")
+	simArith := similarity(emb, "load double elem", "mul double")
+	simCtl := similarity(emb, "load double elem", "ret")
 	if simArith <= simCtl {
 		t.Logf("warning: contextual geometry weak (arith %v vs ctl %v)", simArith, simCtl)
 	}
-	// At minimum the similarity function must be sane.
-	if s := emb.Similarity("mul double", "mul double"); math.Abs(s-1) > 1e-9 {
+	// At minimum a trained token's vector must be nonzero.
+	if s := similarity(emb, "mul double", "mul double"); math.Abs(s-1) > 1e-9 {
 		t.Fatalf("self-similarity = %v", s)
 	}
+}
+
+// similarity is the cosine similarity between two tokens' vectors.
+func similarity(e *inst2vec.Embedding, a, b string) float64 {
+	va, vb := e.Vector(a), e.Vector(b)
+	dot, na, nb := 0.0, 0.0, 0.0
+	for i := range va {
+		dot += va[i] * vb[i]
+		na += va[i] * va[i]
+		nb += vb[i] * vb[i]
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / math.Sqrt(na*nb)
 }
 
 func TestCUVectorAveragesInstrs(t *testing.T) {
@@ -155,19 +170,6 @@ func TestCUVectorAveragesInstrs(t *testing.T) {
 		}
 		if !nonzero {
 			t.Fatalf("CU %d embeds to zero", c.StmtID)
-		}
-	}
-}
-
-func TestNearestReturnsRequestedCount(t *testing.T) {
-	emb := inst2vec.Train(corpus(t), inst2vec.DefaultConfig)
-	near := emb.Nearest("add i64", 3)
-	if len(near) != 3 {
-		t.Fatalf("nearest = %v", near)
-	}
-	for _, n := range near {
-		if n == "add i64" {
-			t.Fatal("token is its own neighbour")
 		}
 	}
 }

@@ -456,9 +456,6 @@ func (it *Interp) trace(addr uint64, write bool, in *ir.Instr) {
 	it.tracer.Access(a)
 }
 
-// Mem returns the current value at addr; testing hook.
-func (it *Interp) Mem(addr uint64) float64 { return it.mem[addr] }
-
 // GlobalValue returns element i of global name after a Run.
 func (it *Interp) GlobalValue(name string, i int) (float64, error) {
 	for g := len(it.prog.Globals) - 1; g >= 0; g-- {

@@ -288,6 +288,17 @@ void main() {
 	}
 }
 
+// TestBlockLocalShadowingGlobalRenamed: a block-scoped local that
+// shadows a global must not capture the global's name once its block
+// ends.
+func TestBlockLocalShadowingGlobalRenamed(t *testing.T) {
+	p := lower(t, `int x; int y; void main() { if (1 > 0) { int x; x = 5; } x = 2; y = x; }`)
+	it := run(t, p)
+	if gx, gy := globalVal(t, it, "x", 0), globalVal(t, it, "y", 0); gx != 2 || gy != 2 {
+		t.Fatalf("after the block, x = %v, y = %v; want 2, 2", gx, gy)
+	}
+}
+
 func TestGlobalInitNonConstRejected(t *testing.T) {
 	prog, err := minic.Parse("t", "int f() { return 1; } int x = f();")
 	if err != nil {
@@ -407,7 +418,13 @@ void main() {
     for (int i = 0; i < 2; i++) { a[i] += 1.0; }
 }
 `)
-	dump := ir.Dump(p)
+	var b strings.Builder
+	for _, f := range p.Funcs {
+		for _, in := range f.Code {
+			b.WriteString(ir.InstrString(in) + "\n")
+		}
+	}
+	dump := b.String()
 	for _, want := range []string{"store double a[r", "call g(", "loop.begin", "loop.next", "loop.end", "cbr r", "const i64"} {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("dump missing %q:\n%s", want, dump)

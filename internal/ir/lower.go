@@ -183,7 +183,7 @@ func (lw *lowerer) popScope()  { lw.scopes = lw.scopes[:len(lw.scopes)-1] }
 
 func (lw *lowerer) declareLocal(d *minic.VarDecl) string {
 	name := d.Name
-	if lw.lookup(d.Name) != "" || lw.localExists(d.Name) {
+	if lw.lookup(d.Name) != "" || lw.localExists(d.Name) || lw.isGlobal(d.Name) {
 		lw.renameSeq++
 		name = fmt.Sprintf("%s.%d", d.Name, lw.renameSeq)
 	}
@@ -200,6 +200,18 @@ func (lw *lowerer) localExists(name string) bool {
 	}
 	for _, v := range lw.fn.Params {
 		if v.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// isGlobal reports whether name is a global of the program. A local that
+// shadows one is renamed like a local that shadows a local, so that once
+// its block ends the source name resolves to the global again.
+func (lw *lowerer) isGlobal(name string) bool {
+	for _, g := range lw.prog.Globals {
+		if g.Name == name {
 			return true
 		}
 	}

@@ -56,18 +56,3 @@ func InstrString(in Instr) string {
 		return fmt.Sprintf("r%d = %s %s r%d, r%d", in.Dst, in.Op, ty, in.A, in.B)
 	}
 }
-
-// Dump renders a whole program for debugging.
-func Dump(p *Program) string {
-	var b strings.Builder
-	for _, g := range p.Globals {
-		fmt.Fprintf(&b, "global %s %s %v\n", g.Type, g.Name, g.Dims)
-	}
-	for _, f := range p.Funcs {
-		fmt.Fprintf(&b, "\nfunc %s(%d params, %d regs):\n", f.Name, len(f.Params), f.NumRegs)
-		for i, in := range f.Code {
-			fmt.Fprintf(&b, "%4d: %s\n", i, InstrString(in))
-		}
-	}
-	return b.String()
-}

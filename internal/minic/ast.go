@@ -52,15 +52,6 @@ type VarDecl struct {
 // IsArray reports whether the declaration is an array.
 func (v *VarDecl) IsArray() bool { return len(v.Dims) > 0 }
 
-// TotalSize returns the number of elements (1 for scalars).
-func (v *VarDecl) TotalSize() int {
-	n := 1
-	for _, d := range v.Dims {
-		n *= d
-	}
-	return n
-}
-
 // FuncDecl declares a function.
 type FuncDecl struct {
 	Name   string

@@ -86,7 +86,7 @@ func TestParseSampleProgram(t *testing.T) {
 		t.Fatalf("funcs = %d, want 3", len(prog.Funcs))
 	}
 	a := prog.Globals[0]
-	if a.Name != "A" || len(a.Dims) != 2 || a.Dims[0] != 16 || a.TotalSize() != 256 {
+	if a.Name != "A" || len(a.Dims) != 2 || a.Dims[0] != 16 || a.Dims[0]*a.Dims[1] != 256 {
 		t.Fatalf("global A = %+v", a)
 	}
 	if prog.Func("fib") == nil || prog.Func("nonexistent") != nil {

@@ -56,48 +56,6 @@ func TestMaxPoolForward(t *testing.T) {
 	}
 }
 
-func TestDropoutModes(t *testing.T) {
-	rng := NewRNG(4)
-	x := tensor.FromRows([][]float64{{1, 1, 1, 1, 1, 1, 1, 1}})
-	d := NewDropout(0.5, rng)
-	d.Train = false
-	if out := d.Forward(x); !tensor.ApproxEqual(out, x, 0) {
-		t.Fatal("eval-mode dropout must be identity")
-	}
-	d.Train = true
-	out := d.Forward(x)
-	zeros, scaled := 0, 0
-	for _, v := range out.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			scaled++
-		default:
-			t.Fatalf("dropout output value %v, want 0 or 2", v)
-		}
-	}
-	if zeros+scaled != 8 {
-		t.Fatal("dropout produced unexpected values")
-	}
-	// Backward uses the same mask.
-	g := d.Backward(x)
-	for i := range g.Data {
-		if (out.Data[i] == 0) != (g.Data[i] == 0) {
-			t.Fatal("dropout backward mask differs from forward")
-		}
-	}
-}
-
-func TestDropoutZeroProbability(t *testing.T) {
-	rng := NewRNG(5)
-	d := NewDropout(0, rng)
-	x := tensor.FromRows([][]float64{{3, 4}})
-	if out := d.Forward(x); !tensor.ApproxEqual(out, x, 0) {
-		t.Fatal("p=0 dropout must be identity")
-	}
-}
-
 func TestPredictArgmax(t *testing.T) {
 	logits := tensor.FromRows([][]float64{{0.1, 0.9}, {5, -5}, {2, 2}})
 	got := Predict(logits)
@@ -113,20 +71,6 @@ func TestSoftmaxCELossValue(t *testing.T) {
 	loss, _ := l.Loss(logits, []int{0})
 	if math.Abs(loss-math.Log(2)) > 1e-12 {
 		t.Fatalf("loss = %v, want ln2", loss)
-	}
-}
-
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	// Minimize 0.5*||w - target||^2 by feeding grad = w - target.
-	p := NewParam("w", tensor.FromRows([][]float64{{5, -3}}))
-	target := tensor.FromRows([][]float64{{1, 2}})
-	opt := NewSGD(0.2, 0.5)
-	for i := 0; i < 200; i++ {
-		p.Grad = tensor.Sub(p.Value, target)
-		opt.Step([]*Param{p})
-	}
-	if !tensor.ApproxEqual(p.Value, target, 1e-6) {
-		t.Fatalf("SGD did not converge: %v", p.Value)
 	}
 }
 

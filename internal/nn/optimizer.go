@@ -6,49 +6,6 @@ import (
 	"mvpar/internal/tensor"
 )
 
-// SGD is stochastic gradient descent with optional momentum and L2 weight
-// decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity map[*Param]*tensor.Matrix
-}
-
-// NewSGD creates an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: map[*Param]*tensor.Matrix{}}
-}
-
-// Step applies one SGD update to every parameter and zeroes the gradients.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		g := p.Grad
-		if s.WeightDecay != 0 {
-			for i := range g.Data {
-				g.Data[i] += s.WeightDecay * p.Value.Data[i]
-			}
-		}
-		if s.Momentum != 0 {
-			v := s.velocity[p]
-			if v == nil {
-				v = tensor.New(g.Rows, g.Cols)
-				s.velocity[p] = v
-			}
-			for i := range v.Data {
-				v.Data[i] = s.Momentum*v.Data[i] + g.Data[i]
-				p.Value.Data[i] -= s.LR * v.Data[i]
-			}
-		} else {
-			// x - lr·g == x + (-lr)·g bit for bit (IEEE negation is exact).
-			tensor.AddScaledInto(p.Value, p.Value, g, -s.LR)
-		}
-		p.Bump()
-		p.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR          float64

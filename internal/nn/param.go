@@ -1,7 +1,7 @@
 // Package nn implements the neural-network building blocks used by the
 // DGCNN/MV-GNN models and the NCC baseline: dense layers, activations,
-// dropout, 1-D convolution, max pooling, an LSTM, softmax cross-entropy,
-// and SGD/Adam optimizers. Every layer performs manual backpropagation:
+// 1-D convolution, max pooling, an LSTM, softmax cross-entropy and the
+// Adam optimizer. Every layer performs manual backpropagation:
 // Forward caches what Backward needs, Backward accumulates parameter
 // gradients and returns the gradient with respect to the layer input.
 //

@@ -225,10 +225,6 @@ func (r *Registry) Info(name string) []LabelPair {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry every package-level helper
-// operates on.
-func Default() *Registry { return defaultRegistry }
-
 // Counter returns (creating if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()

@@ -68,23 +68,15 @@ func chromeTracks(spans []SpanData) map[uint64]uint64 {
 	return track
 }
 
-// WriteChromeTrace writes the trace in Chrome trace_event JSON (an array
-// of "X" complete events), loadable in chrome://tracing and Perfetto.
-// Span attributes become event args; the trace ID and parent span ride
-// along as args too, so the span tree stays reconstructible.
-func (t *Trace) WriteChromeTrace(w io.Writer) error {
-	return writeChromeTraces(w, []*Trace{t})
-}
-
-// WriteChromeTraces merges several traces into one trace_event document,
-// one pid per trace, so a ring of slow requests loads as side-by-side
-// process tracks. Start offsets are rebased onto a shared origin (the
-// earliest trace's start) to preserve relative arrival times.
+// WriteChromeTraces writes traces as one Chrome trace_event JSON
+// document (an array of "X" complete events), loadable in
+// chrome://tracing and Perfetto. Each trace gets its own pid, so a ring
+// of slow requests loads as side-by-side process tracks. Start offsets
+// are rebased onto a shared origin (the earliest trace's start) to
+// preserve relative arrival times. Span attributes become event args;
+// the trace ID and parent span ride along as args too, so the span tree
+// stays reconstructible.
 func WriteChromeTraces(w io.Writer, traces []*Trace) error {
-	return writeChromeTraces(w, traces)
-}
-
-func writeChromeTraces(w io.Writer, traces []*Trace) error {
 	var origin time.Time
 	for i, tr := range traces {
 		if i == 0 || tr.Start().Before(origin) {

@@ -17,7 +17,7 @@
 // benchgate).
 //
 // Finished traces export as JSONL (one span per line, WriteJSONL) or as
-// Chrome trace_event JSON (WriteChromeTrace) loadable in chrome://tracing
+// Chrome trace_event JSON (WriteChromeTraces) loadable in chrome://tracing
 // and Perfetto. The serving layer retains slow requests' traces in a
 // bounded Ring served at /debug/traces; see docs/observability.md.
 package trace
@@ -110,14 +110,6 @@ func New(ctx context.Context, name string) (context.Context, *Trace) {
 	tr.root = root
 	tr.nodes = append(tr.nodes, root)
 	return context.WithValue(ctx, ctxKey{}, root), tr
-}
-
-// FromContext returns the trace riding ctx, or nil.
-func FromContext(ctx context.Context) *Trace {
-	if n, _ := ctx.Value(ctxKey{}).(*node); n != nil {
-		return n.tr
-	}
-	return nil
 }
 
 // StartSpan begins timing the stage name. When ctx carries a trace, the

@@ -74,9 +74,6 @@ func TestUntracedContextIsFree(t *testing.T) {
 		if c2 != ctx {
 			t.Fatal("untraced StartSpan must return the input context")
 		}
-		if FromContext(c2) != nil {
-			t.Fatal("untraced context carries a trace")
-		}
 	})
 	if allocs != 0 {
 		t.Fatalf("untraced path allocates %.1f allocs/op, want 0", allocs)
@@ -194,7 +191,7 @@ func TestExporters(t *testing.T) {
 	}
 
 	var chrome bytes.Buffer
-	if err := tr.WriteChromeTrace(&chrome); err != nil {
+	if err := WriteChromeTraces(&chrome, []*Trace{tr}); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any

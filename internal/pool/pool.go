@@ -8,8 +8,8 @@
 // index order no matter how jobs interleave; workers claim indices from a
 // shared counter in increasing order, so after a failure the lowest-index
 // error — the one the serial loop would have hit first — is the one
-// returned. Workers == 1 runs every job inline on the caller's goroutine
-// with no channels or goroutines at all: the exact legacy serial path.
+// returned. The caller is always worker 0, so Workers == 1 runs every job
+// inline on the caller's goroutine with no channels or goroutines at all.
 //
 // Panics inside jobs are converted to errors through the same
 // faults.Capture boundary the ingestion pipeline uses, so one poisoned
@@ -19,6 +19,7 @@ package pool
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -32,12 +33,12 @@ import (
 type Config struct {
 	// Workers is the maximum number of concurrent jobs. <= 0 uses
 	// DefaultParallelism(); 1 runs every job inline on the caller's
-	// goroutine in index order — the exact legacy serial path.
+	// goroutine in index order.
 	Workers int
 	// Ctx, when non-nil, cancels the fan-out: no new jobs start once the
-	// context is done and Map returns ctx.Err(). Jobs already in flight
-	// run to completion (they receive the same ctx through their closures
-	// if they want to abort mid-job).
+	// context is done and Map returns the context's error (see
+	// MapWorker). Jobs already in flight run to completion (they receive
+	// the same ctx through their closures if they want to abort mid-job).
 	Ctx context.Context
 }
 
@@ -74,7 +75,9 @@ func Map[T any](cfg Config, n int, fn func(i int) (T, error)) ([]T, error) {
 // MapWorker is Map with the worker index (0 <= worker < effective worker
 // count) passed to fn, so callers can keep per-worker state — model
 // replicas, gradient buffers — without locking. Each worker processes its
-// jobs sequentially.
+// jobs sequentially. The caller runs as worker 0 and workers-1
+// goroutines join it, so a one-worker fan-out starts no goroutine and
+// runs every job in index order on the caller's goroutine.
 //
 // Error semantics: the first failing job stops the scheduling of jobs with
 // higher indices; jobs already claimed run to completion. Because indices
@@ -83,9 +86,10 @@ func Map[T any](cfg Config, n int, fn func(i int) (T, error)) ([]T, error) {
 // the error the serial loop would have hit first. Panics are recovered via
 // faults.Capture and surface as *faults.PanicError.
 //
-// Cancellation wins over job errors: when cfg.Ctx is done, MapWorker
-// returns ctx.Err() regardless of job outcomes, matching the serial
-// loops' per-iteration ctx checks.
+// Cancellation: once cfg.Ctx is done no further job starts. MapWorker
+// then returns the lowest-index job error if it wraps ctx.Err() (a job
+// that saw the deadline and named its stage), and ctx.Err() otherwise,
+// so the error is the same at every worker count.
 func MapWorker[T any](cfg Config, n int, fn func(worker, i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
@@ -103,103 +107,112 @@ func MapWorker[T any](cfg Config, n int, fn func(worker, i int) (T, error)) ([]T
 	obs.GetGauge("mvpar_pool_workers").Set(float64(workers))
 
 	if workers == 1 {
-		// Inline serial path: no goroutines, jobs in index order, first
-		// error returned immediately — bit-identical to the pre-pool loops.
-		completed := 0
-		var ferr error
-		for i := 0; i < n && ferr == nil; i++ {
-			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-				finish(workers, completed, start, time.Since(start))
-				return results, cfg.Ctx.Err()
-			}
-			i := i
-			err := faults.Capture(func() error {
-				v, e := fn(0, i)
-				results[i] = v
-				return e
-			})
-			if err != nil {
-				ferr = err
-				break
-			}
-			completed++
-		}
-		finish(workers, completed, start, time.Since(start))
-		return results, ferr
+		// Nothing shares the state, so it stays on this stack and a
+		// one-worker fan-out allocates nothing beyond its results.
+		var f fanout[T]
+		f.init(cfg.Ctx, fn, results)
+		return results, f.finish(1, start, f.work(0))
 	}
-
-	var (
-		next      atomic.Int64
-		failedMin atomic.Int64
-		completed atomic.Int64
-		busyNanos atomic.Int64
-		wg        sync.WaitGroup
-		errs      = make([]error, n)
-	)
-	failedMin.Store(int64(n)) // sentinel: no failure yet
-	for w := 0; w < workers; w++ {
+	f := new(fanout[T])
+	f.init(cfg.Ctx, fn, results)
+	failures := make([]jobError, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-					return
-				}
-				// Fail-fast: never start a job above a known failure (jobs
-				// below it must still run so the minimum is exact).
-				if int64(i) > failedMin.Load() {
-					return
-				}
-				jobStart := time.Now()
-				err := faults.Capture(func() error {
-					v, e := fn(w, i)
-					results[i] = v
-					return e
-				})
-				busyNanos.Add(int64(time.Since(jobStart)))
-				if err != nil {
-					errs[i] = err
-					// Lower the failure watermark to this index.
-					for {
-						cur := failedMin.Load()
-						if cur <= int64(i) || failedMin.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-				} else {
-					completed.Add(1)
-				}
-			}
+			failures[w] = f.work(w)
 		}(w)
 	}
+	failures[0] = f.work(0)
 	wg.Wait()
-	finish(workers, int(completed.Load()), start, time.Duration(busyNanos.Load()))
-	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-		return results, cfg.Ctx.Err()
+	low := failures[0]
+	for _, fe := range failures[1:] {
+		if fe.err != nil && (low.err == nil || fe.i < low.i) {
+			low = fe
+		}
 	}
-	if fm := failedMin.Load(); fm < int64(n) {
-		return results, errs[fm]
-	}
-	return results, nil
+	return results, f.finish(workers, start, low)
 }
 
-// finish publishes one fan-out's pool metrics: completed job count, wall
-// time, and the busy/capacity utilization ratio.
-func finish(workers, completed int, start time.Time, busy time.Duration) {
+// fanout is the state the workers of one MapWorker call share. It holds
+// no lock: a worker keeps its own failure, so a one-worker fan-out can
+// keep the state on the caller's stack.
+type fanout[T any] struct {
+	ctx     context.Context
+	fn      func(worker, i int) (T, error)
+	results []T
+
+	next      atomic.Int64 // the next job index to claim
+	failedMin atomic.Int64 // the lowest failed index, len(results) if none
+	completed atomic.Int64
+	busyNanos atomic.Int64
+}
+
+// jobError is a failed job's index and error; the zero value is no
+// failure.
+type jobError struct {
+	i   int64
+	err error
+}
+
+// init points f at one fan-out's inputs; no job has failed yet.
+func (f *fanout[T]) init(ctx context.Context, fn func(worker, i int) (T, error), results []T) {
+	f.ctx, f.fn, f.results = ctx, fn, results
+	f.failedMin.Store(int64(len(results)))
+}
+
+// work is the scheduling loop every worker runs: claim the next index
+// and run its job, until none is left, the context is done, a lower
+// index has failed (jobs below a failure still run, so the minimum is
+// exact) or this worker's job fails. It returns that failure.
+func (f *fanout[T]) work(w int) jobError {
+	n := int64(len(f.results))
+	for {
+		i := f.next.Add(1) - 1
+		if i >= n || (f.ctx != nil && f.ctx.Err() != nil) || i > f.failedMin.Load() {
+			return jobError{}
+		}
+		jobStart := time.Now()
+		err := faults.Capture(func() error {
+			v, e := f.fn(w, int(i))
+			f.results[i] = v
+			return e
+		})
+		f.busyNanos.Add(int64(time.Since(jobStart)))
+		if err != nil {
+			// Every index this worker could claim next is higher.
+			for {
+				low := f.failedMin.Load()
+				if low <= i || f.failedMin.CompareAndSwap(low, i) {
+					return jobError{i: i, err: err}
+				}
+			}
+		}
+		f.completed.Add(1)
+	}
+}
+
+// finish publishes the fan-out's pool metrics (completed job count, wall
+// time, and the busy/capacity utilization ratio) and returns its error.
+// With the context done that is the lowest-index failure if it wraps
+// the context's error, else the context's error; otherwise it is the
+// lowest-index failure.
+func (f *fanout[T]) finish(workers int, start time.Time, low jobError) error {
 	wall := time.Since(start)
-	obs.GetCounter("mvpar_pool_jobs_total").Add(int64(completed))
+	obs.GetCounter("mvpar_pool_jobs_total").Add(f.completed.Load())
 	obs.GetHistogram("mvpar_pool_fanout_seconds").Observe(wall.Seconds())
-	if wall > 0 && workers > 0 {
-		util := busy.Seconds() / (wall.Seconds() * float64(workers))
+	if wall > 0 {
+		util := time.Duration(f.busyNanos.Load()).Seconds() / (wall.Seconds() * float64(workers))
 		if util > 1 {
 			util = 1
 		}
 		obs.GetGauge("mvpar_pool_utilization_ratio").Set(util)
 	}
+	if f.ctx != nil && f.ctx.Err() != nil && (low.err == nil || !errors.Is(low.err, f.ctx.Err())) {
+		return f.ctx.Err()
+	}
+	return low.err
 }
 
 // ---- shared executor for fine-grained data parallelism ----

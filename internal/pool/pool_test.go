@@ -131,6 +131,26 @@ func TestMapCancellation(t *testing.T) {
 	}
 }
 
+// TestMapCancellationKeepsJobError checks that when the context ends, a
+// lowest-index job error that wraps the context's error is returned as
+// it is (it names where the deadline hit), at every worker count.
+func TestMapCancellationKeepsJobError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err := Map(Config{Workers: workers, Ctx: ctx}, 8, func(i int) (int, error) {
+			if i == 2 {
+				<-ctx.Done()
+				return 0, fmt.Errorf("job 2: %w", ctx.Err())
+			}
+			return i, nil
+		})
+		cancel()
+		if err == nil || err.Error() != "job 2: context deadline exceeded" {
+			t.Fatalf("workers=%d: got %v, want job 2's error", workers, err)
+		}
+	}
+}
+
 // TestMapFailFastSkips checks jobs above a failure stop being scheduled
 // while everything below it still runs (the min-index guarantee).
 func TestMapFailFastSkips(t *testing.T) {

@@ -241,23 +241,3 @@ func (d *IterationDAG) Simulate(threads int) Result {
 	}
 	return Result{Threads: threads, SerialTime: serial, ParallelTime: makespan, Speedup: speedup}
 }
-
-// CriticalPath returns the DAG's critical-path work: the longest chain of
-// dependent iterations, the limit of any schedule's makespan.
-func (d *IterationDAG) CriticalPath() int64 {
-	longest := make([]int64, d.Iterations)
-	best := int64(0)
-	for i := 0; i < d.Iterations; i++ { // Preds reference lower indices only
-		l := int64(0)
-		for _, p := range d.Preds[i] {
-			if longest[p] > l {
-				l = longest[p]
-			}
-		}
-		longest[i] = l + d.Work[i]
-		if longest[i] > best {
-			best = longest[i]
-		}
-	}
-	return best
-}

@@ -64,7 +64,7 @@ void main() {
 	if r.Speedup > 1.05 {
 		t.Fatalf("recurrence speedup = %v, want ~1 (fully serial)", r.Speedup)
 	}
-	if cp := dag.CriticalPath(); cp != r.ParallelTime {
+	if cp := criticalPath(dag); cp != r.ParallelTime {
 		t.Fatalf("critical path %d != serial makespan %d for a pure chain", cp, r.ParallelTime)
 	}
 }
@@ -130,7 +130,7 @@ void main() { for (int i = 2; i < 16; i++) { a[i] = a[i - 2] + 1.0; } }
 		for _, w := range dag.Work {
 			serial += w
 		}
-		bound := float64(serial) / float64(dag.CriticalPath())
+		bound := float64(serial) / float64(criticalPath(dag))
 		r := dag.Simulate(16)
 		if r.Speedup > bound+1e-9 {
 			t.Fatalf("speedup %v exceeds work/critical-path bound %v", r.Speedup, bound)
@@ -201,4 +201,24 @@ void main() { a[0] = 1.0; for (int i = 1; i < 32; i++) { a[i] = a[i - 1] * 0.5 +
 		t.Fatalf("simulation does not separate DoALL (%v) from recurrence (%v)",
 			simOf(doall), simOf(rec))
 	}
+}
+
+// criticalPath returns the DAG's critical-path work: the longest chain of
+// dependent iterations, the limit of any schedule's makespan.
+func criticalPath(d *sched.IterationDAG) int64 {
+	longest := make([]int64, d.Iterations)
+	best := int64(0)
+	for i := 0; i < d.Iterations; i++ { // Preds reference lower indices only
+		l := int64(0)
+		for _, p := range d.Preds[i] {
+			if longest[p] > l {
+				l = longest[p]
+			}
+		}
+		longest[i] = l + d.Work[i]
+		if longest[i] > best {
+			best = longest[i]
+		}
+	}
+	return best
 }

@@ -163,13 +163,13 @@ func TestServerRealWarmupAndOracle(t *testing.T) {
 		defer cancel()
 		s.Shutdown(ctx)
 	}()
-	if s.Ready() {
+	if s.ready.Load() {
 		t.Fatal("server ready before warmup")
 	}
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
-	if !s.Ready() {
+	if !s.ready.Load() {
 		t.Fatal("server not ready after warmup")
 	}
 	hresp, err := http.Get(ts.URL + "/healthz")

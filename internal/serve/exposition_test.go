@@ -46,7 +46,7 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var b strings.Builder
-	if err := obs.Default().WritePrometheus(&b); err != nil {
+	if err := obs.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -220,7 +220,7 @@ func (s *Server) writeResult(w http.ResponseWriter, name string, res outcome, tr
 		// The panicking request dies with a reasoned 500, the process
 		// and every other request live on.
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{
-			Error:   "classification panicked; request quarantined",
+			Error:   "classification panicked",
 			Reasons: append([]string{pe.Error()}, stage...),
 		})
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),

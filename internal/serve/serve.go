@@ -283,9 +283,6 @@ func (s *Server) Warmup(ctx context.Context) error {
 	return nil
 }
 
-// Ready reports whether the warm-up classification has passed.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // ReloadResult reports a successful hot swap.
 type ReloadResult struct {
 	Generation  uint64        `json:"generation"`

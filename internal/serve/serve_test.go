@@ -352,8 +352,8 @@ func TestServerCapturesPanics(t *testing.T) {
 	if code != http.StatusInternalServerError {
 		t.Fatalf("panicking request = %d, want 500", code)
 	}
-	if !strings.Contains(errResp.Error, "quarantined") {
-		t.Fatalf("500 body = %+v, want quarantine-style reason", errResp)
+	if errResp.Error != "classification panicked" {
+		t.Fatalf("500 body = %+v, want the panic named", errResp)
 	}
 	var foundCause, foundStage bool
 	for _, r := range errResp.Reasons {

@@ -110,20 +110,6 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 		t.Fatal("in-place ApplyInto wrong")
 	}
 
-	d := Randn(5, 7, 1, rng)
-	sum := New(5, 7)
-	AddScaledInto(sum, a, d, -0.5)
-	want := Add(a, Scale(d, -0.5))
-	if !ApproxEqual(sum, want, 0) {
-		t.Fatal("AddScaledInto differs from Add+Scale")
-	}
-	// Aliased axpy: c == a.
-	acc := a.Clone()
-	AddScaledInto(acc, acc, d, -0.5)
-	if !ApproxEqual(acc, want, 0) {
-		t.Fatal("aliased AddScaledInto wrong")
-	}
-
 	v := Randn(1, 7, 1, rng)
 	rv := New(5, 7)
 	AddRowVecInto(a, v, rv)
@@ -168,15 +154,11 @@ func TestIntoKernelsRejectFromSliceAliasing(t *testing.T) {
 			bad()
 		}()
 	}
-	// ApplyInto and AddScaledInto explicitly allow aliasing over FromSlice
-	// views of the same storage.
+	// ApplyInto explicitly allows aliasing over FromSlice views of the
+	// same storage.
 	ApplyInto(a, func(v float64) float64 { return v + 1 }, alias)
 	if data[0] != 1 {
 		t.Fatal("aliased ApplyInto did not write through")
-	}
-	AddScaledInto(alias, a, a, 1)
-	if data[0] != 2 {
-		t.Fatal("aliased AddScaledInto did not write through")
 	}
 }
 
@@ -186,7 +168,6 @@ func TestIntoKernelsEmptyMatrices(t *testing.T) {
 	MatMulInto(New(2, 0), New(0, 3), New(2, 3))
 	TransposeInto(New(0, 4), New(4, 0))
 	ApplyInto(New(0, 0), func(v float64) float64 { return v }, New(0, 0))
-	AddScaledInto(New(0, 2), New(0, 2), New(0, 2), 2)
 	SumRowsInto(New(0, 3), New(1, 3))
 	idx := make([]int, 0)
 	ArgsortInto(nil, idx, idx)

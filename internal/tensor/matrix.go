@@ -130,16 +130,6 @@ func Sub(a, b *Matrix) *Matrix {
 	return c
 }
 
-// Hadamard returns the elementwise product a ⊙ b.
-func Hadamard(a, b *Matrix) *Matrix {
-	assertSameShape("Hadamard", a, b)
-	c := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		c.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return c
-}
-
 // Scale returns s * a.
 func Scale(a *Matrix, s float64) *Matrix {
 	c := New(a.Rows, a.Cols)
@@ -211,16 +201,6 @@ func TransposeInto(a, c *Matrix) {
 	}
 }
 
-// AddScaledInto computes c = a + s·b elementwise, overwriting c. c may
-// alias a or b (axpy-style updates run in place).
-func AddScaledInto(c, a, b *Matrix, s float64) {
-	assertSameShape("AddScaledInto", a, b)
-	assertSameShape("AddScaledInto", a, c)
-	for i := range a.Data {
-		c.Data[i] = a.Data[i] + s*b.Data[i]
-	}
-}
-
 // AddRowVec adds the 1 x Cols row vector v to every row of a.
 func AddRowVec(a, v *Matrix) *Matrix {
 	c := New(a.Rows, a.Cols)
@@ -275,17 +255,6 @@ func (m *Matrix) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty matrices).
-func (m *Matrix) MaxAbs() float64 {
-	best := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > best {
-			best = a
-		}
-	}
-	return best
 }
 
 // Norm2 returns the Frobenius norm.
@@ -401,17 +370,6 @@ func MeanRow(a *Matrix) *Matrix {
 	return c
 }
 
-// Concat returns [a | b], the column-wise concatenation of equal-height
-// matrices (the ⊕ of the multi-view fusion, eq. 5 of the paper).
-func Concat(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: Concat row mismatch %d vs %d", a.Rows, b.Rows))
-	}
-	c := New(a.Rows, a.Cols+b.Cols)
-	ConcatInto(a, b, c)
-	return c
-}
-
 // ConcatInto computes c = [a | b], overwriting c. c must not alias a or b.
 func ConcatInto(a, b, c *Matrix) {
 	if a.Rows != b.Rows {
@@ -429,7 +387,7 @@ func ConcatInto(a, b, c *Matrix) {
 }
 
 // SplitCols splits a into the first nLeft columns and the rest, undoing
-// Concat; used to route fusion gradients back to each view.
+// ConcatInto; used to route fusion gradients back to each view.
 func SplitCols(a *Matrix, nLeft int) (*Matrix, *Matrix) {
 	if nLeft < 0 || nLeft > a.Cols {
 		panic(fmt.Sprintf("tensor: SplitCols(%d) of %d columns", nLeft, a.Cols))

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 
@@ -21,19 +20,11 @@ import (
 	"mvpar/internal/tensor"
 )
 
-// Anonymize maps each node of the walk to the index of its first
+// anonymizer maps each node of a walk to the index of its first
 // occurrence: (v3, v9, v3, v7) becomes (0, 1, 0, 2). Consecutive
 // duplicates (a walk parked on an isolated node) are compressed first, so
 // the result is always a legal anonymous walk of possibly shorter length.
-func Anonymize(walk []int) []int {
-	if len(walk) == 0 {
-		return nil
-	}
-	var a anonymizer
-	return a.anonymize(walk)
-}
-
-// anonymizer computes Anonymize into buffers it reuses across walks.
+// Its buffers are reused across walks.
 type anonymizer struct {
 	aw    []int // the anonymous walk
 	nodes []int // nodes[id] is the node first seen with that id
@@ -215,23 +206,4 @@ func (s *Space) nodeDistributions(g *graph.Directed, p Params, rng *rand.Rand, b
 // distribution p̂(ω|G) (eq. 4), returned as a 1 x NumTypes matrix.
 func (s *Space) GraphDistribution(nodeDist *tensor.Matrix) *tensor.Matrix {
 	return tensor.MeanRow(nodeDist)
-}
-
-// SampleBound returns the number of walk samples per node that suffices
-// for the empirical anonymous-walk distribution to be within eps of the
-// true distribution with probability 1-delta (Ivanov & Burnaev, eq. 6):
-//
-//	m >= ceil( (2/eps^2) * (ln(2^eta - 2) - ln(delta)) )
-//
-// where eta is the number of walk types. It quantifies the paper's choice
-// of γ: small graphs need surprisingly few samples.
-func (s *Space) SampleBound(eps, delta float64) int {
-	if eps <= 0 || delta <= 0 || delta >= 1 {
-		panic(fmt.Sprintf("walks: SampleBound(eps=%v, delta=%v) out of range", eps, delta))
-	}
-	eta := float64(s.NumTypes())
-	// ln(2^eta - 2) = eta*ln2 + ln(1 - 2^(1-eta)), finite for large eta.
-	ln2eta := eta*math.Ln2 + math.Log1p(-math.Pow(2, 1-eta))
-	m := (2 / (eps * eps)) * (ln2eta - math.Log(delta))
-	return int(math.Ceil(m))
 }

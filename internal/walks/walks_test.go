@@ -6,80 +6,10 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"mvpar/internal/graph"
 	"mvpar/internal/walks"
 )
-
-func TestAnonymizeBasic(t *testing.T) {
-	got := walks.Anonymize([]int{3, 9, 3, 7})
-	if !reflect.DeepEqual(got, []int{0, 1, 0, 2}) {
-		t.Fatalf("Anonymize = %v", got)
-	}
-	if got := walks.Anonymize(nil); got != nil {
-		t.Fatalf("Anonymize(nil) = %v", got)
-	}
-}
-
-func TestAnonymizeCompressesStutters(t *testing.T) {
-	got := walks.Anonymize([]int{5, 5, 5, 2, 2, 5})
-	if !reflect.DeepEqual(got, []int{0, 1, 0}) {
-		t.Fatalf("Anonymize stutter = %v", got)
-	}
-}
-
-// Property: anonymization is invariant under any relabeling of node IDs.
-func TestAnonymizeRelabelInvariance(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(10)
-		walkLen := 1 + rng.Intn(12)
-		w := make([]int, walkLen)
-		for i := range w {
-			w[i] = rng.Intn(n)
-		}
-		// Random permutation relabeling.
-		perm := rng.Perm(n)
-		relabeled := make([]int, walkLen)
-		for i, v := range w {
-			relabeled[i] = perm[v]
-		}
-		return reflect.DeepEqual(walks.Anonymize(w), walks.Anonymize(relabeled))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the anonymized walk starts at 0 and each new ID is exactly
-// one greater than the running maximum.
-func TestAnonymizeCanonicalForm(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		w := make([]int, 1+rng.Intn(15))
-		for i := range w {
-			w[i] = rng.Intn(6)
-		}
-		aw := walks.Anonymize(w)
-		if aw[0] != 0 {
-			return false
-		}
-		maxSeen := 0
-		for _, v := range aw {
-			if v > maxSeen+1 {
-				return false
-			}
-			if v > maxSeen {
-				maxSeen = v
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestSpaceEnumerationCounts(t *testing.T) {
 	// Exact-length counts are 1 (len 0), 1, 2, 5, 15, 52 — Bell numbers.
@@ -208,28 +138,6 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	if !reflect.DeepEqual(d1.Data, d2.Data) {
 		t.Fatal("distributions differ across identical seeds")
 	}
-}
-
-func TestSampleBound(t *testing.T) {
-	s := walks.NewSpace(5) // 76 types
-	m := s.SampleBound(0.1, 0.05)
-	// (2/0.01) * (76*ln2 - ln 0.05) ~ 200 * (52.7 + 3.0) ~ 11100.
-	if m < 10000 || m > 12500 {
-		t.Fatalf("SampleBound = %d, expected ~11000", m)
-	}
-	// Tighter eps needs more samples; looser fewer.
-	if s.SampleBound(0.05, 0.05) <= m {
-		t.Fatal("smaller eps must need more samples")
-	}
-	if s.SampleBound(0.5, 0.05) >= m {
-		t.Fatal("larger eps must need fewer samples")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for eps <= 0")
-		}
-	}()
-	s.SampleBound(0, 0.05)
 }
 
 func TestNodeDistributionsBudget(t *testing.T) {
