@@ -14,14 +14,14 @@ FUZZTIME ?= 30s
 
 # `make bench` output: machine-readable benchmark log (one JSON test
 # event per line, the `go test -json` format) and how long each
-# benchmark runs. BENCH_13.json is the checked-in snapshot for this
+# benchmark runs. BENCH_14.json is the checked-in snapshot for this
 # change; override BENCHJSON to benchmark without clobbering it.
-BENCHJSON ?= BENCH_13.json
+BENCHJSON ?= BENCH_14.json
 BENCHTIME ?= 1x
 
 # `make benchcmp` inputs: two bench logs to diff (ns/op and allocs/op).
-BENCHOLD ?= BENCH_12.json
-BENCHNEW ?= BENCH_13.json
+BENCHOLD ?= BENCH_13.json
+BENCHNEW ?= BENCH_14.json
 
 # `make benchgate` settings: which benchmarks the regression gate covers
 # (the allocation-sensitive hot paths), how many iterations to average
@@ -36,7 +36,7 @@ BENCHNEW ?= BENCH_13.json
 GATEBENCH ?= TrainStepAllocs|SpMM|ClassifyTracingDisabled|ForwardF32|ForwardI8|WalkSample|ProfileCorpus
 GATETIME ?= 5x
 GATETIMEPCT ?= -25
-BENCHBASE ?= BENCH_13.json
+BENCHBASE ?= BENCH_14.json
 BENCHPR ?= BENCH_PR.json
 
 all: verify

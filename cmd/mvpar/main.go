@@ -31,7 +31,6 @@ import (
 	"mvpar/internal/core"
 	"mvpar/internal/cu"
 	"mvpar/internal/dataset"
-	"mvpar/internal/deps"
 	"mvpar/internal/features"
 	"mvpar/internal/gnn"
 	"mvpar/internal/inst2vec"
@@ -186,7 +185,7 @@ func cmdOracle(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	prog, res, err := core.ProfileSourceContext(ctx, args[0], src)
+	_, prog, res, err := core.ProfileSourceContext(ctx, args[0], src)
 	if err != nil {
 		return err
 	}
@@ -215,7 +214,7 @@ func buildPEG(ctx context.Context, path string) (*peg.PEG, *ir.Program, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	prog, res, err := core.ProfileSourceContext(ctx, path, src)
+	_, prog, res, err := core.ProfileSourceContext(ctx, path, src)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -261,15 +260,7 @@ func cmdTools(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	ast, err := minic.Parse(args[0], src)
-	if err != nil {
-		return err
-	}
-	prog, err := ir.Lower(ast)
-	if err != nil {
-		return err
-	}
-	res, _, err := deps.Analyze(prog, "main", interp.Limits{Ctx: ctx})
+	ast, prog, res, err := core.ProfileSourceContext(ctx, args[0], src)
 	if err != nil {
 		return err
 	}
@@ -598,21 +589,13 @@ func cmdExplain(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	ast, err := minic.Parse(args[0], src)
-	if err != nil {
-		return err
-	}
-	prog, err := ir.Lower(ast)
+	ast, prog, res, err := core.ProfileSourceContext(ctx, args[0], src)
 	if err != nil {
 		return err
 	}
 	meta, ok := prog.Loops[loopID]
 	if !ok {
 		return fmt.Errorf("explain: no loop %d (have %v)", loopID, prog.LoopIDs())
-	}
-	res, _, err := deps.Analyze(prog, "main", interp.Limits{Ctx: ctx})
-	if err != nil {
-		return err
 	}
 	cus := cu.Build(prog)
 	p := peg.Build(prog, cus, res)

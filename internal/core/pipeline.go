@@ -218,23 +218,26 @@ func (p *Pipeline) LoadModel(r io.Reader) error {
 // the library's DiscoPoP-phase-1 entry point for users who want raw
 // dependences rather than model predictions.
 func ProfileSource(name, src string) (*ir.Program, *deps.Result, error) {
-	return ProfileSourceContext(context.Background(), name, src)
+	_, prog, res, err := ProfileSourceContext(context.Background(), name, src)
+	return prog, res, err
 }
 
-// ProfileSourceContext is ProfileSource with cancellation: a done ctx
-// aborts the instrumented execution at the interpreter's stride check.
-func ProfileSourceContext(ctx context.Context, name, src string) (*ir.Program, *deps.Result, error) {
+// ProfileSourceContext is ProfileSource with cancellation, which also
+// returns the parsed program for the static analyses that read the AST:
+// a done ctx aborts the instrumented execution at the interpreter's
+// stride check.
+func ProfileSourceContext(ctx context.Context, name, src string) (*minic.Program, *ir.Program, *deps.Result, error) {
 	ast, err := minic.Parse(name, src)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	prog, err := ir.Lower(ast)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	res, _, err := deps.Analyze(prog, "main", interp.Limits{Ctx: ctx})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return prog, res, nil
+	return ast, prog, res, nil
 }

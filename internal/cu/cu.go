@@ -81,7 +81,7 @@ func Build(prog *ir.Program) *Set {
 	for _, fn := range prog.Funcs {
 		for _, in := range fn.Code {
 			if inCU(in) {
-				maxStmt = max(maxStmt, in.StmtID)
+				maxStmt = max(maxStmt, int(in.StmtID))
 				total++
 			}
 		}
@@ -119,7 +119,7 @@ func Build(prog *ir.Program) *Set {
 		for _, in := range fn.Code {
 			switch in.Op {
 			case ir.OpLoopBegin:
-				loopStack = append(loopStack, in.LoopID)
+				loopStack = append(loopStack, int(in.LoopID))
 				continue
 			case ir.OpLoopEnd:
 				loopStack = loopStack[:len(loopStack)-1]
@@ -128,14 +128,15 @@ func Build(prog *ir.Program) *Set {
 			if !inCU(in) {
 				continue
 			}
-			c := s.ByStmt[in.StmtID]
+			stmt := int(in.StmtID)
+			c := s.ByStmt[stmt]
 			if c == nil {
-				n := int(s.pos[in.StmtID])
+				n := int(s.pos[stmt])
 				c = &units[len(s.CUs)]
 				*c = CU{
-					StmtID: in.StmtID,
+					StmtID: stmt,
 					Func:   fn.Name,
-					Line:   in.Line,
+					Line:   int(in.Line),
 					Instrs: instrs[:0:n],
 				}
 				instrs = instrs[n:]
@@ -145,7 +146,7 @@ func Build(prog *ir.Program) *Set {
 					paths = paths[d:]
 					c.LoopID = loopStack[d-1]
 				}
-				s.ByStmt[in.StmtID] = c
+				s.ByStmt[stmt] = c
 				s.CUs = append(s.CUs, c)
 			}
 			c.Instrs = append(c.Instrs, in)
@@ -161,20 +162,21 @@ func Build(prog *ir.Program) *Set {
 					c.Reduction = in.Red
 				}
 			case ir.OpCall:
+				callee := fn.Calls[in.Call].Callee
 				c.HasCall = true
-				c.Callees = appendUnique(c.Callees, in.Callee)
+				c.Callees = appendUnique(c.Callees, callee)
 				callees := s.Calls[fn.Name]
 				if callees == nil {
 					callees = map[string]bool{}
 					s.Calls[fn.Name] = callees
 				}
-				callees[in.Callee] = true
+				callees[callee] = true
 			}
-			if seen[in.StmtID] != int32(fi+1) {
-				seen[in.StmtID] = int32(fi + 1)
-				s.FuncStmts[fn.Name] = append(s.FuncStmts[fn.Name], in.StmtID)
+			if seen[stmt] != int32(fi+1) {
+				seen[stmt] = int32(fi + 1)
+				s.FuncStmts[fn.Name] = append(s.FuncStmts[fn.Name], stmt)
 				for _, l := range loopStack {
-					s.LoopStmts[l] = append(s.LoopStmts[l], in.StmtID)
+					s.LoopStmts[l] = append(s.LoopStmts[l], stmt)
 				}
 			}
 		}

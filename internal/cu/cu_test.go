@@ -48,7 +48,7 @@ func TestPartitionCoversAllStatements(t *testing.T) {
 			if in.StmtID == 0 {
 				continue
 			}
-			counts[in.StmtID]++
+			counts[int(in.StmtID)]++
 		}
 	}
 	for stmt, n := range counts {

@@ -26,6 +26,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -154,11 +155,11 @@ func (r *Result) indexEdges() {
 
 // accessRec is a snapshot of one dynamic access kept in shadow memory.
 type accessRec struct {
-	stmt    int
+	frames  []frameSnap // carved from Analyzer.arena, shared and immutable
+	exposed uint64      // bit i set: read not preceded by a same-iteration write of frames[i]
+	stmt    int32
 	red     ir.RedOp
 	array   bool
-	frames  []frameSnap // shared and immutable; see Analyzer.frames
-	exposed uint64      // bit i set: read not preceded by a same-iteration write of frames[i]
 }
 
 // exposedAt reports whether the read is exposed with respect to loop level
@@ -178,11 +179,20 @@ type frameSnap struct {
 type cell struct {
 	lastWrite accessRec // valid when written
 	written   bool
-	reads     []accessRec
+	// The reads since the last write, oldest first: nReads nodes of
+	// Analyzer.reads chained from head to tail.
+	head, tail, nReads int32
 	// ctrl holds the loops this address has been the control variable of;
 	// nonRed the loops in which it was accessed outside a reduction while
 	// not their control variable (which poisons a reduction on it).
 	ctrl, nonRed loopSet
+}
+
+// readNode is one read in a cell's chain: next is the index of the next
+// newer read of the chain, or of the next free node on the free list.
+type readNode struct {
+	rec  accessRec
+	next int32
 }
 
 // loopSet is a small set of loop IDs (statement IDs, well inside int32).
@@ -226,6 +236,40 @@ type shadowPage [1 << shadowPageBits]int32
 
 const shadowPageBits = 10
 
+// table is a growable array whose elements never move: chunk k holds
+// 1<<(k+tableChunkBits) elements, so a table of n elements costs about
+// log2(n) allocations, a small one pays only for a small first chunk,
+// and growing copies nothing.
+type table[T any] struct {
+	chunks [][]T
+	n      int32
+}
+
+const tableChunkBits = 5
+
+// at returns element i. With c = 1<<tableChunkBits, chunk k holds
+// elements c(2^k-1) up to c(2^(k+1)-1).
+func (t *table[T]) at(i int32) *T {
+	k := bits.Len32(uint32(i)>>tableChunkBits+1) - 1
+	return &t.chunks[k][int(i)+1<<tableChunkBits-1<<(k+tableChunkBits)]
+}
+
+// add appends a zero element and returns its index.
+func (t *table[T]) add() int32 {
+	if k := len(t.chunks); t.n == (1<<k-1)<<tableChunkBits {
+		t.chunks = append(t.chunks, make([]T, 1<<(k+tableChunkBits)))
+	}
+	t.n++
+	return t.n - 1
+}
+
+// Frame snapshots are carved from arena chunks of firstArenaFrames
+// frames, doubling up to maxArenaFrames.
+const (
+	firstArenaFrames = 32
+	maxArenaFrames   = 8192
+)
+
 // maxReadsPerCell bounds the reads kept between two writes of the same
 // address; beyond it the oldest are dropped (ring). With the corpus's
 // small kernels the cap is rarely reached, and any surviving cross-
@@ -240,13 +284,18 @@ const edgeMemoBits = 6
 
 // Analyzer implements interp.Tracer.
 type Analyzer struct {
-	// Shadow memory: cells holds one entry per touched address, found
-	// through pages[addr>>shadowPageBits]. A page is allocated when one
-	// of its addresses is first touched, so a large array with few
+	// Shadow memory: one cell per touched address, cell i found through
+	// pages[addr>>shadowPageBits] holding 1+i. A page is allocated when
+	// one of its addresses is first touched, so a large array with few
 	// touched elements costs a few pages and one pointer per page of
 	// address space, not a cell per element.
 	pages []*shadowPage
-	cells []cell
+	cells table[cell]
+
+	// reads is the slab every cell's read chain lives in; free heads the
+	// chain of unused nodes, -1 for none.
+	reads table[readNode]
+	free  int32
 
 	// The distinct edges, in first-seen order. byPair maps a packed
 	// (src, dst) statement pair to its most recent edge; next[i] is the
@@ -266,9 +315,12 @@ type Analyzer struct {
 
 	// frames is the snapshot of the live loop stack that every access
 	// record shares until the next LoopEnter, LoopIter or LoopExit, the
-	// only events at which the interpreter's loop stack changes; nil means
-	// it must be taken afresh. Records never modify it.
-	frames []frameSnap
+	// only events at which the interpreter's loop stack changes; it is
+	// valid while snapped. Records never modify it. Snapshots are carved
+	// from arena, whose chunks are never reused or moved.
+	frames  []frameSnap
+	snapped bool
+	arena   []frameSnap
 }
 
 // loopState is one loop's blocking evidence: the addresses with a
@@ -283,22 +335,21 @@ type loopState struct {
 
 // NewAnalyzer returns an empty analyzer ready to trace one execution.
 func NewAnalyzer() *Analyzer {
-	return &Analyzer{byPair: map[uint64]int32{}}
+	return &Analyzer{byPair: map[uint64]int32{}, free: -1}
 }
 
 // lookup returns addr's shadow cell, or nil if addr was never touched.
-// The pointer is valid until the next cellAt call.
 func (a *Analyzer) lookup(addr uint64) *cell {
 	if p := addr >> shadowPageBits; p < uint64(len(a.pages)) && a.pages[p] != nil {
 		if i := a.pages[p][addr&(1<<shadowPageBits-1)]; i != 0 {
-			return &a.cells[i-1]
+			return a.cells.at(i - 1)
 		}
 	}
 	return nil
 }
 
-// cellAt returns addr's shadow cell, creating it on first touch. The
-// pointer is valid until the next cellAt call.
+// cellAt returns addr's shadow cell, creating it on first touch. Cells
+// never move, so the pointer stays valid for the analyzer's life.
 func (a *Analyzer) cellAt(addr uint64) *cell {
 	if c := a.lookup(addr); c != nil {
 		return c
@@ -310,9 +361,9 @@ func (a *Analyzer) cellAt(addr uint64) *cell {
 	if a.pages[p] == nil {
 		a.pages[p] = new(shadowPage)
 	}
-	a.cells = append(a.cells, cell{})
-	a.pages[p][addr&(1<<shadowPageBits-1)] = int32(len(a.cells))
-	return &a.cells[len(a.cells)-1]
+	i := a.cells.add()
+	a.pages[p][addr&(1<<shadowPageBits-1)] = i + 1
+	return a.cells.at(i)
 }
 
 // loop returns the evidence of loop id, widening the table to hold it.
@@ -332,7 +383,7 @@ func mark(set *map[uint64]struct{}, addr uint64) {
 
 // LoopEnter implements interp.Tracer.
 func (a *Analyzer) LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bool) {
-	a.frames = nil
+	a.snapped = false
 	if hasCtrl {
 		if c := a.cellAt(ctrlAddr); !c.ctrl.has(id) {
 			c.ctrl.add(id)
@@ -341,20 +392,29 @@ func (a *Analyzer) LoopEnter(id int, instance int64, ctrlAddr uint64, hasCtrl bo
 }
 
 // LoopIter implements interp.Tracer.
-func (a *Analyzer) LoopIter(id int, instance, iter int64) { a.frames = nil }
+func (a *Analyzer) LoopIter(id int, instance, iter int64) { a.snapped = false }
 
 // LoopExit implements interp.Tracer.
-func (a *Analyzer) LoopExit(id int, instance, iters int64) { a.frames = nil }
+func (a *Analyzer) LoopExit(id int, instance, iters int64) { a.snapped = false }
 
 // snapshot returns the shared snapshot of the live loop stack, copying
-// frames only when a loop event has invalidated the previous one.
+// frames into the arena only when a loop event has invalidated the
+// previous one.
 func (a *Analyzer) snapshot(frames []interp.LoopFrame) []frameSnap {
-	if a.frames == nil {
-		a.frames = make([]frameSnap, len(frames))
-		for i, f := range frames {
-			a.frames[i] = frameSnap{id: f.ID, instance: f.Instance, iter: f.Iter}
-		}
+	if a.snapped {
+		return a.frames
 	}
+	n := len(frames)
+	if n > cap(a.arena)-len(a.arena) {
+		size := min(max(2*cap(a.arena), firstArenaFrames), maxArenaFrames)
+		a.arena = make([]frameSnap, 0, max(size, n))
+	}
+	a.frames = a.arena[len(a.arena) : len(a.arena)+n : len(a.arena)+n]
+	a.arena = a.arena[:len(a.arena)+n]
+	for i, f := range frames {
+		a.frames[i] = frameSnap{id: f.ID, instance: f.Instance, iter: f.Iter}
+	}
+	a.snapped = true
 	return a.frames
 }
 
@@ -405,7 +465,7 @@ func (a *Analyzer) recordEdge(kind Kind, src, dst *accessRec, carrier int, carri
 	m.key, m.head = key, int32(len(a.edges))+1
 	a.next = append(a.next, head)
 	a.edges = append(a.edges, Edge{
-		Kind: kind, SrcStmt: src.stmt, DstStmt: dst.stmt,
+		Kind: kind, SrcStmt: int(src.stmt), DstStmt: int(dst.stmt),
 		Carried: carried, Carrier: carrier, Reduction: reduction,
 		Distance: distance,
 	})
@@ -426,7 +486,7 @@ func (a *Analyzer) Access(acc *interp.Access) {
 	// Array-ness travels via the Access (set by the interpreter for
 	// subscripted instructions).
 	rec := accessRec{
-		stmt:   acc.StmtID,
+		stmt:   int32(acc.StmtID),
 		red:    acc.Red,
 		array:  acc.Array,
 		frames: a.snapshot(acc.Frames),
@@ -443,16 +503,41 @@ func (a *Analyzer) Access(acc *interp.Access) {
 
 	if !acc.Write {
 		a.onRead(acc.Addr, c, &rec)
-		if len(c.reads) >= maxReadsPerCell {
-			copy(c.reads, c.reads[1:])
-			c.reads = c.reads[:len(c.reads)-1]
-		}
-		c.reads = append(c.reads, rec)
+		a.pushRead(c, &rec)
 		return
 	}
 	a.onWrite(acc.Addr, c, &rec)
 	c.lastWrite, c.written = rec, true
-	c.reads = c.reads[:0]
+	if c.nReads > 0 {
+		// Splice the whole chain onto the free list.
+		a.reads.at(c.tail).next = a.free
+		a.free, c.nReads = c.head, 0
+	}
+}
+
+// pushRead appends rec to c's read chain. A full chain drops its oldest
+// read, whose node becomes the new tail.
+func (a *Analyzer) pushRead(c *cell, rec *accessRec) {
+	var n int32
+	switch {
+	case c.nReads >= maxReadsPerCell:
+		n = c.head
+		c.head = a.reads.at(n).next
+		c.nReads--
+	case a.free >= 0:
+		n = a.free
+		a.free = a.reads.at(n).next
+	default:
+		n = a.reads.add()
+	}
+	*a.reads.at(n) = readNode{rec: *rec}
+	if c.nReads == 0 {
+		c.head = n
+	} else {
+		a.reads.at(c.tail).next = n
+	}
+	c.tail = n
+	c.nReads++
 }
 
 func (a *Analyzer) onRead(addr uint64, c *cell, rec *accessRec) {
@@ -512,8 +597,10 @@ func (a *Analyzer) onWrite(addr uint64, c *cell, rec *accessRec) {
 			}
 		}
 	}
-	for i := range c.reads {
-		r := &c.reads[i]
+	for i, n := int32(0), c.head; i < c.nReads; i++ {
+		node := a.reads.at(n)
+		r := &node.rec
+		n = node.next
 		ci := carrierIndex(r.frames, rec.frames)
 		if ci < 0 {
 			a.recordEdge(WAR, r, rec, 0, false, false, 0)

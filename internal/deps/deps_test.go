@@ -503,6 +503,27 @@ func TestRepeatedWriteAllocsZero(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { an.Access(acc) }); a != 0 {
 		t.Fatalf("repeated write allocates %v times per access", a)
 	}
+
+	// A steady loop body: every iteration reads two touched addresses
+	// twice each, then writes both. The reads reuse the chain nodes the
+	// previous writes freed, and the loop-stack snapshots come from the
+	// arena, so after warm-up an iteration allocates less than once.
+	frames := []interp.LoopFrame{{ID: 1, Instance: 1, Iter: 1}}
+	iter := func() {
+		frames[0].Iter++
+		an.LoopIter(1, 1, frames[0].Iter)
+		for _, write := range []bool{false, false, true} {
+			for _, addr := range []uint64{7, 8} {
+				an.Access(&interp.Access{Addr: addr, Write: write, Array: true, StmtID: 4, Frames: frames})
+			}
+		}
+	}
+	for range 100 {
+		iter()
+	}
+	if a := testing.AllocsPerRun(1000, iter); a >= 1 {
+		t.Fatalf("a read-read-write iteration allocates %v times", a)
+	}
 }
 
 // A loop whose control variable is a local of a recursive function gets a
@@ -645,5 +666,62 @@ func TestEdgeTableOnePairManyEdges(t *testing.T) {
 	}
 	if got := res.EdgesInto(6); len(got) != len(want) {
 		t.Fatalf("EdgesInto(6) holds %d edges, want %d", len(got), len(want))
+	}
+}
+
+// The reads kept between two writes of one address form a ring of the
+// newest 256: older reads are dropped, so the write that ends them
+// records WAR edges, distances and blocking evidence from the survivors
+// only. Every read has its own statement so each survivor is one edge.
+// Loop 1 reads address 100 once in each of iterations 0..299, then
+// writes it in iteration 300: the reads of iterations 44..299 survive,
+// each a carried WAR at distance 300-k, and their exposure blocks the
+// loop. Loop 2 reads address 200 ten times in iteration 0 and 256 times
+// in iteration 1, then writes it in iteration 1: only the same-iteration
+// reads survive, so no carried WAR is seen and the loop stays parallel.
+func TestReadRingKeepsNewest(t *testing.T) {
+	an := deps.NewAnalyzer()
+	access := func(addr uint64, write bool, stmt, loop int, inst, iter int64) {
+		an.Access(&interp.Access{Addr: addr, Write: write, StmtID: stmt,
+			Frames: []interp.LoopFrame{{ID: loop, Instance: inst, Iter: iter}}})
+	}
+	var want []deps.Edge
+
+	an.LoopEnter(1, 1, 0, false)
+	for k := int64(0); k < 300; k++ {
+		an.LoopIter(1, 1, k)
+		access(100, false, 1000+int(k), 1, 1, k)
+		if k >= 300-256 {
+			want = append(want, deps.Edge{Kind: deps.WAR, SrcStmt: 1000 + int(k), DstStmt: 5,
+				Carried: true, Carrier: 1, Distance: 300 - k})
+		}
+	}
+	an.LoopIter(1, 1, 300)
+	access(100, true, 5, 1, 1, 300)
+	an.LoopExit(1, 1, 300)
+
+	an.LoopEnter(2, 2, 0, false)
+	for k := 0; k < 10; k++ {
+		access(200, false, 3000+k, 2, 2, 0)
+	}
+	an.LoopIter(2, 2, 1)
+	for k := 0; k < 256; k++ {
+		access(200, false, 4000+k, 2, 2, 1)
+		want = append(want, deps.Edge{Kind: deps.WAR, SrcStmt: 4000 + k, DstStmt: 6})
+	}
+	access(200, true, 6, 2, 2, 1)
+	an.LoopExit(2, 2, 1)
+
+	prog := ir.MustLower(minic.MustParse("t", `void main() { for (int i = 0; i < 1; i++) { } for (int j = 0; j < 1; j++) { } }`))
+	res := an.Finalize(prog, interp.Stats{})
+	if !reflect.DeepEqual(res.Edges, want) {
+		t.Fatalf("edges: got %d, want %d\n got %+v\nwant %+v", len(res.Edges), len(want), res.Edges, want)
+	}
+	v1 := res.Verdicts[1]
+	if v1.Parallelizable || v1.Detail != (deps.Detail{LCWarBad: true}) {
+		t.Fatalf("loop 1 verdict %+v, want blocked by an exposed carried WAR only", v1)
+	}
+	if v2 := res.Verdicts[2]; !v2.Parallelizable || v2.Detail != (deps.Detail{}) {
+		t.Fatalf("loop 2 verdict %+v, want parallelizable with no evidence", v2)
 	}
 }

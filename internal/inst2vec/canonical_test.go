@@ -12,7 +12,7 @@ import (
 func TestCanonicalizeMatchesCanonical(t *testing.T) {
 	for op := ir.OpConst; op <= ir.OpLoopEnd+1; op++ {
 		for _, float := range []bool{false, true} {
-			for _, idx := range []int{-1, 0, 3} {
+			for _, idx := range []int32{-1, 0, 3} {
 				in := ir.Instr{Op: op, Float: float, Idx: idx}
 				if got, want := Canonicalize(in), canonical(in); got != want {
 					t.Fatalf("%+v: %q, want %q", in, got, want)

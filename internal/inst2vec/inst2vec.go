@@ -36,7 +36,7 @@ var tokens = func() (t [ir.OpLoopEnd + 1][2][2]string) {
 	for op := range t {
 		for elem := range t[op] {
 			for float := range t[op][elem] {
-				t[op][elem][float] = canonical(ir.Instr{Op: ir.Op(op), Idx: elem - 1, Float: float == 1})
+				t[op][elem][float] = canonical(ir.Instr{Op: ir.Op(op), Idx: int32(elem - 1), Float: float == 1})
 			}
 		}
 	}

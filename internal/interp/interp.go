@@ -219,9 +219,7 @@ func (it *Interp) alloc(n int) (uint64, error) {
 		return 0, fmt.Errorf("%w: %d cells requested over limit %d",
 			ErrMem, int64(len(it.mem))+int64(n), it.limits.MaxMemCells)
 	}
-	for i := 0; i < n; i++ {
-		it.mem = append(it.mem, 0)
-	}
+	it.mem = append(it.mem, make([]float64, n)...)
 	return base, nil
 }
 
@@ -250,12 +248,12 @@ func unknownVar(fn, name string) error {
 	return fmt.Errorf("interp: %s: unknown variable %q", fn, name)
 }
 
-// call executes fn. For a call from site, an instruction of caller whose
-// frame and registers are callerVars and callerRegs, it binds fn's
-// scalar params to the argument registers' values (by value) and its
-// array params to the argument arrays (by reference, by position). The
-// entry call has no site.
-func (it *Interp) call(fn *ir.Func, site *ir.Instr, caller *ir.Func, callerVars []varLoc, callerRegs []float64) (float64, error) {
+// call executes fn. For a call from site, a call of caller whose frame
+// and registers are callerVars and callerRegs, it binds fn's scalar
+// params to the argument registers' values (by value) and its array
+// params to the argument arrays (by reference, by position). The entry
+// call has no site.
+func (it *Interp) call(fn *ir.Func, site *ir.Call, caller *ir.Func, callerVars []varLoc, callerRegs []float64) (float64, error) {
 	it.depth++
 	vbase, rbase := len(it.vars), len(it.regs)
 	ret, err := it.exec(fn, site, caller, callerVars, callerRegs)
@@ -268,7 +266,7 @@ func (it *Interp) call(fn *ir.Func, site *ir.Instr, caller *ir.Func, callerVars 
 // nested call may move the stacks, but a frame is never written after it
 // is bound and registers are written only through this call's own slice,
 // so the slices taken here stay valid.
-func (it *Interp) exec(fn *ir.Func, site *ir.Instr, caller *ir.Func, callerVars []varLoc, callerRegs []float64) (float64, error) {
+func (it *Interp) exec(fn *ir.Func, site *ir.Call, caller *ir.Func, callerVars []varLoc, callerRegs []float64) (float64, error) {
 	if it.depth > it.limits.MaxCallDepth {
 		return 0, fmt.Errorf("%w: %q at depth %d", ErrCallDepth, fn.Name, it.depth)
 	}
@@ -276,11 +274,11 @@ func (it *Interp) exec(fn *ir.Func, site *ir.Instr, caller *ir.Func, callerVars 
 	it.vars = append(it.vars, make([]varLoc, nv)...)
 	vars := it.vars[vbase : vbase+nv : vbase+nv]
 	for i, p := range fn.Params {
+		arg := &site.Args[i]
 		if p.IsArray() {
-			arg := &site.ArgVars[i]
 			src, ok := it.lookup(callerVars, arg.Loc)
 			if !ok {
-				return 0, unknownVar(caller.Name, arg.Name)
+				return 0, unknownVar(caller.Name, arg.Var)
 			}
 			vars[i] = varLoc{addr: src.addr, size: p.Size()}
 			continue
@@ -289,7 +287,7 @@ func (it *Interp) exec(fn *ir.Func, site *ir.Instr, caller *ir.Func, callerVars 
 		if err != nil {
 			return 0, err
 		}
-		it.mem[base] = callerRegs[site.Args[i]]
+		it.mem[base] = callerRegs[arg.Reg]
 		vars[i] = varLoc{addr: base, size: 1}
 	}
 	for i, l := range fn.Locals {
@@ -303,8 +301,8 @@ func (it *Interp) exec(fn *ir.Func, site *ir.Instr, caller *ir.Func, callerVars 
 	it.regs = append(it.regs, make([]float64, fn.NumRegs)...)
 	regs := it.regs[rbase : rbase+fn.NumRegs : rbase+fn.NumRegs]
 
-	pc := 0
-	for pc < len(fn.Code) {
+	pc := int32(0)
+	for int(pc) < len(fn.Code) {
 		it.steps++
 		if it.steps > it.limits.MaxSteps {
 			it.steps--
@@ -379,10 +377,11 @@ func (it *Interp) exec(fn *ir.Func, site *ir.Instr, caller *ir.Func, callerVars 
 			}
 			continue
 		case ir.OpCall:
-			if in.Fn <= 0 || int(in.Fn) > len(it.prog.Funcs) {
-				return 0, fmt.Errorf("interp: call to unknown function %q", in.Callee)
+			site := &fn.Calls[in.Call]
+			if site.Fn <= 0 || int(site.Fn) > len(it.prog.Funcs) {
+				return 0, fmt.Errorf("interp: call to unknown function %q", site.Callee)
 			}
-			ret, err := it.call(it.prog.Funcs[in.Fn-1], in, fn, vars, regs)
+			ret, err := it.call(it.prog.Funcs[site.Fn-1], site, fn, vars, regs)
 			if err != nil {
 				return 0, err
 			}
@@ -394,22 +393,23 @@ func (it *Interp) exec(fn *ir.Func, site *ir.Instr, caller *ir.Func, callerVars 
 			return 0, nil
 		case ir.OpLoopBegin:
 			it.instSeq++
-			it.loopStack = append(it.loopStack, LoopFrame{ID: in.LoopID, Instance: it.instSeq})
+			id := int(in.LoopID)
+			it.loopStack = append(it.loopStack, LoopFrame{ID: id, Instance: it.instSeq})
 			it.acc.Frames = it.loopStack
-			if in.LoopID >= len(it.stats.LoopEnter) {
-				it.growLoops(in.LoopID + 1)
+			if id >= len(it.stats.LoopEnter) {
+				it.growLoops(id + 1)
 			}
-			it.stats.LoopEnter[in.LoopID]++
+			it.stats.LoopEnter[id]++
 			if it.tracer != nil {
 				ctrl, hasCtrl := it.lookup(vars, in.Loc)
-				it.tracer.LoopEnter(in.LoopID, it.instSeq, ctrl.addr, hasCtrl)
+				it.tracer.LoopEnter(id, it.instSeq, ctrl.addr, hasCtrl)
 			}
 		case ir.OpLoopNext:
 			top := &it.loopStack[len(it.loopStack)-1]
 			top.Iter++
 			it.stats.LoopIters[in.LoopID]++
 			if it.tracer != nil {
-				it.tracer.LoopIter(in.LoopID, top.Instance, top.Iter)
+				it.tracer.LoopIter(int(in.LoopID), top.Instance, top.Iter)
 			}
 		case ir.OpLoopEnd:
 			top := it.loopStack[len(it.loopStack)-1]
@@ -452,7 +452,7 @@ func (it *Interp) trace(addr uint64, write bool, in *ir.Instr) {
 	a.Write = write
 	a.Array = in.Idx >= 0
 	a.Red = in.Red
-	a.StmtID = in.StmtID
+	a.StmtID = int(in.StmtID)
 	it.tracer.Access(a)
 }
 

@@ -358,7 +358,7 @@ func TestUnresolvedNamesFailWhenRun(t *testing.T) {
 		p := &ir.Program{
 			Name:    "hand",
 			Globals: []ir.Var{{Name: "x", Type: minic.TypeInt}},
-			Funcs: []*ir.Func{{Name: "main", NumRegs: 2, Code: []ir.Instr{
+			Funcs: []*ir.Func{{Name: "main", NumRegs: 2, Calls: []ir.Call{{Callee: "ghost"}}, Code: []ir.Instr{
 				{Op: ir.OpConst, Dst: 0, A: -1, B: -1, Idx: -1, KI: 7},
 				{Op: ir.OpStore, Dst: -1, A: 0, B: -1, Idx: -1, Var: "x"},
 				bad,
@@ -375,7 +375,7 @@ func TestUnresolvedNamesFailWhenRun(t *testing.T) {
 	}{
 		{ir.Instr{Op: ir.OpStore, Dst: -1, A: 0, B: -1, Idx: -1, Var: "nope"}, `interp: main: unknown variable "nope"`},
 		{ir.Instr{Op: ir.OpLoad, Dst: 1, A: -1, B: -1, Idx: -1, Var: "nope"}, `interp: main: unknown variable "nope"`},
-		{ir.Instr{Op: ir.OpCall, Dst: 1, A: -1, B: -1, Idx: -1, Callee: "ghost"}, `interp: call to unknown function "ghost"`},
+		{ir.Instr{Op: ir.OpCall, Dst: 1, A: -1, B: -1, Idx: -1, Call: 0}, `interp: call to unknown function "ghost"`},
 	} {
 		p := build(tc.bad)
 		rec := newRecorder()

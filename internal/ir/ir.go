@@ -23,7 +23,7 @@ import (
 )
 
 // Op is an IR opcode.
-type Op int
+type Op uint8
 
 // IR opcodes.
 const (
@@ -104,40 +104,48 @@ func (r RedOp) String() string {
 }
 
 // Instr is a single IR instruction. Fields are used per-opcode; unused
-// register fields hold -1.
+// register fields hold -1. A call's callee and arguments sit in its
+// function's Calls, so every instruction stays 80 bytes.
 type Instr struct {
 	Op    Op
-	Dst   int // destination register
-	A, B  int // operand registers
-	Idx   int // register holding the linear element index for load/store (-1 = scalar)
-	Var   string
-	KI    int64   // integer constant payload
-	KF    float64 // float constant payload
-	Float bool    // constant/result is floating point
+	Float bool // constant/result is floating point
 	Red   RedOp
+	Dst   int32 // destination register
+	A, B  int32 // operand registers
+	Idx   int32 // register holding the linear element index for load/store (-1 = scalar)
 	// Loc is where Resolve found Var (load/store) or, on a for loop's
 	// OpLoopBegin, the loop's control variable (LoopMeta.CtrlVar).
 	Loc Loc
 
-	Callee  string
-	Args    []int    // argument registers; -1 for by-reference array args
-	ArgVars []ArgVar // the by-reference array args (zero for the others)
+	Target, Else int32 // branch destinations (instruction indices)
 
-	Target, Else int // branch destinations (instruction indices)
+	LoopID int32 // for loop markers
+	StmtID int32 // the AST statement this instruction lowers; CU grouping key
+	Line   int32 // source line
+	Call   int32 // OpCall: the index of its Call in Func.Calls
 
-	LoopID int // for loop markers
-	StmtID int // the AST statement this instruction lowers; CU grouping key
-	Line   int // source line
+	Var string
+	KI  int64   // integer constant payload
+	KF  float64 // float constant payload
+}
+
+// Call is the callee and arguments of one OpCall, kept in its
+// function's Calls.
+type Call struct {
+	Callee string
+	Args   []Arg
 	// Fn is 1 + the index in Program.Funcs of Callee, or 0 when Callee
-	// names no function (call).
+	// names no function.
 	Fn int32
 }
 
-// ArgVar is a by-reference array argument of a call: the array's name
-// and where Resolve found it in the caller.
-type ArgVar struct {
-	Name string
-	Loc  Loc
+// Arg is one call argument: register Reg passed by value, or, with Reg
+// -1, the array Var passed by reference, found by Resolve at Loc in the
+// caller.
+type Arg struct {
+	Reg int32
+	Var string
+	Loc Loc
 }
 
 // Loc is a variable's resolved location: Loc k > 0 is slot k-1 of the
@@ -179,6 +187,7 @@ type Func struct {
 	Params  []Var
 	Locals  []Var // declared locals, including loop variables
 	Code    []Instr
+	Calls   []Call // indexed by the Call of each OpCall in Code
 	NumRegs int
 }
 

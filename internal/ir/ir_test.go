@@ -3,6 +3,7 @@ package ir_test
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mvpar/internal/bench"
 	"mvpar/internal/interp"
@@ -265,7 +266,7 @@ void main() {
 	for _, in := range fn.Code {
 		// The loop counter's i++ is a legitimate sum tag; only s matters.
 		if in.Var == "s" && in.Red != ir.RedNone {
-			t.Fatalf("s += s*0.5 must not be tagged: %s", ir.InstrString(in))
+			t.Fatalf("s += s*0.5 must not be tagged: %s", ir.InstrString(fn, in))
 		}
 	}
 }
@@ -375,11 +376,11 @@ func TestVariantBranchTargetsValid(t *testing.T) {
 			for i, in := range f.Code {
 				switch in.Op {
 				case ir.OpBr:
-					if in.Target < 0 || in.Target > len(f.Code) {
+					if in.Target < 0 || int(in.Target) > len(f.Code) {
 						t.Fatalf("level %d: %s[%d] bad target %d", level, f.Name, i, in.Target)
 					}
 				case ir.OpCBr:
-					if in.Target < 0 || in.Target > len(f.Code) || in.Else < 0 || in.Else > len(f.Code) {
+					if in.Target < 0 || int(in.Target) > len(f.Code) || in.Else < 0 || int(in.Else) > len(f.Code) {
 						t.Fatalf("level %d: %s[%d] bad cbr %d/%d", level, f.Name, i, in.Target, in.Else)
 					}
 				}
@@ -400,7 +401,7 @@ void main() {
 	fn := v.Func("main")
 	for _, in := range fn.Code {
 		if in.Op == ir.OpMul {
-			t.Fatalf("mul by 2 not strength-reduced: %s", ir.InstrString(in))
+			t.Fatalf("mul by 2 not strength-reduced: %s", ir.InstrString(fn, in))
 		}
 	}
 	if got := globalVal(t, run(t, v), "y", 0); got != 6 {
@@ -421,7 +422,7 @@ void main() {
 	var b strings.Builder
 	for _, f := range p.Funcs {
 		for _, in := range f.Code {
-			b.WriteString(ir.InstrString(in) + "\n")
+			b.WriteString(ir.InstrString(f, in) + "\n")
 		}
 	}
 	dump := b.String()
@@ -549,24 +550,34 @@ func TestLowerResolvesEveryName(t *testing.T) {
 					case ir.OpLoad, ir.OpStore:
 						want, got = []string{in.Var}, []string{name(in.Loc)}
 					case ir.OpLoopBegin:
-						if ctrl := p.Loops[in.LoopID].CtrlVar; ctrl != "" || in.Loc != 0 {
+						if ctrl := p.Loops[int(in.LoopID)].CtrlVar; ctrl != "" || in.Loc != 0 {
 							want, got = []string{ctrl}, []string{name(in.Loc)}
 						}
 					case ir.OpCall:
-						if in.Fn < 1 || p.Funcs[in.Fn-1].Name != in.Callee {
-							t.Fatalf("%s/O%d %s:%d: call %q resolved to Fn %d", app.Name, level, f.Name, i, in.Callee, in.Fn)
+						c := f.Calls[in.Call]
+						if c.Fn < 1 || p.Funcs[c.Fn-1].Name != c.Callee {
+							t.Fatalf("%s/O%d %s:%d: call %q resolved to Fn %d", app.Name, level, f.Name, i, c.Callee, c.Fn)
 						}
-						for j, a := range in.Args {
-							if a < 0 {
-								want, got = append(want, in.ArgVars[j].Name), append(got, name(in.ArgVars[j].Loc))
+						for _, a := range c.Args {
+							if a.Reg < 0 {
+								want, got = append(want, a.Var), append(got, name(a.Loc))
 							}
 						}
 					}
 					if strings.Join(want, ",") != strings.Join(got, ",") {
-						t.Fatalf("%s/O%d %s:%d %s: resolved %v, want %v", app.Name, level, f.Name, i, ir.InstrString(in), got, want)
+						t.Fatalf("%s/O%d %s:%d %s: resolved %v, want %v", app.Name, level, f.Name, i, ir.InstrString(f, in), got, want)
 					}
 				}
 			}
 		}
+	}
+}
+
+// An instruction keeps 32-bit operands and no call payload: a call's
+// callee and arguments sit in its function's Calls. Lowering NPB MG
+// holds about two thousand of them per variant.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(ir.Instr{}); got > 80 {
+		t.Fatalf("ir.Instr is %d bytes, want <= 80", got)
 	}
 }

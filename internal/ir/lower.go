@@ -95,21 +95,23 @@ func Resolve(p *Program) {
 				in.Loc = find(in.Var)
 			case OpLoopBegin:
 				in.Loc = 0
-				if ctrl := p.Loops[in.LoopID].CtrlVar; ctrl != "" {
+				if ctrl := p.Loops[int(in.LoopID)].CtrlVar; ctrl != "" {
 					in.Loc = find(ctrl)
 				}
-			case OpCall:
-				in.Fn = 0
-				for j, g := range p.Funcs {
-					if g.Name == in.Callee {
-						in.Fn = int32(j + 1)
-						break
-					}
+			}
+		}
+		for i := range f.Calls {
+			c := &f.Calls[i]
+			c.Fn = 0
+			for j, g := range p.Funcs {
+				if g.Name == c.Callee {
+					c.Fn = int32(j + 1)
+					break
 				}
-				for j := range in.ArgVars {
-					if in.Args[j] < 0 {
-						in.ArgVars[j].Loc = find(in.ArgVars[j].Name)
-					}
+			}
+			for j := range c.Args {
+				if c.Args[j].Reg < 0 {
+					c.Args[j].Loc = find(c.Args[j].Var)
 				}
 			}
 		}
@@ -153,18 +155,20 @@ type lowerer struct {
 	out  *Program
 
 	fn        *Func
+	code      []Instr             // fn's code while it is lowered, reused across functions
 	scopes    []map[string]string // source name -> unique lowered name
 	renameSeq int
-	stmtSeq   int
+	stmtSeq   int32
 	loopDepth int
-	curStmt   int
-	curLine   int
+	curStmt   int32
+	curLine   int32
 	regFloat  []bool // per-register: does it hold a float value?
 }
 
 func (lw *lowerer) lowerFunc(f *minic.FuncDecl) (*Func, error) {
 	lw.fn = &Func{Name: f.Name, Ret: f.Ret}
-	lw.regFloat = nil
+	lw.code = lw.code[:0]
+	lw.regFloat = lw.regFloat[:0]
 	lw.scopes = []map[string]string{{}}
 	for _, p := range f.Params {
 		lw.scopes[0][p.Name] = p.Name
@@ -174,7 +178,9 @@ func (lw *lowerer) lowerFunc(f *minic.FuncDecl) (*Func, error) {
 		return nil, err
 	}
 	// Implicit return for functions that fall off the end.
-	lw.emit(Instr{Op: OpRet, Dst: -1, A: -1, B: -1, Idx: -1, Line: f.Line})
+	lw.emit(Instr{Op: OpRet, Dst: -1, A: -1, B: -1, Idx: -1, Line: int32(f.Line)})
+	lw.fn.Code = make([]Instr, len(lw.code))
+	copy(lw.fn.Code, lw.code)
 	return lw.fn, nil
 }
 
@@ -256,8 +262,8 @@ func (lw *lowerer) varDims(lowered string) []int {
 	return nil
 }
 
-func (lw *lowerer) newReg() int {
-	r := lw.fn.NumRegs
+func (lw *lowerer) newReg() int32 {
+	r := int32(lw.fn.NumRegs)
 	lw.fn.NumRegs++
 	lw.regFloat = append(lw.regFloat, false)
 	return r
@@ -283,22 +289,26 @@ func (lw *lowerer) varType(lowered string) minic.Type {
 	return minic.TypeInt
 }
 
-func (lw *lowerer) emit(in Instr) int {
+// emit appends in to the function's code and returns its index.
+func (lw *lowerer) emit(in Instr) int32 {
 	if in.StmtID == 0 {
 		in.StmtID = lw.curStmt
 	}
 	if in.Line == 0 {
 		in.Line = lw.curLine
 	}
-	lw.fn.Code = append(lw.fn.Code, in)
-	return len(lw.fn.Code) - 1
+	lw.code = append(lw.code, in)
+	return int32(len(lw.code) - 1)
 }
+
+// pc returns the index the next emitted instruction gets.
+func (lw *lowerer) pc() int32 { return int32(len(lw.code)) }
 
 // beginStmt opens a new CU grouping key for the statement being lowered.
 func (lw *lowerer) beginStmt(line int) {
 	lw.stmtSeq++
 	lw.curStmt = lw.stmtSeq
-	lw.curLine = line
+	lw.curLine = int32(line)
 }
 
 func (lw *lowerer) lowerBlock(b *minic.BlockStmt) error {
@@ -337,7 +347,7 @@ func (lw *lowerer) lowerStmt(s minic.Stmt) error {
 		return lw.lowerIf(st)
 	case *minic.ReturnStmt:
 		lw.beginStmt(st.Line)
-		a := -1
+		a := int32(-1)
 		if st.Value != nil {
 			r, err := lw.lowerExpr(st.Value)
 			if err != nil {
@@ -497,7 +507,7 @@ func (lw *lowerer) lowerAssign(st *minic.AssignStmt) error {
 
 // lowerIndex computes the linear element index register for a subscripted
 // access, or -1 for scalars. 2-D accesses linearize as i*cols + j.
-func (lw *lowerer) lowerIndex(lowered string, indices []minic.Expr) (int, error) {
+func (lw *lowerer) lowerIndex(lowered string, indices []minic.Expr) (int32, error) {
 	if len(indices) == 0 {
 		return -1, nil
 	}
@@ -531,7 +541,7 @@ var binaryOps = map[string]Op{
 	"==": OpCmpEQ, "!=": OpCmpNE, "&&": OpAnd, "||": OpOr,
 }
 
-func (lw *lowerer) lowerBinaryOp(op string, a, b, line int) (int, error) {
+func (lw *lowerer) lowerBinaryOp(op string, a, b int32, line int) (int32, error) {
 	irOp, ok := binaryOps[op]
 	if !ok {
 		return -1, fmt.Errorf("ir: line %d: unknown operator %q", line, op)
@@ -546,20 +556,20 @@ func (lw *lowerer) lowerBinaryOp(op string, a, b, line int) (int, error) {
 	}
 	dst := lw.newReg()
 	lw.regFloat[dst] = isF
-	lw.emit(Instr{Op: irOp, Dst: dst, A: a, B: b, Idx: -1, Line: line, Float: isF})
+	lw.emit(Instr{Op: irOp, Dst: dst, A: a, B: b, Idx: -1, Line: int32(line), Float: isF})
 	return dst, nil
 }
 
-func (lw *lowerer) lowerExpr(e minic.Expr) (int, error) {
+func (lw *lowerer) lowerExpr(e minic.Expr) (int32, error) {
 	switch x := e.(type) {
 	case *minic.IntLit:
 		r := lw.newReg()
-		lw.emit(Instr{Op: OpConst, Dst: r, A: -1, B: -1, Idx: -1, KI: x.Value, Line: x.Line})
+		lw.emit(Instr{Op: OpConst, Dst: r, A: -1, B: -1, Idx: -1, KI: x.Value, Line: int32(x.Line)})
 		return r, nil
 	case *minic.FloatLit:
 		r := lw.newReg()
 		lw.regFloat[r] = true
-		lw.emit(Instr{Op: OpConst, Dst: r, A: -1, B: -1, Idx: -1, KF: x.Value, Float: true, Line: x.Line})
+		lw.emit(Instr{Op: OpConst, Dst: r, A: -1, B: -1, Idx: -1, KF: x.Value, Float: true, Line: int32(x.Line)})
 		return r, nil
 	case *minic.VarRef:
 		name := lw.resolve(x.Name)
@@ -570,7 +580,7 @@ func (lw *lowerer) lowerExpr(e minic.Expr) (int, error) {
 		r := lw.newReg()
 		isF := lw.varType(name) == minic.TypeFloat
 		lw.regFloat[r] = isF
-		lw.emit(Instr{Op: OpLoad, Dst: r, A: -1, B: -1, Idx: idxReg, Var: name, Line: x.Line, Float: isF})
+		lw.emit(Instr{Op: OpLoad, Dst: r, A: -1, B: -1, Idx: idxReg, Var: name, Line: int32(x.Line), Float: isF})
 		return r, nil
 	case *minic.UnaryExpr:
 		a, err := lw.lowerExpr(x.X)
@@ -585,7 +595,7 @@ func (lw *lowerer) lowerExpr(e minic.Expr) (int, error) {
 			isF = false
 		}
 		lw.regFloat[r] = isF
-		lw.emit(Instr{Op: op, Dst: r, A: a, B: -1, Idx: -1, Line: x.Line, Float: isF})
+		lw.emit(Instr{Op: op, Dst: r, A: a, B: -1, Idx: -1, Line: int32(x.Line), Float: isF})
 		return r, nil
 	case *minic.BinaryExpr:
 		a, err := lw.lowerExpr(x.X)
@@ -602,26 +612,24 @@ func (lw *lowerer) lowerExpr(e minic.Expr) (int, error) {
 		if callee == nil {
 			return -1, fmt.Errorf("ir: line %d: call to unknown function %q", x.Line, x.Name)
 		}
-		in := Instr{Op: OpCall, A: -1, B: -1, Idx: -1, Callee: x.Name, Line: x.Line}
+		args := make([]Arg, len(x.Args))
 		for i, arg := range x.Args {
 			if callee.Params[i].IsArray() {
 				ref := arg.(*minic.VarRef)
-				in.Args = append(in.Args, -1)
-				in.ArgVars = append(in.ArgVars, ArgVar{Name: lw.resolve(ref.Name)})
+				args[i] = Arg{Reg: -1, Var: lw.resolve(ref.Name)}
 				continue
 			}
 			r, err := lw.lowerExpr(arg)
 			if err != nil {
 				return -1, err
 			}
-			in.Args = append(in.Args, r)
-			in.ArgVars = append(in.ArgVars, ArgVar{})
+			args[i] = Arg{Reg: r}
 		}
 		r := lw.newReg()
 		lw.regFloat[r] = callee.Ret == minic.TypeFloat
-		in.Float = lw.regFloat[r]
-		in.Dst = r
-		lw.emit(in)
+		lw.emit(Instr{Op: OpCall, Dst: r, A: -1, B: -1, Idx: -1, Float: lw.regFloat[r],
+			Line: int32(x.Line), Call: int32(len(lw.fn.Calls))})
+		lw.fn.Calls = append(lw.fn.Calls, Call{Callee: x.Name, Args: args})
 		return r, nil
 	}
 	return -1, fmt.Errorf("ir: unknown expression %T", e)
@@ -663,10 +671,10 @@ func (lw *lowerer) lowerFor(st *minic.ForStmt) error {
 	lw.loopDepth++
 	defer func() { lw.loopDepth-- }()
 
-	lw.emit(Instr{Op: OpLoopBegin, Dst: -1, A: -1, B: -1, Idx: -1, LoopID: st.ID, Line: st.Line})
-	condAt := len(lw.fn.Code)
+	lw.emit(Instr{Op: OpLoopBegin, Dst: -1, A: -1, B: -1, Idx: -1, LoopID: int32(st.ID), Line: int32(st.Line)})
+	condAt := lw.pc()
 	lw.beginStmt(st.Line)
-	var condReg int
+	var condReg int32
 	if st.Cond != nil {
 		r, err := lw.lowerExpr(st.Cond)
 		if err != nil {
@@ -677,7 +685,7 @@ func (lw *lowerer) lowerFor(st *minic.ForStmt) error {
 		condReg = lw.newReg()
 		lw.emit(Instr{Op: OpConst, Dst: condReg, A: -1, B: -1, Idx: -1, KI: 1})
 	}
-	cbrAt := lw.emit(Instr{Op: OpCBr, Dst: -1, A: condReg, B: -1, Idx: -1, Line: st.Line})
+	cbrAt := lw.emit(Instr{Op: OpCBr, Dst: -1, A: condReg, B: -1, Idx: -1, Line: int32(st.Line)})
 
 	if err := lw.lowerBlock(st.Body); err != nil {
 		return err
@@ -691,13 +699,13 @@ func (lw *lowerer) lowerFor(st *minic.ForStmt) error {
 			return err
 		}
 	}
-	lw.emit(Instr{Op: OpLoopNext, Dst: -1, A: -1, B: -1, Idx: -1, LoopID: st.ID, Line: st.Line})
-	lw.emit(Instr{Op: OpBr, Dst: -1, A: -1, B: -1, Idx: -1, Target: condAt, Line: st.Line})
-	endAt := len(lw.fn.Code)
-	lw.emit(Instr{Op: OpLoopEnd, Dst: -1, A: -1, B: -1, Idx: -1, LoopID: st.ID, Line: st.Line})
+	lw.emit(Instr{Op: OpLoopNext, Dst: -1, A: -1, B: -1, Idx: -1, LoopID: int32(st.ID), Line: int32(st.Line)})
+	lw.emit(Instr{Op: OpBr, Dst: -1, A: -1, B: -1, Idx: -1, Target: condAt, Line: int32(st.Line)})
+	endAt := lw.pc()
+	lw.emit(Instr{Op: OpLoopEnd, Dst: -1, A: -1, B: -1, Idx: -1, LoopID: int32(st.ID), Line: int32(st.Line)})
 
-	lw.fn.Code[cbrAt].Target = cbrAt + 1
-	lw.fn.Code[cbrAt].Else = endAt
+	lw.code[cbrAt].Target = cbrAt + 1
+	lw.code[cbrAt].Else = endAt
 	return nil
 }
 
@@ -708,23 +716,23 @@ func (lw *lowerer) lowerWhile(st *minic.WhileStmt) error {
 	lw.loopDepth++
 	defer func() { lw.loopDepth-- }()
 
-	lw.emit(Instr{Op: OpLoopBegin, Dst: -1, A: -1, B: -1, Idx: -1, LoopID: st.ID, Line: st.Line})
-	condAt := len(lw.fn.Code)
+	lw.emit(Instr{Op: OpLoopBegin, Dst: -1, A: -1, B: -1, Idx: -1, LoopID: int32(st.ID), Line: int32(st.Line)})
+	condAt := lw.pc()
 	lw.beginStmt(st.Line)
 	condReg, err := lw.lowerExpr(st.Cond)
 	if err != nil {
 		return err
 	}
-	cbrAt := lw.emit(Instr{Op: OpCBr, Dst: -1, A: condReg, B: -1, Idx: -1, Line: st.Line})
+	cbrAt := lw.emit(Instr{Op: OpCBr, Dst: -1, A: condReg, B: -1, Idx: -1, Line: int32(st.Line)})
 	if err := lw.lowerBlock(st.Body); err != nil {
 		return err
 	}
-	lw.emit(Instr{Op: OpLoopNext, Dst: -1, A: -1, B: -1, Idx: -1, LoopID: st.ID, Line: st.Line})
-	lw.emit(Instr{Op: OpBr, Dst: -1, A: -1, B: -1, Idx: -1, Target: condAt, Line: st.Line})
-	endAt := len(lw.fn.Code)
-	lw.emit(Instr{Op: OpLoopEnd, Dst: -1, A: -1, B: -1, Idx: -1, LoopID: st.ID, Line: st.Line})
-	lw.fn.Code[cbrAt].Target = cbrAt + 1
-	lw.fn.Code[cbrAt].Else = endAt
+	lw.emit(Instr{Op: OpLoopNext, Dst: -1, A: -1, B: -1, Idx: -1, LoopID: int32(st.ID), Line: int32(st.Line)})
+	lw.emit(Instr{Op: OpBr, Dst: -1, A: -1, B: -1, Idx: -1, Target: condAt, Line: int32(st.Line)})
+	endAt := lw.pc()
+	lw.emit(Instr{Op: OpLoopEnd, Dst: -1, A: -1, B: -1, Idx: -1, LoopID: int32(st.ID), Line: int32(st.Line)})
+	lw.code[cbrAt].Target = cbrAt + 1
+	lw.code[cbrAt].Else = endAt
 	return nil
 }
 
@@ -734,22 +742,22 @@ func (lw *lowerer) lowerIf(st *minic.IfStmt) error {
 	if err != nil {
 		return err
 	}
-	cbrAt := lw.emit(Instr{Op: OpCBr, Dst: -1, A: condReg, B: -1, Idx: -1, Line: st.Line})
+	cbrAt := lw.emit(Instr{Op: OpCBr, Dst: -1, A: condReg, B: -1, Idx: -1, Line: int32(st.Line)})
 	if err := lw.lowerBlock(st.Then); err != nil {
 		return err
 	}
 	if st.Else == nil {
-		lw.fn.Code[cbrAt].Target = cbrAt + 1
-		lw.fn.Code[cbrAt].Else = len(lw.fn.Code)
+		lw.code[cbrAt].Target = cbrAt + 1
+		lw.code[cbrAt].Else = lw.pc()
 		return nil
 	}
-	brAt := lw.emit(Instr{Op: OpBr, Dst: -1, A: -1, B: -1, Idx: -1, Line: st.Line})
-	elseAt := len(lw.fn.Code)
+	brAt := lw.emit(Instr{Op: OpBr, Dst: -1, A: -1, B: -1, Idx: -1, Line: int32(st.Line)})
+	elseAt := lw.pc()
 	if err := lw.lowerBlock(st.Else); err != nil {
 		return err
 	}
-	lw.fn.Code[cbrAt].Target = cbrAt + 1
-	lw.fn.Code[cbrAt].Else = elseAt
-	lw.fn.Code[brAt].Target = len(lw.fn.Code)
+	lw.code[cbrAt].Target = cbrAt + 1
+	lw.code[cbrAt].Else = elseAt
+	lw.code[brAt].Target = lw.pc()
 	return nil
 }

@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// InstrString renders one instruction in an LLVM-flavoured textual form.
-// The inst2vec canonicalizer builds its statement tokens from this.
-func InstrString(in Instr) string {
+// InstrString renders instruction in of f in an LLVM-flavoured textual
+// form; f supplies a call's callee and arguments.
+func InstrString(f *Func, in Instr) string {
 	ty := "i64"
 	if in.Float {
 		ty = "double"
@@ -34,15 +34,16 @@ func InstrString(in Instr) string {
 	case OpCBr:
 		return fmt.Sprintf("cbr r%d, %d, %d", in.A, in.Target, in.Else)
 	case OpCall:
-		args := make([]string, len(in.Args))
-		for i, a := range in.Args {
-			if a < 0 {
-				args[i] = "&" + in.ArgVars[i].Name
+		c := &f.Calls[in.Call]
+		args := make([]string, len(c.Args))
+		for i, a := range c.Args {
+			if a.Reg < 0 {
+				args[i] = "&" + a.Var
 			} else {
-				args[i] = fmt.Sprintf("r%d", a)
+				args[i] = fmt.Sprintf("r%d", a.Reg)
 			}
 		}
-		return fmt.Sprintf("r%d = call %s(%s)", in.Dst, in.Callee, strings.Join(args, ", "))
+		return fmt.Sprintf("r%d = call %s(%s)", in.Dst, c.Callee, strings.Join(args, ", "))
 	case OpRet:
 		if in.A >= 0 {
 			return fmt.Sprintf("ret r%d", in.A)

@@ -49,13 +49,19 @@ func cloneProgram(p *Program) *Program {
 			Params:  append([]Var(nil), f.Params...),
 			Locals:  append([]Var(nil), f.Locals...),
 			Code:    append([]Instr(nil), f.Code...),
+			Calls:   append([]Call(nil), f.Calls...),
 			NumRegs: f.NumRegs,
 		}
-		for i := range nf.Code {
-			if nf.Code[i].Args != nil {
-				nf.Code[i].Args = append([]int(nil), nf.Code[i].Args...)
-				nf.Code[i].ArgVars = append([]ArgVar(nil), nf.Code[i].ArgVars...)
-			}
+		// One array holds the copies of every call's arguments.
+		n := 0
+		for _, c := range nf.Calls {
+			n += len(c.Args)
+		}
+		args := make([]Arg, 0, n)
+		for i := range nf.Calls {
+			c := &nf.Calls[i]
+			args = append(args, c.Args...)
+			c.Args = args[len(args)-len(c.Args) : len(args) : len(args)]
 		}
 		out.Funcs = append(out.Funcs, nf)
 	}
@@ -64,14 +70,14 @@ func cloneProgram(p *Program) *Program {
 
 // defsOf returns, per register, the index of its defining instruction
 // (registers are single-assignment in the static code) or -1.
-func defsOf(f *Func) []int {
-	defs := make([]int, f.NumRegs)
+func defsOf(f *Func) []int32 {
+	defs := make([]int32, f.NumRegs)
 	for i := range defs {
 		defs[i] = -1
 	}
-	for i, in := range f.Code {
-		if in.Dst >= 0 {
-			defs[in.Dst] = i
+	for i := range f.Code {
+		if d := f.Code[i].Dst; d >= 0 {
+			defs[d] = int32(i)
 		}
 	}
 	return defs
@@ -119,7 +125,7 @@ func ConstFold(f *Func) {
 	}
 }
 
-func constDef(f *Func, defs []int, reg int) *Instr {
+func constDef(f *Func, defs []int32, reg int32) *Instr {
 	if reg < 0 || defs[reg] < 0 {
 		return nil
 	}
@@ -162,21 +168,25 @@ func StrengthReduce(f *Func) {
 // reads would change the dependence profile the oracle labels from.
 func DeadCode(f *Func) {
 	used := make([]bool, f.NumRegs)
-	mark := func(r int) {
+	mark := func(r int32) {
 		if r >= 0 {
 			used[r] = true
 		}
 	}
-	for _, in := range f.Code {
+	for i := range f.Code {
+		in := &f.Code[i]
 		mark(in.A)
 		mark(in.B)
 		mark(in.Idx)
-		for _, a := range in.Args {
-			mark(a)
+	}
+	for _, c := range f.Calls {
+		for _, a := range c.Args {
+			mark(a.Reg)
 		}
 	}
 	keep := make([]bool, len(f.Code))
-	for i, in := range f.Code {
+	for i := range f.Code {
+		in := &f.Code[i]
 		pure := in.Op == OpConst || in.Op.IsArith()
 		keep[i] = !pure || in.Dst < 0 || used[in.Dst]
 	}
@@ -187,13 +197,19 @@ func DeadCode(f *Func) {
 // verbose instruction streams of an unoptimized build; padding changes
 // the token sequence the embeddings see without touching semantics.
 func Pad(f *Func) {
-	var out []Instr
-	oldToNew := make([]int, len(f.Code)+1)
+	stores := 0
+	for i := range f.Code {
+		if f.Code[i].Op == OpStore {
+			stores++
+		}
+	}
+	out := make([]Instr, 0, len(f.Code)+stores)
+	oldToNew := make([]int32, len(f.Code)+1)
 	for i, in := range f.Code {
-		oldToNew[i] = len(out)
+		oldToNew[i] = int32(len(out))
 		out = append(out, in)
 		if in.Op == OpStore {
-			r := f.NumRegs
+			r := int32(f.NumRegs)
 			f.NumRegs++
 			out = append(out, Instr{
 				Op: OpConst, Dst: r, A: -1, B: -1, Idx: -1,
@@ -201,7 +217,7 @@ func Pad(f *Func) {
 			})
 		}
 	}
-	oldToNew[len(f.Code)] = len(out)
+	oldToNew[len(f.Code)] = int32(len(out))
 	remapBranches(out, oldToNew)
 	f.Code = out
 }
@@ -210,8 +226,8 @@ func Pad(f *Func) {
 // targets. A target pointing at a removed instruction maps to the next
 // kept one.
 func compact(f *Func, keep []bool) {
-	oldToNew := make([]int, len(f.Code)+1)
-	n := 0
+	oldToNew := make([]int32, len(f.Code)+1)
+	n := int32(0)
 	for i := range f.Code {
 		oldToNew[i] = n
 		if keep[i] {
@@ -219,7 +235,7 @@ func compact(f *Func, keep []bool) {
 		}
 	}
 	oldToNew[len(f.Code)] = n
-	var out []Instr
+	out := make([]Instr, 0, n)
 	for i, in := range f.Code {
 		if keep[i] {
 			out = append(out, in)
@@ -229,7 +245,7 @@ func compact(f *Func, keep []bool) {
 	f.Code = out
 }
 
-func remapBranches(code []Instr, oldToNew []int) {
+func remapBranches(code []Instr, oldToNew []int32) {
 	for i := range code {
 		switch code[i].Op {
 		case OpBr:

@@ -38,9 +38,9 @@ func oracleGraph(prog *ir.Program, cus *cu.Set, result *deps.Result) *graph.Dire
 			switch in.Op {
 			case ir.OpLoopBegin:
 				if len(stack) > 0 {
-					loopParent[in.LoopID] = stack[len(stack)-1]
+					loopParent[int(in.LoopID)] = stack[len(stack)-1]
 				}
-				stack = append(stack, in.LoopID)
+				stack = append(stack, int(in.LoopID))
 			case ir.OpLoopEnd:
 				stack = stack[:len(stack)-1]
 			}
