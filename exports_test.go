@@ -1,6 +1,7 @@
 package mvpar_test
 
-// A guard against exported API that only its own tests call. Every
+// Guards against exported API that only its own tests reach: functions
+// and methods here, struct fields in TestNoTestOnlyKnobs below. Every
 // exported top-level function and method declared in a non-test file
 // under internal/ or cmd/ must be named by some other identifier in a
 // non-test Go file of the repository (this module, the benchmark module
@@ -147,4 +148,114 @@ func recvName(e ast.Expr) string {
 		return x.Name
 	}
 	return "?"
+}
+
+// knobSeams are exported struct fields that no non-test code writes but
+// that stay on purpose, keyed package.Type.Field, one reason each.
+var knobSeams = map[string]string{
+	"core.ExperimentConfig.AppsOverride": "tests and the root benchmarks shrink the experiment corpus",
+	"core.LoopPrediction.Degraded":       "always false; benchmark/check.go compares it, so it goes with the next benchmark change",
+}
+
+// TestNoTestOnlyKnobs is the export guard's counterpart for
+// configuration: every exported field of an exported struct declared in
+// a non-test file under internal/ or cmd/ must be written by some
+// non-test Go file of the repository. A write is a composite-literal
+// key, any selector in the target of an assignment or ++/--, or &x.F.
+// A knob only tests set is a code path nothing runs: delete it with its
+// tests, or, if it is a seam a remaining test needs, add it to
+// knobSeams with the reason. Fields with struct tags are skipped:
+// decoding sets them.
+func TestNoTestOnlyKnobs(t *testing.T) {
+	fset := token.NewFileSet()
+	written := map[string]bool{}
+	var write func(e ast.Expr)
+	write = func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			written[x.Sel.Name] = true
+			write(x.X)
+		case *ast.IndexExpr:
+			write(x.X)
+		case *ast.StarExpr:
+			write(x.X)
+		case *ast.ParenExpr:
+			write(x.X)
+		}
+	}
+	type field struct{ name, where string }
+	var fields []field
+	for _, path := range sourceFiles(t, ".") {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := x.Key.(*ast.Ident); ok {
+					written[id.Name] = true
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					write(lhs)
+				}
+			case *ast.IncDecStmt:
+				write(x.X)
+			case *ast.UnaryExpr:
+				if x.Op == token.AND {
+					write(x.X)
+				}
+			}
+			return true
+		})
+		if !strings.HasPrefix(path, "internal"+string(filepath.Separator)) &&
+			!strings.HasPrefix(path, "cmd"+string(filepath.Separator)) {
+			continue
+		}
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, s := range gd.Specs {
+				ts := s.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					if fl.Tag != nil {
+						continue
+					}
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							where := filepath.Base(filepath.Dir(path)) + "." + ts.Name.Name + "." + id.Name
+							fields = append(fields, field{id.Name, where})
+						}
+					}
+				}
+			}
+		}
+	}
+	unwritten := map[string]bool{}
+	var knobs []string
+	for _, fl := range fields {
+		if written[fl.name] {
+			continue
+		}
+		unwritten[fl.where] = true
+		if _, ok := knobSeams[fl.where]; !ok {
+			knobs = append(knobs, fl.where)
+		}
+	}
+	sort.Strings(knobs)
+	for _, k := range knobs {
+		t.Errorf("%s is an exported field that no non-test code writes", k)
+	}
+	for where := range knobSeams {
+		if !unwritten[where] {
+			t.Errorf("knobSeams lists %s, which is gone or written outside tests", where)
+		}
+	}
 }

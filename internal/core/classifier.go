@@ -84,30 +84,21 @@ func (c *Classifier) release(r gnn.Predictor) {
 	c.mu.Unlock()
 }
 
-// predictRecord answers one encoded loop on a borrowed engine replica. A
-// degraded record — its structural view could not be sampled — is
-// answered by the node view's head alone, the paper's Static-GNN
-// geometry; every other record by the trained head.
+// predictRecord answers one encoded loop from the trained head on a
+// borrowed engine replica.
 func (c *Classifier) predictRecord(ctx context.Context, rec *dataset.Record) (int, float64) {
 	r := c.acquire()
 	defer c.release(r)
-	view := gnn.ViewTrained
-	if len(rec.Degraded) > 0 {
-		view = gnn.ViewNode
-	}
-	return r.Predict(ctx, rec.Sample, view)
+	return r.Predict(ctx, rec.Sample, gnn.ViewTrained)
 }
 
 // ClassifyContext profiles a MiniC program (entry function main) and
 // classifies every loop with the trained model. ctx flows into the
 // interpreter's stride check during profiling, so a request deadline
-// aborts a runaway program within milliseconds. Loops whose structural
-// view could not be sampled (walk budget exceeded) are not dropped: they
-// get a node-view-only prediction — the paper's Static-GNN geometry —
-// with Degraded set, the causes recorded in Reasons, and the event
-// counted by mvpar_degraded_predictions_total. A failing stage returns
-// a *faults.StageError naming it: parse, lower, profile or encode from
-// dataset.Build, forward for a panic in the model.
+// aborts a runaway program within milliseconds. Every loop is answered
+// from both views. A failing stage returns a *faults.StageError naming
+// it: parse, lower, profile or encode from dataset.Build, forward for a
+// panic in the model.
 func (c *Classifier) ClassifyContext(ctx context.Context, name, src string) ([]LoopPrediction, error) {
 	// When ctx carries a trace (the serving path started one), the stages
 	// below append spans to it; on an untraced context they only feed
@@ -140,19 +131,21 @@ func (c *Classifier) ClassifyContext(ctx context.Context, name, src string) ([]L
 // identically on every input. The serving layer reports it as each
 // generation's identity (/healthz, reload results, mvpar_build_info), so
 // an operator can tell which weights answer after a hot swap. The engine
-// name stays in the hash, so a checkpoint's fingerprint does not move.
+// name and the walk parameters' printed form from before the walk budget
+// was deleted stay in the hash, so a checkpoint's fingerprint does not
+// move.
 func (c *Classifier) Fingerprint() string {
 	h := sha256.New()
 	io.WriteString(h, nn.FingerprintParams(c.model.Params()))
 	cfg := c.cfg
-	fmt.Fprintf(h, "|v%d|w%+v|l%d|e%+v|s%d|t%d|n%d|p%s|h%s",
-		cfg.Variants, cfg.WalkParams, cfg.WalkLen, cfg.EmbedCfg, cfg.Seed, cfg.MaxSteps, cfg.MaxTokens,
+	fmt.Fprintf(h, "|v%d|w{Length:%d Gamma:%d MaxSamples:0}|l%d|e%+v|s%d|t%d|n%d|p%s|h%s",
+		cfg.Variants, cfg.WalkParams.Length, cfg.WalkParams.Gamma, cfg.WalkLen, cfg.EmbedCfg, cfg.Seed, cfg.MaxSteps, cfg.MaxTokens,
 		PrecisionFloat64, c.model.Head())
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // predictLoop answers one encoded loop and annotates the prediction with
-// its oracle label, its source location and any degradation.
+// its oracle label and its source location.
 func (c *Classifier) predictLoop(ctx context.Context, name string, rec *dataset.Record) LoopPrediction {
 	pred, proba := c.predictRecord(ctx, rec)
 	lp := LoopPrediction{
@@ -161,14 +154,6 @@ func (c *Classifier) predictLoop(ctx context.Context, name string, rec *dataset.
 		Proba:    proba,
 		Oracle:   rec.Verdict.Parallelizable,
 		Reasons:  rec.Verdict.Reasons,
-	}
-	if len(rec.Degraded) > 0 {
-		obs.GetCounter("mvpar_degraded_predictions_total").Inc()
-		obs.Warn("classify.degraded", "program", name, "loop", rec.Meta.LoopID,
-			"reasons", fmt.Sprint(rec.Degraded))
-		lp.Degraded = true
-		lp.Reasons = append(append([]string(nil), lp.Reasons...), rec.Degraded...)
-		lp.Reasons = append(lp.Reasons, "prediction from node view only")
 	}
 	// A record without source provenance (no lowered loop metadata
 	// for its loop ID) must not fabricate an empty location, so

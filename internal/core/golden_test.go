@@ -15,9 +15,15 @@ import (
 // TestForwardGolden pins the float64 forward pass bit for bit: the class
 // and the bits of P(class=1) of every record of the whole corpus, under
 // the trained head and each view's own head. A kernel rewrite that moves
-// a single rounding shows up as a hash mismatch.
+// a single rounding shows up as a hash mismatch. It also pins the
+// trained classifier's fingerprint, which hashes the weights and the
+// encode configuration's printed form, so a renamed or deleted config
+// field that would move /healthz's identity fails here too.
 func TestForwardGolden(t *testing.T) {
-	const wantHash = uint64(0xb7ab4c7c18cf3af9)
+	const (
+		wantHash        = uint64(0xb7ab4c7c18cf3af9)
+		wantFingerprint = "e88c04fb812df2fc"
+	)
 	opts := tinyOptions()
 	opts.Train.Epochs = 2
 	pl := core.NewPipeline(opts)
@@ -40,5 +46,12 @@ func TestForwardGolden(t *testing.T) {
 	}
 	if h.Sum64() != wantHash {
 		t.Fatalf("forward hash %#x, want %#x", h.Sum64(), wantHash)
+	}
+	cls, err := pl.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp := cls.Fingerprint(); fp != wantFingerprint {
+		t.Fatalf("fingerprint %s, want %s", fp, wantFingerprint)
 	}
 }

@@ -138,9 +138,9 @@ type LoopPrediction struct {
 	Parallel bool    // model prediction
 	Proba    float64 // P(parallelizable)
 	Oracle   bool    // dynamic oracle ground truth
-	// Degraded marks a prediction made from the node view only because
-	// the loop's structural view could not be sampled; the causes are
-	// appended to Reasons.
+	// Degraded is always false: every loop is answered from both views.
+	// It stays only because benchmark/check.go compares it, and goes
+	// with the next change to the benchmark.
 	Degraded bool
 	Reasons  []string
 }
@@ -155,9 +155,9 @@ func (p *Pipeline) ClassifySource(name, src string) ([]LoopPrediction, error) {
 // ClassifySourceContext is ClassifySource with cancellation. It
 // delegates to a Classifier handle (cached across calls, refreshed when
 // the model or dataset changes), so repeat classifications share encoder
-// state instead of rebuilding it; see Classifier for the degraded-loop
-// semantics. Pipeline methods are not safe for concurrent use — callers
-// that fan requests out take a Classifier handle directly.
+// state instead of rebuilding it. Pipeline methods are not safe for
+// concurrent use — callers that fan requests out take a Classifier
+// handle directly.
 func (p *Pipeline) ClassifySourceContext(ctx context.Context, name, src string) ([]LoopPrediction, error) {
 	if p.cls == nil || p.Dataset == nil || p.cls.model != p.Model || p.cls.cfg.Embedding != p.Dataset.Embedding {
 		c, err := p.Classifier()

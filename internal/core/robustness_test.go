@@ -3,12 +3,10 @@ package core_test
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
 	"mvpar/internal/core"
-	"mvpar/internal/obs"
 )
 
 func TestTrainOnCancelledContext(t *testing.T) {
@@ -32,40 +30,5 @@ func TestTrainOnDeadline(t *testing.T) {
 	_, err := pl.TrainOnContext(ctx, tinyApps())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error does not unwrap to DeadlineExceeded: %v", err)
-	}
-}
-
-// TestClassifyDegradedPrediction forces walk sampling over budget during
-// classification: the loop must still get a prediction — from the node
-// view only — with the degradation visible in Reasons and the metric.
-func TestClassifyDegradedPrediction(t *testing.T) {
-	pl := core.NewPipeline(tinyOptions())
-	if _, err := pl.TrainOn(tinyApps()); err != nil {
-		t.Fatal(err)
-	}
-	obs.Reset()
-	// Any non-empty sub-PEG needs more than one walk sample.
-	pl.Opts.Data.WalkParams.MaxSamples = 1
-	preds, err := pl.ClassifySource("user", `
-float x[8]; float y[8];
-void main() {
-    for (int i = 0; i < 8; i++) { y[i] = x[i] * 3.0; }
-}
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preds) != 1 {
-		t.Fatalf("predictions = %d, want 1 (degraded loop must not be dropped)", len(preds))
-	}
-	if preds[0].Proba < 0 || preds[0].Proba > 1 {
-		t.Fatalf("proba = %v", preds[0].Proba)
-	}
-	joined := strings.Join(preds[0].Reasons, "; ")
-	if !strings.Contains(joined, "node view only") {
-		t.Fatalf("reasons do not record the degradation: %v", preds[0].Reasons)
-	}
-	if got := obs.GetCounter("mvpar_degraded_predictions_total").Value(); got != 1 {
-		t.Errorf("mvpar_degraded_predictions_total = %d, want 1", got)
 	}
 }

@@ -60,12 +60,6 @@ type Record struct {
 	// auto-parallelization tools (Pluto, AutoPar, DiscoPoP), as 0/1.
 	// Build leaves it nil; AddBaselineInputs fills it.
 	Tools map[string]int
-	// Degraded lists why parts of this record fell back to a reduced
-	// encoding (currently: structural-view walk sampling failed or went
-	// over budget, replaced by an all-zero structural view). Consumers
-	// such as core.ClassifySource use it to switch to a node-view-only
-	// prediction instead of dropping the loop.
-	Degraded []string
 }
 
 // Config controls dataset construction.
@@ -112,7 +106,8 @@ type Config struct {
 	// parse/lower/profile/encode stage fails fails the build.
 	Strict bool
 	// Ctx cancels the build: profiling aborts at the interpreter's stride
-	// check and the per-program loops stop between programs.
+	// check, encoding before the next loop, and no further program
+	// starts.
 	Ctx context.Context
 }
 
@@ -146,12 +141,9 @@ const nodeExtraDims = 4
 func NodeDimFor(embedDim int) int { return 3 + embedDim + nodeExtraDims + features.NumDynamic }
 
 // BuildReport is the outcome of one successful Build: how many programs
-// it built and how many records fell back to a degraded encoding.
+// it built.
 type BuildReport struct {
 	Programs int // applications built
-	// DegradedRecords counts records whose structural view was replaced
-	// by the all-zero fallback (see Record.Degraded).
-	DegradedRecords int
 }
 
 // EncodeFaultHook, when non-nil, is invoked at the start of every
@@ -246,38 +238,28 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	// encode benchmarks) still fan out across their variants. Records are
 	// appended at the merge in (program, variant) order, so Dataset.Records
 	// is byte-identical to the serial build.
-	type encodeOut struct {
-		recs []*Record
-		degs []degradation
-	}
 	nv := cfg.Variants
 	_, encodeSpan := trace.StartSpan(cfg.Ctx, "dataset.encode")
-	eouts, eerr := pool.Map(pool.Config{Workers: cfg.Parallelism, Ctx: cfg.Ctx}, len(progs)*nv, func(j int) (encodeOut, error) {
+	eouts, eerr := pool.Map(pool.Config{Workers: cfg.Parallelism, Ctx: cfg.Ctx}, len(progs)*nv, func(j int) ([]*Record, error) {
 		p := progs[j/nv]
 		v := j % nv
-		var o encodeOut
-		err := faults.Stage(p.app.Name, faults.StageEncode, func() error {
+		var recs []*Record
+		err := faults.Stage(p.app.Name, faults.StageEncode, func() (e error) {
 			// The fault hook fires once per program (on its first variant).
 			if v == 0 && EncodeFaultHook != nil {
 				EncodeFaultHook(p.app.Name)
 			}
-			o.recs, o.degs = encodeVariant(p.app, p.base, p.res, emb, space, cfg, v)
-			return nil
+			recs, e = encodeVariant(p.app, p.base, p.res, emb, space, cfg, v)
+			return e
 		})
-		return o, err
+		return recs, err
 	})
 	encodeSpan.End()
 	if eerr != nil {
 		return nil, nil, fmt.Errorf("dataset: %w", eerr)
 	}
-	for _, o := range eouts {
-		for _, deg := range o.degs {
-			report.DegradedRecords++
-			obs.GetCounter("mvpar_degraded_samples_total").Inc()
-			obs.Warn("dataset.degraded", "program", deg.program, "loop", deg.loop,
-				"variant", deg.variant, "err", deg.msg)
-		}
-		d.Records = append(d.Records, o.recs...)
+	for _, recs := range eouts {
+		d.Records = append(d.Records, recs...)
 	}
 	_, stdSpan := trace.StartSpan(cfg.Ctx, "dataset.standardize")
 	standardizeNodeFeatures(d.Records)
@@ -286,27 +268,17 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	return d, report, nil
 }
 
-// degradation records one loop's structural-view fallback so the build
-// merge can count and log it in deterministic input order.
-type degradation struct {
-	program string
-	loop    int
-	variant int
-	msg     string
-}
-
 // encodeVariant encodes every loop of one IR variant of one profiled
-// program and returns the records plus any degradation events. It is a
-// pure function of its inputs (walk sampling is seeded per record), which
-// is what lets Build fan variants out across workers and still merge a
-// bit-identical dataset. It runs inside the caller's recovery boundary: a
-// panic anywhere in the graph/tensor/nn encoding machinery fails the
-// build as this program's encode stage.
+// program. It is a pure function of its inputs (walk sampling is seeded
+// per record), which is what lets Build fan variants out across workers
+// and still merge a bit-identical dataset. It runs inside the caller's
+// recovery boundary: a panic anywhere in the graph/tensor/nn encoding
+// machinery fails the build as this program's encode stage, and so does
+// a cfg.Ctx that is done before a loop starts.
 func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
 	emb *inst2vec.Embedding, space *walks.Space,
-	cfg Config, v int) ([]*Record, []degradation) {
+	cfg Config, v int) ([]*Record, error) {
 	var recs []*Record
-	var degs []degradation
 	variant := encodedVariant(base, v)
 	cus := cu.Build(variant)
 	pg := peg.Build(variant, cus, res)
@@ -316,6 +288,9 @@ func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
 	rng := rand.New(&rngSource{})
 	var merge mergeScratch
 	for _, loopID := range cus.LoopIDs() {
+		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
+			return nil, cfg.Ctx.Err()
+		}
 		verdict := res.Verdicts[loopID]
 		label := 0
 		if verdict.Parallelizable {
@@ -357,25 +332,15 @@ func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
 		g := modelGraph(sub, &merge)
 		node := gnn.Encode(g, nodeFeatures(sub, emb, stat))
 		rng.Seed(sampleSeed(cfg.Seed, meta))
-		sx, svErr := structFeatures(sub, g, space, cfg.WalkParams, rng)
-		if svErr != nil {
-			// Graceful degradation: keep the loop with an all-zero
-			// structural view (the node view still carries the full
-			// Static-GNN signal) instead of dropping it.
-			rec.Degraded = append(rec.Degraded,
-				fmt.Sprintf("structural view unavailable: %v", svErr))
-			sx = tensor.New(g.NumNodes(), StructDimFor(space))
-			degs = append(degs, degradation{program: app.Name, loop: loopID, variant: v, msg: svErr.Error()})
-		}
 		rec.Sample = gnn.Sample{
 			Node:   node,
-			Struct: node.WithFeatures(sx),
+			Struct: node.WithFeatures(structFeatures(sub, g, space, cfg.WalkParams, rng)),
 			Label:  label,
 			Meta:   meta,
 		}
 		recs = append(recs, rec)
 	}
-	return recs, degs
+	return recs, nil
 }
 
 // recordBuildStats publishes one Build's record count and class balance.
@@ -525,14 +490,9 @@ func StructDimFor(space *walks.Space) int { return space.NumTypes() + structDesc
 
 // structFeatures builds the structural-view features of a sub-PEG whose
 // kind-merged graph is g: the anonymous-walk type distribution (eq. 3)
-// concatenated with local structural descriptors. It fails (rather than
-// panicking or stalling) when walk sampling goes over Params.MaxSamples;
-// callers degrade to an all-zero matrix.
-func structFeatures(sub *peg.SubPEG, g *graph.Directed, space *walks.Space, p walks.Params, rng *rand.Rand) (*tensor.Matrix, error) {
-	dist, err := space.NodeDistributionsBudget(g, p, rng)
-	if err != nil {
-		return nil, err
-	}
+// concatenated with local structural descriptors.
+func structFeatures(sub *peg.SubPEG, g *graph.Directed, space *walks.Space, p walks.Params, rng *rand.Rand) *tensor.Matrix {
+	dist := space.NodeDistributions(g, p, rng)
 	x := tensor.New(g.NumNodes(), StructDimFor(space))
 	for v := 0; v < g.NumNodes(); v++ {
 		row := x.Row(v)
@@ -576,7 +536,7 @@ func structFeatures(sub *peg.SubPEG, g *graph.Directed, space *walks.Space, p wa
 			}
 		}
 	}
-	return x, nil
+	return x
 }
 
 // modelGraph returns the graph the models see: the sub-PEG with carried

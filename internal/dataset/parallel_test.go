@@ -43,7 +43,7 @@ func TestBuildParallelBitIdentical(t *testing.T) {
 				t.Fatalf("jobs=%d: record %d meta/label diverged: %+v vs %+v", jobs, i, a.Meta, b.Meta)
 			}
 			if !reflect.DeepEqual(a.Static, b.Static) || !reflect.DeepEqual(a.Tokens, b.Tokens) ||
-				!reflect.DeepEqual(a.Tools, b.Tools) || !reflect.DeepEqual(a.Degraded, b.Degraded) {
+				!reflect.DeepEqual(a.Tools, b.Tools) {
 				t.Fatalf("jobs=%d: record %d static/tokens/tools diverged", jobs, i)
 			}
 			for j, v := range a.Sample.Node.X.Data {

@@ -624,9 +624,11 @@ func (a *Analyzer) onWrite(addr uint64, c *cell, rec *accessRec) {
 // Finalize computes the per-loop verdicts for every loop of prog; a loop
 // that never executed has no evidence and so is parallelizable. The
 // iteration and instance counts come from stats, the traced run's.
+// Finalize ends the analysis: it sorts the analyzer's edges in place and
+// hands them to the Result, so the analyzer must see no further access.
 func (a *Analyzer) Finalize(prog *ir.Program, stats interp.Stats) *Result {
 	res := &Result{
-		Edges:      slices.Clone(a.edges),
+		Edges:      a.edges,
 		Verdicts:   map[int]Verdict{},
 		Iterations: loopCounts(stats.LoopIters),
 		Instances:  loopCounts(stats.LoopEnter),

@@ -8,11 +8,10 @@ import (
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
-	LR          float64
-	Beta1       float64
-	Beta2       float64
-	Eps         float64
-	WeightDecay float64
+	LR    float64
+	Beta1 float64
+	Beta2 float64
+	Eps   float64
 
 	t int
 	m map[*Param]*tensor.Matrix
@@ -39,11 +38,6 @@ func (a *Adam) Step(params []*Param) {
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range params {
 		g := p.Grad
-		if a.WeightDecay != 0 {
-			for i := range g.Data {
-				g.Data[i] += a.WeightDecay * p.Value.Data[i]
-			}
-		}
 		m := a.m[p]
 		v := a.v[p]
 		if m == nil {

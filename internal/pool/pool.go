@@ -86,10 +86,11 @@ func Map[T any](cfg Config, n int, fn func(i int) (T, error)) ([]T, error) {
 // the error the serial loop would have hit first. Panics are recovered via
 // faults.Capture and surface as *faults.PanicError.
 //
-// Cancellation: once cfg.Ctx is done no further job starts. MapWorker
-// then returns the lowest-index job error if it wraps ctx.Err() (a job
-// that saw the deadline and named its stage), and ctx.Err() otherwise,
-// so the error is the same at every worker count.
+// Cancellation: once cfg.Ctx is done no further job starts. If every
+// job still completed, MapWorker returns nil. Otherwise it returns the
+// lowest-index job error if it wraps ctx.Err() (a job that saw the
+// deadline and named its stage), and ctx.Err() otherwise, so the error
+// is the same at every worker count.
 func MapWorker[T any](cfg Config, n int, fn func(worker, i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
@@ -194,10 +195,11 @@ func (f *fanout[T]) work(w int) jobError {
 }
 
 // finish publishes the fan-out's pool metrics (completed job count, wall
-// time, and the busy/capacity utilization ratio) and returns its error.
-// With the context done that is the lowest-index failure if it wraps
-// the context's error, else the context's error; otherwise it is the
-// lowest-index failure.
+// time, and the busy/capacity utilization ratio) and returns its error:
+// nil when every job completed, even if the context is done by now. With
+// the context done and a job skipped or failed, that is the lowest-index
+// failure if it wraps the context's error, else the context's error;
+// otherwise it is the lowest-index failure.
 func (f *fanout[T]) finish(workers int, start time.Time, low jobError) error {
 	wall := time.Since(start)
 	obs.GetCounter("mvpar_pool_jobs_total").Add(f.completed.Load())
@@ -208,6 +210,9 @@ func (f *fanout[T]) finish(workers int, start time.Time, low jobError) error {
 			util = 1
 		}
 		obs.GetGauge("mvpar_pool_utilization_ratio").Set(util)
+	}
+	if low.err == nil && f.completed.Load() == int64(len(f.results)) {
+		return nil
 	}
 	if f.ctx != nil && f.ctx.Err() != nil && (low.err == nil || !errors.Is(low.err, f.ctx.Err())) {
 		return f.ctx.Err()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -147,6 +148,37 @@ func TestMapCancellationKeepsJobError(t *testing.T) {
 		cancel()
 		if err == nil || err.Error() != "job 2: context deadline exceeded" {
 			t.Fatalf("workers=%d: got %v, want job 2's error", workers, err)
+		}
+	}
+}
+
+// TestMapCancelledAfterLastJob checks that a context that ends after
+// every job has completed is no failure: the last job cancels once all
+// the others are done, and Map returns every result and nil, at every
+// worker count.
+func TestMapCancelledAfterLastJob(t *testing.T) {
+	const n = 16
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var done atomic.Int64
+		got, err := Map(Config{Workers: workers, Ctx: ctx}, n, func(i int) (int, error) {
+			if i == n-1 {
+				for done.Load() < n-1 {
+					runtime.Gosched()
+				}
+				cancel()
+			} else {
+				done.Add(1)
+			}
+			return i, nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: got %v, want nil", workers, err)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("workers=%d: result %d = %d", workers, i, v)
+			}
 		}
 	}
 }

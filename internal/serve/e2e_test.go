@@ -254,6 +254,14 @@ func TestServerFailureClassesNameTheirStage(t *testing.T) {
 	mismatched := *pl
 	mismatched.Model = gnn.NewMVGNN(pl.Dataset.NodeDim+1, pl.Dataset.StructDim, 1)
 	encodePanicOn(t, "boomenc")
+	// A program whose encode stage outlasts the request deadline.
+	panicHook := dataset.EncodeFaultHook
+	dataset.EncodeFaultHook = func(program string) {
+		if program == "slowenc" {
+			time.Sleep(500 * time.Millisecond)
+		}
+		panicHook(program)
+	}
 
 	for _, tc := range []struct {
 		name    string
@@ -266,6 +274,7 @@ func TestServerFailureClassesNameTheirStage(t *testing.T) {
 		{"malformed", pl, 0, "void main() { for (int i = 0; i < 8; i++ { } }", http.StatusUnprocessableEntity, "parse"},
 		{"budget", &budget, 0, runaway, http.StatusUnprocessableEntity, "profile"},
 		{"deadline", pl, 200 * time.Millisecond, runaway, http.StatusGatewayTimeout, "profile"},
+		{"slowenc", pl, 200 * time.Millisecond, e2eSources["map"], http.StatusGatewayTimeout, "encode"},
 		{"boomenc", pl, 0, e2eSources["map"], http.StatusInternalServerError, "encode"},
 		{"forward", &mismatched, 0, e2eSources["map"], http.StatusInternalServerError, "forward"},
 	} {

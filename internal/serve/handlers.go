@@ -33,7 +33,6 @@ type Prediction struct {
 	Parallel bool     `json:"parallel"`
 	Proba    float64  `json:"proba"`
 	Oracle   bool     `json:"oracle"`
-	Degraded bool     `json:"degraded,omitempty"`
 	Reasons  []string `json:"reasons,omitempty"`
 }
 
@@ -45,9 +44,6 @@ type ClassifyResponse struct {
 	// the initially loaded model, +1 per hot swap). Clients comparing
 	// results across a reload can tell which weights answered.
 	Generation uint64 `json:"generation"`
-	// Degraded is true when any loop's prediction fell back to the node
-	// view only (per-loop detail in Predictions[i].Degraded/Reasons).
-	Degraded bool `json:"degraded"`
 	// Precision names the inference engine that answered; it is always
 	// "float64", the one engine, bit-identical to training.
 	Precision string `json:"precision"`
@@ -90,12 +86,8 @@ func toResponse(name string, preds []core.LoopPrediction) ClassifyResponse {
 			Parallel: p.Parallel,
 			Proba:    p.Proba,
 			Oracle:   p.Oracle,
-			Degraded: p.Degraded,
 			Reasons:  p.Reasons,
 		})
-		if p.Degraded {
-			resp.Degraded = true
-		}
 	}
 	return resp
 }

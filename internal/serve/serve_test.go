@@ -310,7 +310,8 @@ func TestServerGracefulDrainCompletesInFlight(t *testing.T) {
 
 // TestRepeatSubmissionsRunTheModel: the server keeps no response cache,
 // so two identical submissions both reach the model and neither body
-// carries a "cached" key.
+// carries a "cached" key. Every loop is answered from both views, so
+// neither the body nor a prediction carries a "degraded" key either.
 func TestRepeatSubmissionsRunTheModel(t *testing.T) {
 	stub := &stubInference{}
 	s, ts := newTestServer(t, stub, Config{})
@@ -334,6 +335,15 @@ func TestRepeatSubmissionsRunTheModel(t *testing.T) {
 		}
 		if _, ok := fields["cached"]; ok {
 			t.Fatalf("request %d body carries a cached key: %s", i, raw)
+		}
+		var preds []map[string]json.RawMessage
+		if err := json.Unmarshal(fields["predictions"], &preds); err != nil || len(preds) == 0 {
+			t.Fatalf("request %d predictions %s: %v", i, fields["predictions"], err)
+		}
+		for _, obj := range append(preds, fields) {
+			if _, ok := obj["degraded"]; ok {
+				t.Fatalf("request %d body carries a degraded key: %s", i, raw)
+			}
 		}
 	}
 	if got := stub.calls.Load(); got != 2 {

@@ -9,7 +9,6 @@ package walks
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -134,19 +133,11 @@ func (s *Space) IndexOf(aw []int) (int, bool) {
 }
 
 // Params configures walk sampling: Gamma walks of Length edges per node
-// (the paper's γ and l). MaxSamples, when positive, caps the total number
-// of walks sampled per graph (NumNodes × Gamma); graphs whose sampling
-// would exceed it fail with ErrBudget so callers can degrade to the
-// node-feature view instead of stalling on a pathological sub-PEG.
+// (the paper's γ and l).
 type Params struct {
-	Length     int
-	Gamma      int
-	MaxSamples int64
+	Length int
+	Gamma  int
 }
-
-// ErrBudget is returned by NodeDistributionsBudget when sampling a graph
-// would exceed Params.MaxSamples.
-var ErrBudget = errors.New("walks: sample budget exceeded")
 
 // DefaultParams mirrors the scale used in the paper's references: walks of
 // length 5 with 32 samples per node.
@@ -155,32 +146,13 @@ var DefaultParams = Params{Length: 5, Gamma: 32}
 // NodeDistributions samples Gamma anonymous walks of the given length from
 // every node of g and returns the N x NumTypes matrix of empirical
 // distributions p̂(ω|v) (eq. 3). Rows sum to 1 for non-empty graphs.
-// Params.MaxSamples is ignored here; use NodeDistributionsBudget to
-// enforce it.
 func (s *Space) NodeDistributions(g *graph.Directed, p Params, rng *rand.Rand) *tensor.Matrix {
-	m, _ := s.nodeDistributions(g, p, rng, false)
-	return m
-}
-
-// NodeDistributionsBudget is NodeDistributions with the sampling budget
-// enforced: when p.MaxSamples > 0 and the graph needs more than that many
-// walks, it returns ErrBudget without sampling.
-func (s *Space) NodeDistributionsBudget(g *graph.Directed, p Params, rng *rand.Rand) (*tensor.Matrix, error) {
-	return s.nodeDistributions(g, p, rng, true)
-}
-
-func (s *Space) nodeDistributions(g *graph.Directed, p Params, rng *rand.Rand, budgeted bool) (*tensor.Matrix, error) {
 	_, span := trace.StartSpan(context.Background(), "walks.sample")
 	defer span.End()
 	n := g.NumNodes()
 	out := tensor.New(n, s.NumTypes())
 	if p.Gamma <= 0 {
-		return out, nil
-	}
-	if budgeted && p.MaxSamples > 0 && int64(n)*int64(p.Gamma) > p.MaxSamples {
-		obs.GetCounter("mvpar_walks_budget_exceeded_total").Inc()
-		return nil, fmt.Errorf("%w: %d nodes x %d walks > %d",
-			ErrBudget, n, p.Gamma, p.MaxSamples)
+		return out
 	}
 	obs.GetCounter("mvpar_walks_sampled_total").Add(int64(n) * int64(p.Gamma))
 	inv := 1.0 / float64(p.Gamma)
@@ -199,7 +171,14 @@ func (s *Space) nodeDistributions(g *graph.Directed, p Params, rng *rand.Rand, b
 			row[idx] += inv
 		}
 	}
-	return out, nil
+	return out
+}
+
+// NodeDistributionsBudget is NodeDistributions with a nil error. It
+// stays only because benchmark/layers.go times walk sampling through it;
+// it goes with the next change to the benchmark.
+func (s *Space) NodeDistributionsBudget(g *graph.Directed, p Params, rng *rand.Rand) (*tensor.Matrix, error) {
+	return s.NodeDistributions(g, p, rng), nil
 }
 
 // GraphDistribution averages the node distributions into the graph-level
