@@ -2,9 +2,9 @@
 # vet + build + full test suite, plus the concurrent packages under the
 # race detector: obs (logger, registry, and the span histograms the
 # trace subpackage feeds), the worker-pool
-# paths introduced by the parallel engine (pool, tensor's pooled MatMul,
-# gnn's data-parallel trainer, dataset's parallel Build), serve, and the
-# profiler (interp, deps), which core.OracleSweep runs concurrently.
+# paths introduced by the parallel engine (pool, gnn's data-parallel
+# trainer, dataset's parallel Build), serve, and the profiler (interp,
+# deps), which core.OracleSweep runs concurrently.
 GO ?= go
 
 .PHONY: all build lint test test-race bench benchcmp benchgate fuzz smoke verify
@@ -52,7 +52,7 @@ lint:
 
 test: build
 	$(GO) test ./...
-	$(GO) test -race ./internal/obs/... ./internal/pool/... ./internal/tensor/... ./internal/gnn/... ./internal/dataset/... ./internal/serve/... ./internal/interp/... ./internal/deps/...
+	$(GO) test -race ./internal/obs/... ./internal/pool/... ./internal/gnn/... ./internal/dataset/... ./internal/serve/... ./internal/interp/... ./internal/deps/...
 
 test-race:
 	$(GO) test -race ./...

@@ -370,34 +370,6 @@ func BenchmarkDatasetEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulThreshold justifies tensor's parallelThreshold
-// (32*64*64 multiply-accumulates): for each square size it times the
-// always-serial kernel against MatMul, which dispatches to the shared
-// pool only above the threshold. Sizes 16-32 must show serial == pooled
-// (MatMul falls back below threshold); sizes 48+ show where the fan-out
-// starts paying for itself on a multi-core runner. Both sides run the
-// same per-row kernel (tensor.VecMatAdd), so the gap is fan-out alone.
-func BenchmarkMatMulThreshold(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{16, 32, 48, 64, 96, 128, 192} {
-		a := tensor.Randn(n, n, 1, rng)
-		m := tensor.Randn(n, n, 1, rng)
-		b.Run(fmt.Sprintf("n%d/serial", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulSerial(a, m)
-			}
-		})
-		b.Run(fmt.Sprintf("n%d/pooled", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMul(a, m)
-			}
-		})
-	}
-}
-
 // forwardBenchModel trains the shared fixture of the forward-tier
 // benchmarks (BenchmarkForwardF32, BenchmarkForwardI8): a small pipeline
 // over three corpus apps, returning the trained model and its samples.
@@ -417,7 +389,7 @@ func forwardBenchModel(b *testing.B) (*gnn.MVGNN, []gnn.Sample) {
 		Seed:  1,
 	}
 	pl := core.NewPipeline(opts)
-	if _, err := pl.TrainOn([]bench.App{all[3], all[4], all[9]}); err != nil {
+	if _, err := pl.TrainOnContext(context.Background(), []bench.App{all[3], all[4], all[9]}); err != nil {
 		b.Fatal(err)
 	}
 	return pl.Model, dataset.Samples(pl.Dataset.Records)
@@ -675,7 +647,7 @@ func benchClassify(b *testing.B, name, src string) {
 		Seed:  1,
 	}
 	pl := core.NewPipeline(opts)
-	if _, err := pl.TrainOn([]bench.App{all[3], all[4], all[9]}); err != nil {
+	if _, err := pl.TrainOnContext(context.Background(), []bench.App{all[3], all[4], all[9]}); err != nil {
 		b.Fatal(err)
 	}
 	cls, err := pl.Classifier()

@@ -1,16 +1,21 @@
 // Command mvpar is the command-line front end of the library: it profiles
 // MiniC programs, dumps dependence results and PEGs, trains the multi-view
-// model on the built-in corpus, and classifies the loops of user programs.
+// model on the built-in corpus, classifies the loops of user programs and
+// serves a trained model over HTTP.
 //
-// Usage:
+// Usage (global flags go before the command; mvpar -h lists them):
 //
-//	mvpar oracle  <file.mc>          # profile and print per-loop verdicts
-//	mvpar peg     <file.mc>          # emit the program execution graph (DOT)
-//	mvpar subpeg  <file.mc> <loopID> # emit one loop's sub-PEG (DOT)
-//	mvpar tools   <file.mc>          # static/dynamic tool decisions per loop
-//	mvpar train   [-model out.gob]   # train MV-GNN on the built-in corpus
-//	mvpar classify <file.mc>         # train (quick) then classify the file's loops
-//	mvpar corpus                     # print the generated Table-II corpus stats
+//	mvpar oracle   <file.mc>           # profile and print per-loop verdicts
+//	mvpar peg      <file.mc>           # emit the program execution graph (DOT)
+//	mvpar subpeg   <file.mc> <loopID>  # emit one loop's sub-PEG (DOT)
+//	mvpar tools    <file.mc>           # static/dynamic tool decisions per loop
+//	mvpar train    [-model out.gob]    # train MV-GNN on the built-in corpus
+//	mvpar classify <file.mc>           # train (quick) then classify the file's loops
+//	mvpar serve    [-model FILE]       # HTTP inference service (docs/serving.md)
+//	mvpar corpus   [-dump DIR]         # print (or dump) the generated corpus
+//	mvpar speedup  <file.mc> [threads] # simulate parallel execution of every loop
+//	mvpar dataset  [-out FILE]         # export the corpus dataset as JSON
+//	mvpar explain  <file.mc> <loopID>  # dump everything known about one loop
 package main
 
 import (
@@ -342,7 +347,11 @@ func cmdClassify(ctx context.Context, args []string) error {
 	if _, err := pl.TrainOnContext(ctx, bench.Corpus()); err != nil {
 		return err
 	}
-	preds, err := pl.ClassifySourceContext(ctx, fs.Arg(0), src)
+	cls, err := pl.Classifier()
+	if err != nil {
+		return err
+	}
+	preds, err := cls.ClassifyContext(ctx, fs.Arg(0), src)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -45,12 +46,22 @@ func quickOptions() core.Options {
 	}
 }
 
+// classify predicts the probe's loops with a handle on pl's current
+// model; a handle taken before LoadModel keeps serving the old weights.
+func classify(pl *core.Pipeline) ([]core.LoopPrediction, error) {
+	cls, err := pl.Classifier()
+	if err != nil {
+		return nil, err
+	}
+	return cls.ClassifyContext(context.Background(), "probe", probe)
+}
+
 func main() {
 	// Train on a slice of the corpus (quick configuration).
 	apps := bench.Corpus()
 	trainApps := []bench.App{apps[3], apps[4], apps[5], apps[9]} // IS, EP, CG, jacobi-2d
 	pl := core.NewPipeline(quickOptions())
-	report, err := pl.TrainOn(trainApps)
+	report, err := pl.TrainOnContext(context.Background(), trainApps)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +86,7 @@ func main() {
 	info, _ := os.Stat(path)
 	fmt.Printf("saved model to %s (%d bytes)\n", path, info.Size())
 
-	before, err := pl.ClassifySource("probe", probe)
+	before, err := classify(pl)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +110,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	after, err := pl.ClassifySource("probe", probe)
+	after, err := classify(pl)
 	if err != nil {
 		log.Fatal(err)
 	}

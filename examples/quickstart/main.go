@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,9 +44,11 @@ void main() {
 `
 
 func main() {
+	ctx := context.Background()
+
 	// Step 1: the profiling substrate alone — parse, lower, execute with
 	// instrumentation, and print the dynamic dependence oracle's verdicts.
-	prog, res, err := core.ProfileSource("quickstart", program)
+	_, prog, res, err := core.ProfileSourceContext(ctx, "quickstart", program)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +78,7 @@ func main() {
 		Seed:  1,
 	}
 	pl := core.NewPipeline(opts)
-	report, err := pl.TrainOn(bench.Corpus())
+	report, err := pl.TrainOnContext(ctx, bench.Corpus())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,7 +87,11 @@ func main() {
 
 	// Step 3: classify the quickstart program's loops with the model.
 	fmt.Println("\n== model predictions ==")
-	preds, err := pl.ClassifySource("quickstart", program)
+	cls, err := pl.Classifier()
+	if err != nil {
+		log.Fatal(err)
+	}
+	preds, err := cls.ClassifyContext(ctx, "quickstart", program)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,13 +1,14 @@
 package mvpar_test
 
-// Guards against exported API that only its own tests reach: functions
-// and methods here, struct fields in TestNoTestOnlyKnobs below. Every
-// exported top-level function and method declared in a non-test file
-// under internal/ or cmd/ must be named by some other identifier in a
-// non-test Go file of the repository (this module, the benchmark module
-// or the examples). A name that only tests reach is code nothing runs:
-// delete it with its tests, or, if it is a seam a remaining test needs,
-// add it to testSeams with the reason.
+// Guards against exported API that only its own tests reach: functions,
+// methods and types here, struct fields in TestNoTestOnlyKnobs below.
+// Every exported top-level function, method and type declared in a
+// non-test file under internal/ or cmd/ must be named by some other
+// identifier in a non-test Go file of the repository (this module, the
+// benchmark module or the examples); a type's own method receivers do
+// not count. A name that only tests reach is code nothing runs: delete
+// it with its tests, or, if it is a seam a remaining test needs, add it
+// to testSeams with the reason.
 
 import (
 	"go/ast"
@@ -26,7 +27,6 @@ var testSeams = map[string]string{
 	"GlobalValue":      "interp: tests read a global's value after a run",
 	"ApproxEqual":      "tensor: tests compare matrices within a tolerance",
 	"Argsort":          "tensor: the reference ArgsortInto is tested against",
-	"MatMulSerial":     "tensor: the reference the parallel MatMul is tested and benchmarked against",
 	"SpMM":             "tensor: the float64 reference the CSR kernels are tested and benchmarked against",
 	"Apply":            "tensor: builds the float64 expectations of the f32 and i8 tanh kernels",
 	"FromRows":         "tensor: builds literal matrices in tests",
@@ -39,7 +39,6 @@ var testSeams = map[string]string{
 	"CheckExposition":  "obs: tests validate /metrics output against the exposition format",
 	"NewSequential":    "nn: tests build small models from layers",
 	"ZeroGrads":        "nn: gradient checks clear accumulated gradients",
-	"LoadParams":       "nn: serialization round-trip tests",
 	"NewRNG":           "nn: seeded initialization in layer tests",
 	"OracleSweep":      "core: bound by the root benchmarks",
 	"ExportDataConfig": "core: bound by the root benchmarks",
@@ -84,6 +83,7 @@ func sourceFiles(t *testing.T, root string) []string {
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
 	uses := map[string]int{}
+	receivers := map[string]int{} // methods declared on each type name
 	type decl struct{ name, where string }
 	var decls []decl
 	for _, path := range sourceFiles(t, ".") {
@@ -97,20 +97,36 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			return true
 		})
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && len(fn.Recv.List) == 1 {
+				receivers[recvName(fn.Recv.List[0].Type)]++
+			}
+		}
 		if !strings.HasPrefix(path, "internal"+string(filepath.Separator)) &&
 			!strings.HasPrefix(path, "cmd"+string(filepath.Separator)) {
 			continue
 		}
 		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				where := filepath.Dir(path) + "." + d.Name.Name
+				if d.Recv != nil && len(d.Recv.List) == 1 {
+					where = filepath.Dir(path) + "." + recvName(d.Recv.List[0].Type) + "." + d.Name.Name
+				}
+				decls = append(decls, decl{d.Name.Name, where})
+			case *ast.GenDecl:
+				if d.Tok != token.TYPE {
+					continue
+				}
+				for _, s := range d.Specs {
+					if ts := s.(*ast.TypeSpec); ts.Name.IsExported() {
+						decls = append(decls, decl{ts.Name.Name, filepath.Dir(path) + "." + ts.Name.Name})
+					}
+				}
 			}
-			where := filepath.Dir(path) + "." + fn.Name.Name
-			if fn.Recv != nil && len(fn.Recv.List) == 1 {
-				where = filepath.Dir(path) + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-			}
-			decls = append(decls, decl{fn.Name.Name, where})
 		}
 	}
 	var unused []string
@@ -118,8 +134,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if _, ok := testSeams[d.name]; ok {
 			continue
 		}
-		// The declaration's own name is one occurrence.
-		if uses[d.name] <= 1 {
+		// The declaration's own name is one occurrence, and so is each
+		// method receiver naming it (zero for a function's name).
+		if uses[d.name]-receivers[d.name] <= 1 {
 			unused = append(unused, d.where)
 		}
 	}

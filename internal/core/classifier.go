@@ -29,7 +29,7 @@ import (
 // (shared weights, private scratch — see gnn.Predictor.Replicate) from an
 // internal free list, so the inference server's handlers can classify
 // concurrently, each on its own worker slot, and still produce results
-// bit-identical to serial Pipeline.ClassifySource.
+// bit-identical to classifying the same program alone.
 type Classifier struct {
 	cfg   dataset.Config // frozen single-program encode config
 	model *gnn.MVGNN     // the float64 weights the handle was built from
@@ -40,8 +40,8 @@ type Classifier struct {
 }
 
 // PrecisionFloat64 names the one inference engine: the float64 forward
-// pass that is bit-identical to training and to serial
-// Pipeline.ClassifySource. The server reports it on every answer.
+// pass that is bit-identical to training. The server reports it on
+// every answer.
 const PrecisionFloat64 = "float64"
 
 // Classifier returns an inference handle bound to the pipeline's current

@@ -26,7 +26,7 @@ func TestClassifierZeroEncoderRebuilds(t *testing.T) {
 
 	pl := core.NewPipeline(tinyOptions())
 	v0, s0 := vocab.Value(), space.Value()
-	if _, err := pl.TrainOn(tinyApps()); err != nil {
+	if _, err := pl.TrainOnContext(context.Background(), tinyApps()); err != nil {
 		t.Fatal(err)
 	}
 	if vocab.Value() != v0+1 || space.Value() != s0+1 {
@@ -60,20 +60,6 @@ void main() { for (int i = 0; i < 8; i++) { q[i] = i; } }
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("repeat classification diverged:\n%+v\nvs\n%+v", first, second)
 	}
-
-	// The Pipeline convenience path shares the same handle semantics.
-	v2, s2 := vocab.Value(), space.Value()
-	viaPipeline, err := pl.ClassifySource("u", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vocab.Value() != v2 || space.Value() != s2 {
-		t.Fatalf("Pipeline.ClassifySource rebuilt encoder state (vocab +%d, space +%d), want none",
-			vocab.Value()-v2, space.Value()-s2)
-	}
-	if !reflect.DeepEqual(viaPipeline, first) {
-		t.Fatalf("pipeline path diverged from classifier path:\n%+v\nvs\n%+v", viaPipeline, first)
-	}
 }
 
 // TestClassifierConcurrentMatchesSerial pins the replica free list: many
@@ -81,18 +67,18 @@ void main() { for (int i = 0; i < 8; i++) { q[i] = i; } }
 // serial result.
 func TestClassifierConcurrentMatchesSerial(t *testing.T) {
 	pl := core.NewPipeline(tinyOptions())
-	if _, err := pl.TrainOn(tinyApps()); err != nil {
+	if _, err := pl.TrainOnContext(context.Background(), tinyApps()); err != nil {
 		t.Fatal(err)
 	}
 	src := `
 float x[8]; float y[8];
 void main() { for (int i = 0; i < 8; i++) { y[i] = x[i] + 1.0; } }
 `
-	want, err := pl.ClassifySource("u", src)
+	cls, err := pl.Classifier()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls, err := pl.Classifier()
+	want, err := cls.ClassifyContext(context.Background(), "u", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +110,7 @@ void main() { for (int i = 0; i < 8; i++) { y[i] = x[i] + 1.0; } }
 // parser reports for that loop ID.
 func TestClassifyProvenanceMatchesParse(t *testing.T) {
 	pl := core.NewPipeline(tinyOptions())
-	if _, err := pl.TrainOn(tinyApps()); err != nil {
+	if _, err := pl.TrainOnContext(context.Background(), tinyApps()); err != nil {
 		t.Fatal(err)
 	}
 	cls, err := pl.Classifier()
@@ -162,13 +148,13 @@ func TestClassifyProvenanceMatchesParse(t *testing.T) {
 // gnn.TestLoadDropsQuantizedTiers.
 func TestLoadModelRequantizesFastTiers(t *testing.T) {
 	pl := core.NewPipeline(tinyOptions())
-	if _, err := pl.TrainOn(tinyApps()); err != nil {
+	if _, err := pl.TrainOnContext(context.Background(), tinyApps()); err != nil {
 		t.Fatal(err)
 	}
 	otherOpts := tinyOptions()
 	otherOpts.Seed = 2
 	other := core.NewPipeline(otherOpts)
-	if _, err := other.TrainOn(tinyApps()); err != nil {
+	if _, err := other.TrainOnContext(context.Background(), tinyApps()); err != nil {
 		t.Fatal(err)
 	}
 	var ckpt bytes.Buffer
@@ -231,7 +217,7 @@ func TestLoadModelRequantizesFastTiers(t *testing.T) {
 // it creates after the load alike.
 func TestLoadModelKeepsEarlierHandle(t *testing.T) {
 	pl := core.NewPipeline(tinyOptions())
-	if _, err := pl.TrainOn(tinyApps()); err != nil {
+	if _, err := pl.TrainOnContext(context.Background(), tinyApps()); err != nil {
 		t.Fatal(err)
 	}
 	h, err := pl.Classifier()

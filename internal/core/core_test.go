@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -36,9 +37,19 @@ func tinyApps() []bench.App {
 	return []bench.App{all[3], all[4], all[9]} // IS, EP, jacobi-2d
 }
 
+// classify predicts src's loops with a fresh handle on pl's current
+// model.
+func classify(pl *core.Pipeline, name, src string) ([]core.LoopPrediction, error) {
+	cls, err := pl.Classifier()
+	if err != nil {
+		return nil, err
+	}
+	return cls.ClassifyContext(context.Background(), name, src)
+}
+
 func TestPipelineTrainAndClassify(t *testing.T) {
 	pl := core.NewPipeline(tinyOptions())
-	report, err := pl.TrainOn(tinyApps())
+	report, err := pl.TrainOnContext(context.Background(), tinyApps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +64,7 @@ func TestPipelineTrainAndClassify(t *testing.T) {
 		t.Fatalf("curve length = %d", len(report.Curve))
 	}
 
-	preds, err := pl.ClassifySource("user", `
+	preds, err := classify(pl, "user", `
 float x[8]; float y[8]; float acc;
 void main() {
     for (int i = 0; i < 8; i++) { y[i] = x[i] * 3.0; }
@@ -81,21 +92,21 @@ void main() {
 
 func TestClassifyUntrainedFails(t *testing.T) {
 	pl := core.NewPipeline(tinyOptions())
-	if _, err := pl.ClassifySource("x", "void main() { }"); err == nil {
+	if _, err := classify(pl, "x", "void main() { }"); err == nil {
 		t.Fatal("expected error for untrained pipeline")
 	}
 }
 
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	pl := core.NewPipeline(tinyOptions())
-	if _, err := pl.TrainOn(tinyApps()); err != nil {
+	if _, err := pl.TrainOnContext(context.Background(), tinyApps()); err != nil {
 		t.Fatal(err)
 	}
 	src := `
 float q[8];
 void main() { for (int i = 0; i < 8; i++) { q[i] = i; } }
 `
-	before, err := pl.ClassifySource("u", src)
+	before, err := classify(pl, "u", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +124,7 @@ void main() { for (int i = 0; i < 8; i++) { q[i] = i; } }
 	if err := pl.LoadModel(&buf); err != nil {
 		t.Fatal(err)
 	}
-	after, err := pl.ClassifySource("u", src)
+	after, err := classify(pl, "u", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +136,7 @@ void main() { for (int i = 0; i < 8; i++) { q[i] = i; } }
 }
 
 func TestProfileSource(t *testing.T) {
-	prog, res, err := core.ProfileSource("p", `
+	_, prog, res, err := core.ProfileSourceContext(context.Background(), "p", `
 float a[8]; float s;
 void main() {
     for (int i = 0; i < 8; i++) { s += a[i]; }
@@ -200,7 +211,7 @@ func TestModelSaveLoadKeepsTrainedHead(t *testing.T) {
 	// This seed and epoch count train to the structural view's head.
 	opts.Seed, opts.Train.Seed, opts.Train.Epochs = 10, 10, 1
 	trained := core.NewPipeline(opts)
-	if _, err := trained.TrainOn(tinyApps()); err != nil {
+	if _, err := trained.TrainOnContext(context.Background(), tinyApps()); err != nil {
 		t.Fatal(err)
 	}
 	if h := trained.Model.Head(); h != gnn.ViewStruct {

@@ -27,7 +27,7 @@ func TestForwardGolden(t *testing.T) {
 	opts := tinyOptions()
 	opts.Train.Epochs = 2
 	pl := core.NewPipeline(opts)
-	if _, err := pl.TrainOn(bench.Corpus()); err != nil {
+	if _, err := pl.TrainOnContext(context.Background(), bench.Corpus()); err != nil {
 		t.Fatal(err)
 	}
 	pred := pl.Model.Predictor()

@@ -5,9 +5,10 @@
 //
 // Typical use:
 //
-//	pl, err := core.NewPipeline(core.DefaultOptions())
-//	report, err := pl.TrainOn(bench.Corpus())
-//	preds, err := pl.ClassifySource("mine", src) // per-loop predictions
+//	pl := core.NewPipeline(core.DefaultOptions())
+//	report, err := pl.TrainOnContext(ctx, bench.Corpus())
+//	cls, err := pl.Classifier()
+//	preds, err := cls.ClassifyContext(ctx, "mine", src) // per-loop predictions
 package core
 
 import (
@@ -47,10 +48,6 @@ type Pipeline struct {
 	Opts    Options
 	Dataset *dataset.Dataset
 	Model   *gnn.MVGNN
-
-	// cls is the classifier handle ClassifySource reuses across calls; it
-	// is refreshed whenever the model or encoder state changes.
-	cls *Classifier
 }
 
 // NewPipeline creates an untrained pipeline.
@@ -78,14 +75,9 @@ func EpochHook(stage string) func(gnn.EpochStats) {
 	}
 }
 
-// TrainOn builds the dataset from apps, balances it, splits 75:25 and
-// trains the MV-GNN. The pipeline keeps the dataset (for its embedding
-// and walk space) and the trained model.
-func (p *Pipeline) TrainOn(apps []bench.App) (*TrainReport, error) {
-	return p.TrainOnContext(context.Background(), apps)
-}
-
-// TrainOnContext is TrainOn with cancellation: ctx flows into the
+// TrainOnContext builds the dataset from apps, balances it, splits 75:25
+// and trains the MV-GNN. The pipeline keeps the dataset (for its
+// embedding and walk space) and the trained model. ctx flows into the
 // interpreter's stride check during profiling and the trainer's batch
 // boundaries, so a deadline aborts the run within milliseconds of expiry
 // instead of after the current program finishes.
@@ -145,30 +137,6 @@ type LoopPrediction struct {
 	Reasons  []string
 }
 
-// ClassifySource profiles a MiniC program (entry function main) and
-// classifies every loop with the trained model. The pipeline must have
-// been trained first so the embedding and walk space exist.
-func (p *Pipeline) ClassifySource(name, src string) ([]LoopPrediction, error) {
-	return p.ClassifySourceContext(context.Background(), name, src)
-}
-
-// ClassifySourceContext is ClassifySource with cancellation. It
-// delegates to a Classifier handle (cached across calls, refreshed when
-// the model or dataset changes), so repeat classifications share encoder
-// state instead of rebuilding it. Pipeline methods are not safe for
-// concurrent use — callers that fan requests out take a Classifier
-// handle directly.
-func (p *Pipeline) ClassifySourceContext(ctx context.Context, name, src string) ([]LoopPrediction, error) {
-	if p.cls == nil || p.Dataset == nil || p.cls.model != p.Model || p.cls.cfg.Embedding != p.Dataset.Embedding {
-		c, err := p.Classifier()
-		if err != nil {
-			return nil, err
-		}
-		p.cls = c
-	}
-	return p.cls.ClassifyContext(ctx, name, src)
-}
-
 // PrepareContext builds the dataset — the encoder state: inst2vec space,
 // walk space, input dimensions — without training a model, so LoadModel
 // can restore parameters trained by an earlier run (mvpar train -model)
@@ -210,22 +178,15 @@ func (p *Pipeline) LoadModel(r io.Reader) error {
 		return err
 	}
 	p.Model = m
-	p.cls = nil
 	return nil
 }
 
-// ProfileSource profiles a program and returns its dependence result —
-// the library's DiscoPoP-phase-1 entry point for users who want raw
-// dependences rather than model predictions.
-func ProfileSource(name, src string) (*ir.Program, *deps.Result, error) {
-	_, prog, res, err := ProfileSourceContext(context.Background(), name, src)
-	return prog, res, err
-}
-
-// ProfileSourceContext is ProfileSource with cancellation, which also
-// returns the parsed program for the static analyses that read the AST:
-// a done ctx aborts the instrumented execution at the interpreter's
-// stride check.
+// ProfileSourceContext profiles a program (entry function main) and
+// returns its parsed and lowered forms with its dependence result — the
+// library's DiscoPoP-phase-1 entry point for users who want raw
+// dependences rather than model predictions, and the parse the static
+// analyses read. A done ctx aborts the instrumented execution at the
+// interpreter's stride check.
 func ProfileSourceContext(ctx context.Context, name, src string) (*minic.Program, *ir.Program, *deps.Result, error) {
 	ast, err := minic.Parse(name, src)
 	if err != nil {

@@ -234,8 +234,8 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	}
 
 	// Encode stage: one job per (program, variant) pair — the finer grain
-	// matters because single-program builds (core.ClassifySource, the
-	// encode benchmarks) still fan out across their variants. Records are
+	// matters because single-program builds (the encode benchmarks)
+	// still fan out across their variants. Records are
 	// appended at the merge in (program, variant) order, so Dataset.Records
 	// is byte-identical to the serial build.
 	nv := cfg.Variants

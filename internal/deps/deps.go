@@ -24,7 +24,6 @@ package deps
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -709,19 +708,11 @@ func loopCounts(byID []int64) map[int]int64 {
 
 // Analyze profiles prog's entry function and returns the dependence result
 // together with the interpreter statistics. Execution budgets default per
-// interp.Limits; pass interp.Limits{} for the pipeline-wide defaults.
+// interp.Limits; pass interp.Limits{} for the pipeline-wide defaults. A
+// done limits.Ctx aborts the profiled execution at the interpreter's
+// instruction-stride check with an error wrapping both
+// interp.ErrCancelled and the context's error.
 func Analyze(prog *ir.Program, entry string, limits interp.Limits) (*Result, interp.Stats, error) {
-	return AnalyzeContext(context.Background(), prog, entry, limits)
-}
-
-// AnalyzeContext is Analyze with cancellation: a done ctx aborts the
-// profiled execution at the interpreter's instruction-stride check with
-// an error wrapping both interp.ErrCancelled and ctx.Err(). An explicit
-// limits.Ctx takes precedence over ctx.
-func AnalyzeContext(ctx context.Context, prog *ir.Program, entry string, limits interp.Limits) (*Result, interp.Stats, error) {
-	if limits.Ctx == nil && ctx != nil && ctx != context.Background() {
-		limits.Ctx = ctx
-	}
 	var span trace.Span
 	limits.Ctx, span = trace.StartSpan(limits.Ctx, "deps.analyze")
 	defer span.End()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mvpar/internal/graph"
@@ -304,41 +305,41 @@ func TestDGCNNAtPaperSizes(t *testing.T) {
 }
 
 // TestLoadHeadCompat pins the checkpoint's head blob: a checkpoint
-// without it (written before the head was saved) loads with the fused
-// head, and an out-of-range head is an error that leaves the target's
+// without it (written before the head was saved) and one with an
+// out-of-range head both fail to load, and each leaves the target's
 // weights and head as they were.
 func TestLoadHeadCompat(t *testing.T) {
 	m := NewMVGNN(4, 3, 1)
 	m.predictMode = 1
-	var old bytes.Buffer
-	if err := nn.SaveParams(&old, m.Params()); err != nil {
+	var headless bytes.Buffer
+	if err := nn.SaveParams(&headless, m.Params()); err != nil {
 		t.Fatal(err)
 	}
-	loaded := NewMVGNN(4, 3, 2)
-	loaded.predictMode = 2
-	if err := loaded.Load(&old); err != nil {
-		t.Fatal(err)
-	}
-	if h := loaded.Head(); h != viewFused {
-		t.Fatalf("headless checkpoint loaded the %v head, want fused", h)
-	}
-
 	var bad bytes.Buffer
 	head := nn.NewParam(headBlob, tensor.FromSlice(1, 1, []float64{3}))
 	if err := nn.SaveParams(&bad, append(m.Params(), head)); err != nil {
 		t.Fatal(err)
 	}
-	target := NewMVGNN(4, 3, 2)
-	target.predictMode = 2
-	before := nn.FingerprintParams(target.Params())
-	if err := target.Load(&bad); err == nil {
-		t.Fatal("head 3 loaded without error")
-	}
-	if after := nn.FingerprintParams(target.Params()); after != before {
-		t.Fatalf("rejected checkpoint changed the weights: fingerprint %s, was %s", after, before)
-	}
-	if h := target.Head(); h != ViewStruct {
-		t.Fatalf("rejected checkpoint left the %v head, want struct", h)
+	for _, tc := range []struct {
+		name, want string
+		ckpt       []byte
+	}{
+		{"headless", headBlob, headless.Bytes()},
+		{"head 3", "checkpoint head 3", bad.Bytes()},
+	} {
+		target := NewMVGNN(4, 3, 2)
+		target.predictMode = 2
+		before := nn.FingerprintParams(target.Params())
+		err := target.Load(bytes.NewReader(tc.ckpt))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s checkpoint: load error %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if after := nn.FingerprintParams(target.Params()); after != before {
+			t.Fatalf("%s checkpoint changed the weights: fingerprint %s, was %s", tc.name, after, before)
+		}
+		if h := target.Head(); h != ViewStruct {
+			t.Fatalf("%s checkpoint left the %v head, want struct", tc.name, h)
+		}
 	}
 }
 

@@ -112,17 +112,17 @@ func NewMVGNNClasses(nodeDim, structDim, classes int, seed int64) *MVGNN {
 const headBlob = "mv.head"
 
 // Save writes m's weights and its trained head to w in the nn.SaveParams
-// format. The head is one extra blob, which readers that predate it skip.
+// format. The head is one extra blob, mv.head, which Load requires.
 func (m *MVGNN) Save(w io.Writer) error {
 	head := nn.NewParam(headBlob, tensor.FromSlice(1, 1, []float64{float64(m.predictMode)}))
 	return nn.SaveParams(w, append(m.Params(), head))
 }
 
-// Load reads a checkpoint written by Save into m. One without the head
-// blob, written before the head was saved, loads with the fused head. The
-// checkpoint is read into staging params first (LoadParams replaces a
-// param's Value rather than writing into it), so on any error, a bad head
-// included, m keeps its weights and head. A successful load drops the
+// Load reads a checkpoint written by Save into m. A checkpoint without
+// the mv.head blob fails, naming it. The checkpoint is read into staging
+// params first (LoadParams replaces a param's Value rather than writing
+// into it), so on any error, a missing or bad head included, m keeps its
+// weights and head. A successful load drops the
 // cached float32 and int8 engines, which snapshot the old weights.
 func (m *MVGNN) Load(r io.Reader) error {
 	params := m.Params()
@@ -131,7 +131,7 @@ func (m *MVGNN) Load(r io.Reader) error {
 		staged[i] = &nn.Param{Name: p.Name, Value: p.Value}
 	}
 	head := nn.NewParam(headBlob, tensor.New(1, 1))
-	if err := nn.LoadParamsOptional(r, staged, head); err != nil {
+	if err := nn.LoadParams(r, append(staged, head)); err != nil {
 		return err
 	}
 	mode := head.Value.Data[0]

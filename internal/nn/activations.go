@@ -74,33 +74,5 @@ func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
 // Params returns nil: ReLU has no trainable state.
 func (r *ReLU) Params() []*Param { return nil }
 
-// Sigmoid is the elementwise logistic activation (used inside LSTM gates
-// and available as a generic layer).
-type Sigmoid struct {
-	Scratch *tensor.Arena
-
-	lastY *tensor.Matrix
-}
-
-// Forward applies 1/(1+e^-x) elementwise.
-func (s *Sigmoid) Forward(x *tensor.Matrix) *tensor.Matrix {
-	out := s.Scratch.Get(x.Rows, x.Cols)
-	tensor.ApplyInto(x, sigmoid, out)
-	s.lastY = out
-	return out
-}
-
-// Backward multiplies the incoming gradient by y(1-y).
-func (s *Sigmoid) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	out := s.Scratch.Get(grad.Rows, grad.Cols)
-	for i := range grad.Data {
-		y := s.lastY.Data[i]
-		out.Data[i] = grad.Data[i] * y * (1 - y)
-	}
-	return out
-}
-
-// Params returns nil: Sigmoid has no trainable state.
-func (s *Sigmoid) Params() []*Param { return nil }
-
+// sigmoid is the logistic function of the LSTM gates.
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }

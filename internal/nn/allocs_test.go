@@ -39,14 +39,14 @@ func TestConv1DSteadyStateAllocFree(t *testing.T) {
 	arena := tensor.NewArena()
 	conv := NewConv1D("c", 2, 4, 3, 1, rng)
 	conv.Scratch = arena
-	pool := NewMaxPool1D(2, 2)
-	pool.Scratch = arena
+	maxPool := NewMaxPool1D(2, 2)
+	maxPool.Scratch = arena
 	x := tensor.Randn(2, 12, 1, rng)
 	step := func() {
 		arena.Reset()
 		out := conv.Forward(x)
-		pooled := pool.Forward(out)
-		conv.Backward(pool.Backward(pooled))
+		pooled := maxPool.Forward(out)
+		conv.Backward(maxPool.Backward(pooled))
 	}
 	for i := 0; i < 3; i++ {
 		step()
@@ -60,7 +60,7 @@ func TestConv1DSteadyStateAllocFree(t *testing.T) {
 	// explicit-destination ForwardInto the fused predict paths use.
 	inferStep := func() {
 		arena.Reset()
-		pool.Forward(conv.Forward(x))
+		maxPool.Forward(conv.Forward(x))
 	}
 	for i := 0; i < 3; i++ {
 		inferStep()

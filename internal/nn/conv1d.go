@@ -316,31 +316,3 @@ func (l *LastRow) Backward(grad *tensor.Matrix) *tensor.Matrix {
 
 // Params returns nil: LastRow has no trainable state.
 func (l *LastRow) Params() []*Param { return nil }
-
-// MeanRows averages all rows into a 1 x Cols matrix; used to reduce a
-// variable-length sequence or node set to a fixed-size embedding.
-type MeanRows struct {
-	lastRows, lastCols int
-}
-
-// Forward returns the row mean.
-func (m *MeanRows) Forward(x *tensor.Matrix) *tensor.Matrix {
-	m.lastRows, m.lastCols = x.Rows, x.Cols
-	return tensor.MeanRow(x)
-}
-
-// Backward spreads the gradient uniformly across rows.
-func (m *MeanRows) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	dx := tensor.New(m.lastRows, m.lastCols)
-	inv := 1.0 / float64(m.lastRows)
-	for i := 0; i < m.lastRows; i++ {
-		row := dx.Row(i)
-		for j := range row {
-			row[j] = grad.Data[j] * inv
-		}
-	}
-	return dx
-}
-
-// Params returns nil: MeanRows has no trainable state.
-func (m *MeanRows) Params() []*Param { return nil }

@@ -82,11 +82,6 @@ func TestReLUGradients(t *testing.T) {
 	checkGrads(t, &ReLU{}, x, 1e-6)
 }
 
-func TestSigmoidGradients(t *testing.T) {
-	rng := NewRNG(4)
-	checkGrads(t, &Sigmoid{}, tensor.Randn(2, 5, 1, rng), 1e-6)
-}
-
 func TestConv1DGradients(t *testing.T) {
 	rng := NewRNG(5)
 	layer := NewConv1D("c", 2, 3, 3, 2, rng)
@@ -105,7 +100,6 @@ func TestFlattenAndLastRowGradients(t *testing.T) {
 	rng := NewRNG(7)
 	checkGrads(t, &Flatten{}, tensor.Randn(3, 4, 1, rng), 1e-6)
 	checkGrads(t, &LastRow{}, tensor.Randn(4, 3, 1, rng), 1e-6)
-	checkGrads(t, &MeanRows{}, tensor.Randn(4, 3, 1, rng), 1e-6)
 }
 
 func TestLSTMGradients(t *testing.T) {

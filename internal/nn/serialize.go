@@ -14,7 +14,7 @@ import (
 // Model files start with a fixed magic, a format version and a CRC32 of
 // the payload, so truncation and bit rot fail loudly at load time instead
 // of surfacing as a cryptic gob error (or worse, silently wrong weights).
-// Streams written before the header existed (bare gob) are still read.
+// A stream without the header (a bare gob stream) is rejected.
 //
 // Layout: magic (8 bytes) | version (uint32 BE) | payload length
 // (uint64 BE) | CRC32-IEEE of payload (uint32 BE) | gob payload.
@@ -63,46 +63,38 @@ func SaveParams(w io.Writer, params []*Param) error {
 }
 
 // LoadParams reads a stream produced by SaveParams into params, matching
-// by name and verifying shapes. The header's length and checksum are
-// verified first, so a truncated or corrupted file fails with a clear
-// error. Headerless streams from older versions load as before. Blobs
-// whose names match no param are ignored.
+// by name and verifying shapes. The header's magic, version, length and
+// checksum are verified first, so a headerless, truncated or corrupted
+// file fails with a clear error. Blobs whose names match no param are
+// ignored; a param the stream lacks is an error.
 func LoadParams(r io.Reader, params []*Param) error {
-	return LoadParamsOptional(r, params)
-}
-
-// LoadParamsOptional is LoadParams plus params the stream may lack, such
-// as a blob newer checkpoints carry and older ones do not: each optional
-// param present in the stream is shape-checked and loaded, each absent
-// one keeps its value.
-func LoadParamsOptional(r io.Reader, params []*Param, optional ...*Param) error {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("nn: read params: %w", err)
 	}
-	payload := raw
-	if bytes.HasPrefix(raw, []byte(paramsMagic)) {
-		headerLen := len(paramsMagic) + 16
-		if len(raw) < headerLen {
-			return fmt.Errorf("nn: params file truncated: %d bytes, header needs %d",
-				len(raw), headerLen)
-		}
-		version := binary.BigEndian.Uint32(raw[len(paramsMagic):])
-		if version != paramsVersion {
-			return fmt.Errorf("nn: params format version %d, this build reads %d",
-				version, paramsVersion)
-		}
-		length := binary.BigEndian.Uint64(raw[len(paramsMagic)+4:])
-		sum := binary.BigEndian.Uint32(raw[len(paramsMagic)+12:])
-		payload = raw[headerLen:]
-		if uint64(len(payload)) != length {
-			return fmt.Errorf("nn: params file truncated: payload %d bytes, header declares %d",
-				len(payload), length)
-		}
-		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return fmt.Errorf("nn: params checksum mismatch: file %08x, computed %08x (corrupted file?)",
-				sum, got)
-		}
+	headerLen := len(paramsMagic) + 16
+	if len(raw) < headerLen {
+		return fmt.Errorf("nn: params file truncated: %d bytes, header needs %d",
+			len(raw), headerLen)
+	}
+	if !bytes.HasPrefix(raw, []byte(paramsMagic)) {
+		return fmt.Errorf("nn: params file lacks the %q header: not written by SaveParams", paramsMagic)
+	}
+	version := binary.BigEndian.Uint32(raw[len(paramsMagic):])
+	if version != paramsVersion {
+		return fmt.Errorf("nn: params format version %d, this build reads %d",
+			version, paramsVersion)
+	}
+	length := binary.BigEndian.Uint64(raw[len(paramsMagic)+4:])
+	sum := binary.BigEndian.Uint32(raw[len(paramsMagic)+12:])
+	payload := raw[headerLen:]
+	if uint64(len(payload)) != length {
+		return fmt.Errorf("nn: params file truncated: payload %d bytes, header declares %d",
+			len(payload), length)
+	}
+	if got := crc32.ChecksumIEEE(payload); got != sum {
+		return fmt.Errorf("nn: params checksum mismatch: file %08x, computed %08x (corrupted file?)",
+			sum, got)
 	}
 	var blobs []paramBlob
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&blobs); err != nil {
@@ -112,30 +104,16 @@ func LoadParamsOptional(r io.Reader, params []*Param, optional ...*Param) error 
 	for _, b := range blobs {
 		byName[b.Name] = b
 	}
-	load := func(p *Param, required bool) error {
+	for _, p := range params {
 		b, ok := byName[p.Name]
 		if !ok {
-			if required {
-				return fmt.Errorf("nn: missing parameter %q in stream", p.Name)
-			}
-			return nil
+			return fmt.Errorf("nn: missing parameter %q in stream", p.Name)
 		}
 		if b.Rows != p.Value.Rows || b.Cols != p.Value.Cols {
 			return fmt.Errorf("nn: parameter %q shape %dx%d, stream has %dx%d",
 				p.Name, p.Value.Rows, p.Value.Cols, b.Rows, b.Cols)
 		}
 		p.Value = tensor.FromSlice(b.Rows, b.Cols, append([]float64(nil), b.Data...))
-		return nil
-	}
-	for _, p := range params {
-		if err := load(p, true); err != nil {
-			return err
-		}
-	}
-	for _, p := range optional {
-		if err := load(p, false); err != nil {
-			return err
-		}
 	}
 	return nil
 }

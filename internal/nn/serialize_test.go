@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -127,7 +128,8 @@ func TestLoadUnknownVersion(t *testing.T) {
 }
 
 // TestLoadLegacyStream checks that a headerless gob stream — the format
-// written before the container existed — still loads.
+// written before the container existed — fails to load, naming the
+// missing header, and leaves the target's weights as they were.
 func TestLoadLegacyStream(t *testing.T) {
 	rng := NewRNG(9)
 	src := NewDense("x", 3, 3, rng)
@@ -142,12 +144,15 @@ func TestLoadLegacyStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := NewDense("x", 3, 3, NewRNG(10))
-	if err := LoadParams(&legacy, dst.Params()); err != nil {
-		t.Fatalf("legacy stream rejected: %v", err)
+	before := FingerprintParams(dst.Params())
+	err := LoadParams(&legacy, dst.Params())
+	if err == nil {
+		t.Fatal("headerless stream loaded")
 	}
-	for i, p := range dst.Params() {
-		if !tensor.ApproxEqual(p.Value, src.Params()[i].Value, 0) {
-			t.Fatalf("param %s not restored from legacy stream", p.Name)
-		}
+	if !strings.Contains(err.Error(), "header") || !strings.Contains(err.Error(), fmt.Sprintf("%q", paramsMagic)) {
+		t.Fatalf("headerless stream rejected without naming the header: %v", err)
+	}
+	if after := FingerprintParams(dst.Params()); after != before {
+		t.Fatalf("rejected stream changed the weights: fingerprint %s, was %s", after, before)
 	}
 }

@@ -1,8 +1,8 @@
 // Package pool is the pipeline's work-scheduling layer: a bounded worker
 // pool with ordered-result fan-in for the coarse-grained stages (per-app
 // profiling, per-variant encoding, per-sample training steps, per-fold
-// evaluation) and a shared persistent executor for the fine-grained
-// data-parallel kernels (tensor.MatMul row blocks).
+// evaluation). Nothing finer is parallel: one program's sub-PEGs are too
+// small for a kernel to amortize a hand-off between goroutines.
 //
 // Determinism is the design center. Map/MapWorker return results in input
 // index order no matter how jobs interleave; workers claim indices from a
@@ -105,14 +105,13 @@ func MapWorker[T any](cfg Config, n int, fn func(worker, i int) (T, error)) ([]T
 	}
 	start := time.Now()
 	obs.GetCounter("mvpar_pool_fanouts_total").Inc()
-	obs.GetGauge("mvpar_pool_workers").Set(float64(workers))
 
 	if workers == 1 {
 		// Nothing shares the state, so it stays on this stack and a
 		// one-worker fan-out allocates nothing beyond its results.
 		var f fanout[T]
 		f.init(cfg.Ctx, fn, results)
-		return results, f.finish(1, start, f.work(0))
+		return results, f.finish(start, f.work(0))
 	}
 	f := new(fanout[T])
 	f.init(cfg.Ctx, fn, results)
@@ -133,7 +132,7 @@ func MapWorker[T any](cfg Config, n int, fn func(worker, i int) (T, error)) ([]T
 			low = fe
 		}
 	}
-	return results, f.finish(workers, start, low)
+	return results, f.finish(start, low)
 }
 
 // fanout is the state the workers of one MapWorker call share. It holds
@@ -147,7 +146,6 @@ type fanout[T any] struct {
 	next      atomic.Int64 // the next job index to claim
 	failedMin atomic.Int64 // the lowest failed index, len(results) if none
 	completed atomic.Int64
-	busyNanos atomic.Int64
 }
 
 // jobError is a failed job's index and error; the zero value is no
@@ -174,13 +172,11 @@ func (f *fanout[T]) work(w int) jobError {
 		if i >= n || (f.ctx != nil && f.ctx.Err() != nil) || i > f.failedMin.Load() {
 			return jobError{}
 		}
-		jobStart := time.Now()
 		err := faults.Capture(func() error {
 			v, e := f.fn(w, int(i))
 			f.results[i] = v
 			return e
 		})
-		f.busyNanos.Add(int64(time.Since(jobStart)))
 		if err != nil {
 			// Every index this worker could claim next is higher.
 			for {
@@ -194,23 +190,15 @@ func (f *fanout[T]) work(w int) jobError {
 	}
 }
 
-// finish publishes the fan-out's pool metrics (completed job count, wall
-// time, and the busy/capacity utilization ratio) and returns its error:
-// nil when every job completed, even if the context is done by now. With
-// the context done and a job skipped or failed, that is the lowest-index
-// failure if it wraps the context's error, else the context's error;
-// otherwise it is the lowest-index failure.
-func (f *fanout[T]) finish(workers int, start time.Time, low jobError) error {
-	wall := time.Since(start)
+// finish publishes the fan-out's pool metrics (completed job count and
+// wall time) and returns its error: nil when every job completed, even
+// if the context is done by now. With the context done and a job skipped
+// or failed, that is the lowest-index failure if it wraps the context's
+// error, else the context's error; otherwise it is the lowest-index
+// failure.
+func (f *fanout[T]) finish(start time.Time, low jobError) error {
 	obs.GetCounter("mvpar_pool_jobs_total").Add(f.completed.Load())
-	obs.GetHistogram("mvpar_pool_fanout_seconds").Observe(wall.Seconds())
-	if wall > 0 {
-		util := time.Duration(f.busyNanos.Load()).Seconds() / (wall.Seconds() * float64(workers))
-		if util > 1 {
-			util = 1
-		}
-		obs.GetGauge("mvpar_pool_utilization_ratio").Set(util)
-	}
+	obs.GetHistogram("mvpar_pool_fanout_seconds").Observe(time.Since(start).Seconds())
 	if low.err == nil && f.completed.Load() == int64(len(f.results)) {
 		return nil
 	}
@@ -218,78 +206,4 @@ func (f *fanout[T]) finish(workers int, start time.Time, low jobError) error {
 		return f.ctx.Err()
 	}
 	return low.err
-}
-
-// ---- shared executor for fine-grained data parallelism ----
-
-// task is one chunk of a For call.
-type task struct {
-	fn     func(lo, hi int)
-	lo, hi int
-	wg     *sync.WaitGroup
-}
-
-var (
-	forOnce  sync.Once
-	forTasks chan task
-)
-
-// startExecutor spawns the persistent worker goroutines the first time a
-// For call wants to go parallel. They live for the process lifetime —
-// that is the point: hot kernels like MatMul dispatch row blocks onto
-// warm workers instead of spawning goroutines per call.
-func startExecutor() {
-	workers := runtime.GOMAXPROCS(0)
-	forTasks = make(chan task, 4*workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for t := range forTasks {
-				t.fn(t.lo, t.hi)
-				t.wg.Done()
-			}
-		}()
-	}
-}
-
-// For splits [0, n) into one contiguous chunk per available worker and
-// runs fn(lo, hi) for each on the shared persistent executor, keeping the
-// final chunk on the calling goroutine. Submission never blocks: when
-// every executor worker is busy a chunk runs inline on the caller, so
-// nested For calls (a pool job whose kernel itself calls For) cannot
-// deadlock. Chunks are disjoint, so any fn writing only to its own range
-// is deterministic regardless of scheduling.
-func For(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	forOnce.Do(startExecutor)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi >= n {
-			// The caller keeps the last chunk instead of idling in Wait.
-			fn(lo, n)
-			break
-		}
-		wg.Add(1)
-		t := task{fn: fn, lo: lo, hi: hi, wg: &wg}
-		select {
-		case forTasks <- t:
-		default:
-			// Executor saturated (or this is a nested call from one of its
-			// own workers): run inline rather than block.
-			fn(lo, hi)
-			wg.Done()
-		}
-	}
-	wg.Wait()
 }

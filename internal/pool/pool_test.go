@@ -232,47 +232,6 @@ func TestSetDefaultParallelism(t *testing.T) {
 	}
 }
 
-// TestForCoversRange checks For covers [0, n) exactly once for a spread
-// of sizes, including n smaller than the worker count.
-func TestForCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-		hits := make([]atomic.Int32, n)
-		For(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				hits[i].Add(1)
-			}
-		})
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, hits[i].Load())
-			}
-		}
-	}
-}
-
-// TestForNested checks a For body may itself call For (as a pool job
-// running MatMul does) without deadlocking.
-func TestForNested(t *testing.T) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		total := atomic.Int64{}
-		For(16, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				For(64, func(l, h int) { total.Add(int64(h - l)) })
-			}
-		})
-		if total.Load() != 16*64 {
-			t.Errorf("nested For covered %d elements, want %d", total.Load(), 16*64)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("nested For deadlocked")
-	}
-}
-
 // TestMapStress interleaves many concurrent fan-outs; run under -race this
 // is the pool's data-race check.
 func TestMapStress(t *testing.T) {

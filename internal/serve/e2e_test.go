@@ -45,7 +45,7 @@ func e2eTrained(t *testing.T) *core.Pipeline {
 		all := bench.Corpus()
 		apps := []bench.App{all[3], all[4], all[9]} // IS, EP, jacobi-2d: both classes
 		e2ePl = core.NewPipeline(opts)
-		_, e2eErr = e2ePl.TrainOn(apps)
+		_, e2eErr = e2ePl.TrainOnContext(context.Background(), apps)
 	})
 	if e2eErr != nil {
 		t.Fatalf("training the e2e pipeline: %v", e2eErr)
@@ -72,30 +72,30 @@ void main() { for (int i = 0; i < 8; i++) { s += a[i]; } }
 
 // TestServerConcurrentBitIdentical is the serving acceptance test: under
 // concurrent load, every server response must be bit-identical
-// to the serial Pipeline.ClassifySource result for the same program —
+// to the serial ClassifyContext result for the same program —
 // same loops, same probabilities, bit for bit.
 func TestServerConcurrentBitIdentical(t *testing.T) {
 	pl := e2eTrained(t)
+	cls, err := pl.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Serial ground truth first, through the plain pipeline path.
+	// Serial ground truth first, one call at a time on the handle.
 	serial := map[string]ClassifyResponse{}
 	for name, src := range e2eSources {
-		preds, err := pl.ClassifySource(name, src)
+		preds, err := cls.ClassifyContext(context.Background(), name, src)
 		if err != nil {
-			t.Fatalf("serial ClassifySource(%s): %v", name, err)
+			t.Fatalf("serial ClassifyContext(%s): %v", name, err)
 		}
 		if len(preds) == 0 {
-			t.Fatalf("serial ClassifySource(%s) returned no predictions", name)
+			t.Fatalf("serial ClassifyContext(%s) returned no predictions", name)
 		}
 		resp := toResponse(name, preds)
 		resp.Generation = 1 // the server's initial generation
 		serial[name] = resp
 	}
 
-	cls, err := pl.Classifier()
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := New(cls, Config{MaxQueue: 64})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -136,7 +136,7 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 			t.Fatalf("concurrent request %s = %d, want 200", got.name, got.code)
 		}
 		if !reflect.DeepEqual(got.resp, serial[got.name]) {
-			t.Fatalf("concurrent response for %s diverged from serial ClassifySource:\n got %+v\nwant %+v",
+			t.Fatalf("concurrent response for %s diverged from serial ClassifyContext:\n got %+v\nwant %+v",
 				got.name, got.resp, serial[got.name])
 		}
 	}

@@ -22,7 +22,7 @@
 // parity-check → swap, with the old generation draining in flight and
 // automatic rollback on failure) and /debug/traces (retained
 // slow-request span trees, see internal/obs/trace). Results are
-// bit-identical to serial core.Pipeline.ClassifySource at every
+// bit-identical to a serial core.Classifier.ClassifyContext at every
 // concurrency level — the same determinism contract the training pool
 // upholds. Shutdown is graceful: draining finishes every admitted
 // request before it returns.

@@ -1,21 +1,17 @@
 // Package tensor provides the dense float64 linear algebra underneath the
-// neural-network stack: matrices, parallel matrix multiplication, and the
+// neural-network stack: matrices, matrix multiplication, and the
 // elementwise kernels used by layer forward/backward passes.
 //
 // All matrices are row-major. Operations allocate their result unless the
-// name ends in InPlace. Matrix multiplication parallelizes across row
-// blocks on the shared persistent worker pool (internal/pool) once the
-// work is large enough to amortize the dispatch cost; everything is
-// deterministic regardless of worker count because row blocks are disjoint.
+// name ends in InPlace. Everything runs on the caller's goroutine; the
+// pipeline parallelizes across programs, variants and samples
+// (internal/pool), never inside one product.
 package tensor
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-
-	"mvpar/internal/pool"
 )
 
 // Matrix is a dense row-major matrix.
@@ -266,29 +262,19 @@ func (m *Matrix) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
-// parallelThreshold is the number of multiply-adds below which MatMul runs
-// serially. With the shared executor (pool.For) dispatch costs a channel
-// send onto an already-warm worker instead of a goroutine spawn, so the
-// break-even point sits lower than the old 64*64*64; BenchmarkMatMulThreshold
-// shows pooled dispatch matching serial around 32x64x64 and winning above it.
-const parallelThreshold = 32 * 64 * 64
-
-// MatMul returns a x b, parallelizing across row blocks on the shared
-// persistent worker pool for large products. Row blocks are disjoint, so
-// the result is bit-identical to MatMulSerial at any worker count.
+// MatMul returns a x b.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	c := New(a.Rows, b.Cols)
-	matMulDispatch(a, b, c)
+	matMulAdd(a, b, c)
 	return c
 }
 
-// MatMulInto computes c = a x b, overwriting c. c must not alias a or b
-// (the kernel accumulates into c while reading both). Same pooled
-// dispatch and bit-identical results as MatMul; below the parallel
-// threshold the call is allocation-free.
+// MatMulInto computes c = a x b, overwriting c, and allocates nothing. c
+// must not alias a or b (the kernel accumulates into c while reading
+// both). The result is bit-identical to MatMul.
 func MatMulInto(a, b, c *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulInto inner dimension mismatch %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -301,37 +287,15 @@ func MatMulInto(a, b, c *Matrix) {
 	for i := range c.Data {
 		c.Data[i] = 0
 	}
-	matMulDispatch(a, b, c)
+	matMulAdd(a, b, c)
 }
 
-func matMulDispatch(a, b, c *Matrix) {
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold || runtime.GOMAXPROCS(0) == 1 || a.Rows == 1 {
-		matMulRange(a, b, c, 0, a.Rows)
-		return
-	}
-	pool.For(a.Rows, func(lo, hi int) {
-		matMulRange(a, b, c, lo, hi)
-	})
-}
-
-// matMulRange computes rows [lo, hi) of c += a x b, one VecMatAdd per
-// row: k ascending, streaming b rows through cache, skipping a's zeros.
-func matMulRange(a, b, c *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// matMulAdd computes c += a x b, one VecMatAdd per row: k ascending,
+// streaming b rows through cache, skipping a's zeros.
+func matMulAdd(a, b, c *Matrix) {
+	for i := 0; i < a.Rows; i++ {
 		VecMatAdd(c.Row(i), a.Row(i), b.Data, b.Cols, true)
 	}
-}
-
-// MatMulSerial is the single-goroutine reference implementation, kept
-// exported so benchmarks can measure the parallel speedup against it.
-func MatMulSerial(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulSerial inner dimension mismatch %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := New(a.Rows, b.Cols)
-	matMulRange(a, b, c, 0, a.Rows)
-	return c
 }
 
 // SoftmaxRows returns row-wise softmax with the usual max-shift for

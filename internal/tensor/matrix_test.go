@@ -58,53 +58,6 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(2, 3))
 }
 
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	// Row blocks are disjoint, so the pooled path must be bit-identical to
-	// the serial kernel — not merely approximately equal — at every shape
-	// above and below parallelThreshold.
-	rng := rand.New(rand.NewSource(7))
-	for _, dims := range [][3]int{{130, 90, 110}, {32, 64, 64}, {200, 64, 64}, {7, 5, 3}} {
-		a := Randn(dims[0], dims[1], 1, rng)
-		b := Randn(dims[1], dims[2], 1, rng)
-		got, want := MatMul(a, b), MatMulSerial(a, b)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%dx%dx%d: pooled MatMul differs from serial at element %d: %g vs %g",
-					dims[0], dims[1], dims[2], i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-func TestMatMulDispatchBitIdentical(t *testing.T) {
-	// MatMul splits rows across the pool above parallelThreshold and runs
-	// the same zero-skipping kernel on each block, so it must equal the
-	// serial reference bit for bit — not approximately — at shapes on both
-	// sides of the threshold, shapes that do not divide evenly into row
-	// blocks, and inputs with exact zeros (sparse one-hot features).
-	// Training determinism leans on this.
-	rng := rand.New(rand.NewSource(11))
-	for _, dims := range [][3]int{
-		{96, 96, 96}, {128, 128, 128}, {97, 65, 49}, {1, 200, 200},
-		{130, 90, 110}, {3, 5, 7}, {200, 64, 64}, {50, 300, 20},
-	} {
-		a := Randn(dims[0], dims[1], 1, rng)
-		for i := range a.Data {
-			if i%3 == 0 {
-				a.Data[i] = 0 // exercise the av == 0 skip
-			}
-		}
-		b := Randn(dims[1], dims[2], 1, rng)
-		got, want := MatMul(a, b), MatMulSerial(a, b)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%dx%dx%d: dispatched MatMul differs from serial at element %d: %g vs %g",
-					dims[0], dims[1], dims[2], i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := Randn(5, 9, 1, rng)
@@ -289,22 +242,12 @@ func TestArgsortProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkMatMulParallel(b *testing.B) {
+func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := Randn(256, 256, 1, rng)
 	y := Randn(256, 256, 1, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(x, y)
-	}
-}
-
-func BenchmarkMatMulSerial(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := Randn(256, 256, 1, rng)
-	y := Randn(256, 256, 1, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulSerial(x, y)
 	}
 }
