@@ -304,9 +304,11 @@ func BenchmarkProfileCorpus(b *testing.B) {
 
 // BenchmarkWalkSample measures the structural view's walk sampling
 // (eq. 3) alone: serial NodeDistributions over the sub-PEG of every
-// loop of the NPB programs, one generator reseeded per graph. Sampling
-// allocates per graph, never per step or per walk, so allocs/op tracks
-// the number of graphs; the benchgate holds it to zero growth.
+// loop of the NPB programs, with the generator dataset.Build samples
+// with (walks.NewRand) reseeded per graph, as Build reseeds it per
+// loop. Sampling allocates per graph, never per step or per walk, so
+// allocs/op tracks the number of graphs; the benchgate holds it to zero
+// growth.
 func BenchmarkWalkSample(b *testing.B) {
 	b.ReportAllocs()
 	var graphs []*graph.Directed
@@ -325,7 +327,7 @@ func BenchmarkWalkSample(b *testing.B) {
 	}
 	space := walks.NewSpace(4)
 	p := walks.Params{Length: 4, Gamma: 12}
-	rng := rand.New(rand.NewSource(1))
+	rng := walks.NewRand()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for gi, g := range graphs {
@@ -428,8 +430,7 @@ func BenchmarkForwardI8(b *testing.B) {
 // Predictor (float64, float32, int8 in that order) in a subtest named
 // after the tier. Quantization happens before the call, outside the
 // timed region, and every tier is first warmed over every sample so
-// allocs/op measures the steady state regardless of b.N (the benchgate
-// compares runs at different -benchtime).
+// allocs/op measures the steady state regardless of b.N.
 func benchForwardTiers(b *testing.B, samples []gnn.Sample, tiers ...gnn.Predictor) {
 	ctx := context.Background()
 	for _, p := range tiers {

@@ -1,23 +1,30 @@
-// Command benchcmp diffs two benchmark logs in the `go test -json` format
-// that `make bench` writes (BENCH_*.json): for every benchmark present in
-// either log it prints ns/op and allocs/op side by side with the relative
-// change. Usage:
+// Command benchcmp compares benchmark logs: plain `go test -bench`
+// output, or the `go test -json` stream that `make bench` writes. A log
+// may hold several rounds of the same benchmarks; each result line is
+// one reading.
 //
-//	go run ./cmd/benchcmp BENCH_3.json BENCH_4.json
+//	go run ./cmd/benchcmp OLD NEW
 //
-// or `make benchcmp` (BENCHOLD/BENCHNEW override the defaults). The tool
-// has no third-party dependencies and tolerates logs from different
-// machines: it compares only benchmarks that ran in both, listing the
-// rest as added/removed.
+// prints, for every benchmark in either log, the median ns/op and the
+// minimum allocs/op of each side with the relative change.
 //
-// With -gate it turns into the CI regression gate (`make benchgate`):
-// benchmarks whose name matches -gate-bench must not regress ns/op past
-// -max-time-pct nor allocs/op past -max-allocs-pct, and a gated benchmark
-// present in the old log must still exist in the new one. Any violation
-// is listed and the tool exits 1. A negative -max-time-pct demotes the
-// time check to advisory (warn past the absolute value, never fail) —
-// CI uses this because ns/op against a baseline from different hardware
-// is noise-prone, while allocs/op stays a hard, deterministic gate.
+//	go run ./cmd/benchcmp -gate BASE HEAD
+//
+// prints the same table and is the regression gate that
+// scripts/benchgate.sh (`make benchgate`) runs on the two sides' round
+// logs. Both sides ran on one machine, alternating, so the base is its
+// own baseline. Every benchmark of the base log that reports allocs/op
+// is gated:
+//
+//   - HEAD's minimum allocs/op over its rounds may not exceed the
+//     base's minimum at all, so rows that drift by a few allocations
+//     between runs of one binary are gated without slack;
+//   - a gated benchmark missing from the HEAD log fails.
+//
+// ns/op is printed but not gated: on a shared 2-vCPU machine the medians
+// of two builds of the same code differed by up to 29%, and code
+// placement alone moved SpMM/csr by 19-46%, so no bound separated a 20%
+// slowdown from noise. Every violation is listed and the command exits 1.
 package main
 
 import (
@@ -25,47 +32,40 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// result holds one benchmark's parsed metrics. A metric is NaN-free:
-// missing columns (a log recorded without -benchmem) stay at -1.
-type result struct {
-	nsOp     float64
-	allocsOp float64
-	bOp      float64
+// series is one benchmark's readings across the rounds of a log, in
+// log order. A log recorded without -benchmem leaves allocs empty.
+type series struct {
+	ns     []float64
+	allocs []float64
 }
 
-// parseLog extracts benchmark result lines from a `go test -json` stream.
-// The stream's Output events are concatenated and re-split on newlines
-// first: test2json flushes the benchmark name ("BenchmarkX  \t") as its
-// own event before the timing columns arrive, so one logical result line
+// parseLog extracts benchmark result lines from a log. The Output
+// fields of a `go test -json` stream are concatenated and re-split on
+// newlines first: test2json flushes the benchmark name ("BenchmarkX  \t")
+// as its own event before the timing columns arrive, so one logical
+// result line
 //
 //	BenchmarkSpMM/csr-4   50   3937 ns/op   0 B/op   0 allocs/op
 //
-// often spans several events. Metric suffixes identify the columns, so
-// extra ReportMetric columns (acc_..., loops/op) pass through harmlessly.
-func parseLog(path string) (map[string]result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-
+// often spans several events. A line that is not JSON is taken as plain
+// `go test -bench` output. Metric suffixes identify the columns, so
+// extra ReportMetric columns (graphs/op, instrs/op) pass through.
+func parseLog(r io.Reader) (map[string]*series, error) {
 	var text strings.Builder
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1024*1024), 16*1024*1024)
 	for sc.Scan() {
 		var ev struct {
 			Output string `json:"Output"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			// Tolerate plain `go test -bench` logs: treat the raw line
-			// as output.
 			text.WriteString(sc.Text())
 			text.WriteByte('\n')
 			continue
@@ -76,21 +76,13 @@ func parseLog(path string) (map[string]result, error) {
 		return nil, err
 	}
 
-	res := map[string]result{}
+	res := map[string]*series{}
 	for _, line := range strings.Split(text.String(), "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, "Benchmark") || !strings.Contains(line, "ns/op") {
-			continue
-		}
 		fields := strings.Fields(line)
-		if len(fields) < 3 {
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		name := trimProcSuffix(fields[0])
-		r := result{nsOp: -1, allocsOp: -1, bOp: -1}
-		if prev, ok := res[name]; ok {
-			r = prev
-		}
+		ns, allocs := -1.0, -1.0
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -98,18 +90,35 @@ func parseLog(path string) (map[string]result, error) {
 			}
 			switch fields[i+1] {
 			case "ns/op":
-				r.nsOp = v
+				ns = v
 			case "allocs/op":
-				r.allocsOp = v
-			case "B/op":
-				r.bOp = v
+				allocs = v
 			}
 		}
-		if r.nsOp >= 0 {
-			res[name] = r
+		if ns < 0 {
+			continue
+		}
+		name := trimProcSuffix(fields[0])
+		s := res[name]
+		if s == nil {
+			s = &series{}
+			res[name] = s
+		}
+		s.ns = append(s.ns, ns)
+		if allocs >= 0 {
+			s.allocs = append(s.allocs, allocs)
 		}
 	}
 	return res, nil
+}
+
+func parseFile(path string) (map[string]*series, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return parseLog(f)
 }
 
 // trimProcSuffix drops the -GOMAXPROCS suffix go test appends to
@@ -126,7 +135,58 @@ func trimProcSuffix(name string) string {
 	return name[:i]
 }
 
+func median(v []float64) float64 {
+	s := slices.Clone(v)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// minimum returns the smallest reading, or -1 for none.
+func minimum(v []float64) float64 {
+	if len(v) == 0 {
+		return -1
+	}
+	return slices.Min(v)
+}
+
+// gate checks every benchmark of the base log that reports allocs/op
+// against HEAD's and returns the violations, sorted by name.
+func gate(base, head map[string]*series) (violations []string) {
+	for _, n := range names(base) {
+		b := base[n]
+		if len(b.allocs) == 0 {
+			continue
+		}
+		if h := head[n]; h == nil || len(h.allocs) == 0 {
+			violations = append(violations, n+": missing from HEAD's log")
+		} else if bMin, hMin := minimum(b.allocs), minimum(h.allocs); hMin > bMin {
+			violations = append(violations, fmt.Sprintf(
+				"%s: minimum allocs/op %s -> %s", n, fmtMetric(bMin), fmtMetric(hMin)))
+		}
+	}
+	return violations
+}
+
+// names returns the benchmarks of any of the logs, sorted.
+func names(logs ...map[string]*series) []string {
+	var all []string
+	for _, l := range logs {
+		for n := range l {
+			all = append(all, n)
+		}
+	}
+	slices.Sort(all)
+	return slices.Compact(all)
+}
+
 func delta(old, new float64) string {
+	if new < 0 {
+		return "-"
+	}
 	if old <= 0 {
 		if new == 0 {
 			return "0%"
@@ -143,65 +203,42 @@ func fmtMetric(v float64) string {
 	return strconv.FormatFloat(v, 'f', -1, 64)
 }
 
-// gate checks every old-log benchmark matching pattern against the new
-// log and returns hard violations plus advisory warnings: missing from
-// the new log, ns/op up by more than maxTimePct, or allocs/op up by
-// more than maxAllocsPct (allocs are integers per op, so with the
-// default 0 any increase at all fails). A negative maxTimePct makes the
-// time check advisory: regressions past |maxTimePct| are returned as
-// warnings instead of violations — the mode CI uses, because wall-clock
-// comparisons against a baseline recorded on different hardware are too
-// noisy to fail a build on, while allocs/op is deterministic. Benchmarks
-// only in the new log are additions, never violations.
-func gate(oldRes, newRes map[string]result, pattern *regexp.Regexp, maxTimePct, maxAllocsPct float64) (violations, warnings []string) {
-	var names []string
-	for n := range oldRes {
-		if pattern.MatchString(n) {
-			names = append(names, n)
-		}
+// summary returns a benchmark's median ns/op and minimum allocs/op, or
+// -1s when the log lacks it.
+func summary(s *series) (ns, allocs float64) {
+	if s == nil {
+		return -1, -1
 	}
-	sort.Strings(names)
-	timeLimit, timeAdvisory := maxTimePct, false
-	if timeLimit < 0 {
-		timeLimit, timeAdvisory = -timeLimit, true
+	return median(s.ns), minimum(s.allocs)
+}
+
+// diff prints every benchmark of either log side by side.
+func diff(w io.Writer, oldRes, newRes map[string]*series) {
+	const format = "%-50s %15s %15s %9s %15s %15s %9s\n"
+	fmt.Fprintf(w, format, "benchmark", "old ns/op", "new ns/op", "delta", "old allocs/op", "new allocs/op", "delta")
+	for _, n := range names(oldRes, newRes) {
+		oNs, oAllocs := summary(oldRes[n])
+		nNs, nAllocs := summary(newRes[n])
+		dNs, dAllocs := delta(oNs, nNs), delta(oAllocs, nAllocs)
+		switch {
+		case oldRes[n] == nil:
+			dNs, dAllocs = "added", "added"
+		case newRes[n] == nil:
+			dNs, dAllocs = "removed", "removed"
+		}
+		fmt.Fprintf(w, format, n, fmtMetric(oNs), fmtMetric(nNs), dNs, fmtMetric(oAllocs), fmtMetric(nAllocs), dAllocs)
 	}
-	for _, n := range names {
-		o := oldRes[n]
-		nw, ok := newRes[n]
-		if !ok {
-			violations = append(violations, fmt.Sprintf("%s: gated benchmark missing from new log", n))
-			continue
-		}
-		if o.nsOp > 0 && nw.nsOp > 0 {
-			if pct := 100 * (nw.nsOp - o.nsOp) / o.nsOp; pct > timeLimit {
-				msg := fmt.Sprintf("%s: ns/op regressed %.1f%% (%.6g -> %.6g, limit +%.0f%%)",
-					n, pct, o.nsOp, nw.nsOp, timeLimit)
-				if timeAdvisory {
-					warnings = append(warnings, msg)
-				} else {
-					violations = append(violations, msg)
-				}
-			}
-		}
-		if o.allocsOp >= 0 && nw.allocsOp > o.allocsOp {
-			overPct := o.allocsOp > 0 && 100*(nw.allocsOp-o.allocsOp)/o.allocsOp > maxAllocsPct
-			if o.allocsOp == 0 || overPct {
-				violations = append(violations, fmt.Sprintf(
-					"%s: allocs/op regressed %s -> %s (limit +%.0f%%)",
-					n, fmtMetric(o.allocsOp), fmtMetric(nw.allocsOp), maxAllocsPct))
-			}
-		}
-	}
-	return violations, warnings
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "benchcmp: %v\n", err)
+	os.Exit(1)
 }
 
 func main() {
-	gateMode := flag.Bool("gate", false, "fail (exit 1) when a gated benchmark regresses")
-	gateBench := flag.String("gate-bench", "TrainStepAllocs|SpMM", "regexp of benchmark names the gate applies to")
-	maxTimePct := flag.Float64("max-time-pct", 25, "max allowed ns/op regression, percent; negative means advisory-only past the absolute value")
-	maxAllocsPct := flag.Float64("max-allocs-pct", 0, "max allowed allocs/op regression, percent")
+	gateMode := flag.Bool("gate", false, "fail (exit 1) when a benchmark of BASE allocates more in HEAD or is missing from it")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [flags] OLD.json NEW.json\n", os.Args[0])
+		fmt.Fprintf(os.Stderr, "usage: %s [-gate] OLD.log NEW.log\n", os.Args[0])
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -209,74 +246,28 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	oldRes, err := parseLog(flag.Arg(0))
+	oldRes, err := parseFile(flag.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcmp: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
-	newRes, err := parseLog(flag.Arg(1))
+	newRes, err := parseFile(flag.Arg(1))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcmp: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
-
-	names := map[string]bool{}
-	for n := range oldRes {
-		names[n] = true
-	}
-	for n := range newRes {
-		names[n] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	fmt.Fprintf(w, "%-50s %15s %15s %9s %15s %15s %9s\n",
-		"benchmark", "old ns/op", "new ns/op", "delta", "old allocs/op", "new allocs/op", "delta")
-	for _, n := range sorted {
-		o, haveOld := oldRes[n]
-		nw, haveNew := newRes[n]
-		switch {
-		case !haveOld:
-			fmt.Fprintf(w, "%-50s %15s %15s %9s %15s %15s %9s\n",
-				n, "-", fmtMetric(nw.nsOp), "added", "-", fmtMetric(nw.allocsOp), "added")
-		case !haveNew:
-			fmt.Fprintf(w, "%-50s %15s %15s %9s %15s %15s %9s\n",
-				n, fmtMetric(o.nsOp), "-", "removed", fmtMetric(o.allocsOp), "-", "removed")
-		default:
-			fmt.Fprintf(w, "%-50s %15s %15s %9s %15s %15s %9s\n",
-				n, fmtMetric(o.nsOp), fmtMetric(nw.nsOp), delta(o.nsOp, nw.nsOp),
-				fmtMetric(o.allocsOp), fmtMetric(nw.allocsOp), delta(o.allocsOp, nw.allocsOp))
-		}
+	diff(w, oldRes, newRes)
+	if !*gateMode {
+		return
 	}
-	w.Flush()
-
-	if *gateMode {
-		re, err := regexp.Compile(*gateBench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchcmp: bad -gate-bench pattern: %v\n", err)
-			os.Exit(2)
+	violations := gate(oldRes, newRes)
+	if len(violations) > 0 {
+		w.Flush()
+		fmt.Fprintf(os.Stderr, "\nbenchgate: %d regression(s):\n", len(violations))
+		for _, v := range violations {
+			fmt.Fprintf(os.Stderr, "  %s\n", v)
 		}
-		violations, warnings := gate(oldRes, newRes, re, *maxTimePct, *maxAllocsPct)
-		for _, w := range warnings {
-			fmt.Fprintf(os.Stderr, "benchgate: advisory: %s\n", w)
-		}
-		if len(violations) > 0 {
-			fmt.Fprintf(os.Stderr, "\nbenchgate: %d regression(s):\n", len(violations))
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "  %s\n", v)
-			}
-			os.Exit(1)
-		}
-		timeMode := fmt.Sprintf("time +%.0f%%", *maxTimePct)
-		if *maxTimePct < 0 {
-			timeMode = fmt.Sprintf("time advisory past +%.0f%%", -*maxTimePct)
-		}
-		fmt.Printf("\nbenchgate: ok (pattern %q, limits: %s, allocs +%.0f%%)\n",
-			*gateBench, timeMode, *maxAllocsPct)
+		os.Exit(1)
 	}
+	fmt.Fprintf(w, "\nbenchgate: ok (minimum allocs/op no higher than the base's on every row; ns/op is not gated)\n")
 }

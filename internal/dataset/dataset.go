@@ -284,8 +284,8 @@ func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
 	pg := peg.Build(variant, cus, res)
 	// One generator for the whole job, reseeded per loop: the same stream
 	// as a fresh rand.New(rand.NewSource(seed)) without its allocation,
-	// and with rngSource's cheaper seeding.
-	rng := rand.New(&rngSource{})
+	// and with walks.NewRand's cheaper seeding.
+	rng := walks.NewRand()
 	var merge mergeScratch
 	for _, loopID := range cus.LoopIDs() {
 		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {

@@ -285,10 +285,8 @@ func (s *Server) Warmup(ctx context.Context) error {
 
 // ReloadResult reports a successful hot swap.
 type ReloadResult struct {
-	Generation  uint64        `json:"generation"`
-	Fingerprint string        `json:"fingerprint,omitempty"`
-	Warmup      time.Duration `json:"-"`
-	// WarmupSeconds is the JSON-facing warm-up duration.
+	Generation    uint64  `json:"generation"`
+	Fingerprint   string  `json:"fingerprint,omitempty"`
 	WarmupSeconds float64 `json:"warmup_seconds"`
 }
 
@@ -333,7 +331,6 @@ func (s *Server) Reload(ctx context.Context) (ReloadResult, error) {
 	return ReloadResult{
 		Generation:    gen.id,
 		Fingerprint:   gen.fp,
-		Warmup:        warm,
 		WarmupSeconds: warm.Seconds(),
 	}, nil
 }

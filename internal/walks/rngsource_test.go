@@ -1,4 +1,4 @@
-package dataset
+package walks
 
 import (
 	"math"
@@ -23,7 +23,7 @@ func sameStreamSeeds() []int64 {
 }
 
 // TestRNGSourceSameStream reseeds one rand.New(&rngSource{}) per seed,
-// as encodeVariant does, and requires every draw to equal a fresh
+// as dataset's encodeVariant does, and requires every draw to equal a fresh
 // rand.New(rand.NewSource(seed)): Int63, Uint64, Intn, Float64 and
 // Shuffle.
 func TestRNGSourceSameStream(t *testing.T) {
@@ -64,7 +64,7 @@ func TestRNGSourceSameStream(t *testing.T) {
 }
 
 // BenchmarkReseed times one reseed of a generator, the per-loop cost in
-// encodeVariant: math/rand's source against rngSource.
+// dataset's encodeVariant: math/rand's source against rngSource.
 func BenchmarkReseed(b *testing.B) {
 	for _, c := range []struct {
 		name string
