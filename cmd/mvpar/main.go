@@ -376,8 +376,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request classification deadline")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown bound")
 	drainGrace := fs.Duration("drain-grace", 0, "keep serving this long after SIGTERM while /readyz reports\n503 draining, so load balancers stop routing before the listener\ncloses (e.g. 2s)")
-	traceSlow := fs.Duration("trace-slow", 0, "trace every request and retain those slower than this\nthreshold at /debug/traces (e.g. 250ms; 0 disables capture)")
-	traceRing := fs.Int("trace-ring", 64, "how many slow-request traces /debug/traces retains (-1 disables retention)")
+	traceSlow := fs.Duration("trace-slow", 0, "trace every request and retain the 64 newest slower than this\nthreshold at /debug/traces (e.g. 250ms; 0 disables capture)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -438,7 +437,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		Loader:         loader,
 		Version:        buildVersion,
 		TraceSlow:      *traceSlow,
-		TraceRing:      *traceRing,
 	})
 	sctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()

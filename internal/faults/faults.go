@@ -16,14 +16,15 @@ import (
 )
 
 // Pipeline stage names used in StageError.Stage. They follow the order of
-// the ingestion pipeline; Stage accepts arbitrary strings, these are the
-// canonical ones.
+// a served request; Stage accepts arbitrary strings, these are the
+// canonical ones. StageAdmission is the wait for a worker slot.
 const (
-	StageParse   = "parse"
-	StageLower   = "lower"
-	StageProfile = "profile"
-	StageEncode  = "encode"
-	StageForward = "forward"
+	StageAdmission = "admission"
+	StageParse     = "parse"
+	StageLower     = "lower"
+	StageProfile   = "profile"
+	StageEncode    = "encode"
+	StageForward   = "forward"
 )
 
 // StageError records the failure of one program in one pipeline stage.

@@ -53,14 +53,12 @@ var histBuckets = func() []float64 {
 	return b
 }()
 
-// Histogram aggregates observed float values: count, sum, min, max and
+// Histogram aggregates observed float values: count, sum and
 // exponential buckets.
 type Histogram struct {
 	mu      sync.Mutex
 	count   int64
 	sum     float64
-	min     float64
-	max     float64
 	buckets []int64
 }
 
@@ -71,23 +69,17 @@ func (h *Histogram) Observe(v float64) {
 	if h.buckets == nil {
 		h.buckets = make([]int64, len(histBuckets)+1)
 	}
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
 	h.count++
 	h.sum += v
 	i := sort.SearchFloat64s(histBuckets, v)
 	h.buckets[i]++
 }
 
-// Snapshot returns the histogram's aggregate statistics.
-func (h *Histogram) Snapshot() (count int64, sum, min, max float64) {
+// Snapshot returns the histogram's observation count and sum.
+func (h *Histogram) Snapshot() (count int64, sum float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.count, h.sum, h.min, h.max
+	return h.count, h.sum
 }
 
 // Bucket is one cumulative histogram bucket: the count of observations
@@ -101,8 +93,8 @@ type Bucket struct {
 // Buckets returns the cumulative bucket snapshot (Prometheus `le`
 // semantics), always ending in the +Inf bucket. The bounds are the
 // fixed exponential ladder every Histogram shares (1e-6 doubling to
-// ~67, seconds-friendly), so quantiles are derivable offline from any
-// dump that includes these lines.
+// ~67, seconds-friendly), so histogram_quantile() derives quantiles from
+// any dump that includes these lines.
 func (h *Histogram) Buckets() []Bucket {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -119,55 +111,6 @@ func (h *Histogram) Buckets() []Bucket {
 		out[i] = Bucket{UpperBound: bound, Count: cum}
 	}
 	return out
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the cumulative
-// buckets, interpolating linearly inside the bucket that crosses the
-// target rank — the same estimator Prometheus's histogram_quantile
-// uses — and clamping to the observed [min, max] so the exponential
-// bucket edges never report a value outside the data. Returns NaN for
-// an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	count, min, max := h.count, h.min, h.max
-	var buckets []int64
-	if h.buckets != nil {
-		buckets = append([]int64(nil), h.buckets...)
-	}
-	h.mu.Unlock()
-	if count == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return min
-	}
-	if q >= 1 {
-		return max
-	}
-	rank := q * float64(count)
-	var cum int64
-	for i, c := range buckets {
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = histBuckets[i-1]
-			}
-			hi := max
-			if i < len(histBuckets) {
-				hi = histBuckets[i]
-			}
-			// Position of the target rank inside this bucket.
-			frac := (rank - float64(cum)) / float64(c)
-			v := lo + (hi-lo)*frac
-			return math.Min(math.Max(v, min), max)
-		}
-		cum += c
-	}
-	return max
 }
 
 // LabelPair is one rendered label of an info metric.

@@ -98,12 +98,9 @@ func TestConcurrentMetrics(t *testing.T) {
 	if got := r.Counter("mvpar_test_ops_total").Value(); got != workers*per {
 		t.Errorf("counter = %d, want %d", got, workers*per)
 	}
-	count, sum, min, max := r.Histogram("mvpar_test_hist").Snapshot()
+	count, sum := r.Histogram("mvpar_test_hist").Snapshot()
 	if count != workers*per {
 		t.Errorf("histogram count = %d, want %d", count, workers*per)
-	}
-	if min != 0 || max != 0.9 {
-		t.Errorf("histogram min/max = %v/%v, want 0/0.9", min, max)
 	}
 	if sum <= 0 {
 		t.Errorf("histogram sum = %v", sum)

@@ -16,26 +16,12 @@ import (
 // accepts.
 const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// quantileGauges are the estimated quantiles published for every
-// latency histogram (metric names ending in _seconds): p50/p95/p99
-// gauges named <hist>_p50 etc., recomputed from the exponential buckets
-// at scrape time.
-var quantileGauges = []struct {
-	suffix string
-	q      float64
-}{
-	{"_p50", 0.50},
-	{"_p95", 0.95},
-	{"_p99", 0.99},
-}
-
 // WritePrometheus writes the whole registry in the Prometheus text
 // exposition format (version 0.0.4): HELP/TYPE headers, counters,
 // gauges, and full histogram series (`_bucket{le=...}` cumulative,
-// `_sum`, `_count`). Every histogram named *_seconds additionally
-// exposes p50/p95/p99 estimate gauges so dashboards get latency
-// quantiles without PromQL. Families are emitted in sorted name order,
-// making the output diffable across scrapes.
+// `_sum`, `_count`), from which histogram_quantile() derives latency
+// quantiles. Families are emitted in sorted name order, making the
+// output diffable across scrapes.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	counters := make(map[string]int64, len(r.counters))
@@ -76,7 +62,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	for _, name := range sortedKeys(hists) {
 		h := hists[name]
-		count, sum, _, _ := h.Snapshot()
+		count, sum := h.Snapshot()
 		fmt.Fprintf(bw, "# HELP %s Histogram %s.\n", name, name)
 		fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
 		for _, b := range h.Buckets() {
@@ -84,14 +70,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		fmt.Fprintf(bw, "%s_sum %s\n", name, formatPromValue(sum))
 		fmt.Fprintf(bw, "%s_count %d\n", name, count)
-		if strings.HasSuffix(name, "_seconds") && count > 0 {
-			for _, qg := range quantileGauges {
-				qn := name + qg.suffix
-				fmt.Fprintf(bw, "# HELP %s Estimated %g-quantile of %s.\n", qn, qg.q, name)
-				fmt.Fprintf(bw, "# TYPE %s gauge\n", qn)
-				fmt.Fprintf(bw, "%s %s\n", qn, formatPromValue(h.Quantile(qg.q)))
-			}
-		}
 	}
 	return bw.Flush()
 }

@@ -39,38 +39,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantile checks the estimator against a known uniform
-// spread: estimates must stay inside the observed range, be monotone in
-// q, and land near the true quantiles (bucket resolution permitting).
-func TestHistogramQuantile(t *testing.T) {
-	h := &Histogram{}
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("empty histogram quantile should be NaN")
-	}
-	// 1..1000 ms, uniform.
-	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i) * 0.001)
-	}
-	p50 := h.Quantile(0.50)
-	p95 := h.Quantile(0.95)
-	p99 := h.Quantile(0.99)
-	if !(p50 <= p95 && p95 <= p99) {
-		t.Fatalf("quantiles not monotone: p50=%v p95=%v p99=%v", p50, p95, p99)
-	}
-	if p50 < 0.25 || p50 > 1.0 {
-		t.Fatalf("p50 = %v, want within a bucket of 0.5", p50)
-	}
-	if p99 < 0.5 || p99 > 1.0 {
-		t.Fatalf("p99 = %v, want within (0.5, 1.0]", p99)
-	}
-	if min := h.Quantile(0); min != 0.001 {
-		t.Fatalf("q0 = %v, want min 0.001", min)
-	}
-	if max := h.Quantile(1); max != 1.0 {
-		t.Fatalf("q1 = %v, want max 1.0", max)
-	}
-}
-
 // TestWritePrometheusConformance runs the strict checker over a real
 // registry's exposition — the same validation the CI matrix applies to
 // the live /metrics output.
@@ -100,19 +68,17 @@ func TestWritePrometheusConformance(t *testing.T) {
 		`mvpar_http_request_seconds_bucket{le="+Inf"} 3`,
 		"mvpar_http_request_seconds_sum 0.205",
 		"mvpar_http_request_seconds_count 3",
-		"# TYPE mvpar_http_request_seconds_p50 gauge",
-		"mvpar_http_request_seconds_p99 ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	// Quantile gauges appear only for *_seconds histograms with data.
-	if strings.Contains(out, "mvpar_http_batch_size_p50") {
-		t.Error("non-latency histogram grew quantile gauges")
-	}
-	if strings.Contains(out, "mvpar_empty_seconds_p50") {
-		t.Error("empty histogram grew quantile gauges")
+	// Quantiles come from the _bucket series via histogram_quantile();
+	// no histogram carries estimate gauges beside them.
+	for _, suffix := range []string{"_p50", "_p95", "_p99"} {
+		if strings.Contains(out, suffix+" ") {
+			t.Errorf("exposition carries a %s quantile gauge:\n%s", suffix, out)
+		}
 	}
 }
 

@@ -24,18 +24,18 @@ func TestSpanAggregation(t *testing.T) {
 	_, sp := trace.StartSpan(context.Background(), "gnn.train")
 	sp.End()
 
-	count, sum, _, _ := obs.GetHistogram("mvpar_span_dataset_build_seconds").Snapshot()
+	count, sum := obs.GetHistogram("mvpar_span_dataset_build_seconds").Snapshot()
 	if count != 3 || sum < 0.003 {
 		t.Errorf("dataset.build histogram count=%d sum=%v, want 3 and >= 3ms", count, sum)
 	}
-	if count, _, _, _ := obs.GetHistogram("mvpar_span_gnn_train_seconds").Snapshot(); count != 1 {
+	if count, _ := obs.GetHistogram("mvpar_span_gnn_train_seconds").Snapshot(); count != 1 {
 		t.Errorf("gnn.train histogram count=%d, want 1", count)
 	}
 
 	obs.Reset()
 	_, sp = trace.StartSpan(context.Background(), "dataset.build")
 	sp.End()
-	if count, _, _, _ := obs.GetHistogram("mvpar_span_dataset_build_seconds").Snapshot(); count != 1 {
+	if count, _ := obs.GetHistogram("mvpar_span_dataset_build_seconds").Snapshot(); count != 1 {
 		t.Errorf("after Reset, dataset.build histogram count=%d, want 1", count)
 	}
 }
@@ -58,7 +58,7 @@ func TestConcurrentSpans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if count, _, _, _ := obs.GetHistogram("mvpar_span_stage_par_seconds").Snapshot(); count != workers*per {
+	if count, _ := obs.GetHistogram("mvpar_span_stage_par_seconds").Snapshot(); count != workers*per {
 		t.Errorf("stage.par histogram count = %d, want %d", count, workers*per)
 	}
 }
@@ -71,7 +71,7 @@ func TestZeroSpanEndIsSafe(t *testing.T) {
 	var sp trace.Span
 	sp.SetAttr("k", "v")
 	sp.End()
-	if count, _, _, _ := obs.GetHistogram("mvpar_span__seconds").Snapshot(); count != 0 {
+	if count, _ := obs.GetHistogram("mvpar_span__seconds").Snapshot(); count != 0 {
 		t.Errorf("zero Span recorded %d observations", count)
 	}
 }

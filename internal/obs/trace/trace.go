@@ -16,10 +16,9 @@
 // TestUntracedContextIsFree, BenchmarkClassifyTracingDisabled and the
 // benchgate).
 //
-// Finished traces export as JSONL (one span per line, WriteJSONL) or as
-// Chrome trace_event JSON (WriteChromeTraces) loadable in chrome://tracing
-// and Perfetto. The serving layer retains slow requests' traces in a
-// bounded Ring served at /debug/traces; see docs/observability.md.
+// The serving layer retains slow requests' traces in a bounded Ring and
+// serves their span trees as JSON at /debug/traces; see
+// docs/observability.md.
 package trace
 
 import (
@@ -215,12 +214,9 @@ func (t *Trace) Duration() time.Duration {
 	return end.Sub(t.root.start)
 }
 
-// Start returns the root span's start time.
-func (t *Trace) Start() time.Time { return t.root.start }
-
-// SpanData is one span's immutable snapshot, the export unit of every
-// serialization (JSONL, Chrome trace_event, the /v1/classify timings
-// breakdown, /debug/traces).
+// SpanData is one span's immutable snapshot, the unit of both JSON
+// answers that carry spans: the /v1/classify timings breakdown and
+// /debug/traces.
 type SpanData struct {
 	TraceID string `json:"trace_id"`
 	Span    uint64 `json:"span"`

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"mvpar/internal/obs"
@@ -11,61 +10,44 @@ import (
 	"mvpar/internal/pool"
 )
 
-// Admission errors the handler maps to HTTP status codes.
-var (
-	// ErrQueueFull rejects a request because MaxQueue requests already
-	// wait for a worker slot — the load-shedding (429) path.
-	ErrQueueFull = errors.New("serve: admission queue full")
-	// ErrDraining rejects a request because the server is shutting down
-	// (503): in-flight work finishes, new work goes elsewhere.
-	ErrDraining = errors.New("serve: server draining")
-)
+// ErrQueueFull rejects a request because MaxQueue requests already wait
+// for a worker slot — the load-shedding (429) path.
+var ErrQueueFull = errors.New("serve: admission queue full")
 
 // batcher is the admission layer: at most cap(slots) classifications run
 // at once, each on its own handler goroutine, and at most maxQueue more
 // requests wait for a slot; a request past that is shed with 429. A
 // request never waits for company, so an idle server starts work at once.
+// Draining is not its job: http.Server.Shutdown waits for every running
+// handler, the ones still waiting here included.
 type batcher struct {
 	slots    chan struct{}
 	maxQueue int64
 	waiting  atomic.Int64
-
-	// gate orders admissions against drain: run holds the read side
-	// while it checks accepting and registers with inflight, drain flips
-	// accepting under the write side before waiting, so inflight.Add can
-	// never race with inflight.Wait.
-	gate      sync.RWMutex
-	accepting bool
-	inflight  sync.WaitGroup
 }
 
 // queueDepthGauge reports how many requests wait for a worker slot.
 const queueDepthGauge = "mvpar_http_queue_depth"
 
-// newBatcher builds an accepting admission layer with workers slots (0
-// uses the shared pool default: NumCPU or the --jobs override).
+// newBatcher builds an admission layer with workers slots (0 uses the
+// shared pool default: NumCPU or the --jobs override).
 func newBatcher(maxQueue, workers int) *batcher {
 	if workers <= 0 {
 		workers = pool.DefaultParallelism()
 	}
 	return &batcher{
-		slots:     make(chan struct{}, workers),
-		maxQueue:  int64(maxQueue),
-		accepting: true,
+		slots:    make(chan struct{}, workers),
+		maxQueue: int64(maxQueue),
 	}
 }
 
 // run admits one request and calls fn on the caller's goroutine once a
 // worker slot is free. fn gets the context of the request's "batcher"
 // span, which covers only the slot wait, so the spans fn opens stay its
-// children. run returns ErrDraining or ErrQueueFull without waiting, and
-// ctx's error when the deadline passes before a slot frees; fn has not
-// run in either case.
+// children. run returns ErrQueueFull without waiting, and ctx's error
+// when the deadline passes before a slot frees; fn has not run in either
+// case.
 func (b *batcher) run(ctx context.Context, fn func(context.Context)) error {
-	if err := b.enter(); err != nil {
-		return err
-	}
-	defer b.inflight.Done()
 	bctx, span := trace.StartSpan(ctx, "batcher")
 	err := b.acquire(bctx)
 	span.End()
@@ -74,17 +56,6 @@ func (b *batcher) run(ctx context.Context, fn func(context.Context)) error {
 	}
 	defer func() { <-b.slots }()
 	fn(bctx)
-	return nil
-}
-
-// enter registers one request with inflight unless drain has begun.
-func (b *batcher) enter() error {
-	b.gate.RLock()
-	defer b.gate.RUnlock()
-	if !b.accepting {
-		return ErrDraining
-	}
-	b.inflight.Add(1)
 	return nil
 }
 
@@ -108,25 +79,6 @@ func (b *batcher) acquire(ctx context.Context) error {
 	}()
 	select {
 	case b.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// drain closes admission and waits for every admitted request to
-// finish. It is safe to call more than once.
-func (b *batcher) drain(ctx context.Context) error {
-	b.gate.Lock()
-	b.accepting = false
-	b.gate.Unlock()
-	done := make(chan struct{})
-	go func() {
-		b.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -18,7 +18,7 @@ import (
 // admission queue's depth gauge and no family of the removed sharding,
 // autoscaling, breaker/retry, request-batching, chaos-injection,
 // response-cache, precision-tier, multi-model and degradation-rung
-// layers.
+// layers, of the per-generation drain counter and of the quantile gauges.
 func TestServeMetricsExpositionConformance(t *testing.T) {
 	s, ts := newTestServer(t, &genStub{gen: 1}, Config{Version: "test"})
 	if err := s.Warmup(context.Background()); err != nil {
@@ -29,7 +29,6 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 	for _, name := range []string{
 		"mvpar_model_reloads_total",
 		"mvpar_model_reload_failures_total",
-		"mvpar_model_generations_drained_total",
 		"mvpar_http_panics_total",
 	} {
 		obs.GetCounter(name).Add(0)
@@ -91,6 +90,10 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 		"mvpar_model_info_",
 		"mvpar_classify_requests_",
 		"mvpar_http_degraded_",
+		"mvpar_model_generations_drained_total",
+		"_seconds_p50",
+		"_seconds_p95",
+		"_seconds_p99",
 	} {
 		if strings.Contains(out, gone) {
 			t.Errorf("exposition carries the removed %q family", gone)

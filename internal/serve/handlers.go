@@ -133,12 +133,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		req.Name = "unnamed"
 	}
 
-	// Pin the request to the current generation: it registers
-	// with the generation's in-flight count here and executes against
-	// that generation even if a hot swap lands while it waits. The
-	// registration is released once admission and the attempt have
-	// finished.
-	gen := s.admit()
+	// Pin the request to the current generation: it executes against
+	// this pointer even if a hot swap lands while it waits.
+	gen := s.gen.Load()
 
 	// Request tracing: in slow-capture mode (TraceSlow set) every request
 	// is traced so any of them can be retained when it crosses the
@@ -163,37 +160,33 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if req.Timings {
 		respTr = tr
 	}
-	var res outcome
-	err := s.bat.run(ctx, func(bctx context.Context) {
-		res = s.classify(&job{ctx: bctx, name: req.Name, src: req.Source, gen: gen})
+	var preds []core.LoopPrediction
+	var err error
+	aerr := s.bat.run(ctx, func(bctx context.Context) {
+		preds, err = s.classify(bctx, gen, req.Name, req.Source)
 	})
-	gen.inflight.Done()
-	switch {
-	case errors.Is(err, ErrQueueFull):
+	if errors.Is(aerr, ErrQueueFull) {
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
 			Error:   "server overloaded",
 			Reasons: []string{fmt.Sprintf("%d requests already wait for a worker slot; retry with backoff", s.cfg.MaxQueue)},
 		})
-	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server draining"})
-	default:
-		if err != nil {
-			// The deadline passed while the request waited for a slot.
-			res.err = err
-		}
-		s.writeResult(w, req.Name, res, respTr)
+		return
 	}
+	if aerr != nil {
+		// The deadline passed while the request waited for a slot.
+		err = &faults.StageError{Program: req.Name, Stage: faults.StageAdmission, Err: aerr}
+	}
+	s.writeResult(w, req.Name, gen.id, preds, err, respTr)
 }
 
-// writeResult maps one execution outcome to its HTTP answer. tr is
-// non-nil only when the request asked for a timings breakdown; success
-// responses then carry the trace ID and span tree.
-func (s *Server) writeResult(w http.ResponseWriter, name string, res outcome, tr *trace.Trace) {
-	err := res.err
+// writeResult maps one attempt's result on generation gen to its HTTP
+// answer. tr is non-nil only when the request asked for a timings
+// breakdown; success responses then carry the trace ID and span tree.
+func (s *Server) writeResult(w http.ResponseWriter, name string, gen uint64, preds []core.LoopPrediction, err error, tr *trace.Trace) {
 	if err == nil {
-		resp := toResponse(name, res.preds)
-		resp.Generation = res.gen
+		resp := toResponse(name, preds)
+		resp.Generation = gen
 		if tr != nil {
 			resp.TraceID, resp.Timings = timingsPayload(tr)
 		}

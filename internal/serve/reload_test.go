@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mvpar/internal/core"
 	"mvpar/internal/obs"
@@ -179,11 +178,10 @@ func TestServerReloadWithoutLoaderAnswers501(t *testing.T) {
 	}
 }
 
-// TestServerReloadDrainsOldGenerationInFlight pins the hot-swap drain
-// contract: a request admitted before the swap finishes on the OLD
-// generation and reports the old generation, while requests
-// after the swap answer from the new one; once the pinned request
-// completes the old generation is declared drained.
+// TestServerReloadDrainsOldGenerationInFlight pins both halves of a hot
+// swap: a request admitted before the swap finishes on the OLD
+// generation and reports the old generation, while requests after the
+// swap answer from the new one.
 func TestServerReloadDrainsOldGenerationInFlight(t *testing.T) {
 	gen1 := &genStub{gen: 1, started: make(chan string, 4), release: make(chan struct{})}
 	gen2 := &genStub{gen: 2}
@@ -207,17 +205,11 @@ func TestServerReloadDrainsOldGenerationInFlight(t *testing.T) {
 	}()
 	<-gen1.started // executing on generation 1, blocked
 
-	drainedBefore := obs.GetCounter("mvpar_model_generations_drained_total").Value()
 	if _, err := s.Reload(context.Background()); err != nil {
 		t.Fatalf("Reload with a request in flight: %v", err)
 	}
 	if got := s.Generation(); got != 2 {
 		t.Fatalf("Generation after swap = %d, want 2", got)
-	}
-
-	// The old generation is NOT drained while its pinned request runs.
-	if n := obs.GetCounter("mvpar_model_generations_drained_total").Value(); n != drainedBefore {
-		t.Fatal("old generation declared drained with a request still in flight")
 	}
 
 	// The pinned request completes on the OLD generation.
@@ -226,95 +218,10 @@ func TestServerReloadDrainsOldGenerationInFlight(t *testing.T) {
 	if got.code != 200 || got.resp.Generation != 1 || got.resp.Predictions[0].Func != "gen-1" {
 		t.Fatalf("pinned request = %d %+v, want a generation-1 answer from gen-1", got.code, got.resp)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for obs.GetCounter("mvpar_model_generations_drained_total").Value() != drainedBefore+1 {
-		if time.Now().After(deadline) {
-			t.Fatal("old generation never declared drained after its last request finished")
-		}
-		time.Sleep(time.Millisecond)
-	}
 
 	// Traffic after the swap answers from the new generation.
 	if code, ok, _ := postClassify(t, ts.URL, "fresh", stubSource); code != 200 ||
 		ok.Generation != 2 || ok.Predictions[0].Func != "gen-2" {
 		t.Fatalf("post-swap classify = %d %+v, want generation 2", code, ok)
-	}
-}
-
-// TestBatcherQueueFullDuringDrain pins the shed-vs-deadlock contract:
-// admissions racing a drain are refused with ErrDraining (or shed with
-// ErrQueueFull), never blocked, and drain itself completes even though
-// requests were waiting for a slot when it began.
-func TestBatcherQueueFullDuringDrain(t *testing.T) {
-	b := newBatcher(2, 1)
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
-	block := func(context.Context) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-release
-	}
-	ctx := context.Background()
-	// The first request takes the only slot; once it runs, two more
-	// wait for it and fill the (capacity-2) queue.
-	errs := make(chan error, 3)
-	go func() { errs <- b.run(ctx, block) }()
-	<-started
-	for i := 0; i < 2; i++ {
-		go func() { errs <- b.run(ctx, block) }()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for b.waiting.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("two requests never queued for the slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Queue full: overflow sheds synchronously, and fn never runs.
-	if err := b.run(ctx, func(context.Context) { t.Error("shed request ran") }); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("run past capacity = %v, want ErrQueueFull", err)
-	}
-
-	drainErr := make(chan error, 1)
-	go func() {
-		dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		drainErr <- b.drain(dctx)
-	}()
-
-	// Mid-drain admissions are refused immediately — not queued, not
-	// blocked — even while admitted requests still wait for the slot.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		err := b.run(ctx, func(context.Context) { t.Error("refused request ran") })
-		if errors.Is(err, ErrDraining) {
-			break
-		}
-		if !errors.Is(err, ErrQueueFull) {
-			t.Fatalf("mid-drain run = %v, want ErrDraining or ErrQueueFull", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("drain never closed admission")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Release the slot holder: every admitted request must finish and
-	// drain must return instead of deadlocking on the waiting requests.
-	close(release)
-	for i := 0; i < 3; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("admitted request = %v, want nil", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("an admitted request never finished during drain")
-		}
-	}
-	if err := <-drainErr; err != nil {
-		t.Fatalf("drain = %v", err)
 	}
 }

@@ -19,13 +19,13 @@
 // draining), /metrics (the internal/obs registry in the Prometheus text
 // exposition, extended with the mvpar_http_* / mvpar_model_* families),
 // POST /v1/models/reload (atomic model hot swap: load → warm →
-// parity-check → swap, with the old generation draining in flight and
-// automatic rollback on failure) and /debug/traces (retained
-// slow-request span trees, see internal/obs/trace). Results are
-// bit-identical to a serial core.Classifier.ClassifyContext at every
+// parity-check → swap, requests already admitted finishing on the old
+// generation, automatic rollback on failure) and /debug/traces
+// (retained slow-request span trees, see internal/obs/trace). Results
+// are bit-identical to a serial core.Classifier.ClassifyContext at every
 // concurrency level — the same determinism contract the training pool
-// upholds. Shutdown is graceful: draining finishes every admitted
-// request before it returns.
+// upholds. Shutdown is graceful: http.Server.Shutdown waits for every
+// running request, those still waiting for a slot included.
 //
 // The resilience model (swap/drain/rollback state machine, failure
 // mapping, fault tests) is documented in docs/robustness.md.
@@ -92,16 +92,16 @@ type Config struct {
 	Version string
 	// TraceSlow enables slow-request capture: every request is traced and
 	// any request slower than this threshold has its span tree retained
-	// in a bounded in-memory ring served at /debug/traces (plus a
-	// structured log line and mvpar_http_slow_requests_total). Zero
-	// disables capture; requests are then traced only when they ask for a
-	// timings breakdown.
+	// in an in-memory ring of the traceRingSize newest, served at
+	// /debug/traces (plus a structured log line and
+	// mvpar_http_slow_requests_total). Zero disables capture; requests
+	// are then traced only when they ask for a timings breakdown.
 	TraceSlow time.Duration
-	// TraceRing caps how many slow-request traces the ring retains
-	// (oldest evicted first); default 64, negative disables retention
-	// (slow requests are still counted and logged).
-	TraceRing int
 }
+
+// traceRingSize is how many slow-request traces /debug/traces retains
+// (oldest evicted first).
+const traceRingSize = 64
 
 // withDefaults resolves zero fields to their documented defaults.
 func (c Config) withDefaults() Config {
@@ -125,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Version == "" {
 		c.Version = "dev"
-	}
-	if c.TraceRing == 0 {
-		c.TraceRing = 64
 	}
 	return c
 }
@@ -161,8 +158,8 @@ func New(inf Inference, cfg Config) *Server {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg}
-	if cfg.TraceSlow > 0 && cfg.TraceRing > 0 {
-		s.traces = trace.NewRing(cfg.TraceRing)
+	if cfg.TraceSlow > 0 {
+		s.traces = trace.NewRing(traceRingSize)
 	}
 	s.bat = newBatcher(cfg.MaxQueue, cfg.Workers)
 	// Register the depth gauge now so /metrics shows it from startup.
@@ -193,18 +190,17 @@ func (s *Server) Handler() http.Handler { return s.hs.Handler }
 // +1 per successful hot swap).
 func (s *Server) Generation() uint64 { return s.gen.Load().id }
 
-// install makes inf the live generation and starts draining the old
-// one: in-flight requests pinned to it finish against its Inference, and
-// once the last of them completes the generation is declared drained.
-// New and Reload (under reloadMu) are its only callers, so installs never
-// race and the next id follows the live one.
+// install makes inf the live generation. Requests that loaded the old
+// one keep its pointer and finish against its Inference. New and Reload
+// (under reloadMu) are its only callers, so installs never race and the
+// next id follows the live one.
 func (s *Server) install(inf Inference) *generation {
 	id := uint64(1)
 	if old := s.gen.Load(); old != nil {
 		id = old.id + 1
 	}
 	gen := newGeneration(id, inf)
-	old := s.gen.Swap(gen)
+	s.gen.Store(gen)
 	obs.GetGauge("mvpar_model_generation").Set(float64(id))
 	obs.SetInfo("mvpar_build_info", map[string]string{
 		"version":    s.cfg.Version,
@@ -212,30 +208,7 @@ func (s *Server) install(inf Inference) *generation {
 		"generation": strconv.FormatUint(id, 10),
 		"model":      gen.fp,
 	})
-	if old != nil {
-		go func() {
-			old.inflight.Wait()
-			obs.GetCounter("mvpar_model_generations_drained_total").Inc()
-			obs.Info("serve.generation_drained", "generation", old.id)
-		}()
-	}
 	return gen
-}
-
-// admit pins the caller to the current generation by registering with
-// its in-flight count. The re-check closes the swap race: if a swap
-// landed between the load and the Add, the registration is undone and
-// retried on the new generation, so a drain wait can never miss a
-// pinned request.
-func (s *Server) admit() *generation {
-	for {
-		gen := s.gen.Load()
-		gen.inflight.Add(1)
-		if s.gen.Load() == gen {
-			return gen
-		}
-		gen.inflight.Done()
-	}
 }
 
 // warmupSource is the program warm-up classifies: small enough to finish
@@ -292,11 +265,11 @@ type ReloadResult struct {
 
 // Reload performs one atomic hot swap: load a fresh Inference via
 // cfg.Loader, warm and parity-check it OFF the serving path, then swap
-// it in as a new generation while the old one drains in flight. Any
-// failure — loader error (corrupt checkpoint, missing file), warm-up
-// error, parity failure — rolls back: the swap never happens, the
-// previous generation keeps serving untouched, and the error is
-// returned. Concurrent reloads serialize.
+// it in as a new generation while requests already admitted finish on
+// the old one. Any failure — loader error (corrupt checkpoint, missing
+// file), warm-up error, parity failure — rolls back: the swap never
+// happens, the previous generation keeps serving untouched, and the
+// error is returned. Concurrent reloads serialize.
 func (s *Server) Reload(ctx context.Context) (ReloadResult, error) {
 	if s.cfg.Loader == nil {
 		return ReloadResult{}, ErrNoLoader
@@ -335,55 +308,33 @@ func (s *Server) Reload(ctx context.Context) (ReloadResult, error) {
 	}, nil
 }
 
-// job is one admitted classify request holding a worker slot.
-type job struct {
-	ctx  context.Context
-	name string
-	src  string
-	// gen is the model generation the request was pinned to at admission;
-	// the attempt runs against it even if a hot swap lands mid-flight.
-	gen *generation
-}
-
-// outcome is the result of one job.
-type outcome struct {
-	preds []core.LoopPrediction
-	err   error
-	// gen is the generation that produced the answer.
-	gen uint64
-}
-
-// classify runs one panic-captured classification attempt for r on its
-// pinned generation, under the "replica" trace span. There is no retry
-// and no fallback: the weights are shared, so a panic the input caused
-// would fire again on any retry. A captured panic answers 500, a spent
+// classify runs one panic-captured classification attempt of src on
+// gen, under the "replica" trace span. There is no retry and no
+// fallback: the weights are shared, so a panic the input caused would
+// fire again on any retry. A captured panic answers 500, a spent
 // deadline 504 and a program the pipeline rejects 422, each naming the
 // stage that failed.
-func (s *Server) classify(r *job) outcome {
-	gen := r.gen
-	cctx, rspan := trace.StartSpan(r.ctx, "replica")
+func (s *Server) classify(ctx context.Context, gen *generation, name, src string) ([]core.LoopPrediction, error) {
+	cctx, rspan := trace.StartSpan(ctx, "replica")
 	var preds []core.LoopPrediction
 	err := faults.Capture(func() error {
 		var cerr error
-		preds, cerr = gen.inf.ClassifyContext(cctx, r.name, r.src)
+		preds, cerr = gen.inf.ClassifyContext(cctx, name, src)
 		return cerr
 	})
 	rspan.End()
-	if err == nil {
-		return outcome{preds: preds, gen: gen.id}
-	}
 	var pe *faults.PanicError
 	if errors.As(err, &pe) {
 		obs.GetCounter("mvpar_http_panics_total").Inc()
-		obs.Error("serve.panic", "program", r.name, "err", err)
+		obs.Error("serve.panic", "program", name, "err", err)
 		// Attribute the panic to a pipeline stage unless a nested
 		// boundary already did, so the 500 body can name it.
 		var se *faults.StageError
 		if !errors.As(err, &se) {
-			err = &faults.StageError{Program: r.name, Stage: "classify", Err: err}
+			err = &faults.StageError{Program: name, Stage: "classify", Err: err}
 		}
 	}
-	return outcome{err: err, gen: gen.id}
+	return preds, err
 }
 
 // Warm-up retry policy for ListenAndServe: a transient failure (model
@@ -456,11 +407,13 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 }
 
 // Shutdown drains the server: readiness drops immediately (/readyz
-// answers 503 draining so load balancers stop routing), the listener
-// keeps serving for cfg.DrainGrace so that readiness flip can
-// propagate, then the HTTP layer stops accepting and waits for
-// in-flight handlers, and finally the admission layer waits for every
-// admitted request. Requests arriving mid-drain answer 503.
+// answers 503 draining so load balancers stop routing, and classify
+// requests arriving mid-drain answer 503), the listener keeps serving
+// for cfg.DrainGrace so that readiness flip can propagate, then
+// http.Server.Shutdown closes the listener and waits for every running
+// handler, requests still waiting for a worker slot included. It drains
+// only the server ListenAndServe runs: a caller that embeds Handler in
+// its own http.Server shuts that server down itself.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	if g := s.cfg.DrainGrace; g > 0 {
@@ -471,10 +424,5 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			t.Stop()
 		}
 	}
-	herr := s.hs.Shutdown(ctx)
-	berr := s.bat.drain(ctx)
-	if herr != nil {
-		return herr
-	}
-	return berr
+	return s.hs.Shutdown(ctx)
 }

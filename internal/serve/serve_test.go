@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"mvpar/internal/core"
+	"mvpar/internal/faults"
 	"mvpar/internal/obs"
 )
 
@@ -255,12 +257,68 @@ func TestServerQueueOverflowSheds429(t *testing.T) {
 	}
 }
 
+// serveOnListener serves s through its own http.Server on a loopback
+// listener, as ListenAndServe does, so Shutdown drains real connections.
+// It returns the base URL.
+func serveOnListener(t *testing.T, s *Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.hs.Serve(ln)
+	t.Cleanup(func() { s.hs.Close() })
+	return "http://" + ln.Addr().String()
+}
+
+// startShutdown runs s.Shutdown on its own goroutine, waits until the
+// server reports draining and checks that a classify request arriving
+// in the grace window answers 503. Shutdown's result arrives on the
+// returned channel.
+func startShutdown(t *testing.T, s *Server, url string) <-chan error {
+	t.Helper()
+	shutdownErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownErr <- s.Shutdown(ctx)
+	}()
+	for !s.draining.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	if code, _, _ := postClassify(t, url, "late", stubSource); code != http.StatusServiceUnavailable {
+		t.Fatalf("mid-drain request = %d, want 503", code)
+	}
+	return shutdownErr
+}
+
+// drainGrace is the DrainGrace of the drain tests: long enough for one
+// loopback request to land inside it.
+const drainGrace = 500 * time.Millisecond
+
+// requireShutdownWaits fails if Shutdown returns within the grace window
+// and a margin past it, that is while http.Server.Shutdown should still
+// be waiting for a running request.
+func requireShutdownWaits(t *testing.T, shutdownErr <-chan error) {
+	t.Helper()
+	select {
+	case err := <-shutdownErr:
+		t.Fatalf("Shutdown returned %v while a request was still running", err)
+	case <-time.After(drainGrace + 200*time.Millisecond):
+	}
+}
+
+// TestServerGracefulDrainCompletesInFlight pins the drain on a real
+// listener: once Shutdown begins, new requests answer 503; Shutdown does
+// not return while an admitted request runs, and returns nil once that
+// request has answered 200.
 func TestServerGracefulDrainCompletesInFlight(t *testing.T) {
 	stub := &stubInference{
 		started: make(chan string, 16),
 		release: make(chan struct{}),
 	}
-	s, ts := newTestServer(t, stub, Config{Workers: 1})
+	s := New(stub, Config{Workers: 1, DrainGrace: drainGrace})
+	url := serveOnListener(t, s)
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -271,30 +329,13 @@ func TestServerGracefulDrainCompletesInFlight(t *testing.T) {
 	}
 	inflight := make(chan outcome, 1)
 	go func() {
-		code, ok, _ := tryClassify(ts.URL, "inflight", stubSource)
+		code, ok, _ := tryClassify(url, "inflight", stubSource)
 		inflight <- outcome{code, len(ok.Predictions)}
 	}()
 	<-stub.started // the request is executing (and blocked)
 
-	shutdownErr := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		shutdownErr <- s.Shutdown(ctx)
-	}()
-
-	// Drain flips readiness and rejects new work with 503.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		code, _, _ := postClassify(t, ts.URL, "late", stubSource)
-		if code == http.StatusServiceUnavailable {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("mid-drain request = %d, want 503", code)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	shutdownErr := startShutdown(t, s, url)
+	requireShutdownWaits(t, shutdownErr)
 
 	// The in-flight request must complete successfully, then Shutdown
 	// must return cleanly.
@@ -302,6 +343,58 @@ func TestServerGracefulDrainCompletesInFlight(t *testing.T) {
 	got := <-inflight
 	if got.code != http.StatusOK || got.preds != 1 {
 		t.Fatalf("in-flight request during drain = %+v, want 200 with 1 prediction", got)
+	}
+	if err := <-shutdownErr; err != nil {
+		t.Fatalf("Shutdown = %v", err)
+	}
+}
+
+// TestBatcherQueueFullDuringDrain pins the drain of a full admission
+// queue on a real listener: past MaxQueue waiters a request is shed with
+// 429, and once Shutdown begins the requests still waiting for a worker
+// slot are neither dropped nor refused — each one answers 200 — and
+// Shutdown returns nil only after them.
+func TestBatcherQueueFullDuringDrain(t *testing.T) {
+	stub := &stubInference{
+		started: make(chan string, 16),
+		release: make(chan struct{}),
+	}
+	s := New(stub, Config{Workers: 1, MaxQueue: 2, DrainGrace: drainGrace})
+	url := serveOnListener(t, s)
+	if err := s.Warmup(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// The first request takes the only slot; once it runs, two more
+	// wait for it and fill the queue.
+	codes := make(chan int, 3)
+	for i := 0; i < 3; i++ {
+		go func(i int) {
+			code, _, _ := tryClassify(url, fmt.Sprintf("r%d", i), stubSource)
+			codes <- code
+		}(i)
+		if i == 0 {
+			<-stub.started
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.bat.waiting.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("two requests never queued for the slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code, _, _ := postClassify(t, url, "overflow", stubSource); code != http.StatusTooManyRequests {
+		t.Fatalf("request past the queue = %d, want 429", code)
+	}
+
+	shutdownErr := startShutdown(t, s, url)
+	requireShutdownWaits(t, shutdownErr)
+
+	close(stub.release)
+	for i := 0; i < 3; i++ {
+		if c := <-codes; c != http.StatusOK {
+			t.Fatalf("admitted request finished with %d during drain, want 200", c)
+		}
 	}
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown = %v", err)
@@ -402,8 +495,9 @@ func TestServerUnprocessableProgram(t *testing.T) {
 
 // TestServerSlotWaitDeadline504 pins the waiter's deadline: a request
 // still waiting for a worker slot when its deadline passes answers 504
-// without running, leaves the queue-depth gauge at 0 and releases its
-// generation pin, so the next Reload drains the old generation.
+// naming the admission stage without running, leaves the queue-depth
+// gauge at 0 and holds nothing, so after a Reload the next request
+// answers from generation 2.
 func TestServerSlotWaitDeadline504(t *testing.T) {
 	stub := &genStub{gen: 1}
 	cfg := Config{Workers: 1, RequestTimeout: 50 * time.Millisecond}
@@ -416,8 +510,8 @@ func TestServerSlotWaitDeadline504(t *testing.T) {
 	s.bat.slots <- struct{}{}
 	code, _, errResp := postClassify(t, ts.URL, "waiter", stubSource)
 	<-s.bat.slots
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("request that never got a slot = %d (%+v), want 504", code, errResp)
+	if code != http.StatusGatewayTimeout || !hasReason(errResp.Reasons, "stage: "+faults.StageAdmission) {
+		t.Fatalf("request that never got a slot = %d (%+v), want 504 naming stage: admission", code, errResp)
 	}
 	if n := stub.calls.Load(); n != 0 {
 		t.Fatalf("classification ran %d times, want 0 (the request never held a slot)", n)
@@ -426,16 +520,12 @@ func TestServerSlotWaitDeadline504(t *testing.T) {
 		t.Fatalf("queue depth after the waiter left = %v, want 0", d)
 	}
 
-	drainedBefore := obs.GetCounter("mvpar_model_generations_drained_total").Value()
 	if _, err := s.Reload(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for obs.GetCounter("mvpar_model_generations_drained_total").Value() != drainedBefore+1 {
-		if time.Now().After(deadline) {
-			t.Fatal("old generation never drained: the timed-out waiter kept its pin")
-		}
-		time.Sleep(time.Millisecond)
+	if code, ok, _ := postClassify(t, ts.URL, "next", stubSource); code != http.StatusOK ||
+		ok.Generation != 2 || ok.Predictions[0].Func != "gen-2" {
+		t.Fatalf("request after the reload = %d %+v, want a generation-2 answer", code, ok)
 	}
 }
 

@@ -64,8 +64,8 @@ func renderSpanTree(spans []trace.SpanData) string {
 	return b.String()
 }
 
-// debugTraceEntry is one retained slow request in the default JSON
-// answer of /debug/traces.
+// debugTraceEntry is one retained slow request in the answer of
+// /debug/traces.
 type debugTraceEntry struct {
 	TraceID         string           `json:"trace_id"`
 	Name            string           `json:"name"`
@@ -75,13 +75,10 @@ type debugTraceEntry struct {
 }
 
 // handleDebugTraces is GET /debug/traces: the retained slow-request
-// traces, newest first. Default answer is a JSON document with the full
-// span tree of every retained trace; ?format=chrome re-serializes the
-// same traces as a Chrome trace_event document loadable in
-// chrome://tracing or Perfetto, and ?n=K caps the answer to the K most
-// recent. 404s when nothing is retained: slow-request capture is off
-// (TraceSlow unset) or retention is (negative TraceRing), and the
-// reason names the flag that turned it off.
+// traces, newest first, as one JSON document with the full span tree of
+// every retained trace; ?n=K caps the answer to the K most recent. 404s
+// when slow-request capture is off (TraceSlow unset), with a reason
+// naming the flag that turns it on.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -89,13 +86,9 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.traces == nil {
-		reason := "start the server with -trace-slow to retain slow traces"
-		if s.cfg.TraceSlow > 0 {
-			reason = "-trace-ring is negative: slow requests are counted and logged, not retained"
-		}
 		writeJSON(w, http.StatusNotFound, ErrorResponse{
 			Error:   "slow-request retention is disabled",
-			Reasons: []string{reason},
+			Reasons: []string{"start the server with -trace-slow to retain slow traces"},
 		})
 		return
 	}
@@ -110,42 +103,21 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 			traces = traces[:n]
 		}
 	}
-	switch r.URL.Query().Get("format") {
-	case "", "json":
-		entries := make([]debugTraceEntry, 0, len(traces))
-		for _, tr := range traces {
-			entries = append(entries, debugTraceEntry{
-				TraceID:         tr.ID(),
-				Name:            tr.Name(),
-				DurationSeconds: tr.Duration().Seconds(),
-				Dropped:         tr.Dropped(),
-				Spans:           tr.Spans(),
-			})
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"captured": s.traces.Total(),
-			"retained": len(entries),
-			"traces":   entries,
-		})
-	case "chrome":
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.Header().Set("Content-Disposition", `attachment; filename="mvpar-traces.json"`)
-		if err := trace.WriteChromeTraces(w, traces); err != nil {
-			obs.Error("serve.debug_traces", "err", err)
-		}
-	case "jsonl":
-		w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-		for _, tr := range traces {
-			if err := tr.WriteJSONL(w); err != nil {
-				obs.Error("serve.debug_traces", "err", err)
-				return
-			}
-		}
-	default:
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{
-			Error: fmt.Sprintf("unknown format %q (want json, chrome or jsonl)", r.URL.Query().Get("format")),
+	entries := make([]debugTraceEntry, 0, len(traces))
+	for _, tr := range traces {
+		entries = append(entries, debugTraceEntry{
+			TraceID:         tr.ID(),
+			Name:            tr.Name(),
+			DurationSeconds: tr.Duration().Seconds(),
+			Dropped:         tr.Dropped(),
+			Spans:           tr.Spans(),
 		})
 	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"captured": s.traces.Total(),
+		"retained": len(entries),
+		"traces":   entries,
+	})
 }
 
 // timingsPayload converts a finished trace into the optional "timings"

@@ -95,7 +95,6 @@ func TestConcurrentRequestSpanLineage(t *testing.T) {
 	s := New(cls, Config{
 		MaxQueue:  64,
 		TraceSlow: time.Nanosecond,
-		TraceRing: 32,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -210,26 +209,11 @@ func TestConcurrentRequestSpanLineage(t *testing.T) {
 			t.Fatalf("retained trace %s lacks a complete forward lineage", tr.TraceID)
 		}
 	}
-
-	// The chrome view of the same ring must be a valid trace_event array.
-	cresp, err := http.Get(ts.URL + "/debug/traces?format=chrome")
-	if err != nil {
-		t.Fatalf("GET /debug/traces?format=chrome: %v", err)
-	}
-	defer cresp.Body.Close()
-	var events []map[string]any
-	if err := json.NewDecoder(cresp.Body).Decode(&events); err != nil {
-		t.Fatalf("chrome export is not a JSON array: %v", err)
-	}
-	if len(events) == 0 {
-		t.Fatal("chrome export is empty")
-	}
 }
 
 // TestDebugTracesAnswersOnlyWhenRetaining pins /debug/traces to its
-// contract: it serves the ring only when slow-request capture and
-// retention are both on, and otherwise 404s with a reason naming the
-// flag that turned retention off.
+// contract: it serves the ring only when slow-request capture is on, and
+// otherwise 404s with a reason naming the flag that turns it on.
 func TestDebugTracesAnswersOnlyWhenRetaining(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -239,7 +223,6 @@ func TestDebugTracesAnswersOnlyWhenRetaining(t *testing.T) {
 	}{
 		{"default", Config{}, http.StatusNotFound, "-trace-slow"},
 		{"slow+ring", Config{TraceSlow: time.Millisecond}, http.StatusOK, ""},
-		{"slow, ring off", Config{TraceSlow: time.Millisecond, TraceRing: -1}, http.StatusNotFound, "-trace-ring"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, ts := newTestServer(t, &stubInference{}, tc.cfg)
