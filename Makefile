@@ -4,7 +4,7 @@
 # trace subpackage feeds), the worker-pool
 # paths introduced by the parallel engine (pool, gnn's data-parallel
 # trainer, dataset's parallel Build), serve, and the profiler (interp,
-# deps), which core.OracleSweep runs concurrently.
+# deps), which dataset.Build's profile stage runs concurrently.
 GO ?= go
 
 .PHONY: all build lint test test-race bench benchgate fuzz smoke verify

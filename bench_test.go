@@ -28,6 +28,7 @@ import (
 	"mvpar/internal/minic"
 	"mvpar/internal/nn"
 	"mvpar/internal/peg"
+	"mvpar/internal/pool"
 	"mvpar/internal/sched"
 	"mvpar/internal/tensor"
 	"mvpar/internal/walks"
@@ -48,6 +49,23 @@ func miniConfig() core.ExperimentConfig {
 		Seed:         1,
 		AppsOverride: apps,
 	}
+}
+
+// setJobs sets the process-wide worker count for the rest of the
+// benchmark and restores the NumCPU default when it ends.
+func setJobs(b *testing.B, n int) {
+	pool.SetDefaultParallelism(n)
+	b.Cleanup(func() { pool.SetDefaultParallelism(0) })
+}
+
+// miniStudy builds the mini corpus study once per call.
+func miniStudy(b *testing.B, cfg core.ExperimentConfig) *core.Study {
+	b.Helper()
+	s, err := core.NewStudy(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
 }
 
 // miniDataset builds the mini corpus dataset once per call.
@@ -82,7 +100,7 @@ func BenchmarkTable3Accuracy(b *testing.B) {
 	cfg := miniConfig()
 	var res *core.Table3Result
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunTable3(cfg)
+		r, err := core.RunTable3(miniStudy(b, cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,7 +121,7 @@ func BenchmarkTable4NPBCaseStudy(b *testing.B) {
 	// Table IV needs the NPB apps; the mini corpus includes IS/EP/CG/MG.
 	var rows []core.Table4Row
 	for i := 0; i < b.N; i++ {
-		r, _, err := core.RunTable4(cfg)
+		r, _, err := core.RunTable4(miniStudy(b, cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +163,7 @@ func BenchmarkFigure8ViewImportance(b *testing.B) {
 	cfg := miniConfig()
 	var res *core.Figure8Result
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunFigure8(cfg)
+		r, err := core.RunFigure8(miniStudy(b, cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -352,13 +370,13 @@ func BenchmarkDatasetEncode(b *testing.B) {
 		jobs := jobs
 		b.Run(fmt.Sprintf("jobs%d", jobs), func(b *testing.B) {
 			b.ReportAllocs()
+			setJobs(b, jobs)
 			cfg := dataset.Config{
-				Variants:    2,
-				WalkParams:  walks.Params{Length: 4, Gamma: 12},
-				WalkLen:     4,
-				EmbedCfg:    inst2vec.DefaultConfig,
-				Seed:        1,
-				Parallelism: jobs,
+				Variants:   2,
+				WalkParams: walks.Params{Length: 4, Gamma: 12},
+				WalkLen:    4,
+				EmbedCfg:   inst2vec.DefaultConfig,
+				Seed:       1,
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -377,15 +395,15 @@ func BenchmarkDatasetEncode(b *testing.B) {
 // over three corpus apps, returning the trained model and its samples.
 func forwardBenchModel(b *testing.B) (*gnn.MVGNN, []gnn.Sample) {
 	b.Helper()
+	setJobs(b, 1)
 	all := bench.Corpus()
 	opts := core.Options{
 		Data: dataset.Config{
-			Variants:    2,
-			WalkParams:  walks.Params{Length: 4, Gamma: 8},
-			WalkLen:     4,
-			EmbedCfg:    inst2vec.Config{Dim: 8, Window: 2, Negatives: 2, Epochs: 2, LR: 0.05, Seed: 1},
-			Seed:        1,
-			Parallelism: 1,
+			Variants:   2,
+			WalkParams: walks.Params{Length: 4, Gamma: 8},
+			WalkLen:    4,
+			EmbedCfg:   inst2vec.Config{Dim: 8, Window: 2, Negatives: 2, Epochs: 2, LR: 0.05, Seed: 1},
+			Seed:       1,
 		},
 		Train: gnn.TrainConfig{Epochs: 2, LR: 0.005, Temperature: 0.5, ClipNorm: 5, Seed: 1},
 		Seed:  1,
@@ -470,7 +488,7 @@ func BenchmarkExtensionPatterns(b *testing.B) {
 	cfg := miniConfig()
 	var res *core.PatternResult
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunPatternExperiment(cfg)
+		r, err := core.RunPatternExperiment(miniStudy(b, cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -502,34 +520,6 @@ func BenchmarkAblationPretraining(b *testing.B) {
 				mv := gnn.NewMVGNN(d.NodeDim, d.StructDim, cfg.Seed)
 				mv.Train(ts, tc, nil)
 				b.ReportMetric(100*gnn.Evaluate(mv.Predictor().Labeler(gnn.ViewTrained), es), "acc")
-			}
-		})
-	}
-}
-
-// BenchmarkOracleThroughput measures raw oracle labeling speed over the
-// whole 840-loop corpus (parse, lower, execute, analyze) at two worker
-// counts. Each program's interpreter run is independent, so the verdict
-// total is identical at any worker count; jobs=1 runs the exact serial
-// loop, jobs=4 fans programs over the pool via core.OracleSweep.
-func BenchmarkOracleThroughput(b *testing.B) {
-	b.ReportAllocs()
-	apps := bench.Corpus()
-	progs := make([]*ir.Program, len(apps))
-	for i, app := range apps {
-		progs[i] = ir.MustLower(minic.MustParse(app.Name, app.Source))
-	}
-	for _, jobs := range []int{1, 4} {
-		jobs := jobs
-		b.Run(fmt.Sprintf("jobs%d", jobs), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				loops, err := core.OracleSweep(progs, interp.Limits{}, jobs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(loops), "loops/op")
 			}
 		})
 	}
@@ -591,7 +581,7 @@ func BenchmarkRobustnessKFold(b *testing.B) {
 	cfg := miniConfig()
 	var res *core.RobustnessResult
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunRobustness(cfg, 3)
+		r, err := core.RunRobustness(miniStudy(b, cfg), 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -608,7 +598,7 @@ func BenchmarkRobustnessKFold(b *testing.B) {
 // call is a free no-op when no trace rides the context, so this
 // benchmark's allocs/op is the tracing-disabled baseline: the benchgate
 // holds it to zero growth, catching any change that makes the disabled
-// path allocate. Serial encode (Parallelism 1) keeps the count exact.
+// path allocate. Serial encode (one worker) keeps the count exact.
 func BenchmarkClassifyTracingDisabled(b *testing.B) {
 	const src = `
 float x[8]; float y[8];
@@ -630,19 +620,19 @@ func BenchmarkClassifyNPB(b *testing.B) {
 	benchClassify(b, app.Name, app.Source)
 }
 
-// benchClassify trains a small serial pipeline, then times
+// benchClassify trains a small pipeline on one worker, then times
 // ClassifyContext on src.
 func benchClassify(b *testing.B, name, src string) {
 	b.ReportAllocs()
+	setJobs(b, 1)
 	all := bench.Corpus()
 	opts := core.Options{
 		Data: dataset.Config{
-			Variants:    2,
-			WalkParams:  walks.Params{Length: 4, Gamma: 8},
-			WalkLen:     4,
-			EmbedCfg:    inst2vec.Config{Dim: 8, Window: 2, Negatives: 2, Epochs: 2, LR: 0.05, Seed: 1},
-			Seed:        1,
-			Parallelism: 1,
+			Variants:   2,
+			WalkParams: walks.Params{Length: 4, Gamma: 8},
+			WalkLen:    4,
+			EmbedCfg:   inst2vec.Config{Dim: 8, Window: 2, Negatives: 2, Epochs: 2, LR: 0.05, Seed: 1},
+			Seed:       1,
 		},
 		Train: gnn.TrainConfig{Epochs: 2, LR: 0.005, Temperature: 0.5, ClipNorm: 5, Seed: 1},
 		Seed:  1,

@@ -1,5 +1,8 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation section and prints them to stdout.
+// evaluation section and prints them to stdout. Table III, Table IV,
+// Figure 8, the pattern extension and the robustness check share one
+// core.Study: the corpus dataset is built once per run, and Tables III
+// and IV and Figure 8 report one trained MV-GNN.
 //
 // Usage:
 //
@@ -8,6 +11,7 @@
 //	experiments -table 3         # run a single table (1, 2, 3, 4)
 //	experiments -figure 8        # run a single figure (1, 7, 8)
 //	experiments -copies 2 -variants 4 -epochs 30 -noise 0.05
+//	experiments -quick -jobs 1   # one worker; stdout is the same at any -jobs
 package main
 
 import (
@@ -38,7 +42,7 @@ func main() {
 	epochs := flag.Int("epochs", -1, "training epochs (override)")
 	noise := flag.Float64("noise", -1, "annotation noise rate (override)")
 	seed := flag.Int64("seed", 1, "global seed")
-	jobs := flag.Int("jobs", 0, "worker count for dataset build, training and evaluation (0 = NumCPU, 1 = serial)")
+	jobs := flag.Int("jobs", 0, "worker count of every parallel stage: dataset build, training and evaluation (0 = NumCPU, 1 = serial; output is identical at any count)")
 	logLevel := flag.String("log-level", "", "structured log level: debug|info|warn|error (default silent; also $MVPAR_LOG)")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry to this file on exit (Prometheus text format)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -79,7 +83,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	pool.SetDefaultParallelism(*jobs)
-	cfg.Jobs = *jobs
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
@@ -91,6 +94,18 @@ func main() {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
+	}
+	// The study is built on first use, so a run of only Table II or
+	// Figures 1 and 7 never builds the corpus dataset.
+	var study *core.Study
+	getStudy := func() *core.Study {
+		if study == nil {
+			var err error
+			if study, err = core.NewStudy(cfg); err != nil {
+				fail(err)
+			}
+		}
+		return study
 	}
 
 	if runAll || *table == 1 {
@@ -111,7 +126,7 @@ func main() {
 		fmt.Printf("  dominant reduction walk type: %s\n\n", r.ReduceTop)
 	}
 	if runAll || *table == 3 {
-		r, err := core.RunTable3(cfg)
+		r, err := core.RunTable3(getStudy())
 		if err != nil {
 			fail(err)
 		}
@@ -128,7 +143,7 @@ func main() {
 		fmt.Println()
 	}
 	if runAll || *table == 4 {
-		rows, _, err := core.RunTable4(cfg)
+		rows, _, err := core.RunTable4(getStudy())
 		if err != nil {
 			fail(err)
 		}
@@ -142,21 +157,21 @@ func main() {
 		fmt.Println(core.RenderFigure7(r))
 	}
 	if runAll || *figure == 8 {
-		r, err := core.RunFigure8(cfg)
+		r, err := core.RunFigure8(getStudy())
 		if err != nil {
 			fail(err)
 		}
 		fmt.Println(core.RenderFigure8(r))
 	}
 	if runAll || *patterns {
-		r, err := core.RunPatternExperiment(cfg)
+		r, err := core.RunPatternExperiment(getStudy())
 		if err != nil {
 			fail(err)
 		}
 		fmt.Println(core.RenderPatterns(r))
 	}
 	if *robustness {
-		r, err := core.RunRobustness(cfg, 3)
+		r, err := core.RunRobustness(getStudy(), 3)
 		if err != nil {
 			fail(err)
 		}

@@ -40,7 +40,6 @@ var testSeams = map[string]string{
 	"NewSequential":    "nn: tests build small models from layers",
 	"ZeroGrads":        "nn: gradient checks clear accumulated gradients",
 	"NewRNG":           "nn: seeded initialization in layer tests",
-	"OracleSweep":      "core: bound by the root benchmarks",
 	"ExportDataConfig": "core: bound by the root benchmarks",
 	"ExtractAll":       "peg: bound by the root benchmarks",
 	"RandomProgram":    "bench: the random-program generator the property tests use",

@@ -32,10 +32,6 @@ type ExperimentConfig struct {
 	// AppsOverride, when non-empty, replaces the full corpus — used by
 	// tests to exercise the harness at miniature scale.
 	AppsOverride []bench.App
-	// Jobs is the worker count threaded into every stage (dataset build,
-	// training, evaluation sweeps). 0 uses pool.DefaultParallelism();
-	// 1 is the exact serial pipeline. Results are identical either way.
-	Jobs int
 	// Ctx, when non-nil, cancels the experiment's dataset builds and
 	// training runs (the experiments CLI sets it from --timeout).
 	Ctx context.Context
@@ -61,7 +57,6 @@ func (c ExperimentConfig) dataConfig() dataset.Config {
 	cfg.WalkParams = walks.Params{Length: 5, Gamma: 24}
 	cfg.EmbedCfg = inst2vec.DefaultConfig
 	cfg.LabelNoise = c.LabelNoise
-	cfg.Parallelism = c.Jobs
 	cfg.Ctx = c.Ctx
 	return cfg
 }
@@ -83,9 +78,63 @@ func (c ExperimentConfig) trainConfig() gnn.TrainConfig {
 	if c.Epochs >= 20 {
 		cfg.PretrainEpochs = 2
 	}
-	cfg.Parallelism = c.Jobs
 	cfg.Ctx = c.Ctx
 	return cfg
+}
+
+// Study is one experiments run's shared state: the corpus dataset, built
+// once, and the MV-GNN that Table III, Table IV and Figure 8 all report,
+// trained on its first use on the balanced 75% split. The experiments
+// that read another corpus (Table II, Figures 1 and 7) keep their own
+// inputs. A Study is not safe for concurrent use.
+type Study struct {
+	cfg  ExperimentConfig
+	apps []bench.App
+	data *dataset.Dataset
+	// mv is trained on train, the balanced training side of the 75:25
+	// split; test is the held-out side. All three are nil until model.
+	mv          *gnn.MVGNN
+	train, test []*dataset.Record
+}
+
+// NewStudy builds cfg's corpus dataset.
+func NewStudy(cfg ExperimentConfig) (*Study, error) {
+	apps := cfg.corpus()
+	d, _, err := dataset.Build(apps, cfg.dataConfig())
+	if err != nil {
+		return nil, err
+	}
+	return &Study{cfg: cfg, apps: apps, data: d}, nil
+}
+
+// model returns the study's MV-GNN, training it on first use.
+func (s *Study) model() (*gnn.MVGNN, error) {
+	if s.mv == nil {
+		mv, train, test, _, err := trainMVGNN(s.data, s.cfg.PerClass, s.cfg.Seed, s.cfg.trainConfig(), "study")
+		if err != nil {
+			return nil, err
+		}
+		s.mv, s.train, s.test = mv, train, test
+	}
+	return s.mv, nil
+}
+
+// trainMVGNN splits d's records 75:25 by loop object, balances the
+// training side to perClass records per class (0 = the smaller class's
+// size) and trains a fresh MV-GNN on it, logging epochs under stage. It
+// returns the model, both sides of the split and the training curve, or
+// the context's error when cfg.Ctx ended the training early.
+func trainMVGNN(d *dataset.Dataset, perClass int, seed int64, cfg gnn.TrainConfig, stage string) (*gnn.MVGNN, []*dataset.Record, []*dataset.Record, []gnn.EpochStats, error) {
+	// Split first so every suite keeps test representation, then balance
+	// only the training side (the paper's balanced 3100+3100 training set).
+	train, test := dataset.Split(d.Records, 0.75, seed)
+	train = dataset.Balance(train, perClass, seed)
+	mv := gnn.NewMVGNN(d.NodeDim, d.StructDim, seed)
+	curve := mv.Train(dataset.Samples(train), cfg, EpochHook(stage))
+	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
+		return nil, nil, nil, nil, fmt.Errorf("core: training cancelled: %w", cfg.Ctx.Err())
+	}
+	return mv, train, test, curve, nil
 }
 
 // Table2Row is one row of Table II: loops per application.
@@ -143,27 +192,21 @@ var table3Models = []string{
 	tools.NamePluto, tools.NameAutoPar, tools.NameDiscoPoP,
 }
 
-// RunTable3 trains every model on the balanced 75% split, then sweeps
-// every suite's loops for the per-suite rows and records aggregate
+// RunTable3 fits every baseline on the study's balanced 75% split, then
+// sweeps every suite's loops for the per-suite rows and records aggregate
 // held-out accuracy, reproducing Table III.
-func RunTable3(cfg ExperimentConfig) (*Table3Result, error) {
-	apps := cfg.corpus()
-	d, _, err := dataset.Build(apps, cfg.dataConfig())
+func RunTable3(s *Study) (*Table3Result, error) {
+	cfg, d := s.cfg, s.data
+	// The NCC and tool columns read inputs the classifier does not need.
+	if err := dataset.AddBaselineInputs(s.apps, d.Records, cfg.dataConfig()); err != nil {
+		return nil, err
+	}
+	mv, err := s.model()
 	if err != nil {
 		return nil, err
 	}
-	// The NCC and tool columns read inputs the classifier does not need.
-	if err := dataset.AddBaselineInputs(apps, d.Records, cfg.dataConfig()); err != nil {
-		return nil, err
-	}
-	train, test := dataset.Split(d.Records, 0.75, cfg.Seed)
-	train = dataset.Balance(train, cfg.PerClass, cfg.Seed)
-
-	trainSamples := dataset.Samples(train)
-
-	mv := gnn.NewMVGNN(d.NodeDim, d.StructDim, cfg.Seed)
-	mv.Train(trainSamples, cfg.trainConfig(), EpochHook("table3.mvgnn"))
 	mvLabel := mv.Predictor().Labeler(gnn.ViewTrained)
+	train, test := s.train, s.test
 
 	// The "Static GNN" baseline (Shen et al.) sees only static node
 	// information: same graph, dynamic features zeroed.
@@ -221,7 +264,7 @@ func RunTable3(cfg ExperimentConfig) (*Table3Result, error) {
 		heldOut float64
 		suites  []float64
 	}
-	accs, aerr := pool.Map(pool.Config{Workers: cfg.Jobs, Ctx: cfg.Ctx}, len(table3Models), func(i int) (modelAcc, error) {
+	accs, aerr := pool.Map(pool.Config{Ctx: cfg.Ctx}, len(table3Models), func(i int) (modelAcc, error) {
 		predict := predictors[table3Models[i]]
 		var out modelAcc
 		var c eval.Confusion
@@ -293,17 +336,13 @@ type Table4Row struct {
 	Identified int // loops the model predicts parallelizable
 }
 
-// RunTable4 reproduces the NPB case study: the trained MV-GNN applied to
+// RunTable4 reproduces the NPB case study: the study's MV-GNN applied to
 // every NPB loop, counting predicted-parallelizable loops per application.
-func RunTable4(cfg ExperimentConfig) ([]Table4Row, *gnn.MVGNN, error) {
-	d, _, err := dataset.Build(cfg.corpus(), cfg.dataConfig())
+func RunTable4(s *Study) ([]Table4Row, *gnn.MVGNN, error) {
+	mv, err := s.model()
 	if err != nil {
 		return nil, nil, err
 	}
-	train, _ := dataset.Split(d.Records, 0.75, cfg.Seed)
-	train = dataset.Balance(train, cfg.PerClass, cfg.Seed)
-	mv := gnn.NewMVGNN(d.NodeDim, d.StructDim, cfg.Seed)
-	mv.Train(dataset.Samples(train), cfg.trainConfig(), EpochHook("table4"))
 
 	counts := map[string]*Table4Row{}
 	order := []string{"BT", "SP", "LU", "IS", "EP", "CG", "MG", "FT"}
@@ -311,7 +350,7 @@ func RunTable4(cfg ExperimentConfig) ([]Table4Row, *gnn.MVGNN, error) {
 		counts[name] = &Table4Row{App: name}
 	}
 	var npb []*dataset.Record
-	for _, r := range d.Records {
+	for _, r := range s.data.Records {
 		if r.Meta.Suite != "NPB" || r.Meta.Variant != 0 || counts[r.Meta.App] == nil {
 			continue
 		}
@@ -319,10 +358,7 @@ func RunTable4(cfg ExperimentConfig) ([]Table4Row, *gnn.MVGNN, error) {
 	}
 	// Per-record prediction sweep on worker-private model replicas (the
 	// model's layer caches cannot be shared between concurrent forwards).
-	jobs := cfg.Jobs
-	if jobs <= 0 {
-		jobs = pool.DefaultParallelism()
-	}
+	jobs := pool.DefaultParallelism()
 	if jobs > len(npb) {
 		jobs = maxInt(1, len(npb))
 	}
@@ -330,7 +366,7 @@ func RunTable4(cfg ExperimentConfig) ([]Table4Row, *gnn.MVGNN, error) {
 	for w := range reps {
 		reps[w] = mv.Predictor().Replicate().Labeler(gnn.ViewTrained)
 	}
-	preds, perr := pool.MapWorker(pool.Config{Workers: jobs, Ctx: cfg.Ctx}, len(npb), func(w, i int) (int, error) {
+	preds, perr := pool.MapWorker(pool.Config{Workers: jobs, Ctx: s.cfg.Ctx}, len(npb), func(w, i int) (int, error) {
 		return reps[w](npb[i].Sample), nil
 	})
 	if perr != nil {
@@ -382,10 +418,10 @@ func RunFigure7(cfg ExperimentConfig) (*Figure7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	train, _ := dataset.Split(d.Records, 0.75, cfg.Seed)
-	train = dataset.Balance(train, cfg.PerClass, cfg.Seed)
-	mv := gnn.NewMVGNN(d.NodeDim, d.StructDim, cfg.Seed)
-	curve := mv.Train(dataset.Samples(train), cfg.trainConfig(), EpochHook("figure7"))
+	_, _, _, curve, err := trainMVGNN(d, cfg.PerClass, cfg.Seed, cfg.trainConfig(), "figure7")
+	if err != nil {
+		return nil, err
+	}
 	return &Figure7Result{Curve: curve}, nil
 }
 
@@ -415,20 +451,14 @@ type Figure8Result struct {
 // equivalent accuracy ratio IMP_view = Acc_view / Acc_multi, which
 // preserves the figure's reading (both views below the fused model, the
 // node view dominant) without the saturation artifact. The per-view
-// probes are the jointly trained model's own view heads.
-func RunFigure8(cfg ExperimentConfig) (*Figure8Result, error) {
-	d, _, err := dataset.Build(cfg.corpus(), cfg.dataConfig())
+// probes are the study's jointly trained model's own view heads.
+func RunFigure8(s *Study) (*Figure8Result, error) {
+	mv, err := s.model()
 	if err != nil {
 		return nil, err
 	}
-	train, _ := dataset.Split(d.Records, 0.75, cfg.Seed)
-	train = dataset.Balance(train, cfg.PerClass, cfg.Seed)
-
-	mv := gnn.NewMVGNN(d.NodeDim, d.StructDim, cfg.Seed)
-	mv.Train(dataset.Samples(train), cfg.trainConfig(), EpochHook("figure8"))
-
 	res := &Figure8Result{}
-	bySuite := dataset.BySuite(d.Records)
+	bySuite := dataset.BySuite(s.data.Records)
 	var suites []string
 	for s := range bySuite {
 		suites = append(suites, s)
@@ -557,20 +587,18 @@ type RobustnessResult struct {
 	Mean, Std float64
 }
 
-// RunRobustness cross-validates the MV-GNN with k folds at loop-object
-// granularity — the stability check behind the single-split numbers.
-func RunRobustness(cfg ExperimentConfig, k int) (*RobustnessResult, error) {
-	d, _, err := dataset.Build(cfg.corpus(), cfg.dataConfig())
-	if err != nil {
-		return nil, err
-	}
+// RunRobustness cross-validates the MV-GNN over the study's dataset with
+// k folds at loop-object granularity — the stability check behind the
+// single-split numbers.
+func RunRobustness(s *Study, k int) (*RobustnessResult, error) {
+	cfg, d := s.cfg, s.data
 	res := &RobustnessResult{}
 	// Folds are fully independent (each trains its own seeded model), so
-	// they fan out whole; per-fold training itself stays data-parallel via
-	// trainConfig().Parallelism, which is deterministic, so nesting cannot
-	// change any fold's accuracy.
+	// they fan out whole; per-fold training itself stays data-parallel,
+	// which is deterministic, so nesting cannot change any fold's
+	// accuracy.
 	folds := dataset.KFold(d.Records, k, cfg.Seed)
-	accs, ferr := pool.Map(pool.Config{Workers: cfg.Jobs, Ctx: cfg.Ctx}, len(folds), func(i int) (float64, error) {
+	accs, ferr := pool.Map(pool.Config{Ctx: cfg.Ctx}, len(folds), func(i int) (float64, error) {
 		fold := folds[i]
 		train := dataset.Balance(fold[0], cfg.PerClass, cfg.Seed)
 		mv := gnn.NewMVGNN(d.NodeDim, d.StructDim, cfg.Seed+int64(i))

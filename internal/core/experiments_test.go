@@ -6,6 +6,7 @@ import (
 
 	"mvpar/internal/bench"
 	"mvpar/internal/core"
+	"mvpar/internal/obs"
 )
 
 // microExperiment keeps harness tests fast: three small apps, two
@@ -22,8 +23,50 @@ func microExperiment() core.ExperimentConfig {
 	}
 }
 
+// newStudy builds a study over cfg or fails the test.
+func newStudy(t *testing.T, cfg core.ExperimentConfig) *core.Study {
+	t.Helper()
+	s, err := core.NewStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestStudyBuildsAndTrainsOnce checks that Table III, Table IV, Figure 8
+// and the pattern extension run from one study build the corpus dataset
+// once and train two models: the MV-GNN the three share, and the 3-class
+// pattern model.
+func TestStudyBuildsAndTrainsOnce(t *testing.T) {
+	count := func(name string) int64 {
+		n, _ := obs.GetHistogram(name).Snapshot()
+		return n
+	}
+	builds0 := count("mvpar_span_dataset_build_seconds")
+	trains0 := count("mvpar_span_gnn_train_seconds")
+	s := newStudy(t, microExperiment())
+	if _, err := core.RunTable3(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := core.RunTable4(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.RunFigure8(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.RunPatternExperiment(s); err != nil {
+		t.Fatal(err)
+	}
+	if n := count("mvpar_span_dataset_build_seconds") - builds0; n != 1 {
+		t.Fatalf("%d dataset builds, want 1", n)
+	}
+	if n := count("mvpar_span_gnn_train_seconds") - trains0; n != 2 {
+		t.Fatalf("%d MV-GNN trainings, want 2 (the shared model and the pattern model)", n)
+	}
+}
+
 func TestRunTable3MicroScale(t *testing.T) {
-	res, err := core.RunTable3(microExperiment())
+	res, err := core.RunTable3(newStudy(t, microExperiment()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +100,7 @@ func TestRunTable3MicroScale(t *testing.T) {
 }
 
 func TestRunTable4MicroScale(t *testing.T) {
-	rows, mv, err := core.RunTable4(microExperiment())
+	rows, mv, err := core.RunTable4(newStudy(t, microExperiment()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +139,7 @@ func TestRunFigure7MicroScale(t *testing.T) {
 }
 
 func TestRunFigure8MicroScale(t *testing.T) {
-	res, err := core.RunFigure8(microExperiment())
+	res, err := core.RunFigure8(newStudy(t, microExperiment()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +168,7 @@ func TestExperimentScalesDiffer(t *testing.T) {
 }
 
 func TestRunPatternExperimentMicroScale(t *testing.T) {
-	res, err := core.RunPatternExperiment(microExperiment())
+	res, err := core.RunPatternExperiment(newStudy(t, microExperiment()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +193,7 @@ func TestRunPatternExperimentMicroScale(t *testing.T) {
 func TestRunRobustnessMicroScale(t *testing.T) {
 	cfg := microExperiment()
 	cfg.Epochs = 3
-	res, err := core.RunRobustness(cfg, 3)
+	res, err := core.RunRobustness(newStudy(t, cfg), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

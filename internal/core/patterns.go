@@ -25,12 +25,10 @@ type PatternResult struct {
 }
 
 // RunPatternExperiment trains a three-class MV-GNN on the oracle's
-// pattern labels and evaluates on held-out loop objects.
-func RunPatternExperiment(cfg ExperimentConfig) (*PatternResult, error) {
-	d, _, err := dataset.Build(cfg.corpus(), cfg.dataConfig())
-	if err != nil {
-		return nil, err
-	}
+// pattern labels of the study's dataset and evaluates on held-out loop
+// objects.
+func RunPatternExperiment(s *Study) (*PatternResult, error) {
+	cfg, d := s.cfg, s.data
 	train, test := dataset.Split(d.Records, 0.75, cfg.Seed)
 	train = dataset.BalanceByPattern(train, cfg.PerClass, cfg.Seed)
 

@@ -93,27 +93,23 @@ func (p *Pipeline) TrainOnContext(ctx context.Context, apps []bench.App) (*Train
 		return nil, err
 	}
 	p.Dataset = d
-	// Split first so every suite keeps test representation, then balance
-	// only the training side (the paper's balanced 3100+3100 training set).
-	train, test := dataset.Split(d.Records, 0.75, p.Opts.Seed)
-	train = dataset.Balance(train, 0, p.Opts.Seed)
-	p.Model = gnn.NewMVGNN(d.NodeDim, d.StructDim, p.Opts.Seed)
 	trainCfg := p.Opts.Train
 	if trainCfg.Ctx == nil {
 		trainCfg.Ctx = ctx
 	}
-	curve := p.Model.Train(dataset.Samples(train), trainCfg, EpochHook("pipeline"))
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: training cancelled: %w", err)
+	mv, train, test, curve, err := trainMVGNN(d, 0, p.Opts.Seed, trainCfg, "pipeline")
+	if err != nil {
+		return nil, err
 	}
+	p.Model = mv
 	// Report accuracies fan out over model replicas; identical to the
 	// serial Evaluate at every worker count.
 	newPredict := func() func(gnn.Sample) int { return p.Model.Predictor().Replicate().Labeler(gnn.ViewTrained) }
 	report := &TrainReport{
 		TrainRecords: len(train),
 		TestRecords:  len(test),
-		TrainAcc:     gnn.EvaluateParallel(newPredict, dataset.Samples(train), trainCfg.Parallelism),
-		TestAcc:      gnn.EvaluateParallel(newPredict, dataset.Samples(test), trainCfg.Parallelism),
+		TrainAcc:     gnn.EvaluateParallel(newPredict, dataset.Samples(train)),
+		TestAcc:      gnn.EvaluateParallel(newPredict, dataset.Samples(test)),
 		Curve:        curve,
 	}
 	obs.Info("core.train_on", "train_records", report.TrainRecords,

@@ -90,16 +90,6 @@ type Config struct {
 	// exact, so the annotation-noise channel is reintroduced explicitly.
 	// The six hand-written BOTS loops are hand-verified and exempt.
 	LabelNoise float64
-	// Parallelism is the worker count for the per-program profile stage
-	// and the per-(program, variant) encode stage. 0 uses
-	// pool.DefaultParallelism() (NumCPU or the --jobs override); 1 runs
-	// the stages inline on one goroutine. Records, the report and walk
-	// sampling are bit-identical at every worker count, and so is a
-	// failing build's error unless the build was cancelled: jobs are
-	// merged in input order, a failing build returns its lowest-index
-	// failure, and every record's walk RNG is seeded per (program, loop,
-	// variant) via sampleSeed.
-	Parallelism int
 	// Strict has no effect.
 	//
 	// Deprecated: every build is strict: the first program whose
@@ -157,6 +147,15 @@ var EncodeFaultHook func(program string)
 // boundary, and the first failing program fails the build with a
 // *faults.StageError naming the program and the stage, errors and panics
 // alike (see docs/robustness.md).
+//
+// The per-program profile stage and the per-(program, variant) encode
+// stage run on pool.DefaultParallelism() workers (NumCPU or the --jobs
+// override; 1 runs them inline on one goroutine). Records, the report
+// and walk sampling are bit-identical at every worker count, and so is a
+// failing build's error unless the build was cancelled: jobs are merged
+// in input order, a failing build returns its lowest-index failure, and
+// every record's walk RNG is seeded per (program, loop, variant) via
+// sampleSeed.
 func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	if cfg.Variants <= 0 || cfg.Variants > ir.NumVariants {
 		cfg.Variants = 1
@@ -179,8 +178,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	// job. The pool resolves failures to the lowest-index one, exactly
 	// the error the serial loop would have hit first.
 	pctx, profileSpan := trace.StartSpan(cfg.Ctx, "dataset.profile")
-	pcfg := pool.Config{Workers: cfg.Parallelism, Ctx: cfg.Ctx}
-	progs, perr := pool.Map(pcfg, len(apps), func(i int) (profiled, error) {
+	progs, perr := pool.Map(pool.Config{Ctx: cfg.Ctx}, len(apps), func(i int) (profiled, error) {
 		app := apps[i]
 		var (
 			src  *minic.Program
@@ -240,7 +238,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	// is byte-identical to the serial build.
 	nv := cfg.Variants
 	_, encodeSpan := trace.StartSpan(cfg.Ctx, "dataset.encode")
-	eouts, eerr := pool.Map(pool.Config{Workers: cfg.Parallelism, Ctx: cfg.Ctx}, len(progs)*nv, func(j int) ([]*Record, error) {
+	eouts, eerr := pool.Map(pool.Config{Ctx: cfg.Ctx}, len(progs)*nv, func(j int) ([]*Record, error) {
 		p := progs[j/nv]
 		v := j % nv
 		var recs []*Record
@@ -607,8 +605,8 @@ func encodedVariant(base *ir.Program, v int) *ir.Program {
 // tools' decisions (Pluto and AutoPar from the static affine tests,
 // DiscoPoP from the record's verdict) and the NCC token stream, capped at
 // cfg.MaxTokens. apps must hold the source of every record's program.
-// Each program is parsed and lowered again, one job per program on
-// cfg.Parallelism workers; the result is the same at every worker count.
+// Each program is parsed and lowered again, one job per program on the
+// pool; the result is the same at every worker count.
 func AddBaselineInputs(apps []bench.App, recs []*Record, cfg Config) error {
 	maxTokens := cfg.MaxTokens
 	if maxTokens <= 0 {
@@ -626,7 +624,7 @@ func AddBaselineInputs(apps []bench.App, recs []*Record, cfg Config) error {
 	for _, app := range apps {
 		source[app.Name] = app
 	}
-	_, err := pool.Map(pool.Config{Workers: cfg.Parallelism, Ctx: cfg.Ctx}, len(names), func(i int) (struct{}, error) {
+	_, err := pool.Map(pool.Config{Ctx: cfg.Ctx}, len(names), func(i int) (struct{}, error) {
 		app, ok := source[names[i]]
 		if !ok {
 			return struct{}{}, fmt.Errorf("dataset: no source for program %q", names[i])

@@ -61,9 +61,9 @@ func buildPoisoned(t *testing.T, poisoned bench.App, jobs int) error {
 	}
 	defer func() { dataset.EncodeFaultHook = nil }()
 
+	setJobs(t, jobs)
 	cfg := smallConfig()
 	cfg.MaxSteps = 200_000 // plenty for smallApps, far below runaway's need
-	cfg.Parallelism = jobs
 	d, _, err := dataset.Build(append(smallApps(), poisoned), cfg)
 	if err == nil {
 		t.Fatalf("%s, jobs=%d: build succeeded with %d records", poisoned.Name, jobs, len(d.Records))
@@ -136,9 +136,9 @@ func TestBuildDeadlineNamesStageAtEveryJobs(t *testing.T) {
 	var texts []string
 	for _, jobs := range []int{1, 4} {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		setJobs(t, jobs)
 		cfg := smallConfig()
 		cfg.Ctx = ctx
-		cfg.Parallelism = jobs
 		_, _, err := dataset.Build(apps, cfg)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "runaway: profile") {

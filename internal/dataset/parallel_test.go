@@ -8,14 +8,22 @@ import (
 
 	"mvpar/internal/dataset"
 	"mvpar/internal/faults"
+	"mvpar/internal/pool"
 )
+
+// setJobs sets the process-wide worker count for the rest of the test
+// and restores the NumCPU default when it ends.
+func setJobs(t testing.TB, n int) {
+	pool.SetDefaultParallelism(n)
+	t.Cleanup(func() { pool.SetDefaultParallelism(0) })
+}
 
 // buildAt runs a build, then AddBaselineInputs, at the given worker
 // count.
 func buildAt(t *testing.T, jobs int) (*dataset.Dataset, *dataset.BuildReport) {
 	t.Helper()
+	setJobs(t, jobs)
 	cfg := smallConfig()
-	cfg.Parallelism = jobs
 	d, report, err := dataset.Build(smallApps(), cfg)
 	if err != nil {
 		t.Fatalf("jobs=%d: %v", jobs, err)
@@ -27,9 +35,9 @@ func buildAt(t *testing.T, jobs int) (*dataset.Dataset, *dataset.BuildReport) {
 }
 
 // TestBuildParallelBitIdentical is the dataset determinism guarantee:
-// Build at any Parallelism must produce records (metadata, labels, node
+// Build at any worker count must produce records (metadata, labels, node
 // and struct feature matrices, tokens, tool votes) and a report identical
-// to the Parallelism: 1 build.
+// to the one-worker build.
 func TestBuildParallelBitIdentical(t *testing.T) {
 	d1, r1 := buildAt(t, 1)
 	for _, jobs := range []int{2, 4} {
@@ -80,8 +88,8 @@ func TestBuildParallelQuarantine(t *testing.T) {
 // pool still reports the failure the serial build would hit first
 // (badparse is the lowest-index poisoned program).
 func TestBuildParallelStrictNamesFirstFailure(t *testing.T) {
+	setJobs(t, 4)
 	cfg := smallConfig()
-	cfg.Parallelism = 4
 	_, _, err := dataset.Build(poisonedCorpus(), cfg)
 	if err == nil {
 		t.Fatal("parallel build of poisoned corpus succeeded")
@@ -97,8 +105,8 @@ func TestBuildParallelStrictNamesFirstFailure(t *testing.T) {
 func TestBuildParallelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	setJobs(t, 4)
 	cfg := smallConfig()
-	cfg.Parallelism = 4
 	cfg.Ctx = ctx
 	_, _, err := dataset.Build(smallApps(), cfg)
 	if !errors.Is(err, context.Canceled) {

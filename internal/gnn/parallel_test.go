@@ -5,23 +5,31 @@ import (
 	"testing"
 
 	"mvpar/internal/nn"
+	"mvpar/internal/pool"
 )
 
-// trainPair trains two identically-seeded MVGNNs, one at Parallelism 1
-// and one at Parallelism jobs, and returns both models and curves.
+// setJobs sets the process-wide worker count for the rest of the test
+// and restores the NumCPU default when it ends.
+func setJobs(t testing.TB, n int) {
+	pool.SetDefaultParallelism(n)
+	t.Cleanup(func() { pool.SetDefaultParallelism(0) })
+}
+
+// trainPair trains two identically-seeded MVGNNs, one on 1 worker and
+// one on jobs workers, and returns both models and curves.
 func trainPair(t *testing.T, jobs int) (m1, m2 *MVGNN, c1, c2 []EpochStats) {
 	t.Helper()
 	rng1 := rand.New(rand.NewSource(6))
 	s1 := makeSyntheticSamples(24, rng1, 3)
 	rng2 := rand.New(rand.NewSource(6))
 	s2 := makeSyntheticSamples(24, rng2, 3)
-	serial := TrainConfig{Epochs: 4, LR: 0.01, Temperature: 0.5, ClipNorm: 5, BatchSize: 8, Seed: 11, Parallelism: 1}
-	parallel := serial
-	parallel.Parallelism = jobs
+	cfg := TrainConfig{Epochs: 4, LR: 0.01, Temperature: 0.5, ClipNorm: 5, BatchSize: 8, Seed: 11}
 	m1 = NewMVGNN(3, 3, 11)
 	m2 = NewMVGNN(3, 3, 11)
-	c1 = m1.Train(s1, serial, nil)
-	c2 = m2.Train(s2, parallel, nil)
+	setJobs(t, 1)
+	c1 = m1.Train(s1, cfg, nil)
+	setJobs(t, jobs)
+	c2 = m2.Train(s2, cfg, nil)
 	return
 }
 
@@ -58,13 +66,13 @@ func TestSingleViewParallelBitIdentical(t *testing.T) {
 	s1 := makeSyntheticSamples(20, rng1, 4)
 	rng2 := rand.New(rand.NewSource(5))
 	s2 := makeSyntheticSamples(20, rng2, 4)
-	serial := TrainConfig{Epochs: 4, LR: 0.005, Temperature: 0.5, ClipNorm: 5, BatchSize: 4, Seed: 9, Parallelism: 1}
-	parallel := serial
-	parallel.Parallelism = 3
+	cfg := TrainConfig{Epochs: 4, LR: 0.005, Temperature: 0.5, ClipNorm: 5, BatchSize: 4, Seed: 9}
 	v1 := NewSingleView(4, true, 9)
 	v2 := NewSingleView(4, true, 9)
-	v1.Train(s1, serial, nil)
-	v2.Train(s2, parallel, nil)
+	setJobs(t, 1)
+	v1.Train(s1, cfg, nil)
+	setJobs(t, 3)
+	v2.Train(s2, cfg, nil)
 	p1, p2 := v1.Net.Params(), v2.Net.Params()
 	for j := range p1 {
 		for i := range p1[j].Value.Data {
@@ -118,10 +126,12 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	samples := makeSyntheticSamples(30, rng, 4)
 	m := NewMVGNN(4, 4, 7)
-	m.Train(samples, TrainConfig{Epochs: 6, LR: 0.005, Temperature: 0.5, ClipNorm: 5, BatchSize: 4, Seed: 7, Parallelism: 1}, nil)
+	setJobs(t, 1)
+	m.Train(samples, TrainConfig{Epochs: 6, LR: 0.005, Temperature: 0.5, ClipNorm: 5, BatchSize: 4, Seed: 7}, nil)
 	want := Evaluate(m.Predictor().Labeler(ViewTrained), samples)
 	for _, jobs := range []int{1, 2, 4, 100} {
-		got := EvaluateParallel(func() func(Sample) int { return m.Predictor().Replicate().Labeler(ViewTrained) }, samples, jobs)
+		setJobs(t, jobs)
+		got := EvaluateParallel(func() func(Sample) int { return m.Predictor().Replicate().Labeler(ViewTrained) }, samples)
 		if got != want {
 			t.Fatalf("jobs=%d: EvaluateParallel = %v, Evaluate = %v", jobs, got, want)
 		}

@@ -35,8 +35,8 @@ func TestSparseDenseBitIdentical(t *testing.T) {
 		BatchSize:   4,
 		AuxWeight:   0.5,
 		Seed:        9,
-		Parallelism: 2, // also covers replica propagation over shared CSR
 	}
+	setJobs(t, 2) // also covers replica propagation over shared CSR
 
 	sparseSamples, sparseModel := build(false)
 	denseSamples, denseModel := build(true)

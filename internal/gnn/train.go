@@ -24,13 +24,6 @@ type TrainConfig struct {
 	// training.
 	PretrainEpochs int
 	Seed           int64
-	// Parallelism is the number of data-parallel training workers per
-	// minibatch. 0 uses pool.DefaultParallelism() (NumCPU or the --jobs
-	// override); 1 runs the exact legacy serial loop. Any value produces
-	// bit-identical parameters and loss curves: workers accumulate
-	// per-sample gradients into private shadow buffers that are reduced
-	// into the master in sample order at each batch boundary.
-	Parallelism int
 	// Ctx, when non-nil, is checked at every batch boundary; a done
 	// context stops training early and the curve so far is returned.
 	// Callers that need an error must inspect Ctx.Err() afterwards.
@@ -169,7 +162,7 @@ func (m *MVGNN) Train(samples []Sample, cfg TrainConfig, hook func(EpochStats)) 
 	// Head selection fans out over replicas: each evaluation worker gets a
 	// private copy so concurrent forward passes never share layer caches.
 	headAcc := func(h View) float64 {
-		return EvaluateParallel(func() func(Sample) int { return m.Predictor().Replicate().Labeler(h) }, sel, cfg.Parallelism)
+		return EvaluateParallel(func() func(Sample) int { return m.Predictor().Replicate().Labeler(h) }, sel)
 	}
 	fusedAcc, nodeAcc, structAcc := headAcc(viewFused), headAcc(ViewNode), headAcc(ViewStruct)
 	if nodeAcc > fusedAcc && nodeAcc >= structAcc {
@@ -250,10 +243,7 @@ func trainLoop(c classifier, samples []Sample, cfg TrainConfig, hook func(EpochS
 	if batch < 1 {
 		batch = 1
 	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = pool.DefaultParallelism()
-	}
+	workers := pool.DefaultParallelism()
 	if workers > batch {
 		// A minibatch is the unit of fan-out; more workers than batch
 		// slots would idle.
@@ -405,17 +395,15 @@ func Evaluate(predict func(Sample) int, samples []Sample) float64 {
 // forward passes cache activations in their layers, so a single predictor
 // cannot be shared between workers; newPredict is called once per worker
 // to build a private predictor (typically
-// Predictor().Replicate().Labeler(v)). jobs <= 0 uses
-// pool.DefaultParallelism(); jobs == 1 calls newPredict once and runs the
-// serial Evaluate. Accuracy is a count of independent per-sample
-// hits, so the result is identical at any worker count.
-func EvaluateParallel(newPredict func() func(Sample) int, samples []Sample, jobs int) float64 {
+// Predictor().Replicate().Labeler(v)) on each of
+// pool.DefaultParallelism() workers; at one worker newPredict is called
+// once and the serial Evaluate runs. Accuracy is a count of independent
+// per-sample hits, so the result is identical at any worker count.
+func EvaluateParallel(newPredict func() func(Sample) int, samples []Sample) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	if jobs <= 0 {
-		jobs = pool.DefaultParallelism()
-	}
+	jobs := pool.DefaultParallelism()
 	if jobs > len(samples) {
 		jobs = len(samples)
 	}

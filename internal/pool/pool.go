@@ -46,10 +46,10 @@ type Config struct {
 // "use runtime.NumCPU()".
 var defaultParallelism atomic.Int64
 
-// SetDefaultParallelism sets the process-wide default worker count — the
-// CLIs wire their --jobs flag here so every stage that leaves its
-// Parallelism knob at zero follows the flag. n <= 0 restores the
-// runtime.NumCPU() default.
+// SetDefaultParallelism sets the process-wide default worker count, the
+// one worker-count setting: the CLIs wire their --jobs flag here, and
+// every fan-out that leaves Config.Workers at zero follows it. n <= 0
+// restores the runtime.NumCPU() default.
 func SetDefaultParallelism(n int) {
 	if n < 0 {
 		n = 0
