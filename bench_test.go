@@ -3,7 +3,7 @@ package mvpar_test
 // The benchmark harness: one benchmark per table and figure of the
 // paper's evaluation, plus the ablations DESIGN.md calls out. The heavy
 // experiment benchmarks run a scaled-down configuration per iteration
-// (the paper-scale numbers are produced by cmd/experiments and recorded
+// (the paper-scale numbers are produced by `mvpar experiments` and recorded
 // in EXPERIMENTS.md); the shape — who wins and by roughly what margin —
 // is the same. Accuracies are attached to the benchmark output via
 // ReportMetric, and the regenerated rows via Logf.

@@ -1,7 +1,8 @@
 // Command mvpar is the command-line front end of the library: it profiles
 // MiniC programs, dumps dependence results and PEGs, trains the multi-view
-// model on the built-in corpus, classifies the loops of user programs and
-// serves a trained model over HTTP.
+// model on the built-in corpus, classifies the loops of user programs,
+// serves a trained model over HTTP and regenerates the paper's tables and
+// figures.
 //
 // Usage (global flags go before the command; mvpar -h lists them):
 //
@@ -16,6 +17,7 @@
 //	mvpar speedup  <file.mc> [threads] # simulate parallel execution of every loop
 //	mvpar dataset  [-out FILE]         # export the corpus dataset as JSON
 //	mvpar explain  <file.mc> <loopID>  # dump everything known about one loop
+//	mvpar experiments [-quick]         # regenerate the paper's tables and figures
 package main
 
 import (
@@ -56,7 +58,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry to this file on exit (Prometheus text format)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	timeout := flag.Duration("timeout", 0, "abort the command after this duration (e.g. 30s; 0 = no limit)")
-	jobs := flag.Int("jobs", 0, "worker count for dataset build, training and evaluation (0 = NumCPU, 1 = serial)")
+	jobs := flag.Int("jobs", 0, "worker count of every parallel stage: dataset build, training, evaluation\nand serve's classify slots (0 = NumCPU, 1 = serial; output is identical at any count)")
 	flag.Usage = usage
 	flag.Parse()
 	pool.SetDefaultParallelism(*jobs)
@@ -111,6 +113,8 @@ func main() {
 		err = cmdDataset(ctx, args)
 	case "explain":
 		err = cmdExplain(ctx, args)
+	case "experiments":
+		err = cmdExperiments(ctx, args)
 	default:
 		usage()
 		os.Exit(2)
@@ -148,8 +152,9 @@ global flags (before the command):
   -metrics-out FILE  write the metrics registry to FILE on exit (Prometheus text)
   -pprof ADDR        serve net/http/pprof on ADDR (e.g. localhost:6060)
   -timeout DUR       abort the command after DUR (e.g. 30s; 0 = no limit)
-  -jobs N            worker count for dataset build, training and evaluation
-                     (0 = NumCPU, 1 = serial; results are identical either way)
+  -jobs N            worker count for dataset build, training, evaluation and
+                     serve's classify slots (0 = NumCPU, 1 = serial; results
+                     are identical either way)
 
 commands:
   oracle   <file.mc>           profile a program, print per-loop verdicts
@@ -171,7 +176,10 @@ commands:
   corpus   [-dump DIR]         print (or dump) the generated benchmark corpus
   speedup  <file.mc> [threads] simulate parallel execution of every loop
   dataset  [-out FILE]         build the corpus dataset and export it as JSON
-  explain  <file.mc> <loopID>  dump everything known about one loop`)
+  explain  <file.mc> <loopID>  dump everything known about one loop
+  experiments [-quick] [-table N] [-figure N] [-patterns] [-robustness]
+                               regenerate the paper's tables and figures
+                               (see mvpar experiments -h and EXPERIMENTS.md)`)
 }
 
 func loadSource(path string) (string, error) {
@@ -372,7 +380,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	modelPath := fs.String("model", "", "load model parameters from this file (written by `mvpar train -model`\nwith the same -quick setting) instead of training at startup")
 	quick := fs.Bool("quick", true, "use the fast training/encoding configuration")
 	maxQueue := fs.Int("max-queue", 64, "how many requests may wait for a worker slot; requests past it are shed with 429")
-	workers := fs.Int("workers", 0, "worker slots: classifications that run at once (0 = the --jobs / NumCPU default)")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request classification deadline")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown bound")
 	drainGrace := fs.Duration("drain-grace", 0, "keep serving this long after SIGTERM while /readyz reports\n503 draining, so load balancers stop routing before the listener\ncloses (e.g. 2s)")
@@ -430,7 +437,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	srv := serve.New(cls, serve.Config{
 		Addr:           *addr,
 		MaxQueue:       *maxQueue,
-		Workers:        *workers,
 		RequestTimeout: *reqTimeout,
 		DrainTimeout:   *drainTimeout,
 		DrainGrace:     *drainGrace,
@@ -478,11 +484,7 @@ func cmdSpeedup(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	ast, err := minic.Parse(args[0], src)
-	if err != nil {
-		return err
-	}
-	prog, err := ir.Lower(ast)
+	_, prog, err := dataset.ParseAndLower(args[0], src)
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,8 @@
 // experiment harness regenerating every table and figure.
 //
 // The public surface lives under internal/core (Pipeline), with the
-// command-line front ends in cmd/mvpar and cmd/experiments. The
+// command-line front end in cmd/mvpar (`mvpar experiments` regenerates
+// the tables and figures). The
 // benchmarks in bench_test.go regenerate each experiment; see DESIGN.md
 // for the system inventory and EXPERIMENTS.md for measured results.
 package mvpar

@@ -1,11 +1,12 @@
 package mvpar_test
 
 // Guards the command lines the docs show against the CLI they describe:
-// every `mvpar …` command line in README.md and docs/*.md, in a fenced
-// block or an inline code span, must name a subcommand that
-// cmd/mvpar/main.go dispatches and only flags that main (before the
-// subcommand) or that subcommand's flag set defines. A PR that deletes a
-// subcommand or a flag then cannot leave a dead example behind.
+// every `mvpar …` command line in README.md, DESIGN.md, EXPERIMENTS.md
+// and docs/*.md, in a fenced block or an inline code span, must name a
+// subcommand that cmd/mvpar's main dispatches and only flags that main
+// (before the subcommand) or that subcommand's flag set defines. A change
+// that deletes a subcommand or a flag then cannot leave a dead example
+// behind.
 
 import (
 	"fmt"
@@ -51,17 +52,29 @@ func flagName(call *ast.CallExpr) (name string, isBool, ok bool) {
 }
 
 // parseMvparCLI reads the subcommands and flags out of cmd/mvpar's
-// source: the string cases of main's switch are the subcommands, the
-// flag.* calls in main are the global flags, and every function that
-// builds flag.NewFlagSet(name, …) defines subcommand name's flags.
+// non-test sources: the string cases of main's switch are the
+// subcommands, the flag.* calls in main are the global flags, and every
+// function that builds flag.NewFlagSet(name, …) defines subcommand name's
+// flags.
 func parseMvparCLI(t *testing.T) mvparCLI {
 	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", "mvpar", "main.go"), nil, 0)
+	paths, err := filepath.Glob(filepath.Join("cmd", "mvpar", "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var decls []ast.Decl
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decls = append(decls, f.Decls...)
+	}
 	cli := mvparCLI{global: cliFlags{}, sub: map[string]cliFlags{}}
-	for _, decl := range f.Decls {
+	for _, decl := range decls {
 		fn, ok := decl.(*ast.FuncDecl)
 		if !ok || fn.Body == nil {
 			continue
@@ -105,7 +118,7 @@ func parseMvparCLI(t *testing.T) mvparCLI {
 		}
 	}
 	if len(cli.sub) == 0 || len(cli.global) == 0 {
-		t.Fatalf("found %d subcommands and %d global flags in cmd/mvpar/main.go", len(cli.sub), len(cli.global))
+		t.Fatalf("found %d subcommands and %d global flags in cmd/mvpar", len(cli.sub), len(cli.global))
 	}
 	return cli
 }
@@ -260,10 +273,17 @@ func TestDocsCommandLinesNameLiveFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	var checked int
-	for _, path := range append([]string{"README.md"}, docs...) {
+	for _, path := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The experiment harness is `mvpar experiments`; no second
+		// binary is left to point at.
+		for n, line := range strings.Split(string(data), "\n") {
+			if strings.Contains(line, "cmd/experiments") {
+				t.Errorf("%s:%d: names cmd/experiments, which is `mvpar experiments`", path, n+1)
+			}
 		}
 		for _, c := range docCommands(string(data)) {
 			checked++
@@ -273,7 +293,7 @@ func TestDocsCommandLinesNameLiveFlags(t *testing.T) {
 		}
 	}
 	if checked == 0 {
-		t.Fatal("found no mvpar command line in README.md or docs/*.md")
+		t.Fatal("found no mvpar command line in the docs")
 	}
 }
 
@@ -294,6 +314,9 @@ func TestDocsCommandLineCheck(t *testing.T) {
 		{"mvpar parity -precision float32", false},
 		{"mvpar serve -trace-ring 64", false},
 		{"mvpar -cache-size 8 serve", false},
+		{"mvpar experiments -quick -table 3", true},
+		{"mvpar experiments -bogus", false},
+		{"mvpar serve -workers 2", false},
 	} {
 		cmds := docCommands("```\n" + tc.line + "\n```\n")
 		if len(cmds) != 1 {

@@ -64,7 +64,7 @@ func main() {
 	}
 
 	// Step 2: train the MV-GNN on the built-in benchmark corpus (a quick
-	// configuration; see cmd/experiments for the paper-scale runs).
+	// configuration; `mvpar experiments` runs the paper-scale ones).
 	fmt.Println("\n== training MV-GNN on the built-in corpus (quick config) ==")
 	opts := core.Options{
 		Data: dataset.Config{

@@ -3,12 +3,14 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"mvpar/internal/bench"
 	"mvpar/internal/core"
 	"mvpar/internal/dataset"
+	"mvpar/internal/faults"
 	"mvpar/internal/gnn"
 	"mvpar/internal/inst2vec"
 	"mvpar/internal/nn"
@@ -148,6 +150,20 @@ void main() {
 	id := prog.LoopIDs()[0]
 	if !res.Verdicts[id].Parallelizable || !res.Verdicts[id].HasReduction {
 		t.Fatalf("verdict = %+v", res.Verdicts[id])
+	}
+}
+
+// TestProfileSourceNamesStage pins the CLI's profile path to the
+// failure contract of the served one: a source the parser rejects fails
+// with a *faults.StageError naming the parse stage and the program.
+func TestProfileSourceNamesStage(t *testing.T) {
+	_, _, _, err := core.ProfileSourceContext(context.Background(), "bad", "void main() { for (;; }")
+	var se *faults.StageError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v (%T), want a *faults.StageError", err, err)
+	}
+	if se.Stage != faults.StageParse || se.Program != "bad" {
+		t.Fatalf("StageError = %+v, want program bad, stage %s", se, faults.StageParse)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"mvpar/internal/dataset"
 	"mvpar/internal/deps"
 	"mvpar/internal/gnn"
-	"mvpar/internal/interp"
 	"mvpar/internal/ir"
 	"mvpar/internal/minic"
 	"mvpar/internal/obs"
@@ -181,20 +180,10 @@ func (p *Pipeline) LoadModel(r io.Reader) error {
 // returns its parsed and lowered forms with its dependence result — the
 // library's DiscoPoP-phase-1 entry point for users who want raw
 // dependences rather than model predictions, and the parse the static
-// analyses read. A done ctx aborts the instrumented execution at the
-// interpreter's stride check.
+// analyses read. It is dataset.Profile at the default step budget: a
+// failure is a *faults.StageError naming parse, lower or profile, and a
+// done ctx aborts the instrumented execution at the interpreter's stride
+// check.
 func ProfileSourceContext(ctx context.Context, name, src string) (*minic.Program, *ir.Program, *deps.Result, error) {
-	ast, err := minic.Parse(name, src)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	prog, err := ir.Lower(ast)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, _, err := deps.Analyze(prog, "main", interp.Limits{Ctx: ctx})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return ast, prog, res, nil
+	return dataset.Profile(ctx, name, src, 0)
 }

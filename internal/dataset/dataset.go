@@ -180,27 +180,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	pctx, profileSpan := trace.StartSpan(cfg.Ctx, "dataset.profile")
 	progs, perr := pool.Map(pool.Config{Ctx: cfg.Ctx}, len(apps), func(i int) (profiled, error) {
 		app := apps[i]
-		var (
-			src  *minic.Program
-			base *ir.Program
-			res  *deps.Result
-		)
-		err := faults.Stage(app.Name, faults.StageParse, func() (e error) {
-			src, e = minic.Parse(app.Name, app.Source)
-			return e
-		})
-		if err == nil {
-			err = faults.Stage(app.Name, faults.StageLower, func() (e error) {
-				base, e = ir.Lower(src)
-				return e
-			})
-		}
-		if err == nil {
-			err = faults.Stage(app.Name, faults.StageProfile, func() (e error) {
-				res, _, e = deps.Analyze(base, "main", interp.Limits{MaxSteps: cfg.MaxSteps, Ctx: pctx})
-				return e
-			})
-		}
+		_, base, res, err := Profile(pctx, app.Name, app.Source, cfg.MaxSteps)
 		return profiled{app: app, base: base, res: res}, err
 	})
 	profileSpan.End()
@@ -264,6 +244,51 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	stdSpan.End()
 	recordBuildStats(len(apps), d.Records)
 	return d, report, nil
+}
+
+// ParseAndLower parses and lowers one program, each step inside a
+// faults.Stage boundary: an error or a panic comes back as a
+// *faults.StageError naming the program and the stage (parse or lower).
+func ParseAndLower(name, source string) (*minic.Program, *ir.Program, error) {
+	var (
+		src  *minic.Program
+		base *ir.Program
+	)
+	err := faults.Stage(name, faults.StageParse, func() (e error) {
+		src, e = minic.Parse(name, source)
+		return e
+	})
+	if err == nil {
+		err = faults.Stage(name, faults.StageLower, func() (e error) {
+			base, e = ir.Lower(src)
+			return e
+		})
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return src, base, nil
+}
+
+// Profile parses, lowers and profiles one program (entry function main,
+// at most maxSteps interpreter steps; 0 takes interp's default), each
+// step inside a faults.Stage boundary, so a failure is a
+// *faults.StageError naming parse, lower or profile. A done ctx aborts
+// the instrumented execution at the interpreter's stride check.
+func Profile(ctx context.Context, name, source string, maxSteps int64) (*minic.Program, *ir.Program, *deps.Result, error) {
+	src, base, err := ParseAndLower(name, source)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var res *deps.Result
+	err = faults.Stage(name, faults.StageProfile, func() (e error) {
+		res, _, e = deps.Analyze(base, "main", interp.Limits{MaxSteps: maxSteps, Ctx: ctx})
+		return e
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return src, base, res, nil
 }
 
 // encodeVariant encodes every loop of one IR variant of one profiled
@@ -605,8 +630,9 @@ func encodedVariant(base *ir.Program, v int) *ir.Program {
 // tools' decisions (Pluto and AutoPar from the static affine tests,
 // DiscoPoP from the record's verdict) and the NCC token stream, capped at
 // cfg.MaxTokens. apps must hold the source of every record's program.
-// Each program is parsed and lowered again, one job per program on the
-// pool; the result is the same at every worker count.
+// Each program is parsed and lowered again (ParseAndLower, so a failure
+// names its stage), one job per program on the pool; the result is the
+// same at every worker count.
 func AddBaselineInputs(apps []bench.App, recs []*Record, cfg Config) error {
 	maxTokens := cfg.MaxTokens
 	if maxTokens <= 0 {
@@ -629,11 +655,7 @@ func AddBaselineInputs(apps []bench.App, recs []*Record, cfg Config) error {
 		if !ok {
 			return struct{}{}, fmt.Errorf("dataset: no source for program %q", names[i])
 		}
-		src, err := minic.Parse(app.Name, app.Source)
-		if err != nil {
-			return struct{}{}, err
-		}
-		base, err := ir.Lower(src)
+		src, base, err := ParseAndLower(app.Name, app.Source)
 		if err != nil {
 			return struct{}{}, err
 		}

@@ -29,14 +29,11 @@ type batcher struct {
 // queueDepthGauge reports how many requests wait for a worker slot.
 const queueDepthGauge = "mvpar_http_queue_depth"
 
-// newBatcher builds an admission layer with workers slots (0 uses the
-// shared pool default: NumCPU or the --jobs override).
-func newBatcher(maxQueue, workers int) *batcher {
-	if workers <= 0 {
-		workers = pool.DefaultParallelism()
-	}
+// newBatcher builds an admission layer with one slot per worker of the
+// shared pool default (NumCPU or the --jobs override).
+func newBatcher(maxQueue int) *batcher {
 	return &batcher{
-		slots:    make(chan struct{}, workers),
+		slots:    make(chan struct{}, pool.DefaultParallelism()),
 		maxQueue: int64(maxQueue),
 	}
 }

@@ -185,7 +185,8 @@ func TestServerReloadWithoutLoaderAnswers501(t *testing.T) {
 func TestServerReloadDrainsOldGenerationInFlight(t *testing.T) {
 	gen1 := &genStub{gen: 1, started: make(chan string, 4), release: make(chan struct{})}
 	gen2 := &genStub{gen: 2}
-	cfg := Config{Workers: 1}
+	setJobs(t, 1)
+	cfg := Config{}
 	cfg.Loader = func(context.Context) (Inference, error) {
 		return gen2, nil
 	}

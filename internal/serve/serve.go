@@ -6,7 +6,7 @@
 // The request path is a bounded-admission pipeline over one model:
 //
 //	POST /v1/classify → generation pin
-//	  → admission: wait for one of Workers slots (429 past MaxQueue
+//	  → admission: wait for one of -jobs worker slots (429 past MaxQueue
 //	    waiters, 504 if the deadline passes first)
 //	  → one panic-captured classification attempt on the handler's own
 //	    goroutine, the per-request context deadline reaching the
@@ -66,12 +66,10 @@ type Loader func(ctx context.Context) (Inference, error)
 type Config struct {
 	// Addr is the listen address, default ":8080".
 	Addr string
-	// MaxQueue bounds how many requests may wait for a worker slot;
-	// requests beyond it are shed with 429. Default 64.
+	// MaxQueue bounds how many requests may wait for a worker slot (one
+	// slot per pool.DefaultParallelism() worker: NumCPU or the --jobs
+	// override); requests beyond it are shed with 429. Default 64.
 	MaxQueue int
-	// Workers is the number of classifications that run at once; 0 uses
-	// the shared pool default (NumCPU or the --jobs override).
-	Workers int
 	// RequestTimeout is the per-request classification deadline (flows
 	// into the interpreter's stride check); default 30s.
 	RequestTimeout time.Duration
@@ -161,7 +159,7 @@ func New(inf Inference, cfg Config) *Server {
 	if cfg.TraceSlow > 0 {
 		s.traces = trace.NewRing(traceRingSize)
 	}
-	s.bat = newBatcher(cfg.MaxQueue, cfg.Workers)
+	s.bat = newBatcher(cfg.MaxQueue)
 	// Register the depth gauge now so /metrics shows it from startup.
 	obs.GetGauge(queueDepthGauge).Add(0)
 	s.install(inf)
@@ -337,22 +335,14 @@ func (s *Server) classify(ctx context.Context, gen *generation, name, src string
 	return preds, err
 }
 
-// Warm-up retry policy for ListenAndServe: a transient failure (model
-// file still syncing, page cache cold) gets retried with doubling
-// backoff; a persistent one (bad -model) must surface as a non-zero
-// exit so orchestration restarts or the operator notices, instead of a
-// permanently not-ready process answering 503 forever.
-var (
-	warmupAttempts     = 3
-	warmupBackoffStart = time.Second
-)
-
 // ListenAndServe binds cfg.Addr, serves until ctx is cancelled (the CLI
 // passes a SIGINT/SIGTERM-bound context), then drains gracefully within
 // cfg.DrainTimeout. Warm-up runs in the background so the listener is up
-// immediately; readiness flips once it passes. If warm-up still fails
-// after warmupAttempts tries, the server shuts down and the warm-up
-// error is returned.
+// immediately; readiness flips once it passes. Warm-up runs once: the
+// model is already in memory and classifies a constant program, so a
+// failure would repeat. On failure the server shuts down and the warm-up
+// error is returned, so the process exits non-zero instead of answering
+// 503 forever.
 func (s *Server) ListenAndServe(ctx context.Context) error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
@@ -367,29 +357,11 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	}()
 	warmc := make(chan error, 1)
 	go func() {
-		backoff := warmupBackoffStart
-		var werr error
-		for attempt := 1; attempt <= warmupAttempts; attempt++ {
-			if werr = s.Warmup(ctx); werr == nil {
-				return
-			}
-			obs.Error("serve.warmup_failed", "attempt", attempt, "err", werr)
-			if attempt == warmupAttempts {
-				break
-			}
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return
-			}
-			backoff *= 2
-		}
 		// A failure during normal shutdown is not fatal — the ctx.Done
 		// arm below handles that drain.
-		if ctx.Err() != nil {
-			return
+		if werr := s.Warmup(ctx); werr != nil && ctx.Err() == nil {
+			warmc <- fmt.Errorf("serve: warm-up failed: %w", werr)
 		}
-		warmc <- fmt.Errorf("serve: warm-up failed after %d attempt(s): %w", warmupAttempts, werr)
 	}()
 	var fatal error
 	select {

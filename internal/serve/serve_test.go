@@ -17,7 +17,16 @@ import (
 	"mvpar/internal/core"
 	"mvpar/internal/faults"
 	"mvpar/internal/obs"
+	"mvpar/internal/pool"
 )
+
+// setJobs sets the process-wide worker count, and with it a new server's
+// worker slots, for the rest of the test and restores the NumCPU default
+// when it ends.
+func setJobs(t testing.TB, n int) {
+	pool.SetDefaultParallelism(n)
+	t.Cleanup(func() { pool.SetDefaultParallelism(0) })
+}
 
 // stubInference is a controllable Inference: warm-up calls always
 // succeed immediately; regular calls optionally block until released,
@@ -208,7 +217,8 @@ func TestServerQueueOverflowSheds429(t *testing.T) {
 		started: make(chan string, 16),
 		release: make(chan struct{}),
 	}
-	s, ts := newTestServer(t, stub, Config{MaxQueue: 1, Workers: 1})
+	setJobs(t, 1)
+	s, ts := newTestServer(t, stub, Config{MaxQueue: 1})
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +327,8 @@ func TestServerGracefulDrainCompletesInFlight(t *testing.T) {
 		started: make(chan string, 16),
 		release: make(chan struct{}),
 	}
-	s := New(stub, Config{Workers: 1, DrainGrace: drainGrace})
+	setJobs(t, 1)
+	s := New(stub, Config{DrainGrace: drainGrace})
 	url := serveOnListener(t, s)
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
@@ -359,7 +370,8 @@ func TestBatcherQueueFullDuringDrain(t *testing.T) {
 		started: make(chan string, 16),
 		release: make(chan struct{}),
 	}
-	s := New(stub, Config{Workers: 1, MaxQueue: 2, DrainGrace: drainGrace})
+	setJobs(t, 1)
+	s := New(stub, Config{MaxQueue: 2, DrainGrace: drainGrace})
 	url := serveOnListener(t, s)
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
@@ -500,7 +512,8 @@ func TestServerUnprocessableProgram(t *testing.T) {
 // answers from generation 2.
 func TestServerSlotWaitDeadline504(t *testing.T) {
 	stub := &genStub{gen: 1}
-	cfg := Config{Workers: 1, RequestTimeout: 50 * time.Millisecond}
+	setJobs(t, 1)
+	cfg := Config{RequestTimeout: 50 * time.Millisecond}
 	cfg.Loader = func(context.Context) (Inference, error) { return &genStub{gen: 2}, nil }
 	s, ts := newTestServer(t, stub, cfg)
 	if err := s.Warmup(context.Background()); err != nil {
@@ -534,7 +547,8 @@ func TestServerSlotWaitDeadline504(t *testing.T) {
 // context check, and the slot it held serves the next request.
 func TestServerAttemptOverrun504(t *testing.T) {
 	stub := &stubInference{release: make(chan struct{})}
-	s, ts := newTestServer(t, stub, Config{Workers: 1, RequestTimeout: 50 * time.Millisecond})
+	setJobs(t, 1)
+	s, ts := newTestServer(t, stub, Config{RequestTimeout: 50 * time.Millisecond})
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -556,20 +570,16 @@ func (failingInference) ClassifyContext(context.Context, string, string) ([]core
 }
 
 // TestListenAndServeWarmupFailurePropagates pins down the dead-but-
-// running fix: when warm-up keeps failing, ListenAndServe must return
+// running fix: when warm-up fails, ListenAndServe must return
 // the warm-up error (so the CLI exits non-zero and orchestration
 // restarts) instead of serving 503 forever.
 func TestListenAndServeWarmupFailurePropagates(t *testing.T) {
-	oldAttempts, oldBackoff := warmupAttempts, warmupBackoffStart
-	warmupAttempts, warmupBackoffStart = 2, time.Millisecond
-	defer func() { warmupAttempts, warmupBackoffStart = oldAttempts, oldBackoff }()
-
 	s := New(failingInference{}, Config{Addr: "127.0.0.1:0", DrainTimeout: 5 * time.Second})
 	done := make(chan error, 1)
 	go func() { done <- s.ListenAndServe(context.Background()) }()
 	select {
 	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "warm-up failed after 2 attempt(s)") {
+		if err == nil || !strings.Contains(err.Error(), "warm-up failed") {
 			t.Fatalf("ListenAndServe returned %v, want propagated warm-up failure", err)
 		}
 	case <-time.After(10 * time.Second):
